@@ -48,7 +48,7 @@ from .groebner import (
     standard_monomials,
 )
 from .hochschild import chern_via_chains
-from .matform import Mat
+from .matform import Mat, WordEvaluator
 from .modules import (
     Connection,
     CurvedAlgebra,
@@ -64,7 +64,7 @@ from .modules import (
 from .randomgen import random_module_instance
 from .rings import GradedRing, RingElement, _mono_str
 
-EXAMPLE_NAMES = ("mf-xy", "a1-ci", "s4-nonflat", "classical-free", "sphere-bundle")
+EXAMPLE_NAMES = ("mf-xy", "s4-nonflat")
 
 
 # -- problem files -----------------------------------------------------
@@ -102,6 +102,11 @@ class Instance:
 def _require(cond: bool, clause: str) -> None:
     if not cond:
         raise InvalidInput(clause)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (true and false are not numbers here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _split_form_terms(text: str):
@@ -184,14 +189,19 @@ def parse_instance(text: str, label: str) -> Instance:
     _require(
         isinstance(variables, list) and variables, "ring block: variables required"
     )
+    _require(
+        all(isinstance(v, str) for v in variables),
+        "ring block: variable names must be strings",
+    )
     degrees = rb.get("degrees", [0] * len(variables))
     _require(
         isinstance(degrees, list) and len(degrees) == len(variables),
         "ring block: one degree per variable required",
     )
+    _require(all(_is_int(d) for d in degrees), "ring block: degrees must be integers")
     ring = GradedRing(
         tuple(variables),
-        tuple(int(d) for d in degrees),
+        tuple(degrees),
         grading=grading,
         relation=rb.get("relation"),
     )
@@ -210,6 +220,10 @@ def parse_instance(text: str, label: str) -> Instance:
             f"module block: unknown key {key!r}",
         )
     _require("degrees" in mb and "delta" in mb, "module block: degrees and delta required")
+    _require(
+        isinstance(mb["degrees"], list) and all(_is_int(d) for d in mb["degrees"]),
+        "module block: degrees must be a list of integers",
+    )
     module = CurvedModule.from_stored(
         algebra, mb["degrees"], mb["delta"], idempotent_rows=mb.get("idempotent")
     )
@@ -230,8 +244,14 @@ def parse_instance(text: str, label: str) -> Instance:
         _require("mu" in nb, "connection block: explicit kind requires mu rows")
         rows = nb["mu"]
         _require(
-            isinstance(rows, list) and len(rows) == len(module.degrees),
-            "connection block: mu must be a square matrix over the basis",
+            isinstance(rows, list)
+            and len(rows) == len(module.degrees)
+            and all(
+                isinstance(row, list) and len(row) == len(rows)
+                and all(isinstance(v, str) for v in row)
+                for row in rows
+            ),
+            "connection block: mu must be a square matrix of one-form strings over the basis",
         )
         mu = Mat.from_stored(
             ring,
@@ -248,6 +268,13 @@ def parse_instance(text: str, label: str) -> Instance:
         _require(
             key in {"milnor", "bound", "seed"}, f"options block: unknown key {key!r}"
         )
+    _require(
+        "bound" not in ob or (_is_int(ob["bound"]) and ob["bound"] >= 0),
+        "options block: bound must be a non-negative integer",
+    )
+    _require(
+        isinstance(ob.get("milnor", False), bool), "options block: milnor must be true or false"
+    )
     return Instance(label, data, ring, algebra, module, connection, kind, dict(ob))
 
 
@@ -328,11 +355,13 @@ def run_suite(
     M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
 ) -> SuiteResult:
     timing: dict[str, float] = {}
+    # one evaluator for both routes: a word they share is evaluated once
+    words = WordEvaluator()
     t0 = time.monotonic()
-    ch_weil = chern_weil(M, C)
+    ch_weil = chern_weil(M, C, words)
     timing["chern_weil"] = time.monotonic() - t0
     t0 = time.monotonic()
-    ch_chains = chern_via_chains(M, C)
+    ch_chains = chern_via_chains(M, C, words=words)
     timing["chern_via_chains"] = time.monotonic() - t0
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()

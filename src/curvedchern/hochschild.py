@@ -22,7 +22,7 @@ from math import factorial
 
 from .errors import IncomposableChain, InvalidInput
 from .forms import DiffForm, USeries, de_rham_d, wedge
-from .matform import Mat, form_degree_parity, supertrace_of_product
+from .matform import Mat, WordEvaluator, content_key, form_degree_parity
 from .modules import (
     Connection,
     CurvedAlgebra,
@@ -215,8 +215,15 @@ def chain(category, head, tail=(), *, objects=None, coeff: Scalar = ONE, u_exp: 
     components (a chain is multilinear in each slot, so an inhomogeneous
     input becomes the sum over component choices).
     """
-    tail = list(tail)
-    n = len(tail)
+    return _chain(category, [head, *tail], objects, coeff, u_exp, {})
+
+
+def _chain(category, raw_slots, objects, coeff, u_exp, split: dict) -> ChainSum:
+    """chain() on the slot list [head, *tail].  `split` maps (target,
+    source, slot content) to the slot's parity components; a caller that
+    builds many chains from the same slots passes one dict to all of them,
+    so each distinct slot is checked and split once."""
+    n = len(raw_slots) - 1
     if objects is None:
         objects = (0,) * (n + 1)
     objects = tuple(int(o) for o in objects)
@@ -224,15 +231,18 @@ def chain(category, head, tail=(), *, objects=None, coeff: Scalar = ONE, u_exp: 
         raise IncomposableChain("object cycle length must be one more than the tail")
     if any(not 0 <= o < len(category.objects) for o in objects):
         raise InvalidInput("object index out of range")
-    slots = []
-    for i, raw in enumerate([head] + tail):
+    choices = []
+    for i, raw in enumerate(raw_slots):
         tgt, src = objects[i], objects[(i + 1) % (n + 1)]
         X = _as_hom(category, tgt, src, raw)
-        et, es = category.identity(tgt), category.identity(src)
-        if not (et @ X @ es - X).is_zero():
-            raise InvalidInput(f"slot {i} is not supported on the presented images")
-        slots.append(X)
-    choices = [sorted(s.parity_components().items()) for s in slots]
+        key = (tgt, src, content_key(X))
+        parts = split.get(key)
+        if parts is None:
+            et, es = category.identity(tgt), category.identity(src)
+            if not (et @ X @ es - X).is_zero():
+                raise InvalidInput(f"slot {i} is not supported on the presented images")
+            parts = split[key] = sorted(X.parity_components().items())
+        choices.append(parts)
     if any(not c for c in choices):
         return ChainSum.zero(category)
     out = []
@@ -427,7 +437,9 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
     for one-object categories; None means zero).  Each choice of
     insertion counts (i_0, ..., i_n) contributes with sign
     (-1)^{i_0+...+i_n}; output tensor length is capped at n_max, which
-    is harmless under tr_nabla once n_max >= dim A.
+    is harmless under tr_nabla once n_max >= dim A.  Each distinct slot is
+    checked for e-support and split into parity components once per call,
+    however many emitted chains carry it.
     """
     cat = c.category
     if beta is None:
@@ -441,6 +453,7 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
         if len(betas) != len(cat.objects):
             raise InvalidInput("one beta per category object required")
     apply_rho = (lambda X: X) if rho is None else rho
+    split: dict = {}
     out = ChainSum.zero(cat)
     for coeff, ch in c.terms():
         n = ch.n
@@ -460,13 +473,13 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
                 for _ in range(counts[k]):
                     slots.append(betas[gap_obj])
                     objs.append(gap_obj)
-            out = out + chain(
+            out = out + _chain(
                 cat,
-                mapped[0],
-                slots,
-                objects=(ch.objects[0], *objs),
-                coeff=coeff * _sgn(total),
-                u_exp=ch.u_exp,
+                [mapped[0], *slots],
+                (ch.objects[0], *objs),
+                coeff * _sgn(total),
+                ch.u_exp,
+                split,
             )
     return out
 
@@ -541,11 +554,18 @@ def _insertion_counts(gaps: int, budget: int, betas, objects):
     return rec(0, budget)
 
 
-def tr_nabla(c: ChainSum, connections) -> USeries:
+def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> USeries:
     """The chain-level trace: covariantly differentiate the tail,
     insert curvature powers in every gap, supertrace, and weight by
     (-1)^J/(J+n)!·u^J.  Finite because words of form degree beyond
-    dim A vanish (n + 2J <= dim A)."""
+    dim A vanish (n + 2J <= dim A).
+
+    Every insertion is evaluated as its own word through `words` (a fresh
+    WordEvaluator by default).  Letters are interned by content, so a tail
+    slot repeated across chains is differentiated once, and a word already
+    evaluated on the same evaluator (by Chern-Weil, say) is not evaluated
+    again.
+    """
     cat = c.category
     ring = cat.ring
     conns = list(connections)
@@ -554,38 +574,26 @@ def tr_nabla(c: ChainSum, connections) -> USeries:
     for C, M in zip(conns, cat.objects):
         if C.module.degrees != M.degrees or not (C.module.e - M.e).is_zero():
             raise InvalidInput("connection does not match its category object")
+    words = WordEvaluator() if words is None else words
     nvars = ring.nvars
     acc = USeries.zero(ring)
     idents = [cat.identity(o) for o in range(len(cat.objects))]
-    base_mats: dict[tuple, Mat] = {}   # single letter -> matrix
-    word_cache: dict[tuple, Mat] = {}  # letter sequence -> full product
-    kmis: dict[int, int | None] = {}   # per-object curvature parity
+    # object -> (letter of nabla^2, its parity mismatch); nabla^2 has even
+    # operator degree, so the mismatch is its form parity alone
+    curvatures: dict[int, tuple] = {}
+    # (objects, parity, slot content) -> (letter of [nabla, slot], its
+    # parity mismatch), or None for a slot with zero covariant derivative
+    derivatives: dict[tuple, tuple | None] = {}
 
-    def kmat(o: int) -> Mat:
-        tok = ("K", o)
-        got = base_mats.get(tok)
+    def curvature_letter(o: int) -> tuple:
+        got = curvatures.get(o)
         if got is None:
-            got = curvature_mat(conns[o])
-            base_mats[tok] = got
-            # nabla^2 has even operator degree, so its parity mismatch
-            # is its form parity alone
-            kmis[o] = form_degree_parity(got)
+            K = curvature_mat(conns[o])
+            got = curvatures[o] = (words.letter(K), form_degree_parity(K))
         return got
 
-    def seq_mat(seq: tuple) -> Mat:
-        if len(seq) == 1:
-            return base_mats[seq[0]]
-        got = word_cache.get(seq)
-        if got is None:
-            got = seq_mat(seq[:-1]) @ base_mats[seq[-1]]
-            word_cache[seq] = got
-        return got
-
-    # Each word is evaluated as a supertrace of two halves (a diagonal
-    # dot product), with all half-products cached by their letter
-    # sequence and shared across insertions and across chains.  A word
-    # whose total parity mismatch (form parity + operator parity per
-    # letter) is odd has structurally zero supertrace and is skipped.
+    # A word whose total parity mismatch (form parity + operator parity
+    # per letter) is odd has structurally zero supertrace and is skipped.
     for coeff, ch in c.terms():
         n = ch.n
         if n > nvars:
@@ -594,65 +602,47 @@ def tr_nabla(c: ChainSum, connections) -> USeries:
         head = ch.slots[0]
         if head.is_zero():
             continue
-        head_is_ident = head == idents[o0]
-        if head_is_ident:
-            head_tokens: list[tuple] = []
+        if head == idents[o0]:
+            head_word: tuple = ()
             mis: int | None = 0
         else:
-            tok = ("H", id(head))
-            base_mats.setdefault(tok, head)
-            head_tokens = [tok]
+            head_word = (words.letter(head),)
             hp = form_degree_parity(head)
             mis = None if hp is None else (hp + ch.degrees[0]) % 2
-        ptoks: list[tuple] = []
-        zero_slot = False
+        tail: list[int] = []
         for i in range(1, n + 1):
             oi, oj = ch.objects[i], ch.objects[(i + 1) % (n + 1)]
-            tok = ("P", oi, oj, id(ch.slots[i]), ch.degrees[i])
-            got = base_mats.get(tok)
-            if got is None:
-                got = covariant_derivative_pair(
-                    conns[oi], conns[oj], ch.slots[i], ch.degrees[i]
+            key = (oi, oj, ch.degrees[i], content_key(ch.slots[i]))
+            if key not in derivatives:
+                P = covariant_derivative_pair(conns[oi], conns[oj], ch.slots[i], ch.degrees[i])
+                derivatives[key] = (
+                    None if P.is_zero() else (words.letter(P), form_degree_parity(P))
                 )
-                base_mats[tok] = got
-            if got.is_zero():
-                zero_slot = True
+            got = derivatives[key]
+            if got is None:
                 break
-            ptoks.append(tok)
+            tail.append(got[0])
             if mis is not None:
-                pp = form_degree_parity(got)
-                mis = None if pp is None else (mis + pp + ch.degrees[i] - 1) % 2
-        if zero_slot:
+                mis = None if got[1] is None else (mis + got[1] + ch.degrees[i] - 1) % 2
+        if len(tail) < n:
             continue
         max_J = (nvars - n) // 2
         for J in range(max_J + 1):
             weight = coeff * Scalar(Fraction((-1) ** J, factorial(J + n)))
             for comp in _compositions(J, n + 1):
-                tokens = list(head_tokens)
+                word = list(head_word)
                 word_mis = mis
                 for g in range(n + 1):
                     if comp[g]:
-                        o = ch.objects[g + 1] if g < n else o0
-                        kmat(o)
+                        k_letter, km = curvature_letter(ch.objects[g + 1] if g < n else o0)
                         if word_mis is not None:
-                            km = kmis[o]
-                            word_mis = (
-                                None if km is None else (word_mis + comp[g] * km) % 2
-                            )
-                        tokens.extend([("K", o)] * comp[g])
+                            word_mis = None if km is None else (word_mis + comp[g] * km) % 2
+                        word.extend([k_letter] * comp[g])
                     if g < n:
-                        tokens.append(ptoks[g])
+                        word.append(tail[g])
                 if word_mis == 1:
                     continue
-                if not tokens:
-                    tr = idents[o0].supertrace()
-                elif len(tokens) == 1:
-                    tr = base_mats[tokens[0]].supertrace()
-                else:
-                    cut = (len(tokens) + 1) // 2
-                    tr = supertrace_of_product(
-                        seq_mat(tuple(tokens[:cut])), seq_mat(tuple(tokens[cut:]))
-                    )
+                tr = words.supertrace(tuple(word)) if word else idents[o0].supertrace()
                 if tr.is_zero():
                     continue
                 acc = acc + tr.scale(weight).shift_u(J + ch.u_exp)
@@ -668,12 +658,20 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None) -> USeries:
+def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None,
+                     words: WordEvaluator | None = None) -> USeries:
     """Chern character through the chain route.
 
     Pushes the canonical class 1[] forward along (id, delta) into the
     trivial-differential category on the underlying module and applies
-    tr_nabla.  Must agree with the Chern-Weil route coefficient-wise.
+    tr_nabla, whose words are evaluated through `words` (a fresh
+    WordEvaluator by default; pass the one Chern-Weil used to reuse the
+    words the routes share).  Must agree with the Chern-Weil route
+    coefficient-wise.
+
+    nabla and nabla^2 depend only on (e, theta), which the stripped object
+    shares with M, so C itself serves as the object's connection and its
+    curvature is computed once for both routes.
     """
     verdict = check_module(M)
     if not verdict.ok:
@@ -687,13 +685,4 @@ def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None) -
     if n_max is None:
         n_max = ring.nvars + 1
     pushed = pushforward(None, M.delta, gamma, n_max)
-    # curvature depends only on (e, theta), which the stripped module
-    # shares with M, so the two routes can reuse one computation
-    conn = Connection(stripped, C.theta)
-    conn._curvature = C._curvature
-    conn._curvature_checked = C._curvature_checked
-    out = tr_nabla(pushed, [conn])
-    if C._curvature is None and conn._curvature is not None:
-        C._curvature = conn._curvature
-        C._curvature_checked = conn._curvature_checked
-    return out
+    return tr_nabla(pushed, [C], words)

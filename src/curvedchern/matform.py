@@ -296,27 +296,6 @@ class Mat:
             out[p] = Mat(ring, self.target_degrees, self.source_degrees, rows)
         return out
 
-    def max_form_degree(self) -> int:
-        return max(
-            (
-                f.max_degree()
-                for row in self.entries
-                for v in row
-                for f in v.coeffs.values()
-            ),
-            default=0,
-        )
-
-    def min_form_degree(self) -> int | None:
-        degs = [
-            min(f.form_degrees())
-            for row in self.entries
-            for v in row
-            for f in v.coeffs.values()
-            if not f.is_zero()
-        ]
-        return min(degs) if degs else None
-
     def column(self, s: int) -> Column:
         return [self.entries[t][s] for t in range(len(self.target_degrees))]
 
@@ -388,8 +367,8 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     """str(A @ B) from the diagonal dot products only.
 
     Forming the full product computes rank^2 entries and then discards all
-    but the diagonal; this computes the rank entries that matter.  Used for
-    the top curvature powers, whose matrices are never needed again.
+    but the diagonal; this computes the rank entries that matter.
+    WordEvaluator evaluates every word of two or more letters this way.
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
@@ -404,6 +383,78 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
             entry = entry + a * b
         acc = acc + _supertrace_weight(A.ring, deg, entry)
     return acc
+
+
+def content_key(X: Mat) -> tuple:
+    """A hashable key equal for two matrices exactly when their degrees and
+    entries are equal.  The ring elements in it compare their rings too, so
+    matrices with equal-looking nonzero entries over different rings never
+    share a key."""
+    return (
+        X.target_degrees,
+        X.source_degrees,
+        tuple(
+            tuple(sorted((J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items()))
+            for row in X.entries
+            for v in row
+        ),
+    )
+
+
+class WordEvaluator:
+    """Supertraces of words in matrix letters, memoized by content.
+
+    A letter is interned by content_key, so two routes that build equal
+    matrices independently share one letter.  A word is a tuple of letters;
+    its product P(w) is built left to right (P(w[:-1]) @ w[-1]) and its
+    supertrace as str(P(w[:cut]) @ P(w[cut:])), and both are kept.  The cut
+    is the middle, ceil(len(w)/2), unless another cut finds both halves
+    already built.  Words are taken exactly as given: rotations, signs and
+    weights are the caller's business.
+    """
+
+    def __init__(self):
+        self._ids: dict[tuple, int] = {}
+        self._letters: list[Mat] = []
+        self._products: dict[tuple[int, ...], Mat] = {}
+        self._traces: dict[tuple[int, ...], USeries] = {}
+
+    def letter(self, X: Mat) -> int:
+        key = content_key(X)
+        got = self._ids.get(key)
+        if got is None:
+            got = self._ids[key] = len(self._letters)
+            self._letters.append(X)
+        return got
+
+    def _product(self, word: tuple[int, ...]) -> Mat:
+        if len(word) == 1:
+            return self._letters[word[0]]
+        got = self._products.get(word)
+        if got is None:
+            got = self._products[word] = self._product(word[:-1]) @ self._letters[word[-1]]
+        return got
+
+    def supertrace(self, word: tuple[int, ...]) -> USeries:
+        got = self._traces.get(word)
+        if got is None:
+            if len(word) == 1:
+                got = self._letters[word[0]].supertrace()
+            else:
+                cut = self._cut(word)
+                got = supertrace_of_product(self._product(word[:cut]), self._product(word[cut:]))
+            self._traces[word] = got
+        return got
+
+    def _cut(self, word: tuple[int, ...]) -> int:
+        def built(w):
+            return len(w) == 1 or w in self._products
+
+        mid = (len(word) + 1) // 2
+        for cut in (mid, *range(1, len(word))):
+            if built(word[:cut]) and built(word[cut:]):
+                return cut
+        return mid
 
 
 def _twist(v: USeries, basis_degree: int) -> USeries:

@@ -23,12 +23,9 @@ from .forms import (
     hn_differential,
     vanishes_mod_relation,
 )
-from .matform import Column, Mat, form_degree_parity, jd_column, supertrace_of_product
+from .matform import Column, Mat, WordEvaluator, form_degree_parity, jd_column
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
-
-# spec vocabulary: an endomorphism-valued form is just a Mat
-EndoForm = Mat
 
 
 @dataclass
@@ -74,9 +71,6 @@ class CurvedModule:
     @property
     def ring(self) -> GradedRing:
         return self.algebra.ring
-
-    def rank_matrix(self) -> Mat:
-        return self.e
 
 
 @dataclass
@@ -239,17 +233,22 @@ def supertrace(X: Mat) -> USeries:
     return X.supertrace()
 
 
-def chern_weil(M: CurvedModule, C: Connection) -> USeries:
+def chern_weil(M: CurvedModule, C: Connection,
+               words: WordEvaluator | None = None) -> USeries:
     """str(exp(-R)) = sum_m (-1)^m str(R^m)/m!.
 
     The m = 0 term is the supertrace of the identity of P, i.e. str(e).
     With R = A + u·B for A = [nabla, delta] (one-forms) and B = nabla^2
     (two-forms), str(R^m) expands over binary words in A, B.  Words of
-    form degree m + #B > nvars vanish, both letters have even total
-    degree so the supertrace is invariant under rotating a word, and
-    rotation classes share prefix products; this evaluates far fewer and
-    far smaller products than powering the mixed matrix R.
+    form degree m + #B > nvars vanish, and both letters have even total
+    degree so the supertrace is invariant under rotating a word: one
+    representative per rotation class is evaluated, weighted by the size
+    of the class.  The supertraces themselves come from `words` (a fresh
+    WordEvaluator by default), which shares prefix products between words
+    and, when the chain route is given the same evaluator, every product
+    and supertrace of a word the two routes have in common.
     """
+    words = WordEvaluator() if words is None else words
     ring = M.ring
     K = curvature_mat(C)
     if C._dprime is None:
@@ -264,23 +263,7 @@ def chern_weil(M: CurvedModule, C: Connection) -> USeries:
     # a word of odd total mismatch has a structurally zero supertrace
     pa = form_degree_parity(A)
     pb = form_degree_parity(K)
-
-    prefixes: dict[tuple, Mat] = {}
-
-    def word_mat(word: tuple) -> Mat:
-        if len(word) == 1:
-            return K if word[0] else A
-        got = prefixes.get(word)
-        if got is None:
-            got = word_mat(word[:-1]) @ (K if word[-1] else A)
-            prefixes[word] = got
-        return got
-
-    def word_trace(word: tuple) -> USeries:
-        if len(word) == 1:
-            return word_mat(word).supertrace()
-        cut = (len(word) + 1) // 2
-        return supertrace_of_product(word_mat(word[:cut]), word_mat(word[cut:]))
+    letters = (words.letter(A), words.letter(K))
 
     for m in range(1, top + 1):
         rotation_classes: dict[tuple, int] = {}
@@ -296,7 +279,7 @@ def chern_weil(M: CurvedModule, C: Connection) -> USeries:
             canon = min(w[r:] + w[:r] for r in range(m))
             rotation_classes[canon] = rotation_classes.get(canon, 0) + 1
         for w, mult in sorted(rotation_classes.items()):
-            tr = word_trace(w)
+            tr = words.supertrace(tuple(letters[b] for b in w))
             if tr.is_zero():
                 continue
             weight = Scalar(Fraction((-1) ** m * mult, factorial(m)))

@@ -1,0 +1,90 @@
+"""The command line as a user runs it: exit codes and output of a fresh
+interpreter, so an uncaught exception shows up as a traceback on stderr."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "curvedchern.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_examples_mf_xy_matches_its_golden():
+    proc = _run("examples", "mf-xy")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("golden: match\n")
+
+
+def test_examples_unknown_name_is_invalid_input():
+    proc = _run("examples", "a1-ci")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+MF_XY = {
+    "ring": {"variables": ["x", "y"]},
+    "curved": {"h": "-x*y"},
+    "module": {"degrees": [0, 1], "delta": [["0", "x"], ["y", "0"]]},
+}
+
+
+def _with(block: str, **changes) -> dict:
+    doc = json.loads(json.dumps(MF_XY))
+    doc.setdefault(block, {}).update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with("ring", degrees=["a", 0]),
+        _with("ring", variables=[3]),
+        _with("module", degrees=["a", 1]),
+        _with("options", bound="z"),
+        _with("options", bound=-1),
+        _with("options", bound=True),
+        _with("options", milnor=1),
+        _with("connection", kind="explicit", mu=[[3, "0"], ["0", "0"]]),
+    ],
+    ids=[
+        "ring-degree-not-int",
+        "variable-not-string",
+        "module-degree-not-int",
+        "bound-not-int",
+        "bound-negative",
+        "bound-bool",
+        "milnor-not-bool",
+        "mu-entry-not-string",
+    ],
+)
+def test_malformed_problem_file_exits_2_without_traceback(doc, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_well_formed_options_are_accepted(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_with("options", bound=3, milnor=True)), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "milnor representative" in proc.stdout

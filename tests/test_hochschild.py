@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import IncomposableChain, InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d, wedge
+from curvedchern import hochschild
 from curvedchern.hochschild import (
     CategoryData,
     ChainSum,
@@ -24,7 +25,7 @@ from curvedchern.hochschild import (
     tr_nabla,
     truncate_length,
 )
-from curvedchern.matform import Mat
+from curvedchern.matform import Mat, content_key
 from curvedchern.modules import (
     Connection,
     CurvedAlgebra,
@@ -440,6 +441,53 @@ def _sphere_module():
     zero = [["0", "0"], ["0", "0"]]
     M = CurvedModule.from_stored(alg, [0, 0], zero, idempotent_rows=e_rows)
     return R, M
+
+
+def _sphere_bundle_module():
+    """The sphere fixture's rank-2 projective tensored with the Koszul
+    factorization of x1*x2: delta = [[0, x1·e], [x2·e, 0]] on e ⊕ e."""
+    R, P = _sphere_module()
+    alg = CurvedAlgebra(R, R.from_string("-x1*x2"))
+    e = P.e.entries
+    z = USeries.zero(R)
+    x1, x2 = (USeries.from_ring(R.var(v)) for v in ("x1", "x2"))
+    E = [[e[t % 2][s % 2] if t // 2 == s // 2 else z for s in range(4)] for t in range(4)]
+    delta = [
+        [(x1 if t < 2 else x2) * e[t % 2][s % 2] if t // 2 != s // 2 else z for s in range(4)]
+        for t in range(4)
+    ]
+    degrees = (0, 0, 1, 1)
+    return CurvedModule(
+        alg, degrees, Mat(R, degrees, degrees, delta), e=Mat(R, degrees, degrees, E)
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _sphere_module()[1], _sphere_bundle_module], ids=["sphere", "sphere-bundle"]
+)
+def test_chern_via_chains_differentiates_each_distinct_slot_once(make, monkeypatch):
+    M = make()
+    C = levi_civita(M)
+    stripped = CurvedModule(M.algebra, M.degrees, Mat.zero(M.ring, M.degrees, M.degrees), e=M.e)
+    cat = CategoryData(M.algebra, [stripped])
+    # tr_nabla skips chains longer than the number of variables
+    pushed = pushforward(None, M.delta, chain(cat, M.e), M.ring.nvars)
+    distinct = {
+        (ch.objects[i], ch.degrees[i], content_key(ch.slots[i]))
+        for _, ch in pushed.terms()
+        for i in range(1, ch.n + 1)
+    }
+    calls = []
+    plain = hochschild.covariant_derivative_pair
+
+    def spy(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(hochschild, "covariant_derivative_pair", spy)
+    got = chern_via_chains(M, C)
+    assert len(calls) == len(distinct)
+    assert got == chern_weil(M, C)
 
 
 def test_chern_via_chains_matches_chern_weil_on_xy():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
-from curvedchern.matform import Mat, jd_column
+from curvedchern.matform import Mat, WordEvaluator, jd_column, supertrace_of_product
 from curvedchern.scalars import Scalar
 
-from util import qi_ring
+from util import qi_ring, sphere_ring
 
 
 def _ring2():
@@ -204,3 +204,65 @@ def test_supertrace_linear(a, b, c, d):
     Y = Mat.from_stored(R, [0, 1], [[d, c], [b, a]])
     assert (X + Y).supertrace() == X.supertrace() + Y.supertrace()
     assert X.scale(Scalar(3)).supertrace() == X.supertrace().scale(Scalar(3))
+
+
+# -- WordEvaluator -----------------------------------------------------
+
+
+def test_word_evaluator_interns_letters_by_content():
+    R = _ring2()
+    X = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    Y = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    assert X is not Y
+    words = WordEvaluator()
+    a = words.letter(X)
+    assert words.letter(Y) == a
+    tr = words.supertrace((a, a, a))
+    assert tr == (X @ X @ X).supertrace()
+    assert words.supertrace((a, a, a)) is tr
+
+
+def test_word_evaluator_separates_a_letter_from_its_negative():
+    R = _ring2()
+    X = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    words = WordEvaluator()
+    a, b = words.letter(X), words.letter(-X)
+    assert a != b
+    assert words.supertrace((a, b)) == supertrace_of_product(X, -X)
+
+
+def test_word_evaluators_over_different_rings_do_not_share():
+    # the same entries print alike over the sphere and over the free ring
+    # on the same names, but their products reduce differently
+    sphere = sphere_ring(3)
+    free = qi_ring("x1", "x2", "x3")
+    rows = [["x1", "x2"], ["x3", "x1"]]
+    Xs = Mat.from_stored(sphere, [0, 0], rows)
+    Xf = Mat.from_stored(free, [0, 0], rows)
+    assert [[str(v) for v in r] for r in Xs.entries] == [[str(v) for v in r] for r in Xf.entries]
+    on_sphere, on_free = WordEvaluator(), WordEvaluator()
+    a, b = on_sphere.letter(Xs), on_free.letter(Xf)
+    assert on_sphere.supertrace((a, a)) == (Xs @ Xs).supertrace()
+    assert on_free.supertrace((b, b)) == (Xf @ Xf).supertrace()
+    assert str(on_sphere.supertrace((a, a))) != str(on_free.supertrace((b, b)))
+    # one evaluator given both keeps them apart as well
+    both = WordEvaluator()
+    assert both.letter(Xs) != both.letter(Xf)
+
+
+def test_word_evaluator_reuses_built_halves(monkeypatch):
+    R = _ring2()
+    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["1", "x*y"]])
+    K = Mat.from_stored(R, [0, 1], [["y", "1"], ["x", "x"]])
+    words = WordEvaluator()
+    a, k = words.letter(A), words.letter(K)
+    matmuls = []
+    plain = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda X, Y: matmuls.append(1) or plain(X, Y))
+    words.supertrace((a, a, a, a))  # builds A·A once for both halves
+    assert len(matmuls) == 1
+    # K·A·A cuts after K, where A·A is already built, so it builds nothing
+    tr = words.supertrace((k, a, a))
+    assert len(matmuls) == 1
+    monkeypatch.undo()
+    assert tr == (K @ A @ A).supertrace()
