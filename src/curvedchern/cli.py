@@ -54,7 +54,6 @@ from .modules import (
     CurvedAlgebra,
     CurvedModule,
     IdentityVerdict,
-    check_module,
     chern_weil,
     commutator_check,
     connection_with_mu,
@@ -227,7 +226,7 @@ def parse_instance(text: str, label: str) -> Instance:
     module = CurvedModule.from_stored(
         algebra, mb["degrees"], mb["delta"], idempotent_rows=mb.get("idempotent")
     )
-    verdict = check_module(module)
+    verdict = module.verdict()
     if not verdict.ok:
         raise InvalidInput("module block: " + "; ".join(verdict.failures))
 

@@ -10,6 +10,10 @@ module_membership.
 USeries are finitely supported series in the even formal variable u with
 DiffForm coefficients; hn_differential is the mixed-complex differential
 u·d + dh∧(-).
+
+Wedge and u-series products hand all their coefficient products, keyed
+by (u-power, wedge indices) with the Koszul sign, to one
+rings.sum_of_products call, which normal-forms each coefficient once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
 from .linalg import solve_sparse
-from .rings import GradedRing, RingElement, monomial_key
+from .rings import GradedRing, RingElement, monomial_key, sum_of_products
 from .scalars import Scalar
 
 Indices = tuple[int, ...]
@@ -83,23 +87,10 @@ class DiffForm:
         return DiffForm(self.ring, {S: coeff.scale(c) for S, coeff in self.parts.items()})
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        out: dict[Indices, RingElement] = {}
-        for S1, c1 in self.parts.items():
-            for S2, c2 in other.parts.items():
-                merged = _merge_indices(S1, S2)
-                if merged is None:
-                    continue
-                S, sign = merged
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                got = out.get(S)
-                s = c if got is None else got + c
-                if s.is_zero():
-                    out.pop(S, None)
-                else:
-                    out[S] = s
-        return DiffForm(self.ring, out)
+        terms: list = []
+        _wedge_terms(terms, 0, self, other)
+        sums = sum_of_products(self.ring, terms)
+        return DiffForm(self.ring, {S: p for (_, S), p in sums.items()})
 
     # -- structure -----------------------------------------------------
 
@@ -180,6 +171,16 @@ def _merge_indices(S1: Indices, S2: Indices) -> tuple[Indices, int] | None:
     return tuple(sorted(merged)), (-1) ** inversions
 
 
+def _wedge_terms(out: list, J: int, f1: DiffForm, f2: DiffForm) -> None:
+    """Append the sum_of_products contributions of u^J·(f1 ∧ f2): key
+    (J, S) with S the merged wedge indices, and the Koszul sign."""
+    for S1, c1 in f1.parts.items():
+        for S2, c2 in f2.parts.items():
+            merged = _merge_indices(S1, S2)
+            if merged is not None:
+                out.append(((J, merged[0]), merged[1], c1, c2))
+
+
 def de_rham_d(omega: DiffForm) -> DiffForm:
     """Exterior derivative: d(a dx_S) = sum_v (da/dx_v) dx_v ∧ dx_S."""
     ring = omega.ring
@@ -249,16 +250,23 @@ class USeries:
         return USeries(self.ring, {J: -f for J, f in self.coeffs.items()})
 
     def __mul__(self, other: "USeries") -> "USeries":
-        out: dict[int, DiffForm] = {}
-        for J1, f1 in self.coeffs.items():
-            for J2, f2 in other.coeffs.items():
-                w = f1.wedge(f2)
-                if w.is_zero():
-                    continue
-                got = out.get(J1 + J2)
-                s = w if got is None else got + w
-                out[J1 + J2] = s
-        return USeries(self.ring, out)
+        return USeries.sum_of_products(self.ring, ((self, other),))
+
+    @staticmethod
+    def sum_of_products(ring: GradedRing, pairs) -> "USeries":
+        """Sum of a·b over the (a, b) pairs, in one sum_of_products call."""
+        terms: list = []
+        for a, b in pairs:
+            if a.coeffs and b.coeffs:
+                for J1, f1 in a.coeffs.items():
+                    for J2, f2 in b.coeffs.items():
+                        _wedge_terms(terms, J1 + J2, f1, f2)
+        if not terms:
+            return USeries(ring)
+        coeffs: dict[int, dict] = {}
+        for (J, S), p in sum_of_products(ring, terms).items():
+            coeffs.setdefault(J, {})[S] = p
+        return USeries(ring, {J: DiffForm(ring, parts) for J, parts in coeffs.items()})
 
     def scale(self, c: Scalar) -> "USeries":
         return USeries(self.ring, {J: f.scale(c) for J, f in self.coeffs.items()})
@@ -289,15 +297,6 @@ class USeries:
 
     def __repr__(self) -> str:
         return f"<useries {self}>"
-
-
-def useries_arith(p: USeries, q: USeries, op: str) -> USeries:
-    """Named dispatch: add or mul."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise InvalidInput(f"unknown useries op {op!r}")
 
 
 def hn_differential(p: USeries, h: RingElement) -> USeries:

@@ -18,6 +18,7 @@ from .rings import (
     _mono_div,
     _mono_mul,
     monomial_key,
+    sum_of_products,
 )
 from .scalars import Scalar
 
@@ -83,7 +84,8 @@ def _spoly(f: RingElement, g: RingElement) -> RingElement:
     ring = f.ring
     tf = RingElement(ring, {_mono_div(lcm, fm): fc.inv()}, _normalize=False)
     tg = RingElement(ring, {_mono_div(lcm, gm): gc.inv()}, _normalize=False)
-    return tf * f - tg * g
+    got = sum_of_products(ring, ((None, 1, tf, f), (None, -1, tg, g)))
+    return got[None] if got else ring.zero()
 
 
 def buchberger(gens: list[RingElement]) -> GroebnerBasis:

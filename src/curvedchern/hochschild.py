@@ -27,7 +27,6 @@ from .modules import (
     Connection,
     CurvedAlgebra,
     CurvedModule,
-    check_module,
     covariant_derivative_pair,
     curvature_mat,
 )
@@ -673,7 +672,7 @@ def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None,
     shares with M, so C itself serves as the object's connection and its
     curvature is computed once for both routes.
     """
-    verdict = check_module(M)
+    verdict = M.verdict()
     if not verdict.ok:
         raise InvalidInput("chern_via_chains needs a valid module: " + "; ".join(verdict.failures))
     ring = M.ring

@@ -125,22 +125,17 @@ class Mat:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """The matrix product; each entry sum over k of a[t][k]·b[k][s] is
+        one USeries.sum_of_products call, so it is normal-formed once."""
         if self.source_degrees != other.target_degrees:
             raise InvalidInput("matrix shapes/degrees are not composable")
-        rows = []
-        for t in range(len(self.target_degrees)):
-            row = []
-            for s in range(len(other.source_degrees)):
-                acc = USeries.zero(self.ring)
-                for k in range(len(self.source_degrees)):
-                    a = self.entries[t][k]
-                    b = other.entries[k][s]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return Mat(self.ring, self.target_degrees, other.source_degrees, rows)
+        ring = self.ring
+        cols = [other.column(s) for s in range(len(other.source_degrees))]
+        rows = [
+            [USeries.sum_of_products(ring, zip(row, col)) for col in cols]
+            for row in self.entries
+        ]
+        return Mat(ring, self.target_degrees, other.source_degrees, rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -310,16 +305,7 @@ class Mat:
     def apply(self, col: Column) -> Column:
         """Matrix times column (entries multiply on the left of the column's
         u-series values)."""
-        out = []
-        for t in range(len(self.target_degrees)):
-            acc = USeries.zero(self.ring)
-            for k in range(len(self.source_degrees)):
-                a = self.entries[t][k]
-                if a.is_zero() or col[k].is_zero():
-                    continue
-                acc = acc + a * col[k]
-            out.append(acc)
-        return out
+        return [USeries.sum_of_products(self.ring, zip(row, col)) for row in self.entries]
 
     def __repr__(self) -> str:
         shape = f"{len(self.target_degrees)}x{len(self.source_degrees)}"
@@ -367,20 +353,15 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     """str(A @ B) from the diagonal dot products only.
 
     Forming the full product computes rank^2 entries and then discards all
-    but the diagonal; this computes the rank entries that matter.
+    but the diagonal; this computes the rank entries that matter, each
+    sum over k of A[t][k]·B[k][t] in one USeries.sum_of_products call.
     WordEvaluator evaluates every word of two or more letters this way.
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
     acc = USeries.zero(A.ring)
     for t, deg in enumerate(A.target_degrees):
-        entry = USeries.zero(A.ring)
-        for k in range(len(A.source_degrees)):
-            a = A.entries[t][k]
-            b = B.entries[k][t]
-            if a.is_zero() or b.is_zero():
-                continue
-            entry = entry + a * b
+        entry = USeries.sum_of_products(A.ring, zip(A.entries[t], B.column(t)))
         acc = acc + _supertrace_weight(A.ring, deg, entry)
     return acc
 

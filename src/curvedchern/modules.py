@@ -54,6 +54,7 @@ class CurvedModule:
         self.e = Mat.identity(algebra.ring, self.degrees) if e is None else e
         self.delta = delta
         self.mu = mu
+        self._verdict: ModuleVerdict | None = None
 
     @staticmethod
     def from_stored(algebra: CurvedAlgebra, degrees, delta_rows,
@@ -71,6 +72,12 @@ class CurvedModule:
     @property
     def ring(self) -> GradedRing:
         return self.algebra.ring
+
+    def verdict(self) -> "ModuleVerdict":
+        """check_module(self), run once per module and then remembered."""
+        if self._verdict is None:
+            self._verdict = check_module(self)
+        return self._verdict
 
 
 @dataclass

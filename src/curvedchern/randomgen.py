@@ -21,7 +21,6 @@ from .modules import (
     Connection,
     CurvedAlgebra,
     CurvedModule,
-    check_module,
     connection_with_mu,
     levi_civita,
 )
@@ -201,7 +200,7 @@ def random_module_instance(seed: int):
         g = _unipotent(rng, ring, degrees)
         delta = g @ delta @ _invert_unipotent(g)
     M = CurvedModule(alg, degrees, delta)
-    verdict = check_module(M)
+    verdict = M.verdict()
     if not verdict.ok:
         raise InternalCheckFailure(
             "random module generator produced an invalid instance: "

@@ -9,12 +9,26 @@ normal form with respect to the single relation (a one-element generating
 set is a Groebner basis of its principal ideal, so the remainder is
 canonical).  The monomial order everywhere is graded lex: total degree
 first, then lexicographic with earlier variables more significant.
+
+Every product of ring elements is formed by sum_of_products, which takes
+a batch of signed products p·q, each filed under a key, and returns the
+normal form of each key's sum.  It works on integers.  A call packs each
+monomial into a single int, one field per variable, at a field width
+picked from the call's largest exponent plus one guard bit, so that
+multiplying two monomials is one integer addition that never carries from
+one field into the next.  An element's terms become integer rows (packed
+monomial, re, im) over the element's common denominator, kept on the
+element for the last width used; the call scales its products to one
+common denominator, each key accumulates plain integers, and the
+relation's normal form runs once per key, building one Scalar per
+surviving monomial.  The packed layout never leaves this module.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import comb
 from math import gcd as _gcd
 from operator import add as _add
 
@@ -67,6 +81,8 @@ class GradedRing:
                 )
         self.nvars = len(self.variables)
         self._index = {v: k for k, v in enumerate(self.variables)}
+        # field width -> (_PackTable, _UnpackTable) of sum_of_products
+        self._packings: dict[int, tuple] = {}
 
         self.relation: RingElement | None = None
         if relation is not None:
@@ -83,12 +99,10 @@ class GradedRing:
             monic = {m: c / lc for m, c in rel.terms.items()}
             self.relation = RingElement(self, monic, _normalize=False)
             self._rel_lm = lm
-            support = [k for k, p in enumerate(lm) if p]
-            # single-variable lead monomials admit a one-comparison
-            # divisibility test in the hot reduction loop
-            self._lm_single = (support[0], lm[support[0]]) if len(support) == 1 else None
             self._nf_cache: dict[Monomial, dict] = {}
             self._nf_cache_ints: dict[Monomial, tuple] = {}
+            # parsing the relation filled them before the relation applied
+            self._packings.clear()
 
     # -- gamma bookkeeping --------------------------------------------
 
@@ -203,7 +217,7 @@ class GradedRing:
 
         Returns (den, items) where items is a tuple of (monomial, re, im)
         integer rows and the remainder is sum of (re + im*i)/den * monomial.
-        Used by the integer fast path of multiplication.
+        Used by _normal_form_packed.
         """
         got = self._nf_cache_ints.get(m)
         if got is not None:
@@ -218,43 +232,46 @@ class GradedRing:
         self._nf_cache_ints[m] = (den, items)
         return den, items
 
-    def _normal_form_ints(self, raw: dict, den: int) -> dict:
-        """Normal form of {monomial: [re, im]} integer pairs over 1/den.
+    def _packing(self, width: int) -> tuple:
+        """The (pack, unpack) tables of one field width, filled on demand."""
+        got = self._packings.get(width)
+        if got is None:
+            got = (_PackTable(width, self.nvars), _UnpackTable(self, width))
+            self._packings[width] = got
+        return got
 
-        Counterpart of _normal_form for the accumulator layout used by
-        RingElement.__mul__; builds one Scalar per surviving monomial.
+    def _normal_form_packed(self, acc: dict, real: bool, unpack: dict, den: int) -> dict:
+        """Normal form of a sum_of_products accumulator as a monomial ->
+        Scalar dict.
+
+        acc maps a packed monomial k to its coefficient times den: an int
+        when `real`, else a [re, im] pair; `unpack` is the _UnpackTable of
+        the packing width.  Builds one Scalar per surviving monomial.
         """
+        if real:
+            rows = [(k, a, 0) for k, a in acc.items() if a]
+        else:
+            rows = [(k, a, b) for k, (a, b) in acc.items() if a or b]
         if self.relation is None:
-            return {
-                m: Scalar._raw(v[0], v[1], den)
-                for m, v in raw.items()
-                if v[0] or v[1]
-            }
-        lm = self._rel_lm
-        single = self._lm_single
+            return {unpack[k][0]: Scalar._raw(a, b, den) for k, a, b in rows}
         direct = []
         reduced = []
         scale = 1
-        for m, v in raw.items():
-            a, b = v
-            if a == 0 and b == 0:
-                continue
-            if m[single[0]] >= single[1] if single else _divides(lm, m):
-                dm, items = self._monomial_nf_ints(m)
-                reduced.append((a, b, dm, items))
-                scale = scale * dm // _gcd(scale, dm)
-            else:
+        for k, a, b in rows:
+            m, nf = unpack[k]
+            if nf is None:
                 direct.append((m, a, b))
+            else:
+                reduced.append((a, b, nf))
+                dm = nf[0]
+                scale = scale * dm // _gcd(scale, dm)
+        if not reduced:
+            return {m: Scalar._raw(a, b, den) for m, a, b in direct}
         acc: dict = {}
         get = acc.get
         for m, a, b in direct:
-            v = get(m)
-            if v is None:
-                acc[m] = [a * scale, b * scale]
-            else:
-                v[0] += a * scale
-                v[1] += b * scale
-        for a, b, dm, items in reduced:
+            acc[m] = [a * scale, b * scale]
+        for a, b, (dm, items) in reduced:
             s = scale // dm
             aa = a * s
             bb = b * s
@@ -287,6 +304,40 @@ class GradedRing:
         return f"GradedRing({','.join(self.variables)}; {self.grading}){rel}"
 
 
+class _PackTable(dict):
+    """monomial -> packed int at one field width: exponent e_v sits at bit
+    v·width, so the fields of a sum of two packed monomials hold the sums
+    of exponents as long as those fit in width bits."""
+
+    def __init__(self, width: int, nvars: int):
+        super().__init__()
+        self.shifts = range(0, width * nvars, width)
+
+    def __missing__(self, m: Monomial) -> int:
+        k = self[m] = sum(e << s for e, s in zip(m, self.shifts))
+        return k
+
+
+class _UnpackTable(dict):
+    """packed int -> (monomial, its _monomial_nf_ints remainder table, or
+    None when the monomial is in normal form)."""
+
+    def __init__(self, ring: GradedRing, width: int):
+        super().__init__()
+        self.ring = ring
+        self.mask = (1 << width) - 1
+        self.shifts = range(0, width * ring.nvars, width)
+
+    def __missing__(self, k: int) -> tuple:
+        ring = self.ring
+        m = tuple((k >> s) & self.mask for s in self.shifts)
+        nf = None
+        if ring.relation is not None and _divides(ring._rel_lm, m):
+            nf = ring._monomial_nf_ints(m)
+        got = self[k] = (m, nf)
+        return got
+
+
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -302,12 +353,15 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
 class RingElement:
     """A sparse polynomial in normal form; immutable in practice."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_info", "_packed")
 
     def __init__(self, ring: GradedRing, terms: dict, _normalize: bool = True):
         self.ring = ring
         self.terms = ring._normal_form(terms) if _normalize else terms
         self._hash = None
+        # sum_of_products' caches: _row_info and the last _packed_rows
+        self._info = None
+        self._packed = None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -331,44 +385,42 @@ class RingElement:
         )
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        # Accumulate over a common denominator in plain integers and
-        # only build Scalars once per output monomial; per-term Scalar
-        # construction dominates profiles otherwise.
-        ta, tb = self.terms, other.terms
-        if not ta or not tb:
-            return self.ring.zero()
-        da = db = 1
-        for c in ta.values():
-            if c.d != 1:
-                da = da * c.d // _gcd(da, c.d)
-        for c in tb.values():
-            if c.d != 1:
-                db = db * c.d // _gcd(db, c.d)
-        fa = [(m, c.an * (da // c.d), c.bn * (da // c.d)) for m, c in ta.items()]
-        fb = [(m, c.an * (db // c.d), c.bn * (db // c.d)) for m, c in tb.items()]
-        out: dict = {}
-        get = out.get
-        for m1, a1, b1 in fa:
-            if b1 == 0:
-                for m2, a2, b2 in fb:
-                    m = tuple(map(_add, m1, m2))
-                    v = get(m)
-                    if v is None:
-                        out[m] = [a1 * a2, a1 * b2]
-                    else:
-                        v[0] += a1 * a2
-                        v[1] += a1 * b2
+        """The product in normal form: sum_of_products on one product."""
+        got = sum_of_products(self.ring, ((None, 1, self, other),))
+        return got[None] if got else self.ring.zero()
+
+    def _row_info(self) -> tuple:
+        """(den, top, real): the common denominator of the terms, the
+        largest exponent, and whether every coefficient is rational.
+        Computed once per element."""
+        if self._info is None:
+            den = 1
+            real = True
+            for c in self.terms.values():
+                if c.d != 1:
+                    den = den * c.d // _gcd(den, c.d)
+                if c.bn:
+                    real = False
+            top = max(map(max, self.terms)) if self.ring.nvars else 0
+            self._info = (den, top, real)
+        return self._info
+
+    def _packed_rows(self, width: int, pack: dict) -> list:
+        """The terms as integer rows (packed monomial, re, im) over the
+        common denominator, monomials packed by `pack`, the _PackTable of
+        this field width; the rows of the last width are kept."""
+        got = self._packed
+        if got is None or got[0] != width:
+            den = self._row_info()[0]
+            if den == 1:
+                rows = [(pack[m], c.an, c.bn) for m, c in self.terms.items()]
             else:
-                for m2, a2, b2 in fb:
-                    m = tuple(map(_add, m1, m2))
-                    v = get(m)
-                    if v is None:
-                        out[m] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                    else:
-                        v[0] += a1 * a2 - b1 * b2
-                        v[1] += a1 * b2 + b1 * a2
-        nf = self.ring._normal_form_ints(out, da * db)
-        return RingElement(self.ring, nf, _normalize=False)
+                rows = [
+                    (pack[m], c.an * (den // c.d), c.bn * (den // c.d))
+                    for m, c in self.terms.items()
+                ]
+            got = self._packed = (width, rows)
+        return got[1]
 
     def scale(self, c: Scalar) -> "RingElement":
         if c.is_zero():
@@ -472,6 +524,80 @@ class RingElement:
         return f"<{self}>"
 
 
+def sum_of_products(ring: GradedRing, contributions) -> dict:
+    """Sum signed products of ring elements per key, in normal form.
+
+    `contributions` is an iterable of (key, sign, p, q): p and q are
+    elements of `ring`, sign an int (usually ±1) and key any hashable, e.g.
+    (u-power, wedge indices) for forms.  Returns {key: sum of sign·p·q over
+    the contributions filed under key}, leaving out keys whose sum is zero.
+
+    The one place ring products are formed (see the module docstring):
+    integer rows, one common denominator, monomials packed one field per
+    variable at a width of the call's largest exponent's bit length plus a
+    guard bit, plain integer accumulation per key, and one normal form per
+    key.  Normal form is linear and canonical, so the result equals the
+    term-by-term sum of normal-formed products.
+    """
+    batch = []
+    top = 0
+    den = 1
+    real = True
+    for key, sign, p, q in contributions:
+        if not p.terms or not q.terms:
+            continue
+        dp, tp, p_real = p._info or p._row_info()
+        dq, tq, q_real = q._info or q._row_info()
+        d = dp * dq
+        den = den * d // _gcd(den, d)
+        top = max(top, tp, tq)
+        real = real and p_real and q_real
+        batch.append((key, sign, d, p, q))
+    if not batch:
+        return {}
+    width = top.bit_length() + 1
+    pack, unpack = ring._packing(width)
+    accs: dict = {}
+    for key, sign, d, p, q in batch:
+        acc = accs.get(key)
+        if acc is None:
+            acc = accs[key] = {}
+        get = acc.get
+        f = sign * (den // d)
+        Q = q._packed_rows(width, pack)
+        for k1, a1, b1 in p._packed_rows(width, pack):
+            a1 *= f
+            if real:
+                for k2, a2, _ in Q:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + a1 * a2
+            elif b1 == 0:
+                for k2, a2, b2 in Q:
+                    k = k1 + k2
+                    v = get(k)
+                    if v is None:
+                        acc[k] = [a1 * a2, a1 * b2]
+                    else:
+                        v[0] += a1 * a2
+                        v[1] += a1 * b2
+            else:
+                b1 *= f
+                for k2, a2, b2 in Q:
+                    k = k1 + k2
+                    v = get(k)
+                    if v is None:
+                        acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                    else:
+                        v[0] += a1 * a2 - b1 * b2
+                        v[1] += a1 * b2 + b1 * a2
+    out = {}
+    for key, acc in accs.items():
+        terms = ring._normal_form_packed(acc, real, unpack, den)
+        if terms:
+            out[key] = RingElement(ring, terms, _normalize=False)
+    return out
+
+
 def _mono_str(ring: GradedRing, m: Monomial) -> str:
     pieces = []
     for v, e in zip(ring.variables, m):
@@ -500,6 +626,50 @@ def _term_str(c: Scalar, mono: str) -> str:
 # parser: +, -, *, ^, integer and rational literals, the literal i,
 # parentheses and unary minus.  Unicode minus is normalized.
 # ---------------------------------------------------------------------------
+
+# Size caps of the parser, checked before each sum, product or power is
+# formed: no exponent after '^' above MAX_EXPONENT, and no result with a
+# variable's exponent above MAX_EXPONENT, possibly more than MAX_TERMS
+# terms, or coefficients estimated at more than MAX_COEFFICIENT_BITS bits.
+# The term count is bounded by the operands' term counts and by the box of
+# exponent vectors the result can reach, before any reduction; the
+# coefficient estimate adds the operands' largest numerator or denominator
+# bit lengths and the bits a sum of the products can carry.
+MAX_EXPONENT = 1000
+MAX_TERMS = 10_000
+MAX_COEFFICIENT_BITS = 10_000
+
+
+def _exponents(p: RingElement) -> list[int]:
+    """The largest exponent of each variable in p."""
+    return [max(col, default=0) for col in zip(*p.terms)] or [0] * p.ring.nvars
+
+
+def _bits(p: RingElement) -> int:
+    """The largest bit length of a numerator or denominator in p."""
+    return max((max(abs(c.an), abs(c.bn), c.d).bit_length() for c in p.terms.values()), default=0)
+
+
+def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
+    """Refuse a result whose exponents `exps`, term bound `terms` or
+    coefficient bit estimate `bits` exceed the caps."""
+    if max(exps, default=0) > MAX_EXPONENT:
+        raise InvalidInput(
+            f"polynomial too large: a {op} would raise an exponent above {MAX_EXPONENT}"
+        )
+    box = 1
+    for e in exps:
+        box *= e + 1
+    if min(terms, box) > MAX_TERMS:
+        raise InvalidInput(
+            f"polynomial too large: a {op} could have more than {MAX_TERMS} terms"
+        )
+    if bits > MAX_COEFFICIENT_BITS:
+        raise InvalidInput(
+            f"polynomial too large: a {op} could have coefficients of more than"
+            f" {MAX_COEFFICIENT_BITS} bits"
+        )
+
 
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -554,6 +724,9 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
+            terms = len(node.terms) + len(rhs.terms)
+            if terms > MAX_TERMS:  # a sum raises no exponent
+                _check_size("sum", list(map(max, _exponents(node), _exponents(rhs))), terms)
             node = node + rhs if op == "+" else node - rhs
         return node
 
@@ -563,6 +736,13 @@ class _Parser:
             _, op = self.take()
             rhs = self.factor()
             if op == "*":
+                fewer = min(len(node.terms), len(rhs.terms))
+                _check_size(
+                    "product",
+                    list(map(_add, _exponents(node), _exponents(rhs))),
+                    len(node.terms) * len(rhs.terms),
+                    _bits(node) + _bits(rhs) + fewer.bit_length() + 1,
+                )
                 node = node * rhs
             else:
                 if not rhs.is_scalar() or rhs.is_zero():
@@ -580,13 +760,28 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise InvalidInput("'^' needs a nonnegative integer exponent")
-            node = node ** int(val)
+            digits = val.lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+                shown = digits if len(digits) <= 20 else digits[:20] + "..."
+                raise InvalidInput(f"exponent {shown} is above the cap {MAX_EXPONENT}")
+            n = int(val)
+            if n:
+                _check_size(
+                    "power",
+                    [n * e for e in _exponents(node)],
+                    comb(len(node.terms) + n - 1, n),
+                    n * (_bits(node) + len(node.terms).bit_length() + 1),
+                )
+            node = node**n
         return node
 
     def atom(self) -> RingElement:
         kind, val = self.take()
         if kind == "num":
-            return self.ring.scalar(Scalar(int(val)))
+            try:
+                return self.ring.scalar(Scalar(int(val)))
+            except ValueError as exc:  # longer than the interpreter converts
+                raise InvalidInput(f"integer literal too long: {exc}") from exc
         if kind == "name":
             if val == "i":
                 return self.ring.scalar(Scalar(0, 1))
@@ -618,11 +813,6 @@ def ring_normal_form(text_or_terms, ring: GradedRing) -> RingElement:
     if isinstance(text_or_terms, str):
         return ring.from_string(text_or_terms)
     return ring.element(dict(text_or_terms))
-
-
-def ring_mul(p: RingElement, q: RingElement) -> RingElement:
-    """Product in the ring (normal-formed); named entry point."""
-    return p * q
 
 
 def gamma_degree(p: RingElement) -> int:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,9 @@ def _run(*args, cwd=None):
     )
 
 
-def test_examples_mf_xy_matches_its_golden():
-    proc = _run("examples", "mf-xy")
+@pytest.mark.parametrize("name", ["mf-xy", "s4-nonflat"])
+def test_examples_match_their_goldens(name):
+    proc = _run("examples", name)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("golden: match\n")
 
@@ -88,3 +90,35 @@ def test_well_formed_options_are_accepted(tmp_path):
     proc = _run("compute", str(path))
     assert proc.returncode == 0, proc.stderr
     assert "milnor representative" in proc.stdout
+
+
+def _assert_refused_fast(proc, seconds):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+    assert seconds < 5
+
+
+@pytest.mark.parametrize(
+    "h",
+    ["(1+x)^100000", "(1+x1+x2+x3+x4+x5)^60", "(" + "9" * 100 + "*x+1)^1000"],
+    ids=["huge-exponent", "many-variable-power", "huge-coefficients"],
+)
+def test_oversized_polynomial_exits_2_quickly(h, tmp_path):
+    doc = {
+        "ring": {"variables": ["x", "x1", "x2", "x3", "x4", "x5"]},
+        "curved": {"h": h},
+        "module": {"degrees": [0, 1], "delta": [["0", "x"], ["-x", "0"]]},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    proc = _run("compute", str(path))
+    _assert_refused_fast(proc, time.monotonic() - t0)
+    assert "above the cap" in proc.stderr or "too large" in proc.stderr
+
+
+def test_milnor_with_a_huge_exponent_exits_2_quickly():
+    t0 = time.monotonic()
+    proc = _run("milnor", "x^100000+y^2+z^2", "--vars", "x,y,z")
+    _assert_refused_fast(proc, time.monotonic() - t0)

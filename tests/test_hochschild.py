@@ -527,3 +527,14 @@ def test_chern_via_chains_rejects_invalid_module():
     M = CurvedModule.from_stored(alg, [0, 1], [["0", "x"], ["x", "0"]])
     with pytest.raises(InvalidInput):
         chern_via_chains(M, levi_civita(M))
+
+
+def test_chern_via_chains_refuses_an_invalid_module():
+    R = qi_ring("x", "y")
+    alg = CurvedAlgebra(R, R.from_string("-x*y"))
+    M = CurvedModule.from_stored(alg, [0, 1], [["0", "x"], ["x", "0"]])
+    with pytest.raises(InvalidInput, match="chern_via_chains needs a valid module: delta"):
+        chern_via_chains(M, levi_civita(M))
+    # the verdict is remembered, and still refuses
+    with pytest.raises(InvalidInput, match="chern_via_chains needs a valid module"):
+        chern_via_chains(M, levi_civita(M))

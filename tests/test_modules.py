@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from importlib.resources import files
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedchern import cli, modules
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d, wedge
 from curvedchern.matform import Mat
@@ -50,6 +53,22 @@ def test_check_module_accepts_mf_xy():
     _, _, M = _mf_xy()
     verdict = check_module(M)
     assert verdict.ok, verdict.failures
+
+
+def test_run_suite_validates_a_parsed_module_once(monkeypatch):
+    calls = []
+    body = modules.check_module
+
+    def spy(M, Alg=None):
+        calls.append(M)
+        return body(M, Alg)
+
+    monkeypatch.setattr(modules, "check_module", spy)
+    text = files("curvedchern.corpus").joinpath("mf_xy.json").read_text(encoding="utf-8")
+    inst = cli.parse_instance(text, "mf_xy.json")
+    res = cli.run_suite(inst.module, inst.connection)
+    assert res.ok
+    assert len(calls) == 1  # by parse_instance; the routes reuse its verdict
 
 
 def test_check_module_catches_wrong_square():

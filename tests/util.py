@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from curvedchern.forms import DiffForm
 from curvedchern.rings import GradedRing, RingElement, monomial_key
 from curvedchern.scalars import Scalar
 
@@ -84,3 +85,47 @@ def _solvable(matrix: list[list[Scalar]], rhs: list[Scalar]) -> bool:
         if not any(matrix[r]) and rhs[r]:
             return False
     return True
+
+
+def reference_sum_of_products(ring: GradedRing, contributions) -> dict:
+    """rings.sum_of_products the slow way, independent of its integer rows
+    and packing: every term product is a Scalar product, normal-formed on
+    its own by ring._normal_form and added into its key's sum term by
+    term."""
+    sums: dict = {}
+    for key, sign, p, q in contributions:
+        acc = sums.setdefault(key, {})
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                for rm, rc in ring._normal_form({m: c1 * c2 * Scalar(sign)}).items():
+                    acc[rm] = acc.get(rm, Scalar(0)) + rc
+    out = {}
+    for key, acc in sums.items():
+        terms = {m: c for m, c in acc.items() if not c.is_zero()}
+        if terms:
+            out[key] = RingElement(ring, terms, _normalize=False)
+    return out
+
+
+def reference_wedge(f, g):
+    """DiffForm.wedge the slow way: the Koszul sign of each pair of wedge
+    monomials by counting the swaps a bubble sort makes."""
+    parts: dict = {}
+    for S1, c1 in f.parts.items():
+        for S2, c2 in g.parts.items():
+            if set(S1) & set(S2):
+                continue
+            word = list(S1 + S2)
+            swaps = 0
+            for i in range(len(word)):
+                for j in range(len(word) - 1 - i):
+                    if word[j] > word[j + 1]:
+                        word[j], word[j + 1] = word[j + 1], word[j]
+                        swaps += 1
+            key = tuple(word)
+            got = reference_sum_of_products(f.ring, [(key, (-1) ** swaps, c1, c2)])
+            if key in got:
+                prev = parts.get(key)
+                parts[key] = got[key] if prev is None else prev + got[key]
+    return DiffForm(f.ring, parts)
