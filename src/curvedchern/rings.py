@@ -760,11 +760,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise InvalidInput("'^' needs a nonnegative integer exponent")
-            digits = val.lstrip("0")
-            if len(digits) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 shown = digits if len(digits) <= 20 else digits[:20] + "..."
                 raise InvalidInput(f"exponent {shown} is above the cap {MAX_EXPONENT}")
-            n = int(val)
+            n = int(digits)
             if n:
                 _check_size(
                     "power",
