@@ -44,7 +44,6 @@ from .groebner import (
     Infinite,
     buchberger,
     jacobian_ideal,
-    milnor_number,
     standard_monomials,
 )
 from .hochschild import chern_via_chains
@@ -596,8 +595,8 @@ def cmd_milnor(args) -> int:
         return 0
     shown = ", ".join(_mono_str(ring, m) or "1" for m in sm) or "(none)"
     print(f"standard monomials: {shown}")
-    mu = milnor_number(f)
-    print(f"milnor number: {mu}")
+    # the standard monomials are a basis of the Milnor algebra
+    print(f"milnor number: {len(sm)}")
     return 0
 
 

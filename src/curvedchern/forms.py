@@ -34,8 +34,13 @@ class DiffForm:
 
     __slots__ = ("ring", "parts")
 
-    def __init__(self, ring: GradedRing, parts: dict | None = None):
+    def __init__(self, ring: GradedRing, parts: dict | None = None, _check: bool = True):
         self.ring = ring
+        if not _check:
+            # an internal result: its index tuples are strictly increasing
+            # and in range, and its coefficients nonzero, by construction
+            self.parts = parts
+            return
         clean: dict[Indices, RingElement] = {}
         for S, coeff in (parts or {}).items():
             S = tuple(S)
@@ -72,25 +77,32 @@ class DiffForm:
                 out.pop(S, None)
             else:
                 out[S] = s
-        return DiffForm(self.ring, out)
+        return DiffForm(self.ring, out, _check=False)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.ring, {S: -c for S, c in self.parts.items()})
+        return DiffForm(self.ring, {S: -c for S, c in self.parts.items()}, _check=False)
 
     def scale_ring(self, p: RingElement) -> "DiffForm":
-        return DiffForm(self.ring, {S: p * c for S, c in self.parts.items()})
+        parts = {S: p * c for S, c in self.parts.items()}
+        return DiffForm(
+            self.ring, {S: c for S, c in parts.items() if not c.is_zero()}, _check=False
+        )
 
     def scale(self, c: Scalar) -> "DiffForm":
-        return DiffForm(self.ring, {S: coeff.scale(c) for S, coeff in self.parts.items()})
+        if c.is_zero():
+            return DiffForm.zero(self.ring)
+        return DiffForm(
+            self.ring, {S: coeff.scale(c) for S, coeff in self.parts.items()}, _check=False
+        )
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         terms: list = []
         _wedge_terms(terms, 0, self, other)
         sums = sum_of_products(self.ring, terms)
-        return DiffForm(self.ring, {S: p for (_, S), p in sums.items()})
+        return DiffForm(self.ring, {S: p for (_, S), p in sums.items()}, _check=False)
 
     # -- structure -----------------------------------------------------
 
@@ -102,7 +114,7 @@ class DiffForm:
 
     def component(self, degree: int) -> "DiffForm":
         return DiffForm(
-            self.ring, {S: c for S, c in self.parts.items() if len(S) == degree}
+            self.ring, {S: c for S, c in self.parts.items() if len(S) == degree}, _check=False
         )
 
     def max_degree(self) -> int:
@@ -266,7 +278,9 @@ class USeries:
         coeffs: dict[int, dict] = {}
         for (J, S), p in sum_of_products(ring, terms).items():
             coeffs.setdefault(J, {})[S] = p
-        return USeries(ring, {J: DiffForm(ring, parts) for J, parts in coeffs.items()})
+        return USeries(
+            ring, {J: DiffForm(ring, parts, _check=False) for J, parts in coeffs.items()}
+        )
 
     def scale(self, c: Scalar) -> "USeries":
         return USeries(self.ring, {J: f.scale(c) for J, f in self.coeffs.items()})

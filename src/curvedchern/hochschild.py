@@ -519,6 +519,7 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
                                         J: DiffForm(
                                             slot.ring,
                                             {S: RingElement(slot.ring, {mono: ONE}, _normalize=False)},
+                                            _check=False,
                                         )
                                     },
                                 )

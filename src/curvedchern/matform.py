@@ -282,6 +282,7 @@ class Mat:
                                         S: RingElement(ring, ms, _normalize=False)
                                         for S, ms in parts.items()
                                     },
+                                    _check=False,
                                 )
                                 for J, parts in grid[t][s].items()
                             },

@@ -122,3 +122,11 @@ def test_milnor_with_a_huge_exponent_exits_2_quickly():
     t0 = time.monotonic()
     proc = _run("milnor", "x^100000+y^2+z^2", "--vars", "x,y,z")
     _assert_refused_fast(proc, time.monotonic() - t0)
+
+
+def test_milnor_of_a_mixed_term_polynomial_runs_quickly():
+    t0 = time.monotonic()
+    proc = _run("milnor", "x^5+y^6+z^7+x^2*y^2*z^2", "--vars", "x,y,z")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("milnor number: 124\n")
+    assert time.monotonic() - t0 < 5

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern.errors import NotTopForm
+from curvedchern.errors import InvalidInput, NotTopForm
 from curvedchern.forms import (
     DiffForm,
     MembershipCertificate,
@@ -29,6 +29,28 @@ def _dx(R, name):
 
 def _f(R, s):
     return DiffForm.from_ring(R.from_string(s))
+
+
+@pytest.mark.parametrize(
+    "S",
+    [(1, 0), (0, 0), (0, 2, 1), (3,), (-1,), (0, 3)],
+    ids=["unsorted", "repeated", "unsorted-triple", "past-the-end", "negative", "one-out"],
+)
+def test_constructor_refuses_bad_wedge_indices(S):
+    R = qi_ring("x", "y", "z")
+    with pytest.raises(InvalidInput):
+        DiffForm(R, {S: R.one()})
+
+
+def test_internal_results_keep_sorted_nonzero_parts():
+    R = qi_ring("x", "y", "z")
+    w = _f(R, "x+1").wedge(_dx(R, "z")).wedge(_dx(R, "x")) + _dx(R, "y")
+    for form in (w, -w, w.scale(Scalar(2)), w.scale_ring(R.from_string("y")), w.component(2)):
+        assert all(list(S) == sorted(set(S)) for S in form.parts)
+        assert not any(c.is_zero() for c in form.parts.values())
+    assert w.scale(Scalar(0)).is_zero()
+    assert w.scale_ring(R.zero()).is_zero()
+    assert (w - w).is_zero()
 
 
 def test_wedge_anticommutes_on_one_forms():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import signal
+import time
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvedchern.errors import EmptyIdeal, InvalidInput, ZeroJacobianIdeal
@@ -12,10 +17,18 @@ from curvedchern.groebner import (
     milnor_number,
     standard_monomials,
 )
-from curvedchern.rings import monomial_key
-from curvedchern.scalars import ONE
+from curvedchern.rings import _divides, monomial_key
+from curvedchern.scalars import ONE, Scalar
 
-from util import brute_force_in_ideal, monomials_up_to, qi_ring, sphere_ring
+from util import (
+    brute_force_in_ideal,
+    monomials_up_to,
+    qi_ring,
+    reference_buchberger,
+    reference_reduce,
+    reference_spoly,
+    sphere_ring,
+)
 
 
 def _gb(ring, *polys):
@@ -158,3 +171,94 @@ def test_membership_against_linear_algebra(fs, a, b):
     G = buchberger(gens)
     m = R.element({(a, b): ONE})
     assert ideal_nf(m, G).is_zero() == brute_force_in_ideal(m, gens, 6)
+
+
+# -- Buchberger against its definition and against the seed's algorithm ----
+
+
+def _assert_reduced_basis_of(G, gens):
+    """G is the reduced Groebner basis of gens: the generators reduce to
+    zero, every S-pair reduces to zero by plain division (Buchberger's
+    criterion), and the basis is monic, reduced and sorted."""
+    for g in gens:
+        assert ideal_nf(g, G).is_zero()
+    for f, g in combinations(G.elements, 2):
+        assert reference_reduce(reference_spoly(f, g), G.elements).is_zero()
+    lms = G.leading_monomials()
+    assert lms == sorted(lms, key=monomial_key)
+    for k, g in enumerate(G.elements):
+        assert g.leading_term()[1] == ONE
+        for m in g.terms:
+            assert not any(_divides(lm, m) for j, lm in enumerate(lms) if j != k)
+
+
+_COEFFS = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2)]),
+).filter(lambda c: not c.is_zero())
+
+
+def _polys(nvars, top):
+    mono = st.tuples(*[st.integers(0, top)] * nvars)
+    return st.dictionaries(mono, _COEFFS, min_size=1, max_size=4)
+
+
+@st.composite
+def _ideals(draw, nvars=None, top=None):
+    nvars = nvars or draw(st.sampled_from([2, 3]))
+    top = top or draw(st.integers(1, 3 if nvars == 2 else 2))
+    ring = qi_ring(*("x", "y", "z")[:nvars])
+    return [ring.element(t) for t in draw(st.lists(_polys(nvars, top), min_size=1, max_size=3))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ideals())
+def test_buchberger_gives_the_reduced_basis(gens):
+    _assert_reduced_basis_of(buchberger(gens), gens)
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or None when it runs longer than seconds (main thread)."""
+
+    def stop(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except TimeoutError:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# The reduced basis is unique, so the seed's algorithm must give the same
+# elements.  It has heavy tails even on small ideals (one 2-variable ideal
+# of three generators with exponents <= 3 took it 184 s), so an example
+# counts only when the reference finishes within a quarter second.
+@settings(deadline=None, max_examples=40)
+@given(_ideals(nvars=2, top=3))
+def test_buchberger_matches_the_seed_algorithm(gens):
+    want = _within(0.25, reference_buchberger, gens)
+    assume(want is not None)
+    assert buchberger(gens).elements == want.elements
+
+
+def test_pinned_ideal_the_plain_algorithm_could_not_finish():
+    R = qi_ring("x", "y", "z")
+    gens = [
+        R.from_string(s)
+        for s in (
+            "(1/2)*z - x^2*z^2 + (1/2)*x + (1/2)*x*y^2*z^2",
+            "x*y^2*z^2 + (2+i)*y*z + i*x^2*y^2*z",
+            "-3*x^2*y^2*z - 3*x^2*z^2 - y*z^2 - x*y*z^2",
+        )
+    ]
+    t0 = time.monotonic()
+    G = buchberger(gens)
+    assert time.monotonic() - t0 < 5
+    _assert_reduced_basis_of(G, gens)
+    assert len(G.elements) == 14

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from curvedchern.errors import EmptyIdeal, InvalidInput
 from curvedchern.forms import DiffForm
-from curvedchern.rings import GradedRing, RingElement, monomial_key
+from curvedchern.groebner import GroebnerBasis
+from curvedchern.rings import (
+    GradedRing,
+    RingElement,
+    _divides,
+    _mono_div,
+    _mono_mul,
+    monomial_key,
+    sum_of_products,
+)
 from curvedchern.scalars import Scalar
 
 
@@ -129,3 +139,107 @@ def reference_wedge(f, g):
                 prev = parts.get(key)
                 parts[key] = got[key] if prev is None else prev + got[key]
     return DiffForm(f.ring, parts)
+
+
+# -- the seed's Buchberger: the oracle for groebner.buchberger -------------
+#
+# Plain Buchberger as the engine first had it: pairs taken last in, first
+# out, only the coprime criterion, every leading term recomputed on each
+# reduction step.  reference_reduce is plain full division with no
+# criteria.
+
+
+def reference_reduce(p: RingElement, basis: list[RingElement]) -> RingElement:
+    """Full division remainder: no monomial of the result is divisible by
+    any basis leading monomial."""
+    if not basis:
+        return p
+    lms = [g.leading_term() for g in basis]
+    work = dict(p.terms)
+    out: dict = {}
+    while work:
+        m = max(work, key=monomial_key)
+        c = work.pop(m)
+        hit = next((k for k, (lm, _) in enumerate(lms) if _divides(lm, m)), None)
+        if hit is None:
+            out[m] = c
+            continue
+        g = basis[hit]
+        lm, lc = lms[hit]
+        q = _mono_div(m, lm)
+        f = c / lc
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            t = _mono_mul(q, gm)
+            nc = work.get(t, Scalar(0)) - f * gc
+            if nc.is_zero():
+                work.pop(t, None)
+            else:
+                work[t] = nc
+    return RingElement(p.ring, out, _normalize=False)
+
+
+def reference_spoly(f: RingElement, g: RingElement) -> RingElement:
+    fm, fc = f.leading_term()
+    gm, gc = g.leading_term()
+    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
+    ring = f.ring
+    tf = RingElement(ring, {_mono_div(lcm, fm): fc.inv()}, _normalize=False)
+    tg = RingElement(ring, {_mono_div(lcm, gm): gc.inv()}, _normalize=False)
+    got = sum_of_products(ring, ((None, 1, tf, f), (None, -1, tg, g)))
+    return got[None] if got else ring.zero()
+
+
+def reference_buchberger(gens: list[RingElement]) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    Plain Buchberger with the coprime-leading-term criterion.  Raises
+    EmptyIdeal when no nonzero generators are supplied and InvalidInput on
+    quotient rings.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise EmptyIdeal("no nonzero generators")
+    ring = gens[0].ring
+    if ring.relation is not None:
+        raise InvalidInput("Groebner bases are computed over relation-free rings")
+    basis = list(gens)
+    pairs = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
+    while pairs:
+        a, b = pairs.pop()
+        fa, fb = basis[a], basis[b]
+        ma, _ = fa.leading_term()
+        mb, _ = fb.leading_term()
+        # coprime leading terms never yield a new element
+        if all(x == 0 or y == 0 for x, y in zip(ma, mb)):
+            continue
+        r = reference_reduce(reference_spoly(fa, fb), basis)
+        if not r.is_zero():
+            basis.append(r)
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return _reference_interreduce(ring, basis)
+
+
+def _reference_interreduce(ring: GradedRing, basis: list[RingElement]) -> GroebnerBasis:
+    # drop elements whose leading monomial another element divides
+    kept: list[RingElement] = []
+    lms = [g.leading_term()[0] for g in basis]
+    for k, g in enumerate(basis):
+        if any(
+            j != k and _divides(lms[j], lms[k]) and (lms[j] != lms[k] or j < k)
+            for j in range(len(basis))
+        ):
+            continue
+        kept.append(g)
+    # reduce tails against the others and make monic
+    final: list[RingElement] = []
+    for k, g in enumerate(kept):
+        others = kept[:k] + kept[k + 1 :]
+        r = reference_reduce(g, others)
+        if r.is_zero():
+            continue
+        _, lc = r.leading_term()
+        final.append(r.scale(lc.inv()))
+    final.sort(key=lambda g: monomial_key(g.leading_term()[0]))
+    return GroebnerBasis(ring, final)
