@@ -41,6 +41,7 @@ from .errors import (
 )
 from .forms import DiffForm, USeries, milnor_representative
 from .groebner import (
+    Capped,
     Infinite,
     buchberger,
     jacobian_ideal,
@@ -105,6 +106,22 @@ def _require(cond: bool, clause: str) -> None:
 def _is_int(value) -> bool:
     """A JSON integer (true and false are not numbers here)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_square(rows, n: int, entry_ok) -> bool:
+    """rows is a list of n lists of n entries, each passing entry_ok."""
+    return (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(
+            isinstance(row, list) and len(row) == n and all(entry_ok(v) for v in row)
+            for row in rows
+        )
+    )
+
+
+def _is_poly_entry(value) -> bool:
+    return isinstance(value, str) or _is_int(value)
 
 
 def _split_form_terms(text: str):
@@ -222,6 +239,15 @@ def parse_instance(text: str, label: str) -> Instance:
         isinstance(mb["degrees"], list) and all(_is_int(d) for d in mb["degrees"]),
         "module block: degrees must be a list of integers",
     )
+    n = len(mb["degrees"])
+    _require(
+        _is_square(mb["delta"], n, _is_poly_entry),
+        "module block: delta must be a square matrix of polynomial strings over the basis",
+    )
+    _require(
+        mb.get("idempotent") is None or _is_square(mb["idempotent"], n, _is_poly_entry),
+        "module block: idempotent must be a square matrix of polynomial strings over the basis",
+    )
     module = CurvedModule.from_stored(
         algebra, mb["degrees"], mb["delta"], idempotent_rows=mb.get("idempotent")
     )
@@ -242,13 +268,7 @@ def parse_instance(text: str, label: str) -> Instance:
         _require("mu" in nb, "connection block: explicit kind requires mu rows")
         rows = nb["mu"]
         _require(
-            isinstance(rows, list)
-            and len(rows) == len(module.degrees)
-            and all(
-                isinstance(row, list) and len(row) == len(rows)
-                and all(isinstance(v, str) for v in row)
-                for row in rows
-            ),
+            _is_square(rows, len(module.degrees), lambda v: isinstance(v, str)),
             "connection block: mu must be a square matrix of one-form strings over the basis",
         )
         mu = Mat.from_stored(
@@ -593,6 +613,10 @@ def cmd_milnor(args) -> int:
         print(f"standard monomials: infinite ({sm.reason})")
         print("milnor number: infinite (non-isolated critical locus)")
         return 0
+    if isinstance(sm, Capped):
+        print(f"standard monomials: more than {sm.cap} (not listed)")
+        print(f"milnor number: more than {sm.cap} (finite: isolated critical point)")
+        return 0
     shown = ", ".join(_mono_str(ring, m) or "1" for m in sm) or "(none)"
     print(f"standard monomials: {shown}")
     # the standard monomials are a basis of the Milnor algebra
@@ -603,12 +627,23 @@ def cmd_milnor(args) -> int:
 # -- entry point -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a polynomial such as "-x^2+y^2" reads as an unknown option
+        if message.startswith("the following arguments are required") and "poly" in message:
+            message += (
+                "; a polynomial that starts with '-' goes after '--',"
+                ' as in: milnor --vars x,y -- "-x^2+y^2"'
+            )
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedchern",
         description="Exact Chern characters of curved modules, two ways.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("compute", help="run both routes on a problem file")
     p.add_argument("file")

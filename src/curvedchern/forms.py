@@ -18,6 +18,7 @@ rings.sum_of_products call, which normal-forms each coefficient once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
@@ -194,17 +195,27 @@ def _wedge_terms(out: list, J: int, f1: DiffForm, f2: DiffForm) -> None:
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:
-    """Exterior derivative: d(a dx_S) = sum_v (da/dx_v) dx_v ∧ dx_S."""
+    """Exterior derivative: d(a dx_S) = sum_v (da/dx_v) dx_v ∧ dx_S.
+
+    dx_v ∧ dx_S is zero for v in S and otherwise dx_T, T = S with v merged
+    in, with sign (-1)^{#{w in S : w < v}}; the derivatives are summed per
+    T, so no ring product is formed."""
     ring = omega.ring
-    out = DiffForm.zero(ring)
+    sums: dict[Indices, RingElement] = {}
     for S, c in omega.parts.items():
         for v, name in enumerate(ring.variables):
+            if v in S:
+                continue
             dc = c.derivative(name)
             if dc.is_zero():
                 continue
-            term = DiffForm(ring, {(v,): dc}).wedge(DiffForm(ring, {S: ring.one()}))
-            out = out + term
-    return out
+            below = bisect_left(S, v)
+            T = S[:below] + (v,) + S[below:]
+            if below % 2:
+                dc = -dc
+            got = sums.get(T)
+            sums[T] = dc if got is None else got + dc
+    return DiffForm(ring, {T: p for T, p in sums.items() if not p.is_zero()}, _check=False)
 
 
 def wedge(omega: DiffForm, eta: DiffForm) -> DiffForm:

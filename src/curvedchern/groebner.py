@@ -45,6 +45,15 @@ class Infinite:
     reason: str
 
 
+@dataclass(frozen=True)
+class Capped:
+    """Marker for a finite quotient with more than `cap` standard monomials:
+    every variable has a pure power among the leading monomials, so the
+    dimension is finite, but the monomials were not all listed."""
+
+    cap: int
+
+
 @dataclass
 class GroebnerBasis:
     """A reduced, monic Groebner basis sorted by leading monomial."""
@@ -272,12 +281,13 @@ def ideal_nf(p: RingElement, G: GroebnerBasis) -> RingElement:
     )
 
 
-def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite:
-    """Monomials outside the leading-term ideal, sorted, or Infinite.
+def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:
+    """Monomials outside the leading-term ideal, sorted; Infinite or Capped.
 
     The quotient is finite-dimensional iff every variable has a pure power
-    among the leading monomials; enumeration is capped at
-    STANDARD_MONOMIAL_CAP and reports the cap if exceeded.
+    among the leading monomials (Infinite names a variable without one);
+    enumeration stops past STANDARD_MONOMIAL_CAP monomials and returns
+    Capped.
     """
     lms = G.leading_monomials()
     if G.contains_unit():
@@ -302,7 +312,7 @@ def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite:
             continue
         out.append(m)
         if len(out) > STANDARD_MONOMIAL_CAP:
-            return Infinite(f"more than {STANDARD_MONOMIAL_CAP} standard monomials")
+            return Capped(STANDARD_MONOMIAL_CAP)
         for v in range(ring.nvars):
             if m[v] + 1 < bounds[v]:
                 nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
@@ -321,12 +331,11 @@ def jacobian_ideal(f: RingElement) -> list[RingElement]:
     return partials
 
 
-def milnor_number(f: RingElement) -> int | Infinite:
-    """dim_k A/(df/dx_1, ..., df/dx_n), or Infinite for non-isolated f."""
+def milnor_number(f: RingElement) -> int | Infinite | Capped:
+    """dim_k A/(df/dx_1, ..., df/dx_n): Infinite for non-isolated f, Capped
+    when finite but above STANDARD_MONOMIAL_CAP."""
     G = buchberger(jacobian_ideal(f))
     if G.contains_unit():
         return 0
     sm = standard_monomials(G)
-    if isinstance(sm, Infinite):
-        return sm
-    return len(sm)
+    return sm if isinstance(sm, (Infinite, Capped)) else len(sm)

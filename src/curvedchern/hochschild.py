@@ -52,7 +52,7 @@ class CategoryData:
                 raise InvalidInput("category objects must share the algebra's ring")
             if not M.delta.is_zero():
                 raise InvalidInput("category objects must have trivial differential")
-            if not M.e.has_operator_degree(0) or not (M.e @ M.e - M.e).is_zero():
+            if not M.e.has_operator_degree(0) or M.e @ M.e != M.e:
                 raise InvalidInput("category object presentation must be an even idempotent")
 
     @property
@@ -96,10 +96,7 @@ class Chain:
             self._keyc = (
                 self.u_exp,
                 self.objects,
-                tuple(
-                    tuple(str(v) for row in slot.entries for v in row)
-                    for slot in self.slots
-                ),
+                tuple(content_key(slot) for slot in self.slots),
             )
         return self._keyc
 
@@ -120,7 +117,10 @@ class Chain:
 
 
 class ChainSum:
-    """Canonicalized Scalar-linear combination of chains."""
+    """Canonicalized Scalar-linear combination of chains.
+
+    Equal chains (by Chain.key) are merged; terms keep the order in which
+    their chains first appeared."""
 
     __slots__ = ("category", "_terms")
 
@@ -146,7 +146,7 @@ class ChainSum:
         return ChainSum(category)
 
     def terms(self):
-        return [self._terms[k] for k in sorted(self._terms)]
+        return list(self._terms.values())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -238,7 +238,7 @@ def _chain(category, raw_slots, objects, coeff, u_exp, split: dict) -> ChainSum:
         parts = split.get(key)
         if parts is None:
             et, es = category.identity(tgt), category.identity(src)
-            if not (et @ X @ es - X).is_zero():
+            if et @ X @ es != X:
                 raise InvalidInput(f"slot {i} is not supported on the presented images")
             parts = split[key] = sorted(X.parity_components().items())
         choices.append(parts)
@@ -355,25 +355,16 @@ def reduce_chain(c: ChainSum) -> ChainSum:
 def _identity_multiple(category, o: int, slot: Mat) -> Scalar | None:
     """The scalar lam with slot = lam·e_o, or None."""
     e = category.identity(o)
-    lam = None
-    for t in range(len(e.target_degrees)):
-        for s in range(len(e.source_degrees)):
-            ent = e.entry(t, s)
-            for J, form in ent.coeffs.items():
-                for S, poly in form.parts.items():
-                    for mono, cval in poly.terms.items():
-                        other = slot.entry(t, s).coefficient(J).coefficient(S)
-                        lam = other.terms.get(mono, Scalar(0)) * cval.inv()
-                        break
-                    break
-                break
-            if lam is not None:
-                break
-        if lam is not None:
-            break
-    if lam is None:  # rank-zero object: only the zero slot, already dropped
-        return None
-    return lam if (slot - e.scale(lam)).is_zero() else None
+    for t, row in enumerate(e.rows):
+        for s, ent in row.items():
+            # lam is fixed by one term of one stored entry of e
+            J, form = next(iter(ent.coeffs.items()))
+            S, poly = next(iter(form.parts.items()))
+            mono, cval = next(iter(poly.terms.items()))
+            other = slot.entry(t, s).coefficient(J).coefficient(S)
+            lam = other.terms.get(mono, Scalar(0)) * cval.inv()
+            return lam if slot == e.scale(lam) else None
+    return None  # rank-zero object: only the zero slot, already dropped
 
 
 def connes_B(c: ChainSum) -> ChainSum:
@@ -504,16 +495,15 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
         per_slot = []
         for slot in ch.slots:
             pieces = []
-            for t in range(len(slot.target_degrees)):
-                for s in range(len(slot.source_degrees)):
-                    v = slot.entry(t, s)
+            for t, row in enumerate(slot.rows):
+                for s, v in sorted(row.items()):
                     for J, form in sorted(v.coeffs.items()):
                         for S, poly in sorted(form.parts.items()):
                             for mono, cval in sorted(poly.terms.items()):
                                 elem = Mat.zero(
                                     slot.ring, slot.target_degrees, slot.source_degrees
                                 )
-                                elem.entries[t][s] = USeries(
+                                elem.rows[t][s] = USeries(
                                     slot.ring,
                                     {
                                         J: DiffForm(
@@ -572,7 +562,7 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
     if len(conns) != len(cat.objects):
         raise InvalidInput("one connection per category object required")
     for C, M in zip(conns, cat.objects):
-        if C.module.degrees != M.degrees or not (C.module.e - M.e).is_zero():
+        if C.module.degrees != M.degrees or C.module.e != M.e:
             raise InvalidInput("connection does not match its category object")
     words = WordEvaluator() if words is None else words
     nvars = ring.nvars

@@ -14,6 +14,15 @@ graded world is concentrated in three places:
   and the stored convention used by all input and output (stored entry
   [s][t] = sum_c (-1)^{c|e_t|} N_c[t][s]).
 
+A Mat is stored sparsely: row t is a dict {source index: USeries} holding
+the nonzero entries of that row only.  A missing entry reads as zero, and
+no stored entry is ever zero, so every operation visits stored entries
+only and two equal matrices have equal rows.  The product is formed row by
+row (Gustavson, ACM TOMS 4(3), 1978): each stored (t, k) of the left
+factor meets each stored (k, s) of row k of the right factor, and the
+pairs gathered for an output entry (t, s) go to one
+USeries.sum_of_products call.
+
 Stored matrices are what the user writes and what reports print; they obey
 the degree rule |M[s][t]| = |e_s| - |e_t| + m with the first index the
 source basis vector.
@@ -43,10 +52,19 @@ def _as_useries(ring: GradedRing, value) -> USeries:
     raise InvalidInput(f"cannot interpret {value!r} as a matrix entry")
 
 
-class Mat:
-    """A target x source matrix of USeries entries (internal convention)."""
+def _nonzero(row: dict) -> dict:
+    return {s: v for s, v in row.items() if v.coeffs}
 
-    __slots__ = ("ring", "target_degrees", "source_degrees", "entries")
+
+class Mat:
+    """A target x source matrix of USeries entries (internal convention).
+
+    rows[t] maps a source index s to the entry [t][s]; only nonzero
+    entries are stored.  Mat(...) takes dense rows of entries and checks
+    them; results of operations are built by Mat._make, unchecked.
+    """
+
+    __slots__ = ("ring", "target_degrees", "source_degrees", "rows")
 
     def __init__(self, ring, target_degrees, source_degrees, entries):
         self.ring = ring
@@ -58,32 +76,32 @@ class Mat:
         for row in entries:
             if len(row) != len(self.source_degrees):
                 raise InvalidInput("matrix column count does not match source degrees")
-            rows.append([_as_useries(ring, v) for v in row])
-        self.entries = rows
+            rows.append(_nonzero({s: _as_useries(ring, v) for s, v in enumerate(row)}))
+        self.rows = rows
+
+    @staticmethod
+    def _make(ring, target_degrees: tuple, source_degrees: tuple, rows: list) -> "Mat":
+        """An internal result: degree tuples of ints, and rows of dicts
+        holding nonzero USeries at in-range indices."""
+        m = object.__new__(Mat)
+        m.ring = ring
+        m.target_degrees = target_degrees
+        m.source_degrees = source_degrees
+        m.rows = rows
+        return m
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(ring, target_degrees, source_degrees) -> "Mat":
-        z = USeries.zero(ring)
-        return Mat(
-            ring,
-            target_degrees,
-            source_degrees,
-            [[z for _ in source_degrees] for _ in target_degrees],
-        )
+        tgt = tuple(int(d) for d in target_degrees)
+        return Mat._make(ring, tgt, tuple(int(d) for d in source_degrees), [{} for _ in tgt])
 
     @staticmethod
     def identity(ring, degrees) -> "Mat":
+        degrees = tuple(int(d) for d in degrees)
         one = USeries.from_ring(ring.one())
-        z = USeries.zero(ring)
-        n = len(degrees)
-        return Mat(
-            ring,
-            degrees,
-            degrees,
-            [[one if r == c else z for c in range(n)] for r in range(n)],
-        )
+        return Mat._make(ring, degrees, degrees, [{t: one} for t in range(len(degrees))])
 
     @staticmethod
     def from_stored(ring, degrees, rows, *, target_degrees=None) -> "Mat":
@@ -95,59 +113,69 @@ class Mat:
         transpose).  `degrees` is the source side (stored rows are
         source-major); rectangular homs pass the target side explicitly.
         """
-        src = tuple(degrees)
-        tgt = tuple(degrees if target_degrees is None else target_degrees)
+        src = tuple(int(d) for d in degrees)
+        tgt = src if target_degrees is None else tuple(int(d) for d in target_degrees)
         # stored rows are source-major: len(rows) == len(src)
         if len(rows) != len(src):
             raise InvalidInput("stored matrix row count does not match degrees")
-        stored = [[_as_useries(ring, v) for v in row] for row in rows]
-        for row in stored:
+        out: list[dict] = [{} for _ in tgt]
+        for s, row in enumerate(rows):
             if len(row) != len(tgt):
                 raise InvalidInput("stored matrix column count does not match degrees")
-        entries = []
-        for t in range(len(tgt)):
-            out_row = []
-            for s in range(len(src)):
-                out_row.append(_twist(stored[s][t], tgt[t]))
-            entries.append(out_row)
-        return Mat(ring, tgt, src, entries)
+            for t, value in enumerate(row):
+                v = _as_useries(ring, value)
+                if v.coeffs:
+                    out[t][s] = _twist(v, tgt[t])
+        return Mat._make(ring, tgt, src, out)
 
     def display(self) -> list[list[USeries]]:
         """Stored-convention rows (inverse of from_stored)."""
-        out = []
-        for s in range(len(self.source_degrees)):
-            row = []
-            for t in range(len(self.target_degrees)):
-                row.append(_twist(self.entries[t][s], self.target_degrees[t]))
-            out.append(row)
+        zero = USeries.zero(self.ring)
+        out = [[zero] * len(self.target_degrees) for _ in self.source_degrees]
+        for t, row in enumerate(self.rows):
+            for s, v in row.items():
+                out[s][t] = _twist(v, self.target_degrees[t])
         return out
 
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The matrix product; each entry sum over k of a[t][k]·b[k][s] is
-        one USeries.sum_of_products call, so it is normal-formed once."""
+        """The matrix product, row by row: output entry (t, s) is the sum
+        over the stored a = [t][k] and b = [k][s] of a·b, one
+        USeries.sum_of_products call, so it is normal-formed once."""
         if self.source_degrees != other.target_degrees:
             raise InvalidInput("matrix shapes/degrees are not composable")
         ring = self.ring
-        cols = [other.column(s) for s in range(len(other.source_degrees))]
-        rows = [
-            [USeries.sum_of_products(ring, zip(row, col)) for col in cols]
-            for row in self.entries
-        ]
-        return Mat(ring, self.target_degrees, other.source_degrees, rows)
+        right = other.rows
+        out = []
+        for row in self.rows:
+            pairs: dict[int, list] = {}
+            for k, a in row.items():
+                for s, b in right[k].items():
+                    got = pairs.get(s)
+                    if got is None:
+                        pairs[s] = [(a, b)]
+                    else:
+                        got.append((a, b))
+            out.append(
+                _nonzero({s: USeries.sum_of_products(ring, ps) for s, ps in pairs.items()})
+            )
+        return Mat._make(ring, self.target_degrees, other.source_degrees, out)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            self.ring,
-            self.target_degrees,
-            self.source_degrees,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            for s, b in rb.items():
+                a = row.get(s)
+                v = b if a is None else a + b
+                if v.coeffs:
+                    row[s] = v
+                else:
+                    del row[s]
+            out.append(row)
+        return Mat._make(self.ring, self.target_degrees, self.source_degrees, out)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -156,28 +184,31 @@ class Mat:
         return self.scale(Scalar(-1))
 
     def scale(self, c: Scalar) -> "Mat":
-        return Mat(
-            self.ring,
-            self.target_degrees,
-            self.source_degrees,
-            [[v.scale(c) for v in row] for row in self.entries],
-        )
+        if c.is_zero():
+            return Mat.zero(self.ring, self.target_degrees, self.source_degrees)
+        # a nonzero scalar keeps every entry nonzero
+        return self._map(lambda v: v.scale(c))
 
     def scale_ring(self, p: RingElement) -> "Mat":
         factor = USeries.from_ring(p)
-        return Mat(
+        return Mat._make(
             self.ring,
             self.target_degrees,
             self.source_degrees,
-            [[v * factor for v in row] for row in self.entries],
+            [_nonzero({s: v * factor for s, v in row.items()}) for row in self.rows],
         )
 
     def shift_u(self, k: int) -> "Mat":
-        return Mat(
+        return self._map(lambda v: v.shift_u(k))
+
+    def _map(self, f) -> "Mat":
+        """f applied to every stored entry; f must keep nonzero entries
+        nonzero."""
+        return Mat._make(
             self.ring,
             self.target_degrees,
             self.source_degrees,
-            [[v.shift_u(k) for v in row] for row in self.entries],
+            [{s: f(v) for s, v in row.items()} for row in self.rows],
         )
 
     def _same_shape(self, other: "Mat"):
@@ -192,17 +223,18 @@ class Mat:
     def row_sign_d(self) -> "Mat":
         """Entrywise de Rham d with the basis parity on rows:
         D(X)[t][s] = (-1)^{|e_t|} d(X[t][s])."""
-        rows = []
-        for t, row in enumerate(self.entries):
-            sign = Scalar((-1) ** (self.target_degrees[t] % 2))
-            out_row = []
-            for v in row:
-                dv = USeries(
-                    self.ring, {J: de_rham_d(f) for J, f in v.coeffs.items()}
-                )
-                out_row.append(dv.scale(sign))
-            rows.append(out_row)
-        return Mat(self.ring, self.target_degrees, self.source_degrees, rows)
+        ring = self.ring
+        minus = Scalar(-1)
+        out = []
+        for t, row in enumerate(self.rows):
+            odd = self.target_degrees[t] % 2
+            out_row = {}
+            for s, v in row.items():
+                dv = USeries(ring, {J: de_rham_d(f) for J, f in v.coeffs.items()})
+                if dv.coeffs:
+                    out_row[s] = dv.scale(minus) if odd else dv
+            out.append(out_row)
+        return Mat._make(ring, self.target_degrees, self.source_degrees, out)
 
     def supertrace(self) -> USeries:
         """Per-component supertrace: the form-degree-c part of the i-th
@@ -210,14 +242,16 @@ class Mat:
         if self.target_degrees != self.source_degrees:
             raise InvalidInput("supertrace needs a square matrix on one object")
         acc = USeries.zero(self.ring)
-        for k, deg in enumerate(self.target_degrees):
-            acc = acc + _supertrace_weight(self.ring, deg, self.entries[k][k])
+        for t, row in enumerate(self.rows):
+            v = row.get(t)
+            if v is not None:
+                acc = acc + _supertrace_weight(self.target_degrees[t], v)
         return acc
 
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return not any(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -225,14 +259,14 @@ class Mat:
             and self.ring.same_as(other.ring)
             and self.target_degrees == other.target_degrees
             and self.source_degrees == other.source_degrees
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     def has_operator_degree(self, m: int) -> bool:
         """Degree rule |N[t][s]| = |e_s| - |e_t| + m with |d(x_v)| = |x_v|-1
         and |u| = 2 (zero entries pass)."""
-        for t, row in enumerate(self.entries):
-            for s, v in enumerate(row):
+        for t, row in enumerate(self.rows):
+            for s, v in row.items():
                 want = self.source_degrees[s] - self.target_degrees[t] + m
                 for J, form in v.coeffs.items():
                     if not form.has_gamma_degree(want - 2 * J):
@@ -240,7 +274,8 @@ class Mat:
         return True
 
     def entry(self, t: int, s: int) -> USeries:
-        return self.entries[t][s]
+        got = self.rows[t].get(s)
+        return USeries.zero(self.ring) if got is None else got
 
     def parity_components(self) -> dict[int, "Mat"]:
         """Split into operator-parity-homogeneous parts, keyed 0/1.
@@ -251,82 +286,92 @@ class Mat:
         actually occur appear in the result.
         """
         ring = self.ring
-        grids: dict[int, list[list[dict]]] = {}
-        nt, ns = len(self.target_degrees), len(self.source_degrees)
-        for t in range(nt):
-            for s in range(ns):
+        grids: dict[int, list[dict]] = {}
+        for t, row in enumerate(self.rows):
+            for s, v in row.items():
                 base = self.source_degrees[s] - self.target_degrees[t]
-                for J, form in self.entries[t][s].coeffs.items():
+                for J, form in v.coeffs.items():
                     for S, coeff in form.parts.items():
-                        shift = sum(ring.degrees[v] - 1 for v in S) + 2 * J - base
+                        shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
                         for mono, c in coeff.terms.items():
                             p = (ring.monomial_gamma(mono) + shift) % 2
-                            grid = grids.setdefault(
-                                p, [[{} for _ in range(ns)] for _ in range(nt)]
-                            )
-                            slot = grid[t][s].setdefault(J, {})
-                            slot.setdefault(S, {})[mono] = c
-        out = {}
-        for p, grid in grids.items():
-            rows = []
-            for t in range(nt):
-                row = []
-                for s in range(ns):
-                    row.append(
-                        USeries(
-                            ring,
-                            {
-                                J: DiffForm(
-                                    ring,
-                                    {
-                                        S: RingElement(ring, ms, _normalize=False)
-                                        for S, ms in parts.items()
-                                    },
-                                    _check=False,
-                                )
-                                for J, parts in grid[t][s].items()
-                            },
-                        )
-                    )
-                rows.append(row)
-            out[p] = Mat(ring, self.target_degrees, self.source_degrees, rows)
-        return out
+                            grid = grids.get(p)
+                            if grid is None:
+                                grid = grids[p] = [{} for _ in self.rows]
+                            forms = grid[t].setdefault(s, {})
+                            forms.setdefault(J, {}).setdefault(S, {})[mono] = c
+
+        def entry(forms: dict) -> USeries:
+            return USeries(ring, {
+                J: DiffForm(
+                    ring,
+                    {S: RingElement(ring, ms, _normalize=False) for S, ms in parts.items()},
+                    _check=False,
+                )
+                for J, parts in forms.items()
+            })
+
+        return {
+            p: Mat._make(
+                ring,
+                self.target_degrees,
+                self.source_degrees,
+                [{s: entry(forms) for s, forms in row.items()} for row in grid],
+            )
+            for p, grid in grids.items()
+        }
 
     def column(self, s: int) -> Column:
-        return [self.entries[t][s] for t in range(len(self.target_degrees))]
+        zero = USeries.zero(self.ring)
+        return [row.get(s, zero) for row in self.rows]
 
     @staticmethod
     def from_columns(ring, target_degrees, source_degrees, cols) -> "Mat":
-        rows = [
-            [cols[s][t] for s in range(len(source_degrees))]
-            for t in range(len(target_degrees))
-        ]
-        return Mat(ring, target_degrees, source_degrees, rows)
+        rows: list[dict] = [{} for _ in target_degrees]
+        for s, col in enumerate(cols):
+            for t, v in enumerate(col):
+                if v.coeffs:
+                    rows[t][s] = v
+        return Mat._make(ring, tuple(target_degrees), tuple(source_degrees), rows)
 
     def apply(self, col: Column) -> Column:
         """Matrix times column (entries multiply on the left of the column's
         u-series values)."""
-        return [USeries.sum_of_products(self.ring, zip(row, col)) for row in self.entries]
+        ring = self.ring
+        return [
+            USeries.sum_of_products(ring, [(a, col[k]) for k, a in row.items()])
+            for row in self.rows
+        ]
 
     def __repr__(self) -> str:
         shape = f"{len(self.target_degrees)}x{len(self.source_degrees)}"
         return f"<Mat {shape} tgt={self.target_degrees} src={self.source_degrees}>"
 
 
-def _supertrace_weight(ring, deg: int, entry: USeries) -> USeries:
+def _flip(v: USeries, parity: int) -> USeries:
+    """Negate the form-degree-c parts of v with c ≡ parity (mod 2)."""
+    ring = v.ring
+    return USeries(
+        ring,
+        {
+            J: DiffForm(
+                ring,
+                {S: -c if len(S) % 2 == parity else c for S, c in f.parts.items()},
+                _check=False,
+            )
+            for J, f in v.coeffs.items()
+        },
+    )
+
+
+def _supertrace_weight(deg: int, entry: USeries) -> USeries:
     """Weight the form-degree-c parts of a diagonal entry by (-1)^{(1+c)·deg}."""
-    if entry.is_zero():
-        return USeries.zero(ring)
-    parts: dict[int, DiffForm] = {}
-    for J, form in entry.coeffs.items():
-        keep = DiffForm.zero(ring)
-        for c in form.form_degrees():
-            w = (-1) ** (((1 + c) * deg) % 2)
-            comp = form.component(c)
-            keep = keep + (comp if w > 0 else -comp)
-        if not keep.is_zero():
-            parts[J] = keep
-    return USeries(ring, parts)
+    return entry if deg % 2 == 0 else _flip(entry, 0)
+
+
+def _twist(v: USeries, basis_degree: int) -> USeries:
+    """Apply (-1)^{c * basis_degree} to form-degree-c components."""
+    return v if basis_degree % 2 == 0 else _flip(v, 1)
 
 
 def form_degree_parity(X: Mat) -> int | None:
@@ -338,8 +383,8 @@ def form_degree_parity(X: Mat) -> int | None:
     coefficients always have even Gamma-degree and each dx_v is odd.
     """
     seen: int | None = None
-    for row in X.entries:
-        for v in row:
+    for row in X.rows:
+        for v in row.values():
             for f in v.coeffs.values():
                 for S in f.parts:
                     p = len(S) % 2
@@ -355,15 +400,20 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
 
     Forming the full product computes rank^2 entries and then discards all
     but the diagonal; this computes the rank entries that matter, each
-    sum over k of A[t][k]·B[k][t] in one USeries.sum_of_products call.
-    WordEvaluator evaluates every word of two or more letters this way.
+    sum over the stored A[t][k] with B[k][t] stored of A[t][k]·B[k][t] in
+    one USeries.sum_of_products call.  WordEvaluator evaluates every word
+    of two or more letters this way.
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
-    acc = USeries.zero(A.ring)
-    for t, deg in enumerate(A.target_degrees):
-        entry = USeries.sum_of_products(A.ring, zip(A.entries[t], B.column(t)))
-        acc = acc + _supertrace_weight(A.ring, deg, entry)
+    ring = A.ring
+    right = B.rows
+    acc = USeries.zero(ring)
+    for t, row in enumerate(A.rows):
+        pairs = [(a, right[k][t]) for k, a in row.items() if t in right[k]]
+        if pairs:
+            entry = USeries.sum_of_products(ring, pairs)
+            acc = acc + _supertrace_weight(A.target_degrees[t], entry)
     return acc
 
 
@@ -376,9 +426,9 @@ def content_key(X: Mat) -> tuple:
         X.target_degrees,
         X.source_degrees,
         tuple(
-            tuple(sorted((J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items()))
-            for row in X.entries
-            for v in row
+            (t, s, tuple(sorted((J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items())))
+            for t, row in enumerate(X.rows)
+            for s, v in sorted(row.items())
         ),
     )
 
@@ -437,20 +487,6 @@ class WordEvaluator:
             if built(word[:cut]) and built(word[cut:]):
                 return cut
         return mid
-
-
-def _twist(v: USeries, basis_degree: int) -> USeries:
-    """Apply (-1)^{c * basis_degree} to form-degree-c components."""
-    if basis_degree % 2 == 0:
-        return v
-    out: dict[int, DiffForm] = {}
-    for J, form in v.coeffs.items():
-        flipped = DiffForm.zero(v.ring)
-        for c in form.form_degrees():
-            comp = form.component(c)
-            flipped = flipped + (comp if c % 2 == 0 else -comp)
-        out[J] = flipped
-    return USeries(v.ring, out)
 
 
 def jd_column(degrees, col: Column) -> Column:

@@ -23,7 +23,7 @@ from .forms import (
     hn_differential,
     vanishes_mod_relation,
 )
-from .matform import Column, Mat, WordEvaluator, form_degree_parity, jd_column
+from .matform import Column, Mat, WordEvaluator, content_key, form_degree_parity, jd_column
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
 
@@ -102,18 +102,18 @@ def check_module(M: CurvedModule, Alg: CurvedAlgebra | None = None) -> ModuleVer
         failures.append("idempotent entries violate the degree rule |e_ij| = |e_i|-|e_j|")
     if not delta.has_operator_degree(1):
         failures.append("delta entries violate the degree rule |d_ij| = |e_i|-|e_j|+1")
-    if not (e @ e - e).is_zero():
+    if e @ e != e:
         failures.append("e^2 != e")
-    if not (e @ delta @ e - delta).is_zero():
+    if e @ delta @ e != delta:
         failures.append("delta is not supported on the image of e")
     if M.mu is not None:
-        if not (e @ M.mu @ e - M.mu).is_zero():
+        if e @ M.mu @ e != M.mu:
             failures.append("mu is not supported on the image of e")
         if not M.mu.has_operator_degree(-1):
             failures.append("mu entries violate the connection degree rule")
     square = delta @ delta
     target = e.scale_ring(-alg.h)
-    if not (square - target).is_zero():
+    if square != target:
         failures.append("delta^2 != -h·e (realized curvature differs)")
     return ModuleVerdict(not failures, failures, realized_square=square)
 
@@ -125,11 +125,11 @@ class Connection:
 
     module: CurvedModule
     theta: Mat
-    # cached nabla^2 and [nabla, delta] (shared by chern_weil /
-    # commutator_check / cycle_check on the same connection)
+    # cached nabla^2, and [nabla, X] by (content of X, parity of X): shared
+    # by chern_weil, the chain route and the identity checks
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
     _curvature_checked: bool = field(default=False, repr=False, compare=False)
-    _dprime: Mat | None = field(default=None, repr=False, compare=False)
+    _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, col: Column) -> Column:
         out = self.module.e.apply(jd_column(self.module.degrees, col))
@@ -150,7 +150,7 @@ def levi_civita(M: CurvedModule) -> Connection:
 def connection_with_mu(M: CurvedModule, mu: Mat) -> Connection:
     """Levi-Civita plus an explicit perturbation matrix of one-forms."""
     e = M.e
-    if not (e @ mu @ e - mu).is_zero():
+    if e @ mu @ e != mu:
         raise InvalidInput("connection perturbation must be supported on im(e)")
     if not mu.has_operator_degree(-1):
         raise InvalidInput("connection perturbation must have operator degree -1")
@@ -168,8 +168,22 @@ def _infer_parity(X: Mat) -> int:
 def covariant_derivative_pair(Ci: Connection, Cj: Connection, X: Mat,
                               degree: int | None = None) -> Mat:
     """[nabla, X] for X: module(Cj) -> module(Ci):
-    e_i·D(X)·e_j + theta_i·X - (-1)^{|X|} X·theta_j."""
+    e_i·D(X)·e_j + theta_i·X - (-1)^{|X|} X·theta_j.
+
+    With Ci is Cj the result is remembered on the connection, keyed by the
+    content of X and its parity, so each route and check that needs the
+    same bracket (as [nabla, delta]) shares one computation."""
     m = _infer_parity(X) if degree is None else degree
+    if Ci is not Cj:
+        return _bracket(Ci, Cj, X, m)
+    key = (content_key(X), m % 2)
+    got = Ci._derivatives.get(key)
+    if got is None:
+        got = Ci._derivatives[key] = _bracket(Ci, Ci, X, m)
+    return got
+
+
+def _bracket(Ci: Connection, Cj: Connection, X: Mat, m: int) -> Mat:
     ei, ej = Ci.module.e, Cj.module.e
     out = ei @ X.row_sign_d() @ ej
     if not Ci.theta.is_zero():
@@ -230,9 +244,7 @@ def curvature_mat(C: Connection, *, check_linearity: bool = True) -> Mat:
 def curvature_R(C: Connection, *, check_linearity: bool = True) -> Mat:
     """R = u·nabla^2 + [nabla, delta], a matrix over USeries."""
     K = curvature_mat(C, check_linearity=check_linearity)
-    if C._dprime is None:
-        C._dprime = covariant_derivative(C, C.module.delta, 1)
-    return K.shift_u(1) + C._dprime
+    return K.shift_u(1) + covariant_derivative(C, C.module.delta, 1)
 
 
 def supertrace(X: Mat) -> USeries:
@@ -258,9 +270,7 @@ def chern_weil(M: CurvedModule, C: Connection,
     words = WordEvaluator() if words is None else words
     ring = M.ring
     K = curvature_mat(C)
-    if C._dprime is None:
-        C._dprime = covariant_derivative(C, C.module.delta, 1)
-    A = C._dprime
+    A = covariant_derivative(C, C.module.delta, 1)
     acc = M.e.supertrace()
     top = ring.nvars
     a_zero = A.is_zero()
@@ -332,8 +342,8 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
 def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     mode = "exact"
     detail = ""
-    for row in X.entries:
-        for v in row:
+    for row in X.rows:
+        for v in row.values():
             verdict = _useries_vanishes(v, bound)
             if not verdict:
                 return verdict
@@ -357,15 +367,16 @@ def cycle_check(M: CurvedModule, C: Connection, bound: int | None = None,
 
 def left_dh_matrix(M: CurvedModule) -> Mat:
     """The sandwiched matrix of left multiplication by dh on im(e):
-    entries (-1)^{|e_t|} dh ∧ e[t][s]."""
-    ring = M.ring
-    dh = de_rham_d(DiffForm.from_ring(M.algebra.h))
-    dhu = USeries.from_form(dh)
-    rows = []
-    for t, row in enumerate(M.e.entries):
-        sign = Scalar((-1) ** (M.degrees[t] % 2))
-        rows.append([(dhu * v).scale(sign) for v in row])
-    return Mat(ring, M.degrees, M.degrees, rows)
+    entries (-1)^{|e_t|} dh ∧ e[t][s], the product of the diagonal matrix
+    of the (-1)^{|e_t|} dh with e."""
+    dh = USeries.from_form(de_rham_d(DiffForm.from_ring(M.algebra.h)))
+    zero = USeries.zero(M.ring)
+    n = len(M.degrees)
+    diag = [
+        [dh.scale(Scalar((-1) ** (M.degrees[t] % 2))) if s == t else zero for s in range(n)]
+        for t in range(n)
+    ]
+    return Mat(M.ring, M.degrees, M.degrees, diag) @ M.e
 
 
 def commutator_check(M: CurvedModule, C: Connection, bound: int | None = None) -> IdentityVerdict:

@@ -141,7 +141,7 @@ def _unipotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
         return g
     t, s = rng.choice(pairs)
     n = Mat.zero(ring, degrees, degrees)
-    n.entries[t][s] = USeries.from_ring(ring.scalar(_rand_coeff(rng)))
+    n.rows[t][s] = USeries.from_ring(ring.scalar(_rand_coeff(rng)))
     return g + n
 
 
@@ -236,7 +236,7 @@ def _constant_idempotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
     e0 = Mat.zero(ring, degrees, degrees)
     one = USeries.from_ring(ring.one())
     for k in range(rank):
-        e0.entries[k][k] = one
+        e0.rows[k][k] = one
     g = _unipotent(rng, ring, degrees)
     return g @ e0 @ _invert_unipotent(g)
 

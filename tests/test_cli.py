@@ -63,6 +63,9 @@ def _with(block: str, **changes) -> dict:
         _with("options", bound=True),
         _with("options", milnor=1),
         _with("connection", kind="explicit", mu=[[3, "0"], ["0", "0"]]),
+        _with("module", delta=[["0", "x"], True]),
+        _with("module", delta=["0x", "y0"]),
+        _with("module", idempotent=[["1", {}], ["0", "1"]]),
     ],
     ids=[
         "ring-degree-not-int",
@@ -73,6 +76,9 @@ def _with(block: str, **changes) -> dict:
         "bound-bool",
         "milnor-not-bool",
         "mu-entry-not-string",
+        "delta-row-not-a-list",
+        "delta-rows-are-strings",
+        "idempotent-entry-not-string",
     ],
 )
 def test_malformed_problem_file_exits_2_without_traceback(doc, tmp_path):
@@ -130,3 +136,36 @@ def test_milnor_of_a_mixed_term_polynomial_runs_quickly():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("milnor number: 124\n")
     assert time.monotonic() - t0 < 5
+
+
+def test_milnor_above_the_enumeration_cap_is_reported_as_a_cap():
+    # isolated, with mu = 199^2 = 39 601 standard monomials
+    proc = _run("milnor", "x^200+y^200", "--vars", "x,y")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(
+        "standard monomials: more than 10000 (not listed)\n"
+        "milnor number: more than 10000 (finite: isolated critical point)\n"
+    )
+    assert "infinite" not in proc.stdout
+
+
+def test_milnor_of_a_non_isolated_polynomial_is_infinite():
+    proc = _run("milnor", "x^2*y^2+z^2", "--vars", "x,y,z")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("milnor number: infinite (non-isolated critical locus)\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("-x^2+y^2", "--vars", "x,y"), ("--vars", "x,y", "-x^2+y^2")],
+    ids=["poly-first", "vars-first"],
+)
+def test_milnor_polynomial_starting_with_minus_names_the_double_dash_form(args):
+    proc = _run("milnor", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "goes after '--'" in proc.stderr
+    assert 'milnor --vars x,y -- "-x^2+y^2"' in proc.stderr
+    works = _run("milnor", "--vars", "x,y", "--", "-x^2+y^2")
+    assert works.returncode == 0, works.stderr
+    assert works.stdout.endswith("milnor number: 1\n")

@@ -20,7 +20,7 @@ from curvedchern.forms import (
 )
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, sphere_ring
+from util import qi_ring, reference_de_rham_d, sphere_ring
 
 
 def _dx(R, name):
@@ -182,6 +182,27 @@ def test_milnor_representative_kills_jacobian_multiples():
 
 
 small_polys = st.sampled_from(["x", "y", "x*y", "x^2-1", "x+2*y", "1"])
+
+
+_D_FREE = qi_ring("x1", "x2", "x3")
+_D_SPHERE = sphere_ring(3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([_D_FREE, _D_SPHERE]),
+    st.dictionaries(
+        st.sampled_from([(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+        st.sampled_from(["1", "x1", "-x2^3", "x1*x2*x3", "2*x1^2-x3", "i*x2*x3+x1^4", "x3^2+x2"]),
+        max_size=4,
+    ),
+)
+def test_de_rham_d_matches_the_wedge_formula(ring, parts):
+    # forms of mixed degree, top forms included, over a free and a quotient ring
+    omega = DiffForm(ring, {S: ring.from_string(p) for S, p in parts.items()})
+    got = de_rham_d(omega)
+    assert got == reference_de_rham_d(omega)
+    assert all(not c.is_zero() for c in got.parts.values())
 
 
 @settings(deadline=None, max_examples=30)

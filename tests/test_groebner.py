@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import EmptyIdeal, InvalidInput, ZeroJacobianIdeal
 from curvedchern.groebner import (
+    STANDARD_MONOMIAL_CAP,
+    Capped,
     Infinite,
     buchberger,
     ideal_nf,
@@ -105,6 +107,12 @@ def test_milnor_constant_raises():
 def test_milnor_non_isolated_infinite():
     R = qi_ring("x", "y")
     assert isinstance(milnor_number(R.from_string("x^2")), Infinite)
+
+
+def test_milnor_above_the_cap_is_capped_not_infinite():
+    R = qi_ring("x", "y")
+    got = milnor_number(R.from_string("x^200+y^200"))
+    assert got == Capped(STANDARD_MONOMIAL_CAP)
 
 
 def _brute_force_milnor(f, degree):

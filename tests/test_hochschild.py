@@ -448,12 +448,12 @@ def _sphere_bundle_module():
     factorization of x1*x2: delta = [[0, x1·e], [x2·e, 0]] on e ⊕ e."""
     R, P = _sphere_module()
     alg = CurvedAlgebra(R, R.from_string("-x1*x2"))
-    e = P.e.entries
+    e = P.e.entry
     z = USeries.zero(R)
     x1, x2 = (USeries.from_ring(R.var(v)) for v in ("x1", "x2"))
-    E = [[e[t % 2][s % 2] if t // 2 == s // 2 else z for s in range(4)] for t in range(4)]
+    E = [[e(t % 2, s % 2) if t // 2 == s // 2 else z for s in range(4)] for t in range(4)]
     delta = [
-        [(x1 if t < 2 else x2) * e[t % 2][s % 2] if t // 2 != s // 2 else z for s in range(4)]
+        [(x1 if t < 2 else x2) * e(t % 2, s % 2) if t // 2 != s // 2 else z for s in range(4)]
         for t in range(4)
     ]
     degrees = (0, 0, 1, 1)

@@ -6,10 +6,23 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
-from curvedchern.matform import Mat, WordEvaluator, jd_column, supertrace_of_product
+from curvedchern.matform import (
+    Mat,
+    WordEvaluator,
+    content_key,
+    form_degree_parity,
+    jd_column,
+    supertrace_of_product,
+)
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, sphere_ring
+from util import (
+    ReferenceMat,
+    qi_ring,
+    reference_form_degree_parity,
+    reference_supertrace_of_product,
+    sphere_ring,
+)
 
 
 def _ring2():
@@ -239,7 +252,7 @@ def test_word_evaluators_over_different_rings_do_not_share():
     rows = [["x1", "x2"], ["x3", "x1"]]
     Xs = Mat.from_stored(sphere, [0, 0], rows)
     Xf = Mat.from_stored(free, [0, 0], rows)
-    assert [[str(v) for v in r] for r in Xs.entries] == [[str(v) for v in r] for r in Xf.entries]
+    assert [[str(v) for v in r] for r in Xs.display()] == [[str(v) for v in r] for r in Xf.display()]
     on_sphere, on_free = WordEvaluator(), WordEvaluator()
     a, b = on_sphere.letter(Xs), on_free.letter(Xf)
     assert on_sphere.supertrace((a, a)) == (Xs @ Xs).supertrace()
@@ -266,3 +279,105 @@ def test_word_evaluator_reuses_built_halves(monkeypatch):
     assert len(matmuls) == 1
     monkeypatch.undo()
     assert tr == (K @ A @ A).supertrace()
+
+
+# -- sparse storage against the dense reference ------------------------
+
+FREE = qi_ring("x1", "x2", "x3")
+SPHERE = sphere_ring(3)
+_POLYS = ["1", "-1", "x1", "x2*x3", "x1^2-2*x2", "i*x3+1", "x1*x2*x3"]
+_WEDGES = [(), (0,), (2,), (0, 1), (1, 2)]
+
+
+def _entries(ring):
+    """Entries with several u-powers and mixed form degrees, zero half the
+    time."""
+    form = st.dictionaries(
+        st.sampled_from(_WEDGES), st.sampled_from(_POLYS).map(ring.from_string), max_size=2
+    ).map(lambda parts: DiffForm(ring, parts))
+    nonzero = st.dictionaries(st.sampled_from([0, 1, 2]), form, min_size=1, max_size=2)
+    return st.one_of(st.just(USeries.zero(ring)), nonzero.map(lambda c: USeries(ring, c)))
+
+
+def _grid(data, ring, nt, ns):
+    """A dense nt x ns grid of entries, some rows and columns all zero."""
+    z = USeries.zero(ring)
+    grid = [[data.draw(_entries(ring)) for _ in range(ns)] for _ in range(nt)]
+    zero_rows = data.draw(st.sets(st.integers(0, nt - 1), max_size=nt))
+    zero_cols = data.draw(st.sets(st.integers(0, ns - 1), max_size=ns))
+    return [
+        [z if t in zero_rows or s in zero_cols else grid[t][s] for s in range(ns)]
+        for t in range(nt)
+    ]
+
+
+def _dense(X: Mat):
+    assert all(v.coeffs for row in X.rows for v in row.values()), "a stored entry is zero"
+    assert all(0 <= s < len(X.source_degrees) for row in X.rows for s in row)
+    return [[X.entry(t, s) for s in range(len(X.source_degrees))] for t in range(len(X.target_degrees))]
+
+
+def _same(X: Mat, R: ReferenceMat) -> bool:
+    return (
+        X.target_degrees == R.target_degrees
+        and X.source_degrees == R.source_degrees
+        and _dense(X) == R.entries
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([FREE, SPHERE]),
+    st.sampled_from([(1, 1), (2, 2), (4, 4), (2, 3), (3, 1), (1, 4)]),
+    st.data(),
+)
+def test_sparse_mat_agrees_with_the_dense_reference(ring, shape, data):
+    nt, ns = shape
+
+    def degrees(n):
+        return tuple(data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+
+    tgt = degrees(nt)
+    src = tgt if nt == ns and data.draw(st.booleans()) else degrees(ns)
+    ga, gb, gc = _grid(data, ring, nt, ns), _grid(data, ring, ns, nt), _grid(data, ring, nt, ns)
+    A, B, C = Mat(ring, tgt, src, ga), Mat(ring, src, tgt, gb), Mat(ring, tgt, src, gc)
+    rA, rB, rC = ReferenceMat(ring, tgt, src, ga), ReferenceMat(ring, src, tgt, gb), ReferenceMat(ring, tgt, src, gc)
+    assert _same(A, rA) and _same(B, rB)
+
+    assert _same(A @ B, rA @ rB) and _same(B @ A, rB @ rA)
+    assert _same(A + C, rA + rC) and _same(A - C, rA - rC) and _same(A - A, rA - rA)
+    c = data.draw(st.sampled_from([Scalar(0), Scalar(-1), Scalar(2, 1)]))
+    assert _same(A.scale(c), rA.scale(c))
+    p = ring.from_string(data.draw(st.sampled_from(["0", "x1", "x1^2+x2^2+x3^2-1"])))
+    assert _same(A.scale_ring(p), rA.scale_ring(p))
+    assert _same(A.shift_u(2), rA.shift_u(2))
+    assert _same(A.row_sign_d(), rA.row_sign_d())
+    parts, rparts = A.parity_components(), rA.parity_components()
+    assert sorted(parts) == sorted(rparts)
+    assert all(_same(parts[k], rparts[k]) for k in parts)
+    for m in (-1, 0, 1):
+        assert A.has_operator_degree(m) == rA.has_operator_degree(m)
+    assert A.is_zero() == rA.is_zero()
+    assert form_degree_parity(A) == reference_form_degree_parity(rA)
+
+    # equality and content keys agree with entrywise equality
+    assert (A == C) == (rA.entries == rC.entries)
+    assert (content_key(A) == content_key(C)) == (rA.entries == rC.entries)
+    again = Mat(ring, tgt, src, _dense(A))
+    assert again == A and content_key(again) == content_key(A)
+    assert hash(content_key(A)) == hash(content_key(again))
+
+    # stored convention: from_stored and display are each other's inverse
+    assert A.display() == rA.display()
+    assert Mat.from_stored(ring, src, rA.display(), target_degrees=tgt) == A
+    assert _same(
+        Mat.from_stored(ring, src, gb, target_degrees=tgt),
+        ReferenceMat.from_stored(ring, src, gb, target_degrees=tgt),
+    )
+
+    col = [data.draw(_entries(ring)) for _ in range(ns)]
+    assert A.apply(col) == rA.apply(col)
+    assert supertrace_of_product(A, B) == reference_supertrace_of_product(rA, rB)
+    if tgt == src:
+        assert A.supertrace() == rA.supertrace()
+        assert (A @ C).supertrace() == (rA @ rC).supertrace()

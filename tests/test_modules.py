@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from curvedchern import cli, modules
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d, wedge
-from curvedchern.matform import Mat
+from curvedchern.matform import Mat, content_key
 from curvedchern.modules import (
     Connection,
     CurvedAlgebra,
@@ -69,6 +69,32 @@ def test_run_suite_validates_a_parsed_module_once(monkeypatch):
     res = cli.run_suite(inst.module, inst.connection)
     assert res.ok
     assert len(calls) == 1  # by parse_instance; the routes reuse its verdict
+
+
+def test_run_suite_differentiates_delta_once(monkeypatch):
+    # delta != 0 and theta != 0: Chern-Weil and the chain route both need
+    # [nabla, delta], and the commutator check needs it inside R
+    R, alg, M = _mf_xy()
+    mu = Mat.from_stored(R, [0, 1], [[_dx_form(R, "x", "y"), "0"], ["0", _dx_form(R, "y", "x")]])
+    C = connection_with_mu(M, mu)
+    assert not C.theta.is_zero() and not M.delta.is_zero()
+    target = content_key(M.delta)
+    calls = []
+    body = Mat.row_sign_d
+
+    def spy(X):
+        if content_key(X) == target:
+            calls.append(X)
+        return body(X)
+
+    monkeypatch.setattr(Mat, "row_sign_d", spy)
+    res = cli.run_suite(M, C)
+    assert res.ok
+    assert len(calls) == 1  # not once per route
+
+
+def _dx_form(R, coeff, var):
+    return DiffForm.from_ring(R.from_string(coeff)).wedge(DiffForm.d_var(R, var))
 
 
 def test_check_module_catches_wrong_square():

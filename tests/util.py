@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from curvedchern.errors import EmptyIdeal, InvalidInput
-from curvedchern.forms import DiffForm
+from curvedchern.forms import DiffForm, USeries
 from curvedchern.groebner import GroebnerBasis
 from curvedchern.rings import (
     GradedRing,
@@ -139,6 +139,178 @@ def reference_wedge(f, g):
                 prev = parts.get(key)
                 parts[key] = got[key] if prev is None else prev + got[key]
     return DiffForm(f.ring, parts)
+
+
+def reference_de_rham_d(omega: DiffForm) -> DiffForm:
+    """forms.de_rham_d as it was first written: each d(a)/dx_v·dx_v ∧ dx_S
+    formed by a wedge product and added in one at a time."""
+    ring = omega.ring
+    out = DiffForm.zero(ring)
+    for S, c in omega.parts.items():
+        for v, name in enumerate(ring.variables):
+            dc = c.derivative(name)
+            if dc.is_zero():
+                continue
+            term = DiffForm(ring, {(v,): dc}).wedge(DiffForm(ring, {S: ring.one()}))
+            out = out + term
+    return out
+
+
+# -- the dense matrices of earlier versions: the oracle for matform.Mat ----
+#
+# ReferenceMat keeps every entry, zeros included, in entries[t][s], and each
+# operation visits every entry; the formulas are those matform.Mat had before
+# it stored nonzero entries only.
+
+
+class ReferenceMat:
+    def __init__(self, ring, target_degrees, source_degrees, entries):
+        self.ring = ring
+        self.target_degrees = tuple(target_degrees)
+        self.source_degrees = tuple(source_degrees)
+        self.entries = [list(row) for row in entries]
+
+    @staticmethod
+    def from_stored(ring, degrees, rows, *, target_degrees=None):
+        src = tuple(degrees)
+        tgt = tuple(degrees if target_degrees is None else target_degrees)
+        return ReferenceMat(
+            ring, tgt, src,
+            [[_reference_twist(rows[s][t], tgt[t]) for s in range(len(src))] for t in range(len(tgt))],
+        )
+
+    def display(self):
+        return [
+            [_reference_twist(self.entries[t][s], self.target_degrees[t]) for t in range(len(self.target_degrees))]
+            for s in range(len(self.source_degrees))
+        ]
+
+    def _like(self, entries, source_degrees=None):
+        src = self.source_degrees if source_degrees is None else source_degrees
+        return ReferenceMat(self.ring, self.target_degrees, src, entries)
+
+    def column(self, s):
+        return [self.entries[t][s] for t in range(len(self.target_degrees))]
+
+    def __matmul__(self, other):
+        cols = [other.column(s) for s in range(len(other.source_degrees))]
+        return self._like(
+            [[USeries.sum_of_products(self.ring, zip(row, col)) for col in cols] for row in self.entries],
+            other.source_degrees,
+        )
+
+    def apply(self, col):
+        return [USeries.sum_of_products(self.ring, zip(row, col)) for row in self.entries]
+
+    def __add__(self, other):
+        return self._like([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return self + other.scale(Scalar(-1))
+
+    def scale(self, c):
+        return self._like([[v.scale(c) for v in row] for row in self.entries])
+
+    def scale_ring(self, p):
+        factor = USeries.from_ring(p)
+        return self._like([[v * factor for v in row] for row in self.entries])
+
+    def shift_u(self, k):
+        return self._like([[v.shift_u(k) for v in row] for row in self.entries])
+
+    def row_sign_d(self):
+        rows = []
+        for t, row in enumerate(self.entries):
+            sign = Scalar((-1) ** (self.target_degrees[t] % 2))
+            rows.append(
+                [USeries(self.ring, {J: reference_de_rham_d(f) for J, f in v.coeffs.items()}).scale(sign) for v in row]
+            )
+        return self._like(rows)
+
+    def supertrace(self):
+        acc = USeries.zero(self.ring)
+        for k, deg in enumerate(self.target_degrees):
+            acc = acc + _reference_supertrace_weight(self.ring, deg, self.entries[k][k])
+        return acc
+
+    def is_zero(self):
+        return all(v.is_zero() for row in self.entries for v in row)
+
+    def has_operator_degree(self, m):
+        for t, row in enumerate(self.entries):
+            for s, v in enumerate(row):
+                want = self.source_degrees[s] - self.target_degrees[t] + m
+                for J, form in v.coeffs.items():
+                    if not form.has_gamma_degree(want - 2 * J):
+                        return False
+        return True
+
+    def parity_components(self):
+        ring = self.ring
+        grids: dict = {}
+        nt, ns = len(self.target_degrees), len(self.source_degrees)
+        for t in range(nt):
+            for s in range(ns):
+                base = self.source_degrees[s] - self.target_degrees[t]
+                for J, form in self.entries[t][s].coeffs.items():
+                    for S, coeff in form.parts.items():
+                        shift = sum(ring.degrees[v] - 1 for v in S) + 2 * J - base
+                        for mono, c in coeff.terms.items():
+                            p = (ring.monomial_gamma(mono) + shift) % 2
+                            grid = grids.setdefault(p, [[{} for _ in range(ns)] for _ in range(nt)])
+                            grid[t][s].setdefault(J, {}).setdefault(S, {})[mono] = c
+        return {
+            p: self._like(
+                [
+                    [
+                        USeries(ring, {
+                            J: DiffForm(ring, {S: RingElement(ring, ms) for S, ms in parts.items()})
+                            for J, parts in grid[t][s].items()
+                        })
+                        for s in range(ns)
+                    ]
+                    for t in range(nt)
+                ]
+            )
+            for p, grid in grids.items()
+        }
+
+
+def _reference_supertrace_weight(ring, deg, entry):
+    parts: dict = {}
+    for J, form in entry.coeffs.items():
+        keep = DiffForm.zero(ring)
+        for c in form.form_degrees():
+            comp = form.component(c)
+            keep = keep + (comp if (-1) ** (((1 + c) * deg) % 2) > 0 else -comp)
+        parts[J] = keep
+    return USeries(ring, parts)
+
+
+def _reference_twist(v, basis_degree):
+    if basis_degree % 2 == 0:
+        return v
+    out: dict = {}
+    for J, form in v.coeffs.items():
+        flipped = DiffForm.zero(v.ring)
+        for c in form.form_degrees():
+            comp = form.component(c)
+            flipped = flipped + (comp if c % 2 == 0 else -comp)
+        out[J] = flipped
+    return USeries(v.ring, out)
+
+
+def reference_supertrace_of_product(A: ReferenceMat, B: ReferenceMat) -> USeries:
+    acc = USeries.zero(A.ring)
+    for t, deg in enumerate(A.target_degrees):
+        entry = USeries.sum_of_products(A.ring, zip(A.entries[t], B.column(t)))
+        acc = acc + _reference_supertrace_weight(A.ring, deg, entry)
+    return acc
+
+
+def reference_form_degree_parity(X: ReferenceMat):
+    parities = {len(S) % 2 for row in X.entries for v in row for f in v.coeffs.values() for S in f.parts}
+    return None if len(parities) > 1 else (parities.pop() if parities else 0)
 
 
 # -- the seed's Buchberger: the oracle for groebner.buchberger -------------
