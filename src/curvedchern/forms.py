@@ -233,8 +233,13 @@ class USeries:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: GradedRing, coeffs: dict | None = None):
+    def __init__(self, ring: GradedRing, coeffs: dict | None = None, _check: bool = True):
         self.ring = ring
+        if not _check:
+            # an internal result: its u-powers are nonnegative ints and its
+            # forms nonzero, by construction
+            self.coeffs = coeffs
+            return
         clean: dict[int, DiffForm] = {}
         for J, form in (coeffs or {}).items():
             if J < 0:
@@ -264,13 +269,13 @@ class USeries:
                 out.pop(J, None)
             else:
                 out[J] = s
-        return USeries(self.ring, out)
+        return USeries(self.ring, out, _check=False)
 
     def __sub__(self, other: "USeries") -> "USeries":
         return self + (-other)
 
     def __neg__(self) -> "USeries":
-        return USeries(self.ring, {J: -f for J, f in self.coeffs.items()})
+        return USeries(self.ring, {J: -f for J, f in self.coeffs.items()}, _check=False)
 
     def __mul__(self, other: "USeries") -> "USeries":
         return USeries.sum_of_products(self.ring, ((self, other),))
@@ -284,20 +289,35 @@ class USeries:
                 for J1, f1 in a.coeffs.items():
                     for J2, f2 in b.coeffs.items():
                         _wedge_terms(terms, J1 + J2, f1, f2)
+        return USeries.from_terms(ring, terms)
+
+    @staticmethod
+    def from_terms(ring: GradedRing, terms: list) -> "USeries":
+        """The sum of rings.sum_of_products contributions keyed (u-power,
+        wedge indices), with u-powers nonnegative ints and wedge indices
+        strictly increasing."""
         if not terms:
-            return USeries(ring)
+            return USeries.zero(ring)
         coeffs: dict[int, dict] = {}
         for (J, S), p in sum_of_products(ring, terms).items():
             coeffs.setdefault(J, {})[S] = p
         return USeries(
-            ring, {J: DiffForm(ring, parts, _check=False) for J, parts in coeffs.items()}
+            ring,
+            {J: DiffForm(ring, parts, _check=False) for J, parts in coeffs.items()},
+            _check=False,
         )
 
     def scale(self, c: Scalar) -> "USeries":
-        return USeries(self.ring, {J: f.scale(c) for J, f in self.coeffs.items()})
+        if c.is_zero():
+            return USeries.zero(self.ring)
+        # a nonzero scalar keeps every form nonzero
+        return USeries(
+            self.ring, {J: f.scale(c) for J, f in self.coeffs.items()}, _check=False
+        )
 
     def shift_u(self, k: int) -> "USeries":
-        return USeries(self.ring, {J + k: f for J, f in self.coeffs.items()})
+        # only a negative shift can leave a negative u-power
+        return USeries(self.ring, {J + k: f for J, f in self.coeffs.items()}, _check=k < 0)
 
     def coefficient(self, J: int) -> DiffForm:
         return self.coeffs.get(J, DiffForm.zero(self.ring))

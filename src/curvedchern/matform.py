@@ -23,6 +23,12 @@ factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
 USeries.sum_of_products call.
 
+A supertrace of a product never forms the product: supertrace_of_product
+and supertrace_of_square file the component products of the diagonal
+summands, each sign already multiplied by its supertrace weight, in one
+rings.sum_of_products call.  The square path forms each pair of mirrored
+summands of str(P·P) once, with a sign known in advance.
+
 Stored matrices are what the user writes and what reports print; they obey
 the degree rule |M[s][t]| = |e_s| - |e_t| + m with the first index the
 source basis vector.
@@ -31,7 +37,7 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .forms import DiffForm, USeries, de_rham_d
+from .forms import DiffForm, USeries, _merge_indices, de_rham_d
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
 
@@ -309,7 +315,7 @@ class Mat:
                     _check=False,
                 )
                 for J, parts in forms.items()
-            })
+            }, _check=False)
 
         return {
             p: Mat._make(
@@ -338,10 +344,12 @@ class Mat:
         """Matrix times column (entries multiply on the left of the column's
         u-series values)."""
         ring = self.ring
-        return [
-            USeries.sum_of_products(ring, [(a, col[k]) for k, a in row.items()])
-            for row in self.rows
-        ]
+        zero = USeries.zero(ring)
+        out = []
+        for row in self.rows:
+            pairs = [(a, col[k]) for k, a in row.items() if col[k].coeffs]
+            out.append(USeries.sum_of_products(ring, pairs) if pairs else zero)
+        return out
 
     def __repr__(self) -> str:
         shape = f"{len(self.target_degrees)}x{len(self.source_degrees)}"
@@ -361,6 +369,7 @@ def _flip(v: USeries, parity: int) -> USeries:
             )
             for J, f in v.coeffs.items()
         },
+        _check=False,
     )
 
 
@@ -395,26 +404,107 @@ def form_degree_parity(X: Mat) -> int | None:
     return 0 if seen is None else seen
 
 
+def _weight(deg: int, c: int) -> int:
+    """The supertrace weight (-1)^{(1+c)·deg} of the form-degree-c part of
+    a diagonal entry on a basis vector of degree deg."""
+    return -1 if deg % 2 and c % 2 == 0 else 1
+
+
+def _weights(deg: int) -> tuple:
+    """Signs of a·b on the diagonal of basis degree deg, indexed
+    [|S_a| % 2][|S_b| % 2]: the weight of the form degree |S_a| + |S_b|."""
+    return tuple(tuple(_weight(deg, pa + pb) for pb in (0, 1)) for pa in (0, 1))
+
+
+def _mirror_weights(deg_t: int, deg_k: int) -> tuple:
+    """Signs of a·b at (t, t) and its mirror b·a at (k, k) taken together,
+    indexed as in _weights: b·a = (-1)^{|S_a||S_b|} a·b, since ring
+    coefficients and u are even and central and entries carry no Koszul
+    signs."""
+    return tuple(
+        tuple(
+            _weight(deg_t, pa + pb) + _weight(deg_k, pa + pb) * (-1) ** (pa * pb)
+            for pb in (0, 1)
+        )
+        for pa in (0, 1)
+    )
+
+
+def _components(v: USeries) -> list:
+    return [(J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items()]
+
+
+def _pair_terms(terms: list, left, right, signs: tuple) -> None:
+    """Append the rings.sum_of_products contributions of every component
+    pair (a, b) in left x right, keyed (J_a + J_b, S_a ∪ S_b), with the
+    Koszul sign of the wedge times signs[|S_a| % 2][|S_b| % 2]; pairs whose
+    sign is 0 are left out."""
+    for J1, S1, p in left:
+        row = signs[len(S1) % 2]
+        for J2, S2, q in right:
+            m = row[len(S2) % 2]
+            if m:
+                merged = _merge_indices(S1, S2)
+                if merged is not None:
+                    terms.append(((J1 + J2, merged[0]), m * merged[1], p, q))
+
+
 def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     """str(A @ B) from the diagonal dot products only.
 
     Forming the full product computes rank^2 entries and then discards all
-    but the diagonal; this computes the rank entries that matter, each
-    sum over the stored A[t][k] with B[k][t] stored of A[t][k]·B[k][t] in
-    one USeries.sum_of_products call.  WordEvaluator evaluates every word
-    of two or more letters this way.
+    but the diagonal; this forms only the pairs A[t][k]·B[k][t] of stored
+    entries, with each component product's sign already multiplied by the
+    supertrace weight of row t, and sums all of them in one
+    rings.sum_of_products call, one normal form per (u-power, wedge
+    indices) key.  WordEvaluator evaluates every word of two or more
+    letters this way, except a square word (see supertrace_of_square).
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
-    ring = A.ring
     right = B.rows
-    acc = USeries.zero(ring)
+    terms: list = []
     for t, row in enumerate(A.rows):
-        pairs = [(a, right[k][t]) for k, a in row.items() if t in right[k]]
-        if pairs:
-            entry = USeries.sum_of_products(ring, pairs)
-            acc = acc + _supertrace_weight(A.target_degrees[t], entry)
-    return acc
+        signs = _weights(A.target_degrees[t])
+        for k, a in row.items():
+            b = right[k].get(t)
+            if b is not None:
+                _pair_terms(terms, _components(a), _components(b), signs)
+    return USeries.from_terms(A.ring, terms)
+
+
+def supertrace_of_square(P: Mat) -> USeries:
+    """str(P @ P), forming each mirrored pair of component products once.
+
+    The (t, k) and (k, t) summands of str(P·P) are P[t][k]·P[k][t] and
+    P[k][t]·P[t][k]; for components a = u^{J_a} p dx_{S_a} and
+    b = u^{J_b} q dx_{S_b}, b·a = (-1)^{|S_a||S_b|} a·b (str(XY) =
+    ±str(YX), Quillen, Topology 24, 1985).  So for t < k each pair (a, b)
+    of P[t][k] x P[k][t] is formed once with the sign
+    σ(S_a, S_b)·(w_t(c) + w_k(c)·(-1)^{|S_a||S_b|}), σ the Koszul sign of
+    the wedge and w_t(c) = (-1)^{(1+c)|e_t|} the supertrace weight of the
+    output form degree c; on the diagonal the pairs i < j of components of
+    P[t][t] get σ·w_t(c)·(1 + (-1)^{|S_i||S_j|}) and the pair i = j counts
+    once.  Contributions whose sign is 0 are not formed.  Everything goes
+    to one rings.sum_of_products call, as in supertrace_of_product.
+    """
+    if P.source_degrees != P.target_degrees:
+        raise InvalidInput("supertrace of a square needs a square matrix on one object")
+    degrees = P.target_degrees
+    rows = P.rows
+    terms: list = []
+    for t, row in enumerate(rows):
+        for k, a in row.items():
+            if k == t:
+                same, mirror = _weights(degrees[t]), _mirror_weights(degrees[t], degrees[t])
+                comps = _components(a)
+                for i, c in enumerate(comps):
+                    _pair_terms(terms, (c,), (c,), same)
+                    _pair_terms(terms, (c,), comps[i + 1:], mirror)
+            elif k > t and t in rows[k]:
+                signs = _mirror_weights(degrees[t], degrees[k])
+                _pair_terms(terms, _components(a), _components(rows[k][t]), signs)
+    return USeries.from_terms(P.ring, terms)
 
 
 def content_key(X: Mat) -> tuple:
@@ -439,10 +529,11 @@ class WordEvaluator:
     A letter is interned by content_key, so two routes that build equal
     matrices independently share one letter.  A word is a tuple of letters;
     its product P(w) is built left to right (P(w[:-1]) @ w[-1]) and its
-    supertrace as str(P(w[:cut]) @ P(w[cut:])), and both are kept.  The cut
-    is the middle, ceil(len(w)/2), unless another cut finds both halves
-    already built.  Words are taken exactly as given: rotations, signs and
-    weights are the caller's business.
+    supertrace as str(P(w[:cut]) @ P(w[cut:])), and both are kept.  A word
+    v·v of two equal halves is evaluated by supertrace_of_square(P(v)); any
+    other word by supertrace_of_product, cut in the middle, ceil(len(w)/2),
+    unless another cut finds both halves already built.  Rotations, signs
+    and weights of words are the caller's business.
     """
 
     def __init__(self):
@@ -470,8 +561,11 @@ class WordEvaluator:
     def supertrace(self, word: tuple[int, ...]) -> USeries:
         got = self._traces.get(word)
         if got is None:
+            half = len(word) // 2
             if len(word) == 1:
                 got = self._letters[word[0]].supertrace()
+            elif word[:half] == word[half:]:
+                got = supertrace_of_square(self._product(word[:half]))
             else:
                 cut = self._cut(word)
                 got = supertrace_of_product(self._product(word[:cut]), self._product(word[cut:]))

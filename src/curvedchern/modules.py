@@ -220,9 +220,9 @@ def curvature_mat(C: Connection, *, check_linearity: bool = True) -> Mat:
         if check_linearity:
             for name in ring.variables:
                 xv = USeries.from_ring(ring.var(name))
-                scaled = [v * xv for v in base]
+                scaled = [v * xv if v.coeffs else v for v in base]
                 lhs = C.apply(C.apply(scaled))
-                rhs = [v * xv for v in cols[-1]]
+                rhs = [v * xv if v.coeffs else v for v in cols[-1]]
                 for a, b in zip(lhs, rhs):
                     resid = a - b
                     if resid.is_zero():
@@ -265,7 +265,10 @@ def chern_weil(M: CurvedModule, C: Connection,
     of the class.  The supertraces themselves come from `words` (a fresh
     WordEvaluator by default), which shares prefix products between words
     and, when the chain route is given the same evaluator, every product
-    and supertrace of a word the two routes have in common.
+    and supertrace of a word the two routes have in common.  A word of two
+    equal halves, such as A·A, B·B or A²·A² (the costliest term on large
+    modules), is evaluated by matform.supertrace_of_square, which forms
+    each mirrored pair of summands once.
     """
     words = WordEvaluator() if words is None else words
     ring = M.ring

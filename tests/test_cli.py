@@ -33,6 +33,30 @@ def test_examples_match_their_goldens(name):
     assert proc.stdout.endswith("golden: match\n")
 
 
+CORPUS = ROOT / "src" / "curvedchern" / "corpus"
+CORPUS_STEMS = ["mf_xy", "s4_nonflat"]
+
+
+@pytest.fixture(scope="module")
+def compute_json():
+    """`compute --json` of each corpus file, run once for the module; the
+    file is given by its name, so the `input` field is the name alone."""
+    out = {}
+    for stem in CORPUS_STEMS:
+        proc = _run("compute", "--json", f"{stem}.json", cwd=CORPUS)
+        assert proc.returncode == 0, proc.stderr
+        out[stem] = json.loads(proc.stdout)
+    return out
+
+
+@pytest.mark.parametrize("stem", CORPUS_STEMS)
+def test_compute_json_matches_its_golden_apart_from_timing(compute_json, stem):
+    doc = dict(compute_json[stem])
+    assert sorted(doc.pop("timing")) == ["chern_via_chains", "chern_weil", "identity_checks"]
+    golden = json.loads((ROOT / "tests" / f"{stem}.json.golden").read_text(encoding="utf-8"))
+    assert doc == golden
+
+
 def test_examples_unknown_name_is_invalid_input():
     proc = _run("examples", "a1-ci")
     assert proc.returncode == 2

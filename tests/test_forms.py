@@ -53,6 +53,27 @@ def test_internal_results_keep_sorted_nonzero_parts():
     assert (w - w).is_zero()
 
 
+def test_useries_refuses_negative_u_powers():
+    R = qi_ring("x", "y")
+    with pytest.raises(InvalidInput):
+        USeries(R, {-1: _dx(R, "x")})
+    p = USeries.from_form(_dx(R, "x"), 1)
+    with pytest.raises(InvalidInput):
+        p.shift_u(-2)
+    assert p.shift_u(-1) == USeries.from_form(_dx(R, "x"), 0)
+
+
+def test_internal_useries_results_keep_nonzero_forms():
+    R = qi_ring("x", "y")
+    p = USeries.from_form(_f(R, "x"), 0) + USeries.from_form(_dx(R, "y"), 2)
+    q = USeries.from_form(_f(R, "y"), 1)
+    for s in (p + q, -p, p.scale(Scalar(3)), p.shift_u(2), p * q, p + (-p)):
+        assert all(isinstance(J, int) and J >= 0 for J in s.coeffs)
+        assert not any(f.is_zero() for f in s.coeffs.values())
+    assert p.scale(Scalar(0)).is_zero()
+    assert (p + (-p)).is_zero()
+
+
 def test_wedge_anticommutes_on_one_forms():
     R = qi_ring("x", "y")
     dx, dy = _dx(R, "x"), _dx(R, "y")

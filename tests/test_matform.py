@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedchern import matform
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import (
@@ -13,6 +14,7 @@ from curvedchern.matform import (
     form_degree_parity,
     jd_column,
     supertrace_of_product,
+    supertrace_of_square,
 )
 from curvedchern.scalars import Scalar
 
@@ -281,6 +283,26 @@ def test_word_evaluator_reuses_built_halves(monkeypatch):
     assert tr == (K @ A @ A).supertrace()
 
 
+def test_word_evaluator_takes_the_square_path_for_equal_halves(monkeypatch):
+    R = _ring2()
+    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["1", "x*y"]])
+    K = Mat.from_stored(R, [0, 1], [["y", "1"], ["x", "x"]])
+    words = WordEvaluator()
+    a, k = words.letter(A), words.letter(K)
+    calls = []
+    square, product = matform.supertrace_of_square, matform.supertrace_of_product
+    monkeypatch.setattr(matform, "supertrace_of_square", lambda P: calls.append("square") or square(P))
+    monkeypatch.setattr(
+        matform, "supertrace_of_product", lambda X, Y: calls.append("product") or product(X, Y)
+    )
+    got = {w: words.supertrace(w) for w in [(a, a), (a, k, a, k), (a, a, k)]}
+    assert calls == ["square", "square", "product"]
+    monkeypatch.undo()
+    assert got[(a, a)] == (A @ A).supertrace()
+    assert got[(a, k, a, k)] == (A @ K @ A @ K).supertrace()
+    assert got[(a, a, k)] == (A @ A @ K).supertrace()
+
+
 # -- sparse storage against the dense reference ------------------------
 
 FREE = qi_ring("x1", "x2", "x3")
@@ -378,6 +400,56 @@ def test_sparse_mat_agrees_with_the_dense_reference(ring, shape, data):
     col = [data.draw(_entries(ring)) for _ in range(ns)]
     assert A.apply(col) == rA.apply(col)
     assert supertrace_of_product(A, B) == reference_supertrace_of_product(rA, rB)
+    assert supertrace_of_product(A, B) == (A @ B).supertrace()
     if tgt == src:
         assert A.supertrace() == rA.supertrace()
         assert (A @ C).supertrace() == (rA @ rC).supertrace()
+
+
+# -- the square path against the reference -----------------------------
+
+
+_ALL_WEDGES = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
+def _square_entries(ring):
+    """Entries of one to six components over u-powers 0..2, odd forms as
+    likely as even ones, so that odd·odd pairs with disjoint wedge indices
+    are common; zero a quarter of the time."""
+    form = st.dictionaries(
+        st.sampled_from(_ALL_WEDGES), st.sampled_from(_POLYS).map(ring.from_string),
+        min_size=1, max_size=3,
+    ).map(lambda parts: DiffForm(ring, parts))
+    nonzero = st.dictionaries(st.sampled_from([0, 1, 2]), form, min_size=1, max_size=2)
+    entry = nonzero.map(lambda c: USeries(ring, c))
+    return st.one_of(st.just(USeries.zero(ring)), entry, entry, entry)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([FREE, SPHERE]), st.integers(1, 3), st.data())
+def test_supertrace_of_square_agrees_with_the_reference(ring, n, data):
+    # entries of mixed form degree (odd forms included), several u-powers
+    # and arbitrary Gamma-degrees, so operator parities mix, on basis
+    # degrees of both parities, so entries link even and odd basis vectors
+    degrees = tuple(data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+    grid = [[data.draw(_square_entries(ring)) for _ in range(n)] for _ in range(n)]
+    P = Mat(ring, degrees, degrees, grid)
+    rP = ReferenceMat(ring, degrees, degrees, grid)
+    assert supertrace_of_square(P) == reference_supertrace_of_product(rP, rP)
+
+
+@pytest.mark.parametrize("ring", [FREE, SPHERE], ids=["free", "sphere"])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_supertrace_of_square_cancels_odd_odd_pairs_on_the_diagonal(ring, degree):
+    # v = w + u·x1 with w = x1·dx1 + dx3: in v·v the odd·odd pairs of w
+    # cancel (w∧w = 0), while the odd·even and even·even ones do not
+    x1 = ring.from_string("x1")
+    w = DiffForm(ring, {(0,): x1, (2,): ring.one()})
+    v = USeries(ring, {0: w, 1: DiffForm.from_ring(x1)})
+    P = Mat(ring, [degree], [degree], [[v]])
+    rP = ReferenceMat(ring, (degree,), (degree,), [[v]])
+    got = supertrace_of_square(P)
+    assert got == reference_supertrace_of_product(rP, rP)
+    assert got.u_powers() == (1, 2)
+    assert got.coefficient(1) == w.scale_ring(x1).scale(Scalar(2))
+    assert got.coefficient(2) == DiffForm.from_ring(x1 * x1).scale(Scalar((-1) ** degree))
