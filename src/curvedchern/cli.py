@@ -513,6 +513,10 @@ def cmd_verify(args) -> int:
     if args.random is not None:
         if args.seed is None:
             raise InvalidInput("--random requires an explicit --seed")
+        if args.random < 1:
+            raise InvalidInput(
+                f"--random needs a positive instance count, got {args.random}"
+            )
         return _verify_random(args.random, args.seed)
     if args.file is None:
         raise InvalidInput("verify needs a problem file or --random N --seed S")

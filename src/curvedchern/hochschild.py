@@ -500,10 +500,8 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
                     for J, form in sorted(v.coeffs.items()):
                         for S, poly in sorted(form.parts.items()):
                             for mono, cval in sorted(poly.terms.items()):
-                                elem = Mat.zero(
-                                    slot.ring, slot.target_degrees, slot.source_degrees
-                                )
-                                elem.rows[t][s] = USeries(
+                                entries = [[0] * len(slot.source_degrees) for _ in slot.rows]
+                                entries[t][s] = USeries(
                                     slot.ring,
                                     {
                                         J: DiffForm(
@@ -512,6 +510,9 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
                                             _check=False,
                                         )
                                     },
+                                )
+                                elem = Mat(
+                                    slot.ring, slot.target_degrees, slot.source_degrees, entries
                                 )
                                 pieces.append((cval, elem))
             per_slot.append(pieces)

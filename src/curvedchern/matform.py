@@ -23,6 +23,16 @@ factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
 USeries.sum_of_products call.
 
+A product with an identity factor forms nothing: X @ I and I @ X return
+X, and I.apply(col) a new list of the same column entries.  Whether a
+matrix is an identity is read from its content alone (equal target and
+source degrees, and row t storing exactly one entry, at (t, t), equal to
+the unit series u^0·1 with coefficient exactly 1), so an identity
+idempotent written in a problem file takes the same path as
+Mat.identity.  For a free module (e = 1) every idempotent sandwich of the
+engine is such a product.  The answer is computed once per matrix, which
+is sound because a Mat is never changed once it is made.
+
 A supertrace of a product never forms the product: supertrace_of_product
 and supertrace_of_square file the component products of the diagonal
 summands, each sign already multiplied by its supertrace weight, in one
@@ -67,10 +77,13 @@ class Mat:
 
     rows[t] maps a source index s to the entry [t][s]; only nonzero
     entries are stored.  Mat(...) takes dense rows of entries and checks
-    them; results of operations are built by Mat._make, unchecked.
+    them; results of operations are built by Mat._make, unchecked.  A Mat
+    is immutable once made: build the row dicts first, then the Mat, and
+    never write into the rows of an existing one (is_identity is
+    remembered).
     """
 
-    __slots__ = ("ring", "target_degrees", "source_degrees", "rows")
+    __slots__ = ("ring", "target_degrees", "source_degrees", "rows", "_identity")
 
     def __init__(self, ring, target_degrees, source_degrees, entries):
         self.ring = ring
@@ -84,6 +97,7 @@ class Mat:
                 raise InvalidInput("matrix column count does not match source degrees")
             rows.append(_nonzero({s: _as_useries(ring, v) for s, v in enumerate(row)}))
         self.rows = rows
+        self._identity = None
 
     @staticmethod
     def _make(ring, target_degrees: tuple, source_degrees: tuple, rows: list) -> "Mat":
@@ -94,6 +108,7 @@ class Mat:
         m.target_degrees = target_degrees
         m.source_degrees = source_degrees
         m.rows = rows
+        m._identity = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -148,9 +163,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         """The matrix product, row by row: output entry (t, s) is the sum
         over the stored a = [t][k] and b = [k][s] of a·b, one
-        USeries.sum_of_products call, so it is normal-formed once."""
+        USeries.sum_of_products call, so it is normal-formed once.  When
+        either factor is an identity (see is_identity) the other factor
+        itself is returned and nothing is formed."""
         if self.source_degrees != other.target_degrees:
             raise InvalidInput("matrix shapes/degrees are not composable")
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         ring = self.ring
         right = other.rows
         out = []
@@ -259,6 +280,18 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
+    def is_identity(self) -> bool:
+        """Whether this is the identity on one object: equal target and
+        source degrees, and each row t storing exactly one entry, at
+        (t, t), equal to the unit series (u^0, form degree 0, the monomial
+        1, coefficient exactly 1 + 0i).  Computed once per matrix."""
+        got = self._identity
+        if got is None:
+            got = self._identity = self.target_degrees == self.source_degrees and all(
+                len(row) == 1 and _is_unit(row.get(t)) for t, row in enumerate(self.rows)
+            )
+        return got
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -342,7 +375,10 @@ class Mat:
 
     def apply(self, col: Column) -> Column:
         """Matrix times column (entries multiply on the left of the column's
-        u-series values)."""
+        u-series values).  An identity (see is_identity) returns a new list
+        of the same column entries, forming nothing."""
+        if self.is_identity():
+            return list(col)
         ring = self.ring
         zero = USeries.zero(ring)
         out = []
@@ -354,6 +390,20 @@ class Mat:
     def __repr__(self) -> str:
         shape = f"{len(self.target_degrees)}x{len(self.source_degrees)}"
         return f"<Mat {shape} tgt={self.target_degrees} src={self.source_degrees}>"
+
+
+def _is_unit(v: USeries | None) -> bool:
+    """Whether v is the unit series u^0·1, coefficient exactly 1 + 0i."""
+    if v is None or len(v.coeffs) != 1:
+        return False
+    form = v.coeffs.get(0)
+    if form is None or len(form.parts) != 1:
+        return False
+    p = form.parts.get(())
+    if p is None or len(p.terms) != 1:
+        return False
+    c = p.terms.get((0,) * p.ring.nvars)
+    return c is not None and c.an == 1 and c.bn == 0 and c.d == 1
 
 
 def _flip(v: USeries, parity: int) -> USeries:

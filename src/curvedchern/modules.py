@@ -44,7 +44,11 @@ class CurvedModule:
     """(P, delta): image of an idempotent with an odd twisting endomorphism.
 
     All matrices are held internally (column convention); use from_stored
-    for data in the written convention.
+    for data in the written convention.  The idempotent e defaults to the
+    identity (a free module, as for a graded matrix factorization), and
+    then costs nothing: every sandwich by e, such as e·delta·e in the
+    checks or e·D(X)·e in a covariant derivative, is a product with an
+    identity factor, which Mat returns without forming it.
     """
 
     def __init__(self, algebra: CurvedAlgebra, degrees, delta: Mat,

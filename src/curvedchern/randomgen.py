@@ -100,7 +100,7 @@ def _koszul_rank2(rng: random.Random, ring: GradedRing):
         d1 = 1
         p = random_poly(rng, ring)
         q = random_poly(rng, ring)
-    delta = Mat.from_stored(ring, (0, d1), [["0", str(p)], [str(q), "0"]])
+    delta = Mat.from_stored(ring, (0, d1), [[0, p], [q, 0]])
     return (0, d1), delta, [(p, q)]
 
 
@@ -140,9 +140,10 @@ def _unipotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
     if not pairs:
         return g
     t, s = rng.choice(pairs)
-    n = Mat.zero(ring, degrees, degrees)
-    n.rows[t][s] = USeries.from_ring(ring.scalar(_rand_coeff(rng)))
-    return g + n
+    n = len(degrees)
+    entries = [[0] * n for _ in range(n)]
+    entries[t][s] = USeries.from_ring(ring.scalar(_rand_coeff(rng)))
+    return g + Mat(ring, degrees, degrees, entries)
 
 
 def _invert_unipotent(g: Mat) -> Mat:
@@ -233,10 +234,8 @@ def _constant_idempotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
     """g·diag(1..1,0..0)·g^{-1} for a constant unipotent g: a genuinely
     non-free presentation with polynomial-free entries."""
     rank = rng.randint(1, len(degrees))
-    e0 = Mat.zero(ring, degrees, degrees)
-    one = USeries.from_ring(ring.one())
-    for k in range(rank):
-        e0.rows[k][k] = one
+    n = len(degrees)
+    e0 = Mat(ring, degrees, degrees, [[int(t == s and s < rank) for s in range(n)] for t in range(n)])
     g = _unipotent(rng, ring, degrees)
     return g @ e0 @ _invert_unipotent(g)
 

@@ -122,6 +122,16 @@ def test_well_formed_options_are_accepted(tmp_path):
     assert "milnor representative" in proc.stdout
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_verify_random_needs_a_positive_count(count):
+    # a run that checks no instance must not report a pass
+    proc = _run("verify", "--random", count, "--seed", "0")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("invalid input: ")
+    assert "passed" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def _assert_refused_fast(proc, seconds):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("invalid input: ")

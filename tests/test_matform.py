@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern import matform
+from curvedchern import cli, matform
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import (
@@ -453,3 +458,125 @@ def test_supertrace_of_square_cancels_odd_odd_pairs_on_the_diagonal(ring, degree
     assert got.u_powers() == (1, 2)
     assert got.coefficient(1) == w.scale_ring(x1).scale(Scalar(2))
     assert got.coefficient(2) == DiffForm.from_ring(x1 * x1).scale(Scalar((-1) ** degree))
+
+
+# -- identity factors --------------------------------------------------
+
+
+def _reference_identity(ring, degrees) -> ReferenceMat:
+    n = len(degrees)
+    one, z = USeries.from_ring(ring.one()), USeries.zero(ring)
+    return ReferenceMat(ring, degrees, degrees, [[one if t == s else z for s in range(n)] for t in range(n)])
+
+
+def _identities(ring, degrees):
+    """Mat.identity and an identity built from written entries: the rule
+    reads the content, so both must take it."""
+    n = len(degrees)
+    written = Mat(ring, degrees, degrees, [["1" if t == s else "0" for s in range(n)] for t in range(n)])
+    return [Mat.identity(ring, degrees), written]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([FREE, SPHERE]),
+    st.sampled_from([(1, 1), (2, 2), (4, 4), (2, 3), (3, 1), (1, 4)]),
+    st.data(),
+)
+def test_identity_factors_agree_with_the_reference(ring, shape, data):
+    nt, ns = shape
+
+    def degrees(n):
+        return tuple(data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+
+    tgt, src = degrees(nt), degrees(ns)
+    grid = _grid(data, ring, nt, ns)
+    X, rX = Mat(ring, tgt, src, grid), ReferenceMat(ring, tgt, src, grid)
+    col = [data.draw(_entries(ring)) for _ in range(nt)]
+    for I_t, I_s in zip(_identities(ring, tgt), _identities(ring, src)):
+        assert I_t.is_identity() and I_s.is_identity()
+        assert _same(I_t @ X, _reference_identity(ring, tgt) @ rX)
+        assert _same(X @ I_s, rX @ _reference_identity(ring, src))
+        got = I_t.apply(col)
+        assert got == _reference_identity(ring, tgt).apply(col)
+        assert got is not col
+    if nt == ns and tgt == src:
+        I = Mat.identity(ring, tgt)
+        assert I @ I == I and _same(I @ X @ I, rX)
+
+
+def _look_alikes(ring):
+    """(name, matrix) pairs that are not identities but come close: a
+    diagonal with one entry -1, i, u·1 or 1·dx_0, an identity with one
+    extra off-diagonal entry, and a unit diagonal between different
+    degrees."""
+    one = USeries.from_ring(ring.one())
+    z = USeries.zero(ring)
+    degrees = (0, 1, 1)
+
+    def diagonal(last):
+        return Mat(ring, degrees, degrees, [[one, z, z], [z, one, z], [z, z, last]])
+
+    extra = [[one, z, z], [z, one, z], [z, USeries.from_ring(ring.from_string("x1")), one]]
+    return [
+        ("minus-one", diagonal(one.scale(Scalar(-1)))),
+        ("i", diagonal(one.scale(Scalar(0, 1)))),
+        ("u", diagonal(one.shift_u(1))),
+        ("dx0", diagonal(USeries.from_form(DiffForm(ring, {(0,): ring.one()})))),
+        ("off-diagonal", Mat(ring, degrees, degrees, extra)),
+        ("degrees-differ", Mat(ring, degrees, (1, 0, 1), [[one, z, z], [z, one, z], [z, z, one]])),
+    ]
+
+
+@pytest.mark.parametrize("ring", [FREE, SPHERE], ids=["free", "sphere"])
+def test_identity_look_alikes_are_multiplied_in_full(ring):
+    for name, L in _look_alikes(ring):
+        assert not L.is_identity(), name
+        rL = ReferenceMat(ring, L.target_degrees, L.source_degrees, _dense(L))
+        rows = [["x1", "0", "x2*x3"], ["1", "x1^2-2*x2", "0"], ["0", "i*x3+1", "x1"]]
+        left = Mat(ring, L.source_degrees, L.source_degrees, rows)
+        right = Mat(ring, L.target_degrees, L.target_degrees, rows)
+        r_left = ReferenceMat(ring, left.target_degrees, left.source_degrees, _dense(left))
+        r_right = ReferenceMat(ring, right.target_degrees, right.source_degrees, _dense(right))
+        assert _same(L @ left, rL @ r_left), name
+        assert _same(right @ L, r_right @ rL), name
+        col = left.column(0)
+        assert L.apply(col) == rL.apply(col), name
+
+
+def test_identity_factors_form_no_product(monkeypatch):
+    ring = FREE
+    degrees = (0, 1)
+    X = Mat.from_stored(ring, degrees, [["x1", "x2"], ["x3", "1"]])
+    calls = []
+    plain = USeries.sum_of_products
+    monkeypatch.setattr(
+        USeries, "sum_of_products", staticmethod(lambda r, ps: calls.append(1) or plain(r, ps))
+    )
+    for I in _identities(ring, degrees):
+        assert I @ X is X and X @ I is X
+        assert I.apply(X.column(0)) == X.column(0)
+    assert calls == []
+    X @ X  # the spy does see an ordinary product
+    assert calls
+
+
+def test_explicit_identity_idempotent_changes_no_output(tmp_path):
+    text = (Path(cli.__file__).parent / "corpus" / "mf_xy.json").read_text(encoding="utf-8")
+    with_e = text.replace('"module": {', '"module": {\n    "idempotent": [["1", "0"], ["0", "1"]],', 1)
+    assert with_e != text
+    docs = []
+    for name, body in (("plain.json", text), ("with_e.json", with_e)):
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["compute", "--json", str(path)]) == 0
+        doc = json.loads(out.getvalue())
+        # timing, and the fields that describe the input: its file name,
+        # its echo and that echo's digest
+        for key in ("timing", "input", "sha256"):
+            doc.pop(key)
+        docs.append(doc)
+    assert docs[1]["spec"]["module"].pop("idempotent") == [["1", "0"], ["0", "1"]]
+    assert docs[0] == docs[1]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from curvedchern.cli import instance_to_spec
 from curvedchern.modules import check_module, chern_weil, connection_with_mu
 from curvedchern.randomgen import (
     random_chain_setup,
@@ -65,3 +69,19 @@ def test_ring_chain_is_one_object_rank_one():
     assert not cat.algebra.h.is_zero()
     for _, ch in c.terms():
         assert all(len(s.target_degrees) == 1 for s in ch.slots)
+
+
+# sha256 over seeds 0-99 of json.dumps(instance_to_spec(M, C), sort_keys=True)
+# followed by a newline, per seed in order
+INSTANCE_SPECS_SHA256 = "ffda6c8f23f08370766cfaed5035da2321dbf9600d4a98fb644d59a087f601b0"
+
+
+def test_module_instances_match_their_golden_digest():
+    # pins δ, e, θ and the ring of every instance, where a digest of ch
+    # would miss a change that leaves ch alone
+    digest = hashlib.sha256()
+    for seed in range(100):
+        M, C = random_module_instance(seed)
+        digest.update(json.dumps(instance_to_spec(M, C), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == INSTANCE_SPECS_SHA256
