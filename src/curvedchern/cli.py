@@ -383,7 +383,7 @@ def run_suite(
     timing["chern_via_chains"] = time.monotonic() - t0
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()
-    first_mismatch = None if routes_equal else min(diff.coeffs)
+    first_mismatch = None if routes_equal else diff.u_powers()[0]
     t0 = time.monotonic()
     cycle = cycle_check(M, C, bound, ch=ch_weil)
     commutator = commutator_check(M, C, bound)
@@ -427,7 +427,8 @@ def _verdict_text(v: IdentityVerdict) -> str:
 def _useries_lines(p: USeries) -> list[str]:
     if p.is_zero():
         return ["  (zero)"]
-    return [f"  u^{J}: {p.coeffs[J]}" for J in sorted(p.coeffs)]
+    coeffs = p.coeffs
+    return [f"  u^{J}: {coeffs[J]}" for J in sorted(coeffs)]
 
 
 def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> str:
@@ -474,10 +475,8 @@ def render_json(inst: Instance, res: SuiteResult) -> str:
         "input": inst.label,
         "sha256": inst.sha256,
         "spec": inst.data,
-        "chern_weil": {f"u^{J}": str(res.ch_weil.coeffs[J]) for J in res.ch_weil.coeffs},
-        "chern_chains": {
-            f"u^{J}": str(res.ch_chains.coeffs[J]) for J in res.ch_chains.coeffs
-        },
+        "chern_weil": {f"u^{J}": str(f) for J, f in res.ch_weil.coeffs.items()},
+        "chern_chains": {f"u^{J}": str(f) for J, f in res.ch_chains.coeffs.items()},
         "route_agreement": res.routes_equal,
         "cycle_check": {"ok": res.cycle.ok, "mode": res.cycle.mode, "detail": res.cycle.detail},
         "commutator_check": {

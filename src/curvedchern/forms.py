@@ -7,9 +7,13 @@ deliberately NOT imposed; callers that need equality in the honest Kaehler
 differentials work modulo the submodule generated by df0 ∧ dx_S via
 module_membership.
 
-USeries are finitely supported series in the even formal variable u with
-DiffForm coefficients; hn_differential is the mixed-complex differential
-u·d + dh∧(-).
+A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
+formal variable u, stored flat as one dict terms {(J, S): p}: J >= 0, S
+strictly increasing wedge indices, p a nonzero RingElement.  That is the
+layout rings.sum_of_products returns, so a product's result is kept as it
+comes, and every reader walks one dict.  USeries(ring, {J: DiffForm})
+checks outside input; coeffs is the same series grouped by u-power, for
+the reports.  hn_differential is the mixed differential u·d + dh∧(-).
 
 Wedge and u-series products hand all their coefficient products, keyed
 by (u-power, wedge indices) with the Koszul sign, to one
@@ -100,10 +104,8 @@ class DiffForm:
         )
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        terms: list = []
-        _wedge_terms(terms, 0, self, other)
-        sums = sum_of_products(self.ring, terms)
-        return DiffForm(self.ring, {S: p for (_, S), p in sums.items()}, _check=False)
+        product = USeries.from_form(self) * USeries.from_form(other)
+        return DiffForm(self.ring, {S: p for (_, S), p in product.terms.items()}, _check=False)
 
     # -- structure -----------------------------------------------------
 
@@ -117,9 +119,6 @@ class DiffForm:
         return DiffForm(
             self.ring, {S: c for S, c in self.parts.items() if len(S) == degree}, _check=False
         )
-
-    def max_degree(self) -> int:
-        return max((len(S) for S in self.parts), default=0)
 
     def coefficient(self, S: Indices) -> RingElement:
         return self.parts.get(tuple(S), self.ring.zero())
@@ -184,25 +183,16 @@ def _merge_indices(S1: Indices, S2: Indices) -> tuple[Indices, int] | None:
     return tuple(sorted(merged)), (-1) ** inversions
 
 
-def _wedge_terms(out: list, J: int, f1: DiffForm, f2: DiffForm) -> None:
-    """Append the sum_of_products contributions of u^J·(f1 ∧ f2): key
-    (J, S) with S the merged wedge indices, and the Koszul sign."""
-    for S1, c1 in f1.parts.items():
-        for S2, c2 in f2.parts.items():
-            merged = _merge_indices(S1, S2)
-            if merged is not None:
-                out.append(((J, merged[0]), merged[1], c1, c2))
-
-
-def de_rham_d(omega: DiffForm) -> DiffForm:
-    """Exterior derivative: d(a dx_S) = sum_v (da/dx_v) dx_v ∧ dx_S.
+def _exterior_d(ring: GradedRing, terms: dict, negate: bool = False) -> dict:
+    """d of a flat map {(J, S): p}, u-power by u-power, negated when
+    `negate`: d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S.
 
     dx_v ∧ dx_S is zero for v in S and otherwise dx_T, T = S with v merged
     in, with sign (-1)^{#{w in S : w < v}}; the derivatives are summed per
-    T, so no ring product is formed."""
-    ring = omega.ring
-    sums: dict[Indices, RingElement] = {}
-    for S, c in omega.parts.items():
+    (J, T), so no ring product is formed.  The result has no zero
+    coefficient."""
+    sums: dict = {}
+    for (J, S), c in terms.items():
         for v, name in enumerate(ring.variables):
             if v in S:
                 continue
@@ -210,17 +200,18 @@ def de_rham_d(omega: DiffForm) -> DiffForm:
             if dc.is_zero():
                 continue
             below = bisect_left(S, v)
-            T = S[:below] + (v,) + S[below:]
-            if below % 2:
+            if (below + negate) % 2:
                 dc = -dc
+            T = (J, S[:below] + (v,) + S[below:])
             got = sums.get(T)
             sums[T] = dc if got is None else got + dc
-    return DiffForm(ring, {T: p for T, p in sums.items() if not p.is_zero()}, _check=False)
+    return {T: p for T, p in sums.items() if not p.is_zero()}
 
 
-def wedge(omega: DiffForm, eta: DiffForm) -> DiffForm:
-    """Named entry point for the wedge product."""
-    return omega.wedge(eta)
+def de_rham_d(omega: DiffForm) -> DiffForm:
+    """Exterior derivative of a form (see _exterior_d)."""
+    sums = _exterior_d(omega.ring, {(0, S): c for S, c in omega.parts.items()})
+    return DiffForm(omega.ring, {S: p for (_, S), p in sums.items()}, _check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +220,38 @@ def wedge(omega: DiffForm, eta: DiffForm) -> DiffForm:
 
 
 class USeries:
-    """Finitely supported sum of DiffForms weighted by powers of u (u even)."""
+    """A finitely supported sum of terms u^J·p·dx_S with u even.
 
-    __slots__ = ("ring", "coeffs")
+    terms maps (J, S) to p: J >= 0, S strictly increasing wedge indices in
+    range, p a nonzero RingElement.  USeries(ring, {J: DiffForm}) checks
+    outside input; results of operations are built by USeries._make,
+    unchecked.  A USeries is never changed once made.
+    """
 
-    def __init__(self, ring: GradedRing, coeffs: dict | None = None, _check: bool = True):
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: GradedRing, coeffs: dict | None = None):
         self.ring = ring
-        if not _check:
-            # an internal result: its u-powers are nonnegative ints and its
-            # forms nonzero, by construction
-            self.coeffs = coeffs
-            return
-        clean: dict[int, DiffForm] = {}
+        terms: dict = {}
         for J, form in (coeffs or {}).items():
             if J < 0:
                 raise InvalidInput("negative u-powers do not occur")
-            if not form.is_zero():
-                clean[int(J)] = form
-        self.coeffs = clean
+            for S, p in form.parts.items():
+                terms[(int(J), S)] = p
+        self.terms = terms
+
+    @staticmethod
+    def _make(ring: GradedRing, terms: dict) -> "USeries":
+        """An internal result: a flat map that keeps the invariants of
+        terms by construction."""
+        v = object.__new__(USeries)
+        v.ring = ring
+        v.terms = terms
+        return v
 
     @staticmethod
     def zero(ring: GradedRing) -> "USeries":
-        return USeries(ring, {})
+        return USeries._make(ring, {})
 
     @staticmethod
     def from_form(form: DiffForm, power: int = 0) -> "USeries":
@@ -260,22 +261,39 @@ class USeries:
     def from_ring(p: RingElement, power: int = 0) -> "USeries":
         return USeries(p.ring, {power: DiffForm.from_ring(p)})
 
+    @property
+    def coeffs(self) -> dict[int, DiffForm]:
+        """The series grouped by u-power, {J: DiffForm}: a new dict on each
+        read, so writing to it leaves the series unchanged."""
+        parts: dict[int, dict] = {}
+        for (J, S), p in self.terms.items():
+            parts.setdefault(J, {})[S] = p
+        return {J: DiffForm(self.ring, f, _check=False) for J, f in parts.items()}
+
     def __add__(self, other: "USeries") -> "USeries":
-        out = dict(self.coeffs)
-        for J, f in other.coeffs.items():
-            got = out.get(J)
-            s = f if got is None else got + f
-            if s.is_zero():
-                out.pop(J, None)
-            else:
-                out[J] = s
-        return USeries(self.ring, out, _check=False)
+        return self._merge(other, False)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return self + (-other)
+        return self._merge(other, True)
+
+    def _merge(self, other: "USeries", negate: bool) -> "USeries":
+        """self + other, or self - other when `negate`: only the terms of
+        other whose key self lacks are negated on their own."""
+        out = dict(self.terms)
+        for key, q in other.terms.items():
+            p = out.get(key)
+            if p is None:
+                out[key] = -q if negate else q
+                continue
+            s = p - q if negate else p + q
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+        return USeries._make(self.ring, out)
 
     def __neg__(self) -> "USeries":
-        return USeries(self.ring, {J: -f for J, f in self.coeffs.items()}, _check=False)
+        return USeries._make(self.ring, {k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other: "USeries") -> "USeries":
         return USeries.sum_of_products(self.ring, ((self, other),))
@@ -285,60 +303,57 @@ class USeries:
         """Sum of a·b over the (a, b) pairs, in one sum_of_products call."""
         terms: list = []
         for a, b in pairs:
-            if a.coeffs and b.coeffs:
-                for J1, f1 in a.coeffs.items():
-                    for J2, f2 in b.coeffs.items():
-                        _wedge_terms(terms, J1 + J2, f1, f2)
+            right = b.terms.items()
+            for (J1, S1), p in a.terms.items():
+                for (J2, S2), q in right:
+                    merged = _merge_indices(S1, S2)
+                    if merged is not None:
+                        terms.append(((J1 + J2, merged[0]), merged[1], p, q))
         return USeries.from_terms(ring, terms)
 
     @staticmethod
     def from_terms(ring: GradedRing, terms: list) -> "USeries":
         """The sum of rings.sum_of_products contributions keyed (u-power,
         wedge indices), with u-powers nonnegative ints and wedge indices
-        strictly increasing."""
-        if not terms:
-            return USeries.zero(ring)
-        coeffs: dict[int, dict] = {}
-        for (J, S), p in sum_of_products(ring, terms).items():
-            coeffs.setdefault(J, {})[S] = p
-        return USeries(
-            ring,
-            {J: DiffForm(ring, parts, _check=False) for J, parts in coeffs.items()},
-            _check=False,
-        )
+        strictly increasing: the kernel's result is the flat map."""
+        return USeries._make(ring, sum_of_products(ring, terms))
 
     def scale(self, c: Scalar) -> "USeries":
         if c.is_zero():
             return USeries.zero(self.ring)
-        # a nonzero scalar keeps every form nonzero
-        return USeries(
-            self.ring, {J: f.scale(c) for J, f in self.coeffs.items()}, _check=False
-        )
+        # a nonzero scalar keeps every coefficient nonzero
+        return USeries._make(self.ring, {k: p.scale(c) for k, p in self.terms.items()})
 
     def shift_u(self, k: int) -> "USeries":
-        # only a negative shift can leave a negative u-power
-        return USeries(self.ring, {J + k: f for J, f in self.coeffs.items()}, _check=k < 0)
+        if k < 0 and any(J + k < 0 for J, _ in self.terms):
+            raise InvalidInput("negative u-powers do not occur")
+        return USeries._make(
+            self.ring, {(J + k, S): p for (J, S), p in self.terms.items()}
+        )
 
     def coefficient(self, J: int) -> DiffForm:
-        return self.coeffs.get(J, DiffForm.zero(self.ring))
+        return DiffForm(
+            self.ring, {S: p for (K, S), p in self.terms.items() if K == J}, _check=False
+        )
 
     def u_powers(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(sorted({J for J, _ in self.terms}))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, USeries)
             and self.ring.same_as(other.ring)
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        return "; ".join(f"u^{J}: {self.coeffs[J]}" for J in sorted(self.coeffs))
+        return "; ".join(f"u^{J}: {coeffs[J]}" for J in sorted(coeffs))
 
     def __repr__(self) -> str:
         return f"<useries {self}>"
@@ -346,27 +361,8 @@ class USeries:
 
 def hn_differential(p: USeries, h: RingElement) -> USeries:
     """(u·d + dh∧)(p): the negative-cyclic-side mixed differential."""
-    ring = p.ring
-    dh = de_rham_d(DiffForm.from_ring(h))
-    out: dict[int, DiffForm] = {}
-    top = max(p.coeffs, default=-1)
-    for J in range(0, top + 2):
-        val = DiffForm.zero(ring)
-        if J - 1 in p.coeffs:
-            val = val + de_rham_d(p.coeffs[J - 1])
-        if J in p.coeffs:
-            val = val + dh.wedge(p.coeffs[J])
-        if not val.is_zero():
-            out[J] = val
-    return USeries(ring, out)
-
-
-def tau_involution(p: USeries) -> USeries:
-    """u -> -u; an involution on u-series, exposed as a utility."""
-    return USeries(
-        p.ring,
-        {J: (f if J % 2 == 0 else f.scale(Scalar(-1))) for J, f in p.coeffs.items()},
-    )
+    dh = USeries.from_form(de_rham_d(DiffForm.from_ring(h)))
+    return USeries._make(p.ring, _exterior_d(p.ring, p.terms)).shift_u(1) + dh * p
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ This is the second, independent route to the Chern character.  Chains
 live over a finite category whose objects are idempotent-presented
 modules with trivial differential (curvature enters through the b0 map,
 twists through pushforward along (rho, beta) morphisms).  The boundary
-maps b2/b1/b0 and Connes' B carry the usual Koszul signs, every slot of
+maps b2/b0 and Connes' B carry the usual Koszul signs, every slot of
 a chain being homogeneous with a recorded parity; inhomogeneous input is
 split into homogeneous summands at construction.
 
@@ -21,7 +21,7 @@ from itertools import product as cartesian
 from math import factorial
 
 from .errors import IncomposableChain, InvalidInput
-from .forms import DiffForm, USeries, de_rham_d, wedge
+from .forms import DiffForm, USeries, de_rham_d
 from .matform import Mat, WordEvaluator, content_key, form_degree_parity
 from .modules import (
     Connection,
@@ -290,33 +290,6 @@ def b2(c: ChainSum) -> ChainSum:
     return ChainSum(c.category, out)
 
 
-def b1(c: ChainSum, differentials) -> ChainSum:
-    """The hom-differential part of the boundary, with explicit deltas.
-
-    The in-scope category always supplies zero differentials, making
-    this identically zero; it is kept general so the formula is
-    testable.  differentials[o] is an odd endomorphism of object o.
-    """
-    deltas = list(differentials)
-    if len(deltas) != len(c.category.objects):
-        raise InvalidInput("one differential per category object required")
-    out = []
-    for coeff, ch in c.terms():
-        d = ch.degrees
-        for j in range(ch.n + 1):
-            tgt = ch.objects[j]
-            src = ch.objects[(j + 1) % (ch.n + 1)]
-            g = ch.slots[j]
-            bracket = deltas[tgt] @ g - (g @ deltas[src]).scale(_sgn(d[j]))
-            sign = _sgn(sum(d[:j]) - j)
-            slots = ch.slots[:j] + (bracket,) + ch.slots[j + 1 :]
-            degs = d[:j] + (d[j] + 1,) + d[j + 1 :]
-            out.append(
-                (coeff * sign, Chain(ch.category, ch.u_exp, ch.objects, slots, degs))
-            )
-    return ChainSum(c.category, out)
-
-
 def b0(c: ChainSum) -> ChainSum:
     """Curvature insertion: h·e of object X_{j+1} enters after slot j
     with sign (-1)^{|a_0|+...+|a_j| - j}, for j = 0..n."""
@@ -358,10 +331,9 @@ def _identity_multiple(category, o: int, slot: Mat) -> Scalar | None:
     for t, row in enumerate(e.rows):
         for s, ent in row.items():
             # lam is fixed by one term of one stored entry of e
-            J, form = next(iter(ent.coeffs.items()))
-            S, poly = next(iter(form.parts.items()))
+            key, poly = next(iter(ent.terms.items()))
             mono, cval = next(iter(poly.terms.items()))
-            other = slot.entry(t, s).coefficient(J).coefficient(S)
+            other = slot.entry(t, s).terms.get(key, slot.ring.zero())
             lam = other.terms.get(mono, Scalar(0)) * cval.inv()
             return lam if slot == e.scale(lam) else None
     return None  # rank-zero object: only the zero slot, already dropped
@@ -395,10 +367,9 @@ def connes_B(c: ChainSum) -> ChainSum:
 
 
 def _ring_entry(v: USeries) -> RingElement:
-    poly = v.coefficient(0).coefficient(())
-    if not (v - USeries.from_ring(poly)).is_zero():
+    if any(key != (0, ()) for key in v.terms):
         raise InvalidInput("chain slot carries form or u content")
-    return poly
+    return v.terms.get((0, ()), v.ring.zero())
 
 
 def hkr(c: ChainSum) -> DiffForm:
@@ -413,7 +384,7 @@ def hkr(c: ChainSum) -> DiffForm:
             raise InvalidInput("hkr needs 1x1 (ring element) slots")
         form = DiffForm.from_ring(_ring_entry(ch.slots[0].entry(0, 0)))
         for s in ch.slots[1:]:
-            form = wedge(form, de_rham_d(DiffForm.from_ring(_ring_entry(s.entry(0, 0)))))
+            form = form.wedge(de_rham_d(DiffForm.from_ring(_ring_entry(s.entry(0, 0)))))
         w = coeff * Scalar(Fraction(1, factorial(ch.n)))
         acc = acc + form.scale(w)
     return acc
@@ -497,24 +468,15 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
             pieces = []
             for t, row in enumerate(slot.rows):
                 for s, v in sorted(row.items()):
-                    for J, form in sorted(v.coeffs.items()):
-                        for S, poly in sorted(form.parts.items()):
-                            for mono, cval in sorted(poly.terms.items()):
-                                entries = [[0] * len(slot.source_degrees) for _ in slot.rows]
-                                entries[t][s] = USeries(
-                                    slot.ring,
-                                    {
-                                        J: DiffForm(
-                                            slot.ring,
-                                            {S: RingElement(slot.ring, {mono: ONE}, _normalize=False)},
-                                            _check=False,
-                                        )
-                                    },
-                                )
-                                elem = Mat(
-                                    slot.ring, slot.target_degrees, slot.source_degrees, entries
-                                )
-                                pieces.append((cval, elem))
+                    for key, poly in sorted(v.terms.items()):
+                        for mono, cval in sorted(poly.terms.items()):
+                            entries = [[0] * len(slot.source_degrees) for _ in slot.rows]
+                            entries[t][s] = USeries._make(
+                                slot.ring,
+                                {key: RingElement(slot.ring, {mono: ONE}, _normalize=False)},
+                            )
+                            elem = Mat(slot.ring, slot.target_degrees, slot.source_degrees, entries)
+                            pieces.append((cval, elem))
             per_slot.append(pieces)
         for combo in cartesian(*per_slot):
             k = coeff
@@ -649,7 +611,7 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None,
+def chern_via_chains(M: CurvedModule, C: Connection,
                      words: WordEvaluator | None = None) -> USeries:
     """Chern character through the chain route.
 
@@ -673,7 +635,5 @@ def chern_via_chains(M: CurvedModule, C: Connection, n_max: int | None = None,
     )
     cat = CategoryData(M.algebra, [stripped])
     gamma = chain(cat, M.e)
-    if n_max is None:
-        n_max = ring.nvars + 1
-    pushed = pushforward(None, M.delta, gamma, n_max)
+    pushed = pushforward(None, M.delta, gamma, ring.nvars + 1)
     return tr_nabla(pushed, [C], words)

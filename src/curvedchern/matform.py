@@ -17,7 +17,10 @@ graded world is concentrated in three places:
 A Mat is stored sparsely: row t is a dict {source index: USeries} holding
 the nonzero entries of that row only.  A missing entry reads as zero, and
 no stored entry is ever zero, so every operation visits stored entries
-only and two equal matrices have equal rows.  The product is formed row by
+only and two equal matrices have equal rows.  An entry is one flat map
+{(u-power, wedge indices): RingElement} (see forms.USeries), so code that
+reads the components of an entry, such as the supertraces, the parity
+split and content_key, walks one dict.  The product is formed row by
 row (Gustavson, ACM TOMS 4(3), 1978): each stored (t, k) of the left
 factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
@@ -47,7 +50,7 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .forms import DiffForm, USeries, _merge_indices, de_rham_d
+from .forms import DiffForm, USeries, _exterior_d, _merge_indices
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
 
@@ -69,7 +72,7 @@ def _as_useries(ring: GradedRing, value) -> USeries:
 
 
 def _nonzero(row: dict) -> dict:
-    return {s: v for s, v in row.items() if v.coeffs}
+    return {s: v for s, v in row.items() if v.terms}
 
 
 class Mat:
@@ -79,11 +82,11 @@ class Mat:
     entries are stored.  Mat(...) takes dense rows of entries and checks
     them; results of operations are built by Mat._make, unchecked.  A Mat
     is immutable once made: build the row dicts first, then the Mat, and
-    never write into the rows of an existing one (is_identity is
-    remembered).
+    never write into the rows of an existing one (is_identity and
+    content_key are remembered).
     """
 
-    __slots__ = ("ring", "target_degrees", "source_degrees", "rows", "_identity")
+    __slots__ = ("ring", "target_degrees", "source_degrees", "rows", "_identity", "_key")
 
     def __init__(self, ring, target_degrees, source_degrees, entries):
         self.ring = ring
@@ -98,6 +101,7 @@ class Mat:
             rows.append(_nonzero({s: _as_useries(ring, v) for s, v in enumerate(row)}))
         self.rows = rows
         self._identity = None
+        self._key = None
 
     @staticmethod
     def _make(ring, target_degrees: tuple, source_degrees: tuple, rows: list) -> "Mat":
@@ -109,6 +113,7 @@ class Mat:
         m.source_degrees = source_degrees
         m.rows = rows
         m._identity = None
+        m._key = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -145,7 +150,7 @@ class Mat:
                 raise InvalidInput("stored matrix column count does not match degrees")
             for t, value in enumerate(row):
                 v = _as_useries(ring, value)
-                if v.coeffs:
+                if v.terms:
                     out[t][s] = _twist(v, tgt[t])
         return Mat._make(ring, tgt, src, out)
 
@@ -190,22 +195,30 @@ class Mat:
         return Mat._make(ring, self.target_degrees, other.source_degrees, out)
 
     def __add__(self, other: "Mat") -> "Mat":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._merge(other, True)
+
+    def _merge(self, other: "Mat", negate: bool) -> "Mat":
+        """self + other, or self - other when `negate`: only the entries
+        stored in other alone are negated on their own."""
         self._same_shape(other)
         out = []
         for ra, rb in zip(self.rows, other.rows):
             row = dict(ra)
             for s, b in rb.items():
                 a = row.get(s)
-                v = b if a is None else a + b
-                if v.coeffs:
+                if a is None:
+                    row[s] = -b if negate else b
+                    continue
+                v = a - b if negate else a + b
+                if v.terms:
                     row[s] = v
                 else:
                     del row[s]
             out.append(row)
         return Mat._make(self.ring, self.target_degrees, self.source_degrees, out)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
 
     def __neg__(self) -> "Mat":
         return self.scale(Scalar(-1))
@@ -250,18 +263,11 @@ class Mat:
     def row_sign_d(self) -> "Mat":
         """Entrywise de Rham d with the basis parity on rows:
         D(X)[t][s] = (-1)^{|e_t|} d(X[t][s])."""
-        ring = self.ring
-        minus = Scalar(-1)
         out = []
         for t, row in enumerate(self.rows):
-            odd = self.target_degrees[t] % 2
-            out_row = {}
-            for s, v in row.items():
-                dv = USeries(ring, {J: de_rham_d(f) for J, f in v.coeffs.items()})
-                if dv.coeffs:
-                    out_row[s] = dv.scale(minus) if odd else dv
-            out.append(out_row)
-        return Mat._make(ring, self.target_degrees, self.source_degrees, out)
+            deg = self.target_degrees[t]
+            out.append(_nonzero({s: _row_d(v, deg) for s, v in row.items()}))
+        return Mat._make(self.ring, self.target_degrees, self.source_degrees, out)
 
     def supertrace(self) -> USeries:
         """Per-component supertrace: the form-degree-c part of the i-th
@@ -304,11 +310,13 @@ class Mat:
     def has_operator_degree(self, m: int) -> bool:
         """Degree rule |N[t][s]| = |e_s| - |e_t| + m with |d(x_v)| = |x_v|-1
         and |u| = 2 (zero entries pass)."""
+        ring = self.ring
         for t, row in enumerate(self.rows):
             for s, v in row.items():
                 want = self.source_degrees[s] - self.target_degrees[t] + m
-                for J, form in v.coeffs.items():
-                    if not form.has_gamma_degree(want - 2 * J):
+                for (J, S), p in v.terms.items():
+                    shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J
+                    if not p.has_gamma_degree(ring.degree_reduce(want - shift)):
                         return False
         return True
 
@@ -329,33 +337,27 @@ class Mat:
         for t, row in enumerate(self.rows):
             for s, v in row.items():
                 base = self.source_degrees[s] - self.target_degrees[t]
-                for J, form in v.coeffs.items():
-                    for S, coeff in form.parts.items():
-                        shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
-                        for mono, c in coeff.terms.items():
-                            p = (ring.monomial_gamma(mono) + shift) % 2
-                            grid = grids.get(p)
-                            if grid is None:
-                                grid = grids[p] = [{} for _ in self.rows]
-                            forms = grid[t].setdefault(s, {})
-                            forms.setdefault(J, {}).setdefault(S, {})[mono] = c
+                for key, coeff in v.terms.items():
+                    J, S = key
+                    shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
+                    for mono, c in coeff.terms.items():
+                        p = (ring.monomial_gamma(mono) + shift) % 2
+                        grid = grids.get(p)
+                        if grid is None:
+                            grid = grids[p] = [{} for _ in self.rows]
+                        grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
 
-        def entry(forms: dict) -> USeries:
-            return USeries(ring, {
-                J: DiffForm(
-                    ring,
-                    {S: RingElement(ring, ms, _normalize=False) for S, ms in parts.items()},
-                    _check=False,
-                )
-                for J, parts in forms.items()
-            }, _check=False)
+        def entry(terms: dict) -> USeries:
+            return USeries._make(
+                ring, {key: RingElement(ring, ms, _normalize=False) for key, ms in terms.items()}
+            )
 
         return {
             p: Mat._make(
                 ring,
                 self.target_degrees,
                 self.source_degrees,
-                [{s: entry(forms) for s, forms in row.items()} for row in grid],
+                [{s: entry(terms) for s, terms in row.items()} for row in grid],
             )
             for p, grid in grids.items()
         }
@@ -369,7 +371,7 @@ class Mat:
         rows: list[dict] = [{} for _ in target_degrees]
         for s, col in enumerate(cols):
             for t, v in enumerate(col):
-                if v.coeffs:
+                if v.terms:
                     rows[t][s] = v
         return Mat._make(ring, tuple(target_degrees), tuple(source_degrees), rows)
 
@@ -383,7 +385,7 @@ class Mat:
         zero = USeries.zero(ring)
         out = []
         for row in self.rows:
-            pairs = [(a, col[k]) for k, a in row.items() if col[k].coeffs]
+            pairs = [(a, col[k]) for k, a in row.items() if col[k].terms]
             out.append(USeries.sum_of_products(ring, pairs) if pairs else zero)
         return out
 
@@ -394,12 +396,9 @@ class Mat:
 
 def _is_unit(v: USeries | None) -> bool:
     """Whether v is the unit series u^0·1, coefficient exactly 1 + 0i."""
-    if v is None or len(v.coeffs) != 1:
+    if v is None or len(v.terms) != 1:
         return False
-    form = v.coeffs.get(0)
-    if form is None or len(form.parts) != 1:
-        return False
-    p = form.parts.get(())
+    p = v.terms.get((0, ()))
     if p is None or len(p.terms) != 1:
         return False
     c = p.terms.get((0,) * p.ring.nvars)
@@ -408,18 +407,8 @@ def _is_unit(v: USeries | None) -> bool:
 
 def _flip(v: USeries, parity: int) -> USeries:
     """Negate the form-degree-c parts of v with c ≡ parity (mod 2)."""
-    ring = v.ring
-    return USeries(
-        ring,
-        {
-            J: DiffForm(
-                ring,
-                {S: -c if len(S) % 2 == parity else c for S, c in f.parts.items()},
-                _check=False,
-            )
-            for J, f in v.coeffs.items()
-        },
-        _check=False,
+    return USeries._make(
+        v.ring, {k: -c if len(k[1]) % 2 == parity else c for k, c in v.terms.items()}
     )
 
 
@@ -444,13 +433,12 @@ def form_degree_parity(X: Mat) -> int | None:
     seen: int | None = None
     for row in X.rows:
         for v in row.values():
-            for f in v.coeffs.values():
-                for S in f.parts:
-                    p = len(S) % 2
-                    if seen is None:
-                        seen = p
-                    elif seen != p:
-                        return None
+            for _, S in v.terms:
+                p = len(S) % 2
+                if seen is None:
+                    seen = p
+                elif seen != p:
+                    return None
     return 0 if seen is None else seen
 
 
@@ -480,18 +468,14 @@ def _mirror_weights(deg_t: int, deg_k: int) -> tuple:
     )
 
 
-def _components(v: USeries) -> list:
-    return [(J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items()]
-
-
 def _pair_terms(terms: list, left, right, signs: tuple) -> None:
     """Append the rings.sum_of_products contributions of every component
-    pair (a, b) in left x right, keyed (J_a + J_b, S_a ∪ S_b), with the
-    Koszul sign of the wedge times signs[|S_a| % 2][|S_b| % 2]; pairs whose
-    sign is 0 are left out."""
-    for J1, S1, p in left:
+    pair (a, b) in left x right, both iterables of ((J, S), p) terms, keyed
+    (J_a + J_b, S_a ∪ S_b), with the Koszul sign of the wedge times
+    signs[|S_a| % 2][|S_b| % 2]; pairs whose sign is 0 are left out."""
+    for (J1, S1), p in left:
         row = signs[len(S1) % 2]
-        for J2, S2, q in right:
+        for (J2, S2), q in right:
             m = row[len(S2) % 2]
             if m:
                 merged = _merge_indices(S1, S2)
@@ -519,7 +503,7 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
         for k, a in row.items():
             b = right[k].get(t)
             if b is not None:
-                _pair_terms(terms, _components(a), _components(b), signs)
+                _pair_terms(terms, a.terms.items(), b.terms.items(), signs)
     return USeries.from_terms(A.ring, terms)
 
 
@@ -547,13 +531,13 @@ def supertrace_of_square(P: Mat) -> USeries:
         for k, a in row.items():
             if k == t:
                 same, mirror = _weights(degrees[t]), _mirror_weights(degrees[t], degrees[t])
-                comps = _components(a)
+                comps = list(a.terms.items())
                 for i, c in enumerate(comps):
                     _pair_terms(terms, (c,), (c,), same)
                     _pair_terms(terms, (c,), comps[i + 1:], mirror)
             elif k > t and t in rows[k]:
                 signs = _mirror_weights(degrees[t], degrees[k])
-                _pair_terms(terms, _components(a), _components(rows[k][t]), signs)
+                _pair_terms(terms, a.terms.items(), rows[k][t].terms.items(), signs)
     return USeries.from_terms(P.ring, terms)
 
 
@@ -561,12 +545,20 @@ def content_key(X: Mat) -> tuple:
     """A hashable key equal for two matrices exactly when their degrees and
     entries are equal.  The ring elements in it compare their rings too, so
     matrices with equal-looking nonzero entries over different rings never
-    share a key."""
+    share a key.  Built once per matrix, which is sound because a Mat is
+    never changed once it is made."""
+    got = X._key
+    if got is None:
+        got = X._key = _content(X)
+    return got
+
+
+def _content(X: Mat) -> tuple:
     return (
         X.target_degrees,
         X.source_degrees,
         tuple(
-            (t, s, tuple(sorted((J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items())))
+            (t, s, tuple(sorted(v.terms.items())))
             for t, row in enumerate(X.rows)
             for s, v in sorted(row.items())
         ),
@@ -636,11 +628,9 @@ class WordEvaluator:
 def jd_column(degrees, col: Column) -> Column:
     """The row-signed entrywise derivative of a coordinate column:
     (Jd w)[t] = (-1)^{|e_t|} d(w[t])."""
-    out = []
-    for t, v in enumerate(col):
-        ring = v.ring
-        dv = USeries(ring, {J: de_rham_d(f) for J, f in v.coeffs.items()})
-        if degrees[t] % 2:
-            dv = dv.scale(Scalar(-1))
-        out.append(dv)
-    return out
+    return [_row_d(v, degrees[t]) for t, v in enumerate(col)]
+
+
+def _row_d(v: USeries, degree: int) -> USeries:
+    """(-1)^degree d(v), d taken term by term with the u-power kept."""
+    return USeries._make(v.ring, _exterior_d(v.ring, v.terms, degree % 2 == 1))

@@ -96,10 +96,9 @@ class ModuleVerdict:
         return self.ok
 
 
-def check_module(M: CurvedModule, Alg: CurvedAlgebra | None = None) -> ModuleVerdict:
+def check_module(M: CurvedModule) -> ModuleVerdict:
     """Validate a curved module: degree rules, idempotency, support, and
     the curvature relation delta^2 = -h·e."""
-    alg = Alg if Alg is not None else M.algebra
     failures: list[str] = []
     e, delta = M.e, M.delta
     if not e.has_operator_degree(0):
@@ -116,7 +115,7 @@ def check_module(M: CurvedModule, Alg: CurvedAlgebra | None = None) -> ModuleVer
         if not M.mu.has_operator_degree(-1):
             failures.append("mu entries violate the connection degree rule")
     square = delta @ delta
-    target = e.scale_ring(-alg.h)
+    target = e.scale_ring(-M.algebra.h)
     if square != target:
         failures.append("delta^2 != -h·e (realized curvature differs)")
     return ModuleVerdict(not failures, failures, realized_square=square)
@@ -132,7 +131,6 @@ class Connection:
     # cached nabla^2, and [nabla, X] by (content of X, parity of X): shared
     # by chern_weil, the chain route and the identity checks
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
-    _curvature_checked: bool = field(default=False, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, col: Column) -> Column:
@@ -203,17 +201,17 @@ def covariant_derivative(C: Connection, X: Mat, degree: int | None = None) -> Ma
     return covariant_derivative_pair(C, C, X, degree)
 
 
-def curvature_mat(C: Connection, *, check_linearity: bool = True) -> Mat:
+def curvature_mat(C: Connection) -> Mat:
     """nabla^2 as a matrix, by double application to the columns of e.
 
-    The result is automatically supported on im(e).  With check_linearity
-    the per-variable residue nabla^2(col·x_v) - nabla^2(col)·x_v is
-    verified to vanish (an implementation bug detector; A-linearity is
-    automatic mathematically), raising NonLinearCurvature otherwise.  Over
-    a quotient ring d of a normal form is not a derivation, so the residue
-    is only required to lie in the relation submodule.
+    The result is automatically supported on im(e).  The per-variable
+    residue nabla^2(col·x_v) - nabla^2(col)·x_v is verified to vanish (an
+    implementation bug detector; A-linearity is automatic mathematically),
+    raising NonLinearCurvature otherwise.  Over a quotient ring d of a
+    normal form is not a derivation, so the residue is only required to
+    lie in the relation submodule.
     """
-    if C._curvature is not None and (C._curvature_checked or not check_linearity):
+    if C._curvature is not None:
         return C._curvature
     M = C.module
     ring = M.ring
@@ -221,39 +219,31 @@ def curvature_mat(C: Connection, *, check_linearity: bool = True) -> Mat:
     for j in range(len(M.degrees)):
         base = M.e.column(j)
         cols.append(C.apply(C.apply(base)))
-        if check_linearity:
-            for name in ring.variables:
-                xv = USeries.from_ring(ring.var(name))
-                scaled = [v * xv if v.coeffs else v for v in base]
-                lhs = C.apply(C.apply(scaled))
-                rhs = [v * xv if v.coeffs else v for v in cols[-1]]
-                for a, b in zip(lhs, rhs):
-                    resid = a - b
-                    if resid.is_zero():
-                        continue
-                    if ring.relation is not None and all(
-                        vanishes_mod_relation(resid.coefficient(J))
-                        for J in resid.u_powers()
-                    ):
-                        continue
-                    raise NonLinearCurvature(
-                        f"curvature fails linearity in {name} on column {j}"
-                    )
+        for name in ring.variables:
+            xv = USeries.from_ring(ring.var(name))
+            scaled = [v * xv if v.terms else v for v in base]
+            lhs = C.apply(C.apply(scaled))
+            rhs = [v * xv if v.terms else v for v in cols[-1]]
+            for a, b in zip(lhs, rhs):
+                resid = a - b
+                if resid.is_zero():
+                    continue
+                if ring.relation is not None and all(
+                    vanishes_mod_relation(resid.coefficient(J))
+                    for J in resid.u_powers()
+                ):
+                    continue
+                raise NonLinearCurvature(
+                    f"curvature fails linearity in {name} on column {j}"
+                )
     K = Mat.from_columns(ring, M.degrees, M.degrees, cols)
     C._curvature = K
-    C._curvature_checked = C._curvature_checked or check_linearity
     return K
 
 
-def curvature_R(C: Connection, *, check_linearity: bool = True) -> Mat:
+def curvature_R(C: Connection) -> Mat:
     """R = u·nabla^2 + [nabla, delta], a matrix over USeries."""
-    K = curvature_mat(C, check_linearity=check_linearity)
-    return K.shift_u(1) + covariant_derivative(C, C.module.delta, 1)
-
-
-def supertrace(X: Mat) -> USeries:
-    """Named entry point for the per-component supertrace."""
-    return X.supertrace()
+    return curvature_mat(C).shift_u(1) + covariant_derivative(C, C.module.delta, 1)
 
 
 def chern_weil(M: CurvedModule, C: Connection,
@@ -334,12 +324,9 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
     if bound is None:
-        bound = max(
-            (c.total_degree() for f in p.coeffs.values() for c in f.parts.values()),
-            default=0,
-        ) + 2
-    for J in sorted(p.coeffs):
-        if not vanishes_mod_relation(p.coeffs[J], bound):
+        bound = max(c.total_degree() for c in p.terms.values()) + 2
+    for J in p.u_powers():
+        if not vanishes_mod_relation(p.coefficient(J), bound):
             return IdentityVerdict(
                 False, "failed", f"u^{J} residue outside relation submodule (bound {bound})"
             )

@@ -802,19 +802,3 @@ def _parse_polynomial(ring: GradedRing, text: str) -> RingElement:
     if parser.peek() != ("end", ""):
         raise InvalidInput(f"trailing input in polynomial {text!r}")
     return node
-
-
-def ring_normal_form(text_or_terms, ring: GradedRing) -> RingElement:
-    """Build the canonical normal form of a raw polynomial.
-
-    Accepts a string in the expression grammar or a raw exponent->Scalar
-    dict; returns the reduced RingElement.
-    """
-    if isinstance(text_or_terms, str):
-        return ring.from_string(text_or_terms)
-    return ring.element(dict(text_or_terms))
-
-
-def gamma_degree(p: RingElement) -> int:
-    """The common even Gamma-degree of p's monomials (Inhomogeneous if mixed)."""
-    return p.gamma_degree()

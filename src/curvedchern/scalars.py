@@ -141,9 +141,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.an == 0 and self.bn == 0
 
-    def is_rational(self) -> bool:
-        return self.bn == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scalar)
@@ -183,21 +180,3 @@ def _imag_str(b: Fraction) -> str:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
-
-
-def scalar_arith(a: Scalar, b: Scalar | None, op: str) -> Scalar:
-    """Dispatch arithmetic by name: add, mul, inv, neg.
-
-    inv and neg ignore b.  Kept as a thin named entry point so the
-    operation table of the engine is greppable; library code just uses
-    operators.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise InvalidInput(f"unknown scalar op {op!r}")

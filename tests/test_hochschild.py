@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedchern.errors import IncomposableChain, InvalidInput
-from curvedchern.forms import DiffForm, USeries, de_rham_d, wedge
+from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern import hochschild
 from curvedchern.hochschild import (
     CategoryData,
     ChainSum,
     b0,
-    b1,
     b2,
     chain,
     chern_via_chains,
@@ -25,12 +24,14 @@ from curvedchern.hochschild import (
     tr_nabla,
     truncate_length,
 )
-from curvedchern.matform import Mat, content_key
+from curvedchern import matform
+from curvedchern.matform import Mat, WordEvaluator, content_key
 from curvedchern.modules import (
     Connection,
     CurvedAlgebra,
     CurvedModule,
     chern_weil,
+    covariant_derivative_pair,
     levi_civita,
 )
 from curvedchern.randomgen import random_chain_setup, random_poly, random_ring_chain
@@ -92,7 +93,7 @@ def _u_d(series: USeries) -> USeries:
 
 def _dh_wedge(series: USeries, h) -> USeries:
     dh = de_rham_d(DiffForm.from_ring(h))
-    return USeries(series.ring, {J: wedge(dh, f) for J, f in series.coeffs.items()})
+    return USeries(series.ring, {J: dh.wedge(f) for J, f in series.coeffs.items()})
 
 
 # -- chain construction ------------------------------------------------
@@ -185,29 +186,6 @@ def test_b2_odd_slot_signs():
 def test_b2_squares_to_zero(seed):
     _, _, c = random_chain_setup(seed)
     assert b2(b2(c)).is_zero()
-
-
-def test_b1_vanishes_for_zero_differentials():
-    cat, _, c = random_chain_setup(3)
-    zeros = [
-        Mat.zero(cat.ring, M.degrees, M.degrees) for M in cat.objects
-    ]
-    assert b1(c, zeros).is_zero()
-
-
-def test_b1_head_commutator_pin():
-    # with an explicit odd differential, b1(a0[]) = [delta, a0][]
-    R, cat, _ = _endo_cat((0, 1))
-    delta = Mat.from_stored(R, (0, 1), [["0", "x"], ["y", "0"]])
-    A = Mat.from_stored(R, (0, 1), [["x", "0"], ["0", "y"]])
-    got = b1(chain(cat, A), [delta])
-    assert got == chain(cat, delta @ A - A @ delta)
-
-
-def test_b1_requires_one_differential_per_object():
-    R, cat, _ = _endo_cat((0, 1))
-    with pytest.raises(InvalidInput):
-        b1(chain(cat, Mat.identity(R, (0, 1))), [])
 
 
 def test_b0_head_only_pin():
@@ -311,7 +289,7 @@ def test_hkr_intertwines_boundaries(seed):
     assert hkr(b2(c)).is_zero()
     got = hkr(b0(c))
     dh = de_rham_d(DiffForm.from_ring(cat.algebra.h))
-    assert got == wedge(dh, hkr(c))
+    assert got == dh.wedge(hkr(c))
     assert hkr(connes_B(c)) == de_rham_d(hkr(c))
 
 
@@ -538,3 +516,19 @@ def test_chern_via_chains_refuses_an_invalid_module():
     # the verdict is remembered, and still refuses
     with pytest.raises(InvalidInput, match="chern_via_chains needs a valid module"):
         chern_via_chains(M, levi_civita(M))
+
+
+def test_a_matrix_content_key_is_built_once(monkeypatch):
+    # the letter interning, the chain key and the bracket cache all key X
+    # by its content; a Mat never changes, so its key is built once
+    _, cat, _ = _endo_cat((0, 1), h="-x*y")
+    M = CurvedModule.from_stored(cat.algebra, (0, 1), [["0", "x"], ["y", "0"]])
+    C = levi_civita(M)
+    X = M.delta
+    built = []
+    plain = matform._content
+    monkeypatch.setattr(matform, "_content", lambda Y: built.append(Y) or plain(Y))
+    WordEvaluator().letter(X)
+    hochschild.Chain(cat, 0, (0,), (X,), (1,)).key()
+    covariant_derivative_pair(C, C, X, 1)
+    assert sum(Y is X for Y in built) == 1

@@ -561,6 +561,23 @@ def test_identity_factors_form_no_product(monkeypatch):
     assert calls
 
 
+def test_mat_subtraction_builds_no_negated_matrix(monkeypatch):
+    R = _ring2()
+    # stored entries on both sides (equal and unequal), on the left alone
+    # and on the right alone
+    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["0", "x*y"]])
+    B = Mat.from_stored(R, [0, 1], [["x", "0"], ["y", "1"]])
+    want = A + B.scale(Scalar(-1))
+
+    def refuse(*args):
+        raise AssertionError("Mat.__sub__ negated a whole matrix")
+
+    monkeypatch.setattr(Mat, "scale", refuse)
+    monkeypatch.setattr(Mat, "__neg__", refuse)
+    assert A - B == want
+    assert (A - A).is_zero()
+
+
 def test_explicit_identity_idempotent_changes_no_output(tmp_path):
     text = (Path(cli.__file__).parent / "corpus" / "mf_xy.json").read_text(encoding="utf-8")
     with_e = text.replace('"module": {', '"module": {\n    "idempotent": [["1", "0"], ["0", "1"]],', 1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curvedchern import cli, modules
 from curvedchern.errors import InvalidInput
-from curvedchern.forms import DiffForm, USeries, de_rham_d, wedge
+from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import Mat, content_key
 from curvedchern.modules import (
     Connection,
@@ -24,7 +24,6 @@ from curvedchern.modules import (
     curvature_R,
     cycle_check,
     levi_civita,
-    supertrace,
 )
 from curvedchern.scalars import Scalar
 
@@ -59,9 +58,9 @@ def test_run_suite_validates_a_parsed_module_once(monkeypatch):
     calls = []
     body = modules.check_module
 
-    def spy(M, Alg=None):
+    def spy(M):
         calls.append(M)
-        return body(M, Alg)
+        return body(M)
 
     monkeypatch.setattr(modules, "check_module", spy)
     text = files("curvedchern.corpus").joinpath("mf_xy.json").read_text(encoding="utf-8")
@@ -139,7 +138,7 @@ def test_covariant_derivative_display_pin():
 def test_chern_weil_mf_xy_is_dx_dy():
     R, _, M = _mf_xy()
     ch = chern_weil(M, levi_civita(M))
-    expected = USeries.from_form(wedge(_dx(R, "x"), _dx(R, "y")))
+    expected = USeries.from_form(_dx(R, "x").wedge(_dx(R, "y")))
     assert ch == expected
 
 
@@ -147,7 +146,7 @@ def test_chern_weil_a1_ci_is_x_dx_dT():
     R, _, M = _a1_ci()
     ch = chern_weil(M, levi_civita(M))
     expected = USeries.from_form(
-        wedge(_dx(R, "x"), _dx(R, "T")).scale_ring(R.from_string("x"))
+        _dx(R, "x").wedge(_dx(R, "T")).scale_ring(R.from_string("x"))
     )
     assert ch == expected
 
@@ -290,7 +289,7 @@ def test_chern_classes_reject_nonzero_delta():
 
 def test_supertrace_entry_point():
     R, _, M = _mf_xy()
-    assert supertrace(M.e) == USeries.zero(R)  # degrees (0,1): 1 - 1
+    assert M.e.supertrace() == USeries.zero(R)  # degrees (0,1): 1 - 1
 
 
 entry = st.sampled_from(["0", "x", "y", "x+y", "x*y", "2*x^2"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +86,18 @@ def test_module_instances_match_their_golden_digest():
         digest.update(json.dumps(instance_to_spec(M, C), sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == INSTANCE_SPECS_SHA256
+
+
+# the benchmark's recorded ch_weil digest per random seed
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_chern_weil_matches_the_benchmark_reference_digests():
+    # the digest rule of perfbench/workloads.py:useries_digest, so a change
+    # to any coefficient of ch fails here, not only in the benchmark
+    digests = json.loads(REFERENCE.read_text(encoding="utf-8"))["random"]
+    for seed in range(200):
+        M, C = random_module_instance(seed)
+        ch = chern_weil(M, C)
+        text = json.dumps({f"u^{J}": str(f) for J, f in ch.coeffs.items()}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digests[seed], seed

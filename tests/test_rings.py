@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvedchern.errors import Inhomogeneous, InvalidInput
-from curvedchern.rings import GradedRing, ring_normal_form
+from curvedchern.rings import GradedRing
 from curvedchern.scalars import Scalar
 
 from util import qi_ring, sphere_ring
@@ -90,9 +90,9 @@ def test_derivative_on_representatives():
 
 def test_named_entry_points():
     R = qi_ring("x")
-    p = ring_normal_form("x^2-1", R)
+    p = R.from_string("x^2-1")
     assert p * p == R.from_string("(x^2-1)^2")
-    assert ring_normal_form({(1,): Scalar(2)}, R) == R.from_string("2*x")
+    assert R.element({(1,): Scalar(2)}) == R.from_string("2*x")
 
 
 small_ints = st.integers(min_value=-4, max_value=4)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvedchern.errors import InvalidInput
-from curvedchern.scalars import I, ONE, Scalar, scalar_arith
+from curvedchern.scalars import I, ONE, Scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -40,13 +40,6 @@ def test_printing_is_canonical():
     assert str(Scalar(Fraction(1, 2), Fraction(-3, 2))) == "1/2-3/2*i"
     assert str(Scalar(0, 1)) == "i"
     assert str(Scalar(5)) == "5"
-
-
-def test_named_dispatch():
-    assert scalar_arith(ONE, I, "add") == Scalar(1, 1)
-    assert scalar_arith(I, None, "neg") == Scalar(0, -1)
-    with pytest.raises(InvalidInput):
-        scalar_arith(ONE, ONE, "pow")
 
 
 @given(scalars, scalars, scalars)
