@@ -64,6 +64,8 @@ from .randomgen import random_module_instance
 from .rings import GradedRing, RingElement, _mono_str
 
 EXAMPLE_NAMES = ("mf-xy", "s4-nonflat")
+# for the options block and for compute --bound alike
+BOUND_MESSAGE = "bound must be a non-negative integer"
 
 
 # -- problem files -----------------------------------------------------
@@ -288,7 +290,7 @@ def parse_instance(text: str, label: str) -> Instance:
         )
     _require(
         "bound" not in ob or (_is_int(ob["bound"]) and ob["bound"] >= 0),
-        "options block: bound must be a non-negative integer",
+        f"options block: {BOUND_MESSAGE}",
     )
     _require(
         isinstance(ob.get("milnor", False), bool), "options block: milnor must be true or false"
@@ -300,7 +302,7 @@ def load_instance(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read problem file: {exc}") from exc
     return parse_instance(text, path)
 
@@ -496,6 +498,7 @@ def render_json(inst: Instance, res: SuiteResult) -> str:
 
 
 def cmd_compute(args) -> int:
+    _require(args.bound is None or args.bound >= 0, f"--bound: {BOUND_MESSAGE}")
     inst = load_instance(args.file)
     bound = args.bound if args.bound is not None else inst.options.get("bound")
     milnor = bool(args.milnor or inst.options.get("milnor"))

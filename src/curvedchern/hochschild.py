@@ -515,9 +515,10 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
 
     Every insertion is evaluated as its own word through `words` (a fresh
     WordEvaluator by default).  Letters are interned by content, so a tail
-    slot repeated across chains is differentiated once, and a word already
-    evaluated on the same evaluator (by Chern-Weil, say) is not evaluated
-    again.
+    slot repeated across chains is differentiated once, and a word whose
+    rotation class was already evaluated on the same evaluator (by
+    Chern-Weil, say) is not evaluated again: the pushed chains of a module
+    ask for A·K·A and K·A·A, and Chern-Weil holds A·A·K.
     """
     cat = c.category
     ring = cat.ring

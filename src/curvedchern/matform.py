@@ -42,6 +42,14 @@ summands, each sign already multiplied by its supertrace weight, in one
 rings.sum_of_products call.  The square path forms each pair of mirrored
 summands of str(P·P) once, with a sign known in advance.
 
+WordEvaluator, which evaluates the supertraces of words in matrix letters
+for Chern–Weil and the chain route, uses that the supertrace is cyclic,
+str(XY) = (-1)^{μ(X)μ(Y)} str(YX) for μ the total parity of a matrix whose
+components all have one (Quillen, Topology 24, 1985).  So it evaluates one
+word per rotation class, and it forms only the diagonal rows of even basis
+degree: when some letter shifts the basis parity, the odd rows of a word
+are the even rows of one of its rotations.
+
 Stored matrices are what the user writes and what reports print; they obey
 the degree rule |M[s][t]| = |e_s| - |e_t| + m with the first index the
 source basis vector.
@@ -492,7 +500,8 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     supertrace weight of row t, and sums all of them in one
     rings.sum_of_products call, one normal form per (u-power, wedge
     indices) key.  WordEvaluator evaluates every word of two or more
-    letters this way, except a square word (see supertrace_of_square).
+    letters, whole or restricted to the rows of one basis parity, this
+    way, except a square word (see supertrace_of_square).
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
@@ -565,24 +574,80 @@ def _content(X: Mat) -> tuple:
     )
 
 
+def _parities(X: Mat) -> tuple | None:
+    """(μ, σ) of X, or None when either is undefined.  μ is the total
+    parity |e_t| + |e_s| + |S| (mod 2), which must be the same for every
+    stored component u^J p dx_S of every entry [t][s]; σ is the block shift
+    |e_t| + |e_s| (mod 2), which must be the same for every stored entry.
+    The zero matrix reports (0, 0)."""
+    seen: set = set()
+    for t, row in enumerate(X.rows):
+        for s, v in row.items():
+            shift = (X.target_degrees[t] + X.source_degrees[s]) % 2
+            for _, S in v.terms:
+                seen.add(((shift + len(S)) % 2, shift))
+    if len(seen) > 1:
+        return None
+    return seen.pop() if seen else (0, 0)
+
+
+def _restrict(X: Mat, c: int) -> Mat:
+    """X with only its rows of basis parity c kept; X itself when no
+    stored row is dropped."""
+    degrees = X.target_degrees
+    if all(degrees[t] % 2 == c for t, row in enumerate(X.rows) if row):
+        return X
+    rows = [row if degrees[t] % 2 == c else {} for t, row in enumerate(X.rows)]
+    return Mat._make(X.ring, degrees, X.source_degrees, rows)
+
+
 class WordEvaluator:
     """Supertraces of words in matrix letters, memoized by content.
 
     A letter is interned by content_key, so two routes that build equal
-    matrices independently share one letter.  A word is a tuple of letters;
-    its product P(w) is built left to right (P(w[:-1]) @ w[-1]) and its
-    supertrace as str(P(w[:cut]) @ P(w[cut:])), and both are kept.  A word
-    v·v of two equal halves is evaluated by supertrace_of_square(P(v)); any
-    other word by supertrace_of_product, cut in the middle, ceil(len(w)/2),
-    unless another cut finds both halves already built.  Rotations, signs
-    and weights of words are the caller's business.
+    matrices independently share one letter.  A word is a tuple of letters,
+    read as the product of its letters in written order.  Every letter's
+    parities (μ, σ) are read once, when it is interned (see _parities); a
+    word's μ and σ are the sums of its letters'.
+
+    When every letter of a word has both parities, the supertrace is
+    cyclic (str(XY) = (-1)^{μ(X)μ(Y)} str(YX), Quillen, Topology 24,
+    1985: the (t, k) summand a·b of str(XY) is the (k, t) summand b·a of
+    str(YX) up to that sign, component by component), and the evaluator
+    uses it twice:
+
+    * a word w is evaluated as (-1)^{μ(w[:r])μ(w[r:])}·str(w*), where
+      w* = w[r:] + w[:r] is its least rotation, and str(w*) is kept under
+      w*, so one evaluation serves the whole rotation class;
+    * str(w*) = str_E + str_O, the sums over the diagonal rows of even and
+      of odd basis degree.  When some letter has σ = 1 and r is the
+      position just after the first such letter, X = P(w[:r]) has σ = 1,
+      so the odd rows of str(XY) are the even rows of str(YX):
+      str_O(w) = (-1)^{μ(w[:r])μ(w[r:])}·str_E(rot_r w).  For a power such
+      as A^4, rot_r w = w and str(w) = (1 ± 1)·str_E(w).  With no such
+      letter, str_O is evaluated as str_E is.
+
+    A row-class supertrace str_c(v) comes from products restricted to the
+    rows of basis parity c, P_c(v) = P_c(v[:-1]) @ v[-1], kept by (v, c):
+    supertrace_of_square(P_c(h)) for v = h·h with σ(h) even, otherwise
+    supertrace_of_product(P_c(v[:cut]), P_c'(v[cut:])) with c' = c +
+    σ(v[:cut]), the row class the first factor's columns land in.  The
+    cut is ceil(len(v)/2), unless another cut finds both factors already
+    built.
+
+    A word with a letter lacking μ or σ is evaluated whole, the same way
+    with every row kept (c = None, and the square path for any v = h·h),
+    and kept under the exact word.  Signs and weights of words beyond
+    their own supertrace are the caller's business.
     """
 
     def __init__(self):
         self._ids: dict[tuple, int] = {}
         self._letters: list[Mat] = []
-        self._products: dict[tuple[int, ...], Mat] = {}
-        self._traces: dict[tuple[int, ...], USeries] = {}
+        self._parities: list[tuple | None] = []
+        # (word, row class or None for all rows) -> product, supertrace
+        self._products: dict[tuple, Mat] = {}
+        self._traces: dict[tuple, USeries] = {}
 
     def letter(self, X: Mat) -> int:
         key = content_key(X)
@@ -590,37 +655,80 @@ class WordEvaluator:
         if got is None:
             got = self._ids[key] = len(self._letters)
             self._letters.append(X)
-        return got
-
-    def _product(self, word: tuple[int, ...]) -> Mat:
-        if len(word) == 1:
-            return self._letters[word[0]]
-        got = self._products.get(word)
-        if got is None:
-            got = self._products[word] = self._product(word[:-1]) @ self._letters[word[-1]]
+            self._parities.append(_parities(X))
         return got
 
     def supertrace(self, word: tuple[int, ...]) -> USeries:
-        got = self._traces.get(word)
+        if not all(self._parities[x] for x in word):
+            return self._trace(word, None)
+        r = min(range(len(word)), key=lambda i: word[i:] + word[:i])
+        star = word[r:] + word[:r]
+        got = self._traces.get((star, None))
+        if got is None:
+            got = self._traces[(star, None)] = self._graded(star)
+        return -got if self._mu(word[:r]) * self._mu(word[r:]) else got
+
+    def _mu(self, word: tuple[int, ...]) -> int:
+        return sum(self._parities[x][0] for x in word) % 2
+
+    def _shift(self, word: tuple[int, ...], c: int | None) -> int | None:
+        """The row class c + σ(word) that the columns of P_c(word) land
+        in; None for all rows."""
+        return None if c is None else (c + sum(self._parities[x][1] for x in word)) % 2
+
+    def _graded(self, word: tuple[int, ...]) -> USeries:
+        """str(word) = str_E + str_O, the odd rows by rotation when a
+        letter has σ = 1."""
+        first = next((i for i, x in enumerate(word) if self._parities[x][1]), None)
+        if first is None:
+            return self._trace(word, 0) + self._trace(word, 1)
+        r = first + 1
+        # for a power such as A^4, rot_r w = w and odd is even: (1 ± 1)·str_E
+        even, odd = self._trace(word, 0), self._trace(word[r:] + word[:r], 0)
+        return even - odd if self._mu(word[:r]) * self._mu(word[r:]) else even + odd
+
+    def _trace(self, word: tuple[int, ...], c: int | None) -> USeries:
+        """str_c(word): the supertrace summed over the diagonal rows of
+        basis parity c, or over all rows for c None."""
+        got = self._traces.get((word, c))
         if got is None:
             half = len(word) // 2
             if len(word) == 1:
-                got = self._letters[word[0]].supertrace()
-            elif word[:half] == word[half:]:
-                got = supertrace_of_square(self._product(word[:half]))
+                got = self._product(word, c).supertrace()
+            elif word[:half] == word[half:] and self._shift(word[:half], c) == c:
+                got = supertrace_of_square(self._product(word[:half], c))
             else:
-                cut = self._cut(word)
-                got = supertrace_of_product(self._product(word[:cut]), self._product(word[cut:]))
-            self._traces[word] = got
+                cut = self._cut(word, c)
+                got = supertrace_of_product(
+                    self._product(word[:cut], c),
+                    self._product(word[cut:], self._shift(word[:cut], c)),
+                )
+            self._traces[(word, c)] = got
         return got
 
-    def _cut(self, word: tuple[int, ...]) -> int:
-        def built(w):
-            return len(w) == 1 or w in self._products
+    def _product(self, word: tuple[int, ...], c: int | None) -> Mat:
+        """P_c(word): the product with only its rows of basis parity c, or
+        all rows for c None."""
+        got = self._products.get((word, c))
+        if got is None:
+            if len(word) == 1:
+                X = self._letters[word[0]]
+                got = X if c is None else _restrict(X, c)
+            else:
+                got = self._product(word[:-1], c) @ self._letters[word[-1]]
+            self._products[(word, c)] = got
+        return got
+
+    def _cut(self, word: tuple[int, ...], c: int | None) -> int:
+        """ceil(len(word)/2), unless another cut finds both halves
+        already built."""
+
+        def built(v, k):
+            return len(v) == 1 or (v, k) in self._products
 
         mid = (len(word) + 1) // 2
         for cut in (mid, *range(1, len(word))):
-            if built(word[:cut]) and built(word[cut:]):
+            if built(word[:cut], c) and built(word[cut:], self._shift(word[:cut], c)):
                 return cut
         return mid
 

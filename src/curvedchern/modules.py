@@ -259,10 +259,12 @@ def chern_weil(M: CurvedModule, C: Connection,
     of the class.  The supertraces themselves come from `words` (a fresh
     WordEvaluator by default), which shares prefix products between words
     and, when the chain route is given the same evaluator, every product
-    and supertrace of a word the two routes have in common.  A word of two
-    equal halves, such as A·A, B·B or A²·A² (the costliest term on large
-    modules), is evaluated by matform.supertrace_of_square, which forms
-    each mirrored pair of summands once.
+    and supertrace of a rotation class the two routes have in common.
+    When A links only basis vectors of opposite parity, as delta does,
+    the evaluator forms only the diagonal rows of even basis degree of a
+    word with an A and reads the odd rows off a rotation: A^4 (the
+    costliest term on large modules) is then 2·str_E(A^4), the square of
+    the even rows of A·A by matform.supertrace_of_square.
     """
     words = WordEvaluator() if words is None else words
     ring = M.ring

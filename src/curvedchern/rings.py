@@ -366,18 +366,26 @@ class RingElement:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "RingElement") -> "RingElement":
+        return self._merge(other, True)
+
+    def _merge(self, other: "RingElement", negate: bool) -> "RingElement":
+        """self + other, or self - other when `negate`: only the terms of
+        other whose monomial self lacks are negated on their own."""
         out = dict(self.terms)
         for m, c in other.terms.items():
             nc = out.get(m)
-            nc = c if nc is None else nc + c
+            if nc is None:
+                out[m] = -c if negate else c
+                continue
+            nc = nc - c if negate else nc + c
             if nc.is_zero():
-                out.pop(m, None)
+                del out[m]
             else:
                 out[m] = nc
         return RingElement(self.ring, out, _normalize=False)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
 
     def __neg__(self) -> "RingElement":
         return RingElement(

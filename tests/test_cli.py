@@ -122,6 +122,31 @@ def test_well_formed_options_are_accepted(tmp_path):
     assert "milnor representative" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_problem_file_that_is_not_utf8_exits_2(command, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(json.dumps(MF_XY).encode("utf-8").replace(b'"x"', b'"\xff"', 1))
+    proc = _run(command, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: cannot read problem file: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_compute_refuses_a_negative_bound_as_the_options_block_does(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(MF_XY), encoding="utf-8")
+    flag = _run("compute", "--bound", "-5", str(path))
+    assert flag.returncode == 2, flag.stderr
+    assert flag.stderr == "invalid input: --bound: bound must be a non-negative integer\n"
+    path.write_text(json.dumps(_with("options", bound=-5)), encoding="utf-8")
+    block = _run("compute", str(path))
+    assert block.returncode == 2, block.stderr
+    assert block.stderr == "invalid input: options block: bound must be a non-negative integer\n"
+    assert _run("compute", "--bound", "0", str(path)).returncode == 2  # the block still counts
+    path.write_text(json.dumps(MF_XY), encoding="utf-8")
+    assert _run("compute", "--bound", "0", str(path)).returncode == 0
+
+
 @pytest.mark.parametrize("count", ["-3", "0"])
 def test_verify_random_needs_a_positive_count(count):
     # a run that checks no instance must not report a pass

@@ -31,6 +31,7 @@ from curvedchern.modules import (
     CurvedAlgebra,
     CurvedModule,
     chern_weil,
+    connection_with_mu,
     covariant_derivative_pair,
     levi_civita,
 )
@@ -466,6 +467,56 @@ def test_chern_via_chains_differentiates_each_distinct_slot_once(make, monkeypat
     got = chern_via_chains(M, C)
     assert len(calls) == len(distinct)
     assert got == chern_weil(M, C)
+
+
+def _koszul_pair_module():
+    """The Koszul factorization of x1*x2 + x3*x4 on the exterior algebra of
+    a, b (basis 1, ab, a, b), with a diagonal connection perturbation, so
+    that nabla^2 is nonzero and four variables leave room for the words
+    A·K·A and K·A·A of the chain route, rotations of Chern-Weil's A·A·K."""
+    R = qi_ring("x1", "x2", "x3", "x4")
+    alg = CurvedAlgebra(R, R.from_string("-x1*x2-x3*x4"))
+    degrees = [0, 0, 1, 1]
+    delta = [
+        ["0", "0", "x2", "x4"],
+        ["0", "0", "-x3", "x1"],
+        ["x1", "-x4", "0", "0"],
+        ["x3", "x2", "0", "0"],
+    ]
+    M = CurvedModule.from_stored(alg, degrees, delta)
+    z = DiffForm.zero(R)
+    diagonal = [
+        DiffForm.d_var(R, "x2").scale_ring(R.from_string("x1")),
+        DiffForm.d_var(R, "x4"),
+        DiffForm.d_var(R, "x3").scale_ring(R.from_string("x2")),
+        z,
+    ]
+    mu = Mat.from_stored(R, degrees, [[f if t == s else z for t, f in enumerate(diagonal)]
+                                      for s in range(4)])
+    return M, connection_with_mu(M, mu)
+
+
+def test_chern_via_chains_reads_rotations_of_chern_weil_words_for_free(monkeypatch):
+    M, C = _koszul_pair_module()
+    words = WordEvaluator()
+    ch = chern_weil(M, C, words)
+    asked = []
+    plain = WordEvaluator.supertrace
+    monkeypatch.setattr(
+        WordEvaluator, "supertrace", lambda self, w: asked.append(w) or plain(self, w)
+    )
+    calls = []
+    for name in ("supertrace_of_product", "supertrace_of_square"):
+        kernel = getattr(matform, name)
+        monkeypatch.setattr(
+            matform, name, lambda *args, kernel=kernel: calls.append(args) or kernel(*args)
+        )
+    got = chern_via_chains(M, C, words=words)
+    assert calls == []
+    # the chain route asks for words that are not their least rotation
+    assert any(w != min(w[r:] + w[:r] for r in range(len(w))) for w in asked)
+    assert got == ch and not ch.is_zero()
+    assert ch.coefficient(1).component(4) != DiffForm.zero(M.ring)
 
 
 def test_chern_via_chains_matches_chern_weil_on_xy():

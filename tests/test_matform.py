@@ -270,42 +270,96 @@ def test_word_evaluators_over_different_rings_do_not_share():
     assert both.letter(Xs) != both.letter(Xf)
 
 
-def test_word_evaluator_reuses_built_halves(monkeypatch):
-    R = _ring2()
-    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["1", "x*y"]])
-    K = Mat.from_stored(R, [0, 1], [["y", "1"], ["x", "x"]])
-    words = WordEvaluator()
-    a, k = words.letter(A), words.letter(K)
-    matmuls = []
-    plain = Mat.__matmul__
-    monkeypatch.setattr(Mat, "__matmul__", lambda X, Y: matmuls.append(1) or plain(X, Y))
-    words.supertrace((a, a, a, a))  # builds A·A once for both halves
-    assert len(matmuls) == 1
-    # K·A·A cuts after K, where A·A is already built, so it builds nothing
-    tr = words.supertrace((k, a, a))
-    assert len(matmuls) == 1
-    monkeypatch.undo()
-    assert tr == (K @ A @ A).supertrace()
+D = (0, 1, 1)
 
 
-def test_word_evaluator_takes_the_square_path_for_equal_halves(monkeypatch):
-    R = _ring2()
-    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["1", "x*y"]])
-    K = Mat.from_stored(R, [0, 1], [["y", "1"], ["x", "x"]])
-    words = WordEvaluator()
-    a, k = words.letter(A), words.letter(K)
+def _graded_letters():
+    """Letters on degrees D whose parities (μ, σ) are defined: A of
+    one-forms linking the even and the odd basis vectors (μ = 0, σ = 1),
+    K of even forms on the diagonal (μ = 0, σ = 0); and a letter X of
+    ring entries in every position, which has no σ."""
+    R = qi_ring("w", "x", "y", "z")
+    z = USeries.zero(R)
+    dw, dx, dy, dz = (USeries.from_form(DiffForm.d_var(R, v)) for v in "wxyz")
+    w, x, y = (USeries.from_ring(R.from_string(v)) for v in "wxy")
+    A = Mat(R, D, D, [[z, x * dx, dz + dy], [dy, z, z], [y * dw, z, z]])
+    K = Mat(R, D, D, [[x * dx * dy + y, z, z], [z, x - dw * dz, z], [z, z, w]])
+    X = Mat.from_stored(R, D, [["x", "y", "1"], ["1", "w*y", "x"], ["w", "0", "y"]])
+    return A, K, X
+
+
+def _plain_supertrace(letters, word) -> USeries:
+    """str of the product of letters[i] over the word, formed in full."""
+    P = letters[word[0]]
+    for i in word[1:]:
+        P = P @ letters[i]
+    return P.supertrace()
+
+
+def _kernel_spy(monkeypatch) -> list:
     calls = []
     square, product = matform.supertrace_of_square, matform.supertrace_of_product
     monkeypatch.setattr(matform, "supertrace_of_square", lambda P: calls.append("square") or square(P))
     monkeypatch.setattr(
         matform, "supertrace_of_product", lambda X, Y: calls.append("product") or product(X, Y)
     )
-    got = {w: words.supertrace(w) for w in [(a, a), (a, k, a, k), (a, a, k)]}
-    assert calls == ["square", "square", "product"]
+    return calls
+
+
+def test_word_evaluator_reuses_row_class_products_and_rotations(monkeypatch):
+    A, K, X = _graded_letters()
+    words = WordEvaluator()
+    a, k, x = words.letter(A), words.letter(K), words.letter(X)
+    matmuls = []
+    plain = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda P, Q: matmuls.append(1) or plain(P, Q))
+    calls = _kernel_spy(monkeypatch)
+    # A^4 is twice str_E(A^4), the square of the even rows of A·A: one
+    # product, one kernel call
+    got = {(a, a, a, a): words.supertrace((a, a, a, a))}
+    assert (len(matmuls), calls) == (1, ["square"])
+    # A·A·K: str_E(A·A·K) from the even rows of A·A, built already, and
+    # str_O from str_E(A·K·A), which builds the even rows of A·K
+    got[(a, a, k)] = words.supertrace((a, a, k))
+    assert (len(matmuls), calls) == (2, ["square", "product", "product"])
+    # the other rotations of A·A·K build nothing and call no kernel
+    for w in [(k, a, a), (a, k, a)]:
+        got[w] = words.supertrace(w)
+    assert (len(matmuls), len(calls)) == (2, 3)
+    # a word with a letter lacking σ is evaluated whole, as before: A·A·X
+    # builds the whole A·A, and X·A·A, a word of its own, cuts after X,
+    # where A·A is built already
+    got[(a, a, x)] = words.supertrace((a, a, x))
+    assert (len(matmuls), calls[3:]) == (3, ["product"])
+    got[(x, a, a)] = words.supertrace((x, a, a))
+    assert (len(matmuls), calls[3:]) == (3, ["product", "product"])
     monkeypatch.undo()
-    assert got[(a, a)] == (A @ A).supertrace()
-    assert got[(a, k, a, k)] == (A @ K @ A @ K).supertrace()
-    assert got[(a, a, k)] == (A @ A @ K).supertrace()
+    for w, tr in got.items():
+        assert tr == _plain_supertrace({a: A, k: K, x: X}, w) and not tr.is_zero(), w
+
+
+def test_word_evaluator_takes_the_square_path_for_even_square_halves(monkeypatch):
+    A, K, X = _graded_letters()
+    words = WordEvaluator()
+    a, k, x = words.letter(A), words.letter(K), words.letter(X)
+    calls = _kernel_spy(monkeypatch)
+    plan = [
+        ((k, k), ["square", "square"]),  # no σ = 1 letter: both row classes
+        ((a, a), ["product"]),  # σ(A) = 1: str(A·A) = 2·str_E(A·A)
+        ((a, k, a, k), ["product", "product"]),  # σ(A·K) = 1: no square
+        ((a, a, a, a), ["square"]),  # σ(A·A) = 0
+        ((x, x), ["square"]),  # the whole-word plan for a letter without σ
+        ((x, k, x, k), ["square"]),
+        ((x, x, k), ["product"]),
+    ]
+    got = {}
+    for w, want in plan:
+        del calls[:]
+        got[w] = words.supertrace(w)
+        assert calls == want, w
+    monkeypatch.undo()
+    for w, tr in got.items():
+        assert tr == _plain_supertrace({a: A, k: K, x: X}, w) and not tr.is_zero(), w
 
 
 # -- sparse storage against the dense reference ------------------------
@@ -417,16 +471,22 @@ def test_sparse_mat_agrees_with_the_dense_reference(ring, shape, data):
 _ALL_WEDGES = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
 
+def _nonzero_entries(ring, wedges, parts: int):
+    """Nonzero entries over u-powers 0..2, one or two of them, each a form
+    of one to `parts` components with wedge indices from `wedges`."""
+    form = st.dictionaries(
+        st.sampled_from(wedges), st.sampled_from(_POLYS).map(ring.from_string),
+        min_size=1, max_size=parts,
+    ).map(lambda f: DiffForm(ring, f))
+    nonzero = st.dictionaries(st.sampled_from([0, 1, 2]), form, min_size=1, max_size=2)
+    return nonzero.map(lambda c: USeries(ring, c))
+
+
 def _square_entries(ring):
     """Entries of one to six components over u-powers 0..2, odd forms as
     likely as even ones, so that odd·odd pairs with disjoint wedge indices
     are common; zero a quarter of the time."""
-    form = st.dictionaries(
-        st.sampled_from(_ALL_WEDGES), st.sampled_from(_POLYS).map(ring.from_string),
-        min_size=1, max_size=3,
-    ).map(lambda parts: DiffForm(ring, parts))
-    nonzero = st.dictionaries(st.sampled_from([0, 1, 2]), form, min_size=1, max_size=2)
-    entry = nonzero.map(lambda c: USeries(ring, c))
+    entry = _nonzero_entries(ring, _ALL_WEDGES, 3)
     return st.one_of(st.just(USeries.zero(ring)), entry, entry, entry)
 
 
@@ -458,6 +518,66 @@ def test_supertrace_of_square_cancels_odd_odd_pairs_on_the_diagonal(ring, degree
     assert got.u_powers() == (1, 2)
     assert got.coefficient(1) == w.scale_ring(x1).scale(Scalar(2))
     assert got.coefficient(2) == DiffForm.from_ring(x1 * x1).scale(Scalar((-1) ** degree))
+
+
+# -- the word evaluator's cyclic plan against the plain product ---------
+
+FREE_Z = qi_ring("x1", "x2", "x3", degrees=[0, 2, 0], grading="Z")
+# (μ, σ) of a letter, σ = 1 twice as likely; None for a letter that has
+# neither
+_LETTER_PARITIES = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1), None]
+
+
+# wedge indices by the parity of their size, 0-forms the likeliest, so
+# that words of several letters are often nonzero over three variables
+_WEDGES_OF_PARITY = ([(), (), (), (0, 1), (1, 2)], [(0,), (1,), (2,)])
+
+
+def _letter(data, ring, degrees, kind) -> Mat:
+    """A letter on `degrees` whose every component u^J p dx_S at [t][s]
+    has σ = |e_t| + |e_s| and μ = σ + |S| (mod 2) equal to kind = (μ, σ);
+    for kind None, entries of any wedge degree in every position and a
+    first diagonal entry holding a 0-form and a 1-form, so that μ is
+    undefined."""
+    n = len(degrees)
+    grid = [[USeries.zero(ring)] * n for _ in range(n)]
+    for t in range(n):
+        for s in range(n):
+            shift = (degrees[t] + degrees[s]) % 2
+            if kind is None:
+                grid[t][s] = data.draw(_nonzero_entries(ring, _ALL_WEDGES, 2))
+            elif shift == kind[1]:
+                wedges = _WEDGES_OF_PARITY[(shift + kind[0]) % 2]
+                grid[t][s] = data.draw(_nonzero_entries(ring, wedges, 2))
+    if kind is None:
+        grid[0][0] = USeries(ring, {0: DiffForm(ring, {(): ring.one(), (1,): ring.one()})})
+    X = Mat(ring, degrees, degrees, grid)
+    assert matform._parities(X) == (kind if kind is None or not X.is_zero() else (0, 0))
+    return X
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([FREE_Z, SPHERE]), st.data())
+def test_word_evaluator_agrees_with_the_plain_product(ring, data):
+    # basis degrees of both parities, some outside {0, 1}; letters of every
+    # (μ, σ) and letters with neither, mixed in one word of even σ (a word
+    # of odd σ has no diagonal); every rotation of the word, in a drawn
+    # order, so that a rotation class is met first at any of its members
+    # and the others are read with the rotation sign
+    degrees = [data.draw(st.sampled_from([-2, 0, 2])), data.draw(st.sampled_from([-1, 1, 3]))]
+    degrees += data.draw(st.lists(st.integers(-2, 3), max_size=1))
+    degrees = tuple(data.draw(st.permutations(degrees)))
+    kinds = data.draw(st.lists(st.sampled_from(_LETTER_PARITIES), min_size=2, max_size=3))
+    letters = [_letter(data, ring, degrees, kind) for kind in kinds]
+    word = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=2, max_size=4))
+    shifted = [i for i in word if kinds[i] and kinds[i][1]]
+    if len(shifted) % 2:
+        word.append(shifted[0])
+    words = WordEvaluator()
+    ids = [words.letter(X) for X in letters]
+    for r in data.draw(st.permutations(range(len(word)))):
+        w = word[r:] + word[:r]
+        assert words.supertrace(tuple(ids[i] for i in w)) == _plain_supertrace(letters, w)
 
 
 # -- identity factors --------------------------------------------------

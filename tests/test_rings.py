@@ -127,3 +127,21 @@ def test_leibniz_relation_free(ta):
     lhs = (a * b).derivative("x")
     rhs = a.derivative("x") * b + a * b.derivative("x")
     assert lhs == rhs
+
+
+@given(term_lists, term_lists)
+def test_subtraction_negates_only_the_terms_of_the_right_alone(ta, tb):
+    R = qi_ring("x", "y")
+    a, b = _random_poly(R, ta), _random_poly(R, tb)
+    alone = sum(1 for m in b.terms if m not in a.terms)
+    negations = []
+    plain = Scalar.__neg__
+    Scalar.__neg__ = lambda c: negations.append(1) or plain(c)
+    try:
+        diff = a - b
+    finally:
+        Scalar.__neg__ = plain
+    assert len(negations) == alone
+    assert diff == a + b * R.from_string("-1")
+    assert diff + b == a
+    assert (a - a).is_zero() and not (a - a).terms
