@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
@@ -171,8 +172,12 @@ class DiffForm:
         return f"<form {self}>"
 
 
+@cache
 def _merge_indices(S1: Indices, S2: Indices) -> tuple[Indices, int] | None:
-    """Concatenate and sort wedge indices; None if a repeat kills the term."""
+    """Concatenate and sort wedge indices, with the Koszul sign of the sort;
+    None if a repeat kills the term.  Memoized by (S1, S2): there are at
+    most 4^nvars pairs of index tuples, and every component pair of every
+    product asks."""
     if set(S1) & set(S2):
         return None
     merged = S1 + S2
@@ -296,20 +301,38 @@ class USeries:
         return USeries._make(self.ring, {k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other: "USeries") -> "USeries":
-        return USeries.sum_of_products(self.ring, ((self, other),))
+        return USeries.sum_of_products(self.ring, ((1, 0, self, other),))
 
     @staticmethod
-    def sum_of_products(ring: GradedRing, pairs) -> "USeries":
-        """Sum of a·b over the (a, b) pairs, in one sum_of_products call."""
+    def sum_of_products(ring: GradedRing, pairs, plus=()) -> "USeries":
+        """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs,
+        in one rings.sum_of_products call (none when pairs is empty), plus
+        sign·u^shift·v over the (sign, shift, v) in plus, added term by term
+        without forming a product.  Signs are ±1, shifts nonnegative ints."""
         terms: list = []
-        for a, b in pairs:
+        for sign, shift, a, b in pairs:
             right = b.terms.items()
             for (J1, S1), p in a.terms.items():
+                J1 += shift
                 for (J2, S2), q in right:
                     merged = _merge_indices(S1, S2)
                     if merged is not None:
-                        terms.append(((J1 + J2, merged[0]), merged[1], p, q))
-        return USeries.from_terms(ring, terms)
+                        terms.append(((J1 + J2, merged[0]), sign * merged[1], p, q))
+        out = sum_of_products(ring, terms) if terms else {}
+        for sign, shift, v in plus:
+            for (J, S), p in v.terms.items():
+                key = (J + shift, S)
+                q = p if sign == 1 else -p
+                got = out.get(key)
+                if got is None:
+                    out[key] = q
+                    continue
+                q = got + q
+                if q.terms:
+                    out[key] = q
+                else:
+                    del out[key]
+        return USeries._make(ring, out)
 
     @staticmethod
     def from_terms(ring: GradedRing, terms: list) -> "USeries":

@@ -415,7 +415,9 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
             raise InvalidInput("one beta per category object required")
     apply_rho = (lambda X: X) if rho is None else rho
     split: dict = {}
-    out = ChainSum.zero(cat)
+    # every emitted term, in order; one ChainSum merges them at the end,
+    # exactly as adding them in one at a time would
+    out: list = []
     for coeff, ch in c.terms():
         n = ch.n
         mapped = [apply_rho(s) for s in ch.slots]
@@ -434,15 +436,15 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
                 for _ in range(counts[k]):
                     slots.append(betas[gap_obj])
                     objs.append(gap_obj)
-            out = out + _chain(
+            out += _chain(
                 cat,
                 [mapped[0], *slots],
                 (ch.objects[0], *objs),
                 coeff * _sgn(total),
                 ch.u_exp,
                 split,
-            )
-    return out
+            ).terms()
+    return ChainSum(cat, out)
 
 
 def truncate_length(c: ChainSum, n_max: int) -> ChainSum:

@@ -26,8 +26,20 @@ factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
 USeries.sum_of_products call.
 
+The same pass forms a whole sum of products: Mat.sum_of_products takes
+terms (sign, u-shift, X, Y) and gathers, for each output entry, the pairs
+of every term, each pair carrying its term's sign and u-shift, so the
+entry is one USeries.sum_of_products call and each of its (u-power, wedge
+indices) keys is normal-formed once, however many terms meet there.  A
+residue such as the commutator check's, whose terms largely cancel, is
+then summed before anything is normal-formed, instead of normal-forming
+each product and merging the results.  The matrix product X @ Y is the
+one-term case.
+
 A product with an identity factor forms nothing: X @ I and I @ X return
-X, and I.apply(col) a new list of the same column entries.  Whether a
+X, I.apply(col) a new list of the same column entries, and a term of
+Mat.sum_of_products with an identity factor adds the other factor's
+entries, shifted and signed, to the kernel's sums.  Whether a
 matrix is an identity is read from its content alone (equal target and
 source degrees, and row t storing exactly one entry, at (t, t), equal to
 the unit series u^0·1 with coefficient exactly 1), so an identity
@@ -132,10 +144,14 @@ class Mat:
         return Mat._make(ring, tgt, tuple(int(d) for d in source_degrees), [{} for _ in tgt])
 
     @staticmethod
-    def identity(ring, degrees) -> "Mat":
+    def diagonal(ring, degrees, entries) -> "Mat":
+        """The square matrix on one object with entries[t] at (t, t)."""
         degrees = tuple(int(d) for d in degrees)
-        one = USeries.from_ring(ring.one())
-        return Mat._make(ring, degrees, degrees, [{t: one} for t in range(len(degrees))])
+        return Mat._make(ring, degrees, degrees, [_nonzero({t: v}) for t, v in enumerate(entries)])
+
+    @staticmethod
+    def identity(ring, degrees) -> "Mat":
+        return Mat.diagonal(ring, degrees, [USeries.from_ring(ring.one())] * len(degrees))
 
     @staticmethod
     def from_stored(ring, degrees, rows, *, target_degrees=None) -> "Mat":
@@ -174,9 +190,7 @@ class Mat:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """The matrix product, row by row: output entry (t, s) is the sum
-        over the stored a = [t][k] and b = [k][s] of a·b, one
-        USeries.sum_of_products call, so it is normal-formed once.  When
+        """The matrix product, row by row (see Mat.sum_of_products).  When
         either factor is an identity (see is_identity) the other factor
         itself is returned and nothing is formed."""
         if self.source_degrees != other.target_degrees:
@@ -185,22 +199,50 @@ class Mat:
             return other
         if other.is_identity():
             return self
-        ring = self.ring
-        right = other.rows
-        out = []
-        for row in self.rows:
-            pairs: dict[int, list] = {}
-            for k, a in row.items():
-                for s, b in right[k].items():
-                    got = pairs.get(s)
-                    if got is None:
-                        pairs[s] = [(a, b)]
-                    else:
-                        got.append((a, b))
-            out.append(
-                _nonzero({s: USeries.sum_of_products(ring, ps) for s, ps in pairs.items()})
-            )
-        return Mat._make(ring, self.target_degrees, other.source_degrees, out)
+        return Mat.sum_of_products(
+            self.ring, self.target_degrees, other.source_degrees, ((1, 0, self, other),)
+        )
+
+    @staticmethod
+    def sum_of_products(ring, target_degrees: tuple, source_degrees: tuple, terms) -> "Mat":
+        """The sum of sign·u^shift·(X @ Y) over the terms (sign, shift, X, Y),
+        signs ±1 and shifts nonnegative ints, formed entry by entry: the
+        pairs of stored X[t][k] and Y[k][s] of every term are gathered per
+        output entry (t, s), and each entry is one USeries.sum_of_products
+        call, so its (u-power, wedge indices) keys are normal-formed once.
+        A term with an identity factor forms no product: it adds the other
+        factor's entries.  An entry is stored at its first appearance in
+        the terms, in their order."""
+        gathered: list[dict] = [{} for _ in target_degrees]
+        for sign, shift, X, Y in terms:
+            if (
+                X.target_degrees != target_degrees
+                or X.source_degrees != Y.target_degrees
+                or Y.source_degrees != source_degrees
+            ):
+                raise InvalidInput("matrix shapes/degrees are not composable")
+            if X.is_identity() or Y.is_identity():
+                Z = Y if X.is_identity() else X
+                for row, got in zip(Z.rows, gathered):
+                    for s, v in row.items():
+                        entry = got.get(s)
+                        if entry is None:
+                            entry = got[s] = ([], [])
+                        entry[1].append((sign, shift, v))
+                continue
+            right = Y.rows
+            for row, got in zip(X.rows, gathered):
+                for k, a in row.items():
+                    for s, b in right[k].items():
+                        entry = got.get(s)
+                        if entry is None:
+                            entry = got[s] = ([], [])
+                        entry[0].append((sign, shift, a, b))
+        rows = [
+            _nonzero({s: USeries.sum_of_products(ring, *entry) for s, entry in got.items()})
+            for got in gathered
+        ]
+        return Mat._make(ring, target_degrees, source_degrees, rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._merge(other, False)
@@ -393,7 +435,7 @@ class Mat:
         zero = USeries.zero(ring)
         out = []
         for row in self.rows:
-            pairs = [(a, col[k]) for k, a in row.items() if col[k].terms]
+            pairs = [(1, 0, a, col[k]) for k, a in row.items() if col[k].terms]
             out.append(USeries.sum_of_products(ring, pairs) if pairs else zero)
         return out
 

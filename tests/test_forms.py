@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from curvedchern.errors import InvalidInput, NotTopForm
 from curvedchern.forms import (
     DiffForm,
+    _merge_indices,
     MembershipCertificate,
     USeries,
     de_rham_d,
@@ -18,7 +21,7 @@ from curvedchern.forms import (
 )
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, reference_de_rham_d, sphere_ring
+from util import qi_ring, reference_de_rham_d, reference_merge_indices, sphere_ring
 
 
 def _dx(R, name):
@@ -246,3 +249,13 @@ def test_scale_by_i():
     R = qi_ring("x")
     form = _dx(R, "x").scale(Scalar(0, 1))
     assert str(form) == "i*d(x)"
+
+
+def test_memoized_merge_indices_agrees_with_the_formula_on_every_pair():
+    # every pair of wedge index tuples on five variables, each asked twice
+    # so the second answer comes from the memo
+    tuples = [S for k in range(6) for S in combinations(range(5), k)]
+    for _ in range(2):
+        for S1 in tuples:
+            for S2 in tuples:
+                assert _merge_indices(S1, S2) == reference_merge_indices(S1, S2), (S1, S2)

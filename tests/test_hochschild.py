@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import IncomposableChain, InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
-from curvedchern import hochschild
+from curvedchern import cli, hochschild
 from curvedchern.hochschild import (
     CategoryData,
     ChainSum,
@@ -38,7 +39,7 @@ from curvedchern.modules import (
 from curvedchern.randomgen import random_chain_setup, random_poly, random_ring_chain
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, sphere_ring
+from util import qi_ring, reference_pushforward, sphere_ring
 
 
 # -- fixtures ----------------------------------------------------------
@@ -354,6 +355,33 @@ def test_pushforward_commutes_with_connes_B(seed):
     )
     rhs = truncate_length(connes_B(pushforward(None, betas, c, n_max)), n_max - 1)
     assert expand_multilinear(lhs) == expand_multilinear(rhs)
+
+
+def _ordered(c: ChainSum) -> list:
+    return [(coeff, ch.key()) for coeff, ch in c.terms()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pushforward_collects_terms_as_the_running_sum_did(seed):
+    # one ChainSum built at the end: the same terms, coefficients and order
+    cat, _, c = random_chain_setup(seed)
+    betas = _odd_betas(cat, seed)
+    n_max = cat.ring.nvars + 1
+    for beta in (None, betas):
+        got = pushforward(None, beta, c, n_max)
+        assert _ordered(got) == _ordered(reference_pushforward(None, beta, c, n_max))
+
+
+def test_pushforward_of_the_s4_class_is_the_running_sum():
+    text = files("curvedchern.corpus").joinpath("s4_nonflat.json").read_text(encoding="utf-8")
+    M = cli.parse_instance(text, "s4_nonflat.json").module
+    stripped = CurvedModule(M.algebra, M.degrees, Mat.zero(M.ring, M.degrees, M.degrees), e=M.e)
+    cat = CategoryData(M.algebra, [stripped])
+    gamma = chain(cat, M.e)
+    n_max = M.ring.nvars + 1  # as chern_via_chains pushes it
+    got = pushforward(None, M.delta, gamma, n_max)
+    assert len(got.terms()) > 1
+    assert _ordered(got) == _ordered(reference_pushforward(None, M.delta, gamma, n_max))
 
 
 # -- the chain-level trace ---------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern import cli, matform
+from curvedchern import cli, forms, matform
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import (
@@ -671,7 +671,7 @@ def test_identity_factors_form_no_product(monkeypatch):
     calls = []
     plain = USeries.sum_of_products
     monkeypatch.setattr(
-        USeries, "sum_of_products", staticmethod(lambda r, ps: calls.append(1) or plain(r, ps))
+        USeries, "sum_of_products", staticmethod(lambda r, *args: calls.append(1) or plain(r, *args))
     )
     for I in _identities(ring, degrees):
         assert I @ X is X and X @ I is X
@@ -717,3 +717,57 @@ def test_explicit_identity_idempotent_changes_no_output(tmp_path):
         docs.append(doc)
     assert docs[1]["spec"]["module"].pop("idempotent") == [["1", "0"], ["0", "1"]]
     assert docs[0] == docs[1]
+
+
+# -- sums of products --------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([FREE, SPHERE]), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_sum_of_products_agrees_with_the_composed_sum(ring, nt, ns, data):
+    # terms of several inner sizes, identity factors among them; the
+    # reference forms each product in full and adds them up
+    def degrees(n):
+        return tuple(data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+
+    tgt, src = degrees(nt), degrees(ns)
+    terms, want = [], None
+    for _ in range(data.draw(st.integers(0, 4))):
+        sign, shift = data.draw(st.sampled_from([1, -1])), data.draw(st.integers(0, 2))
+        kind = data.draw(st.sampled_from(["product", "left identity", "right identity"]))
+        mid = tgt if kind == "left identity" else src if kind == "right identity" else degrees(data.draw(st.integers(1, 3)))
+        gx, gy = _grid(data, ring, nt, len(mid)), _grid(data, ring, len(mid), ns)
+        X = Mat.identity(ring, tgt) if kind == "left identity" else Mat(ring, tgt, mid, gx)
+        Y = Mat.identity(ring, src) if kind == "right identity" else Mat(ring, mid, src, gy)
+        rX = _reference_identity(ring, tgt) if kind == "left identity" else ReferenceMat(ring, tgt, mid, gx)
+        rY = _reference_identity(ring, src) if kind == "right identity" else ReferenceMat(ring, mid, src, gy)
+        terms.append((sign, shift, X, Y))
+        part = (rX @ rY).shift_u(shift).scale(Scalar(sign))
+        want = part if want is None else want + part
+    got = Mat.sum_of_products(ring, tgt, src, terms)
+    if want is None:
+        assert got.is_zero() and got.target_degrees == tgt and got.source_degrees == src
+    else:
+        assert _same(got, want)
+
+
+def test_sum_of_products_refuses_terms_of_the_wrong_shape():
+    R = _ring2()
+    A = Mat.from_stored(R, [0, 1], [["0", "x"], ["y", "0"]])
+    B = Mat.from_stored(R, [0], [["x", "y"]], target_degrees=[0, 1])
+    with pytest.raises(InvalidInput):
+        Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, A), (1, 0, A, B)])
+    with pytest.raises(InvalidInput):
+        Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, A), (1, 0, Mat.identity(R, (0,)), B)])
+
+
+def test_sum_of_products_makes_one_kernel_call_per_entry(monkeypatch):
+    R = _ring2()
+    A = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    B = Mat.from_stored(R, [0, 1], [["y", "0"], ["x", "x^2"]])
+    calls = []
+    body = forms.sum_of_products
+    monkeypatch.setattr(forms, "sum_of_products", lambda r, c: calls.append(1) or body(r, c))
+    got = Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, B), (-1, 1, B, A), (1, 2, Mat.identity(R, (0, 1)), A)])
+    assert len(calls) == 4  # one per entry; the identity term forms nothing
+    assert got == A @ B - (B @ A).shift_u(1) + A.shift_u(2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern import cli, modules
+from curvedchern import cli, forms, modules
 from curvedchern.errors import InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import Mat, content_key
@@ -18,6 +18,7 @@ from curvedchern.modules import (
     chern_classes,
     chern_weil,
     commutator_check,
+    commutator_residue,
     connection_with_mu,
     covariant_derivative,
     curvature_mat,
@@ -27,7 +28,9 @@ from curvedchern.modules import (
 )
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, sphere_ring
+from curvedchern.randomgen import random_module_instance
+
+from util import qi_ring, reference_commutator_residue, sphere_ring
 
 
 def _mf_xy():
@@ -308,3 +311,110 @@ def test_commutator_identity_random_koszul(a, b):
     C = levi_civita(M)
     assert commutator_check(M, C).ok
     assert cycle_check(M, C).ok
+
+
+# -- the commutator check: its residue, its teeth, its kernel calls -----
+
+
+def _mf_xy_with_theta():
+    R, _, M = _mf_xy()
+    mu = Mat.from_stored(R, [0, 1], [[_dx_form(R, "x", "y"), "0"], ["0", _dx_form(R, "y", "x")]])
+    C = connection_with_mu(M, mu)
+    assert not C.theta.is_zero()
+    return R, M, C
+
+
+def _s4():
+    text = files("curvedchern.corpus").joinpath("s4_nonflat.json").read_text(encoding="utf-8")
+    inst = cli.parse_instance(text, "s4_nonflat.json")
+    return inst.module, inst.connection
+
+
+def _sphere_with_theta():
+    R, M = _sphere_module()
+    raw = Mat(R, [0, 0], [0, 0], [[_dx_form(R, "x2", "x1"), "0"], ["0", "0"]])
+    return M, connection_with_mu(M, M.e @ raw @ M.e)
+
+
+def _with_curvature(M, C, K):
+    """A fresh connection with the same theta and its cached curvature
+    replaced by K."""
+    out = Connection(M, C.theta)
+    out._curvature = K
+    return out
+
+
+def test_commutator_check_fails_on_a_perturbed_curvature_over_a_free_ring():
+    # theta != 0, e = 1: adding a 2-form to nabla^2 breaks [delta, R] = ...
+    R, M, C = _mf_xy_with_theta()
+    K = curvature_mat(C)
+    assert commutator_check(M, C).mode == "exact"
+    Z = Mat.from_stored(R, [0, 1], [[_dx_form(R, "1", "x").wedge(_dx(R, "y")), "0"], ["0", "0"]])
+    verdict = commutator_check(M, _with_curvature(M, C, K + Z))
+    assert verdict.mode == "failed" and not verdict.ok
+
+
+def test_commutator_check_fails_on_a_perturbed_curvature_mod_relation():
+    # the mod-relation path with a nontrivial idempotent: on the 4-sphere a
+    # 3-form residue need not lie in the relation submodule.  (On the
+    # 2-sphere of _sphere_module every residue is a 3-form in three
+    # variables, which always does, so no perturbation can fail there.)
+    M, C = _s4()
+    R = M.ring
+    K = curvature_mat(C)
+    rows = [["0"] * len(M.degrees) for _ in M.degrees]
+    rows[0][0] = DiffForm(R, {(0, 1): R.from_string("x3")})
+    Z = M.e @ Mat.from_stored(R, M.degrees, rows) @ M.e
+    assert not Z.is_zero() and M.e @ Z @ M.e == Z
+    assert commutator_check(M, _with_curvature(M, C, K), 6).mode == "mod-relation"
+    verdict = commutator_check(M, _with_curvature(M, C, K + Z), 6)
+    assert verdict.mode == "failed" and not verdict.ok
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_commutator_residue_is_the_composed_residue_on_random_instances(seed):
+    M, C = random_module_instance(seed)
+    assert commutator_residue(M, C) == reference_commutator_residue(M, C)
+
+
+@pytest.mark.parametrize("make", [lambda: levi_civita(_sphere_module()[1]), lambda: _sphere_with_theta()[1]],
+                         ids=["levi-civita", "theta"])
+def test_commutator_residue_is_the_composed_residue_on_the_sphere(make):
+    C = make()
+    M = C.module
+    residue, want = commutator_residue(M, C), reference_commutator_residue(M, C)
+    assert not want.is_zero()  # nonzero u^2 3-forms, zero modulo the relation
+    assert residue == want
+    # with no bound each entry picks its own, and the detail names one
+    assert commutator_check(M, C) == modules._mat_vanishes(want, None)
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Kernel calls made before the residue goes to the vanishing test
+    (which, over a relation, forms products of its own)."""
+    calls: list = []
+    counting = [True]
+    body, vanishes = forms.sum_of_products, modules._mat_vanishes
+
+    def spy(ring, contributions):
+        if counting[0]:
+            calls.append(1)
+        return body(ring, contributions)
+
+    def stop(*args):
+        counting[0] = False
+        return vanishes(*args)
+
+    monkeypatch.setattr(forms, "sum_of_products", spy)
+    monkeypatch.setattr(modules, "_mat_vanishes", stop)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: _mf_xy_with_theta()[1:], _s4], ids=["mf-xy-theta", "s4"])
+def test_commutator_check_makes_one_kernel_call_per_entry(make, monkeypatch):
+    M, C = make()
+    R = curvature_R(C)  # nabla^2 and [nabla, delta] are built before counting
+    stored = sum(len(row) for row in (R.row_sign_d() @ M.e).rows)
+    calls = _count_kernel_calls(monkeypatch)
+    assert commutator_check(M, C, 6).ok
+    assert len(calls) <= stored + len(M.degrees) ** 2

@@ -163,6 +163,10 @@ def reference_de_rham_d(omega: DiffForm) -> DiffForm:
 # it stored nonzero entries only.
 
 
+def _dot(ring, row, col) -> USeries:
+    return USeries.sum_of_products(ring, [(1, 0, a, b) for a, b in zip(row, col)])
+
+
 class ReferenceMat:
     def __init__(self, ring, target_degrees, source_degrees, entries):
         self.ring = ring
@@ -195,12 +199,12 @@ class ReferenceMat:
     def __matmul__(self, other):
         cols = [other.column(s) for s in range(len(other.source_degrees))]
         return self._like(
-            [[USeries.sum_of_products(self.ring, zip(row, col)) for col in cols] for row in self.entries],
+            [[_dot(self.ring, row, col) for col in cols] for row in self.entries],
             other.source_degrees,
         )
 
     def apply(self, col):
-        return [USeries.sum_of_products(self.ring, zip(row, col)) for row in self.entries]
+        return [_dot(self.ring, row, col) for row in self.entries]
 
     def __add__(self, other):
         return self._like([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
@@ -303,7 +307,7 @@ def _reference_twist(v, basis_degree):
 def reference_supertrace_of_product(A: ReferenceMat, B: ReferenceMat) -> USeries:
     acc = USeries.zero(A.ring)
     for t, deg in enumerate(A.target_degrees):
-        entry = USeries.sum_of_products(A.ring, zip(A.entries[t], B.column(t)))
+        entry = _dot(A.ring, A.entries[t], B.column(t))
         acc = acc + _reference_supertrace_weight(A.ring, deg, entry)
     return acc
 
@@ -415,3 +419,80 @@ def _reference_interreduce(ring: GradedRing, basis: list[RingElement]) -> Groebn
         final.append(r.scale(lc.inv()))
     final.sort(key=lambda g: monomial_key(g.leading_term()[0]))
     return GroebnerBasis(ring, final)
+
+
+# -- formulas the engine has since restructured: oracles ------------------
+
+
+def reference_merge_indices(S1: tuple, S2: tuple):
+    """forms._merge_indices as first written, computed afresh on every call:
+    the sorted union and the Koszul sign (-1)^(inversions of S1 + S2), or
+    None when S1 and S2 share an index."""
+    if set(S1) & set(S2):
+        return None
+    merged = S1 + S2
+    inversions = sum(
+        1 for a in range(len(merged)) for b in range(a + 1, len(merged)) if merged[a] > merged[b]
+    )
+    return tuple(sorted(merged)), (-1) ** inversions
+
+
+def reference_commutator_residue(M, C):
+    """modules.commutator_residue as it was first composed: [nabla, R]
+    through the sandwich (e·D(R))·e, then delta·R, R·delta and the dense
+    diagonal of (-1)^{|e_t|} dh times e, each a full product of its own,
+    combined by matrix addition and subtraction."""
+    from curvedchern.forms import de_rham_d
+    from curvedchern.matform import Mat
+    from curvedchern.modules import curvature_R
+
+    e, theta, delta = M.e, C.theta, M.delta
+    R = curvature_R(C)
+    bracket = e @ R.row_sign_d() @ e + theta @ R - R @ theta
+    dh = USeries.from_form(de_rham_d(DiffForm.from_ring(M.algebra.h)))
+    zero = USeries.zero(M.ring)
+    n = len(M.degrees)
+    diag = Mat(
+        M.ring, M.degrees, M.degrees,
+        [[dh.scale(Scalar((-1) ** (M.degrees[t] % 2))) if s == t else zero for s in range(n)] for t in range(n)],
+    )
+    return bracket.shift_u(1) + (delta @ R - R @ delta) - diag @ e
+
+
+def reference_pushforward(rho, beta, c, n_max: int):
+    """hochschild.pushforward as first written: each emitted chain is added
+    to the running sum, which re-canonicalizes the whole sum every time."""
+    from curvedchern.hochschild import ChainSum, _chain, _insertion_counts, _sgn
+    from curvedchern.matform import Mat
+
+    cat = c.category
+    if beta is None:
+        betas = [None] * len(cat.objects)
+    elif isinstance(beta, Mat):
+        betas = [beta]
+    else:
+        betas = list(beta)
+    apply_rho = (lambda X: X) if rho is None else rho
+    split: dict = {}
+    out = ChainSum.zero(cat)
+    for coeff, ch in c.terms():
+        n = ch.n
+        mapped = [apply_rho(s) for s in ch.slots]
+        if n_max < n:
+            continue
+        for counts in _insertion_counts(n + 1, n_max - n, betas, ch.objects):
+            slots: list = []
+            objs: list = []
+            for k in range(n + 1):
+                if k > 0:
+                    slots.append(mapped[k])
+                    objs.append(ch.objects[k])
+                gap_obj = ch.objects[(k + 1) % (n + 1)]
+                for _ in range(counts[k]):
+                    slots.append(betas[gap_obj])
+                    objs.append(gap_obj)
+            out = out + _chain(
+                cat, [mapped[0], *slots], (ch.objects[0], *objs),
+                coeff * _sgn(sum(counts)), ch.u_exp, split,
+            )
+    return out
