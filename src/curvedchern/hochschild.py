@@ -22,7 +22,7 @@ from math import factorial
 
 from .errors import IncomposableChain, InvalidInput
 from .forms import DiffForm, USeries, de_rham_d
-from .matform import Mat, WordEvaluator, content_key, form_degree_parity
+from .matform import Mat, WordEvaluator, content_key
 from .modules import (
     Connection,
     CurvedAlgebra,
@@ -516,11 +516,15 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
     dim A vanish (n + 2J <= dim A).
 
     Every insertion is evaluated as its own word through `words` (a fresh
-    WordEvaluator by default).  Letters are interned by content, so a tail
-    slot repeated across chains is differentiated once, and a word whose
-    rotation class was already evaluated on the same evaluator (by
-    Chern-Weil, say) is not evaluated again: the pushed chains of a module
-    ask for A·K·A and K·A·A, and Chern-Weil holds A·A·K.
+    WordEvaluator by default), which also returns the zero supertrace of a
+    word of odd basis-parity shift without forming it.  Every letter is
+    graded, as the evaluator requires: chain slots are homogeneous, and
+    every category object is presented by an even idempotent.  Letters
+    are interned by content, so a tail slot repeated across chains is
+    differentiated once, and a word whose rotation class was already
+    evaluated on the same evaluator (by Chern-Weil, say) is not evaluated
+    again: the pushed chains of a module ask for A·K·A and K·A·A, and
+    Chern-Weil holds A·A·K.
     """
     cat = c.category
     ring = cat.ring
@@ -534,22 +538,18 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
     nvars = ring.nvars
     acc = USeries.zero(ring)
     idents = [cat.identity(o) for o in range(len(cat.objects))]
-    # object -> (letter of nabla^2, its parity mismatch); nabla^2 has even
-    # operator degree, so the mismatch is its form parity alone
-    curvatures: dict[int, tuple] = {}
-    # (objects, parity, slot content) -> (letter of [nabla, slot], its
-    # parity mismatch), or None for a slot with zero covariant derivative
-    derivatives: dict[tuple, tuple | None] = {}
+    # object -> letter of nabla^2
+    curvatures: dict[int, int] = {}
+    # (objects, parity, slot content) -> letter of [nabla, slot], or None
+    # for a slot with zero covariant derivative
+    derivatives: dict[tuple, int | None] = {}
 
-    def curvature_letter(o: int) -> tuple:
+    def curvature_letter(o: int) -> int:
         got = curvatures.get(o)
         if got is None:
-            K = curvature_mat(conns[o])
-            got = curvatures[o] = (words.letter(K), form_degree_parity(K))
+            got = curvatures[o] = words.letter(curvature_mat(conns[o]))
         return got
 
-    # A word whose total parity mismatch (form parity + operator parity
-    # per letter) is odd has structurally zero supertrace and is skipped.
     for coeff, ch in c.terms():
         n = ch.n
         if n > nvars:
@@ -558,28 +558,18 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
         head = ch.slots[0]
         if head.is_zero():
             continue
-        if head == idents[o0]:
-            head_word: tuple = ()
-            mis: int | None = 0
-        else:
-            head_word = (words.letter(head),)
-            hp = form_degree_parity(head)
-            mis = None if hp is None else (hp + ch.degrees[0]) % 2
+        head_word = () if head == idents[o0] else (words.letter(head),)
         tail: list[int] = []
         for i in range(1, n + 1):
             oi, oj = ch.objects[i], ch.objects[(i + 1) % (n + 1)]
             key = (oi, oj, ch.degrees[i], content_key(ch.slots[i]))
             if key not in derivatives:
                 P = covariant_derivative_pair(conns[oi], conns[oj], ch.slots[i], ch.degrees[i])
-                derivatives[key] = (
-                    None if P.is_zero() else (words.letter(P), form_degree_parity(P))
-                )
+                derivatives[key] = None if P.is_zero() else words.letter(P)
             got = derivatives[key]
             if got is None:
                 break
-            tail.append(got[0])
-            if mis is not None:
-                mis = None if got[1] is None else (mis + got[1] + ch.degrees[i] - 1) % 2
+            tail.append(got)
         if len(tail) < n:
             continue
         max_J = (nvars - n) // 2
@@ -587,17 +577,11 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
             weight = coeff * Scalar(Fraction((-1) ** J, factorial(J + n)))
             for comp in _compositions(J, n + 1):
                 word = list(head_word)
-                word_mis = mis
                 for g in range(n + 1):
                     if comp[g]:
-                        k_letter, km = curvature_letter(ch.objects[g + 1] if g < n else o0)
-                        if word_mis is not None:
-                            word_mis = None if km is None else (word_mis + comp[g] * km) % 2
-                        word.extend([k_letter] * comp[g])
+                        word.extend([curvature_letter(ch.objects[g + 1] if g < n else o0)] * comp[g])
                     if g < n:
                         word.append(tail[g])
-                if word_mis == 1:
-                    continue
                 tr = words.supertrace(tuple(word)) if word else idents[o0].supertrace()
                 if tr.is_zero():
                     continue

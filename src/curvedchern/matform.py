@@ -54,13 +54,16 @@ summands, each sign already multiplied by its supertrace weight, in one
 rings.sum_of_products call.  The square path forms each pair of mirrored
 summands of str(P·P) once, with a sign known in advance.
 
-WordEvaluator, which evaluates the supertraces of words in matrix letters
-for Chern–Weil and the chain route, uses that the supertrace is cyclic,
-str(XY) = (-1)^{μ(X)μ(Y)} str(YX) for μ the total parity of a matrix whose
-components all have one (Quillen, Topology 24, 1985).  So it evaluates one
-word per rotation class, and it forms only the diagonal rows of even basis
-degree: when some letter shifts the basis parity, the odd rows of a word
-are the even rows of one of its rotations.
+WordEvaluator, which evaluates the supertraces of words in graded matrix
+letters for Chern–Weil and the chain route, is the one place that reads a
+letter's parities: μ, the total parity its components all share, and σ,
+the basis-parity shift its entries all share.  A word of odd σ has no
+diagonal, so its supertrace is zero without forming anything.  The
+supertrace is cyclic, str(XY) = (-1)^{μ(X)μ(Y)} str(YX) (Quillen,
+Topology 24, 1985), so it evaluates one word per rotation class, and it
+forms only the diagonal rows of even basis degree: when some letter
+shifts the basis parity, the odd rows of a word are the even rows of one
+of its rotations.
 
 Stored matrices are what the user writes and what reports print; they obey
 the degree rule |M[s][t]| = |e_s| - |e_t| + m with the first index the
@@ -69,7 +72,7 @@ source basis vector.
 
 from __future__ import annotations
 
-from .errors import InvalidInput
+from .errors import InternalCheckFailure, InvalidInput
 from .forms import DiffForm, USeries, _exterior_d, _merge_indices
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
@@ -472,26 +475,6 @@ def _twist(v: USeries, basis_degree: int) -> USeries:
     return v if basis_degree % 2 == 0 else _flip(v, 1)
 
 
-def form_degree_parity(X: Mat) -> int | None:
-    """0 or 1 when every form component of every entry has that parity.
-
-    None for mixed parities; the zero matrix reports 0.  Together with the
-    operator degree this decides when a supertrace must vanish: a diagonal
-    c-form component obeys c ≡ operator degree (mod 2), because ring
-    coefficients always have even Gamma-degree and each dx_v is odd.
-    """
-    seen: int | None = None
-    for row in X.rows:
-        for v in row.values():
-            for _, S in v.terms:
-                p = len(S) % 2
-                if seen is None:
-                    seen = p
-                elif seen != p:
-                    return None
-    return 0 if seen is None else seen
-
-
 def _weight(deg: int, c: int) -> int:
     """The supertrace weight (-1)^{(1+c)·deg} of the form-degree-c part of
     a diagonal entry on a basis vector of degree deg."""
@@ -542,8 +525,8 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     supertrace weight of row t, and sums all of them in one
     rings.sum_of_products call, one normal form per (u-power, wedge
     indices) key.  WordEvaluator evaluates every word of two or more
-    letters, whole or restricted to the rows of one basis parity, this
-    way, except a square word (see supertrace_of_square).
+    letters, restricted to the rows of one basis parity, this way, except
+    a square word (see supertrace_of_square).
     """
     if A.source_degrees != B.target_degrees or A.target_degrees != B.source_degrees:
         raise InvalidInput("matrix shapes/degrees do not compose to a square")
@@ -644,19 +627,24 @@ def _restrict(X: Mat, c: int) -> Mat:
 
 
 class WordEvaluator:
-    """Supertraces of words in matrix letters, memoized by content.
+    """Supertraces of words in graded matrix letters, memoized by content.
 
     A letter is interned by content_key, so two routes that build equal
     matrices independently share one letter.  A word is a tuple of letters,
     read as the product of its letters in written order.  Every letter's
     parities (μ, σ) are read once, when it is interned (see _parities); a
-    word's μ and σ are the sums of its letters'.
+    word's μ and σ are the sums of its letters'.  A letter without both is
+    refused with InternalCheckFailure: the letters of Chern–Weil and of the chain
+    route ([nabla, delta], nabla^2 and [nabla, slot]) are built from a
+    module that passes check_module, whose degree rules on e, delta and mu
+    give every letter μ ≡ its operator degree and σ ≡ μ + its form parity.
 
-    When every letter of a word has both parities, the supertrace is
-    cyclic (str(XY) = (-1)^{μ(X)μ(Y)} str(YX), Quillen, Topology 24,
-    1985: the (t, k) summand a·b of str(XY) is the (k, t) summand b·a of
-    str(YX) up to that sign, component by component), and the evaluator
-    uses it twice:
+    A word of odd σ links only basis vectors of opposite parity, so it has
+    no diagonal: its supertrace is zero, and nothing is formed.  The
+    supertrace is cyclic (str(XY) = (-1)^{μ(X)μ(Y)} str(YX), Quillen,
+    Topology 24, 1985: the (t, k) summand a·b of str(XY) is the (k, t)
+    summand b·a of str(YX) up to that sign, component by component), and
+    the evaluator uses it twice:
 
     * a word w is evaluated as (-1)^{μ(w[:r])μ(w[r:])}·str(w*), where
       w* = w[r:] + w[:r] is its least rotation, and str(w*) is kept under
@@ -675,19 +663,17 @@ class WordEvaluator:
     supertrace_of_product(P_c(v[:cut]), P_c'(v[cut:])) with c' = c +
     σ(v[:cut]), the row class the first factor's columns land in.  The
     cut is ceil(len(v)/2), unless another cut finds both factors already
-    built.
-
-    A word with a letter lacking μ or σ is evaluated whole, the same way
-    with every row kept (c = None, and the square path for any v = h·h),
-    and kept under the exact word.  Signs and weights of words beyond
-    their own supertrace are the caller's business.
+    built.  Signs and weights of words beyond their own supertrace are the
+    caller's business.
     """
 
     def __init__(self):
         self._ids: dict[tuple, int] = {}
         self._letters: list[Mat] = []
-        self._parities: list[tuple | None] = []
-        # (word, row class or None for all rows) -> product, supertrace
+        self._parities: list[tuple] = []
+        # least rotation -> supertrace; (word, row class) -> product,
+        # row-class supertrace
+        self._classes: dict[tuple, USeries] = {}
         self._products: dict[tuple, Mat] = {}
         self._traces: dict[tuple, USeries] = {}
 
@@ -695,28 +681,31 @@ class WordEvaluator:
         key = content_key(X)
         got = self._ids.get(key)
         if got is None:
+            parities = _parities(X)
+            if parities is None:
+                raise InternalCheckFailure(f"word letter {X!r} has no single parity (μ, σ)")
             got = self._ids[key] = len(self._letters)
             self._letters.append(X)
-            self._parities.append(_parities(X))
+            self._parities.append(parities)
         return got
 
     def supertrace(self, word: tuple[int, ...]) -> USeries:
-        if not all(self._parities[x] for x in word):
-            return self._trace(word, None)
+        if self._shift(word, 0):
+            return USeries.zero(self._letters[word[0]].ring)
         r = min(range(len(word)), key=lambda i: word[i:] + word[:i])
         star = word[r:] + word[:r]
-        got = self._traces.get((star, None))
+        got = self._classes.get(star)
         if got is None:
-            got = self._traces[(star, None)] = self._graded(star)
+            got = self._classes[star] = self._graded(star)
         return -got if self._mu(word[:r]) * self._mu(word[r:]) else got
 
     def _mu(self, word: tuple[int, ...]) -> int:
         return sum(self._parities[x][0] for x in word) % 2
 
-    def _shift(self, word: tuple[int, ...], c: int | None) -> int | None:
+    def _shift(self, word: tuple[int, ...], c: int) -> int:
         """The row class c + σ(word) that the columns of P_c(word) land
-        in; None for all rows."""
-        return None if c is None else (c + sum(self._parities[x][1] for x in word)) % 2
+        in."""
+        return (c + sum(self._parities[x][1] for x in word)) % 2
 
     def _graded(self, word: tuple[int, ...]) -> USeries:
         """str(word) = str_E + str_O, the odd rows by rotation when a
@@ -729,9 +718,9 @@ class WordEvaluator:
         even, odd = self._trace(word, 0), self._trace(word[r:] + word[:r], 0)
         return even - odd if self._mu(word[:r]) * self._mu(word[r:]) else even + odd
 
-    def _trace(self, word: tuple[int, ...], c: int | None) -> USeries:
+    def _trace(self, word: tuple[int, ...], c: int) -> USeries:
         """str_c(word): the supertrace summed over the diagonal rows of
-        basis parity c, or over all rows for c None."""
+        basis parity c."""
         got = self._traces.get((word, c))
         if got is None:
             half = len(word) // 2
@@ -748,20 +737,18 @@ class WordEvaluator:
             self._traces[(word, c)] = got
         return got
 
-    def _product(self, word: tuple[int, ...], c: int | None) -> Mat:
-        """P_c(word): the product with only its rows of basis parity c, or
-        all rows for c None."""
+    def _product(self, word: tuple[int, ...], c: int) -> Mat:
+        """P_c(word): the product with only its rows of basis parity c."""
         got = self._products.get((word, c))
         if got is None:
             if len(word) == 1:
-                X = self._letters[word[0]]
-                got = X if c is None else _restrict(X, c)
+                got = _restrict(self._letters[word[0]], c)
             else:
                 got = self._product(word[:-1], c) @ self._letters[word[-1]]
             self._products[(word, c)] = got
         return got
 
-    def _cut(self, word: tuple[int, ...], c: int | None) -> int:
+    def _cut(self, word: tuple[int, ...], c: int) -> int:
         """ceil(len(word)/2), unless another cut finds both halves
         already built."""
 

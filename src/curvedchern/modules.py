@@ -23,7 +23,7 @@ from .forms import (
     hn_differential,
     vanishes_mod_relation,
 )
-from .matform import Column, Mat, WordEvaluator, content_key, form_degree_parity, jd_column
+from .matform import Column, Mat, WordEvaluator, content_key, jd_column
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
 
@@ -162,16 +162,10 @@ def connection_with_mu(M: CurvedModule, mu: Mat) -> Connection:
     return Connection(M, base + mu)
 
 
-def _infer_parity(X: Mat) -> int:
-    for m in (0, 1):
-        if X.has_operator_degree(m) or X.has_operator_degree(m - 2):
-            return m
-    raise Inhomogeneous("matrix has no well-defined operator parity")
-
-
 def covariant_derivative_pair(Ci: Connection, Cj: Connection, X: Mat,
-                              degree: int | None = None) -> Mat:
-    """[nabla, X] for X: module(Cj) -> module(Ci):
+                              degree: int) -> Mat:
+    """[nabla, X] for X: module(Cj) -> module(Ci) of operator degree
+    `degree` (only its parity |X| is used):
     e_i·(D(X)·e_j) + theta_i·X - (-1)^{|X|} X·theta_j, the product
     D(X)·e_j formed first and the three terms summed by one
     Mat.sum_of_products (one kernel call per entry; a free module's
@@ -180,13 +174,12 @@ def covariant_derivative_pair(Ci: Connection, Cj: Connection, X: Mat,
     With Ci is Cj the result is remembered on the connection, keyed by the
     content of X and its parity, so each route and check that needs the
     same bracket (as [nabla, delta]) shares one computation."""
-    m = _infer_parity(X) if degree is None else degree
     if Ci is not Cj:
-        return _bracket(Ci, Cj, X, m)
-    key = (content_key(X), m % 2)
+        return _bracket(Ci, Cj, X, degree)
+    key = (content_key(X), degree % 2)
     got = Ci._derivatives.get(key)
     if got is None:
-        got = Ci._derivatives[key] = _bracket(Ci, Ci, X, m)
+        got = Ci._derivatives[key] = _bracket(Ci, Ci, X, degree)
     return got
 
 
@@ -206,8 +199,9 @@ def _bracket_terms(Ci: Connection, Cj: Connection, X: Mat, m: int) -> list:
     return terms
 
 
-def covariant_derivative(C: Connection, X: Mat, degree: int | None = None) -> Mat:
-    """[nabla, X] for an endomorphism-valued form X of the module of C."""
+def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
+    """[nabla, X] for an endomorphism-valued form X of operator degree
+    `degree` on the module of C."""
     return covariant_derivative_pair(C, C, X, degree)
 
 
@@ -266,7 +260,9 @@ def chern_weil(M: CurvedModule, C: Connection,
     form degree m + #B > nvars vanish, and both letters have even total
     degree so the supertrace is invariant under rotating a word: one
     representative per rotation class is evaluated, weighted by the size
-    of the class.  The supertraces themselves come from `words` (a fresh
+    of the class.  A word with an odd number of A links only basis vectors
+    of opposite parity and has zero supertrace; the evaluator returns that
+    zero without forming anything.  The supertraces come from `words` (a fresh
     WordEvaluator by default), which shares prefix products between words
     and, when the chain route is given the same evaluator, every product
     and supertrace of a rotation class the two routes have in common.
@@ -284,11 +280,6 @@ def chern_weil(M: CurvedModule, C: Connection,
     top = ring.nvars
     a_zero = A.is_zero()
     b_zero = K.is_zero()
-    # parity mismatch per letter: form parity + operator-degree parity
-    # (A = [nabla, delta] has operator degree 0, B = nabla^2 likewise);
-    # a word of odd total mismatch has a structurally zero supertrace
-    pa = form_degree_parity(A)
-    pb = form_degree_parity(K)
     letters = (words.letter(A), words.letter(K))
 
     for m in range(1, top + 1):
@@ -299,8 +290,6 @@ def chern_weil(M: CurvedModule, C: Connection,
             if m + nb > top:
                 continue
             if (a_zero and nb < m) or (b_zero and nb):
-                continue
-            if pa is not None and pb is not None and ((m - nb) * pa + nb * pb) % 2:
                 continue
             canon = min(w[r:] + w[:r] for r in range(m))
             rotation_classes[canon] = rotation_classes.get(canon, 0) + 1
@@ -329,6 +318,11 @@ class IdentityVerdict:
         return self.ok
 
 
+def _relation_bound(p: USeries) -> int:
+    """The default membership degree bound of a nonzero residue p."""
+    return max(c.total_degree() for c in p.terms.values()) + 2
+
+
 def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if p.is_zero():
         return IdentityVerdict(True, "exact")
@@ -336,7 +330,7 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
     if bound is None:
-        bound = max(c.total_degree() for c in p.terms.values()) + 2
+        bound = _relation_bound(p)
     for J in p.u_powers():
         if not vanishes_mod_relation(p.coefficient(J), bound):
             return IdentityVerdict(
@@ -346,17 +340,21 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
 
 
 def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
-    mode = "exact"
-    detail = ""
+    """Whether every entry of X vanishes, read in (row, column) order so
+    that the verdict depends on X's content alone; a mod-relation verdict
+    reports the largest bound any entry used."""
+    largest = None
     for row in X.rows:
-        for v in row.values():
-            verdict = _useries_vanishes(v, bound)
+        for _, v in sorted(row.items()):
+            used = _relation_bound(v) if bound is None else bound
+            verdict = _useries_vanishes(v, used)
             if not verdict:
                 return verdict
             if verdict.mode == "mod-relation":
-                mode = "mod-relation"
-                detail = verdict.detail
-    return IdentityVerdict(True, mode, detail)
+                largest = used if largest is None else max(largest, used)
+    if largest is None:
+        return IdentityVerdict(True, "exact")
+    return IdentityVerdict(True, "mod-relation", f"bound {largest}")
 
 
 def cycle_check(M: CurvedModule, C: Connection, bound: int | None = None,

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedchern import cli, forms, matform
-from curvedchern.errors import InvalidInput
+from curvedchern.errors import InternalCheckFailure, InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import (
     Mat,
     WordEvaluator,
     content_key,
-    form_degree_parity,
     jd_column,
     supertrace_of_product,
     supertrace_of_square,
@@ -26,7 +25,6 @@ from curvedchern.scalars import Scalar
 from util import (
     ReferenceMat,
     qi_ring,
-    reference_form_degree_parity,
     reference_supertrace_of_product,
     sphere_ring,
 )
@@ -231,8 +229,8 @@ def test_supertrace_linear(a, b, c, d):
 
 def test_word_evaluator_interns_letters_by_content():
     R = _ring2()
-    X = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
-    Y = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    X = Mat.from_stored(R, [0, 2], [["x", "y"], ["x*y", "1"]])
+    Y = Mat.from_stored(R, [0, 2], [["x", "y"], ["x*y", "1"]])
     assert X is not Y
     words = WordEvaluator()
     a = words.letter(X)
@@ -244,11 +242,12 @@ def test_word_evaluator_interns_letters_by_content():
 
 def test_word_evaluator_separates_a_letter_from_its_negative():
     R = _ring2()
-    X = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
+    X = Mat.from_stored(R, [0, 2], [["x", "y"], ["x*y", "1"]])
     words = WordEvaluator()
     a, b = words.letter(X), words.letter(-X)
     assert a != b
-    assert words.supertrace((a, b)) == supertrace_of_product(X, -X)
+    tr, square = words.supertrace((a, b)), words.supertrace((a, a))
+    assert tr == supertrace_of_product(X, -X) == -square and tr != square
 
 
 def test_word_evaluators_over_different_rings_do_not_share():
@@ -276,16 +275,14 @@ D = (0, 1, 1)
 def _graded_letters():
     """Letters on degrees D whose parities (μ, σ) are defined: A of
     one-forms linking the even and the odd basis vectors (μ = 0, σ = 1),
-    K of even forms on the diagonal (μ = 0, σ = 0); and a letter X of
-    ring entries in every position, which has no σ."""
+    K of even forms on the diagonal (μ = 0, σ = 0)."""
     R = qi_ring("w", "x", "y", "z")
     z = USeries.zero(R)
     dw, dx, dy, dz = (USeries.from_form(DiffForm.d_var(R, v)) for v in "wxyz")
     w, x, y = (USeries.from_ring(R.from_string(v)) for v in "wxy")
     A = Mat(R, D, D, [[z, x * dx, dz + dy], [dy, z, z], [y * dw, z, z]])
     K = Mat(R, D, D, [[x * dx * dy + y, z, z], [z, x - dw * dz, z], [z, z, w]])
-    X = Mat.from_stored(R, D, [["x", "y", "1"], ["1", "w*y", "x"], ["w", "0", "y"]])
-    return A, K, X
+    return A, K
 
 
 def _plain_supertrace(letters, word) -> USeries:
@@ -307,9 +304,9 @@ def _kernel_spy(monkeypatch) -> list:
 
 
 def test_word_evaluator_reuses_row_class_products_and_rotations(monkeypatch):
-    A, K, X = _graded_letters()
+    A, K = _graded_letters()
     words = WordEvaluator()
-    a, k, x = words.letter(A), words.letter(K), words.letter(X)
+    a, k = words.letter(A), words.letter(K)
     matmuls = []
     plain = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__", lambda P, Q: matmuls.append(1) or plain(P, Q))
@@ -326,31 +323,21 @@ def test_word_evaluator_reuses_row_class_products_and_rotations(monkeypatch):
     for w in [(k, a, a), (a, k, a)]:
         got[w] = words.supertrace(w)
     assert (len(matmuls), len(calls)) == (2, 3)
-    # a word with a letter lacking σ is evaluated whole, as before: A·A·X
-    # builds the whole A·A, and X·A·A, a word of its own, cuts after X,
-    # where A·A is built already
-    got[(a, a, x)] = words.supertrace((a, a, x))
-    assert (len(matmuls), calls[3:]) == (3, ["product"])
-    got[(x, a, a)] = words.supertrace((x, a, a))
-    assert (len(matmuls), calls[3:]) == (3, ["product", "product"])
     monkeypatch.undo()
     for w, tr in got.items():
-        assert tr == _plain_supertrace({a: A, k: K, x: X}, w) and not tr.is_zero(), w
+        assert tr == _plain_supertrace({a: A, k: K}, w) and not tr.is_zero(), w
 
 
 def test_word_evaluator_takes_the_square_path_for_even_square_halves(monkeypatch):
-    A, K, X = _graded_letters()
+    A, K = _graded_letters()
     words = WordEvaluator()
-    a, k, x = words.letter(A), words.letter(K), words.letter(X)
+    a, k = words.letter(A), words.letter(K)
     calls = _kernel_spy(monkeypatch)
     plan = [
         ((k, k), ["square", "square"]),  # no σ = 1 letter: both row classes
         ((a, a), ["product"]),  # σ(A) = 1: str(A·A) = 2·str_E(A·A)
         ((a, k, a, k), ["product", "product"]),  # σ(A·K) = 1: no square
         ((a, a, a, a), ["square"]),  # σ(A·A) = 0
-        ((x, x), ["square"]),  # the whole-word plan for a letter without σ
-        ((x, k, x, k), ["square"]),
-        ((x, x, k), ["product"]),
     ]
     got = {}
     for w, want in plan:
@@ -359,7 +346,43 @@ def test_word_evaluator_takes_the_square_path_for_even_square_halves(monkeypatch
         assert calls == want, w
     monkeypatch.undo()
     for w, tr in got.items():
-        assert tr == _plain_supertrace({a: A, k: K, x: X}, w) and not tr.is_zero(), w
+        assert tr == _plain_supertrace({a: A, k: K}, w) and not tr.is_zero(), w
+
+
+def _ungraded_letters():
+    """Letters on degrees D without both parities: X of ring entries in
+    every position has no σ, and Y, with a 0-form and a 1-form in one
+    diagonal entry, has no μ."""
+    R = qi_ring("w", "x", "y", "z")
+    X = Mat.from_stored(R, D, [["x", "y", "1"], ["1", "w*y", "x"], ["w", "0", "y"]])
+    z = USeries.zero(R)
+    v = USeries.from_ring(R.one()) + USeries.from_form(DiffForm.d_var(R, "x"))
+    Y = Mat(R, D, D, [[v, z, z], [z, z, z], [z, z, z]])
+    return X, Y
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["no-sigma", "no-mu"])
+def test_word_evaluator_refuses_a_letter_without_both_parities(which):
+    words = WordEvaluator()
+    with pytest.raises(InternalCheckFailure):
+        words.letter(_ungraded_letters()[which])
+
+
+def test_word_evaluator_forms_nothing_for_a_word_of_odd_shift(monkeypatch):
+    A, K = _graded_letters()
+    words = WordEvaluator()
+    a, k = words.letter(A), words.letter(K)
+    formed = []
+    for name in ("__matmul__", "supertrace"):
+        plain = getattr(Mat, name)
+        monkeypatch.setattr(Mat, name, lambda *args, plain=plain: formed.append(1) or plain(*args))
+    calls = _kernel_spy(monkeypatch)
+    odd = [(a,), (a, k), (k, a, k), (a, a, a), (a, k, a, a, k)]
+    got = {w: words.supertrace(w) for w in odd}
+    assert (formed, calls) == ([], [])
+    monkeypatch.undo()
+    for w, tr in got.items():
+        assert tr.is_zero() and tr == _plain_supertrace({a: A, k: K}, w), w
 
 
 # -- sparse storage against the dense reference ------------------------
@@ -439,7 +462,6 @@ def test_sparse_mat_agrees_with_the_dense_reference(ring, shape, data):
     for m in (-1, 0, 1):
         assert A.has_operator_degree(m) == rA.has_operator_degree(m)
     assert A.is_zero() == rA.is_zero()
-    assert form_degree_parity(A) == reference_form_degree_parity(rA)
 
     # equality and content keys agree with entrywise equality
     assert (A == C) == (rA.entries == rC.entries)
@@ -523,9 +545,8 @@ def test_supertrace_of_square_cancels_odd_odd_pairs_on_the_diagonal(ring, degree
 # -- the word evaluator's cyclic plan against the plain product ---------
 
 FREE_Z = qi_ring("x1", "x2", "x3", degrees=[0, 2, 0], grading="Z")
-# (μ, σ) of a letter, σ = 1 twice as likely; None for a letter that has
-# neither
-_LETTER_PARITIES = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1), None]
+# (μ, σ) of a letter, σ = 1 twice as likely
+_LETTER_PARITIES = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1)]
 
 
 # wedge indices by the parity of their size, 0-forms the likeliest, so
@@ -535,24 +556,17 @@ _WEDGES_OF_PARITY = ([(), (), (), (0, 1), (1, 2)], [(0,), (1,), (2,)])
 
 def _letter(data, ring, degrees, kind) -> Mat:
     """A letter on `degrees` whose every component u^J p dx_S at [t][s]
-    has σ = |e_t| + |e_s| and μ = σ + |S| (mod 2) equal to kind = (μ, σ);
-    for kind None, entries of any wedge degree in every position and a
-    first diagonal entry holding a 0-form and a 1-form, so that μ is
-    undefined."""
+    has σ = |e_t| + |e_s| and μ = σ + |S| (mod 2) equal to kind = (μ, σ)."""
     n = len(degrees)
     grid = [[USeries.zero(ring)] * n for _ in range(n)]
     for t in range(n):
         for s in range(n):
             shift = (degrees[t] + degrees[s]) % 2
-            if kind is None:
-                grid[t][s] = data.draw(_nonzero_entries(ring, _ALL_WEDGES, 2))
-            elif shift == kind[1]:
+            if shift == kind[1]:
                 wedges = _WEDGES_OF_PARITY[(shift + kind[0]) % 2]
                 grid[t][s] = data.draw(_nonzero_entries(ring, wedges, 2))
-    if kind is None:
-        grid[0][0] = USeries(ring, {0: DiffForm(ring, {(): ring.one(), (1,): ring.one()})})
     X = Mat(ring, degrees, degrees, grid)
-    assert matform._parities(X) == (kind if kind is None or not X.is_zero() else (0, 0))
+    assert matform._parities(X) == (kind if not X.is_zero() else (0, 0))
     return X
 
 
@@ -560,19 +574,17 @@ def _letter(data, ring, degrees, kind) -> Mat:
 @given(st.sampled_from([FREE_Z, SPHERE]), st.data())
 def test_word_evaluator_agrees_with_the_plain_product(ring, data):
     # basis degrees of both parities, some outside {0, 1}; letters of every
-    # (μ, σ) and letters with neither, mixed in one word of even σ (a word
-    # of odd σ has no diagonal); every rotation of the word, in a drawn
-    # order, so that a rotation class is met first at any of its members
-    # and the others are read with the rotation sign
+    # (μ, σ) mixed in one word, of either σ (a word of odd σ has no
+    # diagonal, and its zero must match the plain product's); every
+    # rotation of the word, in a drawn order, so that a rotation class is
+    # met first at any of its members and the others are read with the
+    # rotation sign
     degrees = [data.draw(st.sampled_from([-2, 0, 2])), data.draw(st.sampled_from([-1, 1, 3]))]
     degrees += data.draw(st.lists(st.integers(-2, 3), max_size=1))
     degrees = tuple(data.draw(st.permutations(degrees)))
     kinds = data.draw(st.lists(st.sampled_from(_LETTER_PARITIES), min_size=2, max_size=3))
     letters = [_letter(data, ring, degrees, kind) for kind in kinds]
-    word = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=2, max_size=4))
-    shifted = [i for i in word if kinds[i] and kinds[i][1]]
-    if len(shifted) % 2:
-        word.append(shifted[0])
+    word = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=2, max_size=5))
     words = WordEvaluator()
     ids = [words.letter(X) for X in letters]
     for r in data.draw(st.permutations(range(len(word)))):

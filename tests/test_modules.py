@@ -385,8 +385,25 @@ def test_commutator_residue_is_the_composed_residue_on_the_sphere(make):
     residue, want = commutator_residue(M, C), reference_commutator_residue(M, C)
     assert not want.is_zero()  # nonzero u^2 3-forms, zero modulo the relation
     assert residue == want
-    # with no bound each entry picks its own, and the detail names one
+    # with no bound each entry picks its own, and the detail names the largest
     assert commutator_check(M, C) == modules._mat_vanishes(want, None)
+
+
+def test_residue_verdict_reads_content_not_assembly_order():
+    # two top forms on the 3-sphere, zero modulo the relation, whose
+    # default bounds differ (2 and 5); the two sums store them in opposite
+    # orders, and both report the largest bound
+    R = sphere_ring(3)
+    z = "0"
+    one = DiffForm(R, {(0, 1, 2): R.one()})
+    big = DiffForm(R, {(0, 1, 2): R.from_string("x1*x2*x3")})
+    P = Mat(R, [0, 0], [0, 0], [[one, z], [z, z]])
+    Q = Mat(R, [0, 0], [0, 0], [[z, big], [z, z]])
+    left, right = P + Q, Q + P
+    assert left == right and list(left.rows[0]) != list(right.rows[0])
+    verdict = modules._mat_vanishes(left, None)
+    assert verdict == modules._mat_vanishes(right, None)
+    assert (verdict.ok, verdict.mode, verdict.detail) == (True, "mod-relation", "bound 5")
 
 
 def _count_kernel_calls(monkeypatch) -> list:

@@ -312,11 +312,6 @@ def reference_supertrace_of_product(A: ReferenceMat, B: ReferenceMat) -> USeries
     return acc
 
 
-def reference_form_degree_parity(X: ReferenceMat):
-    parities = {len(S) % 2 for row in X.entries for v in row for f in v.coeffs.values() for S in f.parts}
-    return None if len(parities) > 1 else (parities.pop() if parities else 0)
-
-
 # -- the seed's Buchberger: the oracle for groebner.buchberger -------------
 #
 # Plain Buchberger as the engine first had it: pairs taken last in, first
