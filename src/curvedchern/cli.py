@@ -216,6 +216,10 @@ def parse_instance(text: str, label: str) -> Instance:
         "ring block: one degree per variable required",
     )
     _require(all(_is_int(d) for d in degrees), "ring block: degrees must be integers")
+    _require(
+        rb.get("relation") is None or isinstance(rb["relation"], str),
+        "ring block: relation must be a polynomial string",
+    )
     ring = GradedRing(
         tuple(variables),
         tuple(degrees),
@@ -227,7 +231,9 @@ def parse_instance(text: str, label: str) -> Instance:
     _require(isinstance(cb, dict), "curved block: must be an object")
     for key in cb:
         _require(key == "h", f"curved block: unknown key {key!r}")
-    algebra = CurvedAlgebra(ring, ring.from_string(cb.get("h", "0")))
+    h = cb.get("h", "0")
+    _require(isinstance(h, str), "curved block: h must be a polynomial string")
+    algebra = CurvedAlgebra(ring, ring.from_string(h))
 
     mb = data["module"]
     _require(isinstance(mb, dict), "module block: must be an object")

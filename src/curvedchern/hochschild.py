@@ -519,12 +519,12 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
     WordEvaluator by default), which also returns the zero supertrace of a
     word of odd basis-parity shift without forming it.  Every letter is
     graded, as the evaluator requires: chain slots are homogeneous, and
-    every category object is presented by an even idempotent.  Letters
-    are interned by content, so a tail slot repeated across chains is
-    differentiated once, and a word whose rotation class was already
-    evaluated on the same evaluator (by Chern-Weil, say) is not evaluated
-    again: the pushed chains of a module ask for A·K·A and K·A·A, and
-    Chern-Weil holds A·A·K.
+    every category object is presented by an even idempotent.  [nabla,
+    slot] and nabla^2 are cached on the connections, so a slot on one
+    object is differentiated once however many chains repeat it, and a
+    word whose rotation class was already evaluated on the same evaluator
+    (by Chern-Weil, say) is not evaluated again: the pushed chains of a
+    module ask for A·K·A and K·A·A, and Chern-Weil holds A·A·K.
     """
     cat = c.category
     ring = cat.ring
@@ -538,18 +538,6 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
     nvars = ring.nvars
     acc = USeries.zero(ring)
     idents = [cat.identity(o) for o in range(len(cat.objects))]
-    # object -> letter of nabla^2
-    curvatures: dict[int, int] = {}
-    # (objects, parity, slot content) -> letter of [nabla, slot], or None
-    # for a slot with zero covariant derivative
-    derivatives: dict[tuple, int | None] = {}
-
-    def curvature_letter(o: int) -> int:
-        got = curvatures.get(o)
-        if got is None:
-            got = curvatures[o] = words.letter(curvature_mat(conns[o]))
-        return got
-
     for coeff, ch in c.terms():
         n = ch.n
         if n > nvars:
@@ -562,14 +550,10 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
         tail: list[int] = []
         for i in range(1, n + 1):
             oi, oj = ch.objects[i], ch.objects[(i + 1) % (n + 1)]
-            key = (oi, oj, ch.degrees[i], content_key(ch.slots[i]))
-            if key not in derivatives:
-                P = covariant_derivative_pair(conns[oi], conns[oj], ch.slots[i], ch.degrees[i])
-                derivatives[key] = None if P.is_zero() else words.letter(P)
-            got = derivatives[key]
-            if got is None:
+            P = covariant_derivative_pair(conns[oi], conns[oj], ch.slots[i], ch.degrees[i])
+            if P.is_zero():
                 break
-            tail.append(got)
+            tail.append(words.letter(P))
         if len(tail) < n:
             continue
         max_J = (nvars - n) // 2
@@ -579,7 +563,8 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
                 word = list(head_word)
                 for g in range(n + 1):
                     if comp[g]:
-                        word.extend([curvature_letter(ch.objects[g + 1] if g < n else o0)] * comp[g])
+                        K = curvature_mat(conns[ch.objects[g + 1] if g < n else o0])
+                        word.extend([words.letter(K)] * comp[g])
                     if g < n:
                         word.append(tail[g])
                 tr = words.supertrace(tuple(word)) if word else idents[o0].supertrace()

@@ -419,15 +419,6 @@ class Mat:
         zero = USeries.zero(self.ring)
         return [row.get(s, zero) for row in self.rows]
 
-    @staticmethod
-    def from_columns(ring, target_degrees, source_degrees, cols) -> "Mat":
-        rows: list[dict] = [{} for _ in target_degrees]
-        for s, col in enumerate(cols):
-            for t, v in enumerate(col):
-                if v.terms:
-                    rows[t][s] = v
-        return Mat._make(ring, tuple(target_degrees), tuple(source_degrees), rows)
-
     def apply(self, col: Column) -> Column:
         """Matrix times column (entries multiply on the left of the column's
         u-series values).  An identity (see is_identity) returns a new list
@@ -636,8 +627,9 @@ class WordEvaluator:
     word's μ and σ are the sums of its letters'.  A letter without both is
     refused with InternalCheckFailure: the letters of Chern–Weil and of the chain
     route ([nabla, delta], nabla^2 and [nabla, slot]) are built from a
-    module that passes check_module, whose degree rules on e, delta and mu
-    give every letter μ ≡ its operator degree and σ ≡ μ + its form parity.
+    module that passes check_module and a connection whose theta has
+    operator degree -1, and these degree rules on e, delta and theta give
+    every letter μ ≡ its operator degree and σ ≡ μ + its form parity.
 
     A word of odd σ links only basis vectors of opposite parity, so it has
     no diagonal: its supertrace is zero, and nothing is formed.  The
@@ -760,12 +752,6 @@ class WordEvaluator:
             if built(word[:cut], c) and built(word[cut:], self._shift(word[:cut], c)):
                 return cut
         return mid
-
-
-def jd_column(degrees, col: Column) -> Column:
-    """The row-signed entrywise derivative of a coordinate column:
-    (Jd w)[t] = (-1)^{|e_t|} d(w[t])."""
-    return [_row_d(v, degrees[t]) for t, v in enumerate(col)]
 
 
 def _row_d(v: USeries, degree: int) -> USeries:

@@ -2,11 +2,12 @@
 
 A curved algebra is (A, h) with h of Gamma-degree 2; a curved module is a
 projective module presented by an idempotent e on a graded free module,
-together with an odd endomorphism delta with delta^2 = -h·e.  Connections
-are e∘(row-signed d) plus an optional matrix perturbation; their curvature
-is computed by honest double application to the columns of e (with a
-linearity residue check), and the Chern character is the supertrace of
-exp(-R) for R = u·curvature + [nabla, delta].
+together with an odd endomorphism delta with delta^2 = -h·e.  A connection
+nabla(X) = e·D(X) + theta·X (D the row-signed d, theta one-forms) is only
+applied in whole-matrix Mat.sum_of_products passes: the brackets
+[nabla, X], and the curvature nabla(nabla(e)) with a linearity residue
+check.  The Chern character is the supertrace of exp(-R) for
+R = u·curvature + [nabla, delta].
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .forms import (
     hn_differential,
     vanishes_mod_relation,
 )
-from .matform import Column, Mat, WordEvaluator, content_key, jd_column
+from .matform import Mat, WordEvaluator, content_key
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
 
@@ -51,27 +52,22 @@ class CurvedModule:
     identity factor, which Mat returns without forming it.
     """
 
-    def __init__(self, algebra: CurvedAlgebra, degrees, delta: Mat,
-                 e: Mat | None = None, mu: Mat | None = None):
+    def __init__(self, algebra: CurvedAlgebra, degrees, delta: Mat, e: Mat | None = None):
         self.algebra = algebra
         self.degrees = tuple(int(d) for d in degrees)
         self.e = Mat.identity(algebra.ring, self.degrees) if e is None else e
         self.delta = delta
-        self.mu = mu
         self._verdict: ModuleVerdict | None = None
 
     @staticmethod
     def from_stored(algebra: CurvedAlgebra, degrees, delta_rows,
-                    idempotent_rows=None, mu_rows=None) -> "CurvedModule":
+                    idempotent_rows=None) -> "CurvedModule":
         ring = algebra.ring
         delta = Mat.from_stored(ring, degrees, delta_rows)
         e = None
         if idempotent_rows is not None:
             e = Mat.from_stored(ring, degrees, idempotent_rows)
-        mu = None
-        if mu_rows is not None:
-            mu = Mat.from_stored(ring, degrees, mu_rows)
-        return CurvedModule(algebra, degrees, delta, e=e, mu=mu)
+        return CurvedModule(algebra, degrees, delta, e=e)
 
     @property
     def ring(self) -> GradedRing:
@@ -108,11 +104,6 @@ def check_module(M: CurvedModule) -> ModuleVerdict:
         failures.append("e^2 != e")
     if e @ delta @ e != delta:
         failures.append("delta is not supported on the image of e")
-    if M.mu is not None:
-        if e @ M.mu @ e != M.mu:
-            failures.append("mu is not supported on the image of e")
-        if not M.mu.has_operator_degree(-1):
-            failures.append("mu entries violate the connection degree rule")
     # delta·delta + h·e, one kernel call per entry
     terms = [(1, 0, delta, delta)]
     if not M.algebra.h.is_zero():
@@ -125,8 +116,8 @@ def check_module(M: CurvedModule) -> ModuleVerdict:
 
 @dataclass
 class Connection:
-    """nabla = e ∘ (row-signed d) + theta, theta an e-supported matrix of
-    one-forms (theta = 0 is the Levi-Civita connection of the presentation)."""
+    """nabla(X) = e·D(X) + theta·X, theta an e-supported matrix of one-forms
+    (theta = 0 is the Levi-Civita connection of the presentation)."""
 
     module: CurvedModule
     theta: Mat
@@ -135,20 +126,10 @@ class Connection:
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def apply(self, col: Column) -> Column:
-        out = self.module.e.apply(jd_column(self.module.degrees, col))
-        if not self.theta.is_zero():
-            extra = self.theta.apply(col)
-            out = [a + b for a, b in zip(out, extra)]
-        return out
-
 
 def levi_civita(M: CurvedModule) -> Connection:
-    """The connection induced by the idempotent presentation (theta = 0)."""
-    base = Mat.zero(M.ring, M.degrees, M.degrees)
-    if M.mu is not None:
-        base = M.mu
-    return Connection(M, base)
+    """The connection induced by the idempotent presentation: theta = 0."""
+    return Connection(M, Mat.zero(M.ring, M.degrees, M.degrees))
 
 
 def connection_with_mu(M: CurvedModule, mu: Mat) -> Connection:
@@ -158,8 +139,7 @@ def connection_with_mu(M: CurvedModule, mu: Mat) -> Connection:
         raise InvalidInput("connection perturbation must be supported on im(e)")
     if not mu.has_operator_degree(-1):
         raise InvalidInput("connection perturbation must have operator degree -1")
-    base = levi_civita(M).theta
-    return Connection(M, base + mu)
+    return Connection(M, mu)
 
 
 def covariant_derivative_pair(Ci: Connection, Cj: Connection, X: Mat,
@@ -189,11 +169,17 @@ def _bracket(Ci: Connection, Cj: Connection, X: Mat, m: int) -> Mat:
     )
 
 
+def _nabla_terms(C: Connection, X: Mat, DX: Mat) -> list:
+    """The terms of e·DX + theta·X: nabla on the columns of X if DX = D(X)."""
+    terms = [(1, 0, C.module.e, DX)]
+    if not C.theta.is_zero():
+        terms.append((1, 0, C.theta, X))
+    return terms
+
+
 def _bracket_terms(Ci: Connection, Cj: Connection, X: Mat, m: int) -> list:
     """The Mat.sum_of_products terms of [nabla, X], X of parity m."""
-    terms = [(1, 0, Ci.module.e, X.row_sign_d() @ Cj.module.e)]
-    if not Ci.theta.is_zero():
-        terms.append((1, 0, Ci.theta, X))
+    terms = _nabla_terms(Ci, X, X.row_sign_d() @ Cj.module.e)
     if not Cj.theta.is_zero():
         terms.append((-1 if m % 2 == 0 else 1, 0, X, Cj.theta))
     return terms
@@ -206,41 +192,38 @@ def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
 
 
 def curvature_mat(C: Connection) -> Mat:
-    """nabla^2 as a matrix, by double application to the columns of e.
+    """nabla^2 as a matrix, by double application: K = nabla(nabla(e)).
 
-    The result is automatically supported on im(e).  The per-variable
-    residue nabla^2(col·x_v) - nabla^2(col)·x_v is verified to vanish (an
-    implementation bug detector; A-linearity is automatic mathematically),
-    raising NonLinearCurvature otherwise.  Over a quotient ring d of a
-    normal form is not a derivation, so the residue is only required to
-    lie in the relation submodule.
+    The result is automatically supported on im(e).  For each variable x_v
+    the residue nabla(nabla(e·x_v)) - K·x_v, K·x_v subtracted in the second
+    pass, must vanish (an implementation bug detector; A-linearity is
+    automatic mathematically); the first failure, by column and then
+    variable, raises NonLinearCurvature.  Over a quotient ring d of a
+    normal form is not a derivation, so the residue need only lie in the
+    relation submodule.
     """
     if C._curvature is not None:
         return C._curvature
     M = C.module
     ring = M.ring
-    cols = []
-    for j in range(len(M.degrees)):
-        base = M.e.column(j)
-        cols.append(C.apply(C.apply(base)))
-        for name in ring.variables:
-            xv = USeries.from_ring(ring.var(name))
-            scaled = [v * xv if v.terms else v for v in base]
-            lhs = C.apply(C.apply(scaled))
-            rhs = [v * xv if v.terms else v for v in cols[-1]]
-            for a, b in zip(lhs, rhs):
-                resid = a - b
-                if resid.is_zero():
-                    continue
-                if ring.relation is not None and all(
-                    vanishes_mod_relation(resid.coefficient(J))
-                    for J in resid.u_powers()
-                ):
-                    continue
-                raise NonLinearCurvature(
-                    f"curvature fails linearity in {name} on column {j}"
-                )
-    K = Mat.from_columns(ring, M.degrees, M.degrees, cols)
+
+    def nabla(X: Mat, *extra) -> Mat:
+        terms = _nabla_terms(C, X, X.row_sign_d()) + list(extra)
+        return Mat.sum_of_products(ring, M.degrees, M.degrees, terms)
+
+    K = nabla(nabla(M.e))
+    failures = []
+    for v, name in enumerate(ring.variables):
+        xv = ring.var(name)
+        scale = Mat.diagonal(ring, M.degrees, [USeries.from_ring(xv)] * len(M.degrees))
+        Z = nabla(nabla(M.e.scale_ring(xv)), (-1, 0, K, scale))
+        failures += [
+            (j, v) for row in Z.rows for j, resid in row.items()
+            if not all(vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers())
+        ]
+    if failures:
+        j, v = min(failures)
+        raise NonLinearCurvature(f"curvature fails linearity in {ring.variables[v]} on column {j}")
     C._curvature = K
     return K
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curvedchern.errors import IncomposableChain, InvalidInput
 from curvedchern.forms import DiffForm, USeries, de_rham_d
-from curvedchern import cli, hochschild
+from curvedchern import cli, hochschild, modules
 from curvedchern.hochschild import (
     CategoryData,
     ChainSum,
@@ -485,13 +485,13 @@ def test_chern_via_chains_differentiates_each_distinct_slot_once(make, monkeypat
         for i in range(1, ch.n + 1)
     }
     calls = []
-    plain = hochschild.covariant_derivative_pair
+    plain = modules._bracket
 
     def spy(*args):
         calls.append(args)
         return plain(*args)
 
-    monkeypatch.setattr(hochschild, "covariant_derivative_pair", spy)
+    monkeypatch.setattr(modules, "_bracket", spy)
     got = chern_via_chains(M, C)
     assert len(calls) == len(distinct)
     assert got == chern_weil(M, C)

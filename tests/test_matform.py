@@ -16,7 +16,6 @@ from curvedchern.matform import (
     Mat,
     WordEvaluator,
     content_key,
-    jd_column,
     supertrace_of_product,
     supertrace_of_square,
 )
@@ -191,14 +190,6 @@ def test_apply_matches_columns():
     prod = X @ Y
     for j in range(2):
         assert prod.column(j) == X.apply(Y.column(j))
-
-
-def test_jd_column_signs():
-    R = _ring2()
-    col = [USeries.from_ring(R.from_string("x^2")), USeries.from_ring(R.from_string("x*y"))]
-    out = jd_column((0, 1), col)
-    assert out[0] == USeries.from_form(de_rham_d(DiffForm.from_ring(R.from_string("x^2"))))
-    assert out[1] == USeries.from_form(de_rham_d(DiffForm.from_ring(R.from_string("x*y")))).scale(Scalar(-1))
 
 
 def test_shape_mismatch_raises():

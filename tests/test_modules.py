@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern import cli, forms, modules
-from curvedchern.errors import InvalidInput
+from curvedchern import cli, forms, matform, modules
+from curvedchern.errors import InvalidInput, NonLinearCurvature
 from curvedchern.forms import DiffForm, USeries, de_rham_d
 from curvedchern.matform import Mat, content_key
 from curvedchern.modules import (
@@ -26,11 +26,12 @@ from curvedchern.modules import (
     cycle_check,
     levi_civita,
 )
+from curvedchern.rings import RingElement
 from curvedchern.scalars import Scalar
 
 from curvedchern.randomgen import random_module_instance
 
-from util import qi_ring, reference_commutator_residue, sphere_ring
+from util import qi_ring, reference_commutator_residue, reference_curvature, sphere_ring
 
 
 def _mf_xy():
@@ -435,3 +436,78 @@ def test_commutator_check_makes_one_kernel_call_per_entry(make, monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     assert commutator_check(M, C, 6).ok
     assert len(calls) <= stored + len(M.degrees) ** 2
+
+
+# -- the curvature: its double application and its linearity check ----
+
+
+def test_curvature_matches_the_column_by_column_double_application():
+    M, C = _sphere_with_theta()
+    cases = [C, _s4()[1]] + [random_module_instance(seed)[1] for seed in range(200)]
+    assert not C.theta.is_zero()
+    for C in cases:
+        want = reference_curvature(C)
+        assert curvature_mat(C) == want
+
+
+def _not_a_derivation(plain, variables):
+    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2)
+    of each of the ring's variables with these indices a second time, so
+    that D is no longer a derivation in them."""
+
+    def mutant(v, degree):
+        ring = v.ring
+        out = plain(v, degree)
+        for k in variables:
+            high = {}
+            for (J, S), p in v.terms.items():
+                q = {m: c for m, c in p.terms.items() if m[k] >= 2}
+                if q and k not in S:
+                    high[(J, S)] = RingElement(ring, q)
+            again = plain(USeries._make(ring, high), degree)
+            out = out + USeries._make(ring, {T: p for T, p in again.terms.items() if k in T[1]})
+        return out
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "variables, seed, message",
+    [
+        ((0,), 6, "x on column 3"),
+        ((0,), 7, "x on column 1"),
+        ((0,), 31, "x on column 0"),
+        # x fails on column 3 and z on column 0: the lowest column is named
+        ((0, 1, 2), 6, "z on column 0"),
+    ],
+)
+def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
+    variables, seed, message, monkeypatch
+):
+    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, variables))
+    want = f"curvature fails linearity in {message}"
+    with pytest.raises(NonLinearCurvature) as got:
+        curvature_mat(random_module_instance(seed)[1])
+    assert str(got.value) == want
+    with pytest.raises(NonLinearCurvature) as old:
+        reference_curvature(random_module_instance(seed)[1])
+    assert str(old.value) == want
+
+
+def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
+    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, (0,)))
+    assert cli.main(["verify", "--random", "1", "--seed", "6"]) == 4
+
+
+def test_connection_with_mu_refuses_a_perturbation_off_the_image_of_e():
+    R, M = _sphere_module()
+    mu = Mat(R, [0, 0], [0, 0], [[_dx_form(R, "x2", "x1"), "0"], ["0", "0"]])
+    with pytest.raises(InvalidInput, match=r"^connection perturbation must be supported on im\(e\)$"):
+        connection_with_mu(M, mu)
+
+
+def test_connection_with_mu_refuses_a_perturbation_of_the_wrong_degree():
+    R, _, M = _mf_xy()
+    mu = Mat.from_stored(R, [0, 1], [["x", "0"], ["0", "0"]])
+    with pytest.raises(InvalidInput, match="^connection perturbation must have operator degree -1$"):
+        connection_with_mu(M, mu)

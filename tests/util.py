@@ -491,3 +491,38 @@ def reference_pushforward(rho, beta, c, n_max: int):
                 coeff * _sgn(sum(counts)), ch.u_exp, split,
             )
     return out
+
+
+def reference_curvature(C):
+    """modules.curvature_mat as first written: nabla(col) = e·Jd(col) +
+    theta·col, Jd the row-signed d, applied twice to each column of e
+    through Mat.column and Mat.apply, the residue
+    nabla^2(col·x_v) - nabla^2(col)·x_v checked column by column, then
+    variable by variable, with curvature_mat's NonLinearCurvature message."""
+    from curvedchern import matform
+    from curvedchern.errors import NonLinearCurvature
+    from curvedchern.forms import vanishes_mod_relation
+
+    M = C.module
+    ring = M.ring
+    n = len(M.degrees)
+
+    def nabla(col):
+        d = M.e.apply([matform._row_d(v, M.degrees[t]) for t, v in enumerate(col)])
+        return [a + b for a, b in zip(d, C.theta.apply(col))]
+
+    cols = []
+    for j in range(n):
+        base = M.e.column(j)
+        cols.append(nabla(nabla(base)))
+        for name in ring.variables:
+            xv = USeries.from_ring(ring.var(name))
+            lhs = nabla(nabla([v * xv for v in base]))
+            for a, b in zip(lhs, cols[-1]):
+                resid = a - b * xv
+                if resid.is_zero() or ring.relation is not None and all(
+                    vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers()
+                ):
+                    continue
+                raise NonLinearCurvature(f"curvature fails linearity in {name} on column {j}")
+    return matform.Mat(ring, M.degrees, M.degrees, [[cols[s][t] for s in range(n)] for t in range(n)])
