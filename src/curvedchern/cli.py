@@ -518,6 +518,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random is not None and args.file is not None:
+        raise InvalidInput("verify takes a problem file or --random N --seed S, not both")
     if args.random is not None:
         if args.seed is None:
             raise InvalidInput("--random requires an explicit --seed")

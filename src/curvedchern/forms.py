@@ -193,24 +193,30 @@ def _exterior_d(ring: GradedRing, terms: dict, negate: bool = False) -> dict:
     `negate`: d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S.
 
     dx_v ∧ dx_S is zero for v in S and otherwise dx_T, T = S with v merged
-    in, with sign (-1)^{#{w in S : w < v}}; the derivatives are summed per
+    in, with sign (-1)^{#{w in S : w < v}}; one `RingElement.partials` pass
+    per coefficient forms every signed derivative, and they are summed per
     (J, T), so no ring product is formed.  The result has no zero
     coefficient."""
     sums: dict = {}
     for (J, S), c in terms.items():
-        for v, name in enumerate(ring.variables):
-            if v in S:
+        signs, merged = _d_table(S, ring.nvars, negate)
+        for dc, T in zip(c.partials(signs), merged):
+            if dc is None:
                 continue
-            dc = c.derivative(name)
-            if dc.is_zero():
-                continue
-            below = bisect_left(S, v)
-            if (below + negate) % 2:
-                dc = -dc
-            T = (J, S[:below] + (v,) + S[below:])
-            got = sums.get(T)
-            sums[T] = dc if got is None else got + dc
+            key = (J, T)
+            got = sums.get(key)
+            sums[key] = dc if got is None else got + dc
     return {T: p for T, p in sums.items() if not p.is_zero()}
+
+
+@cache
+def _d_table(S: Indices, nvars: int, negate: bool) -> tuple[tuple, tuple]:
+    """For each variable v, the sign of dx_v ∧ dx_S in _exterior_d (0 for
+    v in S) and the indices S with v merged in.  Memoized like
+    _merge_indices: at most 2^nvars index tuples per ring size."""
+    below = [bisect_left(S, v) for v in range(nvars)]
+    signs = tuple(0 if v in S else (-1) ** (b + negate) for v, b in enumerate(below))
+    return signs, tuple(S[:b] + (v,) + S[b:] for v, b in enumerate(below))
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:

@@ -558,7 +558,7 @@ def tr_nabla(c: ChainSum, connections, words: WordEvaluator | None = None) -> US
             continue
         max_J = (nvars - n) // 2
         for J in range(max_J + 1):
-            weight = coeff * Scalar(Fraction((-1) ** J, factorial(J + n)))
+            weight = coeff * Scalar._raw((-1) ** J, 0, factorial(J + n))
             for comp in _compositions(J, n + 1):
                 word = list(head_word)
                 for g in range(n + 1):
@@ -607,5 +607,5 @@ def chern_via_chains(M: CurvedModule, C: Connection,
     )
     cat = CategoryData(M.algebra, [stripped])
     gamma = chain(cat, M.e)
-    pushed = pushforward(None, M.delta, gamma, ring.nvars + 1)
+    pushed = pushforward(None, M.delta, gamma, ring.nvars)
     return tr_nabla(pushed, [C], words)

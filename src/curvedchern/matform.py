@@ -352,7 +352,7 @@ class Mat:
         return got
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Mat)
             and self.ring.same_as(other.ring)
             and self.target_degrees == other.target_degrees
@@ -383,22 +383,30 @@ class Mat:
         A term of Gamma-degree g (form weights |d(x_v)| = |x_v| - 1 and
         |u| = 2 included) in entry [t][s] contributes to the part of
         operator parity (g - |e_s| + |e_t|) mod 2.  Only parities that
-        actually occur appear in the result.
+        actually occur appear in the result; a matrix of one parity p is
+        returned as {p: self}.
         """
         ring = self.ring
+
+        def terms():
+            for t, row in enumerate(self.rows):
+                for s, v in row.items():
+                    base = self.source_degrees[s] - self.target_degrees[t]
+                    for key, coeff in v.terms.items():
+                        J, S = key
+                        shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
+                        for mono, c in coeff.terms.items():
+                            yield (ring.monomial_gamma(mono) + shift) % 2, t, s, key, mono, c
+
+        found = {p for p, *_ in terms()}
+        if len(found) == 1:
+            return {found.pop(): self}
         grids: dict[int, list[dict]] = {}
-        for t, row in enumerate(self.rows):
-            for s, v in row.items():
-                base = self.source_degrees[s] - self.target_degrees[t]
-                for key, coeff in v.terms.items():
-                    J, S = key
-                    shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
-                    for mono, c in coeff.terms.items():
-                        p = (ring.monomial_gamma(mono) + shift) % 2
-                        grid = grids.get(p)
-                        if grid is None:
-                            grid = grids[p] = [{} for _ in self.rows]
-                        grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
+        for p, t, s, key, mono, c in terms():
+            grid = grids.get(p)
+            if grid is None:
+                grid = grids[p] = [{} for _ in self.rows]
+            grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
 
         def entry(terms: dict) -> USeries:
             return USeries._make(

@@ -248,12 +248,16 @@ class GradedRing:
         when `real`, else a [re, im] pair; `unpack` is the _UnpackTable of
         the packing width.  Builds one Scalar per surviving monomial.
         """
+        if self.relation is None:
+            if real:
+                return {unpack[k][0]: Scalar._raw(a, 0, den) for k, a in acc.items() if a}
+            return {
+                unpack[k][0]: Scalar._raw(a, b, den) for k, (a, b) in acc.items() if a or b
+            }
         if real:
             rows = [(k, a, 0) for k, a in acc.items() if a]
         else:
             rows = [(k, a, b) for k, (a, b) in acc.items() if a or b]
-        if self.relation is None:
-            return {unpack[k][0]: Scalar._raw(a, b, den) for k, a, b in rows}
         direct = []
         reduced = []
         scale = 1
@@ -452,15 +456,25 @@ class RingElement:
     def derivative(self, var: str) -> "RingElement":
         """Formal partial derivative of the normal-form representative."""
         k = self.ring._index[var]
-        out: dict = {}
+        got = self.partials([int(v == k) for v in range(self.ring.nvars)])[k]
+        return self.ring.zero() if got is None else got
+
+    def partials(self, signs: list) -> list:
+        """[signs[v]·∂/∂x_v of the normal-form representative, for each
+        variable v], None where signs[v] is 0 or the derivative is zero.
+
+        One pass over the terms builds them all.  No normal form is
+        needed: the relation's lead does not divide a monomial m of self,
+        so it does not divide m − e_v either."""
+        outs = [{} if sign else None for sign in signs]
+        raw = Scalar._raw
         for m, c in self.terms.items():
-            e = m[k]
-            if e == 0:
-                continue
-            dm = list(m)
-            dm[k] = e - 1
-            out[tuple(dm)] = c * Scalar(e)
-        return RingElement(self.ring, out)
+            an, bn, d = c.an, c.bn, c.d
+            for v, e in enumerate(m):
+                if e and signs[v]:
+                    f = signs[v] * e
+                    outs[v][m[:v] + (e - 1,) + m[v + 1 :]] = raw(f * an, f * bn, d)
+        return [RingElement(self.ring, out, _normalize=False) if out else None for out in outs]
 
     # -- structure -----------------------------------------------------
 

@@ -44,9 +44,9 @@ class Scalar:
                 an //= g
                 bn //= g
                 d //= g
-        object.__setattr__(self, "an", an)
-        object.__setattr__(self, "bn", bn)
-        object.__setattr__(self, "d", d)
+        _set_an(self, an)
+        _set_bn(self, bn)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
@@ -62,9 +62,9 @@ class Scalar:
             bn //= g
             d //= g
         out = object.__new__(Scalar)
-        object.__setattr__(out, "an", an)
-        object.__setattr__(out, "bn", bn)
-        object.__setattr__(out, "d", d)
+        _set_an(out, an)
+        _set_bn(out, bn)
+        _set_d(out, d)
         return out
 
     # -- constructors -------------------------------------------------
@@ -118,9 +118,9 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         out = object.__new__(Scalar)
-        object.__setattr__(out, "an", -self.an)
-        object.__setattr__(out, "bn", -self.bn)
-        object.__setattr__(out, "d", self.d)
+        _set_an(out, -self.an)
+        _set_bn(out, -self.bn)
+        _set_d(out, self.d)
         return out
 
     def __mul__(self, other: "Scalar") -> "Scalar":
@@ -167,6 +167,11 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
+
+
+# the slot descriptors' setters: they store past the immutability guard
+# in __setattr__, at about 60% of the cost of object.__setattr__
+_set_an, _set_bn, _set_d = Scalar.an.__set__, Scalar.bn.__set__, Scalar.d.__set__
 
 
 def _imag_str(b: Fraction) -> str:

@@ -167,6 +167,17 @@ def test_verify_random_needs_a_positive_count(count):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("path", ["missing.json", "mf_xy.json"])
+def test_verify_refuses_a_file_together_with_random(path):
+    # the file was once ignored, even a missing one, and the run passed
+    proc = _run("verify", path, "--random", "1", "--seed", "0", cwd=CORPUS)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == (
+        "invalid input: verify takes a problem file or --random N --seed S, not both\n"
+    )
+    assert proc.stdout == ""
+
+
 def _assert_refused_fast(proc, seconds):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("invalid input: ")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from curvedchern.errors import InvalidInput, NotTopForm
 from curvedchern.forms import (
     DiffForm,
+    _exterior_d,
     _merge_indices,
     MembershipCertificate,
     USeries,
@@ -19,9 +20,17 @@ from curvedchern.forms import (
     relation_form_generators,
     vanishes_mod_relation,
 )
+from curvedchern.rings import GradedRing, RingElement
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, reference_de_rham_d, reference_merge_indices, sphere_ring
+from util import (
+    qi_ring,
+    reference_de_rham_d,
+    reference_derivative,
+    reference_exterior_d,
+    reference_merge_indices,
+    sphere_ring,
+)
 
 
 def _dx(R, name):
@@ -220,6 +229,56 @@ def test_de_rham_d_matches_the_wedge_formula(ring, parts):
     got = de_rham_d(omega)
     assert got == reference_de_rham_d(omega)
     assert all(not c.is_zero() for c in got.parts.values())
+
+
+_D_POLYS = ["1", "x1", "-x2^3", "x1*x2*x3", "2*x1^2-x3", "i*x2*x3+x1^4", "x3^2+x2", "x1/3-x2/6"]
+_D_INDICES = [S for k in range(4) for S in combinations(range(3), k)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([_D_FREE, _D_SPHERE]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.sampled_from(_D_INDICES)),
+        st.sampled_from(_D_POLYS),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+def test_exterior_d_matches_one_derivative_per_variable(ring, raw, negate):
+    # u-powers 0-2, form degrees 0-3: the same map in the same key order
+    terms = {key: ring.from_string(p) for key, p in raw.items()}
+    got = _exterior_d(ring, terms, negate)
+    want = reference_exterior_d(ring, terms, negate)
+    assert list(got.items()) == list(want.items())
+    for c in terms.values():
+        for name in ring.variables:
+            assert c.derivative(name) == reference_derivative(c, name)
+
+
+def test_exterior_d_forms_no_derivative_call_and_no_normal_form(monkeypatch):
+    ring = _D_SPHERE
+    terms = {(J, S): ring.from_string(p) for J, S, p in [
+        (0, (), "x1*x2*x3+x2^3"), (1, (0,), "i*x2*x3+x1^4"), (0, (1, 2), "2*x1^2-x3"),
+        (2, (0, 2), "x3^2+x2"),
+    ]}
+    want = reference_exterior_d(ring, terms, True)
+    calls = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(RingElement, "derivative")
+    spy(GradedRing, "_normal_form")
+    got = _exterior_d(ring, terms, True)
+    assert calls == []
+    assert list(got.items()) == list(want.items())
 
 
 @settings(deadline=None, max_examples=30)

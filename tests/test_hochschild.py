@@ -36,7 +36,12 @@ from curvedchern.modules import (
     covariant_derivative_pair,
     levi_civita,
 )
-from curvedchern.randomgen import random_chain_setup, random_poly, random_ring_chain
+from curvedchern.randomgen import (
+    random_chain_setup,
+    random_module_instance,
+    random_poly,
+    random_ring_chain,
+)
 from curvedchern.scalars import Scalar
 
 from util import qi_ring, reference_pushforward, sphere_ring
@@ -372,16 +377,49 @@ def test_pushforward_collects_terms_as_the_running_sum_did(seed):
         assert _ordered(got) == _ordered(reference_pushforward(None, beta, c, n_max))
 
 
-def test_pushforward_of_the_s4_class_is_the_running_sum():
-    text = files("curvedchern.corpus").joinpath("s4_nonflat.json").read_text(encoding="utf-8")
-    M = cli.parse_instance(text, "s4_nonflat.json").module
+def _corpus_instance(stem):
+    text = files("curvedchern.corpus").joinpath(f"{stem}.json").read_text(encoding="utf-8")
+    inst = cli.parse_instance(text, f"{stem}.json")
+    return inst.module, inst.connection
+
+
+def _stripped_class(M):
+    """The class 1[] on M's underlying module with zero differential, the
+    chain chern_via_chains pushes along (id, delta)."""
     stripped = CurvedModule(M.algebra, M.degrees, Mat.zero(M.ring, M.degrees, M.degrees), e=M.e)
-    cat = CategoryData(M.algebra, [stripped])
-    gamma = chain(cat, M.e)
-    n_max = M.ring.nvars + 1  # as chern_via_chains pushes it
+    return chain(CategoryData(M.algebra, [stripped]), M.e)
+
+
+def test_pushforward_of_the_s4_class_is_the_running_sum():
+    M, _ = _corpus_instance("s4_nonflat")
+    gamma = _stripped_class(M)
+    n_max = M.ring.nvars  # as chern_via_chains pushes it
     got = pushforward(None, M.delta, gamma, n_max)
     assert len(got.terms()) > 1
     assert _ordered(got) == _ordered(reference_pushforward(None, M.delta, gamma, n_max))
+    # homogeneous slots are not rebuilt by the parity split
+    for _, ch in got.terms():
+        assert ch.slots[0] is M.e
+        assert all(slot is M.delta for slot in ch.slots[1:])
+
+
+@pytest.mark.parametrize("source", ["mf_xy", "s4_nonflat", "random"])
+def test_pushing_past_dim_A_changes_no_trace(source):
+    # tr_nabla skips chains longer than nvars, so pushing to nvars is enough
+    if source == "random":
+        cases = [random_module_instance(seed) for seed in range(200)]
+    else:
+        cases = [_corpus_instance(source)]
+    longer = 0
+    for M, C in cases:
+        gamma = _stripped_class(M)
+        n = M.ring.nvars
+        short = pushforward(None, M.delta, gamma, n)
+        long = pushforward(None, M.delta, gamma, n + 1)
+        longer += len(long.terms()) > len(short.terms())
+        words = WordEvaluator()
+        assert tr_nabla(long, [C], words) == tr_nabla(short, [C], words)
+    assert longer
 
 
 # -- the chain-level trace ---------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,13 @@ from curvedchern.matform import (
     supertrace_of_product,
     supertrace_of_square,
 )
+from curvedchern.randomgen import random_module_instance
 from curvedchern.scalars import Scalar
 
 from util import (
     ReferenceMat,
     qi_ring,
+    reference_parity_components,
     reference_supertrace_of_product,
     sphere_ring,
 )
@@ -774,3 +777,42 @@ def test_sum_of_products_makes_one_kernel_call_per_entry(monkeypatch):
     got = Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, B), (-1, 1, B, A), (1, 2, Mat.identity(R, (0, 1)), A)])
     assert len(calls) == 4  # one per entry; the identity term forms nothing
     assert got == A @ B - (B @ A).shift_u(1) + A.shift_u(2)
+
+
+def _parity_modules():
+    """The modules of both corpus files and of random seeds 0-49."""
+    for stem in ("mf_xy", "s4_nonflat"):
+        text = files("curvedchern.corpus").joinpath(f"{stem}.json").read_text(encoding="utf-8")
+        yield stem, cli.parse_instance(text, f"{stem}.json").module
+    for seed in range(50):
+        yield seed, random_module_instance(seed)[0]
+
+
+def test_parity_components_of_a_homogeneous_matrix_is_the_matrix_itself():
+    for label, M in _parity_modules():
+        for X, parity in ((M.e, 0), (M.delta, 1)):
+            parts = X.parity_components()
+            if X.is_zero():
+                assert parts == {}, label
+                continue
+            assert list(parts) == [parity], label
+            assert parts[parity] is X, label
+            assert parts == reference_parity_components(X), label
+
+
+def test_parity_components_of_an_inhomogeneous_matrix_is_the_rebuild():
+    # parities mixed across entries, within one entry (a dx term), and in
+    # the sum δ + e of each module with δ ≠ 0
+    R = _ring2()
+    mixed = USeries.from_ring(R.from_string("x+y")) + USeries(R, {1: DiffForm.d_var(R, "y")})
+    built = [
+        Mat.from_stored(R, [0, 1], [["1+x", "y"], ["x*y", "x+y^2"]]),
+        Mat(R, (0, 0), (0, 0), [[mixed, 0], [0, USeries.from_ring(R.one())]]),
+    ]
+    built += [M.delta + M.e for _, M in _parity_modules() if not M.delta.is_zero()]
+    for X in built:
+        parts = X.parity_components()
+        want = reference_parity_components(X)
+        assert len(parts) == 2
+        assert list(parts) == list(want)
+        assert all(parts[p] == want[p] and parts[p] is not X for p in parts)

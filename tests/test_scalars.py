@@ -54,3 +54,18 @@ def test_nonzero_inverse_round_trip(a):
     if not a.is_zero():
         assert a * a.inv() == ONE
         assert a.inv().inv() == a
+
+
+@pytest.mark.parametrize("name", ["an", "bn", "d"])
+def test_scalar_refuses_assignment(name):
+    with pytest.raises(AttributeError):
+        setattr(Scalar(1, 2), name, 5)
+
+
+def test_raw_and_negation_build_canonical_scalars():
+    got = Scalar._raw(2, 4, -6)
+    assert (got.an, got.bn, got.d) == (-1, -2, 3)
+    assert got == Scalar(Fraction(-1, 3), Fraction(-2, 3))
+    neg = -Scalar(1, 2)
+    assert neg == Scalar(-1, -2)
+    assert (neg.an, neg.bn, neg.d) == (-1, -2, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
 
 from curvedchern.errors import EmptyIdeal, InvalidInput
@@ -154,6 +155,41 @@ def reference_de_rham_d(omega: DiffForm) -> DiffForm:
             term = DiffForm(ring, {(v,): dc}).wedge(DiffForm(ring, {S: ring.one()}))
             out = out + term
     return out
+
+
+def reference_derivative(p: RingElement, name: str) -> RingElement:
+    """RingElement.derivative as first written: each term times Scalar(e),
+    then a normal form."""
+    k = p.ring._index[name]
+    out: dict = {}
+    for m, c in p.terms.items():
+        e = m[k]
+        if e:
+            dm = list(m)
+            dm[k] = e - 1
+            out[tuple(dm)] = c * Scalar(e)
+    return RingElement(p.ring, out)
+
+
+def reference_exterior_d(ring: GradedRing, terms: dict, negate: bool = False) -> dict:
+    """forms._exterior_d with one derivative per variable, as before one
+    pass formed them all: the derivative negated when the sign calls for
+    it and added in per (J, T)."""
+    sums: dict = {}
+    for (J, S), c in terms.items():
+        for v, name in enumerate(ring.variables):
+            if v in S:
+                continue
+            dc = reference_derivative(c, name)
+            if dc.is_zero():
+                continue
+            below = bisect_left(S, v)
+            if (below + negate) % 2:
+                dc = -dc
+            T = (J, S[:below] + (v,) + S[below:])
+            got = sums.get(T)
+            sums[T] = dc if got is None else got + dc
+    return {T: p for T, p in sums.items() if not p.is_zero()}
 
 
 # -- the dense matrices of earlier versions: the oracle for matform.Mat ----
@@ -491,6 +527,43 @@ def reference_pushforward(rho, beta, c, n_max: int):
                 coeff * _sgn(sum(counts)), ch.u_exp, split,
             )
     return out
+
+
+def reference_parity_components(X) -> dict:
+    """matform.Mat.parity_components as it was before a matrix of one
+    parity was returned as itself: every term is filed by its parity and
+    each part rebuilt, one Mat per parity that occurs."""
+    from curvedchern.matform import Mat
+
+    ring = X.ring
+    grids: dict = {}
+    for t, row in enumerate(X.rows):
+        for s, v in row.items():
+            base = X.source_degrees[s] - X.target_degrees[t]
+            for key, coeff in v.terms.items():
+                J, S = key
+                shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
+                for mono, c in coeff.terms.items():
+                    p = (ring.monomial_gamma(mono) + shift) % 2
+                    grid = grids.get(p)
+                    if grid is None:
+                        grid = grids[p] = [{} for _ in X.rows]
+                    grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
+
+    def entry(terms: dict) -> USeries:
+        return USeries._make(
+            ring, {key: RingElement(ring, ms, _normalize=False) for key, ms in terms.items()}
+        )
+
+    return {
+        p: Mat._make(
+            ring,
+            X.target_degrees,
+            X.source_degrees,
+            [{s: entry(terms) for s, terms in row.items()} for row in grid],
+        )
+        for p, grid in grids.items()
+    }
 
 
 def reference_curvature(C):
