@@ -291,9 +291,7 @@ def parse_instance(text: str, label: str) -> Instance:
     ob = data.get("options", {})
     _require(isinstance(ob, dict), "options block: must be an object")
     for key in ob:
-        _require(
-            key in {"milnor", "bound", "seed"}, f"options block: unknown key {key!r}"
-        )
+        _require(key in {"milnor", "bound"}, f"options block: unknown key {key!r}")
     _require(
         "bound" not in ob or (_is_int(ob["bound"]) and ob["bound"] >= 0),
         f"options block: {BOUND_MESSAGE}",
@@ -528,6 +526,8 @@ def cmd_verify(args) -> int:
                 f"--random needs a positive instance count, got {args.random}"
             )
         return _verify_random(args.random, args.seed)
+    if args.seed is not None:
+        raise InvalidInput("--seed needs --random N")
     if args.file is None:
         raise InvalidInput("verify needs a problem file or --random N --seed S")
     inst = load_instance(args.file)

@@ -533,6 +533,12 @@ def _relation_gradient_unit(ring: GradedRing) -> DiffForm | None:
     return result
 
 
+def relation_bound(coefficients) -> int:
+    """The default membership degree bound for nonzero ring coefficients:
+    two above the largest total degree among them."""
+    return max(c.total_degree() for c in coefficients) + 2
+
+
 def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bool:
     """True when the form is 0, or lies in the relation submodule.
 
@@ -550,7 +556,7 @@ def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bo
     if df0 is not None:
         return df0.wedge(form).is_zero()
     if degree_bound is None:
-        degree_bound = max(c.total_degree() for c in form.parts.values()) + 2
+        degree_bound = relation_bound(form.parts.values())
     gens = relation_form_generators(form.ring, form.form_degrees())
     if not gens:
         return False

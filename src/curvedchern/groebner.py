@@ -1,4 +1,4 @@
-"""Buchberger's algorithm, ideal normal forms, and Milnor numbers.
+"""Buchberger's algorithm, ideal normal forms, and standard monomials.
 
 Everything here runs over relation-free rings (the quotient-ring cases the
 engine needs are handled upstream by the single-relation normal form).  The
@@ -329,13 +329,3 @@ def jacobian_ideal(f: RingElement) -> list[RingElement]:
     if not partials:
         raise ZeroJacobianIdeal(f"all partial derivatives of {f} vanish")
     return partials
-
-
-def milnor_number(f: RingElement) -> int | Infinite | Capped:
-    """dim_k A/(df/dx_1, ..., df/dx_n): Infinite for non-isolated f, Capped
-    when finite but above STANDARD_MONOMIAL_CAP."""
-    G = buchberger(jacobian_ideal(f))
-    if G.contains_unit():
-        return 0
-    sm = standard_monomials(G)
-    return sm if isinstance(sm, (Infinite, Capped)) else len(sm)

@@ -3,7 +3,7 @@
 This is the second, independent route to the Chern character.  Chains
 live over a finite category whose objects are idempotent-presented
 modules with trivial differential (curvature enters through the b0 map,
-twists through pushforward along (rho, beta) morphisms).  The boundary
+twists through pushforward along (id, beta) morphisms).  The boundary
 maps b2/b0 and Connes' B carry the usual Koszul signs, every slot of
 a chain being homogeneous with a recorded parity; inhomogeneous input is
 split into homogeneous summands at construction.
@@ -45,6 +45,9 @@ class CategoryData:
     def __init__(self, algebra: CurvedAlgebra, objects):
         self.algebra = algebra
         self.objects = list(objects)
+        # (target, source, slot content) -> the slot's parity components,
+        # so each distinct slot is checked and split once per category
+        self._split: dict = {}
         if not self.objects:
             raise InvalidInput("a chain category needs at least one object")
         for M in self.objects:
@@ -212,16 +215,11 @@ def chain(category, head, tail=(), *, objects=None, coeff: Scalar = ONE, u_exp: 
     The object cycle defaults to the single object 0.  Slots are checked
     for composability and e-support, then split into parity-homogeneous
     components (a chain is multilinear in each slot, so an inhomogeneous
-    input becomes the sum over component choices).
+    input becomes the sum over component choices).  Each distinct slot is
+    checked and split once per category, however many chains carry it.
     """
-    return _chain(category, [head, *tail], objects, coeff, u_exp, {})
-
-
-def _chain(category, raw_slots, objects, coeff, u_exp, split: dict) -> ChainSum:
-    """chain() on the slot list [head, *tail].  `split` maps (target,
-    source, slot content) to the slot's parity components; a caller that
-    builds many chains from the same slots passes one dict to all of them,
-    so each distinct slot is checked and split once."""
+    raw_slots = [head, *tail]
+    split = category._split
     n = len(raw_slots) - 1
     if objects is None:
         objects = (0,) * (n + 1)
@@ -390,17 +388,14 @@ def hkr(c: ChainSum) -> DiffForm:
     return acc
 
 
-def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
-    """Apply a (rho, beta) morphism, inserting beta powers in all gaps.
+def pushforward(beta, c: ChainSum, n_max: int) -> ChainSum:
+    """Apply an (id, beta) morphism, inserting beta powers in all gaps.
 
-    rho is None (identity) or a callable transforming each slot matrix;
     beta is an odd endomorphism per object (a single matrix is accepted
     for one-object categories; None means zero).  Each choice of
     insertion counts (i_0, ..., i_n) contributes with sign
     (-1)^{i_0+...+i_n}; output tensor length is capped at n_max, which
-    is harmless under tr_nabla once n_max >= dim A.  Each distinct slot is
-    checked for e-support and split into parity components once per call,
-    however many emitted chains carry it.
+    is harmless under tr_nabla once n_max >= dim A.
     """
     cat = c.category
     if beta is None:
@@ -413,14 +408,11 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
         betas = list(beta)
         if len(betas) != len(cat.objects):
             raise InvalidInput("one beta per category object required")
-    apply_rho = (lambda X: X) if rho is None else rho
-    split: dict = {}
     # every emitted term, in order; one ChainSum merges them at the end,
     # exactly as adding them in one at a time would
     out: list = []
     for coeff, ch in c.terms():
         n = ch.n
-        mapped = [apply_rho(s) for s in ch.slots]
         budget = n_max - n
         if budget < 0:
             continue
@@ -430,19 +422,19 @@ def pushforward(rho, beta, c: ChainSum, n_max: int) -> ChainSum:
             objs: list = []
             for k in range(n + 1):
                 if k > 0:
-                    slots.append(mapped[k])
+                    slots.append(ch.slots[k])
                     objs.append(ch.objects[k])
                 gap_obj = ch.objects[(k + 1) % (n + 1)]
                 for _ in range(counts[k]):
                     slots.append(betas[gap_obj])
                     objs.append(gap_obj)
-            out += _chain(
+            out += chain(
                 cat,
-                [mapped[0], *slots],
-                (ch.objects[0], *objs),
-                coeff * _sgn(total),
-                ch.u_exp,
-                split,
+                ch.slots[0],
+                slots,
+                objects=(ch.objects[0], *objs),
+                coeff=coeff * _sgn(total),
+                u_exp=ch.u_exp,
             ).terms()
     return ChainSum(cat, out)
 
@@ -607,5 +599,5 @@ def chern_via_chains(M: CurvedModule, C: Connection,
     )
     cat = CategoryData(M.algebra, [stripped])
     gamma = chain(cat, M.e)
-    pushed = pushforward(None, M.delta, gamma, ring.nvars)
+    pushed = pushforward(M.delta, gamma, ring.nvars)
     return tr_nabla(pushed, [C], words)

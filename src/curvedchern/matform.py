@@ -662,9 +662,8 @@ class WordEvaluator:
     supertrace_of_square(P_c(h)) for v = h·h with σ(h) even, otherwise
     supertrace_of_product(P_c(v[:cut]), P_c'(v[cut:])) with c' = c +
     σ(v[:cut]), the row class the first factor's columns land in.  The
-    cut is ceil(len(v)/2), unless another cut finds both factors already
-    built.  Signs and weights of words beyond their own supertrace are the
-    caller's business.
+    cut is ceil(len(v)/2).  Signs and weights of words beyond their own
+    supertrace are the caller's business.
     """
 
     def __init__(self):
@@ -729,7 +728,7 @@ class WordEvaluator:
             elif word[:half] == word[half:] and self._shift(word[:half], c) == c:
                 got = supertrace_of_square(self._product(word[:half], c))
             else:
-                cut = self._cut(word, c)
+                cut = (len(word) + 1) // 2
                 got = supertrace_of_product(
                     self._product(word[:cut], c),
                     self._product(word[cut:], self._shift(word[:cut], c)),
@@ -747,19 +746,6 @@ class WordEvaluator:
                 got = self._product(word[:-1], c) @ self._letters[word[-1]]
             self._products[(word, c)] = got
         return got
-
-    def _cut(self, word: tuple[int, ...], c: int) -> int:
-        """ceil(len(word)/2), unless another cut finds both halves
-        already built."""
-
-        def built(v, k):
-            return len(v) == 1 or (v, k) in self._products
-
-        mid = (len(word) + 1) // 2
-        for cut in (mid, *range(1, len(word))):
-            if built(word[:cut], c) and built(word[cut:], self._shift(word[:cut], c)):
-                return cut
-        return mid
 
 
 def _row_d(v: USeries, degree: int) -> USeries:

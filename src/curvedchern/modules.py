@@ -22,6 +22,7 @@ from .forms import (
     USeries,
     de_rham_d,
     hn_differential,
+    relation_bound,
     vanishes_mod_relation,
 )
 from .matform import Mat, WordEvaluator, content_key
@@ -301,11 +302,6 @@ class IdentityVerdict:
         return self.ok
 
 
-def _relation_bound(p: USeries) -> int:
-    """The default membership degree bound of a nonzero residue p."""
-    return max(c.total_degree() for c in p.terms.values()) + 2
-
-
 def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if p.is_zero():
         return IdentityVerdict(True, "exact")
@@ -313,7 +309,7 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
     if bound is None:
-        bound = _relation_bound(p)
+        bound = relation_bound(p.terms.values())
     for J in p.u_powers():
         if not vanishes_mod_relation(p.coefficient(J), bound):
             return IdentityVerdict(
@@ -329,7 +325,7 @@ def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     largest = None
     for row in X.rows:
         for _, v in sorted(row.items()):
-            used = _relation_bound(v) if bound is None else bound
+            used = relation_bound(v.terms.values()) if bound is None else bound
             verdict = _useries_vanishes(v, used)
             if not verdict:
                 return verdict
@@ -378,33 +374,3 @@ def commutator_check(M: CurvedModule, C: Connection, bound: int | None = None) -
     """[u·nabla + delta, R] = dh·e (as sandwiched matrices): the residue
     of commutator_residue vanishes, exactly or modulo the relation."""
     return _mat_vanishes(commutator_residue(M, C), bound)
-
-
-def chern_classes(M: CurvedModule, C: Connection) -> list[DiffForm]:
-    """Chern classes of a module with delta = 0 from Newton's identities on
-    the power sums p_j = str(K^j)."""
-    if not M.delta.is_zero():
-        raise InvalidInput("chern_classes applies to modules with delta = 0")
-    ring = M.ring
-    K = curvature_mat(C)
-    top = ring.nvars // 2
-    powers: list[DiffForm] = []
-    power = None
-    for j in range(1, top + 1):
-        power = K if power is None else power @ K
-        if power.is_zero():
-            powers.append(DiffForm.zero(ring))
-            power = None  # stays zero; keep list aligned
-            powers.extend(DiffForm.zero(ring) for _ in range(j + 1, top + 1))
-            break
-        powers.append(power.supertrace().coefficient(0))
-    classes = [DiffForm.from_ring(ring.one())]
-    for k in range(1, len(powers) + 1):
-        acc = DiffForm.zero(ring)
-        for j in range(1, k + 1):
-            term = classes[k - j].wedge(powers[j - 1])
-            if j % 2 == 0:
-                term = -term
-            acc = acc + term
-        classes.append(acc.scale(Scalar(Fraction(1, k))))
-    return classes

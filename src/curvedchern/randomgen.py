@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .errors import InternalCheckFailure
 from .forms import DiffForm, USeries, _nf_monomials_up_to
-from .hochschild import CategoryData, ChainSum, chain
+from .hochschild import CategoryData, chain
 from .matform import Mat
 from .modules import (
-    Connection,
     CurvedAlgebra,
     CurvedModule,
     connection_with_mu,
@@ -213,18 +212,6 @@ def random_module_instance(seed: int):
     else:
         C = levi_civita(M)
     return M, C
-
-
-def xy_mu_perturbations(seed: int, count: int = 3):
-    """Seeded nonzero perturbations for the xy factorization's module."""
-    rng = random.Random(f"xy-mu:{seed}")
-    ring = GradedRing(("x", "y"), (0, 0), grading="Z2")
-    out = []
-    while len(out) < count:
-        mu = random_mu(rng, ring, (0, 1))
-        if not mu.is_zero():
-            out.append(mu)
-    return out
 
 
 # -- chains ------------------------------------------------------------

@@ -140,9 +140,6 @@ class GradedRing:
         m[self._index[name]] = 1
         return RingElement(self, {tuple(m): ONE})
 
-    def gens(self) -> list["RingElement"]:
-        return [self.var(v) for v in self.variables]
-
     def from_string(self, text: str) -> "RingElement":
         return _parse_polynomial(self, text)
 
@@ -151,35 +148,17 @@ class GradedRing:
     def _normal_form(self, terms: dict) -> dict:
         """Remainder of division by the (monic) relation.
 
-        Division is linear in the dividend, so the remainder of each
-        monomial is computed once and cached on the ring; the remainder
-        of a polynomial is then the scalar combination of per-monomial
-        remainders.
+        Input with no monomial the relation's lead divides is already
+        reduced; any other input is reduced by sum_of_products, as a
+        product by one.
         """
-        if self.relation is None:
-            return {m: c for m, c in terms.items() if not c.is_zero()}
-        lm = self._rel_lm
-        out: dict = {}
-        for m, c in terms.items():
-            if c.is_zero():
-                continue
-            if not _divides(lm, m):
-                nc = out.get(m)
-                nc = c if nc is None else nc + c
-                if nc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-                continue
-            for rm, rc in self._monomial_nf(m).items():
-                v = c * rc
-                nc = out.get(rm)
-                nc = v if nc is None else nc + v
-                if nc.is_zero():
-                    out.pop(rm, None)
-                else:
-                    out[rm] = nc
-        return out
+        out = {m: c for m, c in terms.items() if not c.is_zero()}
+        if self.relation is None or not any(_divides(self._rel_lm, m) for m in out):
+            return out
+        p = RingElement(self, out, _normalize=False)
+        one = RingElement(self, {(0,) * self.nvars: ONE}, _normalize=False)
+        got = sum_of_products(self, ((None, 1, p, one),))
+        return got[None].terms if got else {}
 
     def _monomial_nf(self, m: Monomial) -> dict:
         """Cached remainder of a single monomial divisible by the lead."""
@@ -487,19 +466,16 @@ class RingElement:
     def scalar_part(self) -> Scalar:
         return self.terms.get((0,) * self.ring.nvars, Scalar(0))
 
-    def gamma_degree(self, strict: bool = True) -> int | None:
+    def gamma_degree(self) -> int:
         """Common Gamma-degree of all monomials, or raise Inhomogeneous.
 
         Zero is homogeneous of every degree; by convention returns 0.
-        With strict=False returns None instead of raising.
         """
         degs = {self.ring.monomial_gamma(m) for m in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
-            if strict:
-                raise Inhomogeneous(f"inhomogeneous element {self}: degrees {sorted(degs)}")
-            return None
+            raise Inhomogeneous(f"inhomogeneous element {self}: degrees {sorted(degs)}")
         return degs.pop()
 
     def has_gamma_degree(self, d: int) -> bool:

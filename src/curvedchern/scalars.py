@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidInput
-
 _FracLike = int | Fraction
 
 
@@ -66,25 +64,6 @@ class Scalar:
         _set_bn(out, bn)
         _set_d(out, d)
         return out
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_string(text: str) -> "Scalar":
-        """Parse 'p/q' or an integer literal; the literal 'i' parses to i.
-
-        Only single-term literals are handled here; full expressions go
-        through the polynomial parser.
-        """
-        s = text.strip()
-        if s == "i":
-            return Scalar(0, 1)
-        if s == "-i":
-            return Scalar(0, -1)
-        try:
-            return Scalar(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"cannot parse scalar literal {text!r}") from exc
 
     # -- components ----------------------------------------------------
 
@@ -182,6 +161,5 @@ def _imag_str(b: Fraction) -> str:
     return f"{b}*i"
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)

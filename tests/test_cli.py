@@ -167,6 +167,14 @@ def test_verify_random_needs_a_positive_count(count):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_refuses_a_seed_without_random():
+    # a file run draws nothing at random, so the seed was silently ignored
+    proc = _run("verify", "mf_xy.json", "--seed", "7", cwd=CORPUS)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == "invalid input: --seed needs --random N\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("path", ["missing.json", "mf_xy.json"])
 def test_verify_refuses_a_file_together_with_random(path):
     # the file was once ignored, even a missing one, and the run passed

@@ -28,7 +28,6 @@ from curvedchern.hochschild import (
 from curvedchern import matform
 from curvedchern.matform import Mat, WordEvaluator, content_key
 from curvedchern.modules import (
-    Connection,
     CurvedAlgebra,
     CurvedModule,
     chern_weil,
@@ -306,7 +305,7 @@ def test_hkr_intertwines_boundaries(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_pushforward_identity_morphism_is_identity(seed):
     _, _, c = random_chain_setup(seed)
-    assert pushforward(None, None, c, 10) == c
+    assert pushforward(None, c, 10) == c
 
 
 def test_pushforward_beta_expansion_pin():
@@ -316,22 +315,12 @@ def test_pushforward_beta_expansion_pin():
     M = CurvedModule(alg, (0, 1), Mat.zero(R, (0, 1), (0, 1)))
     cat = CategoryData(alg, [M])
     delta = Mat.from_stored(R, (0, 1), [["0", "x"], ["y", "0"]])
-    got = pushforward(None, delta, chain(cat, M.e), 3)
+    got = pushforward(delta, chain(cat, M.e), 3)
     expected = ChainSum.zero(cat)
     for j in range(4):
         expected = expected + chain(cat, M.e, [delta] * j).scale(Scalar((-1) ** j))
     assert got == expected
     assert max(ch.n for _, ch in got.terms()) == 3
-
-
-def test_pushforward_rho_transforms_slots():
-    # rho acting alone (beta = None) maps slot-wise; scaling both slots
-    # by 2 is the same chain scaled by 4 once scalars are folded in
-    R, cat, _ = _endo_cat((0, 1))
-    S, T = _odd_pair(R)
-    c = chain(cat, S, [T])
-    got = pushforward(lambda X: X.scale(Scalar(2)), None, c, 5)
-    assert expand_multilinear(got) == expand_multilinear(c.scale(Scalar(4)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -344,9 +333,9 @@ def test_pushforward_composition_law(seed):
     sums = [a + b for a, b in zip(b1s, b2s)]
     n_max = cat.ring.nvars + 1
     comp = truncate_length(
-        pushforward(None, b2s, pushforward(None, b1s, c, n_max), n_max), n_max
+        pushforward(b2s, pushforward(b1s, c, n_max), n_max), n_max
     )
-    single = pushforward(None, sums, c, n_max)
+    single = pushforward(sums, c, n_max)
     assert expand_multilinear(comp) == expand_multilinear(single)
 
 
@@ -356,9 +345,9 @@ def test_pushforward_commutes_with_connes_B(seed):
     betas = _odd_betas(cat, seed)
     n_max = cat.ring.nvars + 1
     lhs = truncate_length(
-        reduce_chain(pushforward(None, betas, connes_B(c), n_max)), n_max - 1
+        reduce_chain(pushforward(betas, connes_B(c), n_max)), n_max - 1
     )
-    rhs = truncate_length(connes_B(pushforward(None, betas, c, n_max)), n_max - 1)
+    rhs = truncate_length(connes_B(pushforward(betas, c, n_max)), n_max - 1)
     assert expand_multilinear(lhs) == expand_multilinear(rhs)
 
 
@@ -373,8 +362,8 @@ def test_pushforward_collects_terms_as_the_running_sum_did(seed):
     betas = _odd_betas(cat, seed)
     n_max = cat.ring.nvars + 1
     for beta in (None, betas):
-        got = pushforward(None, beta, c, n_max)
-        assert _ordered(got) == _ordered(reference_pushforward(None, beta, c, n_max))
+        got = pushforward(beta, c, n_max)
+        assert _ordered(got) == _ordered(reference_pushforward(beta, c, n_max))
 
 
 def _corpus_instance(stem):
@@ -394,13 +383,28 @@ def test_pushforward_of_the_s4_class_is_the_running_sum():
     M, _ = _corpus_instance("s4_nonflat")
     gamma = _stripped_class(M)
     n_max = M.ring.nvars  # as chern_via_chains pushes it
-    got = pushforward(None, M.delta, gamma, n_max)
+    got = pushforward(M.delta, gamma, n_max)
     assert len(got.terms()) > 1
-    assert _ordered(got) == _ordered(reference_pushforward(None, M.delta, gamma, n_max))
+    assert _ordered(got) == _ordered(reference_pushforward(M.delta, gamma, n_max))
     # homogeneous slots are not rebuilt by the parity split
     for _, ch in got.terms():
         assert ch.slots[0] is M.e
         assert all(slot is M.delta for slot in ch.slots[1:])
+
+
+def test_chain_route_splits_e_and_delta_once_each(monkeypatch):
+    # chain(cat, e) and the pushforward that follows share the category's
+    # split memo, so e is not split a second time
+    cases = [random_module_instance(seed) for seed in range(50)]
+    cases += [_corpus_instance(stem) for stem in ("mf_xy", "s4_nonflat")]
+    split = []
+    real = Mat.parity_components
+    monkeypatch.setattr(Mat, "parity_components", lambda X: split.append(X) or real(X))
+    for M, C in cases:
+        split.clear()
+        chern_via_chains(M, C)
+        assert len(split) == 2
+        assert split[0] is M.e and split[1] is M.delta
 
 
 @pytest.mark.parametrize("source", ["mf_xy", "s4_nonflat", "random"])
@@ -414,8 +418,8 @@ def test_pushing_past_dim_A_changes_no_trace(source):
     for M, C in cases:
         gamma = _stripped_class(M)
         n = M.ring.nvars
-        short = pushforward(None, M.delta, gamma, n)
-        long = pushforward(None, M.delta, gamma, n + 1)
+        short = pushforward(M.delta, gamma, n)
+        long = pushforward(M.delta, gamma, n + 1)
         longer += len(long.terms()) > len(short.terms())
         words = WordEvaluator()
         assert tr_nabla(long, [C], words) == tr_nabla(short, [C], words)
@@ -516,7 +520,7 @@ def test_chern_via_chains_differentiates_each_distinct_slot_once(make, monkeypat
     stripped = CurvedModule(M.algebra, M.degrees, Mat.zero(M.ring, M.degrees, M.degrees), e=M.e)
     cat = CategoryData(M.algebra, [stripped])
     # tr_nabla skips chains longer than the number of variables
-    pushed = pushforward(None, M.delta, chain(cat, M.e), M.ring.nvars)
+    pushed = pushforward(M.delta, chain(cat, M.e), M.ring.nvars)
     distinct = {
         (ch.objects[i], ch.degrees[i], content_key(ch.slots[i]))
         for _, ch in pushed.terms()

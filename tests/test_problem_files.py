@@ -102,6 +102,13 @@ def test_the_unedited_base_file_passes():
     assert _compute(json.dumps(BASE)) == (0, "")
 
 
+def test_an_options_seed_is_an_unknown_key():
+    # no code reads a seed from the options block
+    doc = json.loads(json.dumps(BASE))
+    doc["options"]["seed"] = "x"
+    assert _compute(json.dumps(doc)) == (2, "invalid input: options block: unknown key 'seed'\n")
+
+
 @settings(deadline=timedelta(seconds=3), max_examples=200)
 @given(_malformed())
 def test_malformed_problem_files_keep_the_exit_code_contract(text):

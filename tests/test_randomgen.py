@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 
 from curvedchern.cli import instance_to_spec
-from curvedchern.modules import check_module, chern_weil, connection_with_mu
+from curvedchern.modules import check_module, chern_weil
 from curvedchern.randomgen import (
     random_chain_setup,
     random_module_instance,
     random_ring_chain,
-    xy_mu_perturbations,
 )
 
 
@@ -44,16 +43,6 @@ def test_module_instances_cover_the_knobs():
     assert 4 in ranks and 2 in ranks
     assert gradings == {"Z", "Z2"}
     assert True in thetas and False in thetas
-
-
-def test_xy_mu_perturbations_contract():
-    mus = xy_mu_perturbations(7)
-    assert len(mus) == 3
-    again = xy_mu_perturbations(7)
-    for mu, mu2 in zip(mus, again):
-        assert not mu.is_zero()
-        assert (mu - mu2).is_zero()
-        assert mu.has_operator_degree(-1)
 
 
 def test_chain_setup_deterministic_and_composable():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvedchern import rings
 from curvedchern.errors import Inhomogeneous, InvalidInput
-from curvedchern.rings import GradedRing
+from curvedchern.rings import GradedRing, RingElement, _divides
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, sphere_ring
+from util import qi_ring, reference_reduce, sphere_ring
 
 
 def _random_poly(ring, seed_terms):
@@ -55,7 +56,6 @@ def test_odd_ring_degree_rejected():
 def test_gamma_degree_weighted():
     R = GradedRing(["x", "T"], [0, 2], grading="Z")
     assert R.from_string("x^5*T^3").gamma_degree() == 6
-    assert R.from_string("x^2+T").gamma_degree(strict=False) is None
     with pytest.raises(Inhomogeneous):
         R.from_string("x^2+T").gamma_degree()
 
@@ -109,6 +109,36 @@ def test_mul_commutes_with_relation_nf(ta, tb):
     a, b = _random_poly(F, ta), _random_poly(F, tb)
     image = lambda p: R.element(dict(p.terms))  # noqa: E731
     assert image(a * b) == image(a) * image(b)
+
+
+_NF_RINGS = (sphere_ring(3), qi_ring("x", "y", relation="x^2+y^2-1"))
+_FREE_RINGS = (qi_ring("x1", "x2", "x3"), qi_ring("x", "y"))
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_nf_coeffs = st.one_of(
+    st.just(Scalar(0)), st.builds(Scalar, _fractions), st.builds(Scalar, _fractions, _fractions)
+)
+
+
+@given(st.integers(0, 1), st.data())
+def test_relation_nf_matches_division_and_forms_nothing_when_reduced(which, data):
+    # exponents up to 6 make a reduction produce monomials that reduce again
+    R, F = _NF_RINGS[which], _FREE_RINGS[which]
+    monos = st.tuples(*[st.integers(0, 6)] * R.nvars)
+    terms = data.draw(st.dictionaries(monos, _nf_coeffs, max_size=6))
+    nonzero = {m: c for m, c in terms.items() if not c.is_zero()}
+    expected = reference_reduce(RingElement(R, nonzero, _normalize=False), [R.relation])
+    calls = []
+    real = rings.sum_of_products
+    rings.sum_of_products = lambda *args: calls.append(1) or real(*args)
+    try:
+        got = R.element(terms)
+        free = F.element(terms)
+    finally:
+        rings.sum_of_products = real
+    assert got == expected
+    assert free.terms == nonzero
+    lead = R.relation.leading_term()[0]
+    assert len(calls) == any(_divides(lead, m) for m in nonzero)
 
 
 @given(term_lists, term_lists, term_lists)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvedchern.errors import InvalidInput
 from curvedchern.scalars import I, ONE, Scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -26,14 +25,6 @@ def test_inverse_of_one_plus_i():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Scalar(0).inv()
-
-
-def test_parse_literals():
-    assert Scalar.from_string("3/4") == Scalar(Fraction(3, 4))
-    assert Scalar.from_string("i") == I
-    assert Scalar.from_string("-2") == Scalar(-2)
-    with pytest.raises(InvalidInput):
-        Scalar.from_string("1+i")  # compound literals go through the parser
 
 
 def test_printing_is_canonical():

@@ -490,10 +490,10 @@ def reference_commutator_residue(M, C):
     return bracket.shift_u(1) + (delta @ R - R @ delta) - diag @ e
 
 
-def reference_pushforward(rho, beta, c, n_max: int):
+def reference_pushforward(beta, c, n_max: int):
     """hochschild.pushforward as first written: each emitted chain is added
     to the running sum, which re-canonicalizes the whole sum every time."""
-    from curvedchern.hochschild import ChainSum, _chain, _insertion_counts, _sgn
+    from curvedchern.hochschild import ChainSum, _insertion_counts, _sgn, chain
     from curvedchern.matform import Mat
 
     cat = c.category
@@ -503,12 +503,9 @@ def reference_pushforward(rho, beta, c, n_max: int):
         betas = [beta]
     else:
         betas = list(beta)
-    apply_rho = (lambda X: X) if rho is None else rho
-    split: dict = {}
     out = ChainSum.zero(cat)
     for coeff, ch in c.terms():
         n = ch.n
-        mapped = [apply_rho(s) for s in ch.slots]
         if n_max < n:
             continue
         for counts in _insertion_counts(n + 1, n_max - n, betas, ch.objects):
@@ -516,15 +513,15 @@ def reference_pushforward(rho, beta, c, n_max: int):
             objs: list = []
             for k in range(n + 1):
                 if k > 0:
-                    slots.append(mapped[k])
+                    slots.append(ch.slots[k])
                     objs.append(ch.objects[k])
                 gap_obj = ch.objects[(k + 1) % (n + 1)]
                 for _ in range(counts[k]):
                     slots.append(betas[gap_obj])
                     objs.append(gap_obj)
-            out = out + _chain(
-                cat, [mapped[0], *slots], (ch.objects[0], *objs),
-                coeff * _sgn(sum(counts)), ch.u_exp, split,
+            out = out + chain(
+                cat, ch.slots[0], slots, objects=(ch.objects[0], *objs),
+                coeff=coeff * _sgn(sum(counts)), u_exp=ch.u_exp,
             )
     return out
 
