@@ -8,28 +8,27 @@ differentials work modulo the submodule generated by df0 ∧ dx_S via
 module_membership.
 
 A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
-formal variable u, stored flat as one dict terms {(J, S): p}: J >= 0, S
-strictly increasing wedge indices, p a nonzero RingElement.  That is the
-layout rings.sum_of_products returns, so a product's result is kept as it
-comes, and every reader walks one dict.  USeries(ring, {J: DiffForm})
-checks outside input; coeffs is the same series grouped by u-power, for
-the reports.  hn_differential is the mixed differential u·d + dh∧(-).
-
-Wedge and u-series products hand all their coefficient products, keyed
-by (u-power, wedge indices) with the Koszul sign, to one
-rings.sum_of_products call, which normal-forms each coefficient once.
+formal variable u, in the packed layout of rings: groups maps (J, mask),
+mask the bitmask of S, to the rows of p, over one denominator and width
+for the series.  rings.sum_of_products reads and returns that layout, so
+no product builds a RingElement or a Scalar.  A product pairs the groups
+of its factors, the overlap test and the wedge sign taken from the two
+masks once per pair of groups; d moves one exponent of a packed monomial
+into the mask.  coeffs and coefficient unpack a series into DiffForms,
+whose arithmetic goes through USeries.  hn_differential is u·d + dh∧(-).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
 
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
 from .linalg import solve_sparse
-from .rings import GradedRing, RingElement, monomial_key, sum_of_products
+from .rings import GradedRing, RingElement, _canonical, _pack, _repack, _scaled_rows, _summed
+from .rings import _terms, monomial_key, sum_of_products
 from .scalars import Scalar
 
 Indices = tuple[int, ...]
@@ -66,7 +65,7 @@ class DiffForm:
 
     @staticmethod
     def from_ring(p: RingElement) -> "DiffForm":
-        return DiffForm(p.ring, {(): p})
+        return DiffForm(p.ring, {(): p} if p.terms else {}, _check=False)
 
     @staticmethod
     def d_var(ring: GradedRing, name: str) -> "DiffForm":
@@ -75,38 +74,22 @@ class DiffForm:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
-        out = dict(self.parts)
-        for S, c in other.parts.items():
-            got = out.get(S)
-            s = c if got is None else got + c
-            if s.is_zero():
-                out.pop(S, None)
-            else:
-                out[S] = s
-        return DiffForm(self.ring, out, _check=False)
+        return (USeries.from_form(self) + USeries.from_form(other)).coefficient(0)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
+        return (USeries.from_form(self) - USeries.from_form(other)).coefficient(0)
 
     def __neg__(self) -> "DiffForm":
         return DiffForm(self.ring, {S: -c for S, c in self.parts.items()}, _check=False)
 
     def scale_ring(self, p: RingElement) -> "DiffForm":
-        parts = {S: p * c for S, c in self.parts.items()}
-        return DiffForm(
-            self.ring, {S: c for S, c in parts.items() if not c.is_zero()}, _check=False
-        )
+        return self.wedge(DiffForm.from_ring(p))
 
     def scale(self, c: Scalar) -> "DiffForm":
-        if c.is_zero():
-            return DiffForm.zero(self.ring)
-        return DiffForm(
-            self.ring, {S: coeff.scale(c) for S, coeff in self.parts.items()}, _check=False
-        )
+        return USeries.from_form(self).scale(c).coefficient(0)
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        product = USeries.from_form(self) * USeries.from_form(other)
-        return DiffForm(self.ring, {S: p for (_, S), p in product.terms.items()}, _check=False)
+        return (USeries.from_form(self) * USeries.from_form(other)).coefficient(0)
 
     # -- structure -----------------------------------------------------
 
@@ -123,15 +106,6 @@ class DiffForm:
 
     def coefficient(self, S: Indices) -> RingElement:
         return self.parts.get(tuple(S), self.ring.zero())
-
-    def has_gamma_degree(self, d: int) -> bool:
-        """Check Gamma-homogeneity with |d(x_v)| = |x_v| - 1 (zero passes)."""
-        ring = self.ring
-        for S, c in self.parts.items():
-            shift = sum(ring.degrees[v] - 1 for v in S)
-            if not c.has_gamma_degree(ring.degree_reduce(d - shift)):
-                return False
-        return True
 
     def __eq__(self, other) -> bool:
         return (
@@ -172,57 +146,71 @@ class DiffForm:
         return f"<form {self}>"
 
 
+class _SignRow(dict):
+    """m2 -> the sign that sorts dx_{m1} ∧ dx_{m2} into dx_{m1 | m2}, or 0
+    when the masks share an index; filled on demand."""
+
+    def __init__(self, m1: int):
+        super().__init__()
+        self.m1 = m1
+
+    def __missing__(self, m2: int) -> int:
+        m1 = self.m1
+        inversions = sum((m1 >> (b + 1)).bit_count() for b in _indices(m2))
+        sign = self[m2] = 0 if m1 & m2 else (-1) ** inversions
+        return sign
+
+
+# the wedge signs of a mask with every other mask, memoized: every pair of
+# groups of every product asks
+_wedge_row = cache(_SignRow)
+
+
 @cache
-def _merge_indices(S1: Indices, S2: Indices) -> tuple[Indices, int] | None:
-    """Concatenate and sort wedge indices, with the Koszul sign of the sort;
-    None if a repeat kills the term.  Memoized by (S1, S2): there are at
-    most 4^nvars pairs of index tuples, and every component pair of every
-    product asks."""
-    if set(S1) & set(S2):
-        return None
-    merged = S1 + S2
-    # inversion count of the concatenation gives the Koszul sign
-    inversions = sum(
-        1 for a in range(len(merged)) for b in range(a + 1, len(merged)) if merged[a] > merged[b]
-    )
-    return tuple(sorted(merged)), (-1) ** inversions
+def _indices(mask: int) -> Indices:
+    """The wedge indices of a mask, increasing."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _exterior_d(ring: GradedRing, terms: dict, negate: bool = False) -> dict:
-    """d of a flat map {(J, S): p}, u-power by u-power, negated when
-    `negate`: d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S.
-
-    dx_v ∧ dx_S is zero for v in S and otherwise dx_T, T = S with v merged
-    in, with sign (-1)^{#{w in S : w < v}}; one `RingElement.partials` pass
-    per coefficient forms every signed derivative, and they are summed per
-    (J, T), so no ring product is formed.  The result has no zero
-    coefficient."""
-    sums: dict = {}
-    for (J, S), c in terms.items():
-        signs, merged = _d_table(S, ring.nvars, negate)
-        for dc, T in zip(c.partials(signs), merged):
-            if dc is None:
+def _exterior_d(v: "USeries", negate: bool = False) -> "USeries":
+    """d of a u-series, u-power by u-power, negated when `negate`:
+    d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S, where dx_v ∧ dx_S is zero for
+    v in S and otherwise (-1)^{#{w in S : w < v}} dx_{S + v}.  On a packed
+    row the derivative in x_v multiplies the numerators by the exponent
+    in v's field and subtracts one from the field, while v's bit enters
+    the mask; only a target group reached twice is summed row by row.  No
+    normal form is needed: the relation's lead divides no monomial of the
+    series, so it divides none of their derivatives."""
+    width = v.width
+    field = (1 << width) - 1
+    groups: dict = {}
+    shared = set()
+    for (J, mask), rows in v.groups.items():
+        below = negate
+        for var in range(v.ring.nvars):
+            if mask >> var & 1:
+                below += 1
                 continue
-            key = (J, T)
-            got = sums.get(key)
-            sums[key] = dc if got is None else got + dc
-    return {T: p for T, p in sums.items() if not p.is_zero()}
-
-
-@cache
-def _d_table(S: Indices, nvars: int, negate: bool) -> tuple[tuple, tuple]:
-    """For each variable v, the sign of dx_v ∧ dx_S in _exterior_d (0 for
-    v in S) and the indices S with v merged in.  Memoized like
-    _merge_indices: at most 2^nvars index tuples per ring size."""
-    below = [bisect_left(S, v) for v in range(nvars)]
-    signs = tuple(0 if v in S else (-1) ** (b + negate) for v, b in enumerate(below))
-    return signs, tuple(S[:b] + (v,) + S[b:] for v, b in enumerate(below))
+            shift, sign = var * width, -1 if below % 2 else 1
+            out = []
+            for k, a, b in rows:
+                if e := sign * (k >> shift & field):
+                    out.append((k - (1 << shift), e * a, e * b))
+            if out:
+                g = (J, mask | 1 << var)
+                if g in groups:
+                    groups[g] += out
+                    shared.add(g)
+                else:
+                    groups[g] = out
+    for g in shared:
+        groups[g] = _summed(groups[g])
+    return USeries._reduced(v.ring, v.den, width, {g: rows for g, rows in groups.items() if rows})
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:
     """Exterior derivative of a form (see _exterior_d)."""
-    sums = _exterior_d(omega.ring, {(0, S): c for S, c in omega.parts.items()})
-    return DiffForm(omega.ring, {S: p for (_, S), p in sums.items()}, _check=False)
+    return _exterior_d(USeries.from_form(omega)).coefficient(0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,78 +221,92 @@ def de_rham_d(omega: DiffForm) -> DiffForm:
 class USeries:
     """A finitely supported sum of terms u^J·p·dx_S with u even.
 
-    terms maps (J, S) to p: J >= 0, S strictly increasing wedge indices in
-    range, p a nonzero RingElement.  USeries(ring, {J: DiffForm}) checks
-    outside input; results of operations are built by USeries._make,
-    unchecked.  A USeries is never changed once made.
+    groups maps (J, mask), J >= 0 and mask the bitmask of S, to the rows
+    of p: p is the sum of (re + im·i)/den times the packed monomials of
+    its rows (packed monomial, re, im), all groups over one den at one
+    width.  No group is empty and the rows are canonical (see rings), so
+    equal series have equal dens, widths and groups, rows compared as
+    sets.  USeries(ring, {J: DiffForm}) checks and packs outside input;
+    results of operations are built by USeries._make, unchecked.  A
+    USeries, its groups and their rows are never changed once made.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "width", "groups")
 
     def __init__(self, ring: GradedRing, coeffs: dict | None = None):
-        self.ring = ring
-        terms: dict = {}
-        for J, form in (coeffs or {}).items():
-            if J < 0:
-                raise InvalidInput("negative u-powers do not occur")
-            for S, p in form.parts.items():
-                terms[(int(J), S)] = p
-        self.terms = terms
+        parts = (USeries.from_form(form, int(J)) for J, form in (coeffs or {}).items())
+        total = sum(parts, USeries.zero(ring))
+        self.ring, self.den, self.width, self.groups = ring, total.den, total.width, total.groups
 
     @staticmethod
-    def _make(ring: GradedRing, terms: dict) -> "USeries":
-        """An internal result: a flat map that keeps the invariants of
-        terms by construction."""
+    def _make(ring: GradedRing, den: int, width: int, groups: dict) -> "USeries":
+        """An internal result, canonical by construction."""
         v = object.__new__(USeries)
         v.ring = ring
-        v.terms = terms
+        v.den = den
+        v.width = width
+        v.groups = groups
         return v
 
     @staticmethod
+    def _reduced(ring: GradedRing, den: int, width: int, groups: dict) -> "USeries":
+        """An internal result, nonempty groups without zero rows, made canonical."""
+        if den == 1 and width == ring.base_width:
+            return USeries._make(ring, 1, width, groups)
+        return USeries._make(ring, *_canonical(ring, den, width, groups))
+
+    @staticmethod
     def zero(ring: GradedRing) -> "USeries":
-        return USeries._make(ring, {})
+        return USeries._make(ring, 1, ring.base_width, {})
 
     @staticmethod
     def from_form(form: DiffForm, power: int = 0) -> "USeries":
-        return USeries(form.ring, {power: form})
+        if power < 0:
+            raise InvalidInput("negative u-powers do not occur")
+        items = {(power, sum(1 << v for v in S)): p.terms for S, p in form.parts.items()}
+        return USeries._make(form.ring, *_pack(form.ring, items))
 
     @staticmethod
     def from_ring(p: RingElement, power: int = 0) -> "USeries":
-        return USeries(p.ring, {power: DiffForm.from_ring(p)})
+        return USeries.from_form(DiffForm.from_ring(p), power)
 
     @property
     def coeffs(self) -> dict[int, DiffForm]:
         """The series grouped by u-power, {J: DiffForm}: a new dict on each
         read, so writing to it leaves the series unchanged."""
-        parts: dict[int, dict] = {}
-        for (J, S), p in self.terms.items():
-            parts.setdefault(J, {})[S] = p
-        return {J: DiffForm(self.ring, f, _check=False) for J, f in parts.items()}
+        return {J: self.coefficient(J) for J in self.u_powers()}
 
     def __add__(self, other: "USeries") -> "USeries":
-        return self._merge(other, False)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return self._merge(other, True)
+        return self._merge(other, -1)
 
-    def _merge(self, other: "USeries", negate: bool) -> "USeries":
-        """self + other, or self - other when `negate`: only the terms of
-        other whose key self lacks are negated on their own."""
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            p = out.get(key)
-            if p is None:
-                out[key] = -q if negate else q
-                continue
-            s = p - q if negate else p + q
-            if s.is_zero():
-                del out[key]
+    def _merge(self, other: "USeries", sign: int, shift: int = 0) -> "USeries":
+        """self + sign·u^shift·other, sign ±1, over the least common
+        denominator; only the groups the two share are summed row by row."""
+        if not other.groups:
+            return self
+        if not self.groups and sign == 1 and shift == 0:
+            return other
+        a, b = (self, other) if self.width == other.width else _aligned(self, other)
+        den = a.den if a.den == b.den else lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        out = {g: _scaled_rows(rows, fa) for g, rows in a.groups.items()} if fa != 1 else dict(a.groups)
+        for (J, mask), rows in b.groups.items():
+            g = (J + shift, mask)
+            rows = _scaled_rows(rows, fb) if fb != 1 else rows
+            mine = out.get(g)
+            if mine is None:
+                out[g] = rows
+            elif summed := _summed(mine + rows):
+                out[g] = summed
             else:
-                out[key] = s
-        return USeries._make(self.ring, out)
+                del out[g]
+        return USeries._reduced(self.ring, den, a.width, out)
 
     def __neg__(self) -> "USeries":
-        return USeries._make(self.ring, {k: -p for k, p in self.terms.items()})
+        return self.scale(Scalar(-1))
 
     def __mul__(self, other: "USeries") -> "USeries":
         return USeries.sum_of_products(self.ring, ((1, 0, self, other),))
@@ -312,71 +314,58 @@ class USeries:
     @staticmethod
     def sum_of_products(ring: GradedRing, pairs, plus=()) -> "USeries":
         """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs,
-        in one rings.sum_of_products call (none when pairs is empty), plus
-        sign·u^shift·v over the (sign, shift, v) in plus, added term by term
+        in one rings.sum_of_products call (see _pair_groups), plus
+        sign·u^shift·v over the (sign, shift, v) in plus, added row by row
         without forming a product.  Signs are ±1, shifts nonnegative ints."""
         terms: list = []
         for sign, shift, a, b in pairs:
-            right = b.terms.items()
-            for (J1, S1), p in a.terms.items():
+            if a.width != b.width:
+                a, b = _aligned(a, b)
+            d = a.den * b.den
+            right = b.groups.items()
+            for (J1, m1), P in a.groups.items():
                 J1 += shift
-                for (J2, S2), q in right:
-                    merged = _merge_indices(S1, S2)
-                    if merged is not None:
-                        terms.append(((J1 + J2, merged[0]), sign * merged[1], p, q))
-        out = sum_of_products(ring, terms) if terms else {}
+                wedge = _wedge_row(m1)
+                for (J2, m2), Q in right:
+                    if s := wedge[m2]:
+                        terms.append(((J1 + J2, m1 | m2), sign * s, d, a.width, P, Q))
+        out = USeries._make(ring, *sum_of_products(ring, terms)) if terms else USeries.zero(ring)
         for sign, shift, v in plus:
-            for (J, S), p in v.terms.items():
-                key = (J + shift, S)
-                q = p if sign == 1 else -p
-                got = out.get(key)
-                if got is None:
-                    out[key] = q
-                    continue
-                q = got + q
-                if q.terms:
-                    out[key] = q
-                else:
-                    del out[key]
-        return USeries._make(ring, out)
-
-    @staticmethod
-    def from_terms(ring: GradedRing, terms: list) -> "USeries":
-        """The sum of rings.sum_of_products contributions keyed (u-power,
-        wedge indices), with u-powers nonnegative ints and wedge indices
-        strictly increasing: the kernel's result is the flat map."""
-        return USeries._make(ring, sum_of_products(ring, terms))
+            out = out._merge(v, sign, shift)
+        return out
 
     def scale(self, c: Scalar) -> "USeries":
         if c.is_zero():
             return USeries.zero(self.ring)
-        # a nonzero scalar keeps every coefficient nonzero
-        return USeries._make(self.ring, {k: p.scale(c) for k, p in self.terms.items()})
+        groups = {g: _scaled_rows(rows, c.an, c.bn) for g, rows in self.groups.items()}
+        return USeries._reduced(self.ring, self.den * c.d, self.width, groups)
 
     def shift_u(self, k: int) -> "USeries":
-        if k < 0 and any(J + k < 0 for J, _ in self.terms):
+        if k < 0 and any(J + k < 0 for J, _ in self.groups):
             raise InvalidInput("negative u-powers do not occur")
-        return USeries._make(
-            self.ring, {(J + k, S): p for (J, S), p in self.terms.items()}
-        )
+        groups = {(J + k, mask): rows for (J, mask), rows in self.groups.items()}
+        return USeries._make(self.ring, self.den, self.width, groups)
 
     def coefficient(self, J: int) -> DiffForm:
-        return DiffForm(
-            self.ring, {S: p for (K, S), p in self.terms.items() if K == J}, _check=False
-        )
+        ring = self.ring
+        parts = {
+            _indices(mask): RingElement(ring, _terms(ring, self.den, self.width, rows), _normalize=False)
+            for (K, mask), rows in self.groups.items() if K == J
+        }
+        return DiffForm(ring, parts, _check=False)
 
     def u_powers(self) -> tuple[int, ...]:
-        return tuple(sorted({J for J, _ in self.terms}))
+        return tuple(sorted({J for J, _ in self.groups}))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.groups
+
+    def key(self) -> tuple:
+        """Hashable, and equal for equal series over one ring."""
+        return self.den, self.width, frozenset((g, frozenset(r)) for g, r in self.groups.items())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, USeries)
-            and self.ring.same_as(other.ring)
-            and self.terms == other.terms
-        )
+        return isinstance(other, USeries) and self.ring.same_as(other.ring) and self.key() == other.key()
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -388,10 +377,39 @@ class USeries:
         return f"<useries {self}>"
 
 
+def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int) -> None:
+    """Append the rings.sum_of_products contributions of the pairs of
+    groups ((J, mask), rows) in left x right, at `width` with denominator
+    product d, as USeries.sum_of_products does, each sign multiplied by
+    signs[|S_g| % 2][|S_h| % 2]; a pair of sign 0 is left out."""
+    right = [(J2, m2, m2.bit_count() % 2, Q) for (J2, m2), Q in right]
+    for (J1, m1), P in left:
+        row = signs[m1.bit_count() % 2]
+        wedge = _wedge_row(m1)
+        for J2, m2, p2, Q in right:
+            if (m := row[p2]) and (s := wedge[m2]):
+                terms.append(((J1 + J2, m1 | m2), m * s, d, width, P, Q))
+
+
+def _pair_series(terms: list, a: USeries, b: USeries, signs: tuple) -> None:
+    """_pair_groups on every pair of groups of a x b."""
+    if a.width != b.width:
+        a, b = _aligned(a, b)
+    _pair_groups(terms, a.groups.items(), b.groups.items(), signs, a.den * b.den, a.width)
+
+
+def _aligned(a: USeries, b: USeries) -> tuple[USeries, USeries]:
+    """a and b at the wider of their widths (an operand, not canonical)."""
+    w = max(a.width, b.width)
+    return tuple(
+        USeries._make(v.ring, v.den, w, {g: _repack(v.ring, r, v.width, w) for g, r in v.groups.items()})
+        for v in (a, b)
+    )
+
+
 def hn_differential(p: USeries, h: RingElement) -> USeries:
     """(u·d + dh∧)(p): the negative-cyclic-side mixed differential."""
-    dh = USeries.from_form(de_rham_d(DiffForm.from_ring(h)))
-    return USeries._make(p.ring, _exterior_d(p.ring, p.terms)).shift_u(1) + dh * p
+    return _exterior_d(p).shift_u(1) + _exterior_d(USeries.from_ring(h)) * p
 
 
 # ---------------------------------------------------------------------------

@@ -329,9 +329,10 @@ def _identity_multiple(category, o: int, slot: Mat) -> Scalar | None:
     for t, row in enumerate(e.rows):
         for s, ent in row.items():
             # lam is fixed by one term of one stored entry of e
-            key, poly = next(iter(ent.terms.items()))
+            J, form = next(iter(ent.coeffs.items()))
+            S, poly = next(iter(form.parts.items()))
             mono, cval = next(iter(poly.terms.items()))
-            other = slot.entry(t, s).terms.get(key, slot.ring.zero())
+            other = slot.entry(t, s).coefficient(J).coefficient(S)
             lam = other.terms.get(mono, Scalar(0)) * cval.inv()
             return lam if slot == e.scale(lam) else None
     return None  # rank-zero object: only the zero slot, already dropped
@@ -365,9 +366,9 @@ def connes_B(c: ChainSum) -> ChainSum:
 
 
 def _ring_entry(v: USeries) -> RingElement:
-    if any(key != (0, ()) for key in v.terms):
+    if any(key != (0, 0) for key in v.groups):
         raise InvalidInput("chain slot carries form or u content")
-    return v.terms.get((0, ()), v.ring.zero())
+    return v.coefficient(0).coefficient(())
 
 
 def hkr(c: ChainSum) -> DiffForm:
@@ -462,13 +463,12 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
             pieces = []
             for t, row in enumerate(slot.rows):
                 for s, v in sorted(row.items()):
-                    for key, poly in sorted(v.terms.items()):
+                    terms = [(J, S, p) for J, f in v.coeffs.items() for S, p in f.parts.items()]
+                    for J, S, poly in sorted(terms, key=lambda x: x[:2]):
                         for mono, cval in sorted(poly.terms.items()):
                             entries = [[0] * len(slot.source_degrees) for _ in slot.rows]
-                            entries[t][s] = USeries._make(
-                                slot.ring,
-                                {key: RingElement(slot.ring, {mono: ONE}, _normalize=False)},
-                            )
+                            monomial = RingElement(slot.ring, {mono: ONE}, _normalize=False)
+                            entries[t][s] = USeries.from_form(DiffForm(slot.ring, {S: monomial}), J)
                             elem = Mat(slot.ring, slot.target_degrees, slot.source_degrees, entries)
                             pieces.append((cval, elem))
             per_slot.append(pieces)

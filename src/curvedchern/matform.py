@@ -17,10 +17,11 @@ graded world is concentrated in three places:
 A Mat is stored sparsely: row t is a dict {source index: USeries} holding
 the nonzero entries of that row only.  A missing entry reads as zero, and
 no stored entry is ever zero, so every operation visits stored entries
-only and two equal matrices have equal rows.  An entry is one flat map
-{(u-power, wedge indices): RingElement} (see forms.USeries), so code that
-reads the components of an entry, such as the supertraces, the parity
-split and content_key, walks one dict.  The product is formed row by
+only and two equal matrices have equal rows.  An entry is a packed
+forms.USeries, (u-power, dx mask) groups of integer rows, so the
+supertraces, the parity split and content_key work on ints and keys: a
+mask gives the sign of a wedge and the parity of a group.  The product
+is formed row by
 row (Gustavson, ACM TOMS 4(3), 1978): each stored (t, k) of the left
 factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
@@ -73,8 +74,8 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InternalCheckFailure, InvalidInput
-from .forms import DiffForm, USeries, _exterior_d, _merge_indices
-from .rings import GradedRing, RingElement
+from .forms import DiffForm, USeries, _exterior_d, _indices, _pair_groups, _pair_series
+from .rings import GradedRing, RingElement, _monomials, _scaled_rows, sum_of_products
 from .scalars import Scalar
 
 Column = list  # list[USeries], one entry per target basis vector
@@ -89,13 +90,13 @@ def _as_useries(ring: GradedRing, value) -> USeries:
         return USeries.from_ring(value)
     if isinstance(value, str):
         return USeries.from_ring(ring.from_string(value))
-    if isinstance(value, int):
-        return USeries.from_ring(ring.scalar(Scalar(value)))
+    if isinstance(value, int):  # packed directly: u^0 times the monomial 1
+        return USeries._make(ring, 1, ring.base_width, {(0, 0): [(0, int(value), 0)]} if value else {})
     raise InvalidInput(f"cannot interpret {value!r} as a matrix entry")
 
 
 def _nonzero(row: dict) -> dict:
-    return {s: v for s, v in row.items() if v.terms}
+    return {s: v for s, v in row.items() if v.groups}
 
 
 class Mat:
@@ -154,7 +155,7 @@ class Mat:
 
     @staticmethod
     def identity(ring, degrees) -> "Mat":
-        return Mat.diagonal(ring, degrees, [USeries.from_ring(ring.one())] * len(degrees))
+        return Mat.diagonal(ring, degrees, [_as_useries(ring, 1)] * len(degrees))
 
     @staticmethod
     def from_stored(ring, degrees, rows, *, target_degrees=None) -> "Mat":
@@ -177,7 +178,7 @@ class Mat:
                 raise InvalidInput("stored matrix column count does not match degrees")
             for t, value in enumerate(row):
                 v = _as_useries(ring, value)
-                if v.terms:
+                if v.groups:
                     out[t][s] = _twist(v, tgt[t])
         return Mat._make(ring, tgt, src, out)
 
@@ -266,7 +267,7 @@ class Mat:
                     row[s] = -b if negate else b
                     continue
                 v = a - b if negate else a + b
-                if v.terms:
+                if v.groups:
                     row[s] = v
                 else:
                     del row[s]
@@ -367,10 +368,11 @@ class Mat:
         for t, row in enumerate(self.rows):
             for s, v in row.items():
                 want = self.source_degrees[s] - self.target_degrees[t] + m
-                for (J, S), p in v.terms.items():
-                    shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J
-                    if not p.has_gamma_degree(ring.degree_reduce(want - shift)):
-                        return False
+                for (J, mask), rows in v.groups.items():
+                    need = want - 2 * J - sum(ring.degrees[x] - 1 for x in _indices(mask))
+                    for mono in _monomials(ring, v.width, rows):
+                        if not ring.deg_eq(ring.monomial_gamma(mono), need):
+                            return False
         return True
 
     def entry(self, t: int, s: int) -> USeries:
@@ -380,46 +382,27 @@ class Mat:
     def parity_components(self) -> dict[int, "Mat"]:
         """Split into operator-parity-homogeneous parts, keyed 0/1.
 
-        A term of Gamma-degree g (form weights |d(x_v)| = |x_v| - 1 and
-        |u| = 2 included) in entry [t][s] contributes to the part of
-        operator parity (g - |e_s| + |e_t|) mod 2.  Only parities that
-        actually occur appear in the result; a matrix of one parity p is
-        returned as {p: self}.
+        A term u^J p dx_S in entry [t][s] contributes to the part of
+        operator parity (g - |e_s| + |e_t|) mod 2, g its Gamma-degree;
+        ring degrees are even, so g ≡ |S| and whole groups are split.
+        Only parities that actually occur appear in the result; a matrix
+        of one parity p is returned as {p: self}.
         """
         ring = self.ring
-
-        def terms():
-            for t, row in enumerate(self.rows):
-                for s, v in row.items():
-                    base = self.source_degrees[s] - self.target_degrees[t]
-                    for key, coeff in v.terms.items():
-                        J, S = key
-                        shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
-                        for mono, c in coeff.terms.items():
-                            yield (ring.monomial_gamma(mono) + shift) % 2, t, s, key, mono, c
-
-        found = {p for p, *_ in terms()}
-        if len(found) == 1:
-            return {found.pop(): self}
         grids: dict[int, list[dict]] = {}
-        for p, t, s, key, mono, c in terms():
-            grid = grids.get(p)
-            if grid is None:
-                grid = grids[p] = [{} for _ in self.rows]
-            grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
-
-        def entry(terms: dict) -> USeries:
-            return USeries._make(
-                ring, {key: RingElement(ring, ms, _normalize=False) for key, ms in terms.items()}
-            )
-
+        for t, row in enumerate(self.rows):
+            for s, v in row.items():
+                base = self.target_degrees[t] + self.source_degrees[s]
+                for g, rows in v.groups.items():
+                    grid = grids.setdefault((base + g[1].bit_count()) % 2, [{} for _ in self.rows])
+                    grid[t].setdefault(s, {})[g] = rows
+        if len(grids) == 1:
+            return {p: self for p in grids}
         return {
-            p: Mat._make(
-                ring,
-                self.target_degrees,
-                self.source_degrees,
-                [{s: entry(terms) for s, terms in row.items()} for row in grid],
-            )
+            p: Mat._make(ring, self.target_degrees, self.source_degrees, [
+                {s: USeries._reduced(ring, old[s].den, old[s].width, g) for s, g in row.items()}
+                for old, row in zip(self.rows, grid)
+            ])
             for p, grid in grids.items()
         }
 
@@ -437,7 +420,7 @@ class Mat:
         zero = USeries.zero(ring)
         out = []
         for row in self.rows:
-            pairs = [(1, 0, a, col[k]) for k, a in row.items() if col[k].terms]
+            pairs = [(1, 0, a, col[k]) for k, a in row.items() if col[k].groups]
             out.append(USeries.sum_of_products(ring, pairs) if pairs else zero)
         return out
 
@@ -448,20 +431,16 @@ class Mat:
 
 def _is_unit(v: USeries | None) -> bool:
     """Whether v is the unit series u^0·1, coefficient exactly 1 + 0i."""
-    if v is None or len(v.terms) != 1:
-        return False
-    p = v.terms.get((0, ()))
-    if p is None or len(p.terms) != 1:
-        return False
-    c = p.terms.get((0,) * p.ring.nvars)
-    return c is not None and c.an == 1 and c.bn == 0 and c.d == 1
+    return v is not None and v.den == 1 and v.groups == {(0, 0): [(0, 1, 0)]}
 
 
 def _flip(v: USeries, parity: int) -> USeries:
     """Negate the form-degree-c parts of v with c ≡ parity (mod 2)."""
-    return USeries._make(
-        v.ring, {k: -c if len(k[1]) % 2 == parity else c for k, c in v.terms.items()}
-    )
+    groups = {
+        g: _scaled_rows(rows, -1) if g[1].bit_count() % 2 == parity else rows
+        for g, rows in v.groups.items()
+    }
+    return USeries._make(v.ring, v.den, v.width, groups)
 
 
 def _supertrace_weight(deg: int, entry: USeries) -> USeries:
@@ -500,21 +479,6 @@ def _mirror_weights(deg_t: int, deg_k: int) -> tuple:
     )
 
 
-def _pair_terms(terms: list, left, right, signs: tuple) -> None:
-    """Append the rings.sum_of_products contributions of every component
-    pair (a, b) in left x right, both iterables of ((J, S), p) terms, keyed
-    (J_a + J_b, S_a ∪ S_b), with the Koszul sign of the wedge times
-    signs[|S_a| % 2][|S_b| % 2]; pairs whose sign is 0 are left out."""
-    for (J1, S1), p in left:
-        row = signs[len(S1) % 2]
-        for (J2, S2), q in right:
-            m = row[len(S2) % 2]
-            if m:
-                merged = _merge_indices(S1, S2)
-                if merged is not None:
-                    terms.append(((J1 + J2, merged[0]), m * merged[1], p, q))
-
-
 def supertrace_of_product(A: Mat, B: Mat) -> USeries:
     """str(A @ B) from the diagonal dot products only.
 
@@ -536,8 +500,8 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
         for k, a in row.items():
             b = right[k].get(t)
             if b is not None:
-                _pair_terms(terms, a.terms.items(), b.terms.items(), signs)
-    return USeries.from_terms(A.ring, terms)
+                _pair_series(terms, a, b, signs)
+    return USeries._make(A.ring, *sum_of_products(A.ring, terms))
 
 
 def supertrace_of_square(P: Mat) -> USeries:
@@ -564,22 +528,22 @@ def supertrace_of_square(P: Mat) -> USeries:
         for k, a in row.items():
             if k == t:
                 same, mirror = _weights(degrees[t]), _mirror_weights(degrees[t], degrees[t])
-                comps = list(a.terms.items())
+                comps = list(a.groups.items())
+                d = a.den * a.den
                 for i, c in enumerate(comps):
-                    _pair_terms(terms, (c,), (c,), same)
-                    _pair_terms(terms, (c,), comps[i + 1:], mirror)
+                    _pair_groups(terms, (c,), (c,), same, d, a.width)
+                    _pair_groups(terms, (c,), comps[i + 1:], mirror, d, a.width)
             elif k > t and t in rows[k]:
                 signs = _mirror_weights(degrees[t], degrees[k])
-                _pair_terms(terms, a.terms.items(), rows[k][t].terms.items(), signs)
-    return USeries.from_terms(P.ring, terms)
+                _pair_series(terms, a, rows[k][t], signs)
+    return USeries._make(P.ring, *sum_of_products(P.ring, terms))
 
 
 def content_key(X: Mat) -> tuple:
-    """A hashable key equal for two matrices exactly when their degrees and
-    entries are equal.  The ring elements in it compare their rings too, so
-    matrices with equal-looking nonzero entries over different rings never
-    share a key.  Built once per matrix, which is sound because a Mat is
-    never changed once it is made."""
+    """A hashable key equal for two matrices exactly when their ring (held
+    in the key), degrees and canonical entries are equal, rows compared
+    as sets.  Built once per matrix, which is sound because a Mat is never
+    changed once it is made."""
     got = X._key
     if got is None:
         got = X._key = _content(X)
@@ -588,10 +552,11 @@ def content_key(X: Mat) -> tuple:
 
 def _content(X: Mat) -> tuple:
     return (
+        X.ring,
         X.target_degrees,
         X.source_degrees,
         tuple(
-            (t, s, tuple(sorted(v.terms.items())))
+            (t, s, v.key())
             for t, row in enumerate(X.rows)
             for s, v in sorted(row.items())
         ),
@@ -601,15 +566,15 @@ def _content(X: Mat) -> tuple:
 def _parities(X: Mat) -> tuple | None:
     """(μ, σ) of X, or None when either is undefined.  μ is the total
     parity |e_t| + |e_s| + |S| (mod 2), which must be the same for every
-    stored component u^J p dx_S of every entry [t][s]; σ is the block shift
+    stored group u^J p dx_S of every entry [t][s]; σ is the block shift
     |e_t| + |e_s| (mod 2), which must be the same for every stored entry.
     The zero matrix reports (0, 0)."""
     seen: set = set()
     for t, row in enumerate(X.rows):
         for s, v in row.items():
             shift = (X.target_degrees[t] + X.source_degrees[s]) % 2
-            for _, S in v.terms:
-                seen.add(((shift + len(S)) % 2, shift))
+            for _, mask in v.groups:
+                seen.add(((shift + mask.bit_count()) % 2, shift))
     if len(seen) > 1:
         return None
     return seen.pop() if seen else (0, 0)
@@ -750,4 +715,4 @@ class WordEvaluator:
 
 def _row_d(v: USeries, degree: int) -> USeries:
     """(-1)^degree d(v), d taken term by term with the u-power kept."""
-    return USeries._make(v.ring, _exterior_d(v.ring, v.terms, degree % 2 == 1))
+    return _exterior_d(v, degree % 2 == 1)

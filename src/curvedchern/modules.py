@@ -309,7 +309,7 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
     if bound is None:
-        bound = relation_bound(p.terms.values())
+        bound = relation_bound([c for f in p.coeffs.values() for c in f.parts.values()])
     for J in p.u_powers():
         if not vanishes_mod_relation(p.coefficient(J), bound):
             return IdentityVerdict(
@@ -325,7 +325,8 @@ def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     largest = None
     for row in X.rows:
         for _, v in sorted(row.items()):
-            used = relation_bound(v.terms.values()) if bound is None else bound
+            coefficients = [c for f in v.coeffs.values() for c in f.parts.values()]
+            used = relation_bound(coefficients) if bound is None else bound
             verdict = _useries_vanishes(v, used)
             if not verdict:
                 return verdict
@@ -365,7 +366,7 @@ def commutator_residue(M: CurvedModule, C: Connection) -> Mat:
     terms = [(sign, 1, X, Y) for sign, _, X, Y in _bracket_terms(C, C, R, 0)]
     terms += [(1, 0, M.delta, R), (-1, 0, R, M.delta)]
     dh = USeries.from_form(de_rham_d(DiffForm.from_ring(M.algebra.h)))
-    if dh.terms:
+    if not dh.is_zero():
         terms.append((-1, 0, _diagonal(M, dh, -dh), M.e))
     return Mat.sum_of_products(M.ring, M.degrees, M.degrees, terms)
 

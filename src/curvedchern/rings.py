@@ -10,27 +10,29 @@ set is a Groebner basis of its principal ideal, so the remainder is
 canonical).  The monomial order everywhere is graded lex: total degree
 first, then lexicographic with earlier variables more significant.
 
-Every product of ring elements is formed by sum_of_products, which takes
-a batch of signed products p·q, each filed under a key, and returns the
-normal form of each key's sum.  It works on integers.  A call packs each
-monomial into a single int, one field per variable, at a field width
-picked from the call's largest exponent plus one guard bit, so that
-multiplying two monomials is one integer addition that never carries from
-one field into the next.  An element's terms become integer rows (packed
-monomial, re, im) over the element's common denominator, kept on the
-element for the last width used; the call scales its products to one
-common denominator, each key accumulates plain integers, and the
-relation's normal form runs once per key, building one Scalar per
-surviving monomial.  The packed layout never leaves this module.
+Every product of ring elements is formed by sum_of_products, on packed
+rows: a polynomial is a list of rows (packed monomial, re, im), Gaussian
+integers over a denominator kept beside them, a monomial one int with a
+field of `width` bits per variable (e_v at bit v·width).  The top bit of
+each field is kept clear, so adding two packed monomials, which multiplies
+them, never carries into the next field.  Canonical rows have no zero row,
+a positive denominator sharing no factor with every numerator, and the
+ring's base width (the widest that keeps a monomial below 2^30, one
+CPython digit) unless an exponent needs the narrowest wider width that
+fits.  forms.USeries keeps its entries so; RingElement (so the parser and
+groebner) keeps exponent tuples and Scalars and meets rows via _pack and
+_terms.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from math import gcd as _gcd
 from operator import add as _add
+from operator import or_ as _or
 
 from .errors import Inhomogeneous, InvalidInput
 from .scalars import ONE, Scalar
@@ -81,7 +83,9 @@ class GradedRing:
                 )
         self.nvars = len(self.variables)
         self._index = {v: k for k, v in enumerate(self.variables)}
-        # field width -> (_PackTable, _UnpackTable) of sum_of_products
+        # the width of rows whose exponents fit it (module docstring)
+        self.base_width = max(2, 30 // max(self.nvars, 1))
+        # field width -> (_PackTable, _UnpackTable) of that width
         self._packings: dict[int, tuple] = {}
 
         self.relation: RingElement | None = None
@@ -100,7 +104,6 @@ class GradedRing:
             self.relation = RingElement(self, monic, _normalize=False)
             self._rel_lm = lm
             self._nf_cache: dict[Monomial, dict] = {}
-            self._nf_cache_ints: dict[Monomial, tuple] = {}
             # parsing the relation filled them before the relation applied
             self._packings.clear()
 
@@ -155,120 +158,72 @@ class GradedRing:
         out = {m: c for m, c in terms.items() if not c.is_zero()}
         if self.relation is None or not any(_divides(self._rel_lm, m) for m in out):
             return out
-        p = RingElement(self, out, _normalize=False)
-        one = RingElement(self, {(0,) * self.nvars: ONE}, _normalize=False)
-        got = sum_of_products(self, ((None, 1, p, one),))
-        return got[None].terms if got else {}
+        return _product(self, out, {(0,) * self.nvars: ONE})
 
     def _monomial_nf(self, m: Monomial) -> dict:
-        """Cached remainder of a single monomial divisible by the lead."""
+        """Cached remainder of a single monomial divisible by the lead:
+        m = q·lm ≡ -q·(relation - lm), each term reduced again if need be."""
         got = self._nf_cache.get(m)
-        if got is not None:
-            return got
-        lm = self._rel_lm
-        q = _mono_div(m, lm)
-        acc: dict = {}
-        for rm, rc in self.relation.terms.items():
-            if rm == lm:
-                continue
-            t = _mono_mul(q, rm)
-            if _divides(lm, t):
-                for m2, c2 in self._monomial_nf(t).items():
-                    v = -rc * c2
-                    nc = acc.get(m2)
-                    nc = v if nc is None else nc + v
-                    if nc.is_zero():
-                        acc.pop(m2, None)
-                    else:
-                        acc[m2] = nc
-            else:
-                nc = acc.get(t)
-                nc = -rc if nc is None else nc - rc
-                if nc.is_zero():
-                    acc.pop(t, None)
-                else:
-                    acc[t] = nc
-        self._nf_cache[m] = acc
-        return acc
+        if got is None:
+            lm = self._rel_lm
+            q = _mono_div(m, lm)
+            acc: dict = {}
+            for rm, rc in self.relation.terms.items():
+                if rm != lm:
+                    t = _mono_mul(q, rm)
+                    for m2, c2 in (self._monomial_nf(t) if _divides(lm, t) else {t: ONE}).items():
+                        acc[m2] = acc[m2] - rc * c2 if m2 in acc else -rc * c2
+            got = self._nf_cache[m] = {m2: c for m2, c in acc.items() if not c.is_zero()}
+        return got
 
-    def _monomial_nf_ints(self, m: Monomial) -> tuple:
-        """The remainder of a monomial as a common-denominator int table.
-
-        Returns (den, items) where items is a tuple of (monomial, re, im)
-        integer rows and the remainder is sum of (re + im*i)/den * monomial.
-        Used by _normal_form_packed.
-        """
-        got = self._nf_cache_ints.get(m)
-        if got is not None:
-            return got
-        nf = self._monomial_nf(m)
-        den = 1
-        for c in nf.values():
-            den = den * c.d // _gcd(den, c.d)
-        items = tuple(
-            (rm, c.an * (den // c.d), c.bn * (den // c.d)) for rm, c in nf.items()
-        )
-        self._nf_cache_ints[m] = (den, items)
-        return den, items
+    def _width_for(self, top: int) -> int:
+        """The canonical packing width of exponents up to top: the base
+        width, or top's bit length plus a guard bit when that is wider."""
+        return max(self.base_width, top.bit_length() + 1)
 
     def _packing(self, width: int) -> tuple:
         """The (pack, unpack) tables of one field width, filled on demand."""
         got = self._packings.get(width)
         if got is None:
-            got = (_PackTable(width, self.nvars), _UnpackTable(self, width))
-            self._packings[width] = got
+            got = self._packings[width] = (_PackTable(width, self.nvars), _UnpackTable(self, width))
         return got
 
-    def _normal_form_packed(self, acc: dict, real: bool, unpack: dict, den: int) -> dict:
-        """Normal form of a sum_of_products accumulator as a monomial ->
-        Scalar dict.
-
-        acc maps a packed monomial k to its coefficient times den: an int
-        when `real`, else a [re, im] pair; `unpack` is the _UnpackTable of
-        the packing width.  Builds one Scalar per surviving monomial.
-        """
-        if self.relation is None:
-            if real:
-                return {unpack[k][0]: Scalar._raw(a, 0, den) for k, a in acc.items() if a}
-            return {
-                unpack[k][0]: Scalar._raw(a, b, den) for k, (a, b) in acc.items() if a or b
-            }
-        if real:
-            rows = [(k, a, 0) for k, a in acc.items() if a]
-        else:
-            rows = [(k, a, b) for k, (a, b) in acc.items() if a or b]
-        direct = []
-        reduced = []
+    def _normal_forms(self, accs: dict, den: int, width: int) -> tuple:
+        """(den·scale, {key: rows}, OR of the monomials) for the
+        sum_of_products accumulators {packed monomial: [re, im]} over den:
+        each monomial the relation's lead divides replaced by its
+        remainder, scale the remainders' common denominator."""
+        unpack = self._packing(width)[1]
         scale = 1
-        for k, a, b in rows:
-            m, nf = unpack[k]
-            if nf is None:
-                direct.append((m, a, b))
-            else:
-                reduced.append((a, b, nf))
-                dm = nf[0]
-                scale = scale * dm // _gcd(scale, dm)
-        if not reduced:
-            return {m: Scalar._raw(a, b, den) for m, a, b in direct}
-        acc: dict = {}
-        get = acc.get
-        for m, a, b in direct:
-            acc[m] = [a * scale, b * scale]
-        for a, b, (dm, items) in reduced:
-            s = scale // dm
-            aa = a * s
-            bb = b * s
-            for rm, ra, rb in items:
-                v = get(rm)
-                if v is None:
-                    acc[rm] = [aa * ra - bb * rb, aa * rb + bb * ra]
-                else:
-                    v[0] += aa * ra - bb * rb
-                    v[1] += aa * rb + bb * ra
-        dd = den * scale
-        return {
-            m: Scalar._raw(v[0], v[1], dd) for m, v in acc.items() if v[0] or v[1]
-        }
+        outs = {}
+        for key, acc in accs.items():
+            out = outs[key] = {k: [a * scale, b * scale] for k, (a, b) in acc.items() if unpack[k][1] is None}
+            get = out.get
+            for k, (a, b) in acc.items():
+                if (nf := unpack[k][1]) is None:
+                    continue
+                if scale % nf[0]:  # a new denominator: rescale what is summed so far
+                    f = nf[0] // _gcd(scale, nf[0])
+                    scale *= f
+                    for v in (v for o in outs.values() for v in o.values()):
+                        v[0] *= f
+                        v[1] *= f
+                a *= scale // nf[0]
+                b *= scale // nf[0]
+                for rk, ra, rb in nf[1]:
+                    v = get(rk)
+                    if v is None:
+                        out[rk] = [a * ra - b * rb, a * rb + b * ra]
+                    else:
+                        v[0] += a * ra - b * rb
+                        v[1] += a * rb + b * ra
+        groups = {}
+        bits = 0
+        for key, out in outs.items():
+            if rows := [(k, a, b) for k, (a, b) in out.items() if a or b]:
+                groups[key] = rows
+                bits = reduce(_or, out, bits)
+        return den * scale, groups, bits
 
     # -- identity ------------------------------------------------------
 
@@ -288,13 +243,13 @@ class GradedRing:
 
 
 class _PackTable(dict):
-    """monomial -> packed int at one field width: exponent e_v sits at bit
-    v·width, so the fields of a sum of two packed monomials hold the sums
-    of exponents as long as those fit in width bits."""
+    """monomial -> packed int at one field width; `guard` has the top bit
+    of every field set, which a packed monomial must keep clear."""
 
     def __init__(self, width: int, nvars: int):
         super().__init__()
         self.shifts = range(0, width * nvars, width)
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
 
     def __missing__(self, m: Monomial) -> int:
         k = self[m] = sum(e << s for e, s in zip(m, self.shifts))
@@ -302,12 +257,14 @@ class _PackTable(dict):
 
 
 class _UnpackTable(dict):
-    """packed int -> (monomial, its _monomial_nf_ints remainder table, or
-    None when the monomial is in normal form)."""
+    """packed int -> (monomial, None when the monomial is in normal form,
+    else its remainder as (den, rows) at this width); raises OverflowError
+    with the exponent of a remainder that this width cannot hold."""
 
     def __init__(self, ring: GradedRing, width: int):
         super().__init__()
         self.ring = ring
+        self.width = width
         self.mask = (1 << width) - 1
         self.shifts = range(0, width * ring.nvars, width)
 
@@ -316,7 +273,12 @@ class _UnpackTable(dict):
         m = tuple((k >> s) & self.mask for s in self.shifts)
         nf = None
         if ring.relation is not None and _divides(ring._rel_lm, m):
-            nf = ring._monomial_nf_ints(m)
+            terms = ring._monomial_nf(m)
+            top = max(map(max, terms), default=0)
+            if top >> self.width:  # sum_of_products widens and starts again
+                raise OverflowError(top)
+            dm, _, rows = _pack(ring, {0: terms}, self.width)
+            nf = (dm, rows.get(0, ()))
         got = self[k] = (m, nf)
         return got
 
@@ -336,15 +298,12 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
 class RingElement:
     """A sparse polynomial in normal form; immutable in practice."""
 
-    __slots__ = ("ring", "terms", "_hash", "_info", "_packed")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: GradedRing, terms: dict, _normalize: bool = True):
         self.ring = ring
         self.terms = ring._normal_form(terms) if _normalize else terms
         self._hash = None
-        # sum_of_products' caches: _row_info and the last _packed_rows
-        self._info = None
-        self._packed = None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -377,41 +336,9 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """The product in normal form: sum_of_products on one product."""
-        got = sum_of_products(self.ring, ((None, 1, self, other),))
-        return got[None] if got else self.ring.zero()
-
-    def _row_info(self) -> tuple:
-        """(den, top, real): the common denominator of the terms, the
-        largest exponent, and whether every coefficient is rational.
-        Computed once per element."""
-        if self._info is None:
-            den = 1
-            real = True
-            for c in self.terms.values():
-                if c.d != 1:
-                    den = den * c.d // _gcd(den, c.d)
-                if c.bn:
-                    real = False
-            top = max(map(max, self.terms)) if self.ring.nvars else 0
-            self._info = (den, top, real)
-        return self._info
-
-    def _packed_rows(self, width: int, pack: dict) -> list:
-        """The terms as integer rows (packed monomial, re, im) over the
-        common denominator, monomials packed by `pack`, the _PackTable of
-        this field width; the rows of the last width are kept."""
-        got = self._packed
-        if got is None or got[0] != width:
-            den = self._row_info()[0]
-            if den == 1:
-                rows = [(pack[m], c.an, c.bn) for m, c in self.terms.items()]
-            else:
-                rows = [
-                    (pack[m], c.an * (den // c.d), c.bn * (den // c.d))
-                    for m, c in self.terms.items()
-                ]
-            got = self._packed = (width, rows)
-        return got[1]
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        return RingElement(self.ring, _product(self.ring, self.terms, other.terms), _normalize=False)
 
     def scale(self, c: Scalar) -> "RingElement":
         if c.is_zero():
@@ -433,27 +360,14 @@ class RingElement:
         return result
 
     def derivative(self, var: str) -> "RingElement":
-        """Formal partial derivative of the normal-form representative."""
+        """Formal partial derivative of the normal-form representative (no
+        monomial of which the relation's lead divides)."""
         k = self.ring._index[var]
-        got = self.partials([int(v == k) for v in range(self.ring.nvars)])[k]
-        return self.ring.zero() if got is None else got
-
-    def partials(self, signs: list) -> list:
-        """[signs[v]·∂/∂x_v of the normal-form representative, for each
-        variable v], None where signs[v] is 0 or the derivative is zero.
-
-        One pass over the terms builds them all.  No normal form is
-        needed: the relation's lead does not divide a monomial m of self,
-        so it does not divide m − e_v either."""
-        outs = [{} if sign else None for sign in signs]
-        raw = Scalar._raw
-        for m, c in self.terms.items():
-            an, bn, d = c.an, c.bn, c.d
-            for v, e in enumerate(m):
-                if e and signs[v]:
-                    f = signs[v] * e
-                    outs[v][m[:v] + (e - 1,) + m[v + 1 :]] = raw(f * an, f * bn, d)
-        return [RingElement(self.ring, out, _normalize=False) if out else None for out in outs]
+        out = {
+            m[:k] + (m[k] - 1,) + m[k + 1 :]: Scalar._raw(m[k] * c.an, m[k] * c.bn, c.d)
+            for m, c in self.terms.items() if m[k]
+        }
+        return RingElement(self.ring, out, _normalize=False)
 
     # -- structure -----------------------------------------------------
 
@@ -522,63 +436,51 @@ class RingElement:
         return f"<{self}>"
 
 
-def sum_of_products(ring: GradedRing, contributions) -> dict:
-    """Sum signed products of ring elements per key, in normal form.
+def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
+    """Sum signed products of packed polynomials per key, in normal form.
 
-    `contributions` is an iterable of (key, sign, p, q): p and q are
-    elements of `ring`, sign an int (usually ±1) and key any hashable, e.g.
-    (u-power, wedge indices) for forms.  Returns {key: sum of sign·p·q over
-    the contributions filed under key}, leaving out keys whose sum is zero.
-
-    The one place ring products are formed (see the module docstring):
-    integer rows, one common denominator, monomials packed one field per
-    variable at a width of the call's largest exponent's bit length plus a
-    guard bit, plain integer accumulation per key, and one normal form per
-    key.  Normal form is linear and canonical, so the result equals the
-    term-by-term sum of normal-formed products.
+    `contributions` is a list of (key, sign, d, width, P, Q): the rows P
+    and Q of two nonzero elements at `width`, d the product of their
+    denominators, sign an int and key any hashable, e.g. (u-power, dx
+    mask).  Returns (den, width, {key: canonical rows}) for the sums of
+    sign·P·Q per key, keys whose sum is zero left out.  The one place ring
+    products are formed: a pair of rows costs one int addition, one dict
+    lookup and one Gaussian multiply-accumulate on a common denominator,
+    and the normal form (linear and canonical) runs once per key.  Rows
+    of mixed widths are repacked at the widest first; a remainder the
+    width cannot hold starts the batch again wider.
     """
-    batch = []
-    top = 0
     den = 1
-    real = True
-    for key, sign, p, q in contributions:
-        if not p.terms or not q.terms:
-            continue
-        dp, tp, p_real = p._info or p._row_info()
-        dq, tq, q_real = q._info or q._row_info()
-        d = dp * dq
-        den = den * d // _gcd(den, d)
-        top = max(top, tp, tq)
-        real = real and p_real and q_real
-        batch.append((key, sign, d, p, q))
-    if not batch:
-        return {}
-    width = top.bit_length() + 1
-    pack, unpack = ring._packing(width)
-    accs: dict = {}
-    for key, sign, d, p, q in batch:
-        acc = accs.get(key)
-        if acc is None:
-            acc = accs[key] = {}
-        get = acc.get
-        f = sign * (den // d)
-        Q = q._packed_rows(width, pack)
-        for k1, a1, b1 in p._packed_rows(width, pack):
-            a1 *= f
-            if real:
-                for k2, a2, _ in Q:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + a1 * a2
-            elif b1 == 0:
-                for k2, a2, b2 in Q:
-                    k = k1 + k2
-                    v = get(k)
-                    if v is None:
-                        acc[k] = [a1 * a2, a1 * b2]
-                    else:
-                        v[0] += a1 * a2
-                        v[1] += a1 * b2
-            else:
+    width = contributions[0][3] if contributions else ring.base_width
+    mixed = False
+    for c in contributions:
+        d = c[2]
+        if den % d:
+            den = den * d // _gcd(den, d)
+        mixed = mixed or c[3] != width
+    if mixed:
+        width = max(c[3] for c in contributions)
+        contributions = _repack_batch(ring, contributions, width)
+    while True:
+        accs: dict = {}
+        for key, sign, d, _, P, Q in contributions:
+            acc = accs.get(key)
+            if acc is None:
+                acc = accs[key] = {}
+            get = acc.get
+            f = sign * (den // d)
+            for k1, a1, b1 in P:
+                a1 *= f
+                if b1 == 0:
+                    for k2, a2, b2 in Q:
+                        k = k1 + k2
+                        v = get(k)
+                        if v is None:
+                            acc[k] = [a1 * a2, a1 * b2]
+                        else:
+                            v[0] += a1 * a2
+                            v[1] += a1 * b2
+                    continue
                 b1 *= f
                 for k2, a2, b2 in Q:
                     k = k1 + k2
@@ -588,12 +490,119 @@ def sum_of_products(ring: GradedRing, contributions) -> dict:
                     else:
                         v[0] += a1 * a2 - b1 * b2
                         v[1] += a1 * b2 + b1 * a2
-    out = {}
-    for key, acc in accs.items():
-        terms = ring._normal_form_packed(acc, real, unpack, den)
-        if terms:
-            out[key] = RingElement(ring, terms, _normalize=False)
-    return out
+        # the product monomials are exact, as the operands' guard bits are
+        # clear; the OR of the results shows whether one reached a guard bit
+        if ring.relation is None:
+            bits = 0
+            groups = {}
+            for key, acc in accs.items():
+                bits = reduce(_or, acc, bits)
+                if rows := [(k, a, b) for k, (a, b) in acc.items() if a or b]:
+                    groups[key] = rows
+            return _canonical(ring, den, width, groups, bits)
+        try:
+            den, groups, bits = ring._normal_forms(accs, den, width)
+        except OverflowError as exc:
+            width = ring._width_for(exc.args[0])
+            contributions = _repack_batch(ring, contributions, width)
+            continue
+        return _canonical(ring, den, width, groups, bits)
+
+
+def _repack_batch(ring: GradedRing, contributions: list, width: int) -> list:
+    return [
+        (key, sign, d, width, _repack(ring, P, w, width), _repack(ring, Q, w, width))
+        for key, sign, d, w, P, Q in contributions
+    ]
+
+
+def _repack(ring: GradedRing, rows: list, old: int, new: int) -> list:
+    """Rows at width `old` repacked at a width `new` that holds them."""
+    if old == new:
+        return rows
+    unpack, pack = ring._packing(old)[1], ring._packing(new)[0]
+    return [(pack[unpack[k][0]], a, b) for k, a, b in rows]
+
+
+def _canonical(ring: GradedRing, den: int, width: int, groups: dict, bits: int = 0) -> tuple:
+    """(den, width, {key: rows without zero rows}) made canonical: den's
+    common factor with every numerator divided out, and the rows repacked
+    at their canonical width unless `width` is the base width and `bits`,
+    the OR of the monomials when they come from a product, is clear of the
+    guard bits."""
+    if den > 1:
+        g = den
+        for rows in groups.values():
+            for _, a, b in rows:
+                g = _gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            den //= g
+            groups = {key: [(k, a // g, b // g) for k, a, b in rows] for key, rows in groups.items()}
+    if width == ring.base_width and not (bits and bits & ring._packing(width)[0].guard):
+        return den, width, groups
+    bits = 0
+    for rows in groups.values():
+        bits = reduce(_or, [k for k, _, _ in rows], bits)
+    # the OR of the fields has the bit length of the largest exponent
+    mask, fields = (1 << width) - 1, 0
+    for s in range(0, width * ring.nvars, width):
+        fields |= (bits >> s) & mask
+    new = ring._width_for(fields)
+    return den, new, {key: _repack(ring, rows, width, new) for key, rows in groups.items()}
+
+
+def _scaled_rows(rows: list, a: int, b: int = 0) -> list:
+    """Rows times the Gaussian integer a + b·i."""
+    return [(k, x * a - y * b, x * b + y * a) for k, x, y in rows]
+
+
+def _summed(rows: list) -> list:
+    """Rows with equal packed monomials added up, zero rows dropped."""
+    acc: dict = {}
+    for k, a, b in rows:
+        old = acc.get(k)
+        acc[k] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    return [(k, a, b) for k, (a, b) in acc.items() if a or b]
+
+
+def _pack(ring: GradedRing, items: dict, width: int = 0) -> tuple:
+    """(den, width, {key: rows}) for {key: nonempty monomial -> Scalar
+    map}, canonical unless a width is given: the least common denominator
+    of Scalars in lowest terms shares no factor with every numerator."""
+    if not width:
+        tops = [max(map(max, terms)) for terms in items.values()] if ring.nvars else ()
+        width = ring._width_for(max(tops, default=0))
+    den = 1
+    for terms in items.values():
+        for c in terms.values():
+            if den % c.d:
+                den = den * c.d // _gcd(den, c.d)
+    pack = ring._packing(width)[0]
+    return den, width, {
+        key: [(pack[m], c.an * (den // c.d), c.bn * (den // c.d)) for m, c in terms.items()]
+        for key, terms in items.items()
+    }
+
+
+def _monomials(ring: GradedRing, width: int, rows: list) -> list:
+    """The exponent tuples of the packed monomials of rows."""
+    unpack = ring._packing(width)[1]
+    return [unpack[k][0] for k, _, _ in rows]
+
+
+def _terms(ring: GradedRing, den: int, width: int, rows: list) -> dict:
+    """Rows over den at width as a monomial -> Scalar map."""
+    unpack = ring._packing(width)[1]
+    return {unpack[k][0]: Scalar._raw(a, b, den) for k, a, b in rows}
+
+
+def _product(ring: GradedRing, p: dict, q: dict) -> dict:
+    """NF(p·q) for nonempty monomial -> Scalar maps: one sum_of_products."""
+    den, width, rows = _pack(ring, {0: p, 1: q})
+    den, width, got = sum_of_products(ring, [(None, 1, den * den, width, rows[0], rows[1])])
+    return _terms(ring, den, width, got[None]) if got else {}
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:

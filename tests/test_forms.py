@@ -10,7 +10,8 @@ from curvedchern.errors import InvalidInput, NotTopForm
 from curvedchern.forms import (
     DiffForm,
     _exterior_d,
-    _merge_indices,
+    _indices,
+    _wedge_row,
     MembershipCertificate,
     USeries,
     de_rham_d,
@@ -39,6 +40,14 @@ def _dx(R, name):
 
 def _f(R, s):
     return DiffForm.from_ring(R.from_string(s))
+
+
+def _series(R, terms):
+    """The USeries of a flat map {(J, S): RingElement}."""
+    forms = {}
+    for (J, S), p in terms.items():
+        forms.setdefault(J, {})[S] = p
+    return USeries(R, {J: DiffForm(R, f) for J, f in forms.items()})
 
 
 @pytest.mark.parametrize(
@@ -78,10 +87,14 @@ def test_internal_useries_results_keep_nonzero_forms():
     p = USeries.from_form(_f(R, "x"), 0) + USeries.from_form(_dx(R, "y"), 2)
     q = USeries.from_form(_f(R, "y"), 1)
     for s in (p + q, p - q, -p, p.scale(Scalar(3)), p.shift_u(2), p * q, p + (-p)):
-        for (J, S), c in s.terms.items():
+        coeffs = s.coeffs
+        assert tuple(sorted(coeffs)) == s.u_powers()
+        for J, form in coeffs.items():
             assert isinstance(J, int) and J >= 0
-            assert list(S) == sorted(set(S))
-            assert not c.is_zero()
+            assert form == s.coefficient(J) and not form.is_zero()
+            for S, c in form.parts.items():
+                assert list(S) == sorted(set(S))
+                assert not c.is_zero()
     assert p.scale(Scalar(0)).is_zero()
     assert (p + (-p)).is_zero()
 
@@ -246,11 +259,10 @@ _D_INDICES = [S for k in range(4) for S in combinations(range(3), k)]
     st.booleans(),
 )
 def test_exterior_d_matches_one_derivative_per_variable(ring, raw, negate):
-    # u-powers 0-2, form degrees 0-3: the same map in the same key order
+    # u-powers 0-2, form degrees 0-3
     terms = {key: ring.from_string(p) for key, p in raw.items()}
-    got = _exterior_d(ring, terms, negate)
-    want = reference_exterior_d(ring, terms, negate)
-    assert list(got.items()) == list(want.items())
+    got = _exterior_d(_series(ring, terms), negate)
+    assert got == _series(ring, reference_exterior_d(ring, terms, negate))
     for c in terms.values():
         for name in ring.variables:
             assert c.derivative(name) == reference_derivative(c, name)
@@ -262,7 +274,8 @@ def test_exterior_d_forms_no_derivative_call_and_no_normal_form(monkeypatch):
         (0, (), "x1*x2*x3+x2^3"), (1, (0,), "i*x2*x3+x1^4"), (0, (1, 2), "2*x1^2-x3"),
         (2, (0, 2), "x3^2+x2"),
     ]}
-    want = reference_exterior_d(ring, terms, True)
+    series = _series(ring, terms)
+    want = _series(ring, reference_exterior_d(ring, terms, True))
     calls = []
 
     def spy(cls, name):
@@ -276,9 +289,9 @@ def test_exterior_d_forms_no_derivative_call_and_no_normal_form(monkeypatch):
 
     spy(RingElement, "derivative")
     spy(GradedRing, "_normal_form")
-    got = _exterior_d(ring, terms, True)
+    got = _exterior_d(series, True)
     assert calls == []
-    assert list(got.items()) == list(want.items())
+    assert got == want
 
 
 @settings(deadline=None, max_examples=30)
@@ -311,10 +324,17 @@ def test_scale_by_i():
 
 
 def test_memoized_merge_indices_agrees_with_the_formula_on_every_pair():
-    # every pair of wedge index tuples on five variables, each asked twice
-    # so the second answer comes from the memo
+    # the wedge sign of every pair of masks on five variables (1 024 pairs),
+    # each asked twice so the second answer comes from the memo: zero on an
+    # overlap, else the sign that sorts the concatenated indices
     tuples = [S for k in range(6) for S in combinations(range(5), k)]
+    assert len(tuples) ** 2 == 1024
     for _ in range(2):
         for S1 in tuples:
             for S2 in tuples:
-                assert _merge_indices(S1, S2) == reference_merge_indices(S1, S2), (S1, S2)
+                m1, m2 = sum(1 << v for v in S1), sum(1 << v for v in S2)
+                want = reference_merge_indices(S1, S2)
+                if want is None:
+                    assert _wedge_row(m1)[m2] == 0, (S1, S2)
+                else:
+                    assert (_indices(m1 | m2), _wedge_row(m1)[m2]) == want, (S1, S2)

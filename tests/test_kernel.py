@@ -5,14 +5,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedchern.forms import DiffForm
-from curvedchern.rings import sum_of_products
+from curvedchern import rings
+from curvedchern.forms import DiffForm, USeries
+from curvedchern.rings import RingElement, _canonical, _pack, _terms, sum_of_products
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, reference_sum_of_products, reference_wedge, sphere_ring
+from util import qi_ring, reference_reduce, reference_sum_of_products, reference_wedge, sphere_ring
 
 FREE = qi_ring("x1", "x2", "x3")
 SPHERE = sphere_ring(3)
@@ -35,6 +37,23 @@ sphere_terms = st.dictionaries(
 )
 
 
+def _kernel(ring, batch) -> dict:
+    """sum_of_products on (key, sign, p, q) contributions of RingElements,
+    each pair packed on its own (so a batch can mix widths), as {key:
+    RingElement}; the result must be canonical."""
+    contributions = []
+    for key, sign, p, q in batch:
+        if p.terms and q.terms:
+            den, width, rows = _pack(ring, {0: p.terms, 1: q.terms})
+            contributions.append((key, sign, den * den, width, rows[0], rows[1]))
+    den, width, got = sum_of_products(ring, contributions)
+    assert _canonical(ring, den, width, got) == (den, width, got)
+    return {
+        key: RingElement(ring, _terms(ring, den, width, rows), _normalize=False)
+        for key, rows in got.items()
+    }
+
+
 def _contributions(ring):
     element = (term_dicts if ring is FREE else sphere_terms).map(ring.element)
     contribution = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1, 2]), element, element)
@@ -46,7 +65,7 @@ def _contributions(ring):
 def test_kernel_matches_the_reference(data):
     for ring in (FREE, SPHERE):
         batch = data.draw(_contributions(ring))
-        got = sum_of_products(ring, batch)
+        got = _kernel(ring, batch)
         want = reference_sum_of_products(ring, batch)
         assert got == want
 
@@ -55,14 +74,14 @@ def test_kernel_matches_the_reference(data):
 @given(sphere_terms, sphere_terms)
 def test_kernel_product_cancels_to_zero(ta, tb):
     p, q = SPHERE.element(ta), SPHERE.element(tb)
-    assert sum_of_products(SPHERE, [("k", 1, p, q), ("k", -1, q, p)]) == {}
+    assert _kernel(SPHERE, [("k", 1, p, q), ("k", -1, q, p)]) == {}
 
 
 def test_empty_and_all_zero_batches():
     zero, one = FREE.zero(), FREE.one()
-    assert sum_of_products(FREE, []) == {}
-    assert sum_of_products(FREE, [("a", 1, zero, one), ("b", -1, one, zero)]) == {}
-    assert sum_of_products(SPHERE, [("a", 1, SPHERE.zero(), SPHERE.zero())]) == {}
+    assert sum_of_products(FREE, []) == (1, FREE.base_width, {})
+    assert _kernel(FREE, [("a", 1, zero, one), ("b", -1, one, zero)]) == {}
+    assert _kernel(SPHERE, [("a", 1, SPHERE.zero(), SPHERE.zero())]) == {}
 
 
 def test_mul_is_the_one_product_case():
@@ -83,3 +102,88 @@ forms = st.dictionaries(
 def test_wedge_signs_match_the_reference(fa, fb):
     f, g = DiffForm(FREE, fa), DiffForm(FREE, fb)
     assert f.wedge(g) == reference_wedge(f, g)
+
+
+# -- the packing width -----------------------------------------------------
+#
+# Fifteen variables give a base width of 2 bits, so every exponent from 2 on
+# needs a wider packing: x^(2^k - 1) fills k bits and x^(2^k) needs k + 1,
+# each plus the guard bit.  A product is checked against the Scalar
+# reference, so a carry into the next variable's field, or into the dx mask
+# or the u-power of a series, shows as a wrong monomial or a wrong key.
+
+NAMES = [f"y{v}" for v in range(15)]
+WIDE = qi_ring(*NAMES)
+# the lead y0·y1·y2 rewrites to y3^3, so a remainder can need more bits
+# than the product it reduces
+WIDE_REL = qi_ring(*NAMES, relation="y0*y1*y2 - y3^3 + y4")
+WIDE_FREE = qi_ring(*NAMES)
+
+
+def _width(ring, p: RingElement) -> int:
+    return _pack(ring, {0: p.terms})[1]
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_a_product_across_a_width_boundary_matches_the_reference(k):
+    p = WIDE.from_string(f"y1^{2 ** k - 1} - 2*y0*y2 + i/3")
+    q = WIDE.from_string("y1 + y2")
+    assert WIDE.base_width == 2
+    assert _width(WIDE, p) == max(2, k + 1)
+    got = p * q
+    assert got == reference_sum_of_products(WIDE, [(None, 1, p, q)])[None]
+    assert _width(WIDE, got) == max(2, (2 ** k).bit_length() + 1)
+    # the same product as u-series with dx masks on both sides
+    f = DiffForm(WIDE, {(0, 14): p})
+    g = DiffForm(WIDE, {(3,): q, (): q})
+    series = USeries.from_form(f, 2) * USeries.from_form(g, 1)
+    assert series.u_powers() == (3,)
+    assert series.coefficient(3) == reference_wedge(f, g)
+
+
+def test_the_parser_cap_times_x_matches_the_reference():
+    p, q = WIDE.from_string("y14^1000 + y13"), WIDE.from_string("y14 - y0^1000")
+    got = p * q
+    assert got == reference_sum_of_products(WIDE, [(None, 1, p, q)])[None]
+    assert got.terms[(0,) * 14 + (1001,)] == Scalar(1)
+
+
+def test_operands_packed_at_different_widths():
+    narrow = USeries.from_form(DiffForm(WIDE, {(5,): WIDE.from_string("y0 - y1")}))
+    wide = USeries.from_form(DiffForm(WIDE, {(2,): WIDE.from_string("y0^200 + 3*y1^7")}), 1)
+    assert (narrow.width, wide.width) == (2, 9)
+    want = reference_wedge(narrow.coefficient(0), wide.coefficient(1))
+    assert (narrow * wide).coefficient(1) == want
+    # one kernel batch holding both widths, and a sum of the two
+    mixed = USeries.sum_of_products(WIDE, [(1, 0, narrow, narrow), (1, 0, narrow, wide)])
+    assert mixed.coefficient(1) == want and mixed.u_powers() == (1,)
+    assert (narrow + wide - wide) == narrow and (narrow + wide - wide).width == 2
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_quotient_products_across_widths_match_division(k):
+    p = WIDE_REL.from_string(f"y0^{2 ** k - 1}*y1 + y2*y5")
+    q = WIDE_REL.from_string(f"y1^{2 ** k}*y2 - 2*y0*y1*y5")
+    got = p * q
+    # the product over the free ring, then plain division by the relation
+    free = reference_sum_of_products(
+        WIDE_FREE, [(None, 1, WIDE_FREE.element(p.terms), WIDE_FREE.element(q.terms))]
+    )[None]
+    relation = WIDE_FREE.element(WIDE_REL.relation.terms)
+    assert got.terms == reference_reduce(free, [relation]).terms
+
+
+def test_a_remainder_wider_than_its_product_starts_the_batch_again(monkeypatch):
+    # y0^3·y1^3 and y2^3 fit three bits a field, and so does their product,
+    # but its remainder (y3^3 - y4)^3 holds y3^9, which needs five
+    p, q = WIDE_REL.from_string("y0^3*y1^3"), WIDE_REL.from_string("y2^3 + y5")
+    assert _width(WIDE_REL, p) == _width(WIDE_REL, q) == 3
+    restarts = []
+    plain = rings._repack_batch
+    monkeypatch.setattr(rings, "_repack_batch", lambda *args: restarts.append(args[2]) or plain(*args))
+    got = p * q
+    assert restarts == [5]
+    assert _width(WIDE_REL, got) == 5
+    free = WIDE_FREE.element(p.terms) * WIDE_FREE.element(q.terms)
+    relation = WIDE_FREE.element(WIDE_REL.relation.terms)
+    assert got.terms == reference_reduce(free, [relation]).terms

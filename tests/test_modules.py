@@ -449,12 +449,16 @@ def _not_a_derivation(plain, variables):
         out = plain(v, degree)
         for k in variables:
             high = {}
-            for (J, S), p in v.terms.items():
-                q = {m: c for m, c in p.terms.items() if m[k] >= 2}
-                if q and k not in S:
-                    high[(J, S)] = RingElement(ring, q)
-            again = plain(USeries._make(ring, high), degree)
-            out = out + USeries._make(ring, {T: p for T, p in again.terms.items() if k in T[1]})
+            for J, form in v.coeffs.items():
+                for S, p in form.parts.items():
+                    q = {m: c for m, c in p.terms.items() if m[k] >= 2}
+                    if q and k not in S:
+                        high.setdefault(J, {})[S] = RingElement(ring, q)
+            again = plain(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree)
+            out = out + USeries(ring, {
+                J: DiffForm(ring, {T: p for T, p in form.parts.items() if k in T})
+                for J, form in again.coeffs.items()
+            })
         return out
 
     return mutant

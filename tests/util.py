@@ -15,7 +15,6 @@ from curvedchern.rings import (
     _mono_div,
     _mono_mul,
     monomial_key,
-    sum_of_products,
 )
 from curvedchern.scalars import Scalar
 
@@ -281,8 +280,10 @@ class ReferenceMat:
             for s, v in enumerate(row):
                 want = self.source_degrees[s] - self.target_degrees[t] + m
                 for J, form in v.coeffs.items():
-                    if not form.has_gamma_degree(want - 2 * J):
-                        return False
+                    for S, c in form.parts.items():
+                        shift = sum(self.ring.degrees[w] - 1 for w in S)
+                        if not c.has_gamma_degree(self.ring.degree_reduce(want - 2 * J - shift)):
+                            return False
         return True
 
     def parity_components(self):
@@ -394,8 +395,7 @@ def reference_spoly(f: RingElement, g: RingElement) -> RingElement:
     ring = f.ring
     tf = RingElement(ring, {_mono_div(lcm, fm): fc.inv()}, _normalize=False)
     tg = RingElement(ring, {_mono_div(lcm, gm): gc.inv()}, _normalize=False)
-    got = sum_of_products(ring, ((None, 1, tf, f), (None, -1, tg, g)))
-    return got[None] if got else ring.zero()
+    return tf * f - tg * g
 
 
 def reference_buchberger(gens: list[RingElement]) -> GroebnerBasis:
@@ -456,9 +456,9 @@ def _reference_interreduce(ring: GradedRing, basis: list[RingElement]) -> Groebn
 
 
 def reference_merge_indices(S1: tuple, S2: tuple):
-    """forms._merge_indices as first written, computed afresh on every call:
-    the sorted union and the Koszul sign (-1)^(inversions of S1 + S2), or
-    None when S1 and S2 share an index."""
+    """dx_S1 ∧ dx_S2 as forms first merged wedge index tuples, computed
+    afresh on every call: the sorted union and the Koszul sign
+    (-1)^(inversions of S1 + S2), or None when S1 and S2 share an index."""
     if set(S1) & set(S2):
         return None
     merged = S1 + S2
@@ -537,20 +537,21 @@ def reference_parity_components(X) -> dict:
     for t, row in enumerate(X.rows):
         for s, v in row.items():
             base = X.source_degrees[s] - X.target_degrees[t]
-            for key, coeff in v.terms.items():
-                J, S = key
-                shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
-                for mono, c in coeff.terms.items():
-                    p = (ring.monomial_gamma(mono) + shift) % 2
-                    grid = grids.get(p)
-                    if grid is None:
-                        grid = grids[p] = [{} for _ in X.rows]
-                    grid[t].setdefault(s, {}).setdefault(key, {})[mono] = c
+            for J, form in v.coeffs.items():
+                for S, coeff in form.parts.items():
+                    shift = sum(ring.degrees[w] - 1 for w in S) + 2 * J - base
+                    for mono, c in coeff.terms.items():
+                        p = (ring.monomial_gamma(mono) + shift) % 2
+                        grid = grids.get(p)
+                        if grid is None:
+                            grid = grids[p] = [{} for _ in X.rows]
+                        grid[t].setdefault(s, {}).setdefault((J, S), {})[mono] = c
 
     def entry(terms: dict) -> USeries:
-        return USeries._make(
-            ring, {key: RingElement(ring, ms, _normalize=False) for key, ms in terms.items()}
-        )
+        forms: dict = {}
+        for (J, S), ms in terms.items():
+            forms.setdefault(J, {})[S] = RingElement(ring, ms, _normalize=False)
+        return USeries(ring, {J: DiffForm(ring, f) for J, f in forms.items()})
 
     return {
         p: Mat._make(
