@@ -187,3 +187,47 @@ def test_a_remainder_wider_than_its_product_starts_the_batch_again(monkeypatch):
     free = WIDE_FREE.element(p.terms) * WIDE_FREE.element(q.terms)
     relation = WIDE_FREE.element(WIDE_REL.relation.terms)
     assert got.terms == reference_reduce(free, [relation]).terms
+
+
+# -- kernel work: calls and term pairs ---------------------------------------
+#
+# The engine forms every ring product in rings.sum_of_products, so its calls
+# and term pairs (len(P)·len(Q) per contribution) measure the work of a run
+# independently of the host's speed.  A change that moves a count restates
+# the pin and says why.
+
+
+def _kernel_work(monkeypatch, run) -> tuple[int, int]:
+    """(calls, term pairs) of sum_of_products while run() runs, the kernel
+    spied on in every module that holds it."""
+    from curvedchern import forms, matform
+
+    work = [0, 0]
+    plain = rings.sum_of_products
+
+    def spy(ring, contributions):
+        work[0] += 1
+        work[1] += sum(len(c[4]) * len(c[5]) for c in contributions)
+        return plain(ring, contributions)
+
+    for mod in (rings, forms, matform):
+        monkeypatch.setattr(mod, "sum_of_products", spy)
+    run()
+    return work[0], work[1]
+
+
+def test_kernel_work_of_one_s4_suite(monkeypatch):
+    from curvedchern.cli import _corpus_text, parse_instance, run_suite
+
+    inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
+    work = _kernel_work(monkeypatch, lambda: run_suite(inst.module, inst.connection, **inst.options))
+    assert work == (1020, 1794924)
+
+
+def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):
+    from curvedchern.cli import run_suite
+    from curvedchern.randomgen import random_module_instance
+
+    instances = [random_module_instance(s) for s in range(300)]
+    work = _kernel_work(monkeypatch, lambda: [run_suite(M, C) for M, C in instances])
+    assert work == (4986, 30204)
