@@ -1,132 +1,125 @@
 """Differential forms with exact polynomial coefficients, and u-series.
 
 Forms live in the free exterior algebra over the ring's normal-form
-coefficients: a DiffForm maps strictly increasing tuples of variable
-indices to RingElements.  Over a quotient ring the relation df0 = 0 is
-deliberately NOT imposed; callers that need equality in the honest Kaehler
+coefficients.  Over a quotient ring the relation df0 = 0 is deliberately
+NOT imposed; callers that need equality in the honest Kaehler
 differentials work modulo the submodule generated by df0 ∧ dx_S via
 module_membership.
 
 A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
-formal variable u, in the packed layout of rings: groups maps (J, mask),
-mask the bitmask of S, to the rows of p, over one denominator and width
-for the series.  rings.sum_of_products reads and returns that layout, so
-no product builds a RingElement or a Scalar.  A product pairs the groups
-of its factors, the overlap test and the wedge sign taken from the two
-masks once per pair of groups; d moves one exponent of a packed monomial
-into the mask.  coeffs and coefficient unpack a series into DiffForms,
-whose arithmetic goes through USeries.  hn_differential is u·d + dh∧(-).
+formal variable u, and a DiffForm the case J = 0: both are rings.Packed
+values, whose groups map (J, mask), mask the bitmask of S, to the rows of
+p, over one denominator and width.  A RingElement is the group (0, 0), so
+a ring element, a form and a series are one another's operands as they
+stand.  rings.sum_of_products reads and returns that layout, so no
+product builds a Scalar.  A product pairs the groups of its factors, the
+overlap test and the wedge sign taken from the two masks once per pair of
+groups; d moves one exponent of a packed monomial into the mask.  A
+coefficient is a subset of the groups, re-keyed and made canonical, and
+DiffForm.parts and RingElement.terms build their views on read.
+hn_differential is u·d + dh∧(-).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
+from weakref import WeakKeyDictionary
 
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
 from .linalg import solve_sparse
-from .rings import GradedRing, RingElement, _canonical, _pack, _repack, _scaled_rows, _summed
-from .rings import _terms, monomial_key, sum_of_products
+from .rings import GradedRing, Packed, RingElement, _KEY, _monomials, _summed
+from .rings import monomial_key, sum_of_products
 from .scalars import Scalar
 
 Indices = tuple[int, ...]
 
 
-class DiffForm:
-    """A (possibly inhomogeneous) exterior form with RingElement coefficients."""
+def _mask(S: Indices) -> int:
+    return sum(1 << v for v in S)
 
-    __slots__ = ("ring", "parts")
 
-    def __init__(self, ring: GradedRing, parts: dict | None = None, _check: bool = True):
-        self.ring = ring
-        if not _check:
-            # an internal result: its index tuples are strictly increasing
-            # and in range, and its coefficients nonzero, by construction
-            self.parts = parts
-            return
-        clean: dict[Indices, RingElement] = {}
+class DiffForm(Packed):
+    """A (possibly inhomogeneous) exterior form sum p_S·dx_S: a Packed value
+    whose groups all sit at u^0, (0, mask of S).  DiffForm(ring, parts)
+    checks outside input; results of operations are built by _make."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: GradedRing, parts: dict | None = None):
+        """The form over the items S: p_S of parts, S a strictly increasing
+        tuple of variable indices and p_S a RingElement."""
+        out = DiffForm.zero(ring)
         for S, coeff in (parts or {}).items():
             S = tuple(S)
             if any(b <= a for a, b in zip(S, S[1:])):
                 raise InvalidInput(f"wedge index tuple {S} is not strictly increasing")
             if any(v < 0 or v >= ring.nvars for v in S):
                 raise InvalidInput(f"wedge index tuple {S} out of range")
-            if not coeff.is_zero():
-                clean[S] = coeff
-        self.parts = clean
+            if coeff.groups:
+                out = out + DiffForm._make(ring, coeff.den, coeff.width, {(0, _mask(S)): coeff.rows})
+        self.ring, self.den, self.width, self.groups = ring, out.den, out.width, out.groups
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(ring: GradedRing) -> "DiffForm":
-        return DiffForm(ring, {})
-
-    @staticmethod
     def from_ring(p: RingElement) -> "DiffForm":
-        return DiffForm(p.ring, {(): p} if p.terms else {}, _check=False)
+        return DiffForm._make(p.ring, p.den, p.width, p.groups)
 
     @staticmethod
     def d_var(ring: GradedRing, name: str) -> "DiffForm":
-        return DiffForm(ring, {(ring._index[name],): ring.one()})
+        return DiffForm._make(ring, 1, ring.base_width, {(0, 1 << ring._index[name]): [(0, 1, 0)]})
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
-        return (USeries.from_form(self) + USeries.from_form(other)).coefficient(0)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return (USeries.from_form(self) - USeries.from_form(other)).coefficient(0)
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm(self.ring, {S: -c for S, c in self.parts.items()}, _check=False)
+        return self._merge(other, -1)
 
     def scale_ring(self, p: RingElement) -> "DiffForm":
         return self.wedge(DiffForm.from_ring(p))
 
     def scale(self, c: Scalar) -> "DiffForm":
-        return USeries.from_form(self).scale(c).coefficient(0)
+        return self._scale(c)
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        return (USeries.from_form(self) * USeries.from_form(other)).coefficient(0)
+        v = USeries.sum_of_products(self.ring, ((1, 0, self, other),))
+        return DiffForm._make(v.ring, v.den, v.width, v.groups)
 
     # -- structure -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.parts
+    @property
+    def parts(self) -> dict[Indices, RingElement]:
+        """The form as {S: RingElement}: a new dict on each read."""
+        return {_indices(g[1]): self._coefficient(g) for g in self.groups}
+
+    def _coefficient(self, g: tuple) -> RingElement:
+        rows = self.groups.get(g)
+        return RingElement._reduced(self.ring, self.den, self.width, {_KEY: rows} if rows else {})
 
     def form_degrees(self) -> set[int]:
-        return {len(S) for S in self.parts}
+        return {mask.bit_count() for _, mask in self.groups}
 
     def component(self, degree: int) -> "DiffForm":
-        return DiffForm(
-            self.ring, {S: c for S, c in self.parts.items() if len(S) == degree}, _check=False
-        )
+        groups = {g: rows for g, rows in self.groups.items() if g[1].bit_count() == degree}
+        return DiffForm._reduced(self.ring, self.den, self.width, groups)
 
     def coefficient(self, S: Indices) -> RingElement:
-        return self.parts.get(tuple(S), self.ring.zero())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffForm)
-            and self.ring.same_as(other.ring)
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((S, tuple(sorted(c.terms.items()))) for S, c in self.parts.items())))
+        return self._coefficient((0, _mask(S)))
 
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             return "0"
         chunks = []
-        for S in sorted(self.parts, key=lambda s: (len(s), s)):
-            coeff = self.parts[S]
+        for S in sorted(parts, key=lambda s: (len(s), s)):
             wedge = " ".join(f"d({self.ring.variables[v]})" for v in S)
-            cs = str(coeff)
+            cs = str(parts[S])
             if not S:
                 chunks.append(cs)
             elif cs == "1":
@@ -172,8 +165,8 @@ def _indices(mask: int) -> Indices:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _exterior_d(v: "USeries", negate: bool = False) -> "USeries":
-    """d of a u-series, u-power by u-power, negated when `negate`:
+def _exterior_d(v: Packed, negate: bool = False) -> Packed:
+    """d of a form or u-series, u-power by u-power, negated when `negate`:
     d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S, where dx_v ∧ dx_S is zero for
     v in S and otherwise (-1)^{#{w in S : w < v}} dx_{S + v}.  On a packed
     row the derivative in x_v multiplies the numerators by the exponent
@@ -205,12 +198,12 @@ def _exterior_d(v: "USeries", negate: bool = False) -> "USeries":
                     groups[g] = out
     for g in shared:
         groups[g] = _summed(groups[g])
-    return USeries._reduced(v.ring, v.den, width, {g: rows for g, rows in groups.items() if rows})
+    return v._reduced(v.ring, v.den, width, {g: rows for g, rows in groups.items() if rows})
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:
     """Exterior derivative of a form (see _exterior_d)."""
-    return _exterior_d(USeries.from_form(omega)).coefficient(0)
+    return _exterior_d(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -218,57 +211,31 @@ def de_rham_d(omega: DiffForm) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 
-class USeries:
+class USeries(Packed):
     """A finitely supported sum of terms u^J·p·dx_S with u even.
 
     groups maps (J, mask), J >= 0 and mask the bitmask of S, to the rows
-    of p: p is the sum of (re + im·i)/den times the packed monomials of
-    its rows (packed monomial, re, im), all groups over one den at one
-    width.  No group is empty and the rows are canonical (see rings), so
-    equal series have equal dens, widths and groups, rows compared as
-    sets.  USeries(ring, {J: DiffForm}) checks and packs outside input;
-    results of operations are built by USeries._make, unchecked.  A
-    USeries, its groups and their rows are never changed once made.
+    of p (see rings.Packed).  USeries(ring, {J: DiffForm}) checks outside
+    input; results of operations are built by USeries._make, unchecked.
     """
 
-    __slots__ = ("ring", "den", "width", "groups")
+    __slots__ = ()
 
     def __init__(self, ring: GradedRing, coeffs: dict | None = None):
-        parts = (USeries.from_form(form, int(J)) for J, form in (coeffs or {}).items())
-        total = sum(parts, USeries.zero(ring))
+        total = USeries.zero(ring)
+        for J, form in (coeffs or {}).items():
+            total = total + USeries.from_form(form, int(J))
         self.ring, self.den, self.width, self.groups = ring, total.den, total.width, total.groups
 
     @staticmethod
-    def _make(ring: GradedRing, den: int, width: int, groups: dict) -> "USeries":
-        """An internal result, canonical by construction."""
-        v = object.__new__(USeries)
-        v.ring = ring
-        v.den = den
-        v.width = width
-        v.groups = groups
-        return v
-
-    @staticmethod
-    def _reduced(ring: GradedRing, den: int, width: int, groups: dict) -> "USeries":
-        """An internal result, nonempty groups without zero rows, made canonical."""
-        if den == 1 and width == ring.base_width:
-            return USeries._make(ring, 1, width, groups)
-        return USeries._make(ring, *_canonical(ring, den, width, groups))
-
-    @staticmethod
-    def zero(ring: GradedRing) -> "USeries":
-        return USeries._make(ring, 1, ring.base_width, {})
-
-    @staticmethod
-    def from_form(form: DiffForm, power: int = 0) -> "USeries":
+    def from_form(form: Packed, power: int = 0) -> "USeries":
+        """u^power times a form or a ring element, its groups re-keyed."""
         if power < 0:
             raise InvalidInput("negative u-powers do not occur")
-        items = {(power, sum(1 << v for v in S)): p.terms for S, p in form.parts.items()}
-        return USeries._make(form.ring, *_pack(form.ring, items))
+        groups = {(J + power, mask): rows for (J, mask), rows in form.groups.items()} if power else form.groups
+        return USeries._make(form.ring, form.den, form.width, groups)
 
-    @staticmethod
-    def from_ring(p: RingElement, power: int = 0) -> "USeries":
-        return USeries.from_form(DiffForm.from_ring(p), power)
+    from_ring = from_form
 
     @property
     def coeffs(self) -> dict[int, DiffForm]:
@@ -282,32 +249,6 @@ class USeries:
     def __sub__(self, other: "USeries") -> "USeries":
         return self._merge(other, -1)
 
-    def _merge(self, other: "USeries", sign: int, shift: int = 0) -> "USeries":
-        """self + sign·u^shift·other, sign ±1, over the least common
-        denominator; only the groups the two share are summed row by row."""
-        if not other.groups:
-            return self
-        if not self.groups and sign == 1 and shift == 0:
-            return other
-        a, b = (self, other) if self.width == other.width else _aligned(self, other)
-        den = a.den if a.den == b.den else lcm(a.den, b.den)
-        fa, fb = den // a.den, sign * (den // b.den)
-        out = {g: _scaled_rows(rows, fa) for g, rows in a.groups.items()} if fa != 1 else dict(a.groups)
-        for (J, mask), rows in b.groups.items():
-            g = (J + shift, mask)
-            rows = _scaled_rows(rows, fb) if fb != 1 else rows
-            mine = out.get(g)
-            if mine is None:
-                out[g] = rows
-            elif summed := _summed(mine + rows):
-                out[g] = summed
-            else:
-                del out[g]
-        return USeries._reduced(self.ring, den, a.width, out)
-
-    def __neg__(self) -> "USeries":
-        return self.scale(Scalar(-1))
-
     def __mul__(self, other: "USeries") -> "USeries":
         return USeries.sum_of_products(self.ring, ((1, 0, self, other),))
 
@@ -316,29 +257,26 @@ class USeries:
         """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs,
         in one rings.sum_of_products call (see _pair_groups), plus
         sign·u^shift·v over the (sign, shift, v) in plus, added row by row
-        without forming a product.  Signs are ±1, shifts nonnegative ints."""
+        without forming a product.  Signs are ±1, shifts nonnegative ints;
+        a and b may be series, forms or ring elements."""
         terms: list = []
         for sign, shift, a, b in pairs:
-            if a.width != b.width:
-                a, b = _aligned(a, b)
+            width = max(a.width, b.width)
             d = a.den * b.den
-            right = b.groups.items()
-            for (J1, m1), P in a.groups.items():
+            right = b._at(width).items()
+            for (J1, m1), P in a._at(width).items():
                 J1 += shift
                 wedge = _wedge_row(m1)
                 for (J2, m2), Q in right:
                     if s := wedge[m2]:
-                        terms.append(((J1 + J2, m1 | m2), sign * s, d, a.width, P, Q))
+                        terms.append(((J1 + J2, m1 | m2), sign * s, d, width, P, Q))
         out = USeries._make(ring, *sum_of_products(ring, terms)) if terms else USeries.zero(ring)
         for sign, shift, v in plus:
             out = out._merge(v, sign, shift)
         return out
 
     def scale(self, c: Scalar) -> "USeries":
-        if c.is_zero():
-            return USeries.zero(self.ring)
-        groups = {g: _scaled_rows(rows, c.an, c.bn) for g, rows in self.groups.items()}
-        return USeries._reduced(self.ring, self.den * c.d, self.width, groups)
+        return self._scale(c)
 
     def shift_u(self, k: int) -> "USeries":
         if k < 0 and any(J + k < 0 for J, _ in self.groups):
@@ -347,25 +285,12 @@ class USeries:
         return USeries._make(self.ring, self.den, self.width, groups)
 
     def coefficient(self, J: int) -> DiffForm:
-        ring = self.ring
-        parts = {
-            _indices(mask): RingElement(ring, _terms(ring, self.den, self.width, rows), _normalize=False)
-            for (K, mask), rows in self.groups.items() if K == J
-        }
-        return DiffForm(ring, parts, _check=False)
+        """The u^J coefficient: the groups at J, re-keyed to u^0."""
+        groups = {(0, mask): rows for (K, mask), rows in self.groups.items() if K == J}
+        return DiffForm._reduced(self.ring, self.den, self.width, groups)
 
     def u_powers(self) -> tuple[int, ...]:
         return tuple(sorted({J for J, _ in self.groups}))
-
-    def is_zero(self) -> bool:
-        return not self.groups
-
-    def key(self) -> tuple:
-        """Hashable, and equal for equal series over one ring."""
-        return self.den, self.width, frozenset((g, frozenset(r)) for g, r in self.groups.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, USeries) and self.ring.same_as(other.ring) and self.key() == other.key()
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -393,18 +318,8 @@ def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int) -> 
 
 def _pair_series(terms: list, a: USeries, b: USeries, signs: tuple) -> None:
     """_pair_groups on every pair of groups of a x b."""
-    if a.width != b.width:
-        a, b = _aligned(a, b)
-    _pair_groups(terms, a.groups.items(), b.groups.items(), signs, a.den * b.den, a.width)
-
-
-def _aligned(a: USeries, b: USeries) -> tuple[USeries, USeries]:
-    """a and b at the wider of their widths (an operand, not canonical)."""
-    w = max(a.width, b.width)
-    return tuple(
-        USeries._make(v.ring, v.den, w, {g: _repack(v.ring, r, v.width, w) for g, r in v.groups.items()})
-        for v in (a, b)
-    )
+    width = max(a.width, b.width)
+    _pair_groups(terms, a._at(width).items(), b._at(width).items(), signs, a.den * b.den, width)
 
 
 def hn_differential(p: USeries, h: RingElement) -> USeries:
@@ -524,6 +439,12 @@ def _index_tuples(n: int, k: int) -> list[Indices]:
     return [tuple(c) for c in combinations(range(n), k)]
 
 
+# ring -> df0 as (den, width, groups), or None: what _relation_gradient_unit
+# found for the ring.  The layout holds no reference to the ring, so a
+# ring no one else holds leaves the cache.
+_GRADIENT_UNIT: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _relation_gradient_unit(ring: GradedRing) -> DiffForm | None:
     """df0 when the gradient self-pairing of the relation is a unit scalar.
 
@@ -534,27 +455,25 @@ def _relation_gradient_unit(ring: GradedRing) -> DiffForm | None:
     for the relation submodule: df0 ∧ ω = 0 iff ω = df0 ∧ (p⁻¹ ι(ω)).
     Returns None when the shortcut does not apply.
     """
-    cached = getattr(ring, "_gradient_unit_df0", False)
-    if cached is not False:
-        return cached
-    result = None
-    if ring.relation is not None:
-        df0 = de_rham_d(DiffForm.from_ring(ring.relation))
-        p = ring.zero()
-        for v in ring.variables:
-            c = ring.relation.derivative(v)
-            p = p + c * c
-        terms = p.terms
-        if len(terms) == 1 and set(terms) == {(0,) * ring.nvars}:
-            result = df0
-    ring._gradient_unit_df0 = result
-    return result
+    if ring not in _GRADIENT_UNIT:
+        layout = None
+        if ring.relation is not None:
+            p = ring.zero()
+            for v in ring.variables:
+                c = ring.relation.derivative(v)
+                p = p + c * c
+            if p.is_scalar() and not p.is_zero():
+                df0 = de_rham_d(DiffForm.from_ring(ring.relation))
+                layout = df0.den, df0.width, df0.groups
+        _GRADIENT_UNIT[ring] = layout
+    layout = _GRADIENT_UNIT[ring]
+    return None if layout is None else DiffForm._make(ring, *layout)
 
 
-def relation_bound(coefficients) -> int:
-    """The default membership degree bound for nonzero ring coefficients:
-    two above the largest total degree among them."""
-    return max(c.total_degree() for c in coefficients) + 2
+def relation_bound(v: Packed) -> int:
+    """The default membership degree bound for a nonzero ring element,
+    form or series: two above the largest total degree of its monomials."""
+    return max(sum(m) for rows in v.groups.values() for m in _monomials(v.ring, v.width, rows)) + 2
 
 
 def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bool:
@@ -574,7 +493,7 @@ def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bo
     if df0 is not None:
         return df0.wedge(form).is_zero()
     if degree_bound is None:
-        degree_bound = relation_bound(form.parts.values())
+        degree_bound = relation_bound(form)
     gens = relation_form_generators(form.ring, form.form_degrees())
     if not gens:
         return False
@@ -590,9 +509,9 @@ def milnor_representative(omega: DiffForm, f: RingElement) -> RingElement:
     """
     ring = omega.ring
     top = tuple(range(ring.nvars))
-    for S in omega.parts:
-        if S != top:
-            raise NotTopForm(f"component dx_{S} is not the top form")
+    for _, mask in omega.groups:
+        if mask != _mask(top):
+            raise NotTopForm(f"component dx_{_indices(mask)} is not the top form")
     coeff = omega.coefficient(top)
     if coeff.is_zero():
         return ring.zero()

@@ -29,11 +29,12 @@ from .rings import (
     Monomial,
     RingElement,
     _divides,
+    _element,
     _mono_div,
     _mono_mul,
+    _monomials,
     monomial_key,
 )
-from .scalars import ONE, Scalar
 
 STANDARD_MONOMIAL_CAP = 10000
 
@@ -86,8 +87,17 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
 def _rows(p: RingElement) -> tuple[dict, int]:
     """p as reduction's work dict {m: [a, b]} over the denominator den:
     p = (1/den)·Σ (a + b·i)·m."""
-    den = lcm(*(c.d for c in p.terms.values()))
-    return {m: [c.an * (den // c.d), c.bn * (den // c.d)] for m, c in p.terms.items()}, den
+    return {m: [a, b] for m, (_, a, b) in zip(_monomials(p.ring, p.width, p.rows), p.rows)}, p.den
+
+
+def _remainder(ring: GradedRing, rows: list, lm: Monomial | None = None) -> RingElement:
+    """The element of _reduce_full's rows (m, a, b, d), plus lm when given.
+    Each row's d divides the last, the reduction's final denominator."""
+    den = rows[-1][3] if rows else 1
+    items = [(m, a * (den // d), b * (den // d)) for m, a, b, d in rows]
+    if lm is not None:
+        items.append((lm, den, 0))
+    return _element(ring, den, items)
 
 
 def _entry(lm: Monomial, rows) -> _Entry:
@@ -263,10 +273,7 @@ def _interreduce(ring: GradedRing, basis: list[_Entry]) -> GroebnerBasis:
     final: list[RingElement] = []
     for k, (lm, den, tail) in enumerate(basis):
         work = {t: [a, b] for t, a, b in tail}
-        terms = {lm: ONE}
-        for m, a, b, d in _reduce_full(work, den, basis[:k] + basis[k + 1 :]):
-            terms[m] = Scalar._raw(a, b, d)
-        final.append(RingElement(ring, terms, _normalize=False))
+        final.append(_remainder(ring, _reduce_full(work, den, basis[:k] + basis[k + 1 :]), lm))
     return GroebnerBasis(ring, final)
 
 
@@ -275,10 +282,7 @@ def ideal_nf(p: RingElement, G: GroebnerBasis) -> RingElement:
     if p.is_zero():
         return p
     work, den = _rows(p)
-    rows = _reduce_full(work, den, [_element_entry(g) for g in G.elements])
-    return RingElement(
-        p.ring, {m: Scalar._raw(a, b, d) for m, a, b, d in rows}, _normalize=False
-    )
+    return _remainder(p.ring, _reduce_full(work, den, [_element_entry(g) for g in G.elements]))
 
 
 def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:

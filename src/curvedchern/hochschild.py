@@ -58,6 +58,19 @@ class CategoryData:
             if not M.e.has_operator_degree(0) or M.e @ M.e != M.e:
                 raise InvalidInput("category object presentation must be an even idempotent")
 
+    @classmethod
+    def _of_checked_module(cls, M: CurvedModule) -> "CategoryData":
+        """The one-object category of M with its differential stripped,
+        built on what check_module proved of M: e is an even idempotent and
+        e·delta·e = delta.  So the object is not checked again, and e and
+        delta enter as slots already split, whose e-support chain does not
+        check again either."""
+        cat = object.__new__(cls)
+        cat.algebra = M.algebra
+        cat.objects = [CurvedModule(M.algebra, M.degrees, Mat.zero(M.ring, M.degrees, M.degrees), e=M.e)]
+        cat._split = {(0, 0, content_key(X)): sorted(X.parity_components().items()) for X in (M.e, M.delta)}
+        return cat
+
     @property
     def ring(self):
         return self.algebra.ring
@@ -368,7 +381,7 @@ def connes_B(c: ChainSum) -> ChainSum:
 def _ring_entry(v: USeries) -> RingElement:
     if any(key != (0, 0) for key in v.groups):
         raise InvalidInput("chain slot carries form or u content")
-    return v.coefficient(0).coefficient(())
+    return RingElement._make(v.ring, v.den, v.width, v.groups)
 
 
 def hkr(c: ChainSum) -> DiffForm:
@@ -467,7 +480,7 @@ def expand_multilinear(c: ChainSum) -> ChainSum:
                     for J, S, poly in sorted(terms, key=lambda x: x[:2]):
                         for mono, cval in sorted(poly.terms.items()):
                             entries = [[0] * len(slot.source_degrees) for _ in slot.rows]
-                            monomial = RingElement(slot.ring, {mono: ONE}, _normalize=False)
+                            monomial = slot.ring.element({mono: ONE})
                             entries[t][s] = USeries.from_form(DiffForm(slot.ring, {S: monomial}), J)
                             elem = Mat(slot.ring, slot.target_degrees, slot.source_degrees, entries)
                             pieces.append((cval, elem))
@@ -588,16 +601,13 @@ def chern_via_chains(M: CurvedModule, C: Connection,
 
     nabla and nabla^2 depend only on (e, theta), which the stripped object
     shares with M, so C itself serves as the object's connection and its
-    curvature is computed once for both routes.
+    curvature is computed once for both routes.  The category trusts the
+    module's verdict (see CategoryData._of_checked_module).
     """
     verdict = M.verdict()
     if not verdict.ok:
         raise InvalidInput("chern_via_chains needs a valid module: " + "; ".join(verdict.failures))
-    ring = M.ring
-    stripped = CurvedModule(
-        M.algebra, M.degrees, Mat.zero(ring, M.degrees, M.degrees), e=M.e
-    )
-    cat = CategoryData(M.algebra, [stripped])
+    cat = CategoryData._of_checked_module(M)
     gamma = chain(cat, M.e)
-    pushed = pushforward(M.delta, gamma, ring.nvars)
+    pushed = pushforward(M.delta, gamma, M.ring.nvars)
     return tr_nabla(pushed, [C], words)

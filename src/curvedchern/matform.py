@@ -74,20 +74,16 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InternalCheckFailure, InvalidInput
-from .forms import DiffForm, USeries, _exterior_d, _indices, _pair_groups, _pair_series
-from .rings import GradedRing, RingElement, _monomials, _scaled_rows, sum_of_products
+from .forms import USeries, _exterior_d, _indices, _pair_groups, _pair_series
+from .rings import GradedRing, Packed, RingElement, _monomials, _scaled_rows, sum_of_products
 from .scalars import Scalar
 
 Column = list  # list[USeries], one entry per target basis vector
 
 
 def _as_useries(ring: GradedRing, value) -> USeries:
-    if isinstance(value, USeries):
-        return value
-    if isinstance(value, DiffForm):
+    if isinstance(value, Packed):  # a series, form or ring element: one layout
         return USeries.from_form(value)
-    if isinstance(value, RingElement):
-        return USeries.from_ring(value)
     if isinstance(value, str):
         return USeries.from_ring(ring.from_string(value))
     if isinstance(value, int):  # packed directly: u^0 times the monomial 1

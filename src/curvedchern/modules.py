@@ -309,7 +309,7 @@ def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
     if bound is None:
-        bound = relation_bound([c for f in p.coeffs.values() for c in f.parts.values()])
+        bound = relation_bound(p)
     for J in p.u_powers():
         if not vanishes_mod_relation(p.coefficient(J), bound):
             return IdentityVerdict(
@@ -325,8 +325,7 @@ def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     largest = None
     for row in X.rows:
         for _, v in sorted(row.items()):
-            coefficients = [c for f in v.coeffs.values() for c in f.parts.values()]
-            used = relation_bound(coefficients) if bound is None else bound
+            used = relation_bound(v) if bound is None else bound
             verdict = _useries_vanishes(v, used)
             if not verdict:
                 return verdict

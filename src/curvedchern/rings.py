@@ -4,24 +4,26 @@ A GradedRing is k[x_1..x_n] or k[x_1..x_n]/(f0) with k = Q(i), graded by
 Gamma = Z or Z/2.  Variable degrees are always even, so every ring element
 has even Gamma-degree; odd degrees only ever appear on module basis vectors.
 
-Elements are sparse exponent-tuple -> Scalar dicts, kept in the division
-normal form with respect to the single relation (a one-element generating
-set is a Groebner basis of its principal ideal, so the remainder is
-canonical).  The monomial order everywhere is graded lex: total degree
-first, then lexicographic with earlier variables more significant.
+Elements are kept in the division normal form with respect to the single
+relation (a one-element generating set is a Groebner basis of its
+principal ideal, so the remainder is canonical).  The monomial order
+everywhere is graded lex: total degree first, then lexicographic with
+earlier variables more significant.
 
-Every product of ring elements is formed by sum_of_products, on packed
-rows: a polynomial is a list of rows (packed monomial, re, im), Gaussian
-integers over a denominator kept beside them, a monomial one int with a
-field of `width` bits per variable (e_v at bit v·width).  The top bit of
-each field is kept clear, so adding two packed monomials, which multiplies
-them, never carries into the next field.  Canonical rows have no zero row,
-a positive denominator sharing no factor with every numerator, and the
-ring's base width (the widest that keeps a monomial below 2^30, one
-CPython digit) unless an exponent needs the narrowest wider width that
-fits.  forms.USeries keeps its entries so; RingElement (so the parser and
-groebner) keeps exponent tuples and Scalars and meets rows via _pack and
-_terms.
+Ring elements, forms and u-series share one layout, Packed: groups keyed
+by (u-power, dx mask) of packed rows (packed monomial, re, im), Gaussian
+integers over one denominator, a monomial one int with a field of `width`
+bits per variable (e_v at bit v·width).  The top bit of each field is
+kept clear, so adding two packed monomials, which multiplies them, never
+carries into the next field.  Canonical rows have no zero row, a positive
+denominator sharing no factor with every numerator, and the ring's base
+width (the widest that keeps a monomial below 2^30, one CPython digit)
+unless an exponent needs the narrowest wider width that fits.  A
+RingElement is the case of at most one group, at (0, 0).  Every product
+is formed by sum_of_products on these rows, and sums, scalings and
+derivatives work on them too, so no arithmetic builds a Scalar; the
+exponent tuples and Scalars of `RingElement.terms` are built on read, for
+printing and for code that works monomial by monomial.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb
 from math import gcd as _gcd
+from math import lcm
 from operator import add as _add
 from operator import or_ as _or
 
@@ -59,7 +62,7 @@ class GradedRing:
         Even Gamma-degrees, one per variable.
     grading : str
         'Z' or 'Z2'.
-    relation : str or RingElement or None
+    relation : str or None
         A single relation of Gamma-degree 0, e.g. "x1^2+x2^2+x3^2-1".
     """
 
@@ -90,7 +93,7 @@ class GradedRing:
 
         self.relation: RingElement | None = None
         if relation is not None:
-            rel = relation if isinstance(relation, RingElement) else self.from_string(relation)
+            rel = self.from_string(relation)
             if rel.is_zero():
                 raise InvalidInput("relation must be nonzero")
             if rel.gamma_degree() != self.degree_reduce(0):
@@ -100,11 +103,15 @@ class GradedRing:
             # store monic with respect to the leading coefficient so the
             # division step below is a plain subtract-multiple
             lm, lc = rel.leading_term()
-            monic = {m: c / lc for m, c in rel.terms.items()}
-            self.relation = RingElement(self, monic, _normalize=False)
+            monic = rel.scale(lc.inv())
             self._rel_lm = lm
-            self._nf_cache: dict[Monomial, dict] = {}
-            # parsing the relation filled them before the relation applied
+            # the tail rows (monomial, re, im) over monic.den, read while no
+            # relation applies, as one would rewrite the lead
+            self._rel_tail = [
+                (t, a, b) for t, (_, a, b) in zip(monic._monomials(), monic.rows) if t != lm
+            ]
+            self._nf_cache: dict[Monomial, tuple] = {}
+            self.relation = monic
             self._packings.clear()
 
     # -- gamma bookkeeping --------------------------------------------
@@ -124,7 +131,7 @@ class GradedRing:
         return RingElement(self, terms)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {}, _normalize=False)
+        return RingElement.zero(self)
 
     def one(self) -> "RingElement":
         return self.scalar(ONE)
@@ -134,7 +141,8 @@ class GradedRing:
             c = Scalar(c)
         if c.is_zero():
             return self.zero()
-        return RingElement(self, {(0,) * self.nvars: c})
+        # the monomial 1 packs to 0 and is in normal form
+        return RingElement._make(self, c.d, self.base_width, {_KEY: [(0, c.an, c.bn)]})
 
     def var(self, name: str) -> "RingElement":
         if name not in self._index:
@@ -148,32 +156,32 @@ class GradedRing:
 
     # -- internal: division by the relation ---------------------------
 
-    def _normal_form(self, terms: dict) -> dict:
-        """Remainder of division by the (monic) relation.
-
-        Input with no monomial the relation's lead divides is already
-        reduced; any other input is reduced by sum_of_products, as a
-        product by one.
-        """
-        out = {m: c for m, c in terms.items() if not c.is_zero()}
-        if self.relation is None or not any(_divides(self._rel_lm, m) for m in out):
-            return out
-        return _product(self, out, {(0,) * self.nvars: ONE})
-
-    def _monomial_nf(self, m: Monomial) -> dict:
-        """Cached remainder of a single monomial divisible by the lead:
-        m = q·lm ≡ -q·(relation - lm), each term reduced again if need be."""
+    def _monomial_nf(self, m: Monomial) -> tuple:
+        """Cached remainder (den, {monomial: (re, im)}) of a single monomial
+        divisible by the lead: m = q·lm ≡ -q·(relation - lm), each term
+        reduced again if need be, in lowest terms over one denominator."""
         got = self._nf_cache.get(m)
         if got is None:
-            lm = self._rel_lm
+            lm, rd = self._rel_lm, self.relation.den
             q = _mono_div(m, lm)
-            acc: dict = {}
-            for rm, rc in self.relation.terms.items():
-                if rm != lm:
-                    t = _mono_mul(q, rm)
-                    for m2, c2 in (self._monomial_nf(t) if _divides(lm, t) else {t: ONE}).items():
-                        acc[m2] = acc[m2] - rc * c2 if m2 in acc else -rc * c2
-            got = self._nf_cache[m] = {m2: c for m2, c in acc.items() if not c.is_zero()}
+            den, acc = rd, {}
+            for t, a, b in self._rel_tail:
+                t = _mono_mul(q, t)
+                d2, sub = self._monomial_nf(t) if _divides(lm, t) else (1, {t: (1, 0)})
+                if den % (rd * d2):  # a new denominator: rescale the sum so far
+                    f = rd * d2 // _gcd(den, rd * d2)
+                    den *= f
+                    for v in acc.values():
+                        v[0] *= f
+                        v[1] *= f
+                g = den // (rd * d2)
+                for t2, (c, e) in sub.items():
+                    v = acc.setdefault(t2, [0, 0])
+                    v[0] -= g * (a * c - b * e)
+                    v[1] -= g * (a * e + b * c)
+            acc = {t: v for t, v in acc.items() if v[0] or v[1]}
+            g = _gcd(den, *(x for v in acc.values() for x in v))
+            got = self._nf_cache[m] = (den // g, {t: (a // g, b // g) for t, (a, b) in acc.items()})
         return got
 
     def _width_for(self, top: int) -> int:
@@ -228,8 +236,8 @@ class GradedRing:
     # -- identity ------------------------------------------------------
 
     def same_as(self, other: "GradedRing") -> bool:
-        rel_a = None if self.relation is None else sorted(self.relation.terms.items())
-        rel_b = None if other.relation is None else sorted(other.relation.terms.items())
+        rel_a = None if self.relation is None else self.relation.key()
+        rel_b = None if other.relation is None else other.relation.key()
         return (
             self.variables == other.variables
             and self.degrees == other.degrees
@@ -273,12 +281,12 @@ class _UnpackTable(dict):
         m = tuple((k >> s) & self.mask for s in self.shifts)
         nf = None
         if ring.relation is not None and _divides(ring._rel_lm, m):
-            terms = ring._monomial_nf(m)
+            den, terms = ring._monomial_nf(m)
             top = max(map(max, terms), default=0)
             if top >> self.width:  # sum_of_products widens and starts again
                 raise OverflowError(top)
-            dm, _, rows = _pack(ring, {0: terms}, self.width)
-            nf = (dm, rows.get(0, ()))
+            pack = ring._packing(self.width)[0]
+            nf = (den, [(pack[t], a, b) for t, (a, b) in terms.items()])
         got = self[k] = (m, nf)
         return got
 
@@ -295,57 +303,153 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-class RingElement:
-    """A sparse polynomial in normal form; immutable in practice."""
+# the key of a RingElement's one group: u^0, no dx
+_KEY = (0, 0)
 
-    __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: GradedRing, terms: dict, _normalize: bool = True):
-        self.ring = ring
-        self.terms = ring._normal_form(terms) if _normalize else terms
-        self._hash = None
+class Packed:
+    """The one layout of ring elements, forms and u-series.
+
+    groups maps a key (J, mask), J the power of the even variable u and
+    mask the bitmask of the wedge indices S of dx_S, to the canonical rows
+    of a polynomial (see the module docstring), all groups over the one
+    positive denominator den at one width.  No group is empty, so equal
+    values have equal dens, widths and groups, rows compared as sets.  A
+    RingElement has at most the group (0, 0), a forms.DiffForm only groups
+    at J = 0 and a forms.USeries any; so each is the other's operand with
+    no conversion.  A value and its groups and rows are never changed once
+    made.
+    """
+
+    __slots__ = ("ring", "den", "width", "groups")
+
+    @classmethod
+    def _make(cls, ring: GradedRing, den: int, width: int, groups: dict):
+        """An internal result, canonical by construction."""
+        v = object.__new__(cls)
+        v.ring = ring
+        v.den = den
+        v.width = width
+        v.groups = groups
+        return v
+
+    @classmethod
+    def _reduced(cls, ring: GradedRing, den: int, width: int, groups: dict):
+        """An internal result, nonempty groups without zero rows, made canonical."""
+        if den == 1 and width == ring.base_width:
+            return cls._make(ring, 1, width, groups)
+        return cls._make(ring, *_canonical(ring, den, width, groups))
+
+    @classmethod
+    def zero(cls, ring: GradedRing):
+        return cls._make(ring, 1, ring.base_width, {})
+
+    def _at(self, width: int) -> dict:
+        """The groups at a width that holds them (an operand, not canonical)."""
+        if width == self.width:
+            return self.groups
+        return {g: _repack(self.ring, rows, self.width, width) for g, rows in self.groups.items()}
+
+    def _merge(self, other: "Packed", sign: int, shift: int = 0):
+        """self + sign·u^shift·other, sign ±1, over the least common
+        denominator; only the groups the two share are summed row by row."""
+        if not other.groups:
+            return self
+        if not self.groups and sign == 1 and shift == 0:
+            return other
+        width = max(self.width, other.width)
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = self._at(width)
+        out = {g: _scaled_rows(rows, fa) for g, rows in out.items()} if fa != 1 else dict(out)
+        for (J, mask), rows in other._at(width).items():
+            g = (J + shift, mask)
+            rows = _scaled_rows(rows, fb) if fb != 1 else rows
+            mine = out.get(g)
+            if mine is None:
+                out[g] = rows
+            elif summed := _summed(mine + rows):
+                out[g] = summed
+            else:
+                del out[g]
+        return self._reduced(self.ring, den, width, out)
+
+    def _scale(self, c: Scalar):
+        if c.is_zero():
+            return self.zero(self.ring)
+        groups = {g: _scaled_rows(rows, c.an, c.bn) for g, rows in self.groups.items()}
+        return self._reduced(self.ring, self.den * c.d, self.width, groups)
+
+    def __neg__(self):
+        groups = {g: _scaled_rows(rows, -1) for g, rows in self.groups.items()}
+        return self._make(self.ring, self.den, self.width, groups)
+
+    def is_zero(self) -> bool:
+        return not self.groups
+
+    def key(self) -> tuple:
+        """Hashable, and equal for equal values over one ring."""
+        return self.den, self.width, frozenset((g, frozenset(r)) for g, r in self.groups.items())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.ring.same_as(other.ring) and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+
+class RingElement(Packed):
+    """A polynomial in normal form: a Packed value with at most the group
+    (0, 0).  RingElement(ring, terms) checks and normal-forms outside
+    input; results of operations are built by _make, unchecked."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: GradedRing, terms: dict):
+        """The element sum c·m over the items m: c of terms, exponent
+        tuples to Scalars; zero terms are dropped, and a monomial the
+        relation's lead divides is reduced, as a product by one."""
+        items = [(m, c) for m, c in terms.items() if not c.is_zero()]
+        den = lcm(*(c.d for _, c in items))
+        v = _element(ring, den, [(m, c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items])
+        if ring.relation is not None and any(_divides(ring._rel_lm, m) for m, _ in items):
+            v = v * ring.one()
+        self.ring, self.den, self.width, self.groups = ring, v.den, v.width, v.groups
+
+    @property
+    def rows(self) -> list:
+        return self.groups.get(_KEY, [])
+
+    @property
+    def terms(self) -> dict:
+        """The element as {monomial: Scalar}: a new dict on each read."""
+        unpack = self.ring._packing(self.width)[1]
+        return {unpack[k][0]: Scalar._raw(a, b, self.den) for k, a, b in self.rows}
+
+    def _monomials(self) -> list:
+        return _monomials(self.ring, self.width, self.rows)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, False)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, True)
-
-    def _merge(self, other: "RingElement", negate: bool) -> "RingElement":
-        """self + other, or self - other when `negate`: only the terms of
-        other whose monomial self lacks are negated on their own."""
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m)
-            if nc is None:
-                out[m] = -c if negate else c
-                continue
-            nc = nc - c if negate else nc + c
-            if nc.is_zero():
-                del out[m]
-            else:
-                out[m] = nc
-        return RingElement(self.ring, out, _normalize=False)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(
-            self.ring, {m: -c for m, c in self.terms.items()}, _normalize=False
-        )
+        return Packed.__neg__(self)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """The product in normal form: sum_of_products on one product."""
-        if not self.terms or not other.terms:
+        if not self.groups or not other.groups:
             return self.ring.zero()
-        return RingElement(self.ring, _product(self.ring, self.terms, other.terms), _normalize=False)
+        width = max(self.width, other.width)
+        product = (_KEY, 1, self.den * other.den, width, self._at(width)[_KEY], other._at(width)[_KEY])
+        return RingElement._make(self.ring, *sum_of_products(self.ring, [product]))
 
     def scale(self, c: Scalar) -> "RingElement":
-        if c.is_zero():
-            return self.ring.zero()
-        return RingElement(
-            self.ring, {m: c * v for m, v in self.terms.items()}, _normalize=False
-        )
+        return self._scale(c)
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
@@ -361,31 +465,29 @@ class RingElement:
 
     def derivative(self, var: str) -> "RingElement":
         """Formal partial derivative of the normal-form representative (no
-        monomial of which the relation's lead divides)."""
-        k = self.ring._index[var]
-        out = {
-            m[:k] + (m[k] - 1,) + m[k + 1 :]: Scalar._raw(m[k] * c.an, m[k] * c.bn, c.d)
-            for m, c in self.terms.items() if m[k]
-        }
-        return RingElement(self.ring, out, _normalize=False)
+        monomial of which the relation's lead divides): on a packed row it
+        multiplies the numerators by the exponent in var's field and
+        subtracts one from the field."""
+        shift = self.ring._index[var] * self.width
+        field = (1 << self.width) - 1
+        rows = [(k - (1 << shift), e * a, e * b) for k, a, b in self.rows if (e := k >> shift & field)]
+        return RingElement._reduced(self.ring, self.den, self.width, {_KEY: rows} if rows else {})
 
     # -- structure -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_scalar(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.ring.nvars}
+        rows = self.rows
+        return not rows or (len(rows) == 1 and rows[0][0] == 0)
 
     def scalar_part(self) -> Scalar:
-        return self.terms.get((0,) * self.ring.nvars, Scalar(0))
+        return next((Scalar._raw(a, b, self.den) for k, a, b in self.rows if k == 0), Scalar(0))
 
     def gamma_degree(self) -> int:
         """Common Gamma-degree of all monomials, or raise Inhomogeneous.
 
         Zero is homogeneous of every degree; by convention returns 0.
         """
-        degs = {self.ring.monomial_gamma(m) for m in self.terms}
+        degs = {self.ring.monomial_gamma(m) for m in self._monomials()}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -394,39 +496,26 @@ class RingElement:
 
     def has_gamma_degree(self, d: int) -> bool:
         """True when every monomial has Gamma-degree d (zero passes)."""
-        return all(self.ring.deg_eq(self.ring.monomial_gamma(m), d) for m in self.terms)
+        return all(self.ring.deg_eq(self.ring.monomial_gamma(m), d) for m in self._monomials())
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(sum, self._monomials()), default=0)
 
     def leading_term(self) -> tuple[Monomial, Scalar]:
-        if not self.terms:
+        if not self.rows:
             raise InvalidInput("leading term of zero")
-        m = max(self.terms, key=monomial_key)
-        return m, self.terms[m]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.ring.same_as(other.ring)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
-        return self._hash
+        m, (_, a, b) = max(zip(self._monomials(), self.rows), key=lambda t: monomial_key(t[0]))
+        return m, Scalar._raw(a, b, self.den)
 
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=monomial_key, reverse=True):
-            c = self.terms[m]
-            mono = _mono_str(self.ring, m)
-            parts.append(_term_str(c, mono))
+        for m in sorted(terms, key=monomial_key, reverse=True):
+            parts.append(_term_str(terms[m], _mono_str(self.ring, m)))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -434,6 +523,15 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self}>"
+
+
+def _element(ring: GradedRing, den: int, items: list) -> RingElement:
+    """The element (1/den)·sum (a + b·i)·m over the items (m, a, b),
+    distinct monomials with no zero numerator pair, not normal-formed."""
+    width = ring._width_for(max((e for m, _, _ in items for e in m), default=0))
+    pack = ring._packing(width)[0]
+    rows = [(pack[m], a, b) for m, a, b in items]
+    return RingElement._reduced(ring, den, width, {_KEY: rows} if rows else {})
 
 
 def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
@@ -567,42 +665,10 @@ def _summed(rows: list) -> list:
     return [(k, a, b) for k, (a, b) in acc.items() if a or b]
 
 
-def _pack(ring: GradedRing, items: dict, width: int = 0) -> tuple:
-    """(den, width, {key: rows}) for {key: nonempty monomial -> Scalar
-    map}, canonical unless a width is given: the least common denominator
-    of Scalars in lowest terms shares no factor with every numerator."""
-    if not width:
-        tops = [max(map(max, terms)) for terms in items.values()] if ring.nvars else ()
-        width = ring._width_for(max(tops, default=0))
-    den = 1
-    for terms in items.values():
-        for c in terms.values():
-            if den % c.d:
-                den = den * c.d // _gcd(den, c.d)
-    pack = ring._packing(width)[0]
-    return den, width, {
-        key: [(pack[m], c.an * (den // c.d), c.bn * (den // c.d)) for m, c in terms.items()]
-        for key, terms in items.items()
-    }
-
-
 def _monomials(ring: GradedRing, width: int, rows: list) -> list:
     """The exponent tuples of the packed monomials of rows."""
     unpack = ring._packing(width)[1]
     return [unpack[k][0] for k, _, _ in rows]
-
-
-def _terms(ring: GradedRing, den: int, width: int, rows: list) -> dict:
-    """Rows over den at width as a monomial -> Scalar map."""
-    unpack = ring._packing(width)[1]
-    return {unpack[k][0]: Scalar._raw(a, b, den) for k, a, b in rows}
-
-
-def _product(ring: GradedRing, p: dict, q: dict) -> dict:
-    """NF(p·q) for nonempty monomial -> Scalar maps: one sum_of_products."""
-    den, width, rows = _pack(ring, {0: p, 1: q})
-    den, width, got = sum_of_products(ring, [(None, 1, den * den, width, rows[0], rows[1])])
-    return _terms(ring, den, width, got[None]) if got else {}
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:
@@ -641,20 +707,26 @@ def _term_str(c: Scalar, mono: str) -> str:
 # The term count is bounded by the operands' term counts and by the box of
 # exponent vectors the result can reach, before any reduction; the
 # coefficient estimate adds the operands' largest numerator or denominator
-# bit lengths and the bits a sum of the products can carry.
+# bit lengths and the bits a sum of the products can carry.  Parentheses
+# and unary minus signs nest at most MAX_NESTING deep, which keeps the
+# recursive descent (four frames a parenthesis) far from the interpreter's
+# recursion limit.
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFFICIENT_BITS = 10_000
+MAX_NESTING = 100
 
 
 def _exponents(p: RingElement) -> list[int]:
     """The largest exponent of each variable in p."""
-    return [max(col, default=0) for col in zip(*p.terms)] or [0] * p.ring.nvars
+    return [max(col, default=0) for col in zip(*p._monomials())] or [0] * p.ring.nvars
 
 
 def _bits(p: RingElement) -> int:
-    """The largest bit length of a numerator or denominator in p."""
-    return max((max(abs(c.an), abs(c.bn), c.d).bit_length() for c in p.terms.values()), default=0)
+    """The largest bit length of a numerator or denominator of a term of
+    p, each term's Scalar in lowest terms."""
+    d = p.den
+    return max((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for _, a, b in p.rows) if p.rows else 0
 
 
 def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
@@ -717,6 +789,7 @@ class _Parser:
         self.ring = ring
         self.toks = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -726,12 +799,23 @@ class _Parser:
         self.k += 1
         return t
 
+    def nested(self, parse) -> RingElement:
+        """parse() one level deeper in parentheses or unary minus signs."""
+        if self.depth == MAX_NESTING:
+            raise InvalidInput(
+                f"polynomial nests parentheses or unary minus signs more than {MAX_NESTING} deep"
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def expr(self) -> RingElement:
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            terms = len(node.terms) + len(rhs.terms)
+            terms = len(node.rows) + len(rhs.rows)
             if terms > MAX_TERMS:  # a sum raises no exponent
                 _check_size("sum", list(map(max, _exponents(node), _exponents(rhs))), terms)
             node = node + rhs if op == "+" else node - rhs
@@ -743,11 +827,11 @@ class _Parser:
             _, op = self.take()
             rhs = self.factor()
             if op == "*":
-                fewer = min(len(node.terms), len(rhs.terms))
+                fewer = min(len(node.rows), len(rhs.rows))
                 _check_size(
                     "product",
                     list(map(_add, _exponents(node), _exponents(rhs))),
-                    len(node.terms) * len(rhs.terms),
+                    len(node.rows) * len(rhs.rows),
                     _bits(node) + _bits(rhs) + fewer.bit_length() + 1,
                 )
                 node = node * rhs
@@ -760,7 +844,7 @@ class _Parser:
     def factor(self) -> RingElement:
         if self.peek() == ("op", "-"):
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         node = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
@@ -776,8 +860,8 @@ class _Parser:
                 _check_size(
                     "power",
                     [n * e for e in _exponents(node)],
-                    comb(len(node.terms) + n - 1, n),
-                    n * (_bits(node) + len(node.terms).bit_length() + 1),
+                    comb(len(node.rows) + n - 1, n),
+                    n * (_bits(node) + len(node.rows).bit_length() + 1),
                 )
             node = node**n
         return node
@@ -794,7 +878,7 @@ class _Parser:
                 return self.ring.scalar(Scalar(0, 1))
             return self.ring.var(val)
         if (kind, val) == ("op", "("):
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.take() != ("op", ")"):
                 raise InvalidInput("unbalanced parentheses")
             return node

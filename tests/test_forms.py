@@ -288,7 +288,7 @@ def test_exterior_d_forms_no_derivative_call_and_no_normal_form(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
 
     spy(RingElement, "derivative")
-    spy(GradedRing, "_normal_form")
+    spy(GradedRing, "_normal_forms")
     got = _exterior_d(series, True)
     assert calls == []
     assert got == want

@@ -100,21 +100,20 @@ def _solvable(matrix: list[list[Scalar]], rhs: list[Scalar]) -> bool:
 def reference_sum_of_products(ring: GradedRing, contributions) -> dict:
     """rings.sum_of_products the slow way, independent of its integer rows
     and packing: every term product is a Scalar product, normal-formed on
-    its own by ring._normal_form and added into its key's sum term by
-    term."""
+    its own by ring.element and added into its key's sum term by term."""
     sums: dict = {}
     for key, sign, p, q in contributions:
         acc = sums.setdefault(key, {})
         for m1, c1 in p.terms.items():
             for m2, c2 in q.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                for rm, rc in ring._normal_form({m: c1 * c2 * Scalar(sign)}).items():
+                for rm, rc in ring.element({m: c1 * c2 * Scalar(sign)}).terms.items():
                     acc[rm] = acc.get(rm, Scalar(0)) + rc
     out = {}
     for key, acc in sums.items():
         terms = {m: c for m, c in acc.items() if not c.is_zero()}
         if terms:
-            out[key] = RingElement(ring, terms, _normalize=False)
+            out[key] = ring.element(terms)
     return out
 
 
@@ -385,7 +384,7 @@ def reference_reduce(p: RingElement, basis: list[RingElement]) -> RingElement:
                 work.pop(t, None)
             else:
                 work[t] = nc
-    return RingElement(p.ring, out, _normalize=False)
+    return p.ring.element(out)
 
 
 def reference_spoly(f: RingElement, g: RingElement) -> RingElement:
@@ -393,8 +392,8 @@ def reference_spoly(f: RingElement, g: RingElement) -> RingElement:
     gm, gc = g.leading_term()
     lcm = tuple(max(a, b) for a, b in zip(fm, gm))
     ring = f.ring
-    tf = RingElement(ring, {_mono_div(lcm, fm): fc.inv()}, _normalize=False)
-    tg = RingElement(ring, {_mono_div(lcm, gm): gc.inv()}, _normalize=False)
+    tf = ring.element({_mono_div(lcm, fm): fc.inv()})
+    tg = ring.element({_mono_div(lcm, gm): gc.inv()})
     return tf * f - tg * g
 
 
@@ -550,7 +549,7 @@ def reference_parity_components(X) -> dict:
     def entry(terms: dict) -> USeries:
         forms: dict = {}
         for (J, S), ms in terms.items():
-            forms.setdefault(J, {})[S] = RingElement(ring, ms, _normalize=False)
+            forms.setdefault(J, {})[S] = ring.element(ms)
         return USeries(ring, {J: DiffForm(ring, f) for J, f in forms.items()})
 
     return {
