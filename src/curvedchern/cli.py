@@ -184,7 +184,9 @@ def parse_instance(text: str, label: str) -> Instance:
     """Validate a problem file; every violated clause is named."""
     try:
         data = json.loads(strip_comments(text))
-    except json.JSONDecodeError as exc:
+    # ValueError covers a syntax error and an integer literal past the
+    # interpreter's digit limit; RecursionError, arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"problem file is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "problem file: top level must be an object")
     known = {"ring", "curved", "module", "connection", "options"}

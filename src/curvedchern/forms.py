@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
@@ -73,17 +74,11 @@ class DiffForm(Packed):
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self._merge(other, -1)
+    # in the class body, where perfbench's tracer looks for it
+    __add__ = Packed.__add__
 
     def scale_ring(self, p: RingElement) -> "DiffForm":
         return self.wedge(DiffForm.from_ring(p))
-
-    def scale(self, c: Scalar) -> "DiffForm":
-        return self._scale(c)
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
         v = USeries.sum_of_products(self.ring, ((1, 0, self, other),))
@@ -243,11 +238,8 @@ class USeries(Packed):
         read, so writing to it leaves the series unchanged."""
         return {J: self.coefficient(J) for J in self.u_powers()}
 
-    def __add__(self, other: "USeries") -> "USeries":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        return self._merge(other, -1)
+    # in the class body, where perfbench's tracer looks for it
+    __add__ = Packed.__add__
 
     def __mul__(self, other: "USeries") -> "USeries":
         return USeries.sum_of_products(self.ring, ((1, 0, self, other),))
@@ -261,22 +253,11 @@ class USeries(Packed):
         a and b may be series, forms or ring elements."""
         terms: list = []
         for sign, shift, a, b in pairs:
-            width = max(a.width, b.width)
-            d = a.den * b.den
-            right = b._at(width).items()
-            for (J1, m1), P in a._at(width).items():
-                J1 += shift
-                wedge = _wedge_row(m1)
-                for (J2, m2), Q in right:
-                    if s := wedge[m2]:
-                        terms.append(((J1 + J2, m1 | m2), sign * s, d, width, P, Q))
+            _pair_series(terms, a, b, ((sign, sign), (sign, sign)), shift)
         out = USeries._make(ring, *sum_of_products(ring, terms)) if terms else USeries.zero(ring)
         for sign, shift, v in plus:
             out = out._merge(v, sign, shift)
         return out
-
-    def scale(self, c: Scalar) -> "USeries":
-        return self._scale(c)
 
     def shift_u(self, k: int) -> "USeries":
         if k < 0 and any(J + k < 0 for J, _ in self.groups):
@@ -302,13 +283,15 @@ class USeries(Packed):
         return f"<useries {self}>"
 
 
-def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int) -> None:
+def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int, shift: int = 0) -> None:
     """Append the rings.sum_of_products contributions of the pairs of
     groups ((J, mask), rows) in left x right, at `width` with denominator
-    product d, as USeries.sum_of_products does, each sign multiplied by
-    signs[|S_g| % 2][|S_h| % 2]; a pair of sign 0 is left out."""
+    product d: the product of u^shift·g and h filed under (J_g + J_h +
+    shift, mask_g | mask_h) with the wedge sign times signs[|S_g| %
+    2][|S_h| % 2]; a pair of sign 0 is left out."""
     right = [(J2, m2, m2.bit_count() % 2, Q) for (J2, m2), Q in right]
     for (J1, m1), P in left:
+        J1 += shift
         row = signs[m1.bit_count() % 2]
         wedge = _wedge_row(m1)
         for J2, m2, p2, Q in right:
@@ -316,10 +299,10 @@ def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int) -> 
                 terms.append(((J1 + J2, m1 | m2), m * s, d, width, P, Q))
 
 
-def _pair_series(terms: list, a: USeries, b: USeries, signs: tuple) -> None:
+def _pair_series(terms: list, a: Packed, b: Packed, signs: tuple, shift: int = 0) -> None:
     """_pair_groups on every pair of groups of a x b."""
     width = max(a.width, b.width)
-    _pair_groups(terms, a._at(width).items(), b._at(width).items(), signs, a.den * b.den, width)
+    _pair_groups(terms, a._at(width).items(), b._at(width).items(), signs, a.den * b.den, width, shift)
 
 
 def hn_differential(p: USeries, h: RingElement) -> USeries:
@@ -426,17 +409,11 @@ def relation_form_generators(ring: GradedRing, degrees: set[int]) -> list[DiffFo
     for c in sorted(degrees):
         if c == 0:
             continue
-        for S in _index_tuples(ring.nvars, c - 1):
+        for S in combinations(range(ring.nvars), c - 1):
             g = df0.wedge(DiffForm(ring, {S: ring.one()}))
             if not g.is_zero():
                 gens.append(g)
     return gens
-
-
-def _index_tuples(n: int, k: int) -> list[Indices]:
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(n), k)]
 
 
 # ring -> df0 as (den, width, groups), or None: what _relation_gradient_unit

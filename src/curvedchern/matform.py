@@ -20,8 +20,9 @@ no stored entry is ever zero, so every operation visits stored entries
 only and two equal matrices have equal rows.  An entry is a packed
 forms.USeries, (u-power, dx mask) groups of integer rows, so the
 supertraces, the parity split and content_key work on ints and keys: a
-mask gives the sign of a wedge and the parity of a group.  The product
-is formed row by
+mask gives the sign of a wedge and the parity of a group.  A ring element
+or a form given as an entry has that layout already (rings.Packed) and
+is taken as it stands.  The product is formed row by
 row (Gustavson, ACM TOMS 4(3), 1978): each stored (t, k) of the left
 factor meets each stored (k, s) of row k of the right factor, and the
 pairs gathered for an output entry (t, s) go to one
@@ -280,12 +281,11 @@ class Mat:
         return self._map(lambda v: v.scale(c))
 
     def scale_ring(self, p: RingElement) -> "Mat":
-        factor = USeries.from_ring(p)
         return Mat._make(
             self.ring,
             self.target_degrees,
             self.source_degrees,
-            [_nonzero({s: v * factor for s, v in row.items()}) for row in self.rows],
+            [_nonzero({s: v * p for s, v in row.items()}) for row in self.rows],
         )
 
     def shift_u(self, k: int) -> "Mat":

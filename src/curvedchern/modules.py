@@ -17,14 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import Inhomogeneous, InvalidInput, NonLinearCurvature
-from .forms import (
-    DiffForm,
-    USeries,
-    de_rham_d,
-    hn_differential,
-    relation_bound,
-    vanishes_mod_relation,
-)
+from .forms import USeries, _exterior_d, hn_differential, relation_bound, vanishes_mod_relation
 from .matform import Mat, WordEvaluator, content_key
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
@@ -364,7 +357,7 @@ def commutator_residue(M: CurvedModule, C: Connection) -> Mat:
     R = curvature_R(C)
     terms = [(sign, 1, X, Y) for sign, _, X, Y in _bracket_terms(C, C, R, 0)]
     terms += [(1, 0, M.delta, R), (-1, 0, R, M.delta)]
-    dh = USeries.from_form(de_rham_d(DiffForm.from_ring(M.algebra.h)))
+    dh = _exterior_d(USeries.from_ring(M.algebra.h))
     if not dh.is_zero():
         terms.append((-1, 0, _diagonal(M, dh, -dh), M.e))
     return Mat.sum_of_products(M.ring, M.degrees, M.degrees, terms)

@@ -374,15 +374,21 @@ class Packed:
                 del out[g]
         return self._reduced(self.ring, den, width, out)
 
-    def _scale(self, c: Scalar):
-        if c.is_zero():
-            return self.zero(self.ring)
-        groups = {g: _scaled_rows(rows, c.an, c.bn) for g, rows in self.groups.items()}
-        return self._reduced(self.ring, self.den * c.d, self.width, groups)
+    def __add__(self, other: "Packed"):
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "Packed"):
+        return self._merge(other, -1)
 
     def __neg__(self):
         groups = {g: _scaled_rows(rows, -1) for g, rows in self.groups.items()}
         return self._make(self.ring, self.den, self.width, groups)
+
+    def scale(self, c: Scalar):
+        if c.is_zero():
+            return self.zero(self.ring)
+        groups = {g: _scaled_rows(rows, c.an, c.bn) for g, rows in self.groups.items()}
+        return self._reduced(self.ring, self.den * c.d, self.width, groups)
 
     def is_zero(self) -> bool:
         return not self.groups
@@ -431,14 +437,8 @@ class RingElement(Packed):
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "RingElement":
-        return Packed.__neg__(self)
+    # in the class body, where perfbench's tracer looks for them
+    __add__, __sub__, __neg__, scale = Packed.__add__, Packed.__sub__, Packed.__neg__, Packed.scale
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """The product in normal form: sum_of_products on one product."""
@@ -447,9 +447,6 @@ class RingElement(Packed):
         width = max(self.width, other.width)
         product = (_KEY, 1, self.den * other.den, width, self._at(width)[_KEY], other._at(width)[_KEY])
         return RingElement._make(self.ring, *sum_of_products(self.ring, [product]))
-
-    def scale(self, c: Scalar) -> "RingElement":
-        return self._scale(c)
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:

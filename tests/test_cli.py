@@ -257,3 +257,39 @@ def test_milnor_polynomial_starting_with_minus_names_the_double_dash_form(args):
     works = _run("milnor", "--vars", "x,y", "--", "-x^2+y^2")
     assert works.returncode == 0, works.stderr
     assert works.stdout.endswith("milnor number: 1\n")
+
+
+@pytest.mark.parametrize(
+    "poly",
+    ["(" * 250 + "x" + ")" * 250 + "^2+y^2", "-" * 1000 + "x^2+y^2"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_milnor_of_a_deeply_nested_polynomial_exits_2(poly):
+    proc = _run("milnor", "--vars", "x,y", "--", poly)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: polynomial nests")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps(_with("curved", h="(" * 400 + "-x*y" + ")" * 400)),
+            "invalid input: polynomial nests",
+        ),
+        ("[" * 100_000 + "]" * 100_000, "invalid input: problem file is not valid JSON: "),
+        (
+            '{"ring": {"variables": ["x", "y"]}, "options": {"bound": ' + "9" * 5000 + "}}",
+            "invalid input: problem file is not valid JSON: ",
+        ),
+    ],
+    ids=["nested-curvature", "nested-arrays", "huge-integer"],
+)
+def test_problem_file_that_overflows_a_parser_exits_2(text, message, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr

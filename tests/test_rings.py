@@ -209,3 +209,13 @@ def test_arithmetic_on_a_quotient_ring_builds_no_scalar():
     assert got[5].parts == {(0,): p * p, (0, 2): p * q, (1, 2): q * p}
     assert got[6].parts == {(): p, (0,): p, (1, 2): q, (2,): q}
     assert got[7] == g
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("-(", ")")])
+def test_parser_nesting_is_capped(opening, closing):
+    R = qi_ring("x")
+    depth = rings.MAX_NESTING // len(opening)
+    nested = opening * depth + "x" + closing * depth
+    assert R.from_string(nested) == R.from_string("x" if "-" not in opening or depth % 2 == 0 else "-x")
+    with pytest.raises(InvalidInput, match="nests"):
+        R.from_string(opening + nested + closing)
