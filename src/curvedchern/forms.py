@@ -10,9 +10,9 @@ A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
 formal variable u, and a DiffForm the case J = 0: both are rings.Packed
 values, whose groups map (J, mask), mask the bitmask of S, to the rows of
 p, over one denominator and width.  A RingElement is the group (0, 0), so
-a ring element, a form and a series are one another's operands as they
-stand.  rings.sum_of_products reads and returns that layout, so no
-product builds a Scalar.  A product pairs the groups of its factors, the
+a product takes ring elements, forms and series as they stand.
+rings.sum_of_products reads and returns that layout, so no product
+builds a Scalar.  A product pairs the groups of its factors, the
 overlap test and the wedge sign taken from the two masks once per pair of
 groups; d moves one exponent of a packed monomial into the mask.  A
 coefficient is a subset of the groups, re-keyed and made canonical, and

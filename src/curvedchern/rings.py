@@ -316,9 +316,9 @@ class Packed:
     positive denominator den at one width.  No group is empty, so equal
     values have equal dens, widths and groups, rows compared as sets.  A
     RingElement has at most the group (0, 0), a forms.DiffForm only groups
-    at J = 0 and a forms.USeries any; so each is the other's operand with
-    no conversion.  A value and its groups and rows are never changed once
-    made.
+    at J = 0 and a forms.USeries any, so one is read as another without
+    conversion; a sum or scaling keeps the class of its left operand.  A
+    value and its groups and rows are never changed once made.
     """
 
     __slots__ = ("ring", "den", "width", "groups")
