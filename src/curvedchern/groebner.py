@@ -32,7 +32,6 @@ from .rings import (
     _element,
     _mono_div,
     _mono_mul,
-    _monomials,
     monomial_key,
 )
 
@@ -87,7 +86,8 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
 def _rows(p: RingElement) -> tuple[dict, int]:
     """p as reduction's work dict {m: [a, b]} over the denominator den:
     p = (1/den)·Σ (a + b·i)·m."""
-    return {m: [a, b] for m, (_, a, b) in zip(_monomials(p.ring, p.width, p.rows), p.rows)}, p.den
+    unpack = p.ring._packing(p.width)[1]
+    return {unpack[k][0]: [a, b] for k, a, b in p.rows}, p.den
 
 
 def _remainder(ring: GradedRing, rows: list, lm: Monomial | None = None) -> RingElement:

@@ -35,6 +35,8 @@ from math import comb
 from math import gcd as _gcd
 from math import lcm
 from operator import add as _add
+from operator import le as _le
+from operator import lshift as _lshift
 from operator import or_ as _or
 
 from .errors import Inhomogeneous, InvalidInput
@@ -193,7 +195,8 @@ class GradedRing:
         """The (pack, unpack) tables of one field width, filled on demand."""
         got = self._packings.get(width)
         if got is None:
-            got = self._packings[width] = (_PackTable(width, self.nvars), _UnpackTable(self, width))
+            unpack = _UnpackTable(self, width)
+            got = self._packings[width] = (_PackTable(self, width, unpack), unpack)
         return got
 
     def _normal_forms(self, accs: dict, den: int, width: int) -> tuple:
@@ -252,15 +255,20 @@ class GradedRing:
 
 class _PackTable(dict):
     """monomial -> packed int at one field width; `guard` has the top bit
-    of every field set, which a packed monomial must keep clear."""
+    of every field set, which a packed monomial must keep clear.  A
+    monomial in normal form enters the unpack table as it is packed."""
 
-    def __init__(self, width: int, nvars: int):
+    def __init__(self, ring: GradedRing, width: int, unpack: "_UnpackTable"):
         super().__init__()
-        self.shifts = range(0, width * nvars, width)
+        self.ring = ring
+        self.unpack = unpack
+        self.shifts = range(0, width * ring.nvars, width)
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
 
     def __missing__(self, m: Monomial) -> int:
-        k = self[m] = sum(e << s for e, s in zip(m, self.shifts))
+        k = self[m] = sum(map(_lshift, m, self.shifts))
+        if self.ring.relation is None or not _divides(self.ring._rel_lm, m):
+            self.unpack[k] = (m, None)
         return k
 
 
@@ -278,7 +286,8 @@ class _UnpackTable(dict):
 
     def __missing__(self, k: int) -> tuple:
         ring = self.ring
-        m = tuple((k >> s) & self.mask for s in self.shifts)
+        mask = self.mask
+        m = tuple([(k >> s) & mask for s in self.shifts])
         nf = None
         if ring.relation is not None and _divides(ring._rel_lm, m):
             den, terms = ring._monomial_nf(m)
@@ -292,7 +301,7 @@ class _UnpackTable(dict):
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_le, a, b))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -501,7 +510,9 @@ class RingElement(Packed):
     def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self.rows:
             raise InvalidInput("leading term of zero")
-        m, (_, a, b) = max(zip(self._monomials(), self.rows), key=lambda t: monomial_key(t[0]))
+        monomials = self._monomials()
+        m = max(monomials, key=monomial_key)
+        _, a, b = self.rows[monomials.index(m)]
         return m, Scalar._raw(a, b, self.den)
 
     # -- printing ------------------------------------------------------
@@ -525,7 +536,7 @@ class RingElement(Packed):
 def _element(ring: GradedRing, den: int, items: list) -> RingElement:
     """The element (1/den)·sum (a + b·i)·m over the items (m, a, b),
     distinct monomials with no zero numerator pair, not normal-formed."""
-    width = ring._width_for(max((e for m, _, _ in items for e in m), default=0))
+    width = ring._width_for(max([max(m) for m, _, _ in items]) if items and ring.nvars else 0)
     pack = ring._packing(width)[0]
     rows = [(pack[m], a, b) for m, a, b in items]
     return RingElement._reduced(ring, den, width, {_KEY: rows} if rows else {})
