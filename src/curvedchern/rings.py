@@ -37,6 +37,7 @@ from operator import add as _add
 from operator import le as _le
 from operator import lshift as _lshift
 from operator import or_ as _or
+from weakref import proxy
 
 from .errors import Inhomogeneous, InvalidInput
 from .polyparse import parse_polynomial
@@ -260,14 +261,14 @@ class _PackTable(dict):
 
     def __init__(self, ring: GradedRing, width: int, unpack: "_UnpackTable"):
         super().__init__()
-        self.ring = ring
+        self.lead = None if ring.relation is None else ring._rel_lm
         self.unpack = unpack
         self.shifts = range(0, width * ring.nvars, width)
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
 
     def __missing__(self, m: Monomial) -> int:
         k = self[m] = sum(map(_lshift, m, self.shifts))
-        if self.ring.relation is None or not _divides(self.ring._rel_lm, m):
+        if self.lead is None or not _divides(self.lead, m):
             self.unpack[k] = (m, None)
         return k
 
@@ -279,7 +280,9 @@ class _UnpackTable(dict):
 
     def __init__(self, ring: GradedRing, width: int):
         super().__init__()
-        self.ring = ring
+        # weak: the ring holds its tables, and a cycle would keep a ring
+        # no one uses alive until the cyclic collector runs
+        self.ring = proxy(ring)
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = range(0, width * ring.nvars, width)
