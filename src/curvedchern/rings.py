@@ -31,6 +31,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from math import gcd as _gcd
 from math import lcm
 from operator import add as _add
@@ -40,7 +41,6 @@ from operator import or_ as _or
 from weakref import proxy
 
 from .errors import Inhomogeneous, InvalidInput
-from .polyparse import parse_polynomial
 from .scalars import ONE, Scalar
 
 Monomial = tuple[int, ...]
@@ -155,7 +155,7 @@ class GradedRing:
         return RingElement(self, {tuple(m): ONE})
 
     def from_string(self, text: str) -> "RingElement":
-        return parse_polynomial(self, text)
+        return _parse_polynomial(self, text)
 
     # -- internal: division by the relation ---------------------------
 
@@ -704,3 +704,203 @@ def _term_str(c: Scalar, mono: str) -> str:
     if c.re != 0 and c.im != 0:
         cs = f"({cs})"
     return f"{cs}*{mono}"
+
+
+# ---------------------------------------------------------------------------
+# parser: +, -, *, ^, integer and rational literals, the literal i,
+# parentheses and unary minus.  Unicode minus is normalized.
+# ---------------------------------------------------------------------------
+
+# Size caps of the parser, checked before each sum, product or power is
+# formed: no exponent after '^' above MAX_EXPONENT, and no result with a
+# variable's exponent above MAX_EXPONENT, possibly more than MAX_TERMS
+# terms, or coefficients estimated at more than MAX_COEFFICIENT_BITS bits.
+# The term count is bounded by the operands' term counts and by the box of
+# exponent vectors the result can reach, before any reduction; the
+# coefficient estimate adds the operands' largest numerator or denominator
+# bit lengths and the bits a sum of the products can carry.  Parentheses
+# and unary minus signs nest at most MAX_NESTING deep, which keeps the
+# recursive descent (four frames a parenthesis) far from the interpreter's
+# recursion limit.
+MAX_EXPONENT = 1000
+MAX_TERMS = 10_000
+MAX_COEFFICIENT_BITS = 10_000
+MAX_NESTING = 100
+
+
+def _exponents(p: RingElement) -> list[int]:
+    """The largest exponent of each variable in p."""
+    return [max(col, default=0) for col in zip(*p._monomials())] or [0] * p.ring.nvars
+
+
+def _bits(p: RingElement) -> int:
+    """The largest bit length of a numerator or denominator of a term of
+    p, each term's Scalar in lowest terms."""
+    d = p.den
+    return max((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for _, a, b in p.rows) if p.rows else 0
+
+
+def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
+    """Refuse a result whose exponents `exps`, term bound `terms` or
+    coefficient bit estimate `bits` exceed the caps."""
+    if max(exps, default=0) > MAX_EXPONENT:
+        raise InvalidInput(
+            f"polynomial too large: a {op} would raise an exponent above {MAX_EXPONENT}"
+        )
+    box = 1
+    for e in exps:
+        box *= e + 1
+    if min(terms, box) > MAX_TERMS:
+        raise InvalidInput(
+            f"polynomial too large: a {op} could have more than {MAX_TERMS} terms"
+        )
+    if bits > MAX_COEFFICIENT_BITS:
+        raise InvalidInput(
+            f"polynomial too large: a {op} could have coefficients of more than"
+            f" {MAX_COEFFICIENT_BITS} bits"
+        )
+
+
+_TOKEN_RE = _re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    text = text.replace("−", "-").replace("⋅", "*")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        mt = _TOKEN_RE.match(text, pos)
+        if mt is None:
+            if text[pos:].strip() == "":
+                break
+            raise InvalidInput(f"cannot tokenize polynomial at {text[pos:]!r}")
+        pos = mt.end()
+        if mt.group("num") is not None:
+            tokens.append(("num", mt.group("num")))
+        elif mt.group("name") is not None:
+            tokens.append(("name", mt.group("name")))
+        else:
+            tokens.append(("op", mt.group("op")))
+    tokens.append(("end", ""))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the tiny expression grammar.
+
+    expr   := term (('+'|'-') term)*
+    term   := factor (('*'|'/') factor)*      -- '/' only scalar/scalar
+    factor := atom ('^' integer)?  |  '-' factor
+    atom   := integer | 'i' | variable | '(' expr ')'
+    """
+
+    def __init__(self, ring: GradedRing, tokens: list[tuple[str, str]]):
+        self.ring = ring
+        self.toks = tokens
+        self.k = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def take(self):
+        t = self.toks[self.k]
+        self.k += 1
+        return t
+
+    def nested(self, parse) -> RingElement:
+        """parse() one level deeper in parentheses or unary minus signs."""
+        if self.depth == MAX_NESTING:
+            raise InvalidInput(
+                f"polynomial nests parentheses or unary minus signs more than {MAX_NESTING} deep"
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def expr(self) -> RingElement:
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            _, op = self.take()
+            rhs = self.term()
+            terms = len(node.rows) + len(rhs.rows)
+            if terms > MAX_TERMS:  # a sum raises no exponent
+                _check_size("sum", list(map(max, _exponents(node), _exponents(rhs))), terms)
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def term(self) -> RingElement:
+        node = self.factor()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            _, op = self.take()
+            rhs = self.factor()
+            if op == "*":
+                fewer = min(len(node.rows), len(rhs.rows))
+                _check_size(
+                    "product",
+                    list(map(_add, _exponents(node), _exponents(rhs))),
+                    len(node.rows) * len(rhs.rows),
+                    _bits(node) + _bits(rhs) + fewer.bit_length() + 1,
+                )
+                node = node * rhs
+            else:
+                if not rhs.is_scalar() or rhs.is_zero():
+                    raise InvalidInput("'/' only divides by nonzero scalars")
+                node = node.scale(rhs.scalar_part().inv())
+        return node
+
+    def factor(self) -> RingElement:
+        if self.peek() == ("op", "-"):
+            self.take()
+            return -self.nested(self.factor)
+        node = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            kind, val = self.take()
+            if kind != "num":
+                raise InvalidInput("'^' needs a nonnegative integer exponent")
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                shown = digits if len(digits) <= 20 else digits[:20] + "..."
+                raise InvalidInput(f"exponent {shown} is above the cap {MAX_EXPONENT}")
+            n = int(digits)
+            if n:
+                _check_size(
+                    "power",
+                    [n * e for e in _exponents(node)],
+                    comb(len(node.rows) + n - 1, n),
+                    n * (_bits(node) + len(node.rows).bit_length() + 1),
+                )
+            node = node**n
+        return node
+
+    def atom(self) -> RingElement:
+        kind, val = self.take()
+        if kind == "num":
+            try:
+                return self.ring.scalar(Scalar(int(val)))
+            except ValueError as exc:  # longer than the interpreter converts
+                raise InvalidInput(f"integer literal too long: {exc}") from exc
+        if kind == "name":
+            if val == "i":
+                return self.ring.scalar(Scalar(0, 1))
+            return self.ring.var(val)
+        if (kind, val) == ("op", "("):
+            node = self.nested(self.expr)
+            if self.take() != ("op", ")"):
+                raise InvalidInput("unbalanced parentheses")
+            return node
+        raise InvalidInput(f"unexpected token {val!r} in polynomial")
+
+
+def _parse_polynomial(ring: GradedRing, text: str) -> RingElement:
+    if not isinstance(text, str) or not text.strip():
+        raise InvalidInput("empty polynomial string")
+    parser = _Parser(ring, _tokenize(text))
+    node = parser.expr()
+    if parser.peek() != ("end", ""):
+        raise InvalidInput(f"trailing input in polynomial {text!r}")
+    return node

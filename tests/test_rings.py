@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvedchern import polyparse, rings
+from curvedchern import rings
 from curvedchern.errors import Inhomogeneous, InvalidInput
 from curvedchern.rings import GradedRing, RingElement, _divides
 from curvedchern.scalars import Scalar
@@ -214,7 +214,7 @@ def test_arithmetic_on_a_quotient_ring_builds_no_scalar():
 @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("-(", ")")])
 def test_parser_nesting_is_capped(opening, closing):
     R = qi_ring("x")
-    depth = polyparse.MAX_NESTING // len(opening)
+    depth = rings.MAX_NESTING // len(opening)
     nested = opening * depth + "x" + closing * depth
     assert R.from_string(nested) == R.from_string("x" if "-" not in opening or depth % 2 == 0 else "-x")
     with pytest.raises(InvalidInput, match="nests"):
