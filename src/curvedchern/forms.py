@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
 from .linalg import solve_sparse
-from .rings import GradedRing, Packed, RingElement, _KEY, _monomials, _summed
+from .rings import GradedRing, Packed, RingElement, _KEY, _divides, _monomials, _summed
 from .rings import monomial_key, sum_of_products
 from .scalars import Scalar
 
@@ -344,10 +344,8 @@ def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
                 nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
                 if nxt not in seen:
                     # skip monomials the relation would rewrite
-                    if ring.relation is not None:
-                        lm = ring._rel_lm
-                        if all(a >= b for a, b in zip(nxt, lm)):
-                            continue
+                    if ring.relation is not None and _divides(ring._rel_entry[0], nxt):
+                        continue
                     seen.add(nxt)
                     stack.append(nxt)
     return sorted(out, key=monomial_key)

@@ -1,8 +1,10 @@
 """Buchberger's algorithm, ideal normal forms, and standard monomials.
 
-Everything here runs over relation-free rings (the quotient-ring cases the
-engine needs are handled upstream by the single-relation normal form).  The
-monomial order is the ring's graded lex order throughout.
+Everything here runs over relation-free rings.  The division these
+algorithms reduce by, rings._reduce_full, is the one the quotient ring
+uses for its normal form, dividing by its relation's entry alone (one
+polynomial is a Groebner basis of the ideal it generates).  The monomial
+order is the ring's graded lex order throughout.
 
 Buchberger's algorithm is the installation of Gebauer and Möller ("On an
 installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988): as
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 
 from .errors import EmptyIdeal, InvalidInput, ZeroJacobianIdeal
 from .rings import (
@@ -30,8 +31,12 @@ from .rings import (
     RingElement,
     _divides,
     _element,
+    _element_entry,
+    _entry,
+    _Entry,
     _mono_div,
     _mono_mul,
+    _reduce_full,
     monomial_key,
 )
 
@@ -68,17 +73,6 @@ class GroebnerBasis:
         return any(g.total_degree() == 0 for g in self.elements)
 
 
-# An entry (lm, den, tail) is a monic basis element in the form reduction
-# uses: lm + (1/den)·Σ (a + b·i)·t over the rows (t, a, b) of tail, every t
-# below lm.  It is built once, when the element enters a basis.
-_Entry = tuple[Monomial, int, list]
-
-
-def _desc(m: Monomial) -> tuple:
-    """Heap key: the smallest key is the largest monomial in graded lex."""
-    return -sum(m), tuple(-e for e in m)
-
-
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
@@ -88,87 +82,6 @@ def _rows(p: RingElement) -> tuple[dict, int]:
     p = (1/den)·Σ (a + b·i)·m."""
     unpack = p.ring._packing(p.width)[1]
     return {unpack[k][0]: [a, b] for k, a, b in p.rows}, p.den
-
-
-def _remainder(ring: GradedRing, rows: list, lm: Monomial | None = None) -> RingElement:
-    """The element of _reduce_full's rows (m, a, b, d), plus lm when given.
-    Each row's d divides the last, the reduction's final denominator."""
-    den = rows[-1][3] if rows else 1
-    items = [(m, a * (den // d), b * (den // d)) for m, a, b, d in rows]
-    if lm is not None:
-        items.append((lm, den, 0))
-    return _element(ring, den, items)
-
-
-def _entry(lm: Monomial, rows) -> _Entry:
-    """The entry of the monic multiple of Σ (a + b·i)·t over rows (t, a, b),
-    integer numerators of a nonzero polynomial whose leading monomial is lm.
-    The numerators are divided by their common content."""
-    la, lb = next((a, b) for t, a, b in rows if t == lm)
-    if lb == 0:
-        den = la
-        tail = [(t, a, b) for t, a, b in rows if t != lm]
-    else:
-        # (a + b·i)/(la + lb·i) = (a + b·i)(la - lb·i)/(la² + lb²)
-        den = la * la + lb * lb
-        tail = [(t, a * la + b * lb, b * la - a * lb) for t, a, b in rows if t != lm]
-    g = gcd(den, *(a for _, a, _ in tail), *(b for _, _, b in tail))
-    if den < 0:
-        g = -g
-    return lm, den // g, [(t, a // g, b // g) for t, a, b in tail]
-
-
-def _element_entry(g: RingElement) -> _Entry:
-    work, _ = _rows(g)
-    return _entry(g.leading_term()[0], [(t, a, b) for t, (a, b) in work.items()])
-
-
-def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> list:
-    """Full division remainder of (1/den)·Σ (a + b·i)·m over the items
-    m: [a, b] of work (which it consumes) by the entries of basis: no
-    monomial of the result is divisible by a basis leading monomial.
-
-    Returns the remainder's rows (m, a, b, d), each the term (a + b·i)/d·m,
-    in descending graded-lex order.  A term is divided by the first entry
-    whose leading monomial divides it.  When that entry's denominator does
-    not divide the term's numerators, the work and its denominator are
-    multiplied by the missing factor, so every numerator stays an integer.
-    """
-    heap = [(_desc(m), m) for m in work]
-    heapify(heap)
-    out = []
-    while heap:
-        m = heappop(heap)[1]
-        a, b = work.pop(m)
-        if not a and not b:
-            continue
-        for lm, dg, tail in basis:
-            if _divides(lm, m):
-                break
-        else:
-            out.append((m, a, b, den))
-            continue
-        # subtract (a + b·i)/den · q·g, where q·lm = m
-        g = gcd(a, b, dg)
-        if g != dg:
-            s = dg // g
-            den *= s
-            for w in work.values():
-                w[0] *= s
-                w[1] *= s
-        a //= g
-        b //= g
-        q = _mono_div(m, lm)
-        for t, ta, tb in tail:
-            t = _mono_mul(q, t)
-            w = work.get(t)
-            if w is None:
-                work[t] = [b * tb - a * ta, -a * tb - b * ta]
-                heappush(heap, (_desc(t), t))
-            else:
-                w[0] -= a * ta - b * tb
-                w[1] -= a * tb + b * ta
-    return out
 
 
 def _spoly(f: _Entry, g: _Entry) -> tuple[dict, int]:
@@ -217,18 +130,19 @@ def buchberger(gens: list[RingElement]) -> GroebnerBasis:
     pairs: list[tuple] = []  # pending (monomial_key(lcm), i, j, lcm), i < j
     for g in sorted(gens, key=lambda g: monomial_key(g.leading_term()[0])):
         work, den = _rows(g)
-        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active]))
+        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active])[1])
     while pairs:
         pair = min(pairs)
         pairs.remove(pair)
         work, den = _spoly(basis[pair[1]], basis[pair[2]])
-        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active]))
+        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active])[1])
     return _interreduce(ring, [basis[k] for k in active])
 
 
 def _update(basis: list[_Entry], active: list[int], pairs: list, rows: list) -> None:
-    """Gebauer–Möller update for a remainder's rows (m, a, b, d), which
-    enter the basis as a monic entry h unless they are empty.
+    """Gebauer–Möller update for a remainder's rows (m, a, b), integer
+    numerators over one denominator, which enter the basis as a monic
+    entry h unless they are empty.
 
     Of the new pairs (g, h), the chain criterion keeps one pair for each
     lcm that no other new lcm divides, and the product criterion then drops
@@ -239,9 +153,8 @@ def _update(basis: list[_Entry], active: list[int], pairs: list, rows: list) -> 
     """
     if not rows:
         return
-    top = rows[-1][3]  # the last and largest denominator
     mh = rows[0][0]  # rows come in descending order
-    h = _entry(mh, [(m, a * (top // d), b * (top // d)) for m, a, b, d in rows])
+    h = _entry(mh, rows)
     k = len(basis)
     basis.append(h)
     new = [(_lcm(basis[g][0], mh), g) for g in active]
@@ -273,7 +186,8 @@ def _interreduce(ring: GradedRing, basis: list[_Entry]) -> GroebnerBasis:
     final: list[RingElement] = []
     for k, (lm, den, tail) in enumerate(basis):
         work = {t: [a, b] for t, a, b in tail}
-        final.append(_remainder(ring, _reduce_full(work, den, basis[:k] + basis[k + 1 :]), lm))
+        den, rows = _reduce_full(work, den, basis[:k] + basis[k + 1 :])
+        final.append(_element(ring, den, rows + [(lm, den, 0)]))
     return GroebnerBasis(ring, final)
 
 
@@ -282,7 +196,7 @@ def ideal_nf(p: RingElement, G: GroebnerBasis) -> RingElement:
     if p.is_zero():
         return p
     work, den = _rows(p)
-    return _remainder(p.ring, _reduce_full(work, den, [_element_entry(g) for g in G.elements]))
+    return _element(p.ring, *_reduce_full(work, den, [_element_entry(g) for g in G.elements]))
 
 
 def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:

@@ -6,9 +6,13 @@ has even Gamma-degree; odd degrees only ever appear on module basis vectors.
 
 Elements are kept in the division normal form with respect to the single
 relation (a one-element generating set is a Groebner basis of its
-principal ideal, so the remainder is canonical).  The monomial order
-everywhere is graded lex: total degree first, then lexicographic with
-earlier variables more significant.
+principal ideal, so the remainder is canonical).  The one polynomial
+division, _reduce_full, lives here, and groebner reduces by it too; it
+takes terms from a heap in a loop, so no input exhausts the interpreter's
+stack.  A monomial's remainder is its division by the relation's monic
+entry, computed once per packed monomial and kept in the unpack table of
+its width.  The monomial order everywhere is graded lex: total degree
+first, then lexicographic with earlier variables more significant.
 
 Ring elements, forms and u-series share one layout, Packed: groups keyed
 by (u-power, dx mask) of packed rows (packed monomial, re, im), Gaussian
@@ -31,6 +35,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import comb
 from math import gcd as _gcd
 from math import lcm
@@ -103,18 +108,10 @@ class GradedRing:
                 raise InvalidInput("relation must have Gamma-degree 0")
             if rel.total_degree() == 0:
                 raise InvalidInput("relation must not be a unit")
-            # store monic with respect to the leading coefficient so the
-            # division step below is a plain subtract-multiple
-            lm, lc = rel.leading_term()
-            monic = rel.scale(lc.inv())
-            self._rel_lm = lm
-            # the tail rows (monomial, re, im) over monic.den, read while no
-            # relation applies, as one would rewrite the lead
-            self._rel_tail = [
-                (t, a, b) for t, (_, a, b) in zip(monic._monomials(), monic.rows) if t != lm
-            ]
-            self._nf_cache: dict[Monomial, tuple] = {}
-            self.relation = monic
+            # the monic relation as a division entry: the remainder of a
+            # monomial is its full division by this one entry
+            self._rel_entry = _element_entry(rel)
+            self.relation = rel.scale(rel.leading_term()[1].inv())
             self._packings.clear()
 
     # -- gamma bookkeeping --------------------------------------------
@@ -157,36 +154,6 @@ class GradedRing:
     def from_string(self, text: str) -> "RingElement":
         return _parse_polynomial(self, text)
 
-    # -- internal: division by the relation ---------------------------
-
-    def _monomial_nf(self, m: Monomial) -> tuple:
-        """Cached remainder (den, {monomial: (re, im)}) of a single monomial
-        divisible by the lead: m = q·lm ≡ -q·(relation - lm), each term
-        reduced again if need be, in lowest terms over one denominator."""
-        got = self._nf_cache.get(m)
-        if got is None:
-            lm, rd = self._rel_lm, self.relation.den
-            q = _mono_div(m, lm)
-            den, acc = rd, {}
-            for t, a, b in self._rel_tail:
-                t = _mono_mul(q, t)
-                d2, sub = self._monomial_nf(t) if _divides(lm, t) else (1, {t: (1, 0)})
-                if den % (rd * d2):  # a new denominator: rescale the sum so far
-                    f = rd * d2 // _gcd(den, rd * d2)
-                    den *= f
-                    for v in acc.values():
-                        v[0] *= f
-                        v[1] *= f
-                g = den // (rd * d2)
-                for t2, (c, e) in sub.items():
-                    v = acc.setdefault(t2, [0, 0])
-                    v[0] -= g * (a * c - b * e)
-                    v[1] -= g * (a * e + b * c)
-            acc = {t: v for t, v in acc.items() if v[0] or v[1]}
-            g = _gcd(den, *(x for v in acc.values() for x in v))
-            got = self._nf_cache[m] = (den // g, {t: (a // g, b // g) for t, (a, b) in acc.items()})
-        return got
-
     def _width_for(self, top: int) -> int:
         """The canonical packing width of exponents up to top: the base
         width, or top's bit length plus a guard bit when that is wider."""
@@ -196,8 +163,7 @@ class GradedRing:
         """The (pack, unpack) tables of one field width, filled on demand."""
         got = self._packings.get(width)
         if got is None:
-            unpack = _UnpackTable(self, width)
-            got = self._packings[width] = (_PackTable(self, width, unpack), unpack)
+            got = self._packings[width] = (_PackTable(self, width), _UnpackTable(self, width))
         return got
 
     def _normal_forms(self, accs: dict, den: int, width: int) -> tuple:
@@ -256,20 +222,15 @@ class GradedRing:
 
 class _PackTable(dict):
     """monomial -> packed int at one field width; `guard` has the top bit
-    of every field set, which a packed monomial must keep clear.  A
-    monomial in normal form enters the unpack table as it is packed."""
+    of every field set, which a packed monomial must keep clear."""
 
-    def __init__(self, ring: GradedRing, width: int, unpack: "_UnpackTable"):
+    def __init__(self, ring: GradedRing, width: int):
         super().__init__()
-        self.lead = None if ring.relation is None else ring._rel_lm
-        self.unpack = unpack
         self.shifts = range(0, width * ring.nvars, width)
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
 
     def __missing__(self, m: Monomial) -> int:
         k = self[m] = sum(map(_lshift, m, self.shifts))
-        if self.lead is None or not _divides(self.lead, m):
-            self.unpack[k] = (m, None)
         return k
 
 
@@ -292,13 +253,13 @@ class _UnpackTable(dict):
         mask = self.mask
         m = tuple([(k >> s) & mask for s in self.shifts])
         nf = None
-        if ring.relation is not None and _divides(ring._rel_lm, m):
-            den, terms = ring._monomial_nf(m)
-            top = max(map(max, terms), default=0)
+        if ring.relation is not None and _divides(ring._rel_entry[0], m):
+            den, rows = _reduce_full({m: [1, 0]}, 1, [ring._rel_entry])
+            top = max([max(t) for t, _, _ in rows], default=0)
             if top >> self.width:  # sum_of_products widens and starts again
                 raise OverflowError(top)
             pack = ring._packing(self.width)[0]
-            nf = (den, [(pack[t], a, b) for t, (a, b) in terms.items()])
+            nf = (den, [(pack[t], a, b) for t, a, b in rows])
         got = self[k] = (m, nf)
         return got
 
@@ -313,6 +274,96 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# division: the normal form modulo the relation, and Groebner reduction
+# ---------------------------------------------------------------------------
+
+# An entry (lm, den, tail) is a monic polynomial in the form division uses:
+# lm + (1/den)·Σ (a + b·i)·t over the rows (t, a, b) of tail, every t below
+# lm.  It is built once, for the relation or as an element enters a basis.
+_Entry = tuple[Monomial, int, list]
+
+
+def _desc(m: Monomial) -> tuple:
+    """Heap key: the smallest key is the largest monomial in graded lex."""
+    return -sum(m), tuple(-e for e in m)
+
+
+def _entry(lm: Monomial, rows) -> _Entry:
+    """The entry of the monic multiple of Σ (a + b·i)·t over rows (t, a, b),
+    integer numerators of a nonzero polynomial whose leading monomial is lm.
+    The numerators are divided by their common content."""
+    la, lb = next((a, b) for t, a, b in rows if t == lm)
+    if lb == 0:
+        den = la
+        tail = [(t, a, b) for t, a, b in rows if t != lm]
+    else:
+        # (a + b·i)/(la + lb·i) = (a + b·i)(la - lb·i)/(la² + lb²)
+        den = la * la + lb * lb
+        tail = [(t, a * la + b * lb, b * la - a * lb) for t, a, b in rows if t != lm]
+    g = _gcd(den, *(a for _, a, _ in tail), *(b for _, _, b in tail))
+    if den < 0:
+        g = -g
+    return lm, den // g, [(t, a // g, b // g) for t, a, b in tail]
+
+
+def _element_entry(p: "RingElement") -> _Entry:
+    """The entry of the nonzero element p."""
+    rows = [(t, a, b) for t, (_, a, b) in zip(p._monomials(), p.rows)]
+    return _entry(p.leading_term()[0], rows)
+
+
+def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
+    """Full division remainder of (1/den)·Σ (a + b·i)·m over the items
+    m: [a, b] of work (which it consumes) by the entries of basis: no
+    monomial of the result is divisible by a basis leading monomial.
+
+    Returns (den, rows): the remainder (1/den)·Σ (a + b·i)·m over its rows
+    (m, a, b), in descending graded-lex order, den the last denominator of
+    the work.  A term is divided by the first entry whose leading monomial
+    divides it.  When that entry's denominator does not divide the term's
+    numerators, the work and its denominator are multiplied by the missing
+    factor, so every numerator stays an integer.  The terms are taken from
+    a heap and equal monomials merge in the work, so the division runs in
+    a loop however many steps it takes.
+    """
+    heap = [(_desc(m), m) for m in work]
+    heapify(heap)
+    out = []
+    while heap:
+        m = heappop(heap)[1]
+        a, b = work.pop(m)
+        if not a and not b:
+            continue
+        for lm, dg, tail in basis:
+            if _divides(lm, m):
+                break
+        else:
+            out.append((m, a, b, den))
+            continue
+        # subtract (a + b·i)/den · q·g, where q·lm = m
+        g = _gcd(a, b, dg)
+        if g != dg:
+            s = dg // g
+            den *= s
+            for w in work.values():
+                w[0] *= s
+                w[1] *= s
+        a //= g
+        b //= g
+        q = _mono_div(m, lm)
+        for t, ta, tb in tail:
+            t = _mono_mul(q, t)
+            w = work.get(t)
+            if w is None:
+                work[t] = [b * tb - a * ta, -a * tb - b * ta]
+                heappush(heap, (_desc(t), t))
+            else:
+                w[0] -= a * ta - b * tb
+                w[1] -= a * tb + b * ta
+    return den, [(m, a * (den // d), b * (den // d)) for m, a, b, d in out]
 
 
 # the key of a RingElement's one group: u^0, no dx
@@ -430,7 +481,7 @@ class RingElement(Packed):
         items = [(m, c) for m, c in terms.items() if not c.is_zero()]
         den = lcm(*(c.d for _, c in items))
         v = _element(ring, den, [(m, c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items])
-        if ring.relation is not None and any(_divides(ring._rel_lm, m) for m, _ in items):
+        if ring.relation is not None and any(_divides(ring._rel_entry[0], m) for m, _ in items):
             v = v * ring.one()
         self.ring, self.den, self.width, self.groups = ring, v.den, v.width, v.groups
 

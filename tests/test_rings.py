@@ -111,15 +111,24 @@ def test_mul_commutes_with_relation_nf(ta, tb):
     assert image(a * b) == image(a) * image(b)
 
 
-_NF_RINGS = (sphere_ring(3), qi_ring("x", "y", relation="x^2+y^2-1"))
-_FREE_RINGS = (qi_ring("x1", "x2", "x3"), qi_ring("x", "y"))
+# the last three relations have a lead of two variables, so a monomial
+# reduces in several steps: x*y-x-y branches and meets again, and the last
+# has a Gaussian leading coefficient
+_NF_RINGS = (
+    sphere_ring(3),
+    qi_ring("x", "y", relation="x^2+y^2-1"),
+    qi_ring("x", "y", relation="x*y-1"),
+    qi_ring("x", "y", relation="x*y-x-y"),
+    qi_ring("x", "y", relation="(1+2*i)*x*y-x+3"),
+)
+_FREE_RINGS = (qi_ring("x1", "x2", "x3"), *[qi_ring("x", "y")] * 4)
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _nf_coeffs = st.one_of(
     st.just(Scalar(0)), st.builds(Scalar, _fractions), st.builds(Scalar, _fractions, _fractions)
 )
 
 
-@given(st.integers(0, 1), st.data())
+@given(st.integers(0, len(_NF_RINGS) - 1), st.data())
 def test_relation_nf_matches_division_and_forms_nothing_when_reduced(which, data):
     # exponents up to 6 make a reduction produce monomials that reduce again
     R, F = _NF_RINGS[which], _FREE_RINGS[which]
@@ -140,6 +149,12 @@ def test_relation_nf_matches_division_and_forms_nothing_when_reduced(which, data
     assert free.terms == nonzero
     lead = R.relation.leading_term()[0]
     assert len(calls) == any(_divides(lead, m) for m in nonzero)
+
+
+def test_a_remainder_of_a_thousand_division_steps_is_computed():
+    # x^k*y^k is x^(k-1)*y^(k-1) after one step, each a new monomial
+    R = qi_ring("x", "y", relation="x*y-1")
+    assert R.from_string("x^1000") * R.from_string("y^1000") == R.one()
 
 
 @given(term_lists, term_lists, term_lists)
