@@ -233,16 +233,16 @@ def chern_weil(M: CurvedModule, C: Connection,
 
     The m = 0 term is the supertrace of the identity of P, i.e. str(e).
     With R = A + u·B for A = [nabla, delta] (one-forms) and B = nabla^2
-    (two-forms), str(R^m) expands over binary words in A, B.  Words of
-    form degree m + #B > nvars vanish, and both letters have even total
-    degree so the supertrace is invariant under rotating a word: one
-    representative per rotation class is evaluated, weighted by the size
-    of the class.  A word with an odd number of A links only basis vectors
-    of opposite parity and has zero supertrace; the evaluator returns that
-    zero without forming anything.  The supertraces come from `words` (a fresh
-    WordEvaluator by default), which shares prefix products between words
-    and, when the chain route is given the same evaluator, every product
-    and supertrace of a rotation class the two routes have in common.
+    (two-forms), str(R^m) is the sum over the 2^m binary words w in A, B
+    of str(w) at u^#B.  Words of form degree m + #B > nvars vanish, and so
+    do words with a zero letter; neither is evaluated.  A word with an odd
+    number of A links only basis vectors of opposite parity and has zero
+    supertrace; the evaluator returns that zero without forming anything.
+    The supertraces come from `words` (a fresh WordEvaluator by default),
+    which evaluates a rotation class once, at its least rotation, shares
+    prefix products between words and, when the chain route is given the
+    same evaluator, every product and supertrace of a rotation class the
+    two routes have in common.
     When A links only basis vectors of opposite parity, as delta does,
     the evaluator forms only the diagonal rows of even basis degree of a
     word with an A and reads the odd rows off a rotation: A^4 (the
@@ -260,22 +260,15 @@ def chern_weil(M: CurvedModule, C: Connection,
     letters = (words.letter(A), words.letter(K))
 
     for m in range(1, top + 1):
-        rotation_classes: dict[tuple, int] = {}
+        weight = Scalar(Fraction((-1) ** m, factorial(m)))
         for bits in range(1 << m):
             w = tuple((bits >> k) & 1 for k in range(m))
             nb = sum(w)
-            if m + nb > top:
+            if m + nb > top or (a_zero and nb < m) or (b_zero and nb):
                 continue
-            if (a_zero and nb < m) or (b_zero and nb):
-                continue
-            canon = min(w[r:] + w[:r] for r in range(m))
-            rotation_classes[canon] = rotation_classes.get(canon, 0) + 1
-        for w, mult in sorted(rotation_classes.items()):
             tr = words.supertrace(tuple(letters[b] for b in w))
-            if tr.is_zero():
-                continue
-            weight = Scalar(Fraction((-1) ** m * mult, factorial(m)))
-            acc = acc + tr.scale(weight).shift_u(sum(w))
+            if not tr.is_zero():
+                acc = acc + tr.scale(weight).shift_u(nb)
     return acc
 
 
