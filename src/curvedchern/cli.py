@@ -30,6 +30,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -127,24 +128,25 @@ def _is_poly_entry(value) -> bool:
 
 
 def _split_form_terms(text: str):
-    """Split a form entry on top-level ` + ` / ` - `, keeping signs."""
+    """Split a form entry at its top-level binary signs, keeping them: a +
+    or - that follows an operand, whatever the spacing.  A leading sign, or
+    one right after an operator, is unary and stays in its term."""
     terms = []
     depth = 0
     sign = 1
     start = 0
-    k = 0
-    while k < len(text):
-        c = text[k]
+    prev = ""  # the last character that is not a space
+    for k, c in enumerate(text):
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
-        elif depth == 0 and c == " " and text[k + 1 : k + 3] in ("+ ", "- "):
+        elif depth == 0 and c in "+-" and (prev.isalnum() or prev in ("_", ")")):
             terms.append((sign, text[start:k]))
-            sign = 1 if text[k + 1] == "+" else -1
-            start = k + 3
-            k += 2
-        k += 1
+            sign = 1 if c == "+" else -1
+            start = k + 1
+        if not c.isspace():
+            prev = c
     terms.append((sign, text[start:]))
     return terms
 
@@ -358,6 +360,21 @@ def instance_to_spec(M: CurvedModule, C: Connection) -> dict:
 # -- the invariant suite -----------------------------------------------
 
 
+@contextmanager
+def _exact_digits():
+    """Convert integers of any length to text, as reports and failure
+    messages print coefficients exactly; outside, the input readers keep
+    the interpreter's limit, which refuses over-long integer literals."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 @dataclass
 class SuiteResult:
     """Everything cmd_compute and cmd_verify report."""
@@ -377,6 +394,7 @@ class SuiteResult:
         return self.routes_equal and self.cycle.ok and self.commutator.ok
 
 
+@_exact_digits()
 def run_suite(
     M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
 ) -> SuiteResult:
@@ -410,6 +428,7 @@ def run_suite(
     return result
 
 
+@_exact_digits()
 def _raise_on_failure(res: SuiteResult) -> None:
     if not res.routes_equal:
         J = res.first_mismatch
@@ -439,6 +458,7 @@ def _useries_lines(p: USeries) -> list[str]:
     return [f"  u^{J}: {coeffs[J]}" for J in sorted(coeffs)]
 
 
+@_exact_digits()
 def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> str:
     ring = inst.ring
     trace_e = ring.zero()
@@ -478,6 +498,7 @@ def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> s
     return "\n".join(lines) + "\n"
 
 
+@_exact_digits()
 def render_json(inst: Instance, res: SuiteResult) -> str:
     doc = {
         "input": inst.label,

@@ -293,3 +293,82 @@ def test_problem_file_that_overflows_a_parser_exits_2(text, message, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(message)
     assert "Traceback" not in proc.stderr
+
+
+# over Q[x,y]/(xy - 1), the remainder of x^1000*y^1000 takes a thousand
+# division steps: in delta^2 of the first file and in h of the second
+@pytest.mark.parametrize(
+    "h, delta, code, out",
+    [
+        ("-1", [["0", "x^1000"], ["y^1000", "0"]], 0, "route agreement: exact"),
+        ("x^1000*y^1000", [["0", "1"], ["0", "0"]], 2, "invalid input: module block: delta^2 != -h"),
+    ],
+    ids=["delta", "h"],
+)
+def test_a_remainder_of_a_thousand_steps_is_computed(h, delta, code, out, tmp_path):
+    doc = {
+        "ring": {"variables": ["x", "y"], "relation": "x*y-1"},
+        "curved": {"h": h},
+        "module": {"degrees": [0, 1], "delta": delta},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == code, proc.stderr
+    assert out in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+def _tensored_factorizations(c: str) -> dict:
+    """[[0, c·x1], [c·y1, 0]] tensored with [[0, c·x2], [c·y2, 0]] over
+    Z2-graded x1, y1, x2, y2: ch = c^4·dx1 dy1 dx2 dy2."""
+    c2 = str(int(c) ** 2)
+    return {
+        "ring": {"variables": ["x1", "y1", "x2", "y2"]},
+        "curved": {"h": f"-{c2}*x1*y1 - {c2}*x2*y2"},
+        "module": {
+            "degrees": [0, 1, 1, 2],
+            "delta": [
+                ["0", f"{c}*x2", f"{c}*x1", "0"],
+                [f"{c}*y2", "0", "0", f"{c}*x1"],
+                [f"{c}*y1", "0", "0", f"-{c}*x2"],
+                ["0", f"{c}*y1", f"-{c}*y2", "0"],
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["report", "json"])
+def test_a_coefficient_past_the_digit_limit_is_printed_exactly(json_flag, tmp_path):
+    # every input integer has 1 101 or 2 201 digits; ch has 4 401, more
+    # than the interpreter converts to text by default
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_tensored_factorizations("1" + "0" * 1100)), encoding="utf-8")
+    proc = _run("compute", *json_flag, str(path))
+    assert proc.returncode == 0, proc.stderr
+    ch = "1" + "0" * 4400 + "*d(x1) d(y1) d(x2) d(y2)"
+    if json_flag:
+        doc = json.loads(proc.stdout)
+        assert doc["chern_weil"] == doc["chern_chains"] == {"u^0": ch}
+    else:
+        assert proc.stdout.count(f"  u^0: {ch}\n") == 2
+
+
+@pytest.mark.parametrize(
+    "mu, code, out",
+    [
+        ("x*d(y) + y*d(x)", 0, "u^0: d(x) d(y)\n"),
+        ("x*d(y)+y*d(x)", 0, "u^0: d(x) d(y)\n"),
+        ("(x-1)*d(y)", 0, "u^0: (x*y - y + 1)*d(x) d(y)\n"),
+        ("x-1*d(y)", 2, "invalid input: connection block: cannot read one-form term 'x'"),
+    ],
+    ids=["spaced", "unspaced", "parenthesized", "binary-minus"],
+)
+def test_one_form_terms_split_at_every_binary_sign(mu, code, out, tmp_path):
+    path = tmp_path / "problem.json"
+    doc = _with("connection", kind="explicit", mu=[[mu, "0"], ["0", "0"]])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == code, proc.stderr
+    assert out in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr

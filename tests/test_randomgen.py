@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from curvedchern.cli import instance_to_spec
+from curvedchern.cli import instance_to_spec, parse_instance
 from curvedchern.modules import check_module, chern_weil
 from curvedchern.randomgen import (
     random_chain_setup,
@@ -90,3 +90,18 @@ def test_chern_weil_matches_the_benchmark_reference_digests():
         ch = chern_weil(M, C)
         text = json.dumps({f"u^{J}": str(f) for J, f in ch.coeffs.items()}, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digests[seed], seed
+
+
+def test_every_serialized_connection_parses_back():
+    # str() writes a one-form entry with spaced signs; parse_form_entry
+    # reads it back through the problem-file path
+    explicit = 0
+    for seed in range(200):
+        M, C = random_module_instance(seed)
+        spec = instance_to_spec(M, C)
+        if spec["connection"]["kind"] != "explicit":
+            continue
+        explicit += 1
+        inst = parse_instance(json.dumps(spec), f"seed {seed}")
+        assert inst.connection.theta == C.theta, seed
+    assert explicit
