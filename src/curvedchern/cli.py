@@ -14,10 +14,11 @@ Four subcommands:
       Jacobian Groebner basis, standard monomials, Milnor number
 
 Problem files are JSON with `#`-prefixed comment lines allowed (stripped
-before parsing).  Parse-time validation mirrors the module invariants;
-rejected inputs name the violated clause.  Reports are byte-stable for a
-fixed input: the only nondeterministic lines are prefixed `# time:` and
-carry no mathematical content.
+before parsing).  Every entry string, polynomial or one-form, is read by
+the one grammar of rings._Parser.  Parse-time validation mirrors the
+module invariants; rejected inputs name the violated clause.  Reports are
+byte-stable for a fixed input: the only nondeterministic lines are
+prefixed `# time:` and carry no mathematical content.
 
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
@@ -62,7 +63,7 @@ from .modules import (
     levi_civita,
 )
 from .randomgen import random_module_instance
-from .rings import GradedRing, RingElement, _mono_str
+from .rings import GradedRing, RingElement, _mono_str, _parse_entry
 
 EXAMPLE_NAMES = ("mf-xy", "s4-nonflat")
 # for the options block and for compute --bound alike
@@ -127,59 +128,16 @@ def _is_poly_entry(value) -> bool:
     return isinstance(value, str) or _is_int(value)
 
 
-def _split_form_terms(text: str):
-    """Split a form entry at its top-level binary signs, keeping them: a +
-    or - that follows an operand, whatever the spacing.  A leading sign, or
-    one right after an operator, is unary and stays in its term."""
-    terms = []
-    depth = 0
-    sign = 1
-    start = 0
-    prev = ""  # the last character that is not a space
-    for k, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif depth == 0 and c in "+-" and (prev.isalnum() or prev in ("_", ")")):
-            terms.append((sign, text[start:k]))
-            sign = 1 if c == "+" else -1
-            start = k + 1
-        if not c.isspace():
-            prev = c
-    terms.append((sign, text[start:]))
-    return terms
-
-
 def parse_form_entry(ring: GradedRing, text: str) -> DiffForm:
-    """One-form matrix entries: sums of `poly*d(var)` terms (or `0`)."""
-    text = text.strip()
-    if text in ("0", ""):
-        return DiffForm.zero(ring)
-    out = DiffForm.zero(ring)
-    for sign, term in _split_form_terms(text):
-        term = term.strip()
-        if term.startswith("d(") and term.endswith(")"):
-            poly, var = "1", term[2:-1]
-        elif term.startswith("-d(") and term.endswith(")"):
-            poly, var = "-1", term[3:-1]
-        else:
-            cut = term.rfind("*d(")
-            _require(
-                cut >= 0 and term.endswith(")"),
-                f"connection block: cannot read one-form term {term!r} "
-                "(expected poly*d(var))",
-            )
-            poly, var = term[:cut], term[cut + 3 : -1]
-        _require(
-            var in ring.variables,
-            f"connection block: unknown variable {var!r} in one-form entry",
-        )
-        piece = DiffForm.from_ring(ring.from_string(poly)).wedge(
-            DiffForm.d_var(ring, var)
-        )
-        out = out + (piece if sign > 0 else -piece)
-    return out
+    """A one-form matrix entry such as `x*d(y) - y*d(x)`, or a zero such as
+    `0`: read by the grammar of every entry string (rings._Parser), then
+    refused unless each of its terms has form degree 1."""
+    v = _parse_entry(ring, text)
+    _require(
+        all(mask.bit_count() == 1 for _, mask in v.groups),
+        f"connection block: {text!r} is not a one-form (expected a sum of poly*d(var) terms)",
+    )
+    return DiffForm._make(ring, v.den, v.width, v.groups)
 
 
 def parse_instance(text: str, label: str) -> Instance:
@@ -318,15 +276,6 @@ def load_instance(path: str) -> Instance:
 # -- serialization (random instances, for replay) ----------------------
 
 
-def _ring_entry_str(v: USeries) -> str:
-    form = v.coefficient(0)
-    return str(form.coefficient(()))
-
-
-def _form_entry_str(v: USeries) -> str:
-    return str(v.coefficient(0))
-
-
 def instance_to_spec(M: CurvedModule, C: Connection) -> dict:
     """Serialize a module/connection pair in the problem-file format."""
     ring = M.ring
@@ -339,10 +288,8 @@ def instance_to_spec(M: CurvedModule, C: Connection) -> dict:
         "curved": {"h": str(M.algebra.h)},
         "module": {
             "degrees": list(M.degrees),
-            "idempotent": [
-                [_ring_entry_str(v) for v in row] for row in M.e.display()
-            ],
-            "delta": [[_ring_entry_str(v) for v in row] for row in M.delta.display()],
+            "idempotent": [[str(v.coefficient(0)) for v in row] for row in M.e.display()],
+            "delta": [[str(v.coefficient(0)) for v in row] for row in M.delta.display()],
         },
     }
     if ring.relation is not None:
@@ -352,7 +299,7 @@ def instance_to_spec(M: CurvedModule, C: Connection) -> dict:
     else:
         data["connection"] = {
             "kind": "explicit",
-            "mu": [[_form_entry_str(v) for v in row] for row in C.theta.display()],
+            "mu": [[str(v.coefficient(0)) for v in row] for row in C.theta.display()],
         }
     return data
 

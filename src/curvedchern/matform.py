@@ -402,10 +402,6 @@ class Mat:
             for p, grid in grids.items()
         }
 
-    def column(self, s: int) -> Column:
-        zero = USeries.zero(self.ring)
-        return [row.get(s, zero) for row in self.rows]
-
     def apply(self, col: Column) -> Column:
         """Matrix times column (entries multiply on the left of the column's
         u-series values).  An identity (see is_identity) returns a new list

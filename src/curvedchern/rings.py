@@ -36,6 +36,7 @@ import re as _re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import comb
 from math import gcd as _gcd
 from math import lcm
@@ -152,7 +153,9 @@ class GradedRing:
         return RingElement(self, {tuple(m): ONE})
 
     def from_string(self, text: str) -> "RingElement":
-        return _parse_polynomial(self, text)
+        if type(p := _parse_entry(self, text)) is not RingElement:
+            raise InvalidInput(f"{text!r} is not a polynomial: only a connection entry may have d(...)")
+        return p
 
     def _width_for(self, top: int) -> int:
         """The canonical packing width of exponents up to top: the base
@@ -759,36 +762,45 @@ def _term_str(c: Scalar, mono: str) -> str:
 
 # ---------------------------------------------------------------------------
 # parser: +, -, *, ^, integer and rational literals, the literal i,
-# parentheses and unary minus.  Unicode minus is normalized.
+# parentheses, unary minus and the one-form d(var).  Unicode minus and the
+# dot operator are normalized.  Every polynomial or one-form string is read
+# here: a polynomial as a RingElement, and a string with a d(var) as a
+# Packed value whose groups are (0, dx mask).
 # ---------------------------------------------------------------------------
 
 # Size caps of the parser, checked before each sum, product or power is
 # formed: no exponent after '^' above MAX_EXPONENT, and no result with a
 # variable's exponent above MAX_EXPONENT, possibly more than MAX_TERMS
 # terms, or coefficients estimated at more than MAX_COEFFICIENT_BITS bits.
-# The term count is bounded by the operands' term counts and by the box of
-# exponent vectors the result can reach, before any reduction; the
-# coefficient estimate adds the operands' largest numerator or denominator
-# bit lengths and the bits a sum of the products can carry.  Parentheses
-# and unary minus signs nest at most MAX_NESTING deep, which keeps the
-# recursive descent (four frames a parenthesis) far from the interpreter's
-# recursion limit.
+# The term count is bounded by the operands' term counts (a form's rows
+# counted over all its dx groups) and by the box of exponent vectors the
+# result can reach, before any reduction; the coefficient estimate adds the
+# operands' largest numerator or denominator bit lengths and the bits a sum
+# of the products can carry.  Parentheses and unary minus signs nest at
+# most MAX_NESTING deep, which keeps the recursive descent (four frames a
+# parenthesis) far from the interpreter's recursion limit.
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFFICIENT_BITS = 10_000
 MAX_NESTING = 100
 
 
-def _exponents(p: RingElement) -> list[int]:
+def _count(p: Packed) -> int:
+    """The number of rows of p, over all its groups."""
+    return sum(map(len, p.groups.values()))
+
+
+def _exponents(p: Packed) -> list[int]:
     """The largest exponent of each variable in p."""
-    return [max(col, default=0) for col in zip(*p._monomials())] or [0] * p.ring.nvars
+    monomials = _monomials(p.ring, p.width, chain.from_iterable(p.groups.values()))
+    return [max(col, default=0) for col in zip(*monomials)] or [0] * p.ring.nvars
 
 
-def _bits(p: RingElement) -> int:
+def _bits(p: Packed) -> int:
     """The largest bit length of a numerator or denominator of a term of
     p, each term's Scalar in lowest terms."""
-    d = p.den
-    return max((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for _, a, b in p.rows) if p.rows else 0
+    d, rows = p.den, chain.from_iterable(p.groups.values())
+    return max(((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for _, a, b in rows), default=0)
 
 
 def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
@@ -813,38 +825,52 @@ def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
 
 
 _TOKEN_RE = _re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<num>\d+)|d\s*\(\s*(?P<d>[A-Za-z_][A-Za-z_0-9]*)\s*\)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    text = text.replace("−", "-").replace("⋅", "*")
+    text = text.replace("−", "-").replace("⋅", "*").rstrip()
     tokens = []
     pos = 0
     while pos < len(text):
         mt = _TOKEN_RE.match(text, pos)
         if mt is None:
-            if text[pos:].strip() == "":
-                break
             raise InvalidInput(f"cannot tokenize polynomial at {text[pos:]!r}")
         pos = mt.end()
-        if mt.group("num") is not None:
-            tokens.append(("num", mt.group("num")))
-        elif mt.group("name") is not None:
-            tokens.append(("name", mt.group("name")))
-        else:
-            tokens.append(("op", mt.group("op")))
+        tokens.append((mt.lastgroup, mt.group(mt.lastgroup)))
     tokens.append(("end", ""))
     return tokens
+
+
+def _product(p: Packed, q: Packed) -> Packed:
+    """p·q with at most one one-form factor: RingElement.__mul__ for two
+    polynomials, else each group of the form times the polynomial in one
+    sum_of_products call (ring coefficients are even, so no sign)."""
+    if type(p) is RingElement and type(q) is RingElement:
+        return p * q
+    form, poly = (p, q) if type(q) is RingElement else (q, p)
+    if type(poly) is not RingElement:
+        raise InvalidInput("a product of two d(...) factors is not a one-form")
+    if not poly.groups:
+        return Packed.zero(p.ring)
+    width = max(form.width, poly.width)
+    rows = poly._at(width)[_KEY]
+    products = [(g, 1, form.den * poly.den, width, P, rows) for g, P in form._at(width).items()]
+    return Packed._make(p.ring, *sum_of_products(p.ring, products))
 
 
 class _Parser:
     """Recursive descent over the tiny expression grammar.
 
     expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*      -- '/' only scalar/scalar
+    term   := factor (('*'|'/') factor)*      -- '/' only by a nonzero scalar
     factor := atom ('^' integer)?  |  '-' factor
-    atom   := integer | 'i' | variable | '(' expr ')'
+    atom   := integer | 'i' | variable | '(' expr ')' | 'd' '(' variable ')'
+
+    A value is a RingElement until a d(variable) enters it, then a Packed
+    form: a product has at most one form factor, and '^' no form base.
     """
 
     def __init__(self, ring: GradedRing, tokens: list[tuple[str, str]]):
@@ -861,7 +887,7 @@ class _Parser:
         self.k += 1
         return t
 
-    def nested(self, parse) -> RingElement:
+    def nested(self, parse) -> Packed:
         """parse() one level deeper in parentheses or unary minus signs."""
         if self.depth == MAX_NESTING:
             raise InvalidInput(
@@ -872,44 +898,48 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def expr(self) -> RingElement:
+    def expr(self) -> Packed:
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            terms = len(node.rows) + len(rhs.rows)
+            terms = _count(node) + _count(rhs)
             if terms > MAX_TERMS:  # a sum raises no exponent
                 _check_size("sum", list(map(max, _exponents(node), _exponents(rhs))), terms)
+            if type(rhs) is Packed:  # a sum with a form is a form
+                node = Packed._make(node.ring, node.den, node.width, node.groups)
             node = node + rhs if op == "+" else node - rhs
         return node
 
-    def term(self) -> RingElement:
+    def term(self) -> Packed:
         node = self.factor()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.factor()
             if op == "*":
-                fewer = min(len(node.rows), len(rhs.rows))
+                m, n = _count(node), _count(rhs)
                 _check_size(
                     "product",
                     list(map(_add, _exponents(node), _exponents(rhs))),
-                    len(node.rows) * len(rhs.rows),
-                    _bits(node) + _bits(rhs) + fewer.bit_length() + 1,
+                    m * n,
+                    _bits(node) + _bits(rhs) + min(m, n).bit_length() + 1,
                 )
-                node = node * rhs
+                node = _product(node, rhs)
             else:
-                if not rhs.is_scalar() or rhs.is_zero():
+                if type(rhs) is not RingElement or not rhs.is_scalar() or rhs.is_zero():
                     raise InvalidInput("'/' only divides by nonzero scalars")
                 node = node.scale(rhs.scalar_part().inv())
         return node
 
-    def factor(self) -> RingElement:
+    def factor(self) -> Packed:
         if self.peek() == ("op", "-"):
             self.take()
             return -self.nested(self.factor)
         node = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
+            if type(node) is not RingElement:
+                raise InvalidInput("'^' takes no d(...) base")
             kind, val = self.take()
             if kind != "num":
                 raise InvalidInput("'^' needs a nonnegative integer exponent")
@@ -928,7 +958,7 @@ class _Parser:
             node = node**n
         return node
 
-    def atom(self) -> RingElement:
+    def atom(self) -> Packed:
         kind, val = self.take()
         if kind == "num":
             try:
@@ -939,6 +969,9 @@ class _Parser:
             if val == "i":
                 return self.ring.scalar(Scalar(0, 1))
             return self.ring.var(val)
+        if kind == "d":  # the one-form dx_v: the group (0, 1 << v), coefficient 1
+            x = self.ring.var(val)  # refuses an unknown variable
+            return Packed._make(self.ring, 1, x.width, {(0, 1 << self.ring._index[val]): [(0, 1, 0)]})
         if (kind, val) == ("op", "("):
             node = self.nested(self.expr)
             if self.take() != ("op", ")"):
@@ -947,7 +980,8 @@ class _Parser:
         raise InvalidInput(f"unexpected token {val!r} in polynomial")
 
 
-def _parse_polynomial(ring: GradedRing, text: str) -> RingElement:
+def _parse_entry(ring: GradedRing, text: str) -> Packed:
+    """An entry string as a RingElement, or as a Packed form (see _Parser)."""
     if not isinstance(text, str) or not text.strip():
         raise InvalidInput("empty polynomial string")
     parser = _Parser(ring, _tokenize(text))

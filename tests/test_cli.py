@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from curvedchern.cli import parse_form_entry
+from curvedchern.rings import GradedRing
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -360,7 +363,7 @@ def test_a_coefficient_past_the_digit_limit_is_printed_exactly(json_flag, tmp_pa
         ("x*d(y) + y*d(x)", 0, "u^0: d(x) d(y)\n"),
         ("x*d(y)+y*d(x)", 0, "u^0: d(x) d(y)\n"),
         ("(x-1)*d(y)", 0, "u^0: (x*y - y + 1)*d(x) d(y)\n"),
-        ("x-1*d(y)", 2, "invalid input: connection block: cannot read one-form term 'x'"),
+        ("x-1*d(y)", 2, "invalid input: connection block: 'x-1*d(y)' is not a one-form"),
     ],
     ids=["spaced", "unspaced", "parenthesized", "binary-minus"],
 )
@@ -371,4 +374,78 @@ def test_one_form_terms_split_at_every_binary_sign(mu, code, out, tmp_path):
     proc = _run("compute", str(path))
     assert proc.returncode == code, proc.stderr
     assert out in (proc.stdout if code == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+def _explicit(mu: str) -> dict:
+    return _with("connection", kind="explicit", mu=[[mu, "0"], ["0", "0"]])
+
+
+# spellings the polynomial grammar reads, each beside its canonical spelling
+SPELLINGS = [
+    ("x * d(y)", "x*d(y)"),
+    ("2 * d(x)", "2*d(x)"),
+    ("- d(x)", "-d(x)"),
+    ("x*d( y )", "x*d(y)"),
+    ("d(x)*y", "y*d(x)"),
+    ("(x*d(y))", "x*d(y)"),
+    ("x*d(y)*2", "2*x*d(y)"),
+    ("x*d(y) \u2212 y*d(x)", "x*d(y) - y*d(x)"),
+    ("x\u22c5d(y)", "x*d(y)"),
+]
+
+
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    SPELLINGS,
+    ids=[
+        "spaced-product", "spaced-scalar", "spaced-sign", "spaced-argument", "d-first",
+        "parenthesized", "trailing-factor", "unicode-minus", "dot-operator",
+    ],
+)
+def test_one_form_entries_read_every_spelling_of_the_polynomial_grammar(spelling, canonical, tmp_path):
+    ring = GradedRing(("x", "y"), (0, 0), grading="Z2")
+    assert parse_form_entry(ring, spelling) == parse_form_entry(ring, canonical)
+    ch = []
+    for k, mu in enumerate((spelling, canonical)):
+        path = tmp_path / f"problem{k}.json"
+        path.write_text(json.dumps(_explicit(mu)), encoding="utf-8")
+        proc = _run("compute", "--json", str(path))
+        assert proc.returncode == 0, proc.stderr
+        ch.append(json.loads(proc.stdout)["chern_weil"])
+    assert ch[0] == ch[1]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_explicit("x"), "connection block: 'x' is not a one-form"),
+        (_explicit("d(x)*d(y)"), "a product of two d(...) factors is not a one-form"),
+        (_explicit("d(x)^2"), "'^' takes no d(...) base"),
+        (_explicit("x/d(y)"), "'/' only divides by nonzero scalars"),
+        (_explicit("d(z)"), "unknown variable 'z'"),
+        (_explicit(""), "empty polynomial string"),
+        (_explicit(" "), "empty polynomial string"),
+        (_with("curved", h="x*d(y)"), "'x*d(y)' is not a polynomial"),
+        (_with("ring", relation="d(x)"), "'d(x)' is not a polynomial"),
+        (_with("module", delta=[["0", "d(x)"], ["y", "0"]]), "'d(x)' is not a polynomial"),
+    ],
+    ids=[
+        "mu-zero-form", "mu-two-d-factors", "mu-power-of-d", "mu-divided-by-d", "mu-unknown-variable",
+        "mu-empty", "mu-blank", "h-one-form", "relation-one-form", "delta-one-form",
+    ],
+)
+def test_an_entry_the_grammar_refuses_exits_2_without_traceback(doc, message, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"invalid input: {message}")
+    assert "Traceback" not in proc.stderr
+
+
+def test_milnor_refuses_a_one_form():
+    proc = _run("milnor", "d(x)", "--vars", "x,y")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: 'd(x)' is not a polynomial")
     assert "Traceback" not in proc.stderr

@@ -197,6 +197,12 @@ def reference_exterior_d(ring: GradedRing, terms: dict, negate: bool = False) ->
 # it stored nonzero entries only.
 
 
+def column(X, s: int) -> list:
+    """Column s of a matform.Mat: its entries X[t][s] over the target basis."""
+    zero = USeries.zero(X.ring)
+    return [row.get(s, zero) for row in X.rows]
+
+
 def _dot(ring, row, col) -> USeries:
     return USeries.sum_of_products(ring, [(1, 0, a, b) for a, b in zip(row, col)])
 
@@ -583,7 +589,7 @@ def reference_curvature(C):
 
     cols = []
     for j in range(n):
-        base = M.e.column(j)
+        base = column(M.e, j)
         cols.append(nabla(nabla(base)))
         for name in ring.variables:
             xv = USeries.from_ring(ring.var(name))
