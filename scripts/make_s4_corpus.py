@@ -14,16 +14,19 @@ The script verifies the inputs (idempotency, T·U), realizes the square
 of the differential as a ring multiple of the presentation, and writes
 the corpus JSON with the curvature that makes delta^2 = -h·e exact.
 
-Run from the repository root:  python3 scripts/make_s4_corpus.py
+Run from the repository root:  python3 scripts/make_s4_corpus.py [--out PATH]
+(PATH defaults to the corpus file, src/curvedchern/corpus/s4_nonflat.json).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from curvedchern.rings import GradedRing
 
@@ -99,6 +102,10 @@ def is_zero(A):
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Write the s4_nonflat corpus file.")
+    corpus = ROOT / "src" / "curvedchern" / "corpus" / "s4_nonflat.json"
+    parser.add_argument("--out", type=pathlib.Path, default=corpus, help="output file (default: the corpus file)")
+    out = parser.parse_args().out
     e, U, T, C = mk(E_ROWS), mk(U_ROWS), mk(T_ROWS), mk(C_ROWS)
     alpha, beta = mk(ALPHA_ROWS), mk(BETA_ROWS)
     one4 = ident(4)
@@ -168,7 +175,6 @@ def main():
         "connection": {"kind": "levi-civita"},
         "options": {"bound": 6},
     }
-    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "curvedchern" / "corpus" / "s4_nonflat.json"
     header = (
         "# Rank-2 image of the quaternionic idempotent on the 4-sphere,\n"
         "# twisted by the clutching data alpha, beta: a curved module whose\n"

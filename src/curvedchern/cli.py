@@ -16,9 +16,11 @@ Four subcommands:
 Problem files are JSON with `#`-prefixed comment lines allowed (stripped
 before parsing).  Every entry string, polynomial or one-form, is read by
 the one grammar of rings._Parser.  Parse-time validation mirrors the
-module invariants; rejected inputs name the violated clause.  Reports are
-byte-stable for a fixed input: the only nondeterministic lines are
-prefixed `# time:` and carry no mathematical content.
+module invariants; rejected inputs name the violated clause, and an entry
+the grammar refuses also its block and place, as in `module block:
+delta[0][1]: ...`.  Reports are byte-stable for a fixed input: the only
+nondeterministic lines are prefixed `# time:` and carry no mathematical
+content.
 
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
@@ -135,9 +137,27 @@ def parse_form_entry(ring: GradedRing, text: str) -> DiffForm:
     v = _parse_entry(ring, text)
     _require(
         all(mask.bit_count() == 1 for _, mask in v.groups),
-        f"connection block: {text!r} is not a one-form (expected a sum of poly*d(var) terms)",
+        f"{text!r} is not a one-form (expected a sum of poly*d(var) terms)",
     )
     return DiffForm._make(ring, v.den, v.width, v.groups)
+
+
+def _located(where: str, read, *args):
+    """read(*args), an InvalidInput it raises prefixed with `where`, the
+    place of the value in the problem file."""
+    try:
+        return read(*args)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{where}: {exc}") from exc
+
+
+def _entries(ring: GradedRing, where: str, rows, read) -> list:
+    """The string entries of a matrix block read by read(ring, entry), each
+    refusal prefixed with `where[s][t]`; integer entries kept as they are."""
+    return [
+        [v if _is_int(v) else _located(f"{where}[{s}][{t}]", read, ring, v) for t, v in enumerate(row)]
+        for s, row in enumerate(rows)
+    ]
 
 
 def parse_instance(text: str, label: str) -> Instance:
@@ -182,12 +202,7 @@ def parse_instance(text: str, label: str) -> Instance:
         rb.get("relation") is None or isinstance(rb["relation"], str),
         "ring block: relation must be a polynomial string",
     )
-    ring = GradedRing(
-        tuple(variables),
-        tuple(degrees),
-        grading=grading,
-        relation=rb.get("relation"),
-    )
+    ring = _located("ring block", GradedRing, tuple(variables), tuple(degrees), grading, rb.get("relation"))
 
     cb = data.get("curved", {})
     _require(isinstance(cb, dict), "curved block: must be an object")
@@ -195,7 +210,7 @@ def parse_instance(text: str, label: str) -> Instance:
         _require(key == "h", f"curved block: unknown key {key!r}")
     h = cb.get("h", "0")
     _require(isinstance(h, str), "curved block: h must be a polynomial string")
-    algebra = CurvedAlgebra(ring, ring.from_string(h))
+    algebra = CurvedAlgebra(ring, _located("curved block: h", ring.from_string, h))
 
     mb = data["module"]
     _require(isinstance(mb, dict), "module block: must be an object")
@@ -218,8 +233,13 @@ def parse_instance(text: str, label: str) -> Instance:
         mb.get("idempotent") is None or _is_square(mb["idempotent"], n, _is_poly_entry),
         "module block: idempotent must be a square matrix of polynomial strings over the basis",
     )
+    stored = {
+        key: _entries(ring, f"module block: {key}", mb[key], GradedRing.from_string)
+        for key in ("delta", "idempotent")
+        if mb.get(key) is not None
+    }
     module = CurvedModule.from_stored(
-        algebra, mb["degrees"], mb["delta"], idempotent_rows=mb.get("idempotent")
+        algebra, mb["degrees"], stored["delta"], idempotent_rows=stored.get("idempotent")
     )
     verdict = module.verdict()
     if not verdict.ok:
@@ -241,11 +261,7 @@ def parse_instance(text: str, label: str) -> Instance:
             _is_square(rows, len(module.degrees), lambda v: isinstance(v, str)),
             "connection block: mu must be a square matrix of one-form strings over the basis",
         )
-        mu = Mat.from_stored(
-            ring,
-            module.degrees,
-            [[parse_form_entry(ring, v) for v in row] for row in rows],
-        )
+        mu = Mat.from_stored(ring, module.degrees, _entries(ring, "connection block: mu", rows, parse_form_entry))
         connection = connection_with_mu(module, mu)
     else:
         raise InvalidInput("connection block: kind must be levi-civita or explicit")

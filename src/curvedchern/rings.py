@@ -24,8 +24,8 @@ denominator sharing no factor with every numerator, and the ring's base
 width (the widest that keeps a monomial below 2^30, one CPython digit)
 unless an exponent needs the narrowest wider width that fits.  A
 RingElement is the case of at most one group, at (0, 0).  Every product
-is formed by sum_of_products on these rows, and sums, scalings and
-derivatives work on them too, so no arithmetic builds a Scalar; the
+of values is formed by sum_of_products on these rows, and sums, scalings
+and derivatives work on them too, so no arithmetic builds a Scalar; the
 exponent tuples and Scalars of `RingElement.terms` are built on read, for
 printing and for code that works monomial by monomial.
 """
@@ -36,10 +36,9 @@ import re as _re
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import comb
 from math import gcd as _gcd
-from math import lcm
+from math import lcm, prod
 from operator import add as _add
 from operator import le as _le
 from operator import lshift as _lshift
@@ -102,7 +101,10 @@ class GradedRing:
 
         self.relation: RingElement | None = None
         if relation is not None:
-            rel = self.from_string(relation)
+            try:
+                rel = self.from_string(relation)
+            except InvalidInput as exc:
+                raise InvalidInput(f"relation: {exc}") from exc
             if rel.is_zero():
                 raise InvalidInput("relation must be nonzero")
             if rel.gamma_degree() != self.degree_reduce(0):
@@ -148,9 +150,7 @@ class GradedRing:
     def var(self, name: str) -> "RingElement":
         if name not in self._index:
             raise InvalidInput(f"unknown variable {name!r}")
-        m = [0] * self.nvars
-        m[self._index[name]] = 1
-        return RingElement(self, {tuple(m): ONE})
+        return RingElement(self, {tuple(int(v == name) for v in self.variables): ONE})
 
     def from_string(self, text: str) -> "RingElement":
         if type(p := _parse_entry(self, text)) is not RingElement:
@@ -330,7 +330,7 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
     numerators, the work and its denominator are multiplied by the missing
     factor, so every numerator stays an integer.  The terms are taken from
     a heap and equal monomials merge in the work, so the division runs in
-    a loop however many steps it takes.
+    a loop, and raises InvalidInput once work and remainder pass MAX_TERMS.
     """
     heap = [(_desc(m), m) for m in work]
     heapify(heap)
@@ -363,6 +363,10 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
             if w is None:
                 work[t] = [b * tb - a * ta, -a * tb - b * ta]
                 heappush(heap, (_desc(t), t))
+                if len(work) + len(out) > MAX_TERMS:
+                    raise InvalidInput(
+                        f"polynomial too large: a normal form could have more than {MAX_TERMS} terms"
+                    )
             else:
                 w[0] -= a * ta - b * tb
                 w[1] -= a * tb + b * ta
@@ -517,14 +521,7 @@ class RingElement(Packed):
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
             raise InvalidInput("negative powers are not ring elements")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return reduce(RingElement.__mul__, [self] * n, self.ring.one())
 
     def derivative(self, var: str) -> "RingElement":
         """Formal partial derivative of the normal-form representative (no
@@ -762,103 +759,86 @@ def _term_str(c: Scalar, mono: str) -> str:
 
 # ---------------------------------------------------------------------------
 # parser: +, -, *, ^, integer and rational literals, the literal i,
-# parentheses, unary minus and the one-form d(var).  Unicode minus and the
-# dot operator are normalized.  Every polynomial or one-form string is read
-# here: a polynomial as a RingElement, and a string with a d(var) as a
-# Packed value whose groups are (0, dx mask).
+# parentheses, unary minus and the one-form d(var), Unicode minus and the
+# dot operator normalized.  A string is read into _Rows, then normal-formed
+# once: as a RingElement, or with a d(var) as a Packed form.
 # ---------------------------------------------------------------------------
 
-# Size caps of the parser, checked before each sum, product or power is
-# formed: no exponent after '^' above MAX_EXPONENT, and no result with a
-# variable's exponent above MAX_EXPONENT, possibly more than MAX_TERMS
-# terms, or coefficients estimated at more than MAX_COEFFICIENT_BITS bits.
-# The term count is bounded by the operands' term counts (a form's rows
-# counted over all its dx groups) and by the box of exponent vectors the
-# result can reach, before any reduction; the coefficient estimate adds the
-# operands' largest numerator or denominator bit lengths and the bits a sum
-# of the products can carry.  Parentheses and unary minus signs nest at
-# most MAX_NESTING deep, which keeps the recursive descent (four frames a
-# parenthesis) far from the interpreter's recursion limit.
+# Size caps, checked on the rows before each sum, product or power is
+# formed: no exponent after '^' or in a result above MAX_EXPONENT, no result
+# with possibly more than MAX_TERMS terms (by the operands' row counts and
+# the box of exponents it can reach), no coefficient estimated above
+# MAX_COEFFICIENT_BITS bits (the operands' largest numerator or denominator
+# bit lengths, plus the bits a sum of products carries), and no normal form
+# whose remainder passes MAX_TERMS (_reduce_full).  Parentheses and unary
+# minus signs nest at most MAX_NESTING deep, so the recursive descent (four
+# frames a parenthesis) stays far from the interpreter's recursion limit.
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFFICIENT_BITS = 10_000
 MAX_NESTING = 100
 
 
-def _count(p: Packed) -> int:
-    """The number of rows of p, over all its groups."""
-    return sum(map(len, p.groups.values()))
-
-
-def _exponents(p: Packed) -> list[int]:
-    """The largest exponent of each variable in p."""
-    monomials = _monomials(p.ring, p.width, chain.from_iterable(p.groups.values()))
-    return [max(col, default=0) for col in zip(*monomials)] or [0] * p.ring.nvars
-
-
-def _bits(p: Packed) -> int:
-    """The largest bit length of a numerator or denominator of a term of
-    p, each term's Scalar in lowest terms."""
-    d, rows = p.den, chain.from_iterable(p.groups.values())
-    return max(((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for _, a, b in rows), default=0)
-
-
-def _check_size(op: str, exps: list[int], terms: int, bits: int = 0) -> None:
-    """Refuse a result whose exponents `exps`, term bound `terms` or
-    coefficient bit estimate `bits` exceed the caps."""
+def _check_size(op: str, exps, terms: int, bits: int = 0) -> None:
+    """Refuse a result whose exponents, term bound or coefficient bit estimate exceed the caps."""
     if max(exps, default=0) > MAX_EXPONENT:
-        raise InvalidInput(
-            f"polynomial too large: a {op} would raise an exponent above {MAX_EXPONENT}"
-        )
-    box = 1
-    for e in exps:
-        box *= e + 1
-    if min(terms, box) > MAX_TERMS:
-        raise InvalidInput(
-            f"polynomial too large: a {op} could have more than {MAX_TERMS} terms"
-        )
+        raise InvalidInput(f"polynomial too large: a {op} would raise an exponent above {MAX_EXPONENT}")
+    if terms > MAX_TERMS and prod(e + 1 for e in exps) > MAX_TERMS:
+        raise InvalidInput(f"polynomial too large: a {op} could have more than {MAX_TERMS} terms")
     if bits > MAX_COEFFICIENT_BITS:
         raise InvalidInput(
-            f"polynomial too large: a {op} could have coefficients of more than"
-            f" {MAX_COEFFICIENT_BITS} bits"
+            f"polynomial too large: a {op} could have coefficients of more than {MAX_COEFFICIENT_BITS} bits"
         )
 
 
+class _Rows:
+    """A parsed value: rows {key: (re, im)}, Gaussian numerators over den
+    with no zero row, not normal-formed; a key is a monomial packed at the
+    parser's width plus its dx mask above the fields (see _Parser).  `form`
+    is set from the first d(var) on, even if it cancels."""
+
+    __slots__ = ("den", "rows", "form")
+
+    def __init__(self, den: int, rows: dict, form: bool = False):
+        self.den, self.rows, self.form = den, rows, form
+
+    def bits(self) -> int:
+        """The largest bit length of a numerator or denominator of a term in lowest terms."""
+        d = self.den
+        return max(((max(abs(a), abs(b), d) // _gcd(a, b, d)).bit_length() for a, b in self.rows.values()), default=0)
+
+    def add(self, other: "_Rows", sign: int) -> "_Rows":
+        """self + sign·other, sign ±1, in self's rows: it costs other's rows, not self's."""
+        den = lcm(self.den, other.den)
+        rows = self.rows if den == self.den else self.scale(den // self.den).rows
+        for k, (a, b) in other.scale(sign * (den // other.den)).rows.items():
+            x, y = rows.get(k, (0, 0))
+            rows[k] = (x + a, y + b)
+            if rows[k] == (0, 0):
+                del rows[k]
+        return _Rows(den, rows, self.form or other.form)
+
+    def __mul__(self, other: "_Rows") -> "_Rows":
+        """The product, at most one factor a form (even ring coefficients: no wedge sign)."""
+        if self.form and other.form:
+            raise InvalidInput("a product of two d(...) factors is not a one-form")
+        out: dict = {}
+        for k1, (a1, b1) in self.rows.items():
+            for k2, (a2, b2) in other.rows.items():
+                x, y = out.get(k1 + k2, (0, 0))
+                out[k1 + k2] = (x + a1 * a2 - b1 * b2, y + a1 * b2 + b1 * a2)
+        return _Rows(self.den * other.den, {k: v for k, v in out.items() if v != (0, 0)}, self.form or other.form)
+
+    def scale(self, x: int, y: int = 0, d: int = 1) -> "_Rows":
+        """self times (x + y·i)/d."""
+        return _Rows(self.den * d, {k: (a * x - b * y, a * y + b * x) for k, (a, b) in self.rows.items()}, self.form)
+
+
+# a character no token starts with begins a `bad` token that takes the rest
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<num>\d+)|d\s*\(\s*(?P<d>[A-Za-z_][A-Za-z_0-9]*)\s*\)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))|(?P<bad>[\s\S]+)"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    text = text.replace("−", "-").replace("⋅", "*").rstrip()
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        mt = _TOKEN_RE.match(text, pos)
-        if mt is None:
-            raise InvalidInput(f"cannot tokenize polynomial at {text[pos:]!r}")
-        pos = mt.end()
-        tokens.append((mt.lastgroup, mt.group(mt.lastgroup)))
-    tokens.append(("end", ""))
-    return tokens
-
-
-def _product(p: Packed, q: Packed) -> Packed:
-    """p·q with at most one one-form factor: RingElement.__mul__ for two
-    polynomials, else each group of the form times the polynomial in one
-    sum_of_products call (ring coefficients are even, so no sign)."""
-    if type(p) is RingElement and type(q) is RingElement:
-        return p * q
-    form, poly = (p, q) if type(q) is RingElement else (q, p)
-    if type(poly) is not RingElement:
-        raise InvalidInput("a product of two d(...) factors is not a one-form")
-    if not poly.groups:
-        return Packed.zero(p.ring)
-    width = max(form.width, poly.width)
-    rows = poly._at(width)[_KEY]
-    products = [(g, 1, form.den * poly.den, width, P, rows) for g, P in form._at(width).items()]
-    return Packed._make(p.ring, *sum_of_products(p.ring, products))
 
 
 class _Parser:
@@ -869,76 +849,85 @@ class _Parser:
     factor := atom ('^' integer)?  |  '-' factor
     atom   := integer | 'i' | variable | '(' expr ')' | 'd' '(' variable ')'
 
-    A value is a RingElement until a d(variable) enters it, then a Packed
-    form: a product has at most one form factor, and '^' no form base.
+    Every node is _Rows.  A value is a polynomial until a d(variable)
+    enters it, then a form: a product has at most one form factor, and '^'
+    no form base.  A product multiplies every pair of rows, so a factor of
+    one row (a number, i, a variable, its power, a parenthesised scalar,
+    d(var)) costs one step a row of the other; a power multiplies n times.
     """
 
-    def __init__(self, ring: GradedRing, tokens: list[tuple[str, str]]):
-        self.ring = ring
-        self.toks = tokens
-        self.k = 0
-        self.depth = 0
+    def __init__(self, ring: GradedRing, text: str):
+        text = text.replace("−", "-").replace("⋅", "*").rstrip()
+        self.toks = [(mt.lastgroup, mt[mt.lastgroup]) for mt in _TOKEN_RE.finditer(text)] + [("end", "")]
+        if (bad := dict(self.toks).get("bad")) is not None:
+            raise InvalidInput(f"cannot tokenize polynomial at {bad!r}")
+        # every parsed exponent is at most MAX_EXPONENT, so keys at this
+        # width never carry; a dx mask sits above the fields, at `top`
+        self.ring, self.k, self.depth, self.width = ring, 0, 0, ring._width_for(MAX_EXPONENT)
+        self.field, self.top = (1 << self.width) - 1, self.width * ring.nvars
+        self.shifts = range(0, self.top, self.width)
+
+    def monomial(self, k: int) -> list:
+        return [k >> s & self.field for s in self.shifts]
+
+    def exponents(self, v: _Rows) -> list:
+        """The largest exponent of each variable in v."""
+        if len(v.rows) == 1:
+            return self.monomial(next(iter(v.rows)))
+        return [max(col) for col in zip(*map(self.monomial, v.rows))] or [0] * self.ring.nvars
 
     def peek(self):
         return self.toks[self.k]
 
     def take(self):
-        t = self.toks[self.k]
         self.k += 1
-        return t
+        return self.toks[self.k - 1]
 
-    def nested(self, parse) -> Packed:
+    def nested(self, parse) -> _Rows:
         """parse() one level deeper in parentheses or unary minus signs."""
         if self.depth == MAX_NESTING:
-            raise InvalidInput(
-                f"polynomial nests parentheses or unary minus signs more than {MAX_NESTING} deep"
-            )
+            raise InvalidInput(f"polynomial nests parentheses or unary minus signs more than {MAX_NESTING} deep")
         self.depth += 1
         node = parse()
         self.depth -= 1
         return node
 
-    def expr(self) -> Packed:
+    def expr(self) -> _Rows:
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            terms = _count(node) + _count(rhs)
+            terms = len(node.rows) + len(rhs.rows)
             if terms > MAX_TERMS:  # a sum raises no exponent
-                _check_size("sum", list(map(max, _exponents(node), _exponents(rhs))), terms)
-            if type(rhs) is Packed:  # a sum with a form is a form
-                node = Packed._make(node.ring, node.den, node.width, node.groups)
-            node = node + rhs if op == "+" else node - rhs
+                _check_size("sum", list(map(max, self.exponents(node), self.exponents(rhs))), terms)
+            node = node.add(rhs, 1 if op == "+" else -1)
         return node
 
-    def term(self) -> Packed:
+    def term(self) -> _Rows:
         node = self.factor()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.factor()
             if op == "*":
-                m, n = _count(node), _count(rhs)
-                _check_size(
-                    "product",
-                    list(map(_add, _exponents(node), _exponents(rhs))),
-                    m * n,
-                    _bits(node) + _bits(rhs) + min(m, n).bit_length() + 1,
-                )
-                node = _product(node, rhs)
-            else:
-                if type(rhs) is not RingElement or not rhs.is_scalar() or rhs.is_zero():
-                    raise InvalidInput("'/' only divides by nonzero scalars")
-                node = node.scale(rhs.scalar_part().inv())
+                m, n = len(node.rows), len(rhs.rows)
+                exps = list(map(_add, self.exponents(node), self.exponents(rhs)))
+                _check_size("product", exps, m * n, node.bits() + rhs.bits() + min(m, n).bit_length() + 1)
+                node = node * rhs
+            elif rhs.form or list(rhs.rows) != [0]:
+                raise InvalidInput("'/' only divides by nonzero scalars")
+            else:  # times 1/((a + b·i)/d) = d·(a - b·i)/(a² + b²)
+                ((a, b),) = rhs.rows.values()
+                node = node.scale(rhs.den * a, -rhs.den * b, a * a + b * b)
         return node
 
-    def factor(self) -> Packed:
+    def factor(self) -> _Rows:
         if self.peek() == ("op", "-"):
             self.take()
-            return -self.nested(self.factor)
+            return self.nested(self.factor).scale(-1)
         node = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
-            if type(node) is not RingElement:
+            if node.form:
                 raise InvalidInput("'^' takes no d(...) base")
             kind, val = self.take()
             if kind != "num":
@@ -947,31 +936,33 @@ class _Parser:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 shown = digits if len(digits) <= 20 else digits[:20] + "..."
                 raise InvalidInput(f"exponent {shown} is above the cap {MAX_EXPONENT}")
-            n = int(digits)
+            n, rows = int(digits), len(node.rows)
             if n:
-                _check_size(
-                    "power",
-                    [n * e for e in _exponents(node)],
-                    comb(len(node.rows) + n - 1, n),
-                    n * (_bits(node) + len(node.rows).bit_length() + 1),
-                )
-            node = node**n
+                exps = [n * e for e in self.exponents(node)]
+                _check_size("power", exps, comb(rows + n - 1, n), n * (node.bits() + rows.bit_length() + 1))
+            base, node = node, _Rows(1, {0: (1, 0)})
+            for _ in range(n):
+                node = node * base
         return node
 
-    def atom(self) -> Packed:
+    def atom(self) -> _Rows:
         kind, val = self.take()
         if kind == "num":
             try:
-                return self.ring.scalar(Scalar(int(val)))
+                n = int(val)
             except ValueError as exc:  # longer than the interpreter converts
                 raise InvalidInput(f"integer literal too long: {exc}") from exc
-        if kind == "name":
-            if val == "i":
-                return self.ring.scalar(Scalar(0, 1))
-            return self.ring.var(val)
-        if kind == "d":  # the one-form dx_v: the group (0, 1 << v), coefficient 1
-            x = self.ring.var(val)  # refuses an unknown variable
-            return Packed._make(self.ring, 1, x.width, {(0, 1 << self.ring._index[val]): [(0, 1, 0)]})
+            return _Rows(1, {0: (n, 0)} if n else {})
+        if kind == "name" and val in ("i", "d"):
+            if val == "d":  # not followed by '(' variable ')'
+                raise InvalidInput("d(...) takes one variable name, as in d(x)")
+            return _Rows(1, {0: (0, 1)})
+        if kind in ("name", "d"):
+            if (v := self.ring._index.get(val)) is None:
+                raise InvalidInput(f"unknown variable {val!r}")
+            if kind == "d":  # the one-form dx_v: mask 1 << v, coefficient 1
+                return _Rows(1, {1 << (self.top + v): (1, 0)}, form=True)
+            return _Rows(1, {1 << self.shifts[v]: (1, 0)})
         if (kind, val) == ("op", "("):
             node = self.nested(self.expr)
             if self.take() != ("op", ")"):
@@ -981,11 +972,19 @@ class _Parser:
 
 
 def _parse_entry(ring: GradedRing, text: str) -> Packed:
-    """An entry string as a RingElement, or as a Packed form (see _Parser)."""
+    """An entry string as a RingElement, or as a Packed form (see _Parser),
+    reduced, when the relation's lead divides a monomial, as products by one."""
     if not isinstance(text, str) or not text.strip():
         raise InvalidInput("empty polynomial string")
-    parser = _Parser(ring, _tokenize(text))
+    parser = _Parser(ring, text)
     node = parser.expr()
     if parser.peek() != ("end", ""):
         raise InvalidInput(f"trailing input in polynomial {text!r}")
-    return node
+    cls, width, top = Packed if node.form else RingElement, parser.width, parser.top
+    groups: dict = {}
+    for k, (a, b) in node.rows.items():
+        groups.setdefault((0, k >> top), []).append((k & ((1 << top) - 1), a, b))
+    if ring.relation is None or not any(_divides(ring._rel_entry[0], parser.monomial(k)) for k in node.rows):
+        return cls._reduced(ring, node.den, width, groups)
+    products = [(g, 1, node.den, width, rows, [(0, 1, 0)]) for g, rows in groups.items()]
+    return cls._make(ring, *sum_of_products(ring, products))

@@ -279,7 +279,7 @@ def test_milnor_of_a_deeply_nested_polynomial_exits_2(poly):
     [
         (
             json.dumps(_with("curved", h="(" * 400 + "-x*y" + ")" * 400)),
-            "invalid input: polynomial nests",
+            "invalid input: curved block: h: polynomial nests",
         ),
         ("[" * 100_000 + "]" * 100_000, "invalid input: problem file is not valid JSON: "),
         (
@@ -363,7 +363,7 @@ def test_a_coefficient_past_the_digit_limit_is_printed_exactly(json_flag, tmp_pa
         ("x*d(y) + y*d(x)", 0, "u^0: d(x) d(y)\n"),
         ("x*d(y)+y*d(x)", 0, "u^0: d(x) d(y)\n"),
         ("(x-1)*d(y)", 0, "u^0: (x*y - y + 1)*d(x) d(y)\n"),
-        ("x-1*d(y)", 2, "invalid input: connection block: 'x-1*d(y)' is not a one-form"),
+        ("x-1*d(y)", 2, "invalid input: connection block: mu[0][0]: 'x-1*d(y)' is not a one-form"),
     ],
     ids=["spaced", "unspaced", "parenthesized", "binary-minus"],
 )
@@ -419,20 +419,27 @@ def test_one_form_entries_read_every_spelling_of_the_polynomial_grammar(spelling
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (_explicit("x"), "connection block: 'x' is not a one-form"),
-        (_explicit("d(x)*d(y)"), "a product of two d(...) factors is not a one-form"),
-        (_explicit("d(x)^2"), "'^' takes no d(...) base"),
-        (_explicit("x/d(y)"), "'/' only divides by nonzero scalars"),
-        (_explicit("d(z)"), "unknown variable 'z'"),
-        (_explicit(""), "empty polynomial string"),
-        (_explicit(" "), "empty polynomial string"),
-        (_with("curved", h="x*d(y)"), "'x*d(y)' is not a polynomial"),
-        (_with("ring", relation="d(x)"), "'d(x)' is not a polynomial"),
-        (_with("module", delta=[["0", "d(x)"], ["y", "0"]]), "'d(x)' is not a polynomial"),
+        (_explicit("x"), "connection block: mu[0][0]: 'x' is not a one-form"),
+        (_explicit("d(x)*d(y)"), "connection block: mu[0][0]: a product of two d(...) factors is not a one-form"),
+        (_explicit("d(x)^2"), "connection block: mu[0][0]: '^' takes no d(...) base"),
+        (_explicit("x/d(y)"), "connection block: mu[0][0]: '/' only divides by nonzero scalars"),
+        (_explicit("d(z)"), "connection block: mu[0][0]: unknown variable 'z'"),
+        (_explicit(""), "connection block: mu[0][0]: empty polynomial string"),
+        (_explicit(" "), "connection block: mu[0][0]: empty polynomial string"),
+        (_with("curved", h="x*d(y)"), "curved block: h: 'x*d(y)' is not a polynomial"),
+        (_with("ring", relation="d(x)"), "ring block: relation: 'd(x)' is not a polynomial"),
+        (_with("module", delta=[["0", "d(x)"], ["y", "0"]]), "module block: delta[0][1]: 'd(x)' is not a polynomial"),
+        (_with("module", idempotent=[["1", "0"], ["0", "z"]]), "module block: idempotent[1][1]: unknown variable 'z'"),
+        (
+            _with("connection", kind="explicit", mu=[["0", "0"], ["d(x", "0"]]),
+            "connection block: mu[1][0]: d(...) takes one variable name",
+        ),
+        (_with("ring", relation="z-1"), "ring block: relation: unknown variable 'z'"),
     ],
     ids=[
         "mu-zero-form", "mu-two-d-factors", "mu-power-of-d", "mu-divided-by-d", "mu-unknown-variable",
         "mu-empty", "mu-blank", "h-one-form", "relation-one-form", "delta-one-form",
+        "idempotent-unknown-variable", "mu-unclosed-d", "relation-unknown-variable",
     ],
 )
 def test_an_entry_the_grammar_refuses_exits_2_without_traceback(doc, message, tmp_path):

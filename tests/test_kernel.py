@@ -232,3 +232,17 @@ def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):
     instances = [random_module_instance(s) for s in range(300)]
     work = _kernel_work(monkeypatch, lambda: [run_suite(M, C) for M, C in instances])
     assert work == (4986, 30204)
+
+
+def test_kernel_work_of_reading_the_s4_file(monkeypatch):
+    # check_module makes 128 of the calls, and the reader one: the normal
+    # form of h, whose (1-x1)^2 leaves x1^2.  Reading each product of two
+    # factors by its own kernel call made 977 in all.
+    from curvedchern.cli import _corpus_text, parse_instance
+    from curvedchern.modules import check_module
+
+    text = _corpus_text("s4_nonflat.json")
+    inst = parse_instance(text, "s4")
+    reading = _kernel_work(monkeypatch, lambda: parse_instance(text, "s4"))
+    checking = _kernel_work(monkeypatch, lambda: check_module(inst.module))
+    assert (reading[0], checking[0]) == (129, 128)

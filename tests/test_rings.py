@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import time
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedchern import rings
+from curvedchern.cli import parse_form_entry
+from curvedchern.forms import DiffForm
 from curvedchern.errors import Inhomogeneous, InvalidInput
 from curvedchern.rings import GradedRing, RingElement, _divides
 from curvedchern.scalars import Scalar
@@ -234,3 +239,93 @@ def test_parser_nesting_is_capped(opening, closing):
     assert R.from_string(nested) == R.from_string("x" if "-" not in opening or depth % 2 == 0 else "-x")
     with pytest.raises(InvalidInput, match="nests"):
         R.from_string(opening + nested + closing)
+
+
+@pytest.mark.parametrize("text", ["d", "d(1)", "d(x", "d()", "2*d + x", "d(x+y)"])
+def test_d_takes_one_variable_name(text):
+    with pytest.raises(InvalidInput, match=r"d\(\.\.\.\) takes one variable name"):
+        qi_ring("x", "y").from_string(text)
+
+
+def test_a_normal_form_past_the_term_cap_is_refused_quickly():
+    # on the 4-sphere x1^(2k) reduces to (1 - x2^2 - ... - x5^2)^k, with
+    # C(k + 4, 4) terms: 1 001 for k = 10, 46 376 for k = 30
+    R = sphere_ring(5)
+    assert len(R.from_string("x1^20").rows) == 1001
+    t0 = time.monotonic()
+    with pytest.raises(InvalidInput, match="polynomial too large: a normal form could have more than"):
+        R.from_string("x1^60")
+    assert time.monotonic() - t0 < 1
+
+
+# -- the reader against term lists: one value, many spellings ----------------
+
+_ORACLE_RINGS = (qi_ring("x", "y", "z"), sphere_ring(3))
+_oracle_coeffs = st.builds(Scalar, _fractions, _fractions).filter(lambda c: not c.is_zero())
+
+
+def _spell(ring: GradedRing, terms: dict, rnd) -> str:
+    """terms {(dx index or None, monomial): Scalar} as one of the spellings
+    the grammar reads: factors shuffled, x^2 as x*x or not, binary or unary
+    minus, '/' denominators anywhere after the first factor, the printer's
+    parenthesised complex coefficients, a coefficient as a product or a
+    quotient of two Gaussian numbers, a term added and taken away again,
+    spaces, '−' and '⋅'."""
+    pieces = []  # (sign, factors, divisor or None)
+    for (v, m), c in terms.items():
+        variables = []
+        for name, e in zip(ring.variables, m):
+            if e > 1 and rnd.random() < 0.5:  # x^2 as x*x
+                variables += [name] * e
+            elif e:
+                variables.append(name if e == 1 else f"{name}^{e}")
+        dx = [] if v is None else [f"d({ring.variables[v]})"]
+        g = Scalar(Fraction(rnd.choice([-3, -1, 1, 2]), rnd.choice([1, 2])), rnd.choice([-1, 0, 1]))
+        way = rnd.choice(["parts", "parts", "printed", "product", "quotient"])
+        if way == "printed" and c.re and c.im:
+            pieces.append((1, [f"({c})", *variables, *dx], None))
+        elif way == "product":
+            pieces.append((1, [f"({c * g.inv()})", f"({g})", *variables, *dx], None))
+        elif way == "quotient":
+            pieces.append((1, [f"({c * g})", *variables, *dx], f"({g})"))
+        else:  # the real and the imaginary part, each over its denominator
+            for part, unit in ((c.re, []), (c.im, ["i"])):
+                if part:
+                    one = part.numerator in (1, -1) and (unit or variables or dx) and rnd.random() < 0.7
+                    numerator = [] if one else [str(abs(part.numerator))]
+                    den = str(part.denominator) if part.denominator != 1 else None
+                    pieces.append((1 if part > 0 else -1, [*numerator, *unit, *variables, *dx], den))
+        if rnd.random() < 0.2:  # a term that cancels
+            pieces += [(1, [*variables, "3", *dx], None), (-1, [*dx, "3", *variables], None)]
+    rnd.shuffle(pieces)
+    text = ""
+    for sign, factors, divisor in pieces:
+        rnd.shuffle(factors)
+        sep = rnd.choice(["*", " * ", "⋅"])
+        if divisor is not None:
+            k = rnd.randint(1, len(factors))
+            factors = [sep.join(factors[:k]) + f"/{divisor}", *factors[k:]]
+        body = sep.join(factors)
+        if not text:
+            text = body if sign > 0 else rnd.choice(["-", "- ", "−"]) + body
+        elif sign > 0:
+            text += rnd.choice([" + ", "+"]) + body
+        else:
+            text += rnd.choice([" - ", "-", " + -", "+ − ", " − "]) + body
+    return text or "0"
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, len(_ORACLE_RINGS) - 1), st.data())
+def test_every_spelling_reads_as_the_term_list(which, data):
+    R = _ORACLE_RINGS[which]
+    monos = st.tuples(*[st.integers(0, 3)] * R.nvars)
+    terms = data.draw(st.dictionaries(monos, _oracle_coeffs, max_size=5))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    p = R.element(terms)
+    assert R.from_string(_spell(R, {(None, m): c for m, c in terms.items()}, rnd)) == p
+    assert R.from_string(str(p)) == p
+    # one-forms: each term carries one d(var)
+    keyed = data.draw(st.dictionaries(st.tuples(st.integers(0, R.nvars - 1), monos), _oracle_coeffs, max_size=5))
+    parts = {(v,): R.element({m: c for (w, m), c in keyed.items() if w == v}) for v in range(R.nvars)}
+    assert parse_form_entry(R, _spell(R, keyed, rnd)) == DiffForm(R, parts)
