@@ -853,7 +853,8 @@ class _Parser:
     enters it, then a form: a product has at most one form factor, and '^'
     no form base.  A product multiplies every pair of rows, so a factor of
     one row (a number, i, a variable, its power, a parenthesised scalar,
-    d(var)) costs one step a row of the other; a power multiplies n times.
+    d(var)) costs one step a row of the other.  A power of a monomial
+    scales its key; any other base is multiplied in n times.
     """
 
     def __init__(self, ring: GradedRing, text: str):
@@ -940,9 +941,9 @@ class _Parser:
             if n:
                 exps = [n * e for e in self.exponents(node)]
                 _check_size("power", exps, comb(rows + n - 1, n), n * (node.bits() + rows.bit_length() + 1))
-            base, node = node, _Rows(1, {0: (1, 0)})
-            for _ in range(n):
-                node = node * base
+            if rows == 1 and node.den == 1 and (1, 0) in node.rows.values():  # a monomial
+                return _Rows(1, {next(iter(node.rows)) * n: (1, 0)})
+            node = reduce(_Rows.__mul__, [node] * n, _Rows(1, {0: (1, 0)}))
         return node
 
     def atom(self) -> _Rows:
