@@ -202,7 +202,9 @@ def parse_instance(text: str, label: str) -> Instance:
         rb.get("relation") is None or isinstance(rb["relation"], str),
         "ring block: relation must be a polynomial string",
     )
-    ring = _located("ring block", GradedRing, tuple(variables), tuple(degrees), grading, rb.get("relation"))
+    ring = _located(
+        "ring block", GradedRing, tuple(variables), tuple(degrees), grading, rb.get("relation")
+    )
 
     cb = data.get("curved", {})
     _require(isinstance(cb, dict), "curved block: must be an object")
@@ -261,7 +263,8 @@ def parse_instance(text: str, label: str) -> Instance:
             _is_square(rows, len(module.degrees), lambda v: isinstance(v, str)),
             "connection block: mu must be a square matrix of one-form strings over the basis",
         )
-        mu = Mat.from_stored(ring, module.degrees, _entries(ring, "connection block: mu", rows, parse_form_entry))
+        mu_rows = _entries(ring, "connection block: mu", rows, parse_form_entry)
+        mu = Mat.from_stored(ring, module.degrees, mu_rows)
         connection = connection_with_mu(module, mu)
     else:
         raise InvalidInput("connection block: kind must be levi-civita or explicit")
