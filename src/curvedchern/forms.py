@@ -344,7 +344,7 @@ def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
                 nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
                 if nxt not in seen:
                     # skip monomials the relation would rewrite
-                    if ring.relation is not None and _divides(ring._rel_entry[0], nxt):
+                    if ring.relation is not None and _divides(ring._rel_lead, nxt):
                         continue
                     seen.add(nxt)
                     stack.append(nxt)

@@ -11,11 +11,13 @@ installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988): as
 each element enters the basis, the product (coprime leading terms) and
 chain criteria prune its new pairs and the old pairs it makes redundant,
 and the pending pair with the smallest lcm is always reduced next (normal
-selection).  Reduction runs on integer rows: an element enters the basis
-monic, as an entry holding its leading monomial, one denominator and the
-integer numerators of its tail, built once; a polynomial being reduced is a
-dict of Gaussian-integer numerators over one denominator, taken term by
-term in descending graded-lex order from a heap.
+selection).  Reduction runs on integer rows of packed graded-lex monomials
+(rings._Glex, whose int order is the monomial order): an element enters the
+basis monic, as an entry of its leading monomial, one denominator and the
+integer numerators of its tail, built once and kept on the basis for
+ideal_nf.  A run starts at the width that holds its generators' degrees;
+no division raises a degree, so only an lcm can pass the width, and then
+the run starts again at twice the width.
 """
 
 from __future__ import annotations
@@ -29,13 +31,10 @@ from .rings import (
     GradedRing,
     Monomial,
     RingElement,
-    _divides,
     _element,
-    _element_entry,
     _entry,
     _Entry,
-    _mono_div,
-    _mono_mul,
+    _Glex,
     _reduce_full,
     monomial_key,
 )
@@ -61,10 +60,13 @@ class Capped:
 
 @dataclass
 class GroebnerBasis:
-    """A reduced, monic Groebner basis sorted by leading monomial."""
+    """A reduced, monic Groebner basis sorted by leading monomial, and its
+    elements' entries in the layout glex (None when built from elements)."""
 
     ring: GradedRing
     elements: list[RingElement] = field(default_factory=list)
+    glex: _Glex | None = field(default=None, compare=False)
+    entries: list[_Entry] = field(default_factory=list, compare=False)
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading_term()[0] for g in self.elements]
@@ -73,31 +75,21 @@ class GroebnerBasis:
         return any(g.total_degree() == 0 for g in self.elements)
 
 
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
+def _rows(p: RingElement, glex: _Glex) -> tuple[dict, int]:
+    """p = (1/den)·Σ (a + b·i)·m as reduction's work {m: [a, b]} in glex, and den."""
+    return {glex.encode(m): [a, b] for m, a, b in p._items()}, p.den
 
 
-def _rows(p: RingElement) -> tuple[dict, int]:
-    """p as reduction's work dict {m: [a, b]} over the denominator den:
-    p = (1/den)·Σ (a + b·i)·m."""
-    unpack = p.ring._packing(p.width)[1]
-    return {unpack[k][0]: [a, b] for k, a, b in p.rows}, p.den
-
-
-def _spoly(f: _Entry, g: _Entry) -> tuple[dict, int]:
-    """The S-polynomial of two entries as a work dict and its denominator;
-    the leading terms cancel and are left out."""
+def _spoly(f: _Entry, g: _Entry, m: int) -> tuple[dict, int]:
+    """The S-polynomial of two entries whose leading monomials have the lcm m
+    as a work dict and its denominator, the leading terms left out."""
     (fm, fd, ftail), (gm, gd, gtail) = f, g
-    m = _lcm(fm, gm)
     den = lcm(fd, gd)
     work: dict = {}
-    for tail, d, sign, q in (
-        (ftail, fd, 1, _mono_div(m, fm)),
-        (gtail, gd, -1, _mono_div(m, gm)),
-    ):
+    for tail, d, sign, q in ((ftail, fd, 1, m - fm), (gtail, gd, -1, m - gm)):
         s = sign * (den // d)
         for t, a, b in tail:
-            t = _mono_mul(q, t)
+            t += q
             w = work.get(t)
             if w is None:
                 work[t] = [s * a, s * b]
@@ -125,78 +117,80 @@ def buchberger(gens: list[RingElement]) -> GroebnerBasis:
     ring = gens[0].ring
     if ring.relation is not None:
         raise InvalidInput("Groebner bases are computed over relation-free rings")
-    basis: list[_Entry] = []  # every element that entered, by index
-    active: list[int] = []  # the current basis, ascending leading monomial
-    pairs: list[tuple] = []  # pending (monomial_key(lcm), i, j, lcm), i < j
-    for g in sorted(gens, key=lambda g: monomial_key(g.leading_term()[0])):
-        work, den = _rows(g)
-        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active])[1])
-    while pairs:
-        pair = min(pairs)
-        pairs.remove(pair)
-        work, den = _spoly(basis[pair[1]], basis[pair[2]])
-        _update(basis, active, pairs, _reduce_full(work, den, [basis[k] for k in active])[1])
-    return _interreduce(ring, [basis[k] for k in active])
+    glex = _Glex.holding(ring.nvars, max(g.total_degree() for g in gens))
+    while True:
+        # all entered elements; the basis, by ascending lead; pairs (lcm, i, j)
+        basis, active, pairs = [], [], []
+        try:
+            for work, den in sorted((_rows(g, glex) for g in gens), key=lambda w: max(w[0])):
+                _update(glex, basis, active, pairs, work, den)
+            while pairs:
+                pair = min(pairs)
+                pairs.remove(pair)
+                _update(glex, basis, active, pairs, *_spoly(basis[pair[1]], basis[pair[2]], pair[0]))
+        except OverflowError:  # an lcm passed the width
+            glex = _Glex(ring.nvars, 2 * glex.width)
+            continue
+        return _interreduce(ring, glex, [basis[k] for k in active])
 
 
-def _update(basis: list[_Entry], active: list[int], pairs: list, rows: list) -> None:
-    """Gebauer–Möller update for a remainder's rows (m, a, b), integer
-    numerators over one denominator, which enter the basis as a monic
-    entry h unless they are empty.
+def _update(glex: _Glex, basis: list[_Entry], active: list[int], pairs: list, work: dict, den: int) -> None:
+    """Gebauer–Möller update for the remainder of a work dict over den by
+    the active basis, which enters the basis as a monic entry h unless it
+    is zero.
 
     Of the new pairs (g, h), the chain criterion keeps one pair for each
     lcm that no other new lcm divides, and the product criterion then drops
     those with coprime leading monomials (they prune the others first).  An
     old pending pair goes when lm(h) divides its lcm and neither of its new
     lcms with h equals it.  Elements whose leading monomial lm(h) divides
-    leave the active basis.
+    leave the active basis.  OverflowError: a new lcm passes glex's width.
     """
+    rows = _reduce_full(work, den, [basis[k] for k in active], glex.guard)[1]
     if not rows:
         return
+    G = glex.guard  # a divides b iff ((b | G) - a) & G == G
     mh = rows[0][0]  # rows come in descending order
-    h = _entry(mh, rows)
     k = len(basis)
-    basis.append(h)
-    new = [(_lcm(basis[g][0], mh), g) for g in active]
+    basis.append(_entry(rows))
+    new = [(glex.lcm(basis[g][0], mh), g) for g in active]
+    if any(m & G for m, _ in new):
+        raise OverflowError(glex.width)
     kept = []
     for n, (m, g) in enumerate(new):
-        if _mono_mul(basis[g][0], mh) == m or not (
-            any(_divides(m2, m) for m2, _ in new[n + 1 :])
-            or any(_divides(m2, m) for m2, _ in kept)
-        ):
+        mg = m | G
+        if basis[g][0] + mh == m or not any((mg - m2) & G == G for m2, _ in new[n + 1 :] + kept):
             kept.append((m, g))
-    pairs[:] = [
-        p
-        for p in pairs
-        if not _divides(mh, p[3])
-        or _lcm(basis[p[1]][0], mh) == p[3]
-        or _lcm(basis[p[2]][0], mh) == p[3]
-    ]
-    pairs.extend(
-        (monomial_key(m), g, k, m) for m, g in kept if _mono_mul(basis[g][0], mh) != m
-    )
-    active[:] = [g for g in active if not _divides(mh, basis[g][0])]
-    insort(active, k, key=lambda j: monomial_key(basis[j][0]))
+    pairs[:] = [p for p in pairs if ((p[0] | G) - mh) & G != G or p[0] in {glex.lcm(basis[j][0], mh) for j in p[1:]}]
+    pairs.extend((m, g, k) for m, g in kept if basis[g][0] + mh != m)
+    active[:] = [g for g in active if ((basis[g][0] | G) - mh) & G != G]
+    insort(active, k, key=lambda j: basis[j][0])
 
 
-def _interreduce(ring: GradedRing, basis: list[_Entry]) -> GroebnerBasis:
+def _interreduce(ring: GradedRing, glex: _Glex, basis: list[_Entry]) -> GroebnerBasis:
     """The reduced basis from a basis in ascending order of leading
     monomial, none of which divides another: each tail reduced by the
     other entries."""
-    final: list[RingElement] = []
+    final, entries = [], []
     for k, (lm, den, tail) in enumerate(basis):
-        work = {t: [a, b] for t, a, b in tail}
-        den, rows = _reduce_full(work, den, basis[:k] + basis[k + 1 :])
-        final.append(_element(ring, den, rows + [(lm, den, 0)]))
-    return GroebnerBasis(ring, final)
+        den, rows = _reduce_full({t: [a, b] for t, a, b in tail}, den, basis[:k] + basis[k + 1 :], glex.guard)
+        rows.insert(0, (lm, den, 0))
+        final.append(_element(ring, den, [(glex.decode(t), a, b) for t, a, b in rows]))
+        entries.append(_entry(rows))
+    return GroebnerBasis(ring, final, glex, entries)
 
 
 def ideal_nf(p: RingElement, G: GroebnerBasis) -> RingElement:
     """Canonical normal form of p modulo the ideal of G."""
     if p.is_zero():
         return p
-    work, den = _rows(p)
-    return _element(p.ring, *_reduce_full(work, den, [_element_entry(g) for g in G.elements]))
+    glex, entries = G.glex, G.entries
+    if glex is None or p.total_degree() >> (glex.width - 1):  # encode wider
+        glex = _Glex.holding(p.ring.nvars, max(g.total_degree() for g in G.elements + [p]))
+        entries = [_entry([(glex.encode(m), a, b) for m, a, b in g._items()]) for g in G.elements]
+    work, den = _rows(p, glex)
+    den, rows = _reduce_full(work, den, entries, glex.guard)
+    return _element(p.ring, den, [(glex.decode(t), a, b) for t, a, b in rows])
 
 
 def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:
@@ -205,38 +199,28 @@ def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:
     The quotient is finite-dimensional iff every variable has a pure power
     among the leading monomials (Infinite names a variable without one);
     enumeration stops past STANDARD_MONOMIAL_CAP monomials and returns
-    Capped.
+    Capped.  The staircase walk keeps, for each prefix (e_1 .. e_v), the
+    leading monomials whose prefix divides it, and stops the level at the
+    least e_v of one of them with no later variable.
     """
     lms = G.leading_monomials()
     if G.contains_unit():
         return []
     ring = G.ring
-    bounds = []
     for v in range(ring.nvars):
-        pure = [
-            m[v]
-            for m in lms
-            if m[v] > 0 and all(m[w] == 0 for w in range(ring.nvars) if w != v)
-        ]
-        if not pure:
+        if not any(m[v] and not any(m[:v]) and not any(m[v + 1 :]) for m in lms):
             return Infinite(f"no pure power of {ring.variables[v]} in the leading ideal")
-        bounds.append(min(pure))
-    out: list[Monomial] = []
-    stack = [(0,) * ring.nvars]
-    seen = {stack[0]}
+    out, stack = [], [((), lms)]
     while stack:
-        m = stack.pop()
-        if any(_divides(lm, m) for lm in lms):
+        prefix, kept = stack.pop()
+        v = len(prefix)
+        stop = min(m[v] for m in kept if not any(m[v + 1 :]))  # x_v's pure power is one
+        if v < ring.nvars - 1:
+            stack += [(prefix + (e,), [m for m in kept if m[v] <= e]) for e in range(stop)]
             continue
-        out.append(m)
+        out += [prefix + (e,) for e in range(stop)]
         if len(out) > STANDARD_MONOMIAL_CAP:
             return Capped(STANDARD_MONOMIAL_CAP)
-        for v in range(ring.nvars):
-            if m[v] + 1 < bounds[v]:
-                nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
     return sorted(out, key=monomial_key)
 
 

@@ -6,13 +6,13 @@ has even Gamma-degree; odd degrees only ever appear on module basis vectors.
 
 Elements are kept in the division normal form with respect to the single
 relation (a one-element generating set is a Groebner basis of its
-principal ideal, so the remainder is canonical).  The one polynomial
-division, _reduce_full, lives here, and groebner reduces by it too; it
-takes terms from a heap in a loop, so no input exhausts the interpreter's
-stack.  A monomial's remainder is its division by the relation's monic
-entry, computed once per packed monomial and kept in the unpack table of
-its width.  The monomial order everywhere is graded lex: total degree
-first, then lexicographic with earlier variables more significant.
+principal ideal, so the remainder is canonical).  The monomial order
+everywhere is graded lex: total degree first, then lexicographic with
+earlier variables more significant.  The one polynomial division,
+_reduce_full, lives here, and groebner reduces by it too; it packs each
+monomial as one int in that order (_Glex) and takes terms from a heap in a
+loop.  A monomial's remainder is its division by the monic relation at the
+width of the monomial's degree, kept in the unpack table of its width.
 
 Ring elements, forms and u-series share one layout, Packed: groups keyed
 by (u-power, dx mask) of packed rows (packed monomial, re, im), Gaussian
@@ -111,9 +111,8 @@ class GradedRing:
                 raise InvalidInput("relation must have Gamma-degree 0")
             if rel.total_degree() == 0:
                 raise InvalidInput("relation must not be a unit")
-            # the monic relation as a division entry: the remainder of a
-            # monomial is its full division by this one entry
-            self._rel_entry = _element_entry(rel)
+            # a monomial's remainder is its full division by the monic relation
+            self._rel_lead, self._rel_items = rel.leading_term()[0], rel._items()
             self.relation = rel.scale(rel.leading_term()[1].inv())
             self._packings.clear()
 
@@ -256,8 +255,12 @@ class _UnpackTable(dict):
         mask = self.mask
         m = tuple([(k >> s) & mask for s in self.shifts])
         nf = None
-        if ring.relation is not None and _divides(ring._rel_entry[0], m):
-            den, rows = _reduce_full({m: [1, 0]}, 1, [ring._rel_entry])
+        if ring.relation is not None and _divides(ring._rel_lead, m):
+            # no remainder term passes m's degree, so glex holds them all
+            glex = _Glex.holding(ring.nvars, sum(m))
+            entry = _entry([(glex.encode(t), a, b) for t, a, b in ring._rel_items])
+            den, rows = _reduce_full({glex.encode(m): [1, 0]}, 1, [entry], glex.guard)
+            rows = [(glex.decode(t), a, b) for t, a, b in rows]
             top = max([max(t) for t, _, _ in rows], default=0)
             if top >> self.width:  # sum_of_products widens and starts again
                 raise OverflowError(top)
@@ -271,34 +274,58 @@ def _divides(a: Monomial, b: Monomial) -> bool:
     return all(map(_le, a, b))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(_add, a, b))
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # division: the normal form modulo the relation, and Groebner reduction
 # ---------------------------------------------------------------------------
 
+
+class _Glex:
+    """Packed graded-lex monomials at one field width: one int with the
+    total degree in the top field, then x_1 .. x_n, x_1 the most
+    significant, and the top bit of each field (`guard`) kept clear.  Int
+    order is then monomial_key order, a product is `+`, a quotient `-`, and
+    a divides b iff ((b | guard) - a) & guard == guard."""
+
+    __slots__ = ("width", "field", "top", "shifts", "guard", "ones")
+
+    def __init__(self, nvars: int, width: int):
+        self.width, self.field, self.top = width, (1 << width) - 1, width * nvars
+        self.shifts = range(self.top - width, -1, -width)
+        self.guard = sum(1 << (s + width - 1) for s in range(0, self.top + 1, width))
+        self.ones = sum(1 << s for s in self.shifts)
+
+    @classmethod
+    def holding(cls, nvars: int, degree: int) -> "_Glex":
+        """The layout one CPython digit wide, or wider to hold degree."""
+        return cls(nvars, max(30 // (nvars + 1), degree.bit_length() + 1))
+
+    def encode(self, m) -> int:
+        return sum(m) << self.top | sum(map(_lshift, m, self.shifts))
+
+    def decode(self, k: int) -> Monomial:
+        return tuple([k >> s & self.field for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm; its degree field reaches the guard bit when the width cannot hold its degree."""
+        ge = ((a | self.guard) - b) & self.guard  # the guard bits of the fields where a >= b
+        mask = ge - (ge >> (self.width - 1))
+        v = (a & mask | b & ~mask) & ((1 << self.top) - 1)
+        # v·ones gathers the sum of v's fields in the field of x_1
+        return (v * self.ones >> (self.top - self.width) & self.field) << self.top | v
+
+
 # An entry (lm, den, tail) is a monic polynomial in the form division uses:
 # lm + (1/den)·Σ (a + b·i)·t over the rows (t, a, b) of tail, every t below
-# lm.  It is built once, for the relation or as an element enters a basis.
-_Entry = tuple[Monomial, int, list]
+# lm, monomials packed in one _Glex layout.  It is built for the relation
+# as a monomial's remainder is taken, and once as an element enters a basis.
+_Entry = tuple[int, int, list]
 
 
-def _desc(m: Monomial) -> tuple:
-    """Heap key: the smallest key is the largest monomial in graded lex."""
-    return -sum(m), tuple(-e for e in m)
-
-
-def _entry(lm: Monomial, rows) -> _Entry:
+def _entry(rows: list) -> _Entry:
     """The entry of the monic multiple of Σ (a + b·i)·t over rows (t, a, b),
-    integer numerators of a nonzero polynomial whose leading monomial is lm.
-    The numerators are divided by their common content."""
-    la, lb = next((a, b) for t, a, b in rows if t == lm)
+    integer numerators of a nonzero polynomial in one _Glex layout.  The
+    numerators are divided by their common content."""
+    lm, la, lb = max(rows)
     if lb == 0:
         den = la
         tail = [(t, a, b) for t, a, b in rows if t != lm]
@@ -312,16 +339,12 @@ def _entry(lm: Monomial, rows) -> _Entry:
     return lm, den // g, [(t, a // g, b // g) for t, a, b in tail]
 
 
-def _element_entry(p: "RingElement") -> _Entry:
-    """The entry of the nonzero element p."""
-    rows = [(t, a, b) for t, (_, a, b) in zip(p._monomials(), p.rows)]
-    return _entry(p.leading_term()[0], rows)
-
-
-def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
+def _reduce_full(work: dict, den: int, basis: list[_Entry], guard: int) -> tuple[int, list]:
     """Full division remainder of (1/den)·Σ (a + b·i)·m over the items
     m: [a, b] of work (which it consumes) by the entries of basis: no
     monomial of the result is divisible by a basis leading monomial.
+    Monomials are packed in the _Glex layout of `guard`; a layout that
+    holds the work holds the division, as no term passes the work's degree.
 
     Returns (den, rows): the remainder (1/den)·Σ (a + b·i)·m over its rows
     (m, a, b), in descending graded-lex order, den the last denominator of
@@ -332,16 +355,17 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
     a heap and equal monomials merge in the work, so the division runs in
     a loop, and raises InvalidInput once work and remainder pass MAX_TERMS.
     """
-    heap = [(_desc(m), m) for m in work]
+    heap = [-m for m in work]  # the smallest is the largest monomial
     heapify(heap)
     out = []
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         a, b = work.pop(m)
         if not a and not b:
             continue
+        mg = m | guard
         for lm, dg, tail in basis:
-            if _divides(lm, m):
+            if (mg - lm) & guard == guard:
                 break
         else:
             out.append((m, a, b, den))
@@ -356,13 +380,13 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry]) -> tuple[int, list]:
                 w[1] *= s
         a //= g
         b //= g
-        q = _mono_div(m, lm)
+        q = m - lm
         for t, ta, tb in tail:
-            t = _mono_mul(q, t)
+            t += q
             w = work.get(t)
             if w is None:
                 work[t] = [b * tb - a * ta, -a * tb - b * ta]
-                heappush(heap, (_desc(t), t))
+                heappush(heap, -t)
                 if len(work) + len(out) > MAX_TERMS:
                     raise InvalidInput(
                         f"polynomial too large: a normal form could have more than {MAX_TERMS} terms"
@@ -488,7 +512,7 @@ class RingElement(Packed):
         items = [(m, c) for m, c in terms.items() if not c.is_zero()]
         den = lcm(*(c.d for _, c in items))
         v = _element(ring, den, [(m, c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items])
-        if ring.relation is not None and any(_divides(ring._rel_entry[0], m) for m, _ in items):
+        if ring.relation is not None and any(_divides(ring._rel_lead, m) for m, _ in items):
             v = v * ring.one()
         self.ring, self.den, self.width, self.groups = ring, v.den, v.width, v.groups
 
@@ -504,6 +528,9 @@ class RingElement(Packed):
 
     def _monomials(self) -> list:
         return _monomials(self.ring, self.width, self.rows)
+
+    def _items(self) -> list:  # (m, a, b) per row: self = (1/den)·Σ (a + b·i)·m
+        return [(m, a, b) for m, (_, a, b) in zip(self._monomials(), self.rows)]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -564,9 +591,7 @@ class RingElement(Packed):
     def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self.rows:
             raise InvalidInput("leading term of zero")
-        monomials = self._monomials()
-        m = max(monomials, key=monomial_key)
-        _, a, b = self.rows[monomials.index(m)]
+        m, a, b = max(self._items(), key=lambda t: monomial_key(t[0]))
         return m, Scalar._raw(a, b, self.den)
 
     # -- printing ------------------------------------------------------
@@ -575,13 +600,8 @@ class RingElement(Packed):
         terms = self.terms
         if not terms:
             return "0"
-        parts = []
-        for m in sorted(terms, key=monomial_key, reverse=True):
-            parts.append(_term_str(terms[m], _mono_str(self.ring, m)))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        parts = [_term_str(terms[m], _mono_str(self.ring, m)) for m in sorted(terms, key=monomial_key, reverse=True)]
+        return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
     def __repr__(self) -> str:
         return f"<{self}>"
@@ -734,27 +754,14 @@ def _monomials(ring: GradedRing, width: int, rows: list) -> list:
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:
-    pieces = []
-    for v, e in zip(ring.variables, m):
-        if e == 1:
-            pieces.append(v)
-        elif e > 1:
-            pieces.append(f"{v}^{e}")
-    return "*".join(pieces)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, m) if e)
 
 
 def _term_str(c: Scalar, mono: str) -> str:
+    cs = f"({c})" if c.re != 0 and c.im != 0 else str(c)
     if not mono:
-        cs = str(c)
-        return f"({cs})" if (c.re != 0 and c.im != 0) else cs
-    if c == Scalar(1):
-        return mono
-    if c == Scalar(-1):
-        return f"-{mono}"
-    cs = str(c)
-    if c.re != 0 and c.im != 0:
-        cs = f"({cs})"
-    return f"{cs}*{mono}"
+        return cs
+    return mono if c == Scalar(1) else f"-{mono}" if c == Scalar(-1) else f"{cs}*{mono}"
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +861,8 @@ class _Parser:
     no form base.  A product multiplies every pair of rows, so a factor of
     one row (a number, i, a variable, its power, a parenthesised scalar,
     d(var)) costs one step a row of the other.  A power of a monomial
-    scales its key; any other base is multiplied in n times.
+    scales its key, of a base in one variable (n·e + 1 terms) squares it
+    repeatedly, and of any other base multiplies it in n times.
     """
 
     def __init__(self, ring: GradedRing, text: str):
@@ -938,12 +946,19 @@ class _Parser:
                 shown = digits if len(digits) <= 20 else digits[:20] + "..."
                 raise InvalidInput(f"exponent {shown} is above the cap {MAX_EXPONENT}")
             n, rows = int(digits), len(node.rows)
+            exps = [n * e for e in self.exponents(node)]
             if n:
-                exps = [n * e for e in self.exponents(node)]
                 _check_size("power", exps, comb(rows + n - 1, n), n * (node.bits() + rows.bit_length() + 1))
             if rows == 1 and node.den == 1 and (1, 0) in node.rows.values():  # a monomial
                 return _Rows(1, {next(iter(node.rows)) * n: (1, 0)})
-            node = reduce(_Rows.__mul__, [node] * n, _Rows(1, {0: (1, 0)}))
+            power = _Rows(1, {0: (1, 0)})
+            if sum(e > 0 for e in exps) > 1:  # its squares would form more pairs
+                return reduce(_Rows.__mul__, [node] * n, power)
+            while n:  # at most one variable: by repeated squaring
+                power = power * node if n & 1 else power
+                n >>= 1
+                node = node * node if n else node
+            return power
         return node
 
     def atom(self) -> _Rows:
@@ -985,7 +1000,7 @@ def _parse_entry(ring: GradedRing, text: str) -> Packed:
     groups: dict = {}
     for k, (a, b) in node.rows.items():
         groups.setdefault((0, k >> top), []).append((k & ((1 << top) - 1), a, b))
-    if ring.relation is None or not any(_divides(ring._rel_entry[0], parser.monomial(k)) for k in node.rows):
+    if ring.relation is None or not any(_divides(ring._rel_lead, parser.monomial(k)) for k in node.rows):
         return cls._reduced(ring, node.den, width, groups)
     products = [(g, 1, node.den, width, rows, [(0, 1, 0)]) for g, rows in groups.items()]
     return cls._make(ring, *sum_of_products(ring, products))

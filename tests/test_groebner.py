@@ -19,16 +19,18 @@ from curvedchern.groebner import (
     jacobian_ideal,
     standard_monomials,
 )
-from curvedchern.rings import _divides, monomial_key
+from curvedchern.rings import _divides, _Glex, monomial_key
 from curvedchern.scalars import ONE, Scalar
 
 from util import (
+    NO_EXPLAIN,
     brute_force_in_ideal,
     monomials_up_to,
     qi_ring,
     reference_buchberger,
     reference_reduce,
     reference_spoly,
+    reference_standard_monomials,
     sphere_ring,
 )
 
@@ -276,3 +278,67 @@ def test_pinned_ideal_the_plain_algorithm_could_not_finish():
     assert time.monotonic() - t0 < 5
     _assert_reduced_basis_of(G, gens)
     assert len(G.elements) == 14
+
+
+# -- the staircase walk against a box enumeration ---------------------------
+
+
+def _assert_staircase(G):
+    want = reference_standard_monomials(G)
+    got = standard_monomials(G)
+    if isinstance(want, str):
+        assert got == Infinite(f"no pure power of {want} in the leading ideal")
+    elif len(want) > STANDARD_MONOMIAL_CAP:
+        assert got == Capped(STANDARD_MONOMIAL_CAP)
+    else:
+        assert got == want
+
+
+@st.composite
+def _staircase_ideals(draw):
+    """Ideals in 1-3 variables: a few random generators, for most variables
+    a pure power plus a random tail (a variable without one often leaves
+    the quotient infinite), and now and then the unit."""
+    nvars = draw(st.integers(1, 3))
+    ring = qi_ring(*("x", "y", "z")[:nvars])
+    gens = [ring.element(t) for t in draw(st.lists(_polys(nvars, 3 if nvars < 3 else 2), max_size=2))]
+    for v in range(nvars):
+        if draw(st.integers(0, 4)):
+            power = ring.element({tuple(draw(st.integers(1, 6)) if w == v else 0 for w in range(nvars)): ONE})
+            gens.append(power + ring.element(draw(_polys(nvars, 1))))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(ring.one())
+    assume(any(not g.is_zero() for g in gens))
+    return gens
+
+
+@settings(deadline=None, max_examples=100, phases=NO_EXPLAIN)
+@given(_staircase_ideals())
+def test_standard_monomials_match_the_box_enumeration(gens):
+    _assert_staircase(buchberger(gens))
+
+
+@pytest.mark.parametrize("poly", ["x^200+y^200", "x^3+y^4", "x^2", "x*y+1"])
+def test_pinned_staircases_match_the_box_enumeration(poly):
+    # capped (39 601 monomials), finite, infinite, and the unit ideal
+    _assert_staircase(buchberger(jacobian_ideal(qi_ring("x", "y").from_string(poly))))
+
+
+# -- the width restart: a run whose lcms pass the width of its generators ---
+
+
+@pytest.mark.parametrize("variables, poly", [("x,y", "x^300+y^300"), ("x,y,z", "x^40+y^30+x*y*z^2")])
+def test_a_run_past_its_initial_width_restarts_wider(variables, poly):
+    R = qi_ring(*variables.split(","))
+    gens = jacobian_ideal(R.from_string(poly))
+    G = buchberger(gens)
+    assert G.glex.width > _Glex.holding(R.nvars, max(g.total_degree() for g in gens)).width
+    assert G.elements == reference_buchberger(gens).elements
+
+
+def test_a_normal_form_past_the_width_of_the_basis_matches_plain_division():
+    R = qi_ring("x", "y")
+    G = _gb(R, "x^2-y", "y^3-2")
+    p = R.from_string("x^600*y + (1/3+i)*x*y^700 - x^5")
+    assert p.total_degree() >> (G.glex.width - 1)  # p's degree does not fit G's width
+    assert ideal_nf(p, G) == reference_reduce(p, G.elements)

@@ -18,9 +18,16 @@ from curvedchern import cli, forms, groebner
 GOLDEN = Path(__file__).with_name("milnor.golden.txt")
 HEADER = "$ curvedchern milnor "
 
-# the mixed-term polynomials of the benchmark's milnor workload, the smooth
-# x*y+z (mu = 0, the unit ideal) and a non-isolated singularity
+# the polynomials of the benchmark's milnor workload (the Brieskorn-Pham
+# x^a+y^b+z^c pin the staircase of pure powers), the smooth x*y+z (mu = 0,
+# the unit ideal) and a non-isolated singularity
 GOLDEN_POLYS = (
+    "x^2+y^3+z^5",
+    "x^3+y^4+z^5",
+    "x^4+y^5+z^6",
+    "x^5+y^5+z^5",
+    "x^5+y^6+z^7",
+    "x^6+y^7+z^8",
     "x^3*y+y^3*z+z^3*x",
     "x^3+y^4+z^5+x*y^2*z",
     "x^4+y^4+z^4+x^2*y*z",

@@ -15,7 +15,7 @@ from curvedchern.errors import Inhomogeneous, InvalidInput
 from curvedchern.rings import GradedRing, RingElement, _divides
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, reference_reduce, sphere_ring
+from util import NO_EXPLAIN, qi_ring, reference_reduce, sphere_ring
 
 
 def _random_poly(ring, seed_terms):
@@ -317,18 +317,33 @@ def _spell(ring: GradedRing, terms: dict, rnd) -> str:
     return text or "0"
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.integers(0, len(_ORACLE_RINGS) - 1), st.data())
-def test_every_spelling_reads_as_the_term_list(which, data):
-    R = _ORACLE_RINGS[which]
-    monos = st.tuples(*[st.integers(0, 3)] * R.nvars)
-    terms = data.draw(st.dictionaries(monos, _oracle_coeffs, max_size=5))
-    # a seed, not st.randoms(): a failure then shrinks in seconds, not minutes
-    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+# The polynomial, printer and one-form checks are three tests, each drawing
+# only what it reads, so a failure of one shrinks in seconds.  A seed, not
+# st.randoms(), picks the spelling, for the same reason, and the tests skip
+# the explain phase (NO_EXPLAIN).  Both oracle rings have three variables.
+_SEEDS = st.integers(0, 2**32 - 1)
+_MONOS = st.tuples(*[st.integers(0, 3)] * 3)
+_TERMS = st.dictionaries(_MONOS, _oracle_coeffs, max_size=5)
+# one-form terms, each carrying one d(var): keyed (variable index, monomial)
+_KEYED = st.dictionaries(st.tuples(st.integers(0, 2), _MONOS), _oracle_coeffs, max_size=5)
+
+
+@settings(deadline=None, max_examples=150, phases=NO_EXPLAIN)
+@given(st.sampled_from(_ORACLE_RINGS), _TERMS, _SEEDS)
+def test_every_spelling_reads_as_the_term_list(R, terms, seed):
+    spelled = _spell(R, {(None, m): c for m, c in terms.items()}, random.Random(seed))
+    assert R.from_string(spelled) == R.element(terms)
+
+
+@settings(deadline=None, max_examples=150, phases=NO_EXPLAIN)
+@given(st.sampled_from(_ORACLE_RINGS), _TERMS)
+def test_the_printed_polynomial_reads_back(R, terms):
     p = R.element(terms)
-    assert R.from_string(_spell(R, {(None, m): c for m, c in terms.items()}, rnd)) == p
     assert R.from_string(str(p)) == p
-    # one-forms: each term carries one d(var)
-    keyed = data.draw(st.dictionaries(st.tuples(st.integers(0, R.nvars - 1), monos), _oracle_coeffs, max_size=5))
+
+
+@settings(deadline=None, max_examples=150, phases=NO_EXPLAIN)
+@given(st.sampled_from(_ORACLE_RINGS), _KEYED, _SEEDS)
+def test_every_one_form_spelling_reads_as_the_term_list(R, keyed, seed):
     parts = {(v,): R.element({m: c for (w, m), c in keyed.items() if w == v}) for v in range(R.nvars)}
-    assert parse_form_entry(R, _spell(R, keyed, rnd)) == DiffForm(R, parts)
+    assert parse_form_entry(R, _spell(R, keyed, random.Random(seed))) == DiffForm(R, parts)

@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+
+from hypothesis import Phase
 
 from curvedchern.errors import EmptyIdeal, InvalidInput
 from curvedchern.forms import DiffForm, USeries
 from curvedchern.groebner import GroebnerBasis
-from curvedchern.rings import (
-    GradedRing,
-    RingElement,
-    _divides,
-    _mono_div,
-    _mono_mul,
-    monomial_key,
-)
+from curvedchern.rings import GradedRing, RingElement, _divides, monomial_key
 from curvedchern.scalars import Scalar
+
+
+# Hypothesis phases without the explain phase, which reruns a failing
+# example a few hundred times under a line tracer after the shrink, to
+# print which lines only failing examples ran: for a property test whose
+# examples take tens of milliseconds, that delays the failure report by
+# up to a minute.
+NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 
 
 def qi_ring(*variables, degrees=None, grading="Z2", relation=None) -> GradedRing:
@@ -362,6 +365,14 @@ def reference_supertrace_of_product(A: ReferenceMat, B: ReferenceMat) -> USeries
 # criteria.
 
 
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def reference_reduce(p: RingElement, basis: list[RingElement]) -> RingElement:
     """Full division remainder: no monomial of the result is divisible by
     any basis leading monomial."""
@@ -379,12 +390,12 @@ def reference_reduce(p: RingElement, basis: list[RingElement]) -> RingElement:
             continue
         g = basis[hit]
         lm, lc = lms[hit]
-        q = _mono_div(m, lm)
+        q = mono_div(m, lm)
         f = c / lc
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
-            t = _mono_mul(q, gm)
+            t = mono_mul(q, gm)
             nc = work.get(t, Scalar(0)) - f * gc
             if nc.is_zero():
                 work.pop(t, None)
@@ -398,8 +409,8 @@ def reference_spoly(f: RingElement, g: RingElement) -> RingElement:
     gm, gc = g.leading_term()
     lcm = tuple(max(a, b) for a, b in zip(fm, gm))
     ring = f.ring
-    tf = ring.element({_mono_div(lcm, fm): fc.inv()})
-    tg = ring.element({_mono_div(lcm, gm): gc.inv()})
+    tf = ring.element({mono_div(lcm, fm): fc.inv()})
+    tg = ring.element({mono_div(lcm, gm): gc.inv()})
     return tf * f - tg * g
 
 
@@ -455,6 +466,25 @@ def _reference_interreduce(ring: GradedRing, basis: list[RingElement]) -> Groebn
         final.append(r.scale(lc.inv()))
     final.sort(key=lambda g: monomial_key(g.leading_term()[0]))
     return GroebnerBasis(ring, final)
+
+
+def reference_standard_monomials(G: GroebnerBasis) -> list | str:
+    """The standard monomials of G by box enumeration on exponent tuples:
+    [] for the unit ideal; the name of the first variable with no pure
+    power among the leading monomials, whose quotient is infinite; else
+    every monomial below the pure-power bounds that no leading monomial
+    divides, sorted by monomial_key."""
+    lms = [g.leading_term()[0] for g in G.elements]
+    if any(not any(m) for m in lms):
+        return []
+    bounds = []
+    for v, name in enumerate(G.ring.variables):
+        pure = [m[v] for m in lms if m[v] and sum(m) == m[v]]
+        if not pure:
+            return name
+        bounds.append(min(pure))
+    box = product(*(range(b) for b in bounds))
+    return sorted((m for m in box if not any(all(map(int.__le__, lm, m)) for lm in lms)), key=monomial_key)
 
 
 # -- formulas the engine has since restructured: oracles ------------------
