@@ -754,14 +754,14 @@ def _monomials(ring: GradedRing, width: int, rows: list) -> list:
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, m) if e)
+    return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, m) if e])
 
 
 def _term_str(c: Scalar, mono: str) -> str:
-    cs = f"({c})" if c.re != 0 and c.im != 0 else str(c)
-    if not mono:
-        return cs
-    return mono if c == Scalar(1) else f"-{mono}" if c == Scalar(-1) else f"{cs}*{mono}"
+    if mono and c.bn == 0 and c.d == 1 and c.an in (1, -1):  # a unit coefficient is left out
+        return mono if c.an == 1 else f"-{mono}"
+    cs = f"({c})" if c.an and c.bn else str(c)
+    return f"{cs}*{mono}" if mono else cs
 
 
 # ---------------------------------------------------------------------------
