@@ -112,7 +112,7 @@ class GradedRing:
             if rel.total_degree() == 0:
                 raise InvalidInput("relation must not be a unit")
             # a monomial's remainder is its full division by the monic relation
-            self._rel_lead, self._rel_items = rel.leading_term()[0], rel._items()
+            self._rel_lead, self._rel_items, self._rel_entries = rel.leading_term()[0], rel._items(), {}
             self.relation = rel.scale(rel.leading_term()[1].inv())
             self._packings.clear()
 
@@ -257,8 +257,9 @@ class _UnpackTable(dict):
         nf = None
         if ring.relation is not None and _divides(ring._rel_lead, m):
             # no remainder term passes m's degree, so glex holds them all
-            glex = _Glex.holding(ring.nvars, sum(m))
-            entry = _entry([(glex.encode(t), a, b) for t, a, b in ring._rel_items])
+            glex, entries = _Glex.holding(ring.nvars, sum(m)), ring._rel_entries  # entries by width
+            if (entry := entries.get(glex.width)) is None:
+                entry = entries[glex.width] = _entry([(glex.encode(t), a, b) for t, a, b in ring._rel_items])
             den, rows = _reduce_full({glex.encode(m): [1, 0]}, 1, [entry], glex.guard)
             rows = [(glex.decode(t), a, b) for t, a, b in rows]
             top = max([max(t) for t, _, _ in rows], default=0)
