@@ -9,12 +9,16 @@ module_membership.
 A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
 formal variable u, and a DiffForm the case J = 0: both are rings.Packed
 values, whose groups map (J, mask), mask the bitmask of S, to the rows of
-p, over one denominator and width.  A RingElement is the group (0, 0), so
-a product takes ring elements, forms and series as they stand.
-rings.sum_of_products reads and returns that layout, so no product
-builds a Scalar.  A product pairs the groups of its factors, the
-overlap test and the wedge sign taken from the two masks once per pair of
-groups; d moves one exponent of a packed monomial into the mask.  A
+p, over one denominator and width, each monomial packed in the ring's
+one graded-lex encoding (rings._Glex: the degree field on top, then one
+field a variable).  A RingElement is the group (0, 0), so a product takes
+ring elements, forms and series as they stand.  rings.sum_of_products
+reads and returns that layout, so no product builds a Scalar.  A product
+pairs the groups of its factors, the overlap test and the wedge sign
+taken from the two masks once per pair of groups; d subtracts a
+variable's unit key (one in its field and one in the degree field) from
+a packed monomial and sets the variable's bit in the mask, and
+relation_bound reads the degree field of the largest packed monomial.  A
 coefficient is a subset of the groups, re-keyed and made canonical, and
 DiffForm.parts and RingElement.terms build their views on read.
 hn_differential is u·d + dh∧(-).
@@ -30,7 +34,7 @@ from weakref import WeakKeyDictionary
 from .errors import InternalCheckFailure, InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
 from .linalg import solve_sparse
-from .rings import GradedRing, Packed, RingElement, _KEY, _divides, _monomials, _summed
+from .rings import GradedRing, Packed, RingElement, _KEY, _divides, _glex, _summed
 from .rings import monomial_key, sum_of_products
 from .scalars import Scalar
 
@@ -165,12 +169,13 @@ def _exterior_d(v: Packed, negate: bool = False) -> Packed:
     d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S, where dx_v ∧ dx_S is zero for
     v in S and otherwise (-1)^{#{w in S : w < v}} dx_{S + v}.  On a packed
     row the derivative in x_v multiplies the numerators by the exponent
-    in v's field and subtracts one from the field, while v's bit enters
-    the mask; only a target group reached twice is summed row by row.  No
-    normal form is needed: the relation's lead divides no monomial of the
-    series, so it divides none of their derivatives."""
-    width = v.width
-    field = (1 << width) - 1
+    in v's field and subtracts v's unit key, which covers its field and
+    the degree field, while v's bit enters the mask; only a target group
+    reached twice is summed row by row.  No normal form is needed: the
+    relation's lead divides no monomial of the series, so it divides none
+    of their derivatives."""
+    glex = _glex(v.ring.nvars, v.width)
+    field = glex.field
     groups: dict = {}
     shared = set()
     for (J, mask), rows in v.groups.items():
@@ -179,11 +184,12 @@ def _exterior_d(v: Packed, negate: bool = False) -> Packed:
             if mask >> var & 1:
                 below += 1
                 continue
-            shift, sign = var * width, -1 if below % 2 else 1
+            shift, sign = glex.shifts[var], -1 if below % 2 else 1
+            unit = 1 << shift | 1 << glex.top
             out = []
             for k, a, b in rows:
                 if e := sign * (k >> shift & field):
-                    out.append((k - (1 << shift), e * a, e * b))
+                    out.append((k - unit, e * a, e * b))
             if out:
                 g = (J, mask | 1 << var)
                 if g in groups:
@@ -193,7 +199,7 @@ def _exterior_d(v: Packed, negate: bool = False) -> Packed:
                     groups[g] = out
     for g in shared:
         groups[g] = _summed(groups[g])
-    return v._reduced(v.ring, v.den, width, {g: rows for g, rows in groups.items() if rows})
+    return v._reduced(v.ring, v.den, v.width, {g: rows for g, rows in groups.items() if rows})
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:
@@ -336,6 +342,7 @@ def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
     out = []
     stack = [(0,) * ring.nvars]
     seen = set(stack)
+    lead = None if ring.relation is None else ring.relation.leading_term()[0]
     while stack:
         m = stack.pop()
         out.append(m)
@@ -344,7 +351,7 @@ def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
                 nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
                 if nxt not in seen:
                     # skip monomials the relation would rewrite
-                    if ring.relation is not None and _divides(ring._rel_lead, nxt):
+                    if lead is not None and _divides(lead, nxt):
                         continue
                     seen.add(nxt)
                     stack.append(nxt)
@@ -447,8 +454,9 @@ def _relation_gradient_unit(ring: GradedRing) -> DiffForm | None:
 
 def relation_bound(v: Packed) -> int:
     """The default membership degree bound for a nonzero ring element,
-    form or series: two above the largest total degree of its monomials."""
-    return max(sum(m) for rows in v.groups.values() for m in _monomials(v.ring, v.width, rows)) + 2
+    form or series: two above the largest total degree of its monomials,
+    the top field of its largest packed monomial."""
+    return (max(max(rows)[0] for rows in v.groups.values()) >> v.width * v.ring.nvars) + 2
 
 
 def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bool:

@@ -11,13 +11,15 @@ installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988): as
 each element enters the basis, the product (coprime leading terms) and
 chain criteria prune its new pairs and the old pairs it makes redundant,
 and the pending pair with the smallest lcm is always reduced next (normal
-selection).  Reduction runs on integer rows of packed graded-lex monomials
-(rings._Glex, whose int order is the monomial order): an element enters the
-basis monic, as an entry of its leading monomial, one denominator and the
-integer numerators of its tail, built once and kept on the basis for
-ideal_nf.  A run starts at the width that holds its generators' degrees;
-no division raises a degree, so only an lcm can pass the width, and then
-the run starts again at twice the width.
+selection).  Reduction runs on the integer rows ring elements are kept
+in, packed graded-lex monomials (rings._Glex, whose int order is the
+monomial order), so an element's rows are its work as they stand: an
+element enters the basis monic, as an entry of its leading monomial, one
+denominator and the integer numerators of its tail, built once and kept
+on the basis for ideal_nf.  A run starts at the width that holds its
+generators' degrees; no division raises a degree, so only an lcm can
+pass the width, and then the basis and the pending pairs are repacked at
+twice the width and the run goes on.
 """
 
 from __future__ import annotations
@@ -28,14 +30,17 @@ from math import lcm
 
 from .errors import EmptyIdeal, InvalidInput, ZeroJacobianIdeal
 from .rings import (
+    _KEY,
     GradedRing,
     Monomial,
     RingElement,
-    _element,
     _entry,
     _Entry,
+    _glex,
     _Glex,
     _reduce_full,
+    _repack,
+    _repacked,
     monomial_key,
 )
 
@@ -76,8 +81,8 @@ class GroebnerBasis:
 
 
 def _rows(p: RingElement, glex: _Glex) -> tuple[dict, int]:
-    """p = (1/den)·Σ (a + b·i)·m as reduction's work {m: [a, b]} in glex, and den."""
-    return {glex.encode(m): [a, b] for m, a, b in p._items()}, p.den
+    """p = (1/den)·Σ (a + b·i)·m as reduction's work {m: [a, b]} at glex's width, and den."""
+    return {k: [a, b] for k, a, b in _repack(p.ring, p.rows, p.width, glex.width)}, p.den
 
 
 def _spoly(f: _Entry, g: _Entry, m: int) -> tuple[dict, int]:
@@ -118,23 +123,18 @@ def buchberger(gens: list[RingElement]) -> GroebnerBasis:
     if ring.relation is not None:
         raise InvalidInput("Groebner bases are computed over relation-free rings")
     glex = _Glex.holding(ring.nvars, max(g.total_degree() for g in gens))
-    while True:
-        # all entered elements; the basis, by ascending lead; pairs (lcm, i, j)
-        basis, active, pairs = [], [], []
-        try:
-            for work, den in sorted((_rows(g, glex) for g in gens), key=lambda w: max(w[0])):
-                _update(glex, basis, active, pairs, work, den)
-            while pairs:
-                pair = min(pairs)
-                pairs.remove(pair)
-                _update(glex, basis, active, pairs, *_spoly(basis[pair[1]], basis[pair[2]], pair[0]))
-        except OverflowError:  # an lcm passed the width
-            glex = _Glex(ring.nvars, 2 * glex.width)
-            continue
-        return _interreduce(ring, glex, [basis[k] for k in active])
+    # all entered elements; the basis, by ascending lead; pairs (lcm, i, j)
+    basis, active, pairs = [], [], []
+    for g in sorted(gens, key=lambda g: monomial_key(g.leading_term()[0])):
+        glex = _update(glex, basis, active, pairs, *_rows(g, glex))
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        glex = _update(glex, basis, active, pairs, *_spoly(basis[pair[1]], basis[pair[2]], pair[0]))
+    return _interreduce(ring, glex, [basis[k] for k in active])
 
 
-def _update(glex: _Glex, basis: list[_Entry], active: list[int], pairs: list, work: dict, den: int) -> None:
+def _update(glex: _Glex, basis: list[_Entry], active: list[int], pairs: list, work: dict, den: int) -> _Glex:
     """Gebauer–Möller update for the remainder of a work dict over den by
     the active basis, which enters the basis as a monic entry h unless it
     is zero.
@@ -144,18 +144,21 @@ def _update(glex: _Glex, basis: list[_Entry], active: list[int], pairs: list, wo
     those with coprime leading monomials (they prune the others first).  An
     old pending pair goes when lm(h) divides its lcm and neither of its new
     lcms with h equals it.  Elements whose leading monomial lm(h) divides
-    leave the active basis.  OverflowError: a new lcm passes glex's width.
+    leave the active basis.  Returns the layout of the basis and the
+    pairs: glex, or twice its width when a new lcm reaches a guard bit,
+    and then the basis and the pairs are repacked at that width first.
     """
     rows = _reduce_full(work, den, [basis[k] for k in active], glex.guard)[1]
     if not rows:
-        return
-    G = glex.guard  # a divides b iff ((b | G) - a) & G == G
-    mh = rows[0][0]  # rows come in descending order
+        return glex
     k = len(basis)
     basis.append(_entry(rows))
-    new = [(glex.lcm(basis[g][0], mh), g) for g in active]
-    if any(m & G for m, _ in new):
-        raise OverflowError(glex.width)
+    new = [(glex.lcm(basis[g][0], rows[0][0]), g) for g in active]  # rows come in descending order
+    if any(m & glex.guard for m, _ in new):
+        glex = _widened(glex, basis, pairs)
+        new = [(glex.lcm(basis[g][0], basis[k][0]), g) for g in active]
+    G = glex.guard  # a divides b iff ((b | G) - a) & G == G
+    mh = basis[k][0]
     kept = []
     for n, (m, g) in enumerate(new):
         mg = m | G
@@ -165,6 +168,20 @@ def _update(glex: _Glex, basis: list[_Entry], active: list[int], pairs: list, wo
     pairs.extend((m, g, k) for m, g in kept if basis[g][0] + mh != m)
     active[:] = [g for g in active if ((basis[g][0] | G) - mh) & G != G]
     insort(active, k, key=lambda j: basis[j][0])
+    return glex
+
+
+def _widened(glex: _Glex, basis: list[_Entry], pairs: list) -> _Glex:
+    """The layout of twice glex's width, the basis and the pairs (lcm, i,
+    j) repacked at it in place; it holds the lcm of any two monomials of
+    glex."""
+    wide = _glex(glex.nvars, 2 * glex.width)
+    for n, (lm, den, tail) in enumerate(basis):
+        lm, *keys = _repacked(glex.nvars, [lm] + [t for t, _, _ in tail], glex.width, wide.width)
+        basis[n] = (lm, den, [(t, a, b) for t, (_, a, b) in zip(keys, tail)])
+    lcms = _repacked(glex.nvars, [p[0] for p in pairs], glex.width, wide.width)
+    pairs[:] = [(m, i, j) for m, (_, i, j) in zip(lcms, pairs)]
+    return wide
 
 
 def _interreduce(ring: GradedRing, glex: _Glex, basis: list[_Entry]) -> GroebnerBasis:
@@ -175,7 +192,7 @@ def _interreduce(ring: GradedRing, glex: _Glex, basis: list[_Entry]) -> Groebner
     for k, (lm, den, tail) in enumerate(basis):
         den, rows = _reduce_full({t: [a, b] for t, a, b in tail}, den, basis[:k] + basis[k + 1 :], glex.guard)
         rows.insert(0, (lm, den, 0))
-        final.append(_element(ring, den, [(glex.decode(t), a, b) for t, a, b in rows]))
+        final.append(RingElement._reduced(ring, den, glex.width, {_KEY: rows}))
         entries.append(_entry(rows))
     return GroebnerBasis(ring, final, glex, entries)
 
@@ -185,12 +202,11 @@ def ideal_nf(p: RingElement, G: GroebnerBasis) -> RingElement:
     if p.is_zero():
         return p
     glex, entries = G.glex, G.entries
-    if glex is None or p.total_degree() >> (glex.width - 1):  # encode wider
+    if glex is None or p.total_degree() >> (glex.width - 1):  # repack wider
         glex = _Glex.holding(p.ring.nvars, max(g.total_degree() for g in G.elements + [p]))
-        entries = [_entry([(glex.encode(m), a, b) for m, a, b in g._items()]) for g in G.elements]
-    work, den = _rows(p, glex)
-    den, rows = _reduce_full(work, den, entries, glex.guard)
-    return _element(p.ring, den, [(glex.decode(t), a, b) for t, a, b in rows])
+        entries = [_entry(_repack(g.ring, g.rows, g.width, glex.width)) for g in G.elements]
+    den, rows = _reduce_full(*_rows(p, glex), entries, glex.guard)
+    return RingElement._reduced(p.ring, den, glex.width, {_KEY: rows} if rows else {})
 
 
 def standard_monomials(G: GroebnerBasis) -> list[Monomial] | Infinite | Capped:

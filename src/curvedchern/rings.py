@@ -8,33 +8,41 @@ Elements are kept in the division normal form with respect to the single
 relation (a one-element generating set is a Groebner basis of its
 principal ideal, so the remainder is canonical).  The monomial order
 everywhere is graded lex: total degree first, then lexicographic with
-earlier variables more significant.  The one polynomial division,
-_reduce_full, lives here, and groebner reduces by it too; it packs each
-monomial as one int in that order (_Glex) and takes terms from a heap in a
-loop.  A monomial's remainder is its division by the monic relation at the
-width of the monomial's degree, kept in the unpack table of its width.
+earlier variables more significant.
+
+A monomial has one encoding, _Glex: one int with a field of `width` bits
+for the total degree on top, then one for each of x_1 .. x_n, x_1 the most
+significant.  The top bit of each field (the guard bit) is kept clear, so
+int order is graded-lex order, adding two packed monomials multiplies them
+without a carry between fields, and the lead of a monic entry divides a
+monomial when one subtraction leaves every guard bit set.  A width holds
+a monomial when it holds its degree; the one width policy, _Glex.holding, is
+30 // (nvars + 1) bits a field (a monomial in one CPython digit), at least
+two, or wider when the degree needs it.
 
 Ring elements, forms and u-series share one layout, Packed: groups keyed
 by (u-power, dx mask) of packed rows (packed monomial, re, im), Gaussian
-integers over one denominator, a monomial one int with a field of `width`
-bits per variable (e_v at bit v·width).  The top bit of each field is
-kept clear, so adding two packed monomials, which multiplies them, never
-carries into the next field.  Canonical rows have no zero row, a positive
-denominator sharing no factor with every numerator, and the ring's base
-width (the widest that keeps a monomial below 2^30, one CPython digit)
-unless an exponent needs the narrowest wider width that fits.  A
-RingElement is the case of at most one group, at (0, 0).  Every product
-of values is formed by sum_of_products on these rows, and sums, scalings
-and derivatives work on them too, so no arithmetic builds a Scalar; the
+integers over one denominator, all at one width.  Canonical rows have no
+zero row, a positive denominator sharing no factor with every numerator,
+and the width _Glex.holding gives their largest degree.  A RingElement is
+the case of at most one group, at (0, 0).  Every product of values is
+formed by sum_of_products on these rows, and sums, scalings and
+derivatives work on them too, so no arithmetic builds a Scalar; the
 exponent tuples and Scalars of `RingElement.terms` are built on read, for
 printing and for code that works monomial by monomial.
+
+The one polynomial division, _reduce_full, lives here, and groebner
+reduces by it too; it takes terms from a heap in a loop.  A monomial's
+remainder is its division by the monic relation at the monomial's own
+width, which holds every term of it, kept in the remainder cache of that
+width.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb
 from math import gcd as _gcd
@@ -43,7 +51,6 @@ from operator import add as _add
 from operator import le as _le
 from operator import lshift as _lshift
 from operator import or_ as _or
-from weakref import proxy
 
 from .errors import Inhomogeneous, InvalidInput
 from .scalars import ONE, Scalar
@@ -94,10 +101,10 @@ class GradedRing:
                 )
         self.nvars = len(self.variables)
         self._index = {v: k for k, v in enumerate(self.variables)}
-        # the width of rows whose exponents fit it (module docstring)
-        self.base_width = max(2, 30 // max(self.nvars, 1))
-        # field width -> (_PackTable, _UnpackTable) of that width
-        self._packings: dict[int, tuple] = {}
+        # the width of rows whose degrees fit it (module docstring)
+        self.base_width = _Glex.holding(self.nvars, 0).width
+        # field width -> the _Remainders of that width
+        self._remainders: dict[int, _Remainders] = {}
 
         self.relation: RingElement | None = None
         if relation is not None:
@@ -112,9 +119,7 @@ class GradedRing:
             if rel.total_degree() == 0:
                 raise InvalidInput("relation must not be a unit")
             # a monomial's remainder is its full division by the monic relation
-            self._rel_lead, self._rel_items, self._rel_entries = rel.leading_term()[0], rel._items(), {}
             self.relation = rel.scale(rel.leading_term()[1].inv())
-            self._packings.clear()
 
     # -- gamma bookkeeping --------------------------------------------
 
@@ -156,31 +161,26 @@ class GradedRing:
             raise InvalidInput(f"{text!r} is not a polynomial: only a connection entry may have d(...)")
         return p
 
-    def _width_for(self, top: int) -> int:
-        """The canonical packing width of exponents up to top: the base
-        width, or top's bit length plus a guard bit when that is wider."""
-        return max(self.base_width, top.bit_length() + 1)
-
-    def _packing(self, width: int) -> tuple:
-        """The (pack, unpack) tables of one field width, filled on demand."""
-        got = self._packings.get(width)
+    def _nf_at(self, width: int) -> "_Remainders":
+        """The remainder cache of one field width, filled on demand."""
+        got = self._remainders.get(width)
         if got is None:
-            got = self._packings[width] = (_PackTable(self, width), _UnpackTable(self, width))
+            got = self._remainders[width] = _Remainders(self.relation, width)
         return got
 
     def _normal_forms(self, accs: dict, den: int, width: int) -> tuple:
-        """(den·scale, {key: rows}, OR of the monomials) for the
-        sum_of_products accumulators {packed monomial: [re, im]} over den:
-        each monomial the relation's lead divides replaced by its
-        remainder, scale the remainders' common denominator."""
-        unpack = self._packing(width)[1]
+        """(den·scale, {key: rows}) for the sum_of_products accumulators
+        {packed monomial: [re, im]} over den: each monomial the relation's
+        lead divides replaced by its remainder, scale the remainders'
+        common denominator."""
+        rem = self._nf_at(width)
         scale = 1
         outs = {}
         for key, acc in accs.items():
-            out = outs[key] = {k: [a * scale, b * scale] for k, (a, b) in acc.items() if unpack[k][1] is None}
+            out = outs[key] = {k: [a * scale, b * scale] for k, (a, b) in acc.items() if rem[k] is None}
             get = out.get
             for k, (a, b) in acc.items():
-                if (nf := unpack[k][1]) is None:
+                if (nf := rem[k]) is None:
                     continue
                 if scale % nf[0]:  # a new denominator: rescale what is summed so far
                     f = nf[0] // _gcd(scale, nf[0])
@@ -197,13 +197,8 @@ class GradedRing:
                     else:
                         v[0] += a * ra - b * rb
                         v[1] += a * rb + b * ra
-        groups = {}
-        bits = 0
-        for key, out in outs.items():
-            if rows := [(k, a, b) for k, (a, b) in out.items() if a or b]:
-                groups[key] = rows
-                bits = reduce(_or, out, bits)
-        return den * scale, groups, bits
+        rows = {key: [(k, a, b) for k, (a, b) in out.items() if a or b] for key, out in outs.items()}
+        return den * scale, {key: r for key, r in rows.items() if r}
 
     # -- identity ------------------------------------------------------
 
@@ -222,61 +217,12 @@ class GradedRing:
         return f"GradedRing({','.join(self.variables)}; {self.grading}){rel}"
 
 
-class _PackTable(dict):
-    """monomial -> packed int at one field width; `guard` has the top bit
-    of every field set, which a packed monomial must keep clear."""
-
-    def __init__(self, ring: GradedRing, width: int):
-        super().__init__()
-        self.shifts = range(0, width * ring.nvars, width)
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-
-    def __missing__(self, m: Monomial) -> int:
-        k = self[m] = sum(map(_lshift, m, self.shifts))
-        return k
-
-
-class _UnpackTable(dict):
-    """packed int -> (monomial, None when the monomial is in normal form,
-    else its remainder as (den, rows) at this width); raises OverflowError
-    with the exponent of a remainder that this width cannot hold."""
-
-    def __init__(self, ring: GradedRing, width: int):
-        super().__init__()
-        # weak: the ring holds its tables, and a cycle would keep a ring
-        # no one uses alive until the cyclic collector runs
-        self.ring = proxy(ring)
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.shifts = range(0, width * ring.nvars, width)
-
-    def __missing__(self, k: int) -> tuple:
-        ring = self.ring
-        mask = self.mask
-        m = tuple([(k >> s) & mask for s in self.shifts])
-        nf = None
-        if ring.relation is not None and _divides(ring._rel_lead, m):
-            # no remainder term passes m's degree, so glex holds them all
-            glex, entries = _Glex.holding(ring.nvars, sum(m)), ring._rel_entries  # entries by width
-            if (entry := entries.get(glex.width)) is None:
-                entry = entries[glex.width] = _entry([(glex.encode(t), a, b) for t, a, b in ring._rel_items])
-            den, rows = _reduce_full({glex.encode(m): [1, 0]}, 1, [entry], glex.guard)
-            rows = [(glex.decode(t), a, b) for t, a, b in rows]
-            top = max([max(t) for t, _, _ in rows], default=0)
-            if top >> self.width:  # sum_of_products widens and starts again
-                raise OverflowError(top)
-            pack = ring._packing(self.width)[0]
-            nf = (den, [(pack[t], a, b) for t, a, b in rows])
-        got = self[k] = (m, nf)
-        return got
-
-
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(map(_le, a, b))
 
 
 # ---------------------------------------------------------------------------
-# division: the normal form modulo the relation, and Groebner reduction
+# the packed monomial, the normal form modulo the relation, and division
 # ---------------------------------------------------------------------------
 
 
@@ -287,18 +233,20 @@ class _Glex:
     order is then monomial_key order, a product is `+`, a quotient `-`, and
     a divides b iff ((b | guard) - a) & guard == guard."""
 
-    __slots__ = ("width", "field", "top", "shifts", "guard", "ones")
+    __slots__ = ("nvars", "width", "field", "top", "shifts", "guard", "ones")
 
     def __init__(self, nvars: int, width: int):
-        self.width, self.field, self.top = width, (1 << width) - 1, width * nvars
+        self.nvars, self.width, self.field, self.top = nvars, width, (1 << width) - 1, width * nvars
         self.shifts = range(self.top - width, -1, -width)
         self.guard = sum(1 << (s + width - 1) for s in range(0, self.top + 1, width))
         self.ones = sum(1 << s for s in self.shifts)
 
-    @classmethod
-    def holding(cls, nvars: int, degree: int) -> "_Glex":
-        """The layout one CPython digit wide, or wider to hold degree."""
-        return cls(nvars, max(30 // (nvars + 1), degree.bit_length() + 1))
+    @staticmethod
+    def holding(nvars: int, degree: int) -> "_Glex":
+        """The one width policy: 30 // (nvars + 1) bits a field, so that the
+        nvars + 1 fields of a monomial fit one CPython digit, at least two,
+        or degree's bit length plus the guard bit when that is wider."""
+        return _glex(nvars, max(2, 30 // (nvars + 1), degree.bit_length() + 1))
 
     def encode(self, m) -> int:
         return sum(m) << self.top | sum(map(_lshift, m, self.shifts))
@@ -315,10 +263,41 @@ class _Glex:
         return (v * self.ones >> (self.top - self.width) & self.field) << self.top | v
 
 
+# the layout of each (nvars, width), made once
+_glex = cache(_Glex)
+
+
+def _repacked(nvars: int, keys, old: int, new: int) -> list:
+    """Packed monomials at width old, each field exact, at width new."""
+    field, shifts = (1 << old) - 1, [(s * old, s * new) for s in range(nvars + 1)]
+    return [sum([(k >> a & field) << b for a, b in shifts]) for k in keys]
+
+
+class _Remainders(dict):
+    """packed monomial -> None when the monic relation's lead does not
+    divide it, else its remainder (den, rows), at one width: no remainder
+    term passes the monomial's degree, so its width holds them all."""
+
+    def __init__(self, relation: "RingElement", width: int):
+        super().__init__()
+        self.guard = _glex(relation.ring.nvars, width).guard
+        # a lead of a degree this width cannot hold divides none of its monomials
+        fits = not relation.total_degree() >> (width - 1)
+        self.entry = _entry(_repack(relation.ring, relation.rows, relation.width, width)) if fits else None
+
+    def __missing__(self, k: int) -> tuple | None:
+        G, entry = self.guard, self.entry
+        nf = None
+        if entry is not None and ((k | G) - entry[0]) & G == G:
+            nf = _reduce_full({k: [1, 0]}, 1, [entry], G)
+        self[k] = nf
+        return nf
+
+
 # An entry (lm, den, tail) is a monic polynomial in the form division uses:
 # lm + (1/den)·Σ (a + b·i)·t over the rows (t, a, b) of tail, every t below
 # lm, monomials packed in one _Glex layout.  It is built for the relation
-# as a monomial's remainder is taken, and once as an element enters a basis.
+# once per width, and once as an element enters a basis.
 _Entry = tuple[int, int, list]
 
 
@@ -512,8 +491,10 @@ class RingElement(Packed):
         relation's lead divides is reduced, as a product by one."""
         items = [(m, c) for m, c in terms.items() if not c.is_zero()]
         den = lcm(*(c.d for _, c in items))
-        v = _element(ring, den, [(m, c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items])
-        if ring.relation is not None and any(_divides(ring._rel_lead, m) for m, _ in items):
+        glex = _Glex.holding(ring.nvars, max([sum(m) for m, _ in items], default=0))
+        rows = [(glex.encode(m), c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items]
+        v = RingElement._reduced(ring, den, glex.width, {_KEY: rows} if rows else {})
+        if ring.relation is not None and any(ring._nf_at(v.width)[k] is not None for k, _, _ in v.rows):
             v = v * ring.one()
         self.ring, self.den, self.width, self.groups = ring, v.den, v.width, v.groups
 
@@ -524,14 +505,8 @@ class RingElement(Packed):
     @property
     def terms(self) -> dict:
         """The element as {monomial: Scalar}: a new dict on each read."""
-        unpack = self.ring._packing(self.width)[1]
-        return {unpack[k][0]: Scalar._raw(a, b, self.den) for k, a, b in self.rows}
-
-    def _monomials(self) -> list:
-        return _monomials(self.ring, self.width, self.rows)
-
-    def _items(self) -> list:  # (m, a, b) per row: self = (1/den)·Σ (a + b·i)·m
-        return [(m, a, b) for m, (_, a, b) in zip(self._monomials(), self.rows)]
+        decode = _glex(self.ring.nvars, self.width).decode
+        return {decode(k): Scalar._raw(a, b, self.den) for k, a, b in self.rows}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -555,10 +530,11 @@ class RingElement(Packed):
         """Formal partial derivative of the normal-form representative (no
         monomial of which the relation's lead divides): on a packed row it
         multiplies the numerators by the exponent in var's field and
-        subtracts one from the field."""
-        shift = self.ring._index[var] * self.width
-        field = (1 << self.width) - 1
-        rows = [(k - (1 << shift), e * a, e * b) for k, a, b in self.rows if (e := k >> shift & field)]
+        subtracts var's unit key, which covers its field and the degree."""
+        glex = _glex(self.ring.nvars, self.width)
+        shift = glex.shifts[self.ring._index[var]]
+        unit, field = 1 << shift | 1 << glex.top, glex.field
+        rows = [(k - unit, e * a, e * b) for k, a, b in self.rows if (e := k >> shift & field)]
         return RingElement._reduced(self.ring, self.den, self.width, {_KEY: rows} if rows else {})
 
     # -- structure -----------------------------------------------------
@@ -575,7 +551,7 @@ class RingElement(Packed):
 
         Zero is homogeneous of every degree; by convention returns 0.
         """
-        degs = {self.ring.monomial_gamma(m) for m in self._monomials()}
+        degs = {self.ring.monomial_gamma(m) for m in _monomials(self.ring, self.width, self.rows)}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -584,37 +560,32 @@ class RingElement(Packed):
 
     def has_gamma_degree(self, d: int) -> bool:
         """True when every monomial has Gamma-degree d (zero passes)."""
-        return all(self.ring.deg_eq(self.ring.monomial_gamma(m), d) for m in self._monomials())
+        ring = self.ring
+        return all(ring.deg_eq(ring.monomial_gamma(m), d) for m in _monomials(ring, self.width, self.rows))
+
+    # the largest packed monomial leads, and its top field is the degree
 
     def total_degree(self) -> int:
-        return max(map(sum, self._monomials()), default=0)
+        return max(self.rows)[0] >> self.width * self.ring.nvars if self.rows else 0
 
     def leading_term(self) -> tuple[Monomial, Scalar]:
         if not self.rows:
             raise InvalidInput("leading term of zero")
-        m, a, b = max(self._items(), key=lambda t: monomial_key(t[0]))
-        return m, Scalar._raw(a, b, self.den)
+        k, a, b = max(self.rows)
+        return _glex(self.ring.nvars, self.width).decode(k), Scalar._raw(a, b, self.den)
 
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
+        if not self.rows:
             return "0"
-        parts = [_term_str(terms[m], _mono_str(self.ring, m)) for m in sorted(terms, key=monomial_key, reverse=True)]
+        ring, decode = self.ring, _glex(self.ring.nvars, self.width).decode
+        rows = sorted(self.rows, reverse=True)
+        parts = [_term_str(Scalar._raw(a, b, self.den), _mono_str(ring, decode(k))) for k, a, b in rows]
         return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
     def __repr__(self) -> str:
         return f"<{self}>"
-
-
-def _element(ring: GradedRing, den: int, items: list) -> RingElement:
-    """The element (1/den)·sum (a + b·i)·m over the items (m, a, b),
-    distinct monomials with no zero numerator pair, not normal-formed."""
-    width = ring._width_for(max([max(m) for m, _, _ in items]) if items and ring.nvars else 0)
-    pack = ring._packing(width)[0]
-    rows = [(pack[m], a, b) for m, a, b in items]
-    return RingElement._reduced(ring, den, width, {_KEY: rows} if rows else {})
 
 
 def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
@@ -628,8 +599,10 @@ def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
     products are formed: a pair of rows costs one int addition, one dict
     lookup and one Gaussian multiply-accumulate on a common denominator,
     and the normal form (linear and canonical) runs once per key.  Rows
-    of mixed widths are repacked at the widest first; a remainder the
-    width cannot hold starts the batch again wider.
+    of mixed widths are repacked at the widest first.  The products are
+    exact at that width; when a product's degree reaches the guard bit of
+    the degree field, the accumulators are repacked at a width that holds
+    it before the normal form divides them.
     """
     den = 1
     width = contributions[0][3] if contributions else ring.base_width
@@ -641,76 +614,70 @@ def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
         mixed = mixed or c[3] != width
     if mixed:
         width = max(c[3] for c in contributions)
-        contributions = _repack_batch(ring, contributions, width)
-    while True:
-        accs: dict = {}
-        for key, sign, d, _, P, Q in contributions:
-            acc = accs.get(key)
-            if acc is None:
-                acc = accs[key] = {}
-            get = acc.get
-            f = sign * (den // d)
-            for k1, a1, b1 in P:
-                a1 *= f
-                if b1 == 0:
-                    for k2, a2, b2 in Q:
-                        k = k1 + k2
-                        v = get(k)
-                        if v is None:
-                            acc[k] = [a1 * a2, a1 * b2]
-                        else:
-                            v[0] += a1 * a2
-                            v[1] += a1 * b2
-                    continue
-                b1 *= f
+        contributions = [
+            (key, sign, d, width, _repack(ring, P, w, width), _repack(ring, Q, w, width))
+            for key, sign, d, w, P, Q in contributions
+        ]
+    accs: dict = {}
+    for key, sign, d, _, P, Q in contributions:
+        acc = accs.get(key)
+        if acc is None:
+            acc = accs[key] = {}
+        get = acc.get
+        f = sign * (den // d)
+        for k1, a1, b1 in P:
+            a1 *= f
+            if b1 == 0:
                 for k2, a2, b2 in Q:
                     k = k1 + k2
                     v = get(k)
                     if v is None:
-                        acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                        acc[k] = [a1 * a2, a1 * b2]
                     else:
-                        v[0] += a1 * a2 - b1 * b2
-                        v[1] += a1 * b2 + b1 * a2
-        # the product monomials are exact, as the operands' guard bits are
-        # clear; the OR of the results shows whether one reached a guard bit
-        if ring.relation is None:
-            bits = 0
-            groups = {}
-            for key, acc in accs.items():
-                bits = reduce(_or, acc, bits)
-                if rows := [(k, a, b) for k, (a, b) in acc.items() if a or b]:
-                    groups[key] = rows
-            return _canonical(ring, den, width, groups, bits)
-        try:
-            den, groups, bits = ring._normal_forms(accs, den, width)
-        except OverflowError as exc:
-            width = ring._width_for(exc.args[0])
-            contributions = _repack_batch(ring, contributions, width)
-            continue
-        return _canonical(ring, den, width, groups, bits)
-
-
-def _repack_batch(ring: GradedRing, contributions: list, width: int) -> list:
-    return [
-        (key, sign, d, width, _repack(ring, P, w, width), _repack(ring, Q, w, width))
-        for key, sign, d, w, P, Q in contributions
-    ]
+                        v[0] += a1 * a2
+                        v[1] += a1 * b2
+                continue
+            b1 *= f
+            for k2, a2, b2 in Q:
+                k = k1 + k2
+                v = get(k)
+                if v is None:
+                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    v[0] += a1 * a2 - b1 * b2
+                    v[1] += a1 * b2 + b1 * a2
+    # the operands' guard bits are clear, so no field of a product carries
+    # into the next; the OR of the products shows whether a degree reached
+    # the guard bit of the top field
+    bits = 0
+    for acc in accs.values():
+        bits = reduce(_or, acc, bits)
+    if ring.relation is None:
+        groups = {key: [(k, a, b) for k, (a, b) in acc.items() if a or b] for key, acc in accs.items()}
+        return _canonical(ring, den, width, {key: rows for key, rows in groups.items() if rows}, bits)
+    top = width * ring.nvars
+    if bits >> (top + width - 1):
+        new = _Glex.holding(ring.nvars, bits >> top).width
+        accs = {key: dict(zip(_repacked(ring.nvars, acc, width, new), acc.values())) for key, acc in accs.items()}
+        width = new
+    den, groups = ring._normal_forms(accs, den, width)
+    return _canonical(ring, den, width, groups, bits)
 
 
 def _repack(ring: GradedRing, rows: list, old: int, new: int) -> list:
     """Rows at width `old` repacked at a width `new` that holds them."""
     if old == new:
         return rows
-    unpack, pack = ring._packing(old)[1], ring._packing(new)[0]
-    return [(pack[unpack[k][0]], a, b) for k, a, b in rows]
+    keys = _repacked(ring.nvars, [k for k, _, _ in rows], old, new)
+    return [(k, a, b) for k, (_, a, b) in zip(keys, rows)]
 
 
 def _canonical(ring: GradedRing, den: int, width: int, groups: dict, bits: int = 0) -> tuple:
     """(den, width, {key: rows without zero rows}) made canonical: den's
     common factor with every numerator divided out, and the rows repacked
-    at their canonical width unless `width` is the base width and `bits`,
-    the OR of the monomials when they come from a product, is clear of the
-    guard bits."""
+    at the width _Glex.holding gives their largest degree, unless `width` is
+    the base width and `bits`, the OR of the monomials when they come from
+    a product, has the degree field's guard bit clear."""
     if den > 1:
         g = den
         for rows in groups.values():
@@ -721,16 +688,11 @@ def _canonical(ring: GradedRing, den: int, width: int, groups: dict, bits: int =
         else:
             den //= g
             groups = {key: [(k, a // g, b // g) for k, a, b in rows] for key, rows in groups.items()}
-    if width == ring.base_width and not (bits and bits & ring._packing(width)[0].guard):
+    top = width * ring.nvars
+    if width == ring.base_width and not bits >> (top + width - 1):
         return den, width, groups
-    bits = 0
-    for rows in groups.values():
-        bits = reduce(_or, [k for k, _, _ in rows], bits)
-    # the OR of the fields has the bit length of the largest exponent
-    mask, fields = (1 << width) - 1, 0
-    for s in range(0, width * ring.nvars, width):
-        fields |= (bits >> s) & mask
-    new = ring._width_for(fields)
+    # the largest packed monomial has the largest degree, in the top field
+    new = _Glex.holding(ring.nvars, max([max(rows)[0] for rows in groups.values()], default=0) >> top).width
     return den, new, {key: _repack(ring, rows, width, new) for key, rows in groups.items()}
 
 
@@ -750,8 +712,8 @@ def _summed(rows: list) -> list:
 
 def _monomials(ring: GradedRing, width: int, rows: list) -> list:
     """The exponent tuples of the packed monomials of rows."""
-    unpack = ring._packing(width)[1]
-    return [unpack[k][0] for k, _, _ in rows]
+    decode = _glex(ring.nvars, width).decode
+    return [decode(k) for k, _, _ in rows]
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:
@@ -871,20 +833,18 @@ class _Parser:
         self.toks = [(mt.lastgroup, mt[mt.lastgroup]) for mt in _TOKEN_RE.finditer(text)] + [("end", "")]
         if (bad := dict(self.toks).get("bad")) is not None:
             raise InvalidInput(f"cannot tokenize polynomial at {bad!r}")
-        # every parsed exponent is at most MAX_EXPONENT, so keys at this
-        # width never carry; a dx mask sits above the fields, at `top`
-        self.ring, self.k, self.depth, self.width = ring, 0, 0, ring._width_for(MAX_EXPONENT)
-        self.field, self.top = (1 << self.width) - 1, self.width * ring.nvars
-        self.shifts = range(0, self.top, self.width)
-
-    def monomial(self, k: int) -> list:
-        return [k >> s & self.field for s in self.shifts]
+        # every parsed exponent is at most MAX_EXPONENT, so degrees are at
+        # most nvars·MAX_EXPONENT and keys at this width never carry; a dx
+        # mask sits above the degree field, at `top`
+        self.ring, self.k, self.depth = ring, 0, 0
+        self.glex = _Glex.holding(ring.nvars, ring.nvars * MAX_EXPONENT)
+        self.top = self.glex.top + self.glex.width
 
     def exponents(self, v: _Rows) -> list:
         """The largest exponent of each variable in v."""
         if len(v.rows) == 1:
-            return self.monomial(next(iter(v.rows)))
-        return [max(col) for col in zip(*map(self.monomial, v.rows))] or [0] * self.ring.nvars
+            return self.glex.decode(next(iter(v.rows)))
+        return [max(col) for col in zip(*map(self.glex.decode, v.rows))] or [0] * self.ring.nvars
 
     def peek(self):
         return self.toks[self.k]
@@ -979,7 +939,7 @@ class _Parser:
                 raise InvalidInput(f"unknown variable {val!r}")
             if kind == "d":  # the one-form dx_v: mask 1 << v, coefficient 1
                 return _Rows(1, {1 << (self.top + v): (1, 0)}, form=True)
-            return _Rows(1, {1 << self.shifts[v]: (1, 0)})
+            return _Rows(1, {1 << self.glex.shifts[v] | 1 << self.glex.top: (1, 0)})
         if (kind, val) == ("op", "("):
             node = self.nested(self.expr)
             if self.take() != ("op", ")"):
@@ -997,11 +957,11 @@ def _parse_entry(ring: GradedRing, text: str) -> Packed:
     node = parser.expr()
     if parser.peek() != ("end", ""):
         raise InvalidInput(f"trailing input in polynomial {text!r}")
-    cls, width, top = Packed if node.form else RingElement, parser.width, parser.top
+    cls, width, top = Packed if node.form else RingElement, parser.glex.width, parser.top
     groups: dict = {}
     for k, (a, b) in node.rows.items():
         groups.setdefault((0, k >> top), []).append((k & ((1 << top) - 1), a, b))
-    if ring.relation is None or not any(_divides(ring._rel_lead, parser.monomial(k)) for k in node.rows):
+    if ring.relation is None or all(ring._nf_at(width)[k] is None for rows in groups.values() for k, _, _ in rows):
         return cls._reduced(ring, node.den, width, groups)
     products = [(g, 1, node.den, width, rows, [(0, 1, 0)]) for g, rows in groups.items()]
     return cls._make(ring, *sum_of_products(ring, products))

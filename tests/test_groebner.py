@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from curvedchern import groebner
 from curvedchern.errors import EmptyIdeal, InvalidInput, ZeroJacobianIdeal
 from curvedchern.groebner import (
     STANDARD_MONOMIAL_CAP,
@@ -150,7 +151,7 @@ def test_milnor_vs_brute_force(poly, expected):
     assert len(sm) == expected == _brute_force_milnor(f, 5)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25, phases=NO_EXPLAIN)
 @given(
     st.lists(
         st.sampled_from(
@@ -174,7 +175,7 @@ def test_nf_is_zero_exactly_on_members(gen_strings):
     assert ideal_nf(p + q, G) == ideal_nf(p, G) + ideal_nf(q, G)
 
 
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=15, phases=NO_EXPLAIN)
 @given(
     st.sampled_from(["x^2+y^2", "x^3+y^2", "x^2+x*y+y^2", "x^4+y^2"]),
     st.integers(min_value=0, max_value=3),
@@ -228,7 +229,7 @@ def _ideals(draw, nvars=None, top=None):
     return [ring.element(t) for t in draw(st.lists(_polys(nvars, top), min_size=1, max_size=3))]
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60, phases=NO_EXPLAIN)
 @given(_ideals())
 def test_buchberger_gives_the_reduced_basis(gens):
     _assert_reduced_basis_of(buchberger(gens), gens)
@@ -255,7 +256,7 @@ def _within(seconds, fn, *args):
 # elements.  It has heavy tails even on small ideals (one 2-variable ideal
 # of three generators with exponents <= 3 took it 184 s), so an example
 # counts only when the reference finishes within a quarter second.
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=40, phases=NO_EXPLAIN)
 @given(_ideals(nvars=2, top=3))
 def test_buchberger_matches_the_seed_algorithm(gens):
     want = _within(0.25, reference_buchberger, gens)
@@ -324,15 +325,27 @@ def test_pinned_staircases_match_the_box_enumeration(poly):
     _assert_staircase(buchberger(jacobian_ideal(qi_ring("x", "y").from_string(poly))))
 
 
-# -- the width restart: a run whose lcms pass the width of its generators ---
+# -- the width repack: a run whose lcms pass the width of its generators ----
 
 
-@pytest.mark.parametrize("variables, poly", [("x,y", "x^300+y^300"), ("x,y,z", "x^40+y^30+x*y*z^2")])
-def test_a_run_past_its_initial_width_restarts_wider(variables, poly):
+@pytest.mark.parametrize(
+    "variables, poly, widths",
+    [("x,y", "x^300+y^300", (10, 20)), ("x,y,z", "x^40+y^30+x*y*z^2", (7, 14))],
+)
+def test_a_run_past_its_initial_width_repacks_wider(monkeypatch, variables, poly, widths):
+    # the generators' degrees (at most 299 and 39) fit the rings' base
+    # widths, 30 // 3 and 30 // 4 bits a field; an lcm of two leads (x^299·y^299
+    # in two variables) passes it, so the basis and the pairs are repacked
+    # once at twice the width and the run goes on without starting again
     R = qi_ring(*variables.split(","))
     gens = jacobian_ideal(R.from_string(poly))
+    start = _Glex.holding(R.nvars, max(g.total_degree() for g in gens))
+    assert start.width == R.base_width == widths[0]
+    repacks = []
+    plain = groebner._widened
+    monkeypatch.setattr(groebner, "_widened", lambda glex, *args: repacks.append(glex.width) or plain(glex, *args))
     G = buchberger(gens)
-    assert G.glex.width > _Glex.holding(R.nvars, max(g.total_degree() for g in gens)).width
+    assert (repacks, G.glex.width) == ([widths[0]], widths[1])
     assert G.elements == reference_buchberger(gens).elements
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedchern import rings
-from curvedchern.forms import DiffForm, USeries
-from curvedchern.rings import _KEY, RingElement, _canonical, sum_of_products
+from curvedchern.forms import DiffForm, USeries, relation_bound
+from curvedchern.rings import _KEY, RingElement, _canonical, monomial_key, sum_of_products
 from curvedchern.scalars import Scalar
 
-from util import qi_ring, reference_reduce, reference_sum_of_products, reference_wedge, sphere_ring
+from util import NO_EXPLAIN, qi_ring, reference_reduce, reference_sum_of_products, reference_wedge, sphere_ring
 
 FREE = qi_ring("x1", "x2", "x3")
 SPHERE = sphere_ring(3)
@@ -105,11 +105,12 @@ def test_wedge_signs_match_the_reference(fa, fb):
 
 # -- the packing width -----------------------------------------------------
 #
-# Fifteen variables give a base width of 2 bits, so every exponent from 2 on
-# needs a wider packing: x^(2^k - 1) fills k bits and x^(2^k) needs k + 1,
-# each plus the guard bit.  A product is checked against the Scalar
-# reference, so a carry into the next variable's field, or into the dx mask
-# or the u-power of a series, shows as a wrong monomial or a wrong key.
+# Fifteen variables give a base width of 2 bits (30 // 16 is 1), so every
+# degree from 2 on needs a wider packing: a degree 2^k - 1 fills k bits of
+# the degree field and 2^k needs k + 1, each plus the guard bit.  A product
+# is checked against the Scalar reference, so a carry into the next field,
+# or into the dx mask or the u-power of a series, shows as a wrong monomial
+# or a wrong key.
 
 NAMES = [f"y{v}" for v in range(15)]
 WIDE = qi_ring(*NAMES)
@@ -128,10 +129,11 @@ def test_a_product_across_a_width_boundary_matches_the_reference(k):
     p = WIDE.from_string(f"y1^{2 ** k - 1} - 2*y0*y2 + i/3")
     q = WIDE.from_string("y1 + y2")
     assert WIDE.base_width == 2
-    assert _width(WIDE, p) == max(2, k + 1)
+    # the degree 2 of y0·y2 takes 2 bits and the guard bit
+    assert _width(WIDE, p) == max(3, k + 1)
     got = p * q
     assert got == reference_sum_of_products(WIDE, [(None, 1, p, q)])[None]
-    assert _width(WIDE, got) == max(2, (2 ** k).bit_length() + 1)
+    assert _width(WIDE, got) == max(3, 2 ** k).bit_length() + 1
     # the same product as u-series with dx masks on both sides
     f = DiffForm(WIDE, {(0, 14): p})
     g = DiffForm(WIDE, {(3,): q, (): q})
@@ -172,20 +174,89 @@ def test_quotient_products_across_widths_match_division(k):
     assert got.terms == reference_reduce(free, [relation]).terms
 
 
-def test_a_remainder_wider_than_its_product_starts_the_batch_again(monkeypatch):
-    # y0^3·y1^3 and y2^3 fit three bits a field, and so does their product,
-    # but its remainder (y3^3 - y4)^3 holds y3^9, which needs five
-    p, q = WIDE_REL.from_string("y0^3*y1^3"), WIDE_REL.from_string("y2^3 + y5")
-    assert _width(WIDE_REL, p) == _width(WIDE_REL, q) == 3
-    restarts = []
-    plain = rings._repack_batch
-    monkeypatch.setattr(rings, "_repack_batch", lambda *args: restarts.append(args[2]) or plain(*args))
+@pytest.mark.parametrize("relation", ["x1^32 - x2", "x5^40 + x1", "x1^20*x2^20 - 1"])
+def test_a_relation_wider_than_the_products_reduces_none_of_them(relation):
+    # five variables pack 5 bits a field, which hold degrees up to 15; a
+    # relation of degree 32 or more cannot be packed at that width, and its
+    # lead divides none of the products, which are the free ring's
+    names = [f"x{v}" for v in range(1, 6)]
+    ring, free = qi_ring(*names, relation=relation), qi_ring(*names)
+    for a, b in [("x1^3 + x2", "x3 - 1"), ("x1^7*x2", "x1^7 + x5"), ("x5^7 + x4", "x5^8 - x1")]:
+        p, q = free.from_string(a), free.from_string(b)
+        got = ring.from_string(a) * ring.from_string(b)
+        assert got.width == ring.base_width == 5
+        assert got.terms == reference_sum_of_products(free, [(None, 1, p, q)])[None].terms
+
+
+def test_a_quotient_product_past_the_guard_bit_repacks_its_accumulators(monkeypatch):
+    # p and q have degree 4, which fits four bits a field, but their product
+    # y0^2·y1^2·y2^2·y6^2 has degree 8, which reaches the guard bit of the
+    # degree field: the exact accumulators are repacked at five bits, then
+    # the relation's entry (degree 3, three bits) for the remainder cache of
+    # that width, where the normal form divides the product by the lead
+    # y0·y1·y2 into (y3^3 - y4)^2·y6^2.  The operands are not repacked, and
+    # the batch forms its products once.
+    p, q = WIDE_REL.from_string("y0^2*y1^2"), WIDE_REL.from_string("y2^2*y6^2 + y5")
+    assert _width(WIDE_REL, p) == _width(WIDE_REL, q) == 4
+    repacks, divisions = [], []
+    plain_repack, plain_nf = rings._repacked, WIDE_REL._normal_forms
+    monkeypatch.setattr(WIDE_REL, "_remainders", {})
+    monkeypatch.setattr(rings, "_repacked", lambda *args: repacks.append(args[2:]) or plain_repack(*args))
+    monkeypatch.setattr(WIDE_REL, "_normal_forms", lambda *args: divisions.append(args[2]) or plain_nf(*args))
     got = p * q
-    assert restarts == [5]
+    assert (repacks, divisions) == ([(4, 5), (3, 5)], [5])
     assert _width(WIDE_REL, got) == 5
+    assert got.terms[(0, 0, 0, 6, 0, 0, 2) + (0,) * 8] == Scalar(1)
     free = WIDE_FREE.element(p.terms) * WIDE_FREE.element(q.terms)
     relation = WIDE_FREE.element(WIDE_REL.relation.terms)
     assert got.terms == reference_reduce(free, [relation]).terms
+
+
+# -- readers of packed monomials against the exponent tuples ---------------
+#
+# total_degree, leading_term, the printed term order and relation_bound read
+# the packed ints (the largest leads, its top field is the degree); the
+# oracle reads the exponent tuples of `terms` in monomial_key order.  Each
+# value is also read repacked at wider, non-canonical widths.
+
+
+def _elements(ring):
+    """Elements of monomials with at most three variables set, exponents
+    across the width boundaries (x1 at most cubed on the sphere, whose
+    normal form rewrites x1^2)."""
+    big = st.sampled_from([1, 2, 3, 7, 8, 15, 16, 100, 300])
+    exponent = [st.integers(1, 3) if ring is SPHERE and v == 0 else big for v in range(ring.nvars)]
+    mono = st.lists(st.integers(0, ring.nvars - 1), max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*[exponent[v] if v in vs else st.just(0) for v in range(ring.nvars)])
+    )
+    return st.dictionaries(mono, scalars, max_size=4).map(ring.element)
+
+
+def _oracle_str(ring, terms: dict) -> str:
+    ordered = sorted(terms, key=monomial_key, reverse=True)
+    parts = [rings._term_str(terms[m], rings._mono_str(ring, m)) for m in ordered]
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
+
+
+@settings(deadline=None, max_examples=60, phases=NO_EXPLAIN)
+@given(st.data())
+def test_packed_readers_match_the_tuple_oracle(data):
+    for ring in (FREE, SPHERE, WIDE):
+        p, q = data.draw(_elements(ring)), data.draw(_elements(ring))
+        series = USeries.from_form(DiffForm(ring, {(0,): p}), 1) + USeries.from_ring(q)
+        degrees = [sum(m) for m in list(p.terms) + list(q.terms)]
+        for extra in (0, 1, 7):
+            width = max(p.width, q.width) + extra
+            v = RingElement._make(ring, p.den, width, p._at(width))
+            assert v.terms == p.terms
+            assert v.total_degree() == max(map(sum, p.terms), default=0)
+            if p.terms:
+                lead = max(p.terms, key=monomial_key)
+                assert v.leading_term() == (lead, p.terms[lead])
+                assert str(v) == _oracle_str(ring, p.terms)
+            if degrees:
+                wide = USeries._make(ring, series.den, width + 1, series._at(width + 1))
+                assert relation_bound(wide) == relation_bound(series) == max(degrees) + 2
 
 
 # -- kernel work: calls and term pairs ---------------------------------------
@@ -246,3 +317,25 @@ def test_kernel_work_of_reading_the_s4_file(monkeypatch):
     reading = _kernel_work(monkeypatch, lambda: parse_instance(text, "s4"))
     checking = _kernel_work(monkeypatch, lambda: check_module(inst.module))
     assert (reading[0], checking[0]) == (129, 128)
+
+
+def test_the_suite_never_repacks_a_kernel_batch(monkeypatch):
+    # Every product of one s4 suite and of random seeds 0-299 stays at its
+    # ring's base width: s4 reaches degree 12, which 5 bits a field hold at
+    # 5 variables, and the random rings reach degree 7 at 3 variables (7
+    # bits a field).  So no batch meets mixed widths, no accumulator reaches
+    # a guard bit, and no result or sum changes width: every change of width
+    # goes through rings._repacked.  A batch forms its products once; there
+    # is no path that forms them again.
+    from curvedchern.cli import _corpus_text, parse_instance, run_suite
+    from curvedchern.randomgen import random_module_instance
+
+    inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
+    instances = [random_module_instance(s) for s in range(300)]
+    repacks = []
+    plain = rings._repacked
+    monkeypatch.setattr(rings, "_repacked", lambda *args: repacks.append(args[2:]) or plain(*args))
+    run_suite(inst.module, inst.connection, **inst.options)
+    for M, C in instances:
+        run_suite(M, C)
+    assert repacks == []
