@@ -6,8 +6,9 @@ Four subcommands:
       parse a problem file, run both Chern character routes plus the
       cycle and commutator identities, print a report
   verify (<file> | --random N --seed S)
-      run the invariant suite on a file or on N seeded random instances;
-      the first failing random instance is serialized for replay
+      run the invariant suite on a file or on N seeded random instances,
+      each random one also against the power series of exp(-R); the first
+      failing random instance is serialized for replay
   examples <name>
       run a built-in corpus instance against its golden report
   milnor "<poly>" --vars x,y,z
@@ -58,6 +59,7 @@ from .modules import (
     CurvedAlgebra,
     CurvedModule,
     IdentityVerdict,
+    chern_power_series,
     chern_weil,
     commutator_check,
     connection_with_mu,
@@ -539,21 +541,38 @@ def _verify_random(count: int, seed: int) -> int:
         s = seed + k
         M, C = random_module_instance(s)
         res = run_suite(M, C)
-        status = "PASS" if res.ok else "FAIL"
+        series = _power_series_mismatch(M, C, res.ch_weil) if res.ok else None
+        status = "PASS" if res.ok and series is None else "FAIL"
         powers = ",".join(str(J) for J in res.ch_weil.u_powers()) or "-"
         print(
             f"{status} instance {k:02d} (seed {s}): ring {len(M.ring.variables)} vars"
             f" {M.ring.grading}, rank {len(M.degrees)}, u-powers {powers}"
         )
-        if not res.ok:
+        if status == "FAIL":
             out = f"failing-instance-{s}.json"
             with open(out, "w", encoding="utf-8") as fh:
                 json.dump(instance_to_spec(M, C), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"failing instance written to {out}")
             _raise_on_failure(res)
+            raise IdentityFailure(series)
     print(f"all {count} random instances passed")
     return 0
+
+
+@_exact_digits()
+def _power_series_mismatch(M: CurvedModule, C: Connection, ch: USeries) -> str | None:
+    """None when ch equals modules.chern_power_series, else the failure
+    message at the first u-power where they differ."""
+    series = chern_power_series(M, C)
+    diff = ch - series
+    if diff.is_zero():
+        return None
+    J = diff.u_powers()[0]
+    return (
+        f"power-series check failed: u^{J}: chern-weil gives {ch.coefficient(J)},"
+        f" power series gives {series.coefficient(J)}"
+    )
 
 
 def _corpus_text(filename: str) -> str:

@@ -272,6 +272,20 @@ def chern_weil(M: CurvedModule, C: Connection,
     return acc
 
 
+def chern_power_series(M: CurvedModule, C: Connection) -> USeries:
+    """str(exp(-R)) as sum_m (-1)^m/m!·str(e·R^m) over m <= nvars, with
+    R = curvature_R(C), its powers formed by Mat @ and read by
+    Mat.supertrace: the Chern character without the word evaluator, for
+    verify to check chern_weil against.  Every term of R has form degree
+    at least 1, so R^m = 0 for m > nvars."""
+    R = curvature_R(C)
+    power, acc = M.e, M.e.supertrace()
+    for m in range(1, M.ring.nvars + 1):
+        power = power @ R
+        acc = acc + power.supertrace().scale(Scalar(Fraction((-1) ** m, factorial(m))))
+    return acc
+
+
 @dataclass
 class IdentityVerdict:
     """Result of an exact identity check, with the mode that established it.

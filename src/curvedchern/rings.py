@@ -32,10 +32,9 @@ exponent tuples and Scalars of `RingElement.terms` are built on read, for
 printing and for code that works monomial by monomial.
 
 The one polynomial division, _reduce_full, lives here, and groebner
-reduces by it too; it takes terms from a heap in a loop.  A monomial's
-remainder is its division by the monic relation at the monomial's own
-width, which holds every term of it, kept in the remainder cache of that
-width.
+reduces by it too; it takes terms from a heap in a loop.  The quotient
+normal form is that division of a whole sum by the monic relation's
+entry, at the sum's own width, which holds every term of the remainder.
 """
 
 from __future__ import annotations
@@ -103,8 +102,6 @@ class GradedRing:
         self._index = {v: k for k, v in enumerate(self.variables)}
         # the width of rows whose degrees fit it (module docstring)
         self.base_width = _Glex.holding(self.nvars, 0).width
-        # field width -> the _Remainders of that width
-        self._remainders: dict[int, _Remainders] = {}
 
         self.relation: RingElement | None = None
         if relation is not None:
@@ -118,7 +115,7 @@ class GradedRing:
                 raise InvalidInput("relation must have Gamma-degree 0")
             if rel.total_degree() == 0:
                 raise InvalidInput("relation must not be a unit")
-            # a monomial's remainder is its full division by the monic relation
+            # the normal form is the full division by the monic relation
             self.relation = rel.scale(rel.leading_term()[1].inv())
 
     # -- gamma bookkeeping --------------------------------------------
@@ -161,44 +158,29 @@ class GradedRing:
             raise InvalidInput(f"{text!r} is not a polynomial: only a connection entry may have d(...)")
         return p
 
-    def _nf_at(self, width: int) -> "_Remainders":
-        """The remainder cache of one field width, filled on demand."""
-        got = self._remainders.get(width)
-        if got is None:
-            got = self._remainders[width] = _Remainders(self.relation, width)
-        return got
-
     def _normal_forms(self, accs: dict, den: int, width: int) -> tuple:
-        """(den·scale, {key: rows}) for the sum_of_products accumulators
-        {packed monomial: [re, im]} over den: each monomial the relation's
-        lead divides replaced by its remainder, scale the remainders'
-        common denominator."""
-        rem = self._nf_at(width)
-        scale = 1
+        """(den, {key: rows}) for the accumulators {key: {packed monomial:
+        [re, im]}} over den at width, which it consumes: each key with a
+        monomial the relation's lead divides is divided by the monic
+        relation's entry (_reduce_full), and the keys are brought to one
+        common denominator.  Keys whose sum is zero are left out."""
+        rel = self.relation
+        # a lead of a degree the width cannot hold divides none of its monomials
+        if rel is None or rel.total_degree() >> (width - 1):
+            rows = {key: [(k, a, b) for k, (a, b) in acc.items() if a or b] for key, acc in accs.items()}
+            return den, {key: r for key, r in rows.items() if r}
+        entry = _entry(_repack(self, rel.rows, rel.width, width))
+        G, lm = _glex(self.nvars, width).guard, entry[0]
         outs = {}
         for key, acc in accs.items():
-            out = outs[key] = {k: [a * scale, b * scale] for k, (a, b) in acc.items() if rem[k] is None}
-            get = out.get
-            for k, (a, b) in acc.items():
-                if (nf := rem[k]) is None:
-                    continue
-                if scale % nf[0]:  # a new denominator: rescale what is summed so far
-                    f = nf[0] // _gcd(scale, nf[0])
-                    scale *= f
-                    for v in (v for o in outs.values() for v in o.values()):
-                        v[0] *= f
-                        v[1] *= f
-                a *= scale // nf[0]
-                b *= scale // nf[0]
-                for rk, ra, rb in nf[1]:
-                    v = get(rk)
-                    if v is None:
-                        out[rk] = [a * ra - b * rb, a * rb + b * ra]
-                    else:
-                        v[0] += a * ra - b * rb
-                        v[1] += a * rb + b * ra
-        rows = {key: [(k, a, b) for k, (a, b) in out.items() if a or b] for key, out in outs.items()}
-        return den * scale, {key: r for key, r in rows.items() if r}
+            if any(((k | G) - lm) & G == G for k in acc):
+                d, rows = _reduce_full(acc, den, [entry], G)
+            else:
+                d, rows = den, [(k, a, b) for k, (a, b) in acc.items() if a or b]
+            if rows:
+                outs[key] = d, rows
+        den = lcm(den, *(d for d, _ in outs.values()))
+        return den, {key: rows if d == den else _scaled_rows(rows, den // d) for key, (d, rows) in outs.items()}
 
     # -- identity ------------------------------------------------------
 
@@ -273,27 +255,6 @@ def _repacked(nvars: int, keys, old: int, new: int) -> list:
     return [sum([(k >> a & field) << b for a, b in shifts]) for k in keys]
 
 
-class _Remainders(dict):
-    """packed monomial -> None when the monic relation's lead does not
-    divide it, else its remainder (den, rows), at one width: no remainder
-    term passes the monomial's degree, so its width holds them all."""
-
-    def __init__(self, relation: "RingElement", width: int):
-        super().__init__()
-        self.guard = _glex(relation.ring.nvars, width).guard
-        # a lead of a degree this width cannot hold divides none of its monomials
-        fits = not relation.total_degree() >> (width - 1)
-        self.entry = _entry(_repack(relation.ring, relation.rows, relation.width, width)) if fits else None
-
-    def __missing__(self, k: int) -> tuple | None:
-        G, entry = self.guard, self.entry
-        nf = None
-        if entry is not None and ((k | G) - entry[0]) & G == G:
-            nf = _reduce_full({k: [1, 0]}, 1, [entry], G)
-        self[k] = nf
-        return nf
-
-
 # An entry (lm, den, tail) is a monic polynomial in the form division uses:
 # lm + (1/den)·Σ (a + b·i)·t over the rows (t, a, b) of tail, every t below
 # lm, monomials packed in one _Glex layout.  It is built for the relation
@@ -333,10 +294,13 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry], guard: int) -> tuple
     numerators, the work and its denominator are multiplied by the missing
     factor, so every numerator stays an integer.  The terms are taken from
     a heap and equal monomials merge in the work, so the division runs in
-    a loop, and raises InvalidInput once work and remainder pass MAX_TERMS.
+    a loop.  The term cap counts only what the division adds: it raises
+    InvalidInput once work and remainder hold more than MAX_TERMS terms
+    beyond the terms of the work it was given.
     """
     heap = [-m for m in work]  # the smallest is the largest monomial
     heapify(heap)
+    cap = MAX_TERMS + len(work)
     out = []
     while heap:
         m = -heappop(heap)
@@ -367,9 +331,9 @@ def _reduce_full(work: dict, den: int, basis: list[_Entry], guard: int) -> tuple
             if w is None:
                 work[t] = [b * tb - a * ta, -a * tb - b * ta]
                 heappush(heap, -t)
-                if len(work) + len(out) > MAX_TERMS:
+                if len(work) + len(out) > cap:
                     raise InvalidInput(
-                        f"polynomial too large: a normal form could have more than {MAX_TERMS} terms"
+                        f"polynomial too large: a normal form could add more than {MAX_TERMS} terms"
                     )
             else:
                 w[0] -= a * ta - b * tb
@@ -487,15 +451,14 @@ class RingElement(Packed):
 
     def __init__(self, ring: GradedRing, terms: dict):
         """The element sum c·m over the items m: c of terms, exponent
-        tuples to Scalars; zero terms are dropped, and a monomial the
-        relation's lead divides is reduced, as a product by one."""
+        tuples to Scalars; zero terms are dropped, and the sum is divided
+        by the relation (GradedRing._normal_forms)."""
         items = [(m, c) for m, c in terms.items() if not c.is_zero()]
         den = lcm(*(c.d for _, c in items))
         glex = _Glex.holding(ring.nvars, max([sum(m) for m, _ in items], default=0))
-        rows = [(glex.encode(m), c.an * (den // c.d), c.bn * (den // c.d)) for m, c in items]
-        v = RingElement._reduced(ring, den, glex.width, {_KEY: rows} if rows else {})
-        if ring.relation is not None and any(ring._nf_at(v.width)[k] is not None for k, _, _ in v.rows):
-            v = v * ring.one()
+        acc = {glex.encode(m): [c.an * (den // c.d), c.bn * (den // c.d)] for m, c in items}
+        den, groups = ring._normal_forms({_KEY: acc}, den, glex.width)
+        v = RingElement._reduced(ring, den, glex.width, groups)
         self.ring, self.den, self.width, self.groups = ring, v.den, v.width, v.groups
 
     @property
@@ -740,9 +703,10 @@ def _term_str(c: Scalar, mono: str) -> str:
 # the box of exponents it can reach), no coefficient estimated above
 # MAX_COEFFICIENT_BITS bits (the operands' largest numerator or denominator
 # bit lengths, plus the bits a sum of products carries), and no normal form
-# whose remainder passes MAX_TERMS (_reduce_full).  Parentheses and unary
-# minus signs nest at most MAX_NESTING deep, so the recursive descent (four
-# frames a parenthesis) stays far from the interpreter's recursion limit.
+# that adds more than MAX_TERMS terms to the sum it divides (_reduce_full).
+# Parentheses and unary minus signs nest at most MAX_NESTING deep, so the
+# recursive descent (four frames a parenthesis) stays far from the
+# interpreter's recursion limit.
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
 MAX_COEFFICIENT_BITS = 10_000
@@ -950,7 +914,7 @@ class _Parser:
 
 def _parse_entry(ring: GradedRing, text: str) -> Packed:
     """An entry string as a RingElement, or as a Packed form (see _Parser),
-    reduced, when the relation's lead divides a monomial, as products by one."""
+    each group divided by the relation (GradedRing._normal_forms)."""
     if not isinstance(text, str) or not text.strip():
         raise InvalidInput("empty polynomial string")
     parser = _Parser(ring, text)
@@ -958,10 +922,8 @@ def _parse_entry(ring: GradedRing, text: str) -> Packed:
     if parser.peek() != ("end", ""):
         raise InvalidInput(f"trailing input in polynomial {text!r}")
     cls, width, top = Packed if node.form else RingElement, parser.glex.width, parser.top
-    groups: dict = {}
+    accs: dict = {}
     for k, (a, b) in node.rows.items():
-        groups.setdefault((0, k >> top), []).append((k & ((1 << top) - 1), a, b))
-    if ring.relation is None or all(ring._nf_at(width)[k] is None for rows in groups.values() for k, _, _ in rows):
-        return cls._reduced(ring, node.den, width, groups)
-    products = [(g, 1, node.den, width, rows, [(0, 1, 0)]) for g, rows in groups.items()]
-    return cls._make(ring, *sum_of_products(ring, products))
+        accs.setdefault((0, k >> top), {})[k & ((1 << top) - 1)] = [a, b]
+    den, groups = ring._normal_forms(accs, node.den, width)
+    return cls._reduced(ring, den, width, groups)

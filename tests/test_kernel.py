@@ -18,6 +18,9 @@ from util import NO_EXPLAIN, qi_ring, reference_reduce, reference_sum_of_product
 
 FREE = qi_ring("x1", "x2", "x3")
 SPHERE = sphere_ring(3)
+# the monic relation x1^2 + (3 - x2·x3)/(1 + 2i) has denominator 5, so a
+# key's division can scale its sum's denominator and not another key's
+GAUSS = qi_ring("x1", "x2", "x3", relation="(1+2*i)*x1^2 - x2*x3 + 3")
 
 # exponents on both sides of the packing-width boundaries 2^k - 1 | 2^k:
 # a field too narrow for a sum of two of them would carry into the next
@@ -30,8 +33,8 @@ scalars = st.builds(
     st.sampled_from([1, 2, 3, 4]),
 )
 term_dicts = st.dictionaries(st.tuples(exponents, exponents, exponents), scalars, max_size=4)
-# sphere elements are drawn in normal form (x1 to the power 0 or 1), so
-# their products still reduce but stay small
+# sphere and GAUSS elements are drawn in normal form (x1 to the power 0 or
+# 1), so their products still reduce but stay small
 sphere_terms = st.dictionaries(
     st.tuples(st.sampled_from([0, 1]), exponents, exponents), scalars, max_size=3
 )
@@ -62,7 +65,7 @@ def _contributions(ring):
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_kernel_matches_the_reference(data):
-    for ring in (FREE, SPHERE):
+    for ring in (FREE, SPHERE, GAUSS):
         batch = data.draw(_contributions(ring))
         got = _kernel(ring, batch)
         want = reference_sum_of_products(ring, batch)
@@ -81,6 +84,16 @@ def test_empty_and_all_zero_batches():
     assert sum_of_products(FREE, []) == (1, FREE.base_width, {})
     assert _kernel(FREE, [("a", 1, zero, one), ("b", -1, one, zero)]) == {}
     assert _kernel(SPHERE, [("a", 1, SPHERE.zero(), SPHERE.zero())]) == {}
+
+
+def test_keys_divided_apart_share_one_denominator():
+    # dividing key a by GAUSS's relation scales its sum's denominator by 5,
+    # key b is not divided: its rows are rescaled to the common denominator
+    x1, x2 = GAUSS.from_string("x1"), GAUSS.from_string("x2/3")
+    batch = [("a", 1, x1, x1), ("b", 1, x2, x2), ("c", -1, x1, x2)]
+    got = _kernel(GAUSS, batch)
+    assert got == reference_sum_of_products(GAUSS, batch)
+    assert str(got["a"]) == "(1/5-2/5*i)*x2*x3 + (-3/5+6/5*i)" and str(got["b"]) == "1/9*x2^2"
 
 
 def test_mul_is_the_one_product_case():
@@ -191,20 +204,18 @@ def test_a_relation_wider_than_the_products_reduces_none_of_them(relation):
 def test_a_quotient_product_past_the_guard_bit_repacks_its_accumulators(monkeypatch):
     # p and q have degree 4, which fits four bits a field, but their product
     # y0^2·y1^2·y2^2·y6^2 has degree 8, which reaches the guard bit of the
-    # degree field: the exact accumulators are repacked at five bits, then
-    # the relation's entry (degree 3, three bits) for the remainder cache of
-    # that width, where the normal form divides the product by the lead
-    # y0·y1·y2 into (y3^3 - y4)^2·y6^2.  The operands are not repacked, and
-    # the batch forms its products once.
+    # degree field: the exact accumulator is repacked at five bits, then the
+    # relation's entry (degree 3, three bits) at that width, where one
+    # division of the sum by the lead y0·y1·y2 gives (y3^3 - y4)^2·y6^2.  The
+    # operands are not repacked, and the batch forms its products once.
     p, q = WIDE_REL.from_string("y0^2*y1^2"), WIDE_REL.from_string("y2^2*y6^2 + y5")
     assert _width(WIDE_REL, p) == _width(WIDE_REL, q) == 4
     repacks, divisions = [], []
-    plain_repack, plain_nf = rings._repacked, WIDE_REL._normal_forms
-    monkeypatch.setattr(WIDE_REL, "_remainders", {})
+    plain_repack, plain_division = rings._repacked, rings._reduce_full
     monkeypatch.setattr(rings, "_repacked", lambda *args: repacks.append(args[2:]) or plain_repack(*args))
-    monkeypatch.setattr(WIDE_REL, "_normal_forms", lambda *args: divisions.append(args[2]) or plain_nf(*args))
+    monkeypatch.setattr(rings, "_reduce_full", lambda *args: divisions.append(args[3]) or plain_division(*args))
     got = p * q
-    assert (repacks, divisions) == ([(4, 5), (3, 5)], [5])
+    assert (repacks, divisions) == ([(4, 5), (3, 5)], [rings._glex(WIDE_REL.nvars, 5).guard])
     assert _width(WIDE_REL, got) == 5
     assert got.terms[(0, 0, 0, 6, 0, 0, 2) + (0,) * 8] == Scalar(1)
     free = WIDE_FREE.element(p.terms) * WIDE_FREE.element(q.terms)
@@ -306,9 +317,10 @@ def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):
 
 
 def test_kernel_work_of_reading_the_s4_file(monkeypatch):
-    # check_module makes 128 of the calls, and the reader one: the normal
-    # form of h, whose (1-x1)^2 leaves x1^2.  Reading each product of two
-    # factors by its own kernel call made 977 in all.
+    # check_module makes all 128 calls: the reader forms no product, and
+    # divides h, whose (1-x1)^2 leaves x1^2, by the relation without one
+    # (129 while it normal-formed by a product with one).  Reading each
+    # product of two factors by its own kernel call made 977 in all.
     from curvedchern.cli import _corpus_text, parse_instance
     from curvedchern.modules import check_module
 
@@ -316,7 +328,7 @@ def test_kernel_work_of_reading_the_s4_file(monkeypatch):
     inst = parse_instance(text, "s4")
     reading = _kernel_work(monkeypatch, lambda: parse_instance(text, "s4"))
     checking = _kernel_work(monkeypatch, lambda: check_module(inst.module))
-    assert (reading[0], checking[0]) == (129, 128)
+    assert (reading[0], checking[0]) == (128, 128)
 
 
 def test_the_suite_never_repacks_a_kernel_batch(monkeypatch):

@@ -15,6 +15,7 @@ from curvedchern.modules import (
     CurvedAlgebra,
     CurvedModule,
     check_module,
+    chern_power_series,
     chern_weil,
     commutator_check,
     commutator_residue,
@@ -490,6 +491,31 @@ def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
 def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
     monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, (0,)))
     assert cli.main(["verify", "--random", "1", "--seed", "6"]) == 4
+
+
+def test_the_power_series_equals_chern_weil_on_mf_xy_and_random_seeds():
+    inst = cli.parse_instance(cli._corpus_text("mf_xy.json"), "mf-xy")
+    M, C, R = inst.module, inst.connection, inst.module.ring
+    assert chern_power_series(M, C) == chern_weil(M, C) == USeries.from_form(_dx(R, "x").wedge(_dx(R, "y")))
+    for seed in range(50):
+        M, C = random_module_instance(seed)
+        assert chern_power_series(M, C) == chern_weil(M, C), seed
+
+
+def test_verify_exits_3_when_the_power_series_differs(monkeypatch, tmp_path, capsys):
+    # seeds 0 and 1 have ch = 0, which a shifted series leaves alone, and
+    # seed 2 has a ch at u^0 only, where the shifted series has nothing;
+    # every check of the suite passes on it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "chern_power_series", lambda M, C: chern_weil(M, C).shift_u(1))
+    assert cli.main(["verify", "--random", "3", "--seed", "0"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert [line.split(" (")[0] for line in lines[:3]] == ["PASS instance 00", "PASS instance 01", "FAIL instance 02"]
+    assert lines[3:] == ["failing instance written to failing-instance-2.json"]
+    assert err.startswith("identity failure: power-series check failed: u^0: chern-weil gives (3*i*x^2*y")
+    assert err.rstrip().endswith("power series gives 0")
+    assert (tmp_path / "failing-instance-2.json").exists()
 
 
 def test_connection_with_mu_refuses_a_perturbation_off_the_image_of_e():

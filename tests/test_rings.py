@@ -144,13 +144,13 @@ def test_relation_nf_matches_division_and_forms_nothing_when_reduced(which, data
     # division over the free ring, by the relation as a free element
     expected = reference_reduce(F.element(nonzero), [F.element(R.relation.terms)])
     calls = []
-    real = rings.sum_of_products
-    rings.sum_of_products = lambda *args: calls.append(1) or real(*args)
+    real = rings._reduce_full
+    rings._reduce_full = lambda *args: calls.append(1) or real(*args)
     try:
         got = R.element(terms)
         free = F.element(terms)
     finally:
-        rings.sum_of_products = real
+        rings._reduce_full = real
     assert got.terms == expected.terms
     assert free.terms == nonzero
     lead = R.relation.leading_term()[0]
@@ -254,9 +254,19 @@ def test_a_normal_form_past_the_term_cap_is_refused_quickly():
     R = sphere_ring(5)
     assert len(R.from_string("x1^20").rows) == 1001
     t0 = time.monotonic()
-    with pytest.raises(InvalidInput, match="polynomial too large: a normal form could have more than"):
+    with pytest.raises(InvalidInput, match="polynomial too large: a normal form could add more than"):
         R.from_string("x1^60")
     assert time.monotonic() - t0 < 1
+
+
+def test_the_term_cap_counts_only_what_the_division_adds():
+    # x·(1 + y + ... + y^100) times x·(1 + z + ... + z^100) has 10 201
+    # terms x^2·y^i·z^j, each of which x^2 - 1 divides into y^i·z^j: the
+    # division replaces every term and adds none beyond the sum it divides
+    R = qi_ring("x", "y", "z", relation="x^2 - 1")
+    p = R.from_string("x*(" + " + ".join(f"y^{i}" for i in range(101)) + ")")
+    q = R.from_string("x*(" + " + ".join(f"z^{j}" for j in range(101)) + ")")
+    assert (p * q).terms == {(0, i, j): Scalar(1) for i in range(101) for j in range(101)}
 
 
 # -- the reader against term lists: one value, many spellings ----------------
