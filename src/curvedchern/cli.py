@@ -25,11 +25,18 @@ content.
 
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
+
+`main` may be called many times in one process (the tests and the
+benchmark do).  The argument parser is built once per process, on first
+use and not at import, and every later call reuses it.  A subcommand is
+dispatched by name: `main` runs the module's `cmd_<name>` as bound when it
+is called, so a rebound `cmd_*` is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -660,7 +667,12 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands, built once per process on first
+    use; every call returns that same parser.  Parsing leaves it unchanged,
+    and the parsed `command` names the subcommand: main dispatches by that
+    name, so the parser holds no reference to the `cmd_*` functions."""
     parser = argparse.ArgumentParser(
         prog="curvedchern",
         description="Exact Chern characters of curved modules, two ways.",
@@ -672,29 +684,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--milnor", action="store_true", help="reduce the u^0 top form")
     p.add_argument("--bound", type=int, default=None, help="degree bound for mod-relation checks")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="invariant suite on a file or random instances")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--random", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="S")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("examples", help="run a built-in example against its golden report")
     p.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
-    p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("milnor", help="Milnor number of an isolated singularity")
     p.add_argument("poly")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
-    p.set_defaults(func=cmd_milnor)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code.  The parser is built
+    on the first call in a process and reused; the subcommand runs as the
+    `cmd_<command>` this module holds at the time of the call, looked up by
+    name, so a rebound one (a test's monkeypatch, a tracer's wrapper) runs."""
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -18,15 +18,37 @@ from curvedchern.rings import GradedRing
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(*args, cwd=None):
+def _python(*args, cwd=None):
+    """A fresh interpreter run with the package's source on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     return subprocess.run(
-        [sys.executable, "-m", "curvedchern.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
+
+
+def _run(*args, cwd=None):
+    return _python("-m", "curvedchern.cli", *args, cwd=cwd)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main() call, so import costs nothing
+    proc = _python("-c", """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def spy(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = spy
+import curvedchern.cli
+print(made)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["mf-xy", "s4-nonflat"])

@@ -1,9 +1,11 @@
 """The `milnor` subcommand in-process: its output against a golden file,
-the number of Groebner bases a run builds, and a fuzz over malformed input
-with the exit-code contract (0 pass, 2 invalid input)."""
+the number of Groebner bases a run builds, one argument parser per process
+and no state carried from one `cli.main` call to the next, and a fuzz over
+malformed input with the exit-code contract (0 pass, 2 invalid input)."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 from datetime import timedelta
@@ -45,28 +47,82 @@ GOLDEN_POLYS = (
 )
 
 
-def _milnor(poly: str, variables: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `curvedchern milnor poly
-    --vars=variables`; an argparse usage error exits 2 as it does from the
-    shell."""
+def _main(argv: list) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `curvedchern *argv` run in-process; an
+    argparse usage error exits 2 as it does from the shell."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(["milnor", poly, f"--vars={variables}"])
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
-def test_milnor_output_matches_its_golden():
-    blocks = GOLDEN.read_text(encoding="utf-8").split(HEADER)[1:]
-    assert [b.split(" --vars ")[0] for b in blocks] == list(GOLDEN_POLYS)
-    for block in blocks:
+def _milnor(poly: str, variables: str) -> tuple[int, str, str]:
+    """`curvedchern milnor poly --vars=variables`, as _main runs it."""
+    return _main(["milnor", poly, f"--vars={variables}"])
+
+
+def _golden_blocks() -> list:
+    """(poly, variables, output) of each block of the golden file."""
+    blocks = []
+    for block in GOLDEN.read_text(encoding="utf-8").split(HEADER)[1:]:
         header, want = block.split("\n", 1)
         poly, variables = header.split(" --vars ")
+        blocks.append((poly, variables, want))
+    return blocks
+
+
+def test_milnor_output_matches_its_golden():
+    blocks = _golden_blocks()
+    assert [poly for poly, _, _ in blocks] == list(GOLDEN_POLYS)
+    for poly, variables, want in blocks:
         code, got, err = _milnor(poly, variables)
         assert code == 0, err
         assert got == want, poly
+
+
+def test_in_process_calls_build_at_most_one_parser(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for poly in GOLDEN_POLYS[:6]:
+        code, _, err = _milnor(poly, "x,y,z")
+        assert code == 0, err
+    # none if an earlier call in this process built it, else one parser
+    # with its four subcommand parsers
+    one_build = ["curvedchern"] + [
+        f"curvedchern {name}" for name in ("compute", "verify", "examples", "milnor")
+    ]
+    assert made in ([], one_build)
+
+
+def test_in_process_calls_carry_no_state(monkeypatch):
+    refused = ["milnor", "--vars", "x,y", "-x^2+y^2"]
+    code, out, first_err = _main(refused)
+    assert (code, out) == (2, "")
+    assert 'goes after \'--\', as in: milnor --vars x,y -- "-x^2+y^2"' in first_err
+
+    poly = "x^3+y^4+z^5+x*y^2*z"
+    [(variables, want)] = [(v, w) for p, v, w in _golden_blocks() if p == poly]
+    assert _main(["milnor", poly, "--vars", variables]) == (0, want, "")
+
+    code, out, err = _main(["verify", "--random", "3", "--seed", "0"])
+    assert code == 0, err
+    assert out.endswith("all 3 random instances passed\n")
+
+    assert _main(refused) == (2, "", first_err)
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_milnor", lambda args: ran.append(args.poly) or 0)
+    assert _main(["milnor", poly, "--vars", variables]) == (0, "", "")
+    assert ran == [poly]
 
 
 def _count_bases(monkeypatch) -> list:
