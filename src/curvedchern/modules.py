@@ -188,33 +188,32 @@ def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
 def curvature_mat(C: Connection) -> Mat:
     """nabla^2 as a matrix, by double application: K = nabla(nabla(e)).
 
-    The result is automatically supported on im(e).  For each variable x_v
-    the residue nabla(nabla(e·x_v)) - K·x_v, K·x_v subtracted in the second
-    pass, must vanish (an implementation bug detector; A-linearity is
-    automatic mathematically); the first failure, by column and then
-    variable, raises NonLinearCurvature.  Over a quotient ring d of a
-    normal form is not a derivation, so the residue need only lie in the
-    relation submodule.
+    The result is automatically supported on im(e).  Its A-linearity (a
+    bug detector; it holds mathematically) is checked in one block for all
+    variables: column v·n + j of S = [x_1·I | ... | x_n·I] is x_v·e_j, and
+    nabla(nabla(e·S)) - K·S, with K·S in the second pass, must vanish
+    (e·S = S forms nothing when e = 1).  The least failing (j, v) =
+    (c mod n, c div n) raises NonLinearCurvature.  Over a quotient ring d
+    of a normal form is not a derivation, so the residue need only lie in
+    the relation submodule.
     """
     if C._curvature is not None:
         return C._curvature
     M = C.module
     ring = M.ring
+    n = len(M.degrees)
 
     def nabla(X: Mat, *extra) -> Mat:
         terms = _nabla_terms(C, X, X.row_sign_d()) + list(extra)
-        return Mat.sum_of_products(ring, M.degrees, M.degrees, terms)
+        return Mat.sum_of_products(ring, M.degrees, X.source_degrees, terms)
 
     K = nabla(nabla(M.e))
-    failures = []
-    for v, name in enumerate(ring.variables):
-        xv = ring.var(name)
-        scale = Mat.diagonal(ring, M.degrees, [USeries.from_ring(xv)] * len(M.degrees))
-        Z = nabla(nabla(M.e.scale_ring(xv)), (-1, 0, K, scale))
-        failures += [
-            (j, v) for row in Z.rows for j, resid in row.items()
-            if not all(vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers())
-        ]
+    xs = [USeries.from_ring(ring.var(name)) for name in ring.variables]
+    S = Mat._make(ring, M.degrees, M.degrees * len(xs),
+                  [{v * n + t: x for v, x in enumerate(xs) if x.groups} for t in range(n)])
+    Z = nabla(nabla(M.e @ S), (-1, 0, K, S))
+    failures = [(c % n, c // n) for row in Z.rows for c, resid in row.items()
+                if not all(vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers())]
     if failures:
         j, v = min(failures)
         raise NonLinearCurvature(f"curvature fails linearity in {ring.variables[v]} on column {j}")

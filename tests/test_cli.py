@@ -77,7 +77,7 @@ def compute_json():
 @pytest.mark.parametrize("stem", CORPUS_STEMS)
 def test_compute_json_matches_its_golden_apart_from_timing(compute_json, stem):
     doc = dict(compute_json[stem])
-    assert sorted(doc.pop("timing")) == ["chern_via_chains", "chern_weil", "identity_checks"]
+    assert sorted(doc.pop("timing")) == ["chern_via_chains", "chern_weil", "curvature", "identity_checks"]
     golden = json.loads((ROOT / "tests" / f"{stem}.json.golden").read_text(encoding="utf-8"))
     assert doc == golden
 

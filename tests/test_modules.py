@@ -440,19 +440,23 @@ def test_curvature_matches_the_column_by_column_double_application():
         assert curvature_mat(C) == reference_curvature(C)
 
 
-def _not_a_derivation(plain, variables):
-    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2)
-    of each of the ring's variables with these indices a second time, so
-    that D is no longer a derivation in them."""
+def _not_a_derivation(plain, variables, power=None, odd_rows=False):
+    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2,
+    or k == power when given) of each of the ring's variables with these
+    indices a second time, so that D is no longer a derivation in them;
+    with odd_rows, only on the rows of odd basis degree."""
 
     def mutant(v, degree):
         ring = v.ring
         out = plain(v, degree)
+        if odd_rows and degree % 2 == 0:
+            return out
         for k in variables:
             high = {}
             for J, form in v.coeffs.items():
                 for S, p in form.parts.items():
-                    q = {m: c for m, c in p.terms.items() if m[k] >= 2}
+                    q = {m: c for m, c in p.terms.items()
+                         if (m[k] >= 2 if power is None else m[k] == power)}
                     if q and k not in S:
                         high.setdefault(J, {})[S] = RingElement(ring, q)
             again = plain(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree)
@@ -486,6 +490,68 @@ def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
     with pytest.raises(NonLinearCurvature) as old:
         reference_curvature(random_module_instance(seed)[1])
     assert str(old.value) == want
+
+
+@pytest.mark.parametrize("variables, message", [((1,), "x2 on column 4"), ((3,), "x4 on column 4")])
+def test_linearity_check_reads_the_block_column_mod_relation(variables, message, monkeypatch):
+    # s4 has rank 8, so x_v·I holds its column j at v·8 + j.  Its e is
+    # block diagonal in the basis degrees, and the mutant breaks D on the
+    # odd rows only, so the failures sit in columns 4-7.  The x1 residues
+    # of columns 0-4 are nonzero there too, but lie in the relation
+    # submodule: the first failure, x_{k+1} on column 4 (block column
+    # 8·k + 4), is named only when vanishes_mod_relation reads them.
+    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, variables, 1, True))
+    want = f"curvature fails linearity in {message}"
+    with pytest.raises(NonLinearCurvature) as old:
+        reference_curvature(_s4()[1])
+    assert str(old.value) == want
+    with pytest.raises(NonLinearCurvature) as got:
+        curvature_mat(_s4()[1])
+    assert str(got.value) == want
+    monkeypatch.setattr(modules, "vanishes_mod_relation", lambda form: form.is_zero())
+    with pytest.raises(NonLinearCurvature) as strict:
+        curvature_mat(_s4()[1])
+    assert str(strict.value) == "curvature fails linearity in x1 on column 0"
+
+
+def _curvature_passes(monkeypatch, C) -> tuple[int, list]:
+    """(Mat.sum_of_products passes, rings.sum_of_products contributions)
+    of curvature_mat(C), the kernel spied on in every module that holds it."""
+    from curvedchern import rings
+
+    passes, contributions = [0], []
+    whole, kernel = Mat.sum_of_products, rings.sum_of_products
+
+    def count(*args):
+        passes[0] += 1
+        return whole(*args)
+
+    def spy(ring, batch):
+        contributions.extend(batch)
+        return kernel(ring, batch)
+
+    monkeypatch.setattr(Mat, "sum_of_products", staticmethod(count))
+    for mod in (rings, forms, matform):
+        monkeypatch.setattr(mod, "sum_of_products", spy)
+    curvature_mat(C)
+    monkeypatch.undo()
+    return passes[0], contributions
+
+
+def test_the_linearity_check_makes_a_fixed_number_of_passes(monkeypatch):
+    # random seeds 3, 2 and 4 have 1, 2 and 3 variables, e = 1 and theta
+    # != 0.  K = nabla(nabla(e)) and the block nabla(nabla(S)) - K·S are
+    # two passes each at any number of variables; e·S = S forms nothing.
+    for seed, nvars in [(3, 1), (2, 2), (4, 3)]:
+        C = random_module_instance(seed)[1]
+        assert C.module.ring.nvars == nvars and C.module.e.is_identity()
+        passes, contributions = _curvature_passes(monkeypatch, C)
+        assert passes == 4
+        # with e = 1 every product has a form factor (theta, D(.) or K):
+        # none is the product of two functions e[t][t]·x_v, keyed (0, 0)
+        assert contributions and all(key[1] for key, *_ in contributions)
+    # a nontrivial e forms e·S in one more pass
+    assert _curvature_passes(monkeypatch, _s4()[1])[0] == 5
 
 
 def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
