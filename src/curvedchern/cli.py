@@ -26,6 +26,15 @@ content.
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
 
+`run_suite` forms the curvature and A = [nabla, delta] first.  The
+commutator check shares nothing else with the rest of the suite: on a
+module where it forms more than FORK_MIN_PAIRS term pairs, in a process
+that can fork, may use two CPUs and runs one thread, it runs in a forked
+child beside Chern-Weil, the chain route and the cycle check, and sends
+its verdict (or the exception it raised) back over a pipe.  Elsewhere
+(random instances, small files) it runs in this process after the cycle
+check.  Results are the same either way.
+
 `main` may be called many times in one process (the tests and the
 benchmark do).  The argument parser is built once per process, on first
 use and not at import, and every later call reuses it.  A subcommand is
@@ -39,9 +48,12 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import signal
 import sys
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -70,6 +82,7 @@ from .modules import (
     chern_weil,
     commutator_check,
     connection_with_mu,
+    covariant_derivative,
     curvature_mat,
     cycle_check,
     levi_civita,
@@ -370,29 +383,144 @@ class SuiteResult:
         return self.routes_equal and self.cycle.ok and self.commutator.ok
 
 
+# The commutator check runs in a forked child beside the two routes only
+# when it pays.  Forking a 25 MB process, piping a verdict back and reaping
+# the child took 3-5 ms raw on a 2-core x86-64 host, and the check in the
+# child took as long as in the parent (copy-on-write adds little).  The
+# check costs ~1.2 us raw per term pair of delta·R and R·delta (s4-nonflat:
+# 161 588 pairs, 160 496 by _check_pairs, in 0.19 s), so at this many pairs
+# it takes ~24 ms, about five times what the fork costs.  Random instances
+# reach at most 715 by _check_pairs (seeds 0-999).
+FORK_MIN_PAIRS = 20_000
+
+
+def _check_pairs(delta: Mat, K: Mat, A: Mat) -> int:
+    """The term pairs delta·R and R·delta form in the commutator residue,
+    estimated as 2·T(delta)·T(R)/n, T(X) the terms X stores and n the
+    rank: a term of delta meets the terms of one row or column of R, about
+    T(R)/n.  R = u·K + A stores K's terms and A's, at different u-powers."""
+
+    def terms(X: Mat) -> int:
+        return sum(sum(map(len, v.groups.values())) for row in X.rows for v in row.values())
+
+    return 2 * terms(delta) * (terms(K) + terms(A)) // len(delta.rows)
+
+
+def _forks(delta: Mat, K: Mat, A: Mat) -> bool:
+    """Whether run_suite runs the commutator check in a forked child: the
+    platform forks, the process may use two CPUs and runs one thread (a
+    fork copies only the calling thread), and the check forms more than
+    FORK_MIN_PAIRS term pairs (_check_pairs of delta, K = nabla^2 and
+    A = [nabla, delta])."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return (
+        hasattr(os, "fork")
+        and cpus >= 2
+        and threading.active_count() == 1
+        and _check_pairs(delta, K, A) > FORK_MIN_PAIRS
+    )
+
+
+def _timed_commutator(M: CurvedModule, C: Connection, bound: int | None) -> tuple:
+    """(commutator_check(M, C, bound), the seconds it took)."""
+    t0 = time.monotonic()
+    return commutator_check(M, C, bound), time.monotonic() - t0
+
+
+@contextmanager
+def _commutator_beside(M: CurvedModule, C: Connection, bound: int | None):
+    """commutator_check(M, C, bound) in a forked child while the block runs.
+
+    Yields a function that waits for the child and returns (its verdict,
+    the seconds it took there), or raises what the child raised, of the
+    same type and with the same message.  A child that writes nothing
+    back raises InternalCheckFailure.  On leaving the block the child is
+    reaped, and killed first if its result was never asked for (the
+    block raised)."""
+    # imported here: only a run that forks needs it, and it adds ~0.25 MB
+    # to the peak memory of every other run
+    import pickle
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                out = _timed_commutator(M, C, bound)
+            except Exception as exc:
+                out = exc
+            with os.fdopen(w, "wb") as fh:
+                fh.write(pickle.dumps(out))
+        finally:
+            # leave without the parent's atexit handlers, buffer flushes or test teardown
+            os._exit(0)
+    os.close(w)
+    reader = os.fdopen(r, "rb")
+
+    def result():
+        with reader:
+            data = reader.read()
+        try:
+            out = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
+            raise InternalCheckFailure("the commutator check's process sent no verdict") from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    try:
+        yield result
+    finally:
+        if not reader.closed:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 @_exact_digits()
 def run_suite(
     M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
 ) -> SuiteResult:
+    """Both routes and both identity checks on (M, C).
+
+    The curvature K and A = [nabla, delta], cached on C, come first.  The
+    commutator check then shares nothing with the rest, so on a module
+    large enough that it pays (_forks) it runs in a forked child while this
+    process runs Chern-Weil, the chain route and the cycle check; the
+    result is the same either way.  `timing` holds each stage's own
+    seconds: curvature (K), chern_weil (A and the words), chern_via_chains,
+    and identity_checks, the cycle check's time plus the commutator
+    check's, measured where it ran (in the child when forked).
+    """
     timing: dict[str, float] = {}
     # one evaluator for both routes: a word they share is evaluated once
     words = WordEvaluator()
     t0 = time.monotonic()
-    curvature_mat(C)  # cached on C for every stage below
+    K = curvature_mat(C)  # cached on C for every stage below
     timing["curvature"] = time.monotonic() - t0
     t0 = time.monotonic()
-    ch_weil = chern_weil(M, C, words)
-    timing["chern_weil"] = time.monotonic() - t0
-    t0 = time.monotonic()
-    ch_chains = chern_via_chains(M, C, words=words)
-    timing["chern_via_chains"] = time.monotonic() - t0
+    A = covariant_derivative(C, M.delta, 1)  # cached on C likewise
+    a_s = time.monotonic() - t0
+    if _forks(M.delta, K, A):
+        commutator_run = _commutator_beside(M, C, bound)
+    else:
+        commutator_run = nullcontext(functools.partial(_timed_commutator, M, C, bound))
+    with commutator_run as commutator_verdict:
+        t0 = time.monotonic()
+        ch_weil = chern_weil(M, C, words)
+        timing["chern_weil"] = a_s + time.monotonic() - t0
+        t0 = time.monotonic()
+        ch_chains = chern_via_chains(M, C, words=words)
+        timing["chern_via_chains"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        cycle = cycle_check(M, C, bound, ch=ch_weil)
+        cycle_s = time.monotonic() - t0
+        commutator, commutator_s = commutator_verdict()
+    timing["identity_checks"] = cycle_s + commutator_s
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()
     first_mismatch = None if routes_equal else diff.u_powers()[0]
-    t0 = time.monotonic()
-    cycle = cycle_check(M, C, bound, ch=ch_weil)
-    commutator = commutator_check(M, C, bound)
-    timing["identity_checks"] = time.monotonic() - t0
     result = SuiteResult(
         ch_weil, ch_chains, routes_equal, first_mismatch, cycle, commutator,
         timing=timing,

@@ -149,9 +149,16 @@ class GradedRing:
         return RingElement._make(self, c.d, self.base_width, {_KEY: [(0, c.an, c.bn)]})
 
     def var(self, name: str) -> "RingElement":
+        """The variable `name` as an element.  A variable is its own normal
+        form unless the relation's lead is a variable (degree 1), so only
+        then is it divided by the relation."""
         if name not in self._index:
             raise InvalidInput(f"unknown variable {name!r}")
-        return RingElement(self, {tuple(int(v == name) for v in self.variables): ONE})
+        m = tuple(int(v == name) for v in self.variables)
+        if self.relation is not None and self.relation.total_degree() == 1:
+            return RingElement(self, {m: ONE})
+        glex = _glex(self.nvars, self.base_width)
+        return RingElement._make(self, 1, glex.width, {_KEY: [(glex.encode(m), 1, 0)]})
 
     def from_string(self, text: str) -> "RingElement":
         if type(p := _parse_entry(self, text)) is not RingElement:

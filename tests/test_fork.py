@@ -1,0 +1,115 @@
+"""The commutator check beside the two routes, in-process: on s4 it runs in
+a forked child and gives the same result as in this process; a child that
+raises or dies keeps the exit-code contract; no child outlives its suite;
+and random instances, the small corpus file and `milnor` never fork."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import time
+from importlib.resources import files
+
+import pytest
+
+from curvedchern import cli
+from curvedchern.errors import IdentityFailure, InternalCheckFailure, InvalidInput
+
+CORPUS = files("curvedchern") / "corpus"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process while the test runs."""
+    pids = []
+    plain = os.fork
+
+    def spy():
+        pid = plain()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _main(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _s4_suite():
+    inst = cli.parse_instance(cli._corpus_text("s4_nonflat.json"), "s4")
+    return cli.run_suite(inst.module, inst.connection, **inst.options)
+
+
+def test_the_forked_s4_suite_matches_the_in_process_one(forks, monkeypatch):
+    forked = _s4_suite()
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(cli, "_forks", lambda *mats: False)
+    here = _s4_suite()
+    assert len(forks) == 1
+    assert forked.ch_weil == here.ch_weil and forked.ch_chains == here.ch_chains
+    assert (forked.routes_equal, forked.first_mismatch) == (here.routes_equal, here.first_mismatch)
+    # both verdicts field for field: ok, mode and detail
+    assert (forked.cycle, forked.commutator) == (here.cycle, here.commutator)
+    assert forked.commutator.mode == "mod-relation" and forked.commutator.detail == "bound 6"
+    assert (forked.milnor_f, forked.milnor_rep) == (here.milnor_f, here.milnor_rep)
+    assert sorted(forked.timing) == sorted(here.timing)
+    assert forked.ok
+
+
+def _raising(exc):
+    def stage(*args, **kwargs):
+        raise exc
+
+    return stage
+
+
+@pytest.mark.parametrize(
+    "check, code, message",
+    [
+        (_raising(InvalidInput("bad in the child")), 2, "invalid input: bad in the child\n"),
+        (_raising(IdentityFailure("fails in the child")), 3, "identity failure: fails in the child\n"),
+        # dies without writing a verdict
+        (lambda M, C, bound: os._exit(1), 4,
+         "internal consistency failure: the commutator check's process sent no verdict\n"),
+    ],
+    ids=["invalid-input", "identity-failure", "no-verdict"],
+)
+def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, check, code, message):
+    # the small file, forced onto the fork path
+    monkeypatch.setattr(cli, "_forks", lambda *mats: True)
+    monkeypatch.setattr(cli, "commutator_check", check)
+    assert _main("compute", str(CORPUS / "mf_xy.json"))[::2] == (code, message)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_failing_parent_stage_kills_and_reaps_the_child(forks, monkeypatch):
+    monkeypatch.setattr(cli, "_forks", lambda *mats: True)
+    monkeypatch.setattr(cli, "commutator_check", lambda M, C, bound: time.sleep(60))
+    monkeypatch.setattr(cli, "chern_via_chains", _raising(InternalCheckFailure("chain route broke")))
+    t0 = time.monotonic()
+    code, _, err = _main("compute", str(CORPUS / "mf_xy.json"))
+    assert (code, err) == (4, "internal consistency failure: chain route broke\n")
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_random_instances_the_small_file_and_milnor_never_fork(forks):
+    assert _main("verify", "--random", "300", "--seed", "0")[0] == 0
+    assert _main("compute", str(CORPUS / "mf_xy.json"))[0] == 0
+    assert _main("milnor", "x^3+y^4+z^5+x*y^2*z", "--vars", "x,y,z")[0] == 0
+    assert forks == []

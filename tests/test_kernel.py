@@ -298,8 +298,12 @@ def _kernel_work(monkeypatch, run) -> tuple[int, int]:
 
 
 def test_kernel_work_of_one_s4_suite(monkeypatch):
+    from curvedchern import cli
     from curvedchern.cli import _corpus_text, parse_instance, run_suite
 
+    # the spy counts this process only: the commutator check (128 calls,
+    # 221 168 pairs) stays here rather than in a forked child
+    monkeypatch.setattr(cli, "_forks", lambda *mats: False)
     inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
     work = _kernel_work(monkeypatch, lambda: run_suite(inst.module, inst.connection, **inst.options))
     # 1 020 calls and 1 794 924 pairs while the chain route re-checked e·e,
@@ -343,9 +347,12 @@ def test_the_suite_never_repacks_a_kernel_batch(monkeypatch):
     # a guard bit, and no result or sum changes width: every change of width
     # goes through rings._repacked.  A batch forms its products once; there
     # is no path that forms them again.
+    from curvedchern import cli
     from curvedchern.cli import _corpus_text, parse_instance, run_suite
     from curvedchern.randomgen import random_module_instance
 
+    # the spy sees this process only, so the s4 commutator check runs here
+    monkeypatch.setattr(cli, "_forks", lambda *mats: False)
     inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
     instances = [random_module_instance(s) for s in range(300)]
     repacks = []

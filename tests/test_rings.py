@@ -101,6 +101,27 @@ def test_named_entry_points():
     assert R.element({(1,): Scalar(2)}) == R.from_string("2*x")
 
 
+@pytest.mark.parametrize(
+    "relation, printed",
+    [
+        (None, ["x", "y", "z"]),
+        ("x^2+y^2+z^2-1", ["x", "y", "z"]),
+        # leads x*y and z^2: no lead divides a variable
+        ("z-x*y", ["x", "y", "z"]),
+        ("z^2-x", ["x", "y", "z"]),
+        # the lead x is a variable, which the relation reduces
+        ("x+y-1", ["-y + 1", "y", "z"]),
+    ],
+)
+def test_variables_are_their_normal_forms(relation, printed):
+    R = GradedRing(["x", "y", "z"], [0, 0, 0], grading="Z2", relation=relation)
+    for name, want in zip(R.variables, printed):
+        x = R.var(name)
+        assert str(x) == want
+        # the same canonical value the normal form of the monomial gives
+        assert x.key() == R.element({tuple(int(v == name) for v in R.variables): Scalar(1)}).key()
+
+
 small_ints = st.integers(min_value=-4, max_value=4)
 term_lists = st.lists(
     st.tuples(st.tuples(small_ints, small_ints), small_ints), max_size=5
