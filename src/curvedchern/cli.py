@@ -26,14 +26,18 @@ content.
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
 
-`run_suite` forms the curvature and A = [nabla, delta] first.  The
-commutator check shares nothing else with the rest of the suite: on a
-module where it forms more than FORK_MIN_PAIRS term pairs, in a process
-that can fork, may use two CPUs and runs one thread, it runs in a forked
-child beside Chern-Weil, the chain route and the cycle check, and sends
-its verdict (or the exception it raised) back over a pipe.  Elsewhere
-(random instances, small files) it runs in this process after the cycle
-check.  Results are the same either way.
+`run_suite` forms the curvature K = nabla^2 and A = [nabla, delta] first.
+On a module where the commutator check forms more than FORK_MIN_PAIRS term
+pairs, in a process that can fork, may use two CPUs and runs one thread,
+the suite runs in two processes.  A forked child evaluates the Chern-Weil
+words that contain a K letter, sends their supertraces back over a pipe,
+then runs the commutator check and sends its verdict (either message may
+be the exception the child raised).  Meanwhile this process evaluates the
+pure powers of A, adopts the child's supertraces, and sums Chern-Weil,
+runs the chain route (which then forms nothing new) and the cycle check.
+Elsewhere (random instances, small files) everything runs in this
+process, the commutator check after the cycle check.  Results are the
+same either way.
 
 `main` may be called many times in one process (the tests and the
 benchmark do).  The argument parser is built once per process, on first
@@ -80,6 +84,7 @@ from .modules import (
     IdentityVerdict,
     chern_power_series,
     chern_weil,
+    chern_weil_words,
     commutator_check,
     connection_with_mu,
     covariant_derivative,
@@ -383,14 +388,17 @@ class SuiteResult:
         return self.routes_equal and self.cycle.ok and self.commutator.ok
 
 
-# The commutator check runs in a forked child beside the two routes only
-# when it pays.  Forking a 25 MB process, piping a verdict back and reaping
-# the child took 3-5 ms raw on a 2-core x86-64 host, and the check in the
-# child took as long as in the parent (copy-on-write adds little).  The
-# check costs ~1.2 us raw per term pair of delta·R and R·delta (s4-nonflat:
-# 161 588 pairs, 160 496 by _check_pairs, in 0.19 s), so at this many pairs
-# it takes ~24 ms, about five times what the fork costs.  Random instances
-# reach at most 715 by _check_pairs (seeds 0-999).
+# The suite runs in two processes only when it pays (cli module docstring).
+# Forking a 25 MB process, piping a result back and reaping the child took
+# 3-5 ms raw on a 2-core x86-64 host, and the work in the child took as
+# long as in the parent (copy-on-write adds little).  The gate is sized by
+# the commutator check alone: it costs ~1.2 us raw per term pair of
+# delta·R and R·delta (s4-nonflat: 161 588 pairs, 160 496 by _check_pairs,
+# in 0.19 s), so at this many pairs it takes ~24 ms, about five times what
+# the fork costs.  The child's share is larger than that, as it also
+# evaluates the Chern-Weil words that contain K, so the gate errs on the
+# side of not forking.  Random instances reach at most 715 by _check_pairs
+# (seeds 0-999).
 FORK_MIN_PAIRS = 20_000
 
 
@@ -407,11 +415,11 @@ def _check_pairs(delta: Mat, K: Mat, A: Mat) -> int:
 
 
 def _forks(delta: Mat, K: Mat, A: Mat) -> bool:
-    """Whether run_suite runs the commutator check in a forked child: the
+    """Whether run_suite runs in two processes (cli module docstring): the
     platform forks, the process may use two CPUs and runs one thread (a
-    fork copies only the calling thread), and the check forms more than
-    FORK_MIN_PAIRS term pairs (_check_pairs of delta, K = nabla^2 and
-    A = [nabla, delta])."""
+    fork copies only the calling thread), and the commutator check forms
+    more than FORK_MIN_PAIRS term pairs (_check_pairs of delta,
+    K = nabla^2 and A = [nabla, delta])."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return (
         hasattr(os, "fork")
@@ -428,49 +436,79 @@ def _timed_commutator(M: CurvedModule, C: Connection, bound: int | None) -> tupl
 
 
 @contextmanager
-def _commutator_beside(M: CurvedModule, C: Connection, bound: int | None):
-    """commutator_check(M, C, bound) in a forked child while the block runs.
+def _k_words_and_commutator_beside(
+    M: CurvedModule, C: Connection, bound: int | None, words: WordEvaluator, k_words: list
+):
+    """A forked child, while the block runs, evaluates the words k_words
+    through its copy of `words`, sends back their supertraces (`classes()`
+    of its copy), and only then runs commutator_check(M, C, bound) and
+    sends (its verdict, the seconds it took there).
 
-    Yields a function that waits for the child and returns (its verdict,
-    the seconds it took there), or raises what the child raised, of the
-    same type and with the same message.  A child that writes nothing
-    back raises InternalCheckFailure.  On leaving the block the child is
-    reaped, and killed first if its result was never asked for (the
-    block raised)."""
+    Yields (classes, verdict), two functions that wait for the child's
+    two messages in turn.  Each raises what the child raised, of the same
+    type and with the same message; a child that sent nothing in its place
+    raises InternalCheckFailure, naming the message that is missing.  On
+    leaving the block the child is reaped, and killed first if its verdict
+    was never read (the block raised).  Values of M's ring travel without
+    their ring and arrive on this process's ring object."""
     # imported here: only a run that forks needs it, and it adds ~0.25 MB
     # to the peak memory of every other run
     import pickle
+
+    ring = M.ring
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            return "ring" if obj is ring else None
+
+    class Unpickler(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return ring
 
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(r)
-            try:
-                out = _timed_commutator(M, C, bound)
-            except Exception as exc:
-                out = exc
             with os.fdopen(w, "wb") as fh:
-                fh.write(pickle.dumps(out))
+                try:
+                    for word in k_words:
+                        words.supertrace(word)
+                    out = words.classes()
+                except Exception as exc:
+                    out = exc
+                Pickler(fh).dump(out)
+                fh.flush()
+                if not isinstance(out, Exception):
+                    try:
+                        out = _timed_commutator(M, C, bound)
+                    except Exception as exc:
+                        out = exc
+                    Pickler(fh).dump(out)
         finally:
             # leave without the parent's atexit handlers, buffer flushes or test teardown
             os._exit(0)
     os.close(w)
     reader = os.fdopen(r, "rb")
 
-    def result():
-        with reader:
-            data = reader.read()
+    def receive(missing: str):
         try:
-            out = pickle.loads(data)
+            out = Unpickler(reader).load()
         except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
-            raise InternalCheckFailure("the commutator check's process sent no verdict") from None
+            raise InternalCheckFailure(missing) from None
         if isinstance(out, Exception):
             raise out
         return out
 
+    def classes():
+        return receive("the forked process sent no Chern-Weil classes")
+
+    def verdict():
+        with reader:
+            return receive("the commutator check's process sent no verdict")
+
     try:
-        yield result
+        yield classes, verdict
     finally:
         if not reader.closed:
             reader.close()
@@ -484,14 +522,17 @@ def run_suite(
 ) -> SuiteResult:
     """Both routes and both identity checks on (M, C).
 
-    The curvature K and A = [nabla, delta], cached on C, come first.  The
-    commutator check then shares nothing with the rest, so on a module
-    large enough that it pays (_forks) it runs in a forked child while this
-    process runs Chern-Weil, the chain route and the cycle check; the
-    result is the same either way.  `timing` holds each stage's own
-    seconds: curvature (K), chern_weil (A and the words), chern_via_chains,
-    and identity_checks, the cycle check's time plus the commutator
-    check's, measured where it ran (in the child when forked).
+    The curvature K and A = [nabla, delta], cached on C, come first.  On
+    a module large enough that it pays (_forks), a forked child evaluates
+    the Chern-Weil words that contain K and then runs the commutator
+    check, while this process evaluates the pure powers of A, adopts the
+    child's supertraces, sums Chern-Weil from them, and runs the chain
+    route and the cycle check; the result is the same either way.
+    `timing` holds each stage's own seconds: curvature (K), chern_weil (A
+    and the words, and in a forked run the wait for the child's
+    supertraces), chern_via_chains, and identity_checks, the cycle check's
+    time plus the commutator check's, measured where it ran (in the child
+    when forked).
     """
     timing: dict[str, float] = {}
     # one evaluator for both routes: a word they share is evaluated once
@@ -503,11 +544,21 @@ def run_suite(
     A = covariant_derivative(C, M.delta, 1)  # cached on C likewise
     a_s = time.monotonic() - t0
     if _forks(M.delta, K, A):
-        commutator_run = _commutator_beside(M, C, bound)
+        # A and K interned before the fork, so the child's letter ids are ours
+        sums = chern_weil_words(M, C, words)
+        k = words.letter(K)
+        powers = [w for w in sums if k not in w]
+        stage = _k_words_and_commutator_beside(M, C, bound, words, [w for w in sums if k in w])
     else:
-        commutator_run = nullcontext(functools.partial(_timed_commutator, M, C, bound))
-    with commutator_run as commutator_verdict:
+        # chern_weil evaluates every word, there are no classes to adopt,
+        # and the commutator check runs here after the cycle check
+        powers = []
+        stage = nullcontext((dict, functools.partial(_timed_commutator, M, C, bound)))
+    with stage as (classes, commutator_verdict):
         t0 = time.monotonic()
+        for w in powers:
+            words.supertrace(w)
+        words.adopt(classes())
         ch_weil = chern_weil(M, C, words)
         timing["chern_weil"] = a_s + time.monotonic() - t0
         t0 = time.monotonic()

@@ -621,6 +621,10 @@ class WordEvaluator:
     σ(v[:cut]), the row class the first factor's columns land in.  The
     cut is ceil(len(v)/2).  Signs and weights of words beyond their own
     supertrace are the caller's business.
+
+    `classes` and `adopt` hand the least-rotation supertraces from one
+    evaluator to another over the same letter ids, as cli.run_suite's
+    forked child does to its parent.
     """
 
     def __init__(self):
@@ -654,6 +658,27 @@ class WordEvaluator:
         if got is None:
             got = self._classes[star] = self._graded(star)
         return -got if self._mu(word[:r]) * self._mu(word[r:]) else got
+
+    def classes(self) -> dict[tuple, USeries]:
+        """The supertraces evaluated so far, by least rotation: what
+        adopt takes."""
+        return dict(self._classes)
+
+    def adopt(self, classes: dict[tuple, USeries]) -> None:
+        """Hold supertraces evaluated by another evaluator, by least
+        rotation, so that supertrace forms nothing for their words.  The
+        other evaluator must hold this one's letters under the same ids,
+        as a forked copy does.  A class whose word uses a letter id this
+        evaluator does not hold, or one it holds with another value, is
+        refused with InternalCheckFailure (values are exact, so equal
+        classes compare equal), and then nothing is adopted."""
+        for star, value in classes.items():
+            if not all(0 <= x < len(self._letters) for x in star):
+                raise InternalCheckFailure(f"adopted class {star} uses a letter this evaluator does not hold")
+            held = self._classes.get(star)
+            if held is not None and held != value:
+                raise InternalCheckFailure(f"adopted class {star} differs from the one held")
+        self._classes.update(classes)
 
     def _mu(self, word: tuple[int, ...]) -> int:
         return sum(self._parities[x][0] for x in word) % 2

@@ -226,22 +226,46 @@ def curvature_R(C: Connection) -> Mat:
     return curvature_mat(C).shift_u(1) + covariant_derivative(C, C.module.delta, 1)
 
 
+def chern_weil_words(M: CurvedModule, C: Connection, words: WordEvaluator) -> list[tuple]:
+    """The words chern_weil sums, as tuples of letter ids of `words`.
+
+    A = [nabla, delta] and K = nabla^2 are interned in `words`, A first.
+    The words are the binary words w in A, K of length 1 <= m <= nvars
+    (letter k is K when bit k of the word's number is set), in order of m
+    and then of that number, leaving out those of form degree m + #K >
+    nvars, which vanish, and those with a zero letter."""
+    K = curvature_mat(C)
+    A = covariant_derivative(C, C.module.delta, 1)
+    letters = (words.letter(A), words.letter(K))
+    a_zero, k_zero = A.is_zero(), K.is_zero()
+    top = M.ring.nvars
+    out = []
+    for m in range(1, top + 1):
+        for bits in range(1 << m):
+            w = tuple((bits >> k) & 1 for k in range(m))
+            nk = sum(w)
+            if m + nk <= top and not (a_zero and nk < m) and not (k_zero and nk):
+                out.append(tuple(letters[b] for b in w))
+    return out
+
+
 def chern_weil(M: CurvedModule, C: Connection,
                words: WordEvaluator | None = None) -> USeries:
     """str(exp(-R)) = sum_m (-1)^m str(R^m)/m!.
 
     The m = 0 term is the supertrace of the identity of P, i.e. str(e).
-    With R = A + u·B for A = [nabla, delta] (one-forms) and B = nabla^2
-    (two-forms), str(R^m) is the sum over the 2^m binary words w in A, B
-    of str(w) at u^#B.  Words of form degree m + #B > nvars vanish, and so
-    do words with a zero letter; neither is evaluated.  A word with an odd
-    number of A links only basis vectors of opposite parity and has zero
-    supertrace; the evaluator returns that zero without forming anything.
+    With R = A + u·K for A = [nabla, delta] (one-forms) and K = nabla^2
+    (two-forms), str(R^m) is the sum over the 2^m binary words w in A, K
+    of str(w) at u^#K: the words of chern_weil_words, the others vanish.
+    A word with an odd number of A links only basis vectors of opposite
+    parity and has zero supertrace; the evaluator returns that zero
+    without forming anything.
     The supertraces come from `words` (a fresh WordEvaluator by default),
     which evaluates a rotation class once, at its least rotation, shares
     prefix products between words and, when the chain route is given the
     same evaluator, every product and supertrace of a rotation class the
-    two routes have in common.
+    two routes have in common.  A class the evaluator already holds, as
+    one cli.run_suite evaluated or adopted beforehand, forms nothing here.
     When A links only basis vectors of opposite parity, as delta does,
     the evaluator forms only the diagonal rows of even basis degree of a
     word with an A and reads the odd rows off a rotation: A^4 (the
@@ -249,25 +273,14 @@ def chern_weil(M: CurvedModule, C: Connection,
     the even rows of A·A by matform.supertrace_of_square.
     """
     words = WordEvaluator() if words is None else words
-    ring = M.ring
-    K = curvature_mat(C)
-    A = covariant_derivative(C, C.module.delta, 1)
+    sums = chern_weil_words(M, C, words)
+    k = words.letter(curvature_mat(C))
     acc = M.e.supertrace()
-    top = ring.nvars
-    a_zero = A.is_zero()
-    b_zero = K.is_zero()
-    letters = (words.letter(A), words.letter(K))
-
-    for m in range(1, top + 1):
-        weight = Scalar(Fraction((-1) ** m, factorial(m)))
-        for bits in range(1 << m):
-            w = tuple((bits >> k) & 1 for k in range(m))
-            nb = sum(w)
-            if m + nb > top or (a_zero and nb < m) or (b_zero and nb):
-                continue
-            tr = words.supertrace(tuple(letters[b] for b in w))
-            if not tr.is_zero():
-                acc = acc + tr.scale(weight).shift_u(nb)
+    for w in sums:
+        tr = words.supertrace(w)
+        if not tr.is_zero():
+            m = len(w)
+            acc = acc + tr.scale(Scalar(Fraction((-1) ** m, factorial(m)))).shift_u(w.count(k))
     return acc
 
 

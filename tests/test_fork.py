@@ -1,7 +1,9 @@
-"""The commutator check beside the two routes, in-process: on s4 it runs in
-a forked child and gives the same result as in this process; a child that
-raises or dies keeps the exit-code contract; no child outlives its suite;
-and random instances, the small corpus file and `milnor` never fork."""
+"""The suite in two processes: on s4 a forked child evaluates the
+Chern-Weil words that contain K = nabla^2 and runs the commutator check,
+and the suite gives the same result as in one process; a child that
+raises or dies in either stage keeps the exit-code contract; no child
+outlives its suite; and random instances, the small corpus file and
+`milnor` never fork."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import pytest
 
 from curvedchern import cli
 from curvedchern.errors import IdentityFailure, InternalCheckFailure, InvalidInput
+from curvedchern.matform import WordEvaluator
 
 CORPUS = files("curvedchern") / "corpus"
 
@@ -92,6 +95,41 @@ def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, check, co
     monkeypatch.setattr(cli, "_forks", lambda *mats: True)
     monkeypatch.setattr(cli, "commutator_check", check)
     assert _main("compute", str(CORPUS / "mf_xy.json"))[::2] == (code, message)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def _in_the_child(act):
+    """WordEvaluator.supertrace that runs act() first in a forked child and
+    evaluates as before in this process."""
+    parent = os.getpid()
+    plain = WordEvaluator.supertrace
+
+    def supertrace(self, word):
+        if os.getpid() != parent:
+            act()
+        return plain(self, word)
+
+    return supertrace
+
+
+@pytest.mark.parametrize(
+    "act, code, message",
+    [
+        (_raising(InvalidInput("bad word")), 2, "invalid input: bad word\n"),
+        (_raising(IdentityFailure("word fails")), 3, "identity failure: word fails\n"),
+        (_raising(InternalCheckFailure("word broke")), 4, "internal consistency failure: word broke\n"),
+        # dies before it sends its classes
+        (lambda: os._exit(1), 4,
+         "internal consistency failure: the forked process sent no Chern-Weil classes\n"),
+    ],
+    ids=["invalid-input", "identity-failure", "internal", "no-classes"],
+)
+def test_what_the_child_word_stage_raises_keeps_the_exit_code(forks, monkeypatch, act, code, message):
+    # s4, whose child has words with K to evaluate
+    monkeypatch.setattr(cli, "_forks", lambda *mats: True)
+    monkeypatch.setattr(WordEvaluator, "supertrace", _in_the_child(act))
+    assert _main("compute", str(CORPUS / "s4_nonflat.json"))[::2] == (code, message)
     assert len(forks) == 1
     _no_child_left()
 

@@ -278,9 +278,9 @@ def test_packed_readers_match_the_tuple_oracle(data):
 # the pin and says why.
 
 
-def _kernel_work(monkeypatch, run) -> tuple[int, int]:
-    """(calls, term pairs) of sum_of_products while run() runs, the kernel
-    spied on in every module that holds it."""
+def _spy_kernel(monkeypatch) -> list:
+    """[calls, term pairs] of sum_of_products from now on, counted as they
+    happen, the kernel spied on in every module that holds it."""
     from curvedchern import forms, matform
 
     work = [0, 0]
@@ -293,6 +293,12 @@ def _kernel_work(monkeypatch, run) -> tuple[int, int]:
 
     for mod in (rings, forms, matform):
         monkeypatch.setattr(mod, "sum_of_products", spy)
+    return work
+
+
+def _kernel_work(monkeypatch, run) -> tuple[int, int]:
+    """(calls, term pairs) of sum_of_products while run() runs."""
+    work = _spy_kernel(monkeypatch)
     run()
     return work[0], work[1]
 
@@ -301,14 +307,46 @@ def test_kernel_work_of_one_s4_suite(monkeypatch):
     from curvedchern import cli
     from curvedchern.cli import _corpus_text, parse_instance, run_suite
 
-    # the spy counts this process only: the commutator check (128 calls,
-    # 221 168 pairs) stays here rather than in a forked child
+    # the spy counts this process only: the words with K (20 calls,
+    # 186 014 pairs past the even rows of A·A, which A^4 shares) and the
+    # commutator check (216 calls, 253 356 pairs) stay here rather than in
+    # a forked child
     monkeypatch.setattr(cli, "_forks", lambda *mats: False)
     inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
     work = _kernel_work(monkeypatch, lambda: run_suite(inst.module, inst.connection, **inst.options))
     # 1 020 calls and 1 794 924 pairs while the chain route re-checked e·e,
     # e·e·e and e·delta·e, which check_module has proved
     assert work == (860, 1791372)
+
+
+def test_kernel_work_of_the_forked_s4_suite(monkeypatch):
+    # The spy counts this process only.  The forked child evaluates the
+    # words with K (the classes of K, K·K and A·A·K: 36 calls, 473 928
+    # pairs) and runs the commutator check (216 calls, 253 356 pairs).
+    # This process forms the curvature (541, 16 277), A = [nabla, delta]
+    # (64, 10 800), A·A and A^4 (18, 1 317 395) and the cycle check's
+    # residue (1, 7 530).  The even rows of A·A (16, 287 914) are formed in
+    # both processes, so this is the in-process pin less 236 calls and
+    # 439 370 pairs.  After adopting the child's classes, Chern-Weil and
+    # the chain route form nothing.
+    from curvedchern import cli
+    from curvedchern.cli import _corpus_text, parse_instance, run_suite
+
+    monkeypatch.setattr(cli, "_forks", lambda *mats: True)
+    inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
+    route, at_route = cli.chern_via_chains, []
+    work = _spy_kernel(monkeypatch)
+
+    def chain_route(*args, **kwargs):
+        before = tuple(work)
+        got = route(*args, **kwargs)
+        at_route.append((work[0] - before[0], work[1] - before[1]))
+        return got
+
+    monkeypatch.setattr(cli, "chern_via_chains", chain_route)
+    run_suite(inst.module, inst.connection, **inst.options)
+    assert at_route == [(0, 0)]
+    assert tuple(work) == (624, 1352002)
 
 
 def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):

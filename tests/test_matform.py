@@ -380,6 +380,61 @@ def test_word_evaluator_forms_nothing_for_a_word_of_odd_shift(monkeypatch):
         assert tr.is_zero() and tr == _plain_supertrace({a: A, k: K}, w), w
 
 
+def _two_evaluators():
+    """An evaluator holding A and K, and one that has evaluated the A·A·K
+    class and K·K under the same letter ids."""
+    A, K = _graded_letters()
+    mine, theirs = WordEvaluator(), WordEvaluator()
+    for words in (mine, theirs):
+        a, k = words.letter(A), words.letter(K)
+    theirs.supertrace((k, a, a))
+    theirs.supertrace((k, k))
+    return mine, theirs, (a, k)
+
+
+def test_an_adopted_class_forms_nothing(monkeypatch):
+    mine, theirs, (a, k) = _two_evaluators()
+    classes = theirs.classes()
+    assert set(classes) == {(a, a, k), (k, k)}
+    mine.adopt(classes)
+    mine.adopt(classes)  # the same values again are no conflict
+    formed = []
+    plain = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda P, Q: formed.append(1) or plain(P, Q))
+    calls = _kernel_spy(monkeypatch)
+    got = {w: mine.supertrace(w) for w in [(a, k, a), (a, a, k), (k, k)]}
+    assert (formed, calls) == ([], [])
+    assert mine.classes() == classes
+    monkeypatch.undo()
+    A, K = _graded_letters()
+    for w, tr in got.items():
+        assert tr == _plain_supertrace({a: A, k: K}, w), w
+
+
+def test_adopt_refuses_a_class_it_holds_with_another_value():
+    mine, theirs, (a, k) = _two_evaluators()
+    held = mine.supertrace((a, a, k))
+    tampered = theirs.classes()
+    tampered[(a, a, k)] = held + held
+    with pytest.raises(InternalCheckFailure, match="differs from the one held"):
+        mine.adopt(tampered)
+    # nothing adopted, the held value kept
+    assert mine.classes() == {(a, a, k): held}
+
+
+def test_adopt_refuses_a_class_over_a_letter_it_does_not_hold():
+    mine, theirs, (a, k) = _two_evaluators()
+    # an evaluator with a third letter, -A, under id 2
+    A, K = _graded_letters()
+    extra = WordEvaluator()
+    extra.letter(A), extra.letter(K)
+    b = extra.letter(-A)
+    classes = {(a, b): extra.supertrace((a, b)), **theirs.classes()}
+    with pytest.raises(InternalCheckFailure, match="does not hold"):
+        mine.adopt(classes)
+    assert mine.classes() == {}
+
+
 # -- sparse storage against the dense reference ------------------------
 
 FREE = qi_ring("x1", "x2", "x3")
