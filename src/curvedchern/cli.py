@@ -26,18 +26,22 @@ content.
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
 
-`run_suite` forms the curvature K = nabla^2 and A = [nabla, delta] first.
-On a module where the commutator check forms more than FORK_MIN_PAIRS term
-pairs, in a process that can fork, may use two CPUs and runs one thread,
-the suite runs in two processes.  A forked child evaluates the Chern-Weil
-words that contain a K letter, sends their supertraces back over a pipe,
-then runs the commutator check and sends its verdict (either message may
-be the exception the child raised).  Meanwhile this process evaluates the
-pure powers of A, adopts the child's supertraces, and sums Chern-Weil,
-runs the chain route (which then forms nothing new) and the cycle check.
-Elsewhere (random instances, small files) everything runs in this
-process, the commutator check after the cycle check.  Results are the
-same either way.
+`run_suite` forms the curvature K = nabla^2, without its linearity check,
+and A = [nabla, delta] first.  On a module where the commutator check
+forms more than FORK_MIN_PAIRS term pairs, in a process that can fork, may
+use two CPUs and runs one thread, the suite runs in two processes.  A
+forked child runs K's linearity check, evaluates the Chern-Weil words that
+contain a K letter and runs the commutator check, and sends back over a
+pipe, in that order, the check's seconds, the words' supertraces and the
+commutator's verdict (each message may be the exception the child raised).
+Meanwhile this process evaluates the pure powers of A, reads the check,
+adopts the child's supertraces, and sums Chern-Weil, runs the chain route
+(which then forms nothing new) and the cycle check.  Elsewhere (random
+instances, small files) everything runs in this process: the linearity
+check first, the pure powers of A before the words with K, and the
+commutator check after the cycle check.  Results are the same either way,
+and so is the failure raised first: a failing linearity check wins over a
+failure of any later stage.
 
 `main` may be called many times in one process (the tests and the
 benchmark do).  The argument parser is built once per process, on first
@@ -76,7 +80,7 @@ from .groebner import (
     standard_monomials,
 )
 from .hochschild import chern_via_chains
-from .matform import Mat, WordEvaluator
+from .matform import Mat, WordEvaluator, stored_terms
 from .modules import (
     Connection,
     CurvedAlgebra,
@@ -84,13 +88,14 @@ from .modules import (
     IdentityVerdict,
     chern_power_series,
     chern_weil,
+    check_curvature,
     chern_weil_words,
     commutator_check,
     connection_with_mu,
     covariant_derivative,
-    curvature_mat,
     cycle_check,
     levi_civita,
+    unchecked_curvature,
 )
 from .randomgen import random_module_instance
 from .rings import GradedRing, RingElement, _mono_str, _parse_entry
@@ -395,10 +400,10 @@ class SuiteResult:
 # the commutator check alone: it costs ~1.2 us raw per term pair of
 # delta·R and R·delta (s4-nonflat: 161 588 pairs, 160 496 by _check_pairs,
 # in 0.19 s), so at this many pairs it takes ~24 ms, about five times what
-# the fork costs.  The child's share is larger than that, as it also
-# evaluates the Chern-Weil words that contain K, so the gate errs on the
-# side of not forking.  Random instances reach at most 715 by _check_pairs
-# (seeds 0-999).
+# the fork costs.  The child's share is larger than that, as it also runs
+# the curvature's linearity check and evaluates the Chern-Weil words that
+# contain K, so the gate errs on the side of not forking.  Random
+# instances reach at most 715 by _check_pairs (seeds 0-999).
 FORK_MIN_PAIRS = 20_000
 
 
@@ -409,7 +414,7 @@ def _check_pairs(delta: Mat, K: Mat, A: Mat) -> int:
     T(R)/n.  R = u·K + A stores K's terms and A's, at different u-powers."""
 
     def terms(X: Mat) -> int:
-        return sum(sum(map(len, v.groups.values())) for row in X.rows for v in row.values())
+        return sum(stored_terms(v) for row in X.rows for v in row.values())
 
     return 2 * terms(delta) * (terms(K) + terms(A)) // len(delta.rows)
 
@@ -429,28 +434,45 @@ def _forks(delta: Mat, K: Mat, A: Mat) -> bool:
     )
 
 
-def _timed_commutator(M: CurvedModule, C: Connection, bound: int | None) -> tuple:
-    """(commutator_check(M, C, bound), the seconds it took)."""
+def _timed(stage, *args, **kwargs) -> tuple:
+    """(stage(*args, **kwargs), the seconds it took)."""
     t0 = time.monotonic()
-    return commutator_check(M, C, bound), time.monotonic() - t0
+    return stage(*args, **kwargs), time.monotonic() - t0
+
+
+def _chern_weil_share(M: CurvedModule, C: Connection, K: Mat, words: WordEvaluator,
+                      with_k: bool) -> None:
+    """Evaluate through `words` the Chern-Weil words (chern_weil_words)
+    that contain a K letter if with_k, else the pure powers of A."""
+    sums = chern_weil_words(M, C, words)
+    k = words.letter(K)
+    for w in sums:
+        if (k in w) == with_k:
+            words.supertrace(w)
 
 
 @contextmanager
-def _k_words_and_commutator_beside(
-    M: CurvedModule, C: Connection, bound: int | None, words: WordEvaluator, k_words: list
+def _checks_and_k_words_beside(
+    M: CurvedModule, C: Connection, K: Mat, bound: int | None, words: WordEvaluator
 ):
-    """A forked child, while the block runs, evaluates the words k_words
-    through its copy of `words`, sends back their supertraces (`classes()`
-    of its copy), and only then runs commutator_check(M, C, bound) and
-    sends (its verdict, the seconds it took there).
+    """A forked child, while the block runs, sends three messages: the
+    seconds check_curvature(C, K) took; the supertraces (`classes()`) of
+    the Chern-Weil words with K, evaluated through its copy of `words`;
+    and (the verdict of commutator_check(M, C, bound), its seconds).  A
+    child that raises sends the exception in place of the message and
+    stops.  `words` must hold no letter at the fork: each process interns
+    the letters in the order of chern_weil_words, so the child's letter
+    ids are this process's.
 
-    Yields (classes, verdict), two functions that wait for the child's
-    two messages in turn.  Each raises what the child raised, of the same
-    type and with the same message; a child that sent nothing in its place
-    raises InternalCheckFailure, naming the message that is missing.  On
-    leaving the block the child is reaped, and killed first if its verdict
-    was never read (the block raised).  Values of M's ring travel without
-    their ring and arrive on this process's ring object."""
+    Yields (checked, classes, verdict), three functions that wait for the
+    messages in turn.  Each raises what the child raised, of the same type
+    and with the same message, or InternalCheckFailure, naming the message
+    the child did not send.  Should the block raise before it read the
+    check, the check is read first, and its exception, if the child sent
+    one, is raised in place of the block's: in one process the check runs
+    first.  On leaving the block the child is reaped, and killed first if
+    its verdict was never read.  Values of M's ring travel without their
+    ring and arrive on this process's ring object."""
     # imported here: only a run that forks needs it, and it adds ~0.25 MB
     # to the peak memory of every other run
     import pickle
@@ -465,40 +487,52 @@ def _k_words_and_commutator_beside(
         def persistent_load(self, pid):
             return ring
 
+    def k_words():
+        _chern_weil_share(M, C, K, words, True)
+        return words.classes()
+
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(r)
             with os.fdopen(w, "wb") as fh:
-                try:
-                    for word in k_words:
-                        words.supertrace(word)
-                    out = words.classes()
-                except Exception as exc:
-                    out = exc
-                Pickler(fh).dump(out)
-                fh.flush()
-                if not isinstance(out, Exception):
+                for stage in (lambda: _timed(check_curvature, C, K)[1], k_words,
+                              lambda: _timed(commutator_check, M, C, bound)):
                     try:
-                        out = _timed_commutator(M, C, bound)
+                        out = stage()
                     except Exception as exc:
                         out = exc
                     Pickler(fh).dump(out)
+                    fh.flush()
+                    if isinstance(out, Exception):
+                        break
         finally:
             # leave without the parent's atexit handlers, buffer flushes or test teardown
             os._exit(0)
     os.close(w)
     reader = os.fdopen(r, "rb")
 
-    def receive(missing: str):
+    def load():
+        """The child's next message; None if it sent nothing, or cut it short."""
         try:
-            out = Unpickler(reader).load()
-        except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
-            raise InternalCheckFailure(missing) from None
+            return Unpickler(reader).load()
+        except (EOFError, pickle.UnpicklingError):
+            return None
+
+    def receive(missing: str):
+        out = load()
+        if out is None:
+            raise InternalCheckFailure(missing)
         if isinstance(out, Exception):
             raise out
         return out
+
+    read = []
+
+    def checked():
+        read.append(True)
+        return receive("the forked process sent no curvature check")
 
     def classes():
         return receive("the forked process sent no Chern-Weil classes")
@@ -508,7 +542,12 @@ def _k_words_and_commutator_beside(
             return receive("the commutator check's process sent no verdict")
 
     try:
-        yield classes, verdict
+        yield checked, classes, verdict
+    except Exception:
+        first = None if read else load()
+        if isinstance(first, Exception):
+            raise first
+        raise
     finally:
         if not reader.closed:
             reader.close()
@@ -520,54 +559,42 @@ def _k_words_and_commutator_beside(
 def run_suite(
     M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
 ) -> SuiteResult:
-    """Both routes and both identity checks on (M, C).
-
-    The curvature K and A = [nabla, delta], cached on C, come first.  On
-    a module large enough that it pays (_forks), a forked child evaluates
-    the Chern-Weil words that contain K and then runs the commutator
-    check, while this process evaluates the pure powers of A, adopts the
-    child's supertraces, sums Chern-Weil from them, and runs the chain
-    route and the cycle check; the result is the same either way.
-    `timing` holds each stage's own seconds: curvature (K), chern_weil (A
-    and the words, and in a forked run the wait for the child's
-    supertraces), chern_via_chains, and identity_checks, the cycle check's
-    time plus the commutator check's, measured where it ran (in the child
-    when forked).
+    """Both routes and both identity checks on (M, C), in this process
+    or, on a module large enough that it pays (_forks), in two, as the cli
+    module docstring says; the result, and the failure raised first, are
+    the same either way.  `timing` holds each stage's own seconds:
+    curvature (K and its linearity check, the check measured where it
+    ran), chern_weil (A and the words, and in a forked run the wait for
+    the child's check and supertraces), chern_via_chains, and
+    identity_checks, the cycle check's time plus the commutator check's,
+    measured where it ran.
     """
     timing: dict[str, float] = {}
     # one evaluator for both routes: a word they share is evaluated once
     words = WordEvaluator()
     t0 = time.monotonic()
-    K = curvature_mat(C)  # cached on C for every stage below
-    timing["curvature"] = time.monotonic() - t0
-    t0 = time.monotonic()
-    A = covariant_derivative(C, M.delta, 1)  # cached on C likewise
-    a_s = time.monotonic() - t0
-    if _forks(M.delta, K, A):
-        # A and K interned before the fork, so the child's letter ids are ours
-        sums = chern_weil_words(M, C, words)
-        k = words.letter(K)
-        powers = [w for w in sums if k not in w]
-        stage = _k_words_and_commutator_beside(M, C, bound, words, [w for w in sums if k in w])
-    else:
-        # chern_weil evaluates every word, there are no classes to adopt,
-        # and the commutator check runs here after the cycle check
-        powers = []
-        stage = nullcontext((dict, functools.partial(_timed_commutator, M, C, bound)))
-    with stage as (classes, commutator_verdict):
-        t0 = time.monotonic()
-        for w in powers:
-            words.supertrace(w)
-        words.adopt(classes())
-        ch_weil = chern_weil(M, C, words)
-        timing["chern_weil"] = a_s + time.monotonic() - t0
-        t0 = time.monotonic()
-        ch_chains = chern_via_chains(M, C, words=words)
-        timing["chern_via_chains"] = time.monotonic() - t0
-        t0 = time.monotonic()
-        cycle = cycle_check(M, C, bound, ch=ch_weil)
-        cycle_s = time.monotonic() - t0
-        commutator, commutator_s = commutator_verdict()
+    # K is held on C for every stage below, and dropped if one raises
+    with unchecked_curvature(C) as K:
+        k_s = time.monotonic() - t0
+        A, a_s = _timed(covariant_derivative, C, M.delta, 1)  # cached on C likewise
+        if _forks(M.delta, K, A):
+            stage = _checks_and_k_words_beside(M, C, K, bound, words)
+        else:
+            # chern_weil evaluates the words with K, there are no classes
+            # to adopt, and the commutator check runs after the cycle check
+            check_s = _timed(check_curvature, C, K)[1]
+            verdict = functools.partial(_timed, commutator_check, M, C, bound)
+            stage = nullcontext((lambda: check_s, dict, verdict))
+        with stage as (checked, classes, commutator_verdict):
+            t0 = time.monotonic()
+            _chern_weil_share(M, C, K, words, False)
+            timing["curvature"] = k_s + checked()
+            words.adopt(classes())
+            ch_weil = chern_weil(M, C, words)
+            timing["chern_weil"] = a_s + time.monotonic() - t0
+            ch_chains, timing["chern_via_chains"] = _timed(chern_via_chains, M, C, words=words)
+            cycle, cycle_s = _timed(cycle_check, M, C, bound, ch=ch_weil)
+            commutator, commutator_s = commutator_verdict()
     timing["identity_checks"] = cycle_s + commutator_s
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()
@@ -619,6 +646,9 @@ def _useries_lines(p: USeries) -> list[str]:
 @_exact_digits()
 def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> str:
     ring = inst.ring
+    weil = _useries_lines(res.ch_weil)
+    # equal routes are equal series, whose printing is the same
+    chains = weil if res.routes_equal else _useries_lines(res.ch_chains)
     trace_e = ring.zero()
     for k in range(len(inst.module.degrees)):
         trace_e = trace_e + inst.module.e.entry(k, k).coefficient(0).coefficient(())
@@ -638,9 +668,9 @@ def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> s
         "check_module: ok",
         f"realized curvature: delta^2 = -(h)*e with h = {inst.algebra.h} [exact]",
         "chern character (chern-weil):",
-        *_useries_lines(res.ch_weil),
+        *weil,
         "chern character (chain route):",
-        *_useries_lines(res.ch_chains),
+        *chains,
         f"route agreement: {'exact' if res.routes_equal else 'MISMATCH'}",
         f"cycle check (u*d + dh): {_verdict_text(res.cycle)}",
         f"commutator check ([u*nabla + delta, R] = dh*e): {_verdict_text(res.commutator)}",
@@ -658,12 +688,16 @@ def render_report(inst: Instance, res: SuiteResult, *, timing: bool = True) -> s
 
 @_exact_digits()
 def render_json(inst: Instance, res: SuiteResult) -> str:
+    weil = {f"u^{J}": str(f) for J, f in res.ch_weil.coeffs.items()}
     doc = {
         "input": inst.label,
         "sha256": inst.sha256,
         "spec": inst.data,
-        "chern_weil": {f"u^{J}": str(f) for J, f in res.ch_weil.coeffs.items()},
-        "chern_chains": {f"u^{J}": str(f) for J, f in res.ch_chains.coeffs.items()},
+        "chern_weil": weil,
+        # equal routes are equal series, whose printing is the same
+        "chern_chains": weil if res.routes_equal else {
+            f"u^{J}": str(f) for J, f in res.ch_chains.coeffs.items()
+        },
         "route_agreement": res.routes_equal,
         "cycle_check": asdict(res.cycle),
         "commutator_check": asdict(res.commutator),

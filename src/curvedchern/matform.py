@@ -572,6 +572,12 @@ def _parities(X: Mat) -> tuple | None:
     return seen.pop() if seen else (0, 0)
 
 
+def stored_terms(v: USeries) -> int:
+    """The terms v stores, over all its groups: the size the kernel's
+    term pairs are counted in."""
+    return sum(map(len, v.groups.values()))
+
+
 def _restrict(X: Mat, c: int) -> Mat:
     """X with only its rows of basis parity c kept; X itself when no
     stored row is dropped."""
@@ -619,8 +625,14 @@ class WordEvaluator:
     supertrace_of_square(P_c(h)) for v = h·h with σ(h) even, otherwise
     supertrace_of_product(P_c(v[:cut]), P_c'(v[cut:])) with c' = c +
     σ(v[:cut]), the row class the first factor's columns land in.  The
-    cut is ceil(len(v)/2).  Signs and weights of words beyond their own
-    supertrace are the caller's business.
+    cut is ceil(len(v)/2), except for a word of three letters, where each
+    cut leaves one product of two letters to form, P_c(v[:2]) or
+    P_c'(v[1:]): there the cut is the one whose product forms fewer term
+    pairs, estimated from the stored term counts, a product already held
+    counting none, and ceil(3/2) on a tie.  So what the evaluator holds
+    decides: after A^4, A·A·K reuses P_0(A·A); an evaluator without it
+    forms the much smaller P_1(A·K) instead.  Signs and weights of words
+    beyond their own supertrace are the caller's business.
 
     `classes` and `adopt` hand the least-rotation supertraces from one
     evaluator to another over the same letter ids, as cli.run_suite's
@@ -710,13 +722,34 @@ class WordEvaluator:
             elif word[:half] == word[half:] and self._shift(word[:half], c) == c:
                 got = supertrace_of_square(self._product(word[:half], c))
             else:
-                cut = (len(word) + 1) // 2
+                cut = self._cut(word, c)
                 got = supertrace_of_product(
                     self._product(word[:cut], c),
                     self._product(word[cut:], self._shift(word[:cut], c)),
                 )
             self._traces[(word, c)] = got
         return got
+
+    def _cut(self, word: tuple[int, ...], c: int) -> int:
+        """Where str_c(word) cuts word: ceil(len(word)/2), except that a
+        three-letter word cuts after its first letter when the one product
+        that cut still has to form, P_c'(word[1:]), forms fewer term pairs
+        than P_c(word[:2]) would."""
+        cut = (len(word) + 1) // 2
+        if len(word) == 3 and self._pairs(word[1:], self._shift(word[:1], c)) < self._pairs(word[:2], c):
+            cut = 1
+        return cut
+
+    def _pairs(self, word: tuple[int, ...], c: int) -> int:
+        """The term pairs forming P_c(word) of two letters X·Y takes, by the
+        stored term counts: the sum of |X[t][k]|·|Y[k][.]| over the rows t
+        of parity c; 0 when the product is held."""
+        if (word, c) in self._products:
+            return 0
+        X, Y = (self._letters[x] for x in word)
+        after = [sum(map(stored_terms, row.values())) for row in Y.rows]
+        return sum(stored_terms(v) * after[k] for t, row in enumerate(X.rows)
+                   if X.target_degrees[t] % 2 == c for k, v in row.items())
 
     def _product(self, word: tuple[int, ...], c: int) -> Mat:
         """P_c(word): the product with only its rows of basis parity c."""

@@ -5,15 +5,18 @@ projective module presented by an idempotent e on a graded free module,
 together with an odd endomorphism delta with delta^2 = -h·e.  A connection
 nabla(X) = e·D(X) + theta·X (D the row-signed d, theta one-forms) is only
 applied in whole-matrix Mat.sum_of_products passes: the brackets
-[nabla, X], and the curvature nabla(nabla(e)) with a linearity residue
+[nabla, X], and the curvature nabla(nabla(e)) and its linearity residue
 check.  The Chern character is the supertrace of exp(-R) for
 R = u·curvature + [nabla, delta].
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .errors import Inhomogeneous, InvalidInput, NonLinearCurvature
@@ -115,8 +118,9 @@ class Connection:
 
     module: CurvedModule
     theta: Mat
-    # cached nabla^2, and [nabla, X] by (content of X, parity of X): shared
-    # by chern_weil, the chain route and the identity checks
+    # nabla^2 (see curvature_mat and unchecked_curvature), and [nabla, X]
+    # by (content of X, parity of X): shared by chern_weil, the chain route
+    # and the identity checks
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -186,39 +190,67 @@ def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
 
 
 def curvature_mat(C: Connection) -> Mat:
-    """nabla^2 as a matrix, by double application: K = nabla(nabla(e)).
+    """nabla^2 as a matrix, K = nabla(nabla(e)), automatically supported
+    on im(e): formed and checked by check_curvature on first use, then
+    cached on C (or the K that unchecked_curvature holds on C)."""
+    if C._curvature is None:
+        K = _nabla_squared(C)
+        check_curvature(C, K)
+        C._curvature = K
+    return C._curvature
 
-    The result is automatically supported on im(e).  Its A-linearity (a
-    bug detector; it holds mathematically) is checked in one block for all
-    variables: column v·n + j of S = [x_1·I | ... | x_n·I] is x_v·e_j, and
+
+def _nabla(C: Connection, X: Mat, *extra) -> Mat:
+    """nabla on the columns of X plus the Mat.sum_of_products terms extra,
+    in one pass."""
+    M = C.module
+    terms = _nabla_terms(C, X, X.row_sign_d()) + list(extra)
+    return Mat.sum_of_products(M.ring, M.degrees, X.source_degrees, terms)
+
+
+def _nabla_squared(C: Connection) -> Mat:
+    return _nabla(C, _nabla(C, C.module.e))
+
+
+def check_curvature(C: Connection, K: Mat) -> None:
+    """The A-linearity of K = nabla^2 (a bug detector; it holds
+    mathematically), checked in one block for all variables: column
+    v·n + j of S = [x_1·I | ... | x_n·I] is x_v·e_j, and
     nabla(nabla(e·S)) - K·S, with K·S in the second pass, must vanish
     (e·S = S forms nothing when e = 1).  The least failing (j, v) =
     (c mod n, c div n) raises NonLinearCurvature.  Over a quotient ring d
     of a normal form is not a derivation, so the residue need only lie in
     the relation submodule.
     """
-    if C._curvature is not None:
-        return C._curvature
     M = C.module
     ring = M.ring
     n = len(M.degrees)
-
-    def nabla(X: Mat, *extra) -> Mat:
-        terms = _nabla_terms(C, X, X.row_sign_d()) + list(extra)
-        return Mat.sum_of_products(ring, M.degrees, X.source_degrees, terms)
-
-    K = nabla(nabla(M.e))
     xs = [USeries.from_ring(ring.var(name)) for name in ring.variables]
     S = Mat._make(ring, M.degrees, M.degrees * len(xs),
                   [{v * n + t: x for v, x in enumerate(xs) if x.groups} for t in range(n)])
-    Z = nabla(nabla(M.e @ S), (-1, 0, K, S))
+    Z = _nabla(C, _nabla(C, M.e @ S), (-1, 0, K, S))
     failures = [(c % n, c // n) for row in Z.rows for c, resid in row.items()
                 if not all(vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers())]
     if failures:
         j, v = min(failures)
         raise NonLinearCurvature(f"curvature fails linearity in {ring.variables[v]} on column {j}")
-    C._curvature = K
-    return K
+
+
+@contextmanager
+def unchecked_curvature(C: Connection) -> Iterator[Mat]:
+    """K = nabla^2 held on C without check_curvature for the block, so
+    that curvature_mat, and every stage that calls it, reuses it there.
+    The block owes the check: it runs check_curvature(C, K) itself or has
+    another process run it (cli.run_suite).  Should the block raise, C
+    holds again what it held before (nothing, or a checked K), so a later
+    curvature_mat does not trust an unchecked K."""
+    held = C._curvature
+    K = C._curvature = _nabla_squared(C) if held is None else held
+    try:
+        yield K
+    except BaseException:
+        C._curvature = held
+        raise
 
 
 def curvature_R(C: Connection) -> Mat:
@@ -241,11 +273,12 @@ def chern_weil_words(M: CurvedModule, C: Connection, words: WordEvaluator) -> li
     top = M.ring.nvars
     out = []
     for m in range(1, top + 1):
-        for bits in range(1 << m):
-            w = tuple((bits >> k) & 1 for k in range(m))
+        # product lists the bits with the last letter's varying fastest,
+        # so reversed they come in the order of the word's number
+        for w in product((0, 1), repeat=m):
             nk = sum(w)
             if m + nk <= top and not (a_zero and nk < m) and not (k_zero and nk):
-                out.append(tuple(letters[b] for b in w))
+                out.append(tuple(letters[b] for b in reversed(w)))
     return out
 
 

@@ -137,12 +137,13 @@ class Scalar:
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.bn == 0:
-            return str(self.re)
-        if self.an == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.bn > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        an, bn, d = self.an, self.bn, self.d
+        if bn == 0:
+            return _ratio_str(an, d)
+        imag = _imag_str(abs(bn), d)
+        if an == 0:
+            return imag if bn > 0 else f"-{imag}"
+        return f"{_ratio_str(an, d)}{'+' if bn > 0 else '-'}{imag}"
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -153,12 +154,15 @@ class Scalar:
 _set_an, _set_bn, _set_d = Scalar.an.__set__, Scalar.bn.__set__, Scalar.d.__set__
 
 
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{b}*i"
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) prints it, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _imag_str(b: int, d: int) -> str:
+    """(b/d)·i for b > 0, the coefficient 1 left out."""
+    return "i" if b == d else f"{_ratio_str(b, d)}*i"
 
 
 ONE = Scalar(1)

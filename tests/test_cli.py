@@ -82,6 +82,28 @@ def test_compute_json_matches_its_golden_apart_from_timing(compute_json, stem):
     assert doc == golden
 
 
+@pytest.mark.parametrize("render", ["report", "json"])
+def test_a_route_mismatch_prints_each_route_its_own_terms(render):
+    # equal routes share their printed lines; unequal ones must not
+    from dataclasses import replace
+
+    from curvedchern import cli
+
+    inst = cli.parse_instance((CORPUS / "mf_xy.json").read_text(encoding="utf-8"), "mf_xy.json")
+    res = cli.run_suite(inst.module, inst.connection)
+    doubled = res.ch_weil + res.ch_weil
+    res = replace(res, ch_chains=doubled, routes_equal=False, first_mismatch=doubled.u_powers()[0])
+    want = {f"u^{J}": str(f) for J, f in doubled.coeffs.items()}
+    if render == "json":
+        doc = json.loads(cli.render_json(inst, res))
+        assert doc["chern_chains"] == want != doc["chern_weil"]
+    else:
+        text = cli.render_report(inst, res, timing=False)
+        chains = text.split("chern character (chain route):\n")[1].split("route agreement")[0]
+        assert chains == "".join(f"  {J}: {v}\n" for J, v in sorted(want.items()))
+        assert "route agreement: MISMATCH" in text
+
+
 def test_examples_unknown_name_is_invalid_input():
     proc = _run("examples", "a1-ci")
     assert proc.returncode == 2

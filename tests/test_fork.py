@@ -1,9 +1,10 @@
-"""The suite in two processes: on s4 a forked child evaluates the
-Chern-Weil words that contain K = nabla^2 and runs the commutator check,
-and the suite gives the same result as in one process; a child that
-raises or dies in either stage keeps the exit-code contract; no child
-outlives its suite; and random instances, the small corpus file and
-`milnor` never fork."""
+"""The suite in two processes: on s4 a forked child runs the curvature's
+linearity check, evaluates the Chern-Weil words that contain
+K = nabla^2 and runs the commutator check, and the suite gives the same
+result as in one process; a child that raises or dies in any stage keeps
+the exit-code contract, and a failing check is raised first in either
+process; no child outlives its suite; and random instances, the small
+corpus file and `milnor` never fork."""
 
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ from importlib.resources import files
 
 import pytest
 
-from curvedchern import cli
+from curvedchern import cli, matform
 from curvedchern.errors import IdentityFailure, InternalCheckFailure, InvalidInput
 from curvedchern.matform import WordEvaluator
+
+from util import not_a_derivation
 
 CORPUS = files("curvedchern") / "corpus"
 
@@ -80,20 +83,28 @@ def _raising(exc):
 
 
 @pytest.mark.parametrize(
-    "check, code, message",
+    "stage, check, code, message",
     [
-        (_raising(InvalidInput("bad in the child")), 2, "invalid input: bad in the child\n"),
-        (_raising(IdentityFailure("fails in the child")), 3, "identity failure: fails in the child\n"),
+        ("commutator_check", _raising(InvalidInput("bad in the child")), 2,
+         "invalid input: bad in the child\n"),
+        ("commutator_check", _raising(IdentityFailure("fails in the child")), 3,
+         "identity failure: fails in the child\n"),
         # dies without writing a verdict
-        (lambda M, C, bound: os._exit(1), 4,
+        ("commutator_check", lambda M, C, bound: os._exit(1), 4,
          "internal consistency failure: the commutator check's process sent no verdict\n"),
+        # the curvature's linearity check, the child's first stage
+        ("check_curvature", _raising(IdentityFailure("check fails in the child")), 3,
+         "identity failure: check fails in the child\n"),
+        # dies before it sends the seconds of its check
+        ("check_curvature", lambda C, K: os._exit(1), 4,
+         "internal consistency failure: the forked process sent no curvature check\n"),
     ],
-    ids=["invalid-input", "identity-failure", "no-verdict"],
+    ids=["invalid-input", "identity-failure", "no-verdict", "check-identity-failure", "no-check"],
 )
-def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, check, code, message):
+def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, stage, check, code, message):
     # the small file, forced onto the fork path
     monkeypatch.setattr(cli, "_forks", lambda *mats: True)
-    monkeypatch.setattr(cli, "commutator_check", check)
+    monkeypatch.setattr(cli, stage, check)
     assert _main("compute", str(CORPUS / "mf_xy.json"))[::2] == (code, message)
     assert len(forks) == 1
     _no_child_left()
@@ -131,6 +142,54 @@ def test_what_the_child_word_stage_raises_keeps_the_exit_code(forks, monkeypatch
     monkeypatch.setattr(WordEvaluator, "supertrace", _in_the_child(act))
     assert _main("compute", str(CORPUS / "s4_nonflat.json"))[::2] == (code, message)
     assert len(forks) == 1
+    _no_child_left()
+
+
+def _in_this_process(act):
+    """WordEvaluator.supertrace that runs act() first in this process and
+    evaluates as before in a forked child."""
+    parent = os.getpid()
+    plain = WordEvaluator.supertrace
+
+    def supertrace(self, word):
+        if os.getpid() == parent:
+            act()
+        return plain(self, word)
+
+    return supertrace
+
+
+NONLINEAR = "internal consistency failure: curvature fails linearity in x2 on column 4\n"
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize(
+    "nonlinear, parent_raises, message",
+    [
+        (True, False, NONLINEAR),
+        # the check's failure comes first, as the check runs before the words
+        (True, True, NONLINEAR),
+        # a check that passes leaves the words' own failure standing
+        (False, True, "internal consistency failure: word broke\n"),
+    ],
+    ids=["nonlinear", "nonlinear-and-words-raise", "words-raise"],
+)
+def test_the_curvature_check_fails_first_in_either_process(
+    forks, monkeypatch, fork, nonlinear, parent_raises, message
+):
+    # s4 under the mutant of D that the linearity check names as x2 on
+    # column 4 (tests/test_modules.py); in a forked run the check is the
+    # child's first stage, and this process evaluates the pure powers of A
+    # before it reads the check, so a failure there is raised only after
+    monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
+    if nonlinear:
+        monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (1,), 1, True))
+    if parent_raises:
+        monkeypatch.setattr(
+            WordEvaluator, "supertrace", _in_this_process(_raising(InternalCheckFailure("word broke")))
+        )
+    assert _main("compute", str(CORPUS / "s4_nonflat.json"))[::2] == (4, message)
+    assert len(forks) == int(fork)
     _no_child_left()
 
 

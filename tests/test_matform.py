@@ -344,6 +344,31 @@ def test_word_evaluator_takes_the_square_path_for_even_square_halves(monkeypatch
         assert tr == _plain_supertrace({a: A, k: K}, w) and not tr.is_zero(), w
 
 
+def test_a_three_letter_word_cuts_where_the_missing_product_is_cheaper():
+    # s4's A·A·K: its even rows, str_E(A·A·K), are str(P_0(A·A)·P_0(K)) at
+    # ceil(3/2) = 2 and str(P_0(A)·P_1(A·K)) at 1, equal by cyclicity.  The
+    # product P_0(A·A) forms 287 914 term pairs and P_1(A·K) 42 948, so an
+    # evaluator that holds neither cuts at 1, and one that holds P_0(A·A),
+    # as A^4 leaves it, cuts at 2, where it has nothing left to form.
+    from curvedchern.modules import covariant_derivative, curvature_mat
+
+    inst = cli.parse_instance(cli._corpus_text("s4_nonflat.json"), "s4")
+    K = curvature_mat(inst.connection)
+    A = covariant_derivative(inst.connection, inst.module.delta, 1)
+    fresh, holding = WordEvaluator(), WordEvaluator()
+    for words in (fresh, holding):
+        a, k = words.letter(A), words.letter(K)
+    holding.supertrace((a, a, a, a))
+    got = fresh.supertrace((a, a, k)), holding.supertrace((a, a, k))
+    assert got[0] == got[1] and not got[0].is_zero()
+    assert ((a, k), 1) in fresh._products and ((a, a), 0) not in fresh._products
+    assert ((a, k), 1) not in holding._products
+    at_one = supertrace_of_product(fresh._product((a,), 0), fresh._product((a, k), 1))
+    at_two = supertrace_of_product(holding._product((a, a), 0), holding._product((k,), 0))
+    assert at_one == at_two == fresh._traces[((a, a, k), 0)] == holding._traces[((a, a, k), 0)]
+    assert not at_one.is_zero()
+
+
 def _ungraded_letters():
     """Letters on degrees D without both parities: X of ring entries in
     every position has no σ, and Y, with a 0-form and a 1-form in one

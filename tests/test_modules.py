@@ -14,6 +14,7 @@ from curvedchern.modules import (
     Connection,
     CurvedAlgebra,
     CurvedModule,
+    check_curvature,
     check_module,
     chern_power_series,
     chern_weil,
@@ -25,12 +26,11 @@ from curvedchern.modules import (
     curvature_R,
     cycle_check,
     levi_civita,
+    unchecked_curvature,
 )
-from curvedchern.rings import RingElement
-
 from curvedchern.randomgen import random_module_instance
 
-from util import qi_ring, reference_commutator_residue, reference_curvature, sphere_ring
+from util import not_a_derivation, qi_ring, reference_commutator_residue, reference_curvature, sphere_ring
 
 
 def _mf_xy():
@@ -440,35 +440,6 @@ def test_curvature_matches_the_column_by_column_double_application():
         assert curvature_mat(C) == reference_curvature(C)
 
 
-def _not_a_derivation(plain, variables, power=None, odd_rows=False):
-    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2,
-    or k == power when given) of each of the ring's variables with these
-    indices a second time, so that D is no longer a derivation in them;
-    with odd_rows, only on the rows of odd basis degree."""
-
-    def mutant(v, degree):
-        ring = v.ring
-        out = plain(v, degree)
-        if odd_rows and degree % 2 == 0:
-            return out
-        for k in variables:
-            high = {}
-            for J, form in v.coeffs.items():
-                for S, p in form.parts.items():
-                    q = {m: c for m, c in p.terms.items()
-                         if (m[k] >= 2 if power is None else m[k] == power)}
-                    if q and k not in S:
-                        high.setdefault(J, {})[S] = RingElement(ring, q)
-            again = plain(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree)
-            out = out + USeries(ring, {
-                J: DiffForm(ring, {T: p for T, p in form.parts.items() if k in T})
-                for J, form in again.coeffs.items()
-            })
-        return out
-
-    return mutant
-
-
 @pytest.mark.parametrize(
     "variables, seed, message",
     [
@@ -482,7 +453,7 @@ def _not_a_derivation(plain, variables, power=None, odd_rows=False):
 def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
     variables, seed, message, monkeypatch
 ):
-    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, variables))
+    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, variables))
     want = f"curvature fails linearity in {message}"
     with pytest.raises(NonLinearCurvature) as got:
         curvature_mat(random_module_instance(seed)[1])
@@ -500,7 +471,7 @@ def test_linearity_check_reads_the_block_column_mod_relation(variables, message,
     # of columns 0-4 are nonzero there too, but lie in the relation
     # submodule: the first failure, x_{k+1} on column 4 (block column
     # 8·k + 4), is named only when vanishes_mod_relation reads them.
-    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, variables, 1, True))
+    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, variables, 1, True))
     want = f"curvature fails linearity in {message}"
     with pytest.raises(NonLinearCurvature) as old:
         reference_curvature(_s4()[1])
@@ -555,8 +526,33 @@ def test_the_linearity_check_makes_a_fixed_number_of_passes(monkeypatch):
 
 
 def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
-    monkeypatch.setattr(matform, "_row_d", _not_a_derivation(matform._row_d, (0,)))
+    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (0,)))
     assert cli.main(["verify", "--random", "1", "--seed", "6"]) == 4
+
+
+def test_an_unchecked_curvature_is_held_for_its_block_only(monkeypatch):
+    # seed 6 under the mutant fails the check as x on column 3
+    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (0,)))
+    C = random_module_instance(6)[1]
+    with pytest.raises(InvalidInput, match="a later stage"):
+        with unchecked_curvature(C) as K:
+            assert curvature_mat(C) is K  # held, so not checked
+            raise InvalidInput("a later stage")
+    # dropped with the block's failure: the next reader checks it
+    with pytest.raises(NonLinearCurvature, match="x on column 3"):
+        curvature_mat(C)
+    with pytest.raises(NonLinearCurvature, match="x on column 3"):
+        with unchecked_curvature(C) as K:
+            check_curvature(C, K)
+    monkeypatch.undo()
+    # a K checked already is the one held, and is kept when the block raises
+    C = random_module_instance(6)[1]
+    K = curvature_mat(C)
+    with pytest.raises(InvalidInput):
+        with unchecked_curvature(C) as held:
+            assert held is K
+            raise InvalidInput("a later stage")
+    assert curvature_mat(C) is K
 
 
 def test_the_power_series_equals_chern_weil_on_mf_xy_and_random_seeds():

@@ -33,6 +33,28 @@ def test_printing_is_canonical():
     assert str(Scalar(5)) == "5"
 
 
+def _fraction_str(z: Scalar) -> str:
+    """Scalar printing as first written, through the Fraction components."""
+
+    def imag(b: Fraction) -> str:
+        return "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
+
+    if z.im == 0:
+        return str(z.re)
+    if z.re == 0:
+        return imag(z.im)
+    return f"{z.re}{'+' if z.im > 0 else '-'}{imag(abs(z.im))}"
+
+
+# numerators and denominators past 64 bits, the units and zero among them
+wide = st.one_of(st.sampled_from([0, 1, -1, Fraction(1, 3), Fraction(-1, 3)]), st.fractions())
+
+
+@given(st.builds(Scalar, wide, wide))
+def test_printing_reads_the_integer_triple_as_the_fractions_do(z):
+    assert str(z) == _fraction_str(z)
+
+
 @given(scalars, scalars, scalars)
 def test_field_laws(a, b, c):
     assert (a + b) * c == a * c + b * c

@@ -604,7 +604,7 @@ def reference_curvature(C):
     theta·col, Jd the row-signed d, applied twice to each column of e
     through Mat.column and Mat.apply, the residue
     nabla^2(col·x_v) - nabla^2(col)·x_v checked column by column, then
-    variable by variable, with curvature_mat's NonLinearCurvature message."""
+    variable by variable, with check_curvature's NonLinearCurvature message."""
     from curvedchern import matform
     from curvedchern.errors import NonLinearCurvature
     from curvedchern.forms import vanishes_mod_relation
@@ -632,3 +632,32 @@ def reference_curvature(C):
                     continue
                 raise NonLinearCurvature(f"curvature fails linearity in {name} on column {j}")
     return matform.Mat(ring, M.degrees, M.degrees, [[cols[s][t] for s in range(n)] for t in range(n)])
+
+
+def not_a_derivation(plain, variables, power=None, odd_rows=False):
+    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2,
+    or k == power when given) of each of the ring's variables with these
+    indices a second time, so that D is no longer a derivation in them;
+    with odd_rows, only on the rows of odd basis degree."""
+
+    def mutant(v, degree):
+        ring = v.ring
+        out = plain(v, degree)
+        if odd_rows and degree % 2 == 0:
+            return out
+        for k in variables:
+            high = {}
+            for J, form in v.coeffs.items():
+                for S, p in form.parts.items():
+                    q = {m: c for m, c in p.terms.items()
+                         if (m[k] >= 2 if power is None else m[k] == power)}
+                    if q and k not in S:
+                        high.setdefault(J, {})[S] = RingElement(ring, q)
+            again = plain(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree)
+            out = out + USeries(ring, {
+                J: DiffForm(ring, {T: p for T, p in form.parts.items() if k in T})
+                for J, form in again.coeffs.items()
+            })
+        return out
+
+    return mutant
