@@ -30,18 +30,21 @@ consistency failure.
 and A = [nabla, delta] first.  On a module where the commutator check
 forms more than FORK_MIN_PAIRS term pairs, in a process that can fork, may
 use two CPUs and runs one thread, the suite runs in two processes.  A
-forked child runs K's linearity check, evaluates the Chern-Weil words that
-contain a K letter and runs the commutator check, and sends back over a
-pipe, in that order, the check's seconds, the words' supertraces and the
+forked child forms the later half of the even rows of A·A, runs K's
+linearity check, evaluates the Chern-Weil words that contain a K letter
+and runs the commutator check, and sends back over a pipe, in that order,
+its rows, the check's seconds, the words' supertraces and the
 commutator's verdict (each message may be the exception the child raised).
-Meanwhile this process evaluates the pure powers of A, reads the check,
-adopts the child's supertraces, and sums Chern-Weil, runs the chain route
-(which then forms nothing new) and the cycle check.  Elsewhere (random
+Meanwhile this process forms the first half of those rows, adds the
+child's to hold the even rows of A·A whole, evaluates the pure powers of
+A (A^4 is then the square of those rows alone), reads the check, adopts
+the child's supertraces, and sums Chern-Weil, runs the chain route (which
+then forms nothing new) and the cycle check.  Elsewhere (random
 instances, small files) everything runs in this process: the linearity
 check first, the pure powers of A before the words with K, and the
 commutator check after the cycle check.  Results are the same either way,
 and so is the failure raised first: a failing linearity check wins over a
-failure of any later stage.
+failure of any later stage, the child's rows included.
 
 `main` may be called many times in one process (the tests and the
 benchmark do).  The argument parser is built once per process, on first
@@ -80,7 +83,7 @@ from .groebner import (
     standard_monomials,
 )
 from .hochschild import chern_via_chains
-from .matform import Mat, WordEvaluator, stored_terms
+from .matform import Mat, WordEvaluator, restrict_rows, stored_terms
 from .modules import (
     Connection,
     CurvedAlgebra,
@@ -400,10 +403,11 @@ class SuiteResult:
 # the commutator check alone: it costs ~1.2 us raw per term pair of
 # delta·R and R·delta (s4-nonflat: 161 588 pairs, 160 496 by _check_pairs,
 # in 0.19 s), so at this many pairs it takes ~24 ms, about five times what
-# the fork costs.  The child's share is larger than that, as it also runs
-# the curvature's linearity check and evaluates the Chern-Weil words that
-# contain K, so the gate errs on the side of not forking.  Random
-# instances reach at most 715 by _check_pairs (seeds 0-999).
+# the fork costs.  The child's share is larger than that, as it also forms
+# half of the even rows of A·A, runs the curvature's linearity check and
+# evaluates the Chern-Weil words that contain K, so the gate errs on the
+# side of not forking.  Random instances reach at most 715 by
+# _check_pairs (seeds 0-999).
 FORK_MIN_PAIRS = 20_000
 
 
@@ -451,28 +455,43 @@ def _chern_weil_share(M: CurvedModule, C: Connection, K: Mat, words: WordEvaluat
             words.supertrace(w)
 
 
+def _even_rows_half(A: Mat, later: bool) -> Mat:
+    """The rows of P_0(A·A), the even rows of A·A, for the first ceil(m/2)
+    of A's m rows of even basis degree, or for the later floor(m/2) if
+    `later`; every other row is empty.  Row t of a product depends only on
+    row t of its left factor (Gustavson, ACM TOMS 4(3), 1978), so the sum
+    of the two halves is P_0(A·A) entry for entry."""
+    even = [t for t, d in enumerate(A.target_degrees) if d % 2 == 0]
+    cut = (len(even) + 1) // 2
+    return restrict_rows(A, even[cut:] if later else even[:cut]) @ A
+
+
 @contextmanager
 def _checks_and_k_words_beside(
-    M: CurvedModule, C: Connection, K: Mat, bound: int | None, words: WordEvaluator
+    M: CurvedModule, C: Connection, K: Mat, A: Mat, bound: int | None, words: WordEvaluator
 ):
-    """A forked child, while the block runs, sends three messages: the
-    seconds check_curvature(C, K) took; the supertraces (`classes()`) of
-    the Chern-Weil words with K, evaluated through its copy of `words`;
-    and (the verdict of commutator_check(M, C, bound), its seconds).  A
-    child that raises sends the exception in place of the message and
-    stops.  `words` must hold no letter at the fork: each process interns
-    the letters in the order of chern_weil_words, so the child's letter
-    ids are this process's.
+    """A forked child, while the block runs, sends four messages: its half
+    of P_0(A·A) (_even_rows_half, the later rows); the seconds
+    check_curvature(C, K) took; the supertraces (`classes()`) of the
+    Chern-Weil words with K, evaluated through its copy of `words`; and
+    (the verdict of commutator_check(M, C, bound), its seconds).  A child
+    that raises sends the exception in place of the message and stops,
+    except that it still runs and sends the check after its rows raised.
+    `words` must hold no letter at the fork: each process interns the
+    letters in the order of chern_weil_words, A first, so the child's
+    letter ids are this process's.
 
-    Yields (checked, classes, verdict), three functions that wait for the
-    messages in turn.  Each raises what the child raised, of the same type
-    and with the same message, or InternalCheckFailure, naming the message
-    the child did not send.  Should the block raise before it read the
-    check, the check is read first, and its exception, if the child sent
-    one, is raised in place of the block's: in one process the check runs
-    first.  On leaving the block the child is reaped, and killed first if
-    its verdict was never read.  Values of M's ring travel without their
-    ring and arrive on this process's ring object."""
+    Yields (rows, checked, classes, verdict), four functions that take the
+    messages in turn.  rows forms this process's half of P_0(A·A), adds
+    the child's and holds the sum in `words` as P_0(A·A); the others wait
+    for their message.  Each raises what the child raised, of the same
+    type and with the same message, or InternalCheckFailure, naming the
+    message the child did not send.  Should the block raise before it read
+    the check, the check is read first, and its exception, if the child
+    sent one, is raised in place of the block's: in one process the check
+    runs first.  On leaving the block the child is reaped, and killed
+    first if its verdict was never read.  Values of M's ring travel
+    without their ring and arrive on this process's ring object."""
     # imported here: only a run that forks needs it, and it adds ~0.25 MB
     # to the peak memory of every other run
     import pickle
@@ -497,28 +516,33 @@ def _checks_and_k_words_beside(
         try:
             os.close(r)
             with os.fdopen(w, "wb") as fh:
-                for stage in (lambda: _timed(check_curvature, C, K)[1], k_words,
-                              lambda: _timed(commutator_check, M, C, bound)):
+                failed = False
+                for i, stage in enumerate((lambda: _even_rows_half(A, True),
+                                           lambda: _timed(check_curvature, C, K)[1], k_words,
+                                           lambda: _timed(commutator_check, M, C, bound))):
                     try:
                         out = stage()
                     except Exception as exc:
                         out = exc
                     Pickler(fh).dump(out)
                     fh.flush()
-                    if isinstance(out, Exception):
+                    failed = failed or isinstance(out, Exception)
+                    if failed and i:  # the check, stage 1, is sent after failed rows too
                         break
         finally:
             # leave without the parent's atexit handlers, buffer flushes or test teardown
             os._exit(0)
     os.close(w)
     reader = os.fdopen(r, "rb")
+    sent = []  # the child's messages read so far, in order
 
     def load():
         """The child's next message; None if it sent nothing, or cut it short."""
         try:
-            return Unpickler(reader).load()
+            sent.append(Unpickler(reader).load())
         except (EOFError, pickle.UnpicklingError):
-            return None
+            sent.append(None)
+        return sent[-1]
 
     def receive(missing: str):
         out = load()
@@ -528,10 +552,13 @@ def _checks_and_k_words_beside(
             raise out
         return out
 
-    read = []
+    def rows():
+        mine = _even_rows_half(A, False)
+        theirs = receive("the forked process sent no rows of A·A")
+        a = words.letter(A)
+        words.hold((a, a), 0, mine + theirs)
 
     def checked():
-        read.append(True)
         return receive("the forked process sent no curvature check")
 
     def classes():
@@ -542,11 +569,14 @@ def _checks_and_k_words_beside(
             return receive("the commutator check's process sent no verdict")
 
     try:
-        yield checked, classes, verdict
+        yield rows, checked, classes, verdict
     except Exception:
-        first = None if read else load()
-        if isinstance(first, Exception):
-            raise first
+        # the check is the child's second message
+        if len(sent) < 2:
+            while len(sent) < 2:
+                load()
+            if isinstance(sent[1], Exception):
+                raise sent[1]
         raise
     finally:
         if not reader.closed:
@@ -565,7 +595,7 @@ def run_suite(
     the same either way.  `timing` holds each stage's own seconds:
     curvature (K and its linearity check, the check measured where it
     ran), chern_weil (A and the words, and in a forked run the wait for
-    the child's check and supertraces), chern_via_chains, and
+    the child's rows of A·A, check and supertraces), chern_via_chains, and
     identity_checks, the cycle check's time plus the commutator check's,
     measured where it ran.
     """
@@ -578,15 +608,17 @@ def run_suite(
         k_s = time.monotonic() - t0
         A, a_s = _timed(covariant_derivative, C, M.delta, 1)  # cached on C likewise
         if _forks(M.delta, K, A):
-            stage = _checks_and_k_words_beside(M, C, K, bound, words)
+            stage = _checks_and_k_words_beside(M, C, K, A, bound, words)
         else:
-            # chern_weil evaluates the words with K, there are no classes
-            # to adopt, and the commutator check runs after the cycle check
+            # the words form P_0(A·A) whole, chern_weil evaluates the words
+            # with K, there are no classes to adopt, and the commutator
+            # check runs after the cycle check
             check_s = _timed(check_curvature, C, K)[1]
             verdict = functools.partial(_timed, commutator_check, M, C, bound)
-            stage = nullcontext((lambda: check_s, dict, verdict))
-        with stage as (checked, classes, commutator_verdict):
+            stage = nullcontext((lambda: None, lambda: check_s, dict, verdict))
+        with stage as (rows, checked, classes, commutator_verdict):
             t0 = time.monotonic()
+            rows()
             _chern_weil_share(M, C, K, words, False)
             timing["curvature"] = k_s + checked()
             words.adopt(classes())

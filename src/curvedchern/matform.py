@@ -578,14 +578,18 @@ def stored_terms(v: USeries) -> int:
     return sum(map(len, v.groups.values()))
 
 
-def _restrict(X: Mat, c: int) -> Mat:
-    """X with only its rows of basis parity c kept; X itself when no
-    stored row is dropped."""
-    degrees = X.target_degrees
-    if all(degrees[t] % 2 == c for t, row in enumerate(X.rows) if row):
+def restrict_rows(X: Mat, keep) -> Mat:
+    """X with only its rows t in keep kept; X itself when no stored row is
+    dropped."""
+    if all(t in keep for t, row in enumerate(X.rows) if row):
         return X
-    rows = [row if degrees[t] % 2 == c else {} for t, row in enumerate(X.rows)]
-    return Mat._make(X.ring, degrees, X.source_degrees, rows)
+    rows = [row if t in keep else {} for t, row in enumerate(X.rows)]
+    return Mat._make(X.ring, X.target_degrees, X.source_degrees, rows)
+
+
+def _restrict(X: Mat, c: int) -> Mat:
+    """X with only its rows of basis parity c kept (restrict_rows)."""
+    return restrict_rows(X, {t for t, d in enumerate(X.target_degrees) if d % 2 == c})
 
 
 class WordEvaluator:
@@ -636,7 +640,9 @@ class WordEvaluator:
 
     `classes` and `adopt` hand the least-rotation supertraces from one
     evaluator to another over the same letter ids, as cli.run_suite's
-    forked child does to its parent.
+    forked child does to its parent; `hold` takes a row-class product
+    P_c(v) formed elsewhere, as that parent does with P_0(A·A), whose rows
+    the two processes form half each.
     """
 
     def __init__(self):
@@ -691,6 +697,21 @@ class WordEvaluator:
             if held is not None and held != value:
                 raise InternalCheckFailure(f"adopted class {star} differs from the one held")
         self._classes.update(classes)
+
+    def hold(self, word: tuple[int, ...], c: int, P: Mat) -> None:
+        """Hold P as P_c(word), the product of word's letters with only its
+        rows of basis parity c, so that nothing forms it here.  P is
+        refused with InternalCheckFailure, and not held, when word uses a
+        letter id this evaluator does not hold, when P's degrees are not
+        those of the product, or when P stores a row of the other parity."""
+        if not all(0 <= x < len(self._letters) for x in word):
+            raise InternalCheckFailure(f"held product {word} uses a letter this evaluator does not hold")
+        first, last = self._letters[word[0]], self._letters[word[-1]]
+        if (P.target_degrees, P.source_degrees) != (first.target_degrees, last.source_degrees):
+            raise InternalCheckFailure(f"held product {word} has degrees that do not fit its letters")
+        if any(row and d % 2 != c for d, row in zip(P.target_degrees, P.rows)):
+            raise InternalCheckFailure(f"held product {word} stores a row outside row class {c}")
+        self._products[(word, c)] = P
 
     def _mu(self, word: tuple[int, ...]) -> int:
         return sum(self._parities[x][0] for x in word) % 2

@@ -1,10 +1,10 @@
-"""The suite in two processes: on s4 a forked child runs the curvature's
-linearity check, evaluates the Chern-Weil words that contain
-K = nabla^2 and runs the commutator check, and the suite gives the same
-result as in one process; a child that raises or dies in any stage keeps
-the exit-code contract, and a failing check is raised first in either
-process; no child outlives its suite; and random instances, the small
-corpus file and `milnor` never fork."""
+"""The suite in two processes: on s4 a forked child forms half of the
+even rows of A·A, runs the curvature's linearity check, evaluates the
+Chern-Weil words that contain K = nabla^2 and runs the commutator check,
+and the suite gives the same result as in one process; a child that
+raises or dies in any stage keeps the exit-code contract, and a failing
+check is raised first in either process; no child outlives its suite;
+and random instances, the small corpus file and `milnor` never fork."""
 
 from __future__ import annotations
 
@@ -82,6 +82,16 @@ def _raising(exc):
     return stage
 
 
+def _forked_only(plain, stage):
+    """plain, with stage in its place in a forked child."""
+    parent = os.getpid()
+
+    def run(*args, **kwargs):
+        return (plain if os.getpid() == parent else stage)(*args, **kwargs)
+
+    return run
+
+
 @pytest.mark.parametrize(
     "stage, check, code, message",
     [
@@ -92,19 +102,27 @@ def _raising(exc):
         # dies without writing a verdict
         ("commutator_check", lambda M, C, bound: os._exit(1), 4,
          "internal consistency failure: the commutator check's process sent no verdict\n"),
-        # the curvature's linearity check, the child's first stage
+        # the curvature's linearity check, the child's second stage
         ("check_curvature", _raising(IdentityFailure("check fails in the child")), 3,
          "identity failure: check fails in the child\n"),
         # dies before it sends the seconds of its check
         ("check_curvature", lambda C, K: os._exit(1), 4,
          "internal consistency failure: the forked process sent no curvature check\n"),
+        # its half of the even rows of A·A, the child's first stage
+        ("_even_rows_half", _raising(IdentityFailure("rows fail in the child")), 3,
+         "identity failure: rows fail in the child\n"),
+        # dies before it sends its rows
+        ("_even_rows_half", lambda A, later: os._exit(1), 4,
+         "internal consistency failure: the forked process sent no rows of A·A\n"),
     ],
-    ids=["invalid-input", "identity-failure", "no-verdict", "check-identity-failure", "no-check"],
+    ids=["invalid-input", "identity-failure", "no-verdict", "check-identity-failure", "no-check",
+         "rows-identity-failure", "no-rows"],
 )
 def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, stage, check, code, message):
-    # the small file, forced onto the fork path
+    # the small file, forced onto the fork path; this process forms its
+    # own half of the rows as before
     monkeypatch.setattr(cli, "_forks", lambda *mats: True)
-    monkeypatch.setattr(cli, stage, check)
+    monkeypatch.setattr(cli, stage, _forked_only(getattr(cli, stage), check))
     assert _main("compute", str(CORPUS / "mf_xy.json"))[::2] == (code, message)
     assert len(forks) == 1
     _no_child_left()
@@ -164,26 +182,36 @@ NONLINEAR = "internal consistency failure: curvature fails linearity in x2 on co
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize(
-    "nonlinear, parent_raises, message",
+    "nonlinear, rows_raise, parent_raises, message",
     [
-        (True, False, NONLINEAR),
+        (True, False, False, NONLINEAR),
         # the check's failure comes first, as the check runs before the words
-        (True, True, NONLINEAR),
+        (True, False, True, NONLINEAR),
+        # and before the child's rows of A·A, which in one process are
+        # formed by the words
+        (True, True, False, NONLINEAR),
+        (True, True, True, NONLINEAR),
         # a check that passes leaves the words' own failure standing
-        (False, True, "internal consistency failure: word broke\n"),
+        (False, False, True, "internal consistency failure: word broke\n"),
     ],
-    ids=["nonlinear", "nonlinear-and-words-raise", "words-raise"],
+    ids=["nonlinear", "nonlinear-and-words-raise", "nonlinear-and-child-rows-raise",
+         "nonlinear-and-both-raise", "words-raise"],
 )
 def test_the_curvature_check_fails_first_in_either_process(
-    forks, monkeypatch, fork, nonlinear, parent_raises, message
+    forks, monkeypatch, fork, nonlinear, rows_raise, parent_raises, message
 ):
     # s4 under the mutant of D that the linearity check names as x2 on
     # column 4 (tests/test_modules.py); in a forked run the check is the
-    # child's first stage, and this process evaluates the pure powers of A
-    # before it reads the check, so a failure there is raised only after
+    # child's second stage, after its rows of A·A, and this process forms
+    # its own rows and evaluates the pure powers of A before it reads the
+    # check, so a failure there is raised only after
     monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
     if nonlinear:
         monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (1,), 1, True))
+    if rows_raise:
+        # in one process there is no child, and this changes nothing
+        monkeypatch.setattr(cli, "_even_rows_half", _forked_only(
+            cli._even_rows_half, _raising(InternalCheckFailure("rows broke"))))
     if parent_raises:
         monkeypatch.setattr(
             WordEvaluator, "supertrace", _in_this_process(_raising(InternalCheckFailure("word broke")))

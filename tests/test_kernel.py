@@ -321,15 +321,16 @@ def test_kernel_work_of_one_s4_suite(monkeypatch):
 
 def test_kernel_work_of_the_forked_s4_suite(monkeypatch):
     # The spy counts this process only.  It forms the curvature K (64,
-    # 720), A = [nabla, delta] (64, 10 800), A·A and A^4 (18, 1 317 395)
-    # and the cycle check's residue (1, 7 530), plus the relation's
-    # gradient unit that the cycle check's mod-relation test reads (5, 5):
-    # the curvature's linearity check, which computed that unit first
-    # while it ran here, now runs in the forked child.  So the calls and
-    # pairs that left this process are the check's 472 calls and 15 552
-    # pairs, (624, 1 352 002) -> (152, 1 336 450); the child's own work is
-    # pinned below.  After adopting the child's classes, Chern-Weil and
-    # the chain route form nothing.
+    # 720), A = [nabla, delta] (64, 10 800), its half of the even rows of
+    # A·A and the A^4 square (10, 1 176 830) and the cycle check's residue
+    # (1, 7 530), plus the relation's gradient unit that the cycle check's
+    # mod-relation test reads (5, 5).  The curvature's linearity check
+    # (472 calls, 15 552 pairs) runs in the forked child, and so does the
+    # later half of the even rows of A·A, P_0(A·A): 8 of its 16 calls and
+    # 140 565 of its 287 914 pairs left this process, (152, 1 336 450) ->
+    # (144, 1 195 885).  The child's own work is pinned below.  After
+    # holding P_0(A·A) and adopting the child's classes, the A^4 square is
+    # all Chern-Weil forms, and the chain route forms nothing.
     from curvedchern import cli
     from curvedchern.cli import _corpus_text, parse_instance, run_suite
 
@@ -347,21 +348,24 @@ def test_kernel_work_of_the_forked_s4_suite(monkeypatch):
     monkeypatch.setattr(cli, "chern_via_chains", chain_route)
     run_suite(inst.module, inst.connection, **inst.options)
     assert at_route == [(0, 0)]
-    assert tuple(work) == (152, 1336450)
+    assert tuple(work) == (144, 1195885)
 
 
 def test_kernel_work_of_the_forked_s4_child(monkeypatch, tmp_path):
-    # The forked child's three stages, counted in the child and written to
-    # a file after its last: the curvature's linearity check (472 calls,
-    # 15 552 pairs, plus the relation's gradient unit, 5 one-pair calls);
-    # the words with K, the classes of K, K·K and A·A·K (36, 276 168); and
-    # the commutator check (216, 253 356).  The child does not hold the
-    # even rows of A·A, P_0(A·A) (16 calls, 287 914 pairs), so it takes
-    # str_E(A·A·K) as str(P_0(A)·P_1(A·K)): P_1(A·K) and that supertrace
-    # form 42 948 + 93 478 pairs, where P_0(A·A) and str(P_0(A·A)·P_0(K))
-    # form 287 914 + 46 272, so the words with K form 197 760 pairs fewer
-    # than the 473 928 of that cut.
+    # The forked child's four stages, counted in the child from the fork
+    # on and written to a file after its last: its half of P_0(A·A), the
+    # even rows of A·A, the later 2 of the 4 rows (8 calls, 140 565
+    # pairs); the curvature's linearity check (472 calls, 15 552 pairs,
+    # plus the relation's gradient unit, 5 one-pair calls); the words with
+    # K, the classes of K, K·K and A·A·K (36, 276 168); and the commutator
+    # check (216, 253 356).  The child does not hold P_0(A·A), whose
+    # rows it formed only half of (16 calls, 287 914 pairs whole), so it
+    # takes str_E(A·A·K) as str(P_0(A)·P_1(A·K)): P_1(A·K) and that
+    # supertrace form 42 948 + 93 478 pairs, where P_0(A·A) and
+    # str(P_0(A·A)·P_0(K)) form 287 914 + 46 272, so the words with K
+    # form 197 760 pairs fewer than the 473 928 of that cut.
     import json
+    import os
 
     from curvedchern import cli
     from curvedchern.cli import _corpus_text, parse_instance, run_suite
@@ -370,11 +374,16 @@ def test_kernel_work_of_the_forked_s4_child(monkeypatch, tmp_path):
     inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
     work = _spy_kernel(monkeypatch)
     marks, record = [], tmp_path / "child.json"
+    plain_fork = os.fork
+
+    def fork():
+        pid = plain_fork()
+        if pid == 0:  # the counter at the fork, in the child
+            marks.append(tuple(work))
+        return pid
 
     def marked(stage, last=False):
         def run(*args, **kwargs):
-            if not marks:  # the counter at the fork
-                marks.append(tuple(work))
             got = stage(*args, **kwargs)
             marks.append(tuple(work))
             if last:
@@ -383,13 +392,17 @@ def test_kernel_work_of_the_forked_s4_child(monkeypatch, tmp_path):
 
         return run
 
+    monkeypatch.setattr(os, "fork", fork)
+    # this process forms its own half of the rows too, and marks it in
+    # its own copy of `marks`, which the child's record does not see
+    monkeypatch.setattr(cli, "_even_rows_half", marked(cli._even_rows_half))
     monkeypatch.setattr(cli, "check_curvature", marked(cli.check_curvature))
     monkeypatch.setattr(cli, "_chern_weil_share", marked(cli._chern_weil_share))
     monkeypatch.setattr(cli, "commutator_check", marked(cli.commutator_check, last=True))
     run_suite(inst.module, inst.connection, **inst.options)
     child = json.loads(record.read_text())
     stages = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(child, child[1:])]
-    assert stages == [(477, 15557), (36, 276168), (216, 253356)]
+    assert stages == [(8, 140565), (477, 15557), (36, 276168), (216, 253356)]
 
 
 def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):

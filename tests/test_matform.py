@@ -369,6 +369,62 @@ def test_a_three_letter_word_cuts_where_the_missing_product_is_cheaper():
     assert not at_one.is_zero()
 
 
+
+@pytest.mark.parametrize("which", ["s4", "seed-4"])
+def test_the_two_halves_of_the_even_rows_of_a_square_are_those_rows(monkeypatch, which):
+    # cli.run_suite's two processes form the first and the later half of
+    # the even rows of A·A, P_0(A·A), each: s4 has 4 even basis rows, and
+    # seed 4's module, a tensor of two rank-2 Koszul modules, has 2
+    from curvedchern.modules import covariant_derivative
+
+    if which == "s4":
+        inst = cli.parse_instance(cli._corpus_text("s4_nonflat.json"), "s4")
+        M, C = inst.module, inst.connection
+    else:
+        M, C = random_module_instance(4)
+    A = covariant_derivative(C, M.delta, 1)
+    assert sum(d % 2 == 0 for d in A.target_degrees) >= 2
+    whole = WordEvaluator()
+    a = whole.letter(A)
+    P = whole._product((a, a), 0)
+    first, later = cli._even_rows_half(A, False), cli._even_rows_half(A, True)
+    # each row of P, entry for entry, in exactly one half, the other's empty
+    assert all(not (f and g) for f, g in zip(first.rows, later.rows))
+    assert [f or g for f, g in zip(first.rows, later.rows)] == P.rows
+    assert first.rows != P.rows != later.rows
+    assert first + later == P and not P.is_zero()
+    # held, the sum leaves A^4 only its square to form
+    held = WordEvaluator()
+    assert held.letter(A) == a
+    held.hold((a, a), 0, first + later)
+    matmuls = []
+    plain = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda X, Y: matmuls.append(1) or plain(X, Y))
+    calls = _kernel_spy(monkeypatch)
+    got = held.supertrace((a, a, a, a))
+    assert (matmuls, calls) == ([], ["square"])
+    monkeypatch.undo()
+    assert got == whole.supertrace((a, a, a, a))
+
+
+def test_hold_refuses_a_product_that_does_not_fit():
+    A, K = _graded_letters()
+    words = WordEvaluator()
+    a, k = words.letter(A), words.letter(K)
+    P = A @ A
+    shifted = Mat.zero(A.ring, [d + 1 for d in D], D)
+    with pytest.raises(InternalCheckFailure, match="do not fit"):
+        words.hold((a, a), 0, shifted)
+    # A·A stores the odd rows as well
+    with pytest.raises(InternalCheckFailure, match="outside row class 0"):
+        words.hold((a, a), 0, P)
+    with pytest.raises(InternalCheckFailure, match="does not hold"):
+        words.hold((a, 2), 0, P)
+    assert words._products == {}
+    even = matform._restrict(A, 0) @ A
+    words.hold((a, a), 0, even)
+    assert words._products == {((a, a), 0): even}
+
 def _ungraded_letters():
     """Letters on degrees D without both parities: X of ring entries in
     every position has no σ, and Y, with a 0-form and a 1-form in one
