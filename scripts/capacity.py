@@ -7,11 +7,12 @@ second core.  This script times a fixed pure-Python loop alone, then
 again while one forked sibling spins the same loop, and prints both
 times and their ratio, beside / alone: about 1 when the second core is
 free, up to about 2 when the two processes share one.  Each time is the
-best of --repeat runs.  It forks exactly once; the sibling is killed and
+median of RUNS runs, all of which are printed, so that contention that
+comes and goes shows.  It forks exactly once; the sibling is killed and
 reaped before the script prints, and leaves on its own should this
 process die first.
 
-Run from anywhere:  python3 scripts/capacity.py [--loops N] [--repeat R]
+Run from anywhere:  python3 scripts/capacity.py [--loops N]
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import signal
+import statistics
 import sys
 import time
+
+RUNS = 5  # timed runs of the loop alone, and again beside the sibling
 
 
 def spin(loops: int) -> int:
@@ -32,27 +36,30 @@ def spin(loops: int) -> int:
     return acc
 
 
-def best_time(loops: int, repeat: int) -> float:
-    """The least seconds of `repeat` runs of spin(loops)."""
-    best = float("inf")
-    for _ in range(repeat):
+def times(loops: int) -> list[float]:
+    """The seconds of each of RUNS runs of spin(loops)."""
+    out = []
+    for _ in range(RUNS):
         t0 = time.perf_counter()
         spin(loops)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def line(label: str, runs: list[float]) -> str:
+    return f"{label}: {statistics.median(runs):.4f} s (runs: {' '.join(f'{t:.4f}' for t in runs)})"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--loops", type=int, default=2_000_000, help="iterations of the loop")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per time, the best kept")
     args = parser.parse_args(argv)
-    if args.loops < 1 or args.repeat < 1:
-        parser.error("--loops and --repeat must be positive")
+    if args.loops < 1:
+        parser.error("--loops must be positive")
     if not hasattr(os, "fork"):
         print("capacity: this platform cannot fork", file=sys.stderr)
         return 2
-    alone = best_time(args.loops, args.repeat)
+    alone = times(args.loops)
     parent = os.getpid()
     pid = os.fork()
     if pid == 0:
@@ -62,13 +69,13 @@ def main(argv=None) -> int:
         finally:
             os._exit(0)
     try:
-        beside = best_time(args.loops, args.repeat)
+        beside = times(args.loops)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    print(f"alone: {alone:.4f} s")
-    print(f"beside a forked sibling: {beside:.4f} s")
-    print(f"ratio: {beside / alone:.2f}")
+    print(line("alone", alone))
+    print(line("beside a forked sibling", beside))
+    print(f"ratio: {statistics.median(beside) / statistics.median(alone):.2f}")
     return 0
 
 

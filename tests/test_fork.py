@@ -180,22 +180,28 @@ def _in_this_process(act):
 NONLINEAR = "internal consistency failure: curvature fails linearity in x2 on column 4\n"
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+# (id, nonlinear, rows_raise, parent_raises, message)
+_PRECEDENCE = [
+    ("nonlinear", True, False, False, NONLINEAR),
+    # the check's failure comes first, as the check runs before the words
+    ("nonlinear-and-words-raise", True, False, True, NONLINEAR),
+    # and before the child's rows of A·A
+    ("nonlinear-and-child-rows-raise", True, True, False, NONLINEAR),
+    ("nonlinear-and-both-raise", True, True, True, NONLINEAR),
+    # a check that passes leaves the words' own failure standing
+    ("words-raise", False, False, True, "internal consistency failure: word broke\n"),
+]
+
+
 @pytest.mark.parametrize(
-    "nonlinear, rows_raise, parent_raises, message",
+    "fork, nonlinear, rows_raise, parent_raises, message",
     [
-        (True, False, False, NONLINEAR),
-        # the check's failure comes first, as the check runs before the words
-        (True, False, True, NONLINEAR),
-        # and before the child's rows of A·A, which in one process are
-        # formed by the words
-        (True, True, False, NONLINEAR),
-        (True, True, True, NONLINEAR),
-        # a check that passes leaves the words' own failure standing
-        (False, False, True, "internal consistency failure: word broke\n"),
+        pytest.param(fork, *case, id=f"{name}-{'forked' if fork else 'in-process'}")
+        for name, *case in _PRECEDENCE
+        for fork in (True, False)
+        # one process has no child to raise in its rows
+        if fork or not case[1]
     ],
-    ids=["nonlinear", "nonlinear-and-words-raise", "nonlinear-and-child-rows-raise",
-         "nonlinear-and-both-raise", "words-raise"],
 )
 def test_the_curvature_check_fails_first_in_either_process(
     forks, monkeypatch, fork, nonlinear, rows_raise, parent_raises, message
@@ -209,7 +215,6 @@ def test_the_curvature_check_fails_first_in_either_process(
     if nonlinear:
         monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (1,), 1, True))
     if rows_raise:
-        # in one process there is no child, and this changes nothing
         monkeypatch.setattr(cli, "_even_rows_half", _forked_only(
             cli._even_rows_half, _raising(InternalCheckFailure("rows broke"))))
     if parent_raises:
