@@ -27,24 +27,21 @@ Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
 
 `run_suite` forms the curvature K = nabla^2, without its linearity check,
-and A = [nabla, delta] first.  On a module where the commutator check
-forms more than FORK_MIN_PAIRS term pairs, in a process that can fork, may
-use two CPUs and runs one thread, the suite runs in two processes.  A
-forked child forms the later half of the even rows of A·A, runs K's
-linearity check, evaluates the Chern-Weil words that contain a K letter
-and runs the commutator check, and sends back over a pipe, in that order,
-its rows, the check's seconds, the words' supertraces and the
-commutator's verdict (each message may be the exception the child raised).
-Meanwhile this process forms the first half of those rows, adds the
-child's to hold the even rows of A·A whole, evaluates the pure powers of
-A (A^4 is then the square of those rows alone), reads the check, adopts
-the child's supertraces, and sums Chern-Weil, runs the chain route (which
-then forms nothing new) and the cycle check.  Elsewhere (random
-instances, small files) everything runs in this process: the linearity
-check first, the pure powers of A before the words with K, and the
-commutator check after the cycle check.  Results are the same either way,
-and so is the failure raised first: a failing linearity check wins over a
-failure of any later stage, the child's rows included.
+and A = [nabla, delta] first, then follows one schedule.  A list of
+stages, in order the later half of the even rows of A·A (when A^4 is a
+Chern-Weil word), K's linearity check, the Chern-Weil words with a K
+letter and the commutator check, gives its values to this process, which
+meanwhile forms the first half of those rows and holds their sum (A^4 is
+then their square alone), evaluates the pure powers of A, reads the check,
+adopts the supertraces of the words with K, and sums Chern-Weil, runs the
+chain route (which then forms nothing new) and the cycle check.  Only the
+transport differs.  Where the commutator check forms more than
+FORK_MIN_PAIRS term pairs and the process can fork, may use two CPUs and
+runs one thread, a forked child runs every stage and pipes back each value
+or the exception the stage raised; elsewhere (random instances, small
+files) each stage runs in this process when its value is read.  Results
+are the same either way, and so is the failure raised first: a failing
+linearity check wins over a failure of any other stage.
 
 `main` may be called many times in one process (the tests and the
 benchmark do).  The argument parser is built once per process, on first
@@ -64,7 +61,7 @@ import signal
 import sys
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -403,11 +400,9 @@ class SuiteResult:
 # the commutator check alone: it costs ~1.2 us raw per term pair of
 # delta·R and R·delta (s4-nonflat: 161 588 pairs, 160 496 by _check_pairs,
 # in 0.19 s), so at this many pairs it takes ~24 ms, about five times what
-# the fork costs.  The child's share is larger than that, as it also forms
-# half of the even rows of A·A, runs the curvature's linearity check and
-# evaluates the Chern-Weil words that contain K, so the gate errs on the
-# side of not forking.  Random instances reach at most 715 by
-# _check_pairs (seeds 0-999).
+# the fork costs.  The child's share, all of run_suite's stages, is larger
+# than that, so the gate errs on the side of not forking.  Random instances
+# reach at most 715 by _check_pairs (seeds 0-999).
 FORK_MIN_PAIRS = 20_000
 
 
@@ -424,10 +419,10 @@ def _check_pairs(delta: Mat, K: Mat, A: Mat) -> int:
 
 
 def _forks(delta: Mat, K: Mat, A: Mat) -> bool:
-    """Whether run_suite runs in two processes (cli module docstring): the
-    platform forks, the process may use two CPUs and runs one thread (a
-    fork copies only the calling thread), and the commutator check forms
-    more than FORK_MIN_PAIRS term pairs (_check_pairs of delta,
+    """Whether run_suite runs its stages in a forked child (cli module
+    docstring): the platform forks, the process may use two CPUs and runs
+    one thread (a fork copies only the calling thread), and the commutator
+    check forms more than FORK_MIN_PAIRS term pairs (_check_pairs of delta,
     K = nabla^2 and A = [nabla, delta])."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return (
@@ -445,14 +440,16 @@ def _timed(stage, *args, **kwargs) -> tuple:
 
 
 def _chern_weil_share(M: CurvedModule, C: Connection, K: Mat, words: WordEvaluator,
-                      with_k: bool) -> None:
+                      with_k: bool) -> dict:
     """Evaluate through `words` the Chern-Weil words (chern_weil_words)
-    that contain a K letter if with_k, else the pure powers of A."""
+    that contain a K letter if with_k, else the pure powers of A; returns
+    the supertraces `words` then holds, its classes()."""
     sums = chern_weil_words(M, C, words)
     k = words.letter(K)
     for w in sums:
         if (k in w) == with_k:
             words.supertrace(w)
+    return words.classes()
 
 
 def _even_rows_half(A: Mat, later: bool) -> Mat:
@@ -467,137 +464,103 @@ def _even_rows_half(A: Mat, later: bool) -> Mat:
 
 
 @contextmanager
-def _checks_and_k_words_beside(
-    M: CurvedModule, C: Connection, K: Mat, A: Mat, bound: int | None, words: WordEvaluator
-):
-    """A forked child, while the block runs, sends four messages: its half
-    of P_0(A·A) (_even_rows_half, the later rows); the seconds
-    check_curvature(C, K) took; the supertraces (`classes()`) of the
-    Chern-Weil words with K, evaluated through its copy of `words`; and
-    (the verdict of commutator_check(M, C, bound), its seconds).  A child
-    that raises sends the exception in place of the message and stops,
-    except that it still runs and sends the check after its rows raised.
-    `words` must hold no letter at the fork: each process interns the
-    letters in the order of chern_weil_words, A first, so the child's
-    letter ids are this process's.
+def _run_stages(ring: GradedRing, stages: list, first: int, fork: bool):
+    """Run `stages`, pairs (missing, stage) with stage() not None, in
+    order: in a forked child if `fork`, else in this process as the block
+    reads each value.  Yields receive(): the next stage's value, or what the
+    stage raised (same type, same message), or InternalCheckFailure(missing)
+    if the child sent nothing for it.  Should the block raise before it read
+    stage `first`, the stages up to `first` are read, and the exception of
+    stage `first`, if it raised one, is raised in place of the block's.
 
-    Yields (rows, checked, classes, verdict), four functions that take the
-    messages in turn.  rows forms this process's half of P_0(A·A), adds
-    the child's and holds the sum in `words` as P_0(A·A); the others wait
-    for their message.  Each raises what the child raised, of the same
-    type and with the same message, or InternalCheckFailure, naming the
-    message the child did not send.  Should the block raise before it read
-    the check, the check is read first, and its exception, if the child
-    sent one, is raised in place of the block's: in one process the check
-    runs first.  On leaving the block the child is reaped, and killed
-    first if its verdict was never read.  Values of M's ring travel
-    without their ring and arrive on this process's ring object."""
-    # imported here: only a run that forks needs it, and it adds ~0.25 MB
-    # to the peak memory of every other run
-    import pickle
+    A forked child runs every stage, a failing one too, and pickles each
+    outcome down a pipe; values of `ring` travel without it and arrive on
+    this process's ring object.  On leaving the block the child is reaped,
+    and killed first if a value was never read."""
 
-    ring = M.ring
+    def run_here():
+        """Each stage's value, or the exception it raised, in order."""
+        for _, stage in stages:
+            try:
+                yield stage()
+            except Exception as exc:
+                yield exc
 
-    class Pickler(pickle.Pickler):
-        def persistent_id(self, obj):
-            return "ring" if obj is ring else None
+    outcomes = run_here()
+    if fork:
+        # imported here: only a run that forks needs it, and it adds ~0.25 MB
+        # to the peak memory of every other run
+        import pickle
 
-    class Unpickler(pickle.Unpickler):
-        def persistent_load(self, pid):
-            return ring
+        class Pickler(pickle.Pickler):
+            def persistent_id(self, obj):
+                return "ring" if obj is ring else None
 
-    def k_words():
-        _chern_weil_share(M, C, K, words, True)
-        return words.classes()
+        class Unpickler(pickle.Unpickler):
+            def persistent_load(self, pid):
+                return ring
 
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as fh:
-                failed = False
-                for i, stage in enumerate((lambda: _even_rows_half(A, True),
-                                           lambda: _timed(check_curvature, C, K)[1], k_words,
-                                           lambda: _timed(commutator_check, M, C, bound))):
-                    try:
-                        out = stage()
-                    except Exception as exc:
-                        out = exc
-                    Pickler(fh).dump(out)
-                    fh.flush()
-                    failed = failed or isinstance(out, Exception)
-                    if failed and i:  # the check, stage 1, is sent after failed rows too
-                        break
-        finally:
-            # leave without the parent's atexit handlers, buffer flushes or test teardown
-            os._exit(0)
-    os.close(w)
-    reader = os.fdopen(r, "rb")
-    sent = []  # the child's messages read so far, in order
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as fh:
+                    for out in outcomes:
+                        Pickler(fh).dump(out)
+                        fh.flush()
+            finally:
+                # leave without the parent's atexit handlers, buffer flushes or test teardown
+                os._exit(0)
+        os.close(w)
+        reader = os.fdopen(r, "rb")
 
-    def load():
-        """The child's next message; None if it sent nothing, or cut it short."""
-        try:
-            sent.append(Unpickler(reader).load())
-        except (EOFError, pickle.UnpicklingError):
-            sent.append(None)
-        return sent[-1]
+        def arrive():
+            """The child's next message; None if it sent nothing, or cut it short."""
+            try:
+                return Unpickler(reader).load()
+            except (EOFError, pickle.UnpicklingError):
+                return None
 
-    def receive(missing: str):
-        out = load()
-        if out is None:
-            raise InternalCheckFailure(missing)
-        if isinstance(out, Exception):
-            raise out
-        return out
+        outcomes = (arrive() for _ in stages)
+    got = []  # the outcomes received so far, in order
 
-    def rows():
-        mine = _even_rows_half(A, False)
-        theirs = receive("the forked process sent no rows of A·A")
-        a = words.letter(A)
-        words.hold((a, a), 0, mine + theirs)
-
-    def checked():
-        return receive("the forked process sent no curvature check")
-
-    def classes():
-        return receive("the forked process sent no Chern-Weil classes")
-
-    def verdict():
-        with reader:
-            return receive("the commutator check's process sent no verdict")
+    def receive():
+        got.append(next(outcomes))
+        if got[-1] is None:
+            raise InternalCheckFailure(stages[len(got) - 1][0])
+        if isinstance(got[-1], Exception):
+            raise got[-1]
+        return got[-1]
 
     try:
-        yield rows, checked, classes, verdict
+        yield receive
     except Exception:
-        # the check is the child's second message
-        if len(sent) < 2:
-            while len(sent) < 2:
-                load()
-            if isinstance(sent[1], Exception):
-                raise sent[1]
+        while len(got) <= first:
+            got.append(next(outcomes))
+        if isinstance(got[first], Exception):
+            raise got[first]
         raise
     finally:
-        if not reader.closed:
+        if fork:
             reader.close()
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+            if len(got) < len(stages):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @_exact_digits()
 def run_suite(
     M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
 ) -> SuiteResult:
-    """Both routes and both identity checks on (M, C), in this process
-    or, on a module large enough that it pays (_forks), in two, as the cli
-    module docstring says; the result, and the failure raised first, are
-    the same either way.  `timing` holds each stage's own seconds:
-    curvature (K and its linearity check, the check measured where it
-    ran), chern_weil (A and the words, and in a forked run the wait for
-    the child's rows of A·A, check and supertraces), chern_via_chains, and
-    identity_checks, the cycle check's time plus the commutator check's,
-    measured where it ran.
+    """Both routes and both identity checks on (M, C), as the cli module
+    docstring says; the result, and the failure raised first, are the same
+    whether the stages run in a forked child (_forks) or not.  `timing`
+    holds each stage's own seconds: curvature (K and its linearity check,
+    the check measured where it ran), chern_weil (A and the words, with the
+    wait for a forked child's rows of A·A and supertraces, less the time
+    spent reading the check), chern_via_chains, and identity_checks, the
+    cycle check's time plus the commutator check's, measured where it ran.
     """
     timing: dict[str, float] = {}
     # one evaluator for both routes: a word they share is evaluated once
@@ -607,26 +570,36 @@ def run_suite(
     with unchecked_curvature(C) as K:
         k_s = time.monotonic() - t0
         A, a_s = _timed(covariant_derivative, C, M.delta, 1)  # cached on C likewise
-        if _forks(M.delta, K, A):
-            stage = _checks_and_k_words_beside(M, C, K, A, bound, words)
-        else:
-            # the words form P_0(A·A) whole, chern_weil evaluates the words
-            # with K, there are no classes to adopt, and the commutator
-            # check runs after the cycle check
-            check_s = _timed(check_curvature, C, K)[1]
-            verdict = functools.partial(_timed, commutator_check, M, C, bound)
-            stage = nullcontext((lambda: None, lambda: check_s, dict, verdict))
-        with stage as (rows, checked, classes, commutator_verdict):
+        # A and K are interned here, so a forked copy of `words` has the same
+        # letter ids; only A^4's supertrace squares the even rows of A·A
+        a = words.letter(A)
+        halves = (a,) * 4 in chern_weil_words(M, C, words)
+        check = ("the forked process sent no curvature check",
+                 lambda: _timed(check_curvature, C, K)[1])
+        stages = [
+            check,
+            ("the forked process sent no Chern-Weil classes",
+             lambda: _chern_weil_share(M, C, K, words, True)),
+            ("the commutator check's process sent no verdict",
+             lambda: _timed(commutator_check, M, C, bound)),
+        ]
+        if halves:
+            rows = ("the forked process sent no rows of A·A", lambda: _even_rows_half(A, True))
+            stages.insert(0, rows)
+        # a failing linearity check is raised first, as if it ran first
+        with _run_stages(M.ring, stages, stages.index(check), _forks(M.delta, K, A)) as receive:
             t0 = time.monotonic()
-            rows()
+            if halves:
+                words.hold((a, a), 0, _even_rows_half(A, False) + receive())
             _chern_weil_share(M, C, K, words, False)
-            timing["curvature"] = k_s + checked()
-            words.adopt(classes())
+            check_s, read_s = _timed(receive)
+            timing["curvature"] = k_s + check_s
+            words.adopt(receive())
             ch_weil = chern_weil(M, C, words)
-            timing["chern_weil"] = a_s + time.monotonic() - t0
+            timing["chern_weil"] = a_s + time.monotonic() - t0 - read_s
             ch_chains, timing["chern_via_chains"] = _timed(chern_via_chains, M, C, words=words)
             cycle, cycle_s = _timed(cycle_check, M, C, bound, ch=ch_weil)
-            commutator, commutator_s = commutator_verdict()
+            commutator, commutator_s = receive()
     timing["identity_checks"] = cycle_s + commutator_s
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()

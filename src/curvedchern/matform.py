@@ -641,8 +641,8 @@ class WordEvaluator:
     `classes` and `adopt` hand the least-rotation supertraces from one
     evaluator to another over the same letter ids, as cli.run_suite's
     forked child does to its parent; `hold` takes a row-class product
-    P_c(v) formed elsewhere, as that parent does with P_0(A·A), whose rows
-    the two processes form half each.
+    P_c(v) formed elsewhere, as cli.run_suite does with P_0(A·A), which it
+    forms as two halves of rows.
     """
 
     def __init__(self):
@@ -687,14 +687,16 @@ class WordEvaluator:
         rotation, so that supertrace forms nothing for their words.  The
         other evaluator must hold this one's letters under the same ids,
         as a forked copy does.  A class whose word uses a letter id this
-        evaluator does not hold, or one it holds with another value, is
-        refused with InternalCheckFailure (values are exact, so equal
-        classes compare equal), and then nothing is adopted."""
+        evaluator does not hold, or one it holds as another object with
+        another value, is refused with InternalCheckFailure (values are
+        exact, so equal classes compare equal; its own classes() are the
+        very objects it holds and are not compared), and then nothing is
+        adopted."""
         for star, value in classes.items():
             if not all(0 <= x < len(self._letters) for x in star):
                 raise InternalCheckFailure(f"adopted class {star} uses a letter this evaluator does not hold")
             held = self._classes.get(star)
-            if held is not None and held != value:
+            if held is not None and held is not value and held != value:
                 raise InternalCheckFailure(f"adopted class {star} differs from the one held")
         self._classes.update(classes)
 

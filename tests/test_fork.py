@@ -1,10 +1,12 @@
-"""The suite in two processes: on s4 a forked child forms half of the
-even rows of A·A, runs the curvature's linearity check, evaluates the
+"""The suite's stages in a forked child: on s4 the child forms half of
+the even rows of A·A, runs the curvature's linearity check, evaluates the
 Chern-Weil words that contain K = nabla^2 and runs the commutator check,
-and the suite gives the same result as in one process; a child that
-raises or dies in any stage keeps the exit-code contract, and a failing
-check is raised first in either process; no child outlives its suite;
-and random instances, the small corpus file and `milnor` never fork."""
+and the suite gives the same result as when those stages run in this
+process; a child that raises or dies in any stage keeps the exit-code
+contract, and a failing check is raised first in either process, though
+the child runs every stage; the even rows of A·A are split only where A^4
+squares them; no child outlives its suite; and random instances, the
+small corpus file and `milnor` never fork."""
 
 from __future__ import annotations
 
@@ -93,39 +95,68 @@ def _forked_only(plain, stage):
 
 
 @pytest.mark.parametrize(
-    "stage, check, code, message",
+    "stage, check, corpus, code, message",
     [
-        ("commutator_check", _raising(InvalidInput("bad in the child")), 2,
+        ("commutator_check", _raising(InvalidInput("bad in the child")), "mf_xy", 2,
          "invalid input: bad in the child\n"),
-        ("commutator_check", _raising(IdentityFailure("fails in the child")), 3,
+        ("commutator_check", _raising(IdentityFailure("fails in the child")), "mf_xy", 3,
          "identity failure: fails in the child\n"),
         # dies without writing a verdict
-        ("commutator_check", lambda M, C, bound: os._exit(1), 4,
+        ("commutator_check", lambda M, C, bound: os._exit(1), "mf_xy", 4,
          "internal consistency failure: the commutator check's process sent no verdict\n"),
-        # the curvature's linearity check, the child's second stage
-        ("check_curvature", _raising(IdentityFailure("check fails in the child")), 3,
+        # the curvature's linearity check, the child's first stage on mf-xy
+        ("check_curvature", _raising(IdentityFailure("check fails in the child")), "mf_xy", 3,
          "identity failure: check fails in the child\n"),
         # dies before it sends the seconds of its check
-        ("check_curvature", lambda C, K: os._exit(1), 4,
+        ("check_curvature", lambda C, K: os._exit(1), "mf_xy", 4,
          "internal consistency failure: the forked process sent no curvature check\n"),
-        # its half of the even rows of A·A, the child's first stage
-        ("_even_rows_half", _raising(IdentityFailure("rows fail in the child")), 3,
+        # its half of the even rows of A·A, the child's first stage on s4
+        # (mf-xy, with two variables, has no A^4 and no rows to split)
+        ("_even_rows_half", _raising(IdentityFailure("rows fail in the child")), "s4_nonflat", 3,
          "identity failure: rows fail in the child\n"),
         # dies before it sends its rows
-        ("_even_rows_half", lambda A, later: os._exit(1), 4,
+        ("_even_rows_half", lambda A, later: os._exit(1), "s4_nonflat", 4,
          "internal consistency failure: the forked process sent no rows of A·A\n"),
     ],
     ids=["invalid-input", "identity-failure", "no-verdict", "check-identity-failure", "no-check",
          "rows-identity-failure", "no-rows"],
 )
-def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, stage, check, code, message):
-    # the small file, forced onto the fork path; this process forms its
-    # own half of the rows as before
+def test_what_the_child_raises_keeps_the_exit_code(forks, monkeypatch, stage, check, corpus, code,
+                                                    message):
+    # forced onto the fork path; the replacement acts in the child only,
+    # as on s4 this process forms its own half of the rows through the
+    # same function
     monkeypatch.setattr(cli, "_forks", lambda *mats: True)
     monkeypatch.setattr(cli, stage, _forked_only(getattr(cli, stage), check))
-    assert _main("compute", str(CORPUS / "mf_xy.json"))[::2] == (code, message)
+    assert _main("compute", str(CORPUS / f"{corpus}.json"))[::2] == (code, message)
     assert len(forks) == 1
     _no_child_left()
+
+
+def test_a_forked_run_without_a4_forms_no_rows_of_a_a(forks, monkeypatch):
+    # mf-xy has two variables, so no Chern-Weil word is A^4 and nothing
+    # reads P_0(A·A): neither process forms a half of it (the child's
+    # stages are the list this process built, without the rows)
+    calls = []
+    plain = cli._even_rows_half
+    monkeypatch.setattr(cli, "_forks", lambda *mats: True)
+    monkeypatch.setattr(cli, "_even_rows_half", lambda A, later: calls.append(later) or plain(A, later))
+    assert _main("compute", str(CORPUS / "mf_xy.json"))[0] == 0
+    assert calls == []
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_in_one_process_the_check_counts_in_curvature_only(forks, monkeypatch):
+    # the check runs when the suite reads it, after the pure powers of A,
+    # but its seconds are not Chern-Weil's
+    monkeypatch.setattr(cli, "_forks", lambda *mats: False)
+    monkeypatch.setattr(cli, "check_curvature", lambda C, K: time.sleep(0.3))
+    inst = cli.parse_instance(cli._corpus_text("mf_xy.json"), "mf-xy")
+    timing = cli.run_suite(inst.module, inst.connection, **inst.options).timing
+    assert timing["curvature"] >= 0.3
+    assert timing["chern_weil"] < 0.3
+    assert forks == []
 
 
 def _in_the_child(act):
@@ -183,9 +214,11 @@ NONLINEAR = "internal consistency failure: curvature fails linearity in x2 on co
 # (id, nonlinear, rows_raise, parent_raises, message)
 _PRECEDENCE = [
     ("nonlinear", True, False, False, NONLINEAR),
-    # the check's failure comes first, as the check runs before the words
+    # the check's failure comes first, though this process evaluates the
+    # pure powers of A before it reads the check
     ("nonlinear-and-words-raise", True, False, True, NONLINEAR),
-    # and before the child's rows of A·A
+    # and though the child's rows of A·A come before the check, and the
+    # child goes on to its later stages after either fails
     ("nonlinear-and-child-rows-raise", True, True, False, NONLINEAR),
     ("nonlinear-and-both-raise", True, True, True, NONLINEAR),
     # a check that passes leaves the words' own failure standing
@@ -207,10 +240,11 @@ def test_the_curvature_check_fails_first_in_either_process(
     forks, monkeypatch, fork, nonlinear, rows_raise, parent_raises, message
 ):
     # s4 under the mutant of D that the linearity check names as x2 on
-    # column 4 (tests/test_modules.py); in a forked run the check is the
-    # child's second stage, after its rows of A·A, and this process forms
-    # its own rows and evaluates the pure powers of A before it reads the
-    # check, so a failure there is raised only after
+    # column 4 (tests/test_modules.py); the check is the second stage,
+    # after the later rows of A·A, whether a child runs the stages or this
+    # process does, and this process forms its own rows and evaluates the
+    # pure powers of A before it reads the check, so when they raise, the
+    # check is read before their failure is raised
     monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
     if nonlinear:
         monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (1,), 1, True))

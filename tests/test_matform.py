@@ -478,7 +478,17 @@ def test_an_adopted_class_forms_nothing(monkeypatch):
     classes = theirs.classes()
     assert set(classes) == {(a, a, k), (k, k)}
     mine.adopt(classes)
-    mine.adopt(classes)  # the same values again are no conflict
+    again = _two_evaluators()[1].classes()
+    compared = []
+    plain_eq = USeries.__eq__
+    monkeypatch.setattr(USeries, "__eq__", lambda P, Q: compared.append(1) or plain_eq(P, Q))
+    # its own classes, the very objects it holds, are not compared
+    mine.adopt(mine.classes())
+    assert compared == []
+    # equal values as other objects are compared, and are no conflict
+    mine.adopt(again)
+    assert len(compared) == len(again)
+    monkeypatch.undo()
     formed = []
     plain = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__", lambda P, Q: formed.append(1) or plain(P, Q))
