@@ -232,7 +232,6 @@ def chain(category, head, tail=(), *, objects=None, coeff: Scalar = ONE, u_exp: 
     checked and split once per category, however many chains carry it.
     """
     raw_slots = [head, *tail]
-    split = category._split
     n = len(raw_slots) - 1
     if objects is None:
         objects = (0,) * (n + 1)
@@ -241,26 +240,31 @@ def chain(category, head, tail=(), *, objects=None, coeff: Scalar = ONE, u_exp: 
         raise IncomposableChain("object cycle length must be one more than the tail")
     if any(not 0 <= o < len(category.objects) for o in objects):
         raise InvalidInput("object index out of range")
-    choices = []
-    for i, raw in enumerate(raw_slots):
-        tgt, src = objects[i], objects[(i + 1) % (n + 1)]
-        X = _as_hom(category, tgt, src, raw)
-        key = (tgt, src, content_key(X))
-        parts = split.get(key)
-        if parts is None:
-            et, es = category.identity(tgt), category.identity(src)
-            if et @ X @ es != X:
-                raise InvalidInput(f"slot {i} is not supported on the presented images")
-            parts = split[key] = sorted(X.parity_components().items())
-        choices.append(parts)
-    if any(not c for c in choices):
-        return ChainSum.zero(category)
-    out = []
-    for combo in cartesian(*choices):
-        degs = tuple(p for p, _ in combo)
-        mats = tuple(m for _, m in combo)
-        out.append((coeff, Chain(category, u_exp, objects, mats, degs)))
-    return ChainSum(category, out)
+    choices = [_slot_parts(category, i, objects[i], objects[(i + 1) % (n + 1)], raw)
+               for i, raw in enumerate(raw_slots)]
+    return ChainSum(category, _chains(category, coeff, u_exp, objects, choices))
+
+
+def _slot_parts(category, i: int, tgt: int, src: int, raw) -> list:
+    """Slot i, a hom tgt <- src, as its sorted parity components (parity,
+    matrix), checked for e-support and split once per category."""
+    X = _as_hom(category, tgt, src, raw)
+    key = (tgt, src, content_key(X))
+    parts = category._split.get(key)
+    if parts is None:
+        et, es = category.identity(tgt), category.identity(src)
+        if et @ X @ es != X:
+            raise InvalidInput(f"slot {i} is not supported on the presented images")
+        parts = category._split[key] = sorted(X.parity_components().items())
+    return parts
+
+
+def _chains(category, coeff: Scalar, u_exp: int, objects: tuple, choices: list) -> list:
+    """The terms (coeff, chain) of every choice of one component per slot."""
+    return [
+        (coeff, Chain(category, u_exp, objects, tuple(m for _, m in combo), tuple(p for p, _ in combo)))
+        for combo in cartesian(*choices)
+    ]
 
 
 # -- boundary maps -----------------------------------------------------
@@ -423,33 +427,30 @@ def pushforward(beta, c: ChainSum, n_max: int) -> ChainSum:
         if len(betas) != len(cat.objects):
             raise InvalidInput("one beta per category object required")
     # every emitted term, in order; one ChainSum merges them at the end,
-    # exactly as adding them in one at a time would
+    # exactly as adding them in one at a time would.  A chain's slots are
+    # homogeneous already and enter as they are; each beta is checked and
+    # split once, at its first insertion, as chain() would
     out: list = []
+    split: dict = {}
     for coeff, ch in c.terms():
         n = ch.n
         budget = n_max - n
         if budget < 0:
             continue
         for counts in _insertion_counts(n + 1, budget, betas, ch.objects):
-            total = sum(counts)
-            slots: list = []
-            objs: list = []
+            choices: list = [[(ch.degrees[0], ch.slots[0])]]
+            objs: list = [ch.objects[0]]
             for k in range(n + 1):
                 if k > 0:
-                    slots.append(ch.slots[k])
+                    choices.append([(ch.degrees[k], ch.slots[k])])
                     objs.append(ch.objects[k])
-                gap_obj = ch.objects[(k + 1) % (n + 1)]
+                o = ch.objects[(k + 1) % (n + 1)]
+                if counts[k] and o not in split:
+                    split[o] = _slot_parts(cat, len(objs), o, o, betas[o])
                 for _ in range(counts[k]):
-                    slots.append(betas[gap_obj])
-                    objs.append(gap_obj)
-            out += chain(
-                cat,
-                ch.slots[0],
-                slots,
-                objects=(ch.objects[0], *objs),
-                coeff=coeff * _sgn(total),
-                u_exp=ch.u_exp,
-            ).terms()
+                    choices.append(split[o])
+                    objs.append(o)
+            out += _chains(cat, coeff * _sgn(sum(counts)), ch.u_exp, tuple(objs), choices)
     return ChainSum(cat, out)
 
 

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckFailure, InvalidInput
 from .forms import USeries, _exterior_d, _indices, _pair_groups, _pair_series
-from .rings import GradedRing, Packed, RingElement, _monomials, _scaled_rows, sum_of_products
+from .rings import GradedRing, Packed, RingElement, _gammas, _scaled_rows, sum_of_products
 from .scalars import Scalar
 
 Column = list  # list[USeries], one entry per target basis vector
@@ -103,11 +103,11 @@ class Mat:
     entries are stored.  Mat(...) takes dense rows of entries and checks
     them; results of operations are built by Mat._make, unchecked.  A Mat
     is immutable once made: build the row dicts first, then the Mat, and
-    never write into the rows of an existing one (is_identity and
-    content_key are remembered).
+    never write into the rows of an existing one (is_identity, content_key
+    and supertrace are remembered).
     """
 
-    __slots__ = ("ring", "target_degrees", "source_degrees", "rows", "_identity", "_key")
+    __slots__ = ("ring", "target_degrees", "source_degrees", "rows", "_identity", "_key", "_supertrace")
 
     def __init__(self, ring, target_degrees, source_degrees, entries):
         self.ring = ring
@@ -121,8 +121,7 @@ class Mat:
                 raise InvalidInput("matrix column count does not match source degrees")
             rows.append(_nonzero({s: _as_useries(ring, v) for s, v in enumerate(row)}))
         self.rows = rows
-        self._identity = None
-        self._key = None
+        self._identity = self._key = self._supertrace = None
 
     @staticmethod
     def _make(ring, target_degrees: tuple, source_degrees: tuple, rows: list) -> "Mat":
@@ -133,8 +132,7 @@ class Mat:
         m.target_degrees = target_degrees
         m.source_degrees = source_degrees
         m.rows = rows
-        m._identity = None
-        m._key = None
+        m._identity = m._key = m._supertrace = None
         return m
 
     # -- constructors --------------------------------------------------
@@ -321,15 +319,18 @@ class Mat:
 
     def supertrace(self) -> USeries:
         """Per-component supertrace: the form-degree-c part of the i-th
-        diagonal entry is weighted by (-1)^{(1+c)|e_i|}."""
-        if self.target_degrees != self.source_degrees:
-            raise InvalidInput("supertrace needs a square matrix on one object")
-        acc = USeries.zero(self.ring)
-        for t, row in enumerate(self.rows):
-            v = row.get(t)
-            if v is not None:
-                acc = acc + _supertrace_weight(self.target_degrees[t], v)
-        return acc
+        diagonal entry is weighted by (-1)^{(1+c)|e_i|}.  Computed once per
+        matrix: Chern-Weil and the chain route both read str(e)."""
+        if self._supertrace is None:
+            if self.target_degrees != self.source_degrees:
+                raise InvalidInput("supertrace needs a square matrix on one object")
+            acc = USeries.zero(self.ring)
+            for t, row in enumerate(self.rows):
+                v = row.get(t)
+                if v is not None:
+                    acc = acc + _supertrace_weight(self.target_degrees[t], v)
+            self._supertrace = acc
+        return self._supertrace
 
     # -- structure -----------------------------------------------------
 
@@ -366,9 +367,8 @@ class Mat:
                 want = self.source_degrees[s] - self.target_degrees[t] + m
                 for (J, mask), rows in v.groups.items():
                     need = want - 2 * J - sum(ring.degrees[x] - 1 for x in _indices(mask))
-                    for mono in _monomials(ring, v.width, rows):
-                        if not ring.deg_eq(ring.monomial_gamma(mono), need):
-                            return False
+                    if not all(ring.deg_eq(g, need) for g in _gammas(ring, v.width, rows)):
+                        return False
         return True
 
     def entry(self, t: int, s: int) -> USeries:
@@ -390,7 +390,10 @@ class Mat:
             for s, v in row.items():
                 base = self.target_degrees[t] + self.source_degrees[s]
                 for g, rows in v.groups.items():
-                    grid = grids.setdefault((base + g[1].bit_count()) % 2, [{} for _ in self.rows])
+                    p = (base + g[1].bit_count()) % 2
+                    grid = grids.get(p)
+                    if grid is None:
+                        grid = grids[p] = [{} for _ in self.rows]
                     grid[t].setdefault(s, {})[g] = rows
         if len(grids) == 1:
             return {p: self for p in grids}

@@ -12,6 +12,7 @@ R = u·curvature + [nabla, delta].
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -123,6 +124,8 @@ class Connection:
     # and the identity checks
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
+    # (weak reference to an evaluator, its chern_weil_words)
+    _words: tuple = field(default=(None, None), repr=False, compare=False)
 
 
 def levi_civita(M: CurvedModule) -> Connection:
@@ -265,7 +268,17 @@ def chern_weil_words(M: CurvedModule, C: Connection, words: WordEvaluator) -> li
     The words are the binary words w in A, K of length 1 <= m <= nvars
     (letter k is K when bit k of the word's number is set), in order of m
     and then of that number, leaving out those of form degree m + #K >
-    nvars, which vanish, and those with a zero letter."""
+    nvars, which vanish, and those with a zero letter.  The list is kept
+    on C for the evaluator last asked about, so that cli.run_suite's
+    stages and chern_weil share one; it is not to be changed."""
+    ref, got = C._words
+    if ref is None or ref() is not words:
+        got = _word_list(M, C, words)
+        C._words = weakref.ref(words), got
+    return got
+
+
+def _word_list(M: CurvedModule, C: Connection, words: WordEvaluator) -> list[tuple]:
     K = curvature_mat(C)
     A = covariant_derivative(C, C.module.delta, 1)
     letters = (words.letter(A), words.letter(K))

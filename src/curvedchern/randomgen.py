@@ -57,14 +57,24 @@ def random_ring(rng: random.Random, *, max_vars: int = 3, grading: str | None = 
     return GradedRing(names, degrees, grading=grading)
 
 
-def _monomials(ring: GradedRing, max_deg: int, gamma: int | None):
+# (ring shape, max_deg, gamma) -> the pool _monomials returns; the
+# generators draw from a few dozen shapes
+_POOLS: dict[tuple, tuple] = {}
+
+
+def _monomials(ring: GradedRing, max_deg: int, gamma: int | None) -> tuple:
     """Monomial tuples of total degree <= max_deg, optionally filtered to
-    an exact Gamma-degree (exact as integers; Z/2 rings pass gamma=None)."""
-    out = []
-    for m in _nf_monomials_up_to(ring, max_deg):
-        if gamma is None or ring.monomial_gamma(m) == gamma:
-            out.append(m)
-    return out
+    an exact Gamma-degree (exact as integers; Z/2 rings pass gamma=None),
+    sorted; enumerated once per ring shape, relation included."""
+    relation = None if ring.relation is None else ring.relation.key()
+    key = (ring.variables, ring.degrees, ring.grading, relation, max_deg, gamma)
+    got = _POOLS.get(key)
+    if got is None:
+        got = _POOLS[key] = tuple(
+            m for m in _nf_monomials_up_to(ring, max_deg)
+            if gamma is None or ring.monomial_gamma(m) == gamma
+        )
+    return got
 
 
 def random_poly(

@@ -99,6 +99,9 @@ class GradedRing:
                     f"variable {v} has odd degree {d}; ring degrees must be even"
                 )
         self.nvars = len(self.variables)
+        # whether some monomial has nonzero Gamma-degree: variable degrees
+        # are even, so over Z/2 every monomial has degree 0
+        self.weighted = grading == "Z" and any(self.degrees)
         self._index = {v: k for k, v in enumerate(self.variables)}
         # the width of rows whose degrees fit it (module docstring)
         self.base_width = _Glex.holding(self.nvars, 0).width
@@ -521,7 +524,7 @@ class RingElement(Packed):
 
         Zero is homogeneous of every degree; by convention returns 0.
         """
-        degs = {self.ring.monomial_gamma(m) for m in _monomials(self.ring, self.width, self.rows)}
+        degs = _gammas(self.ring, self.width, self.rows)
         if not degs:
             return 0
         if len(degs) > 1:
@@ -530,8 +533,7 @@ class RingElement(Packed):
 
     def has_gamma_degree(self, d: int) -> bool:
         """True when every monomial has Gamma-degree d (zero passes)."""
-        ring = self.ring
-        return all(ring.deg_eq(ring.monomial_gamma(m), d) for m in _monomials(ring, self.width, self.rows))
+        return all(self.ring.deg_eq(g, d) for g in _gammas(self.ring, self.width, self.rows))
 
     # the largest packed monomial leads, and its top field is the degree
 
@@ -680,10 +682,13 @@ def _summed(rows: list) -> list:
     return [(k, a, b) for k, (a, b) in acc.items() if a or b]
 
 
-def _monomials(ring: GradedRing, width: int, rows: list) -> list:
-    """The exponent tuples of the packed monomials of rows."""
+def _gammas(ring: GradedRing, width: int, rows: list) -> set:
+    """The Gamma-degrees of the packed monomials of rows, decoded only
+    when the ring is weighted (else each is 0)."""
+    if not ring.weighted:
+        return {0} if rows else set()
     decode = _glex(ring.nvars, width).decode
-    return [decode(k) for k, _, _ in rows]
+    return {ring.monomial_gamma(decode(k)) for k, _, _ in rows}
 
 
 def _mono_str(ring: GradedRing, m: Monomial) -> str:

@@ -5,8 +5,9 @@ and the suite gives the same result as when those stages run in this
 process; a child that raises or dies in any stage keeps the exit-code
 contract, and a failing check is raised first in either process, though
 the child runs every stage; the even rows of A·A are split only where A^4
-squares them; no child outlives its suite; and random instances, the
-small corpus file and `milnor` never fork."""
+squares them; the Chern-Weil words are listed once, before the fork; no
+child outlives its suite; and random instances, the small corpus file
+and `milnor` never fork."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from importlib.resources import files
 
 import pytest
 
-from curvedchern import cli, matform
+from curvedchern import cli, matform, modules
 from curvedchern.errors import IdentityFailure, InternalCheckFailure, InvalidInput
 from curvedchern.matform import WordEvaluator
 
@@ -144,6 +145,30 @@ def test_a_forked_run_without_a4_forms_no_rows_of_a_a(forks, monkeypatch):
     assert _main("compute", str(CORPUS / "mf_xy.json"))[0] == 0
     assert calls == []
     assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "corpus, fork",
+    [("mf_xy", False), ("mf_xy", True), ("s4_nonflat", True)],
+    ids=["mf-xy-in-process", "mf-xy-forked", "s4-forked"],
+)
+def test_the_chern_weil_words_are_listed_once_per_suite(forks, monkeypatch, tmp_path, corpus, fork):
+    # this process lists them before any fork; both Chern-Weil shares, in
+    # whichever process, and the final sum read that one list
+    record, plain = tmp_path / "listed", modules._word_list
+
+    def spy(*args):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return plain(*args)
+
+    monkeypatch.setattr(modules, "_word_list", spy)
+    monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
+    inst = cli.parse_instance(cli._corpus_text(f"{corpus}.json"), corpus)
+    assert cli.run_suite(inst.module, inst.connection, **inst.options).ok
+    assert record.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert len(forks) == fork
     _no_child_left()
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 from importlib.resources import files
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from curvedchern.matform import (
     supertrace_of_product,
     supertrace_of_square,
 )
+from curvedchern.modules import CurvedAlgebra, CurvedModule, check_module, connection_with_mu
 from curvedchern.randomgen import random_module_instance
 from curvedchern.scalars import Scalar
 
@@ -81,6 +83,88 @@ def test_degree_rule_checks():
     assert not delta.has_operator_degree(0)
     bad = Mat.from_stored(R, [0, 1], [["0", "T"], ["x*T", "0"]])
     assert not bad.has_operator_degree(1)
+
+
+# one ring of each kind the degree rule reads: over Z/2 and over Z without
+# a weighted variable every monomial has Gamma-degree 0, and the rule
+# decodes no monomial; with a weight-2 variable it decodes every one
+_DEGREE_RINGS = {
+    "z2": (qi_ring("x", "T", degrees=[0, 2], grading="Z2"), False),
+    "z-weighted": (qi_ring("x", "T", degrees=[0, 2], grading="Z"), True),
+    "z-unweighted": (qi_ring("x", "T", degrees=[0, 0], grading="Z"), False),
+}
+
+
+def _gamma_reference(p, d) -> bool:
+    """RingElement.has_gamma_degree read monomial by monomial."""
+    ring = p.ring
+    return all(ring.deg_eq(ring.monomial_gamma(m), d) for m in p.terms)
+
+
+def _degree_rule_reference(X: Mat, m: int) -> bool:
+    """Mat.has_operator_degree read monomial by monomial."""
+    ring = X.ring
+    for t, row in enumerate(X.rows):
+        for s, v in row.items():
+            want = X.source_degrees[s] - X.target_degrees[t] + m
+            for J, form in v.coeffs.items():
+                for S, p in form.parts.items():
+                    if not _gamma_reference(p, want - 2 * J - sum(ring.degrees[x] - 1 for x in S)):
+                        return False
+    return True
+
+
+def _degree_rule_entries(ring) -> list:
+    """Ring elements, one-forms and u-shifted entries, homogeneous and not."""
+    polys = [ring.from_string(t) for t in ("1", "x", "T", "x*T", "x^2 + T", "T^2 - x*T + 1")]
+    forms = [DiffForm.d_var(ring, v).scale_ring(p) for v in ("x", "T") for p in polys[:3]]
+    series = [USeries.from_form(f, J) for f in forms[:2] + polys[:3] for J in (1, 2)]
+    return polys + forms + series + [DiffForm.d_var(ring, "x").wedge(DiffForm.d_var(ring, "T"))]
+
+
+@pytest.mark.parametrize("kind", sorted(_DEGREE_RINGS))
+def test_the_degree_rule_agrees_with_a_monomial_reference(kind):
+    ring, weighted = _DEGREE_RINGS[kind]
+    assert ring.weighted is weighted
+    entries = _degree_rule_entries(ring)
+    for p in entries[:6] + [ring.zero()]:
+        for d in range(-3, 6):
+            assert p.has_gamma_degree(d) == _gamma_reference(p, d), (str(p), d)
+    rng = random.Random(f"degree-rule:{kind}")
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        tgt = tuple(rng.randint(-1, 2) for _ in range(n))
+        src = tgt if rng.random() < 0.5 else tuple(rng.randint(-1, 2) for _ in range(n))
+        X = Mat(ring, tgt, src, [[rng.choice(entries) if rng.random() < 0.4 else 0 for _ in src] for _ in tgt])
+        for m in (-1, 0, 1, 2):
+            got = X.has_operator_degree(m)
+            assert got == _degree_rule_reference(X, m), (kind, tgt, src, m)
+            outcomes.add(got)
+    # matrices that break the rule as well as ones that keep it
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEGREE_RINGS))
+def test_the_degree_rule_refuses_a_bad_delta_theta_and_e(kind):
+    ring, _ = _DEGREE_RINGS[kind]
+    alg = CurvedAlgebra(ring, ring.zero())
+    degrees = (0, 1)
+    good = CurvedModule(alg, degrees, Mat.zero(ring, degrees, degrees))
+    # an even entry where delta must be odd, on the diagonal
+    bad_delta = CurvedModule(alg, degrees, Mat(ring, degrees, degrees, [[1, 0], [0, 0]]))
+    assert "delta entries violate the degree rule |d_ij| = |e_i|-|e_j|+1" in check_module(bad_delta).failures
+    # an off-diagonal constant where e must be even
+    bad_e = Mat(ring, degrees, degrees, [[1, 1], [0, 1]])
+    assert not bad_e.has_operator_degree(0)
+    assert "idempotent entries violate the degree rule |e_ij| = |e_i|-|e_j|" in check_module(
+        CurvedModule(alg, degrees, Mat.zero(ring, degrees, degrees), e=bad_e)
+    ).failures
+    # a function where theta must be a one-form
+    with pytest.raises(InvalidInput, match="operator degree -1"):
+        connection_with_mu(good, Mat(ring, degrees, degrees, [["x", 0], [0, 0]]))
+    dx = DiffForm.d_var(ring, "x")
+    assert connection_with_mu(good, Mat(ring, degrees, degrees, [[dx, 0], [0, dx]])).theta.has_operator_degree(-1)
 
 
 def test_supertrace_weights_even_component():

@@ -95,6 +95,23 @@ def test_run_suite_differentiates_delta_once(monkeypatch):
     assert len(calls) == 1  # not once per route
 
 
+def test_chern_weil_words_are_listed_per_evaluator():
+    # the list kept on C holds one evaluator's letter ids: another
+    # evaluator, whose ids are shifted by a letter interned first, is
+    # listed its own, and the first is listed again after it
+    M, C = random_module_instance(4)  # six words, both letters, ch != 0
+    first = modules.WordEvaluator()
+    listed = modules.chern_weil_words(M, C, first)
+    assert listed and modules.chern_weil_words(M, C, first) is listed
+    other = modules.WordEvaluator()
+    other.letter(M.e)
+    shifted = modules.chern_weil_words(M, C, other)
+    assert shifted == [tuple(x + 1 for x in w) for w in listed]
+    assert modules.chern_weil_words(M, C, first) == listed
+    ch = modules.chern_weil(M, C, other)
+    assert not ch.is_zero() and ch == modules.chern_weil(M, C, first) == modules.chern_weil(M, C)
+
+
 def _dx_form(R, coeff, var):
     return DiffForm.from_ring(R.from_string(coeff)).wedge(DiffForm.d_var(R, var))
 

@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from curvedchern.cli import instance_to_spec, parse_instance
+from curvedchern.forms import _nf_monomials_up_to
 from curvedchern.modules import check_module, chern_weil
 from curvedchern.randomgen import (
+    _monomials,
     random_chain_setup,
     random_module_instance,
     random_ring_chain,
 )
+from curvedchern.rings import GradedRing
 
 
 def test_module_instances_are_deterministic_in_seed():
@@ -75,6 +78,41 @@ def test_module_instances_match_their_golden_digest():
         digest.update(json.dumps(instance_to_spec(M, C), sort_keys=True).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == INSTANCE_SPECS_SHA256
+
+
+def test_instances_drawn_out_of_order_match_the_golden_digest():
+    # randomgen keeps each ring shape's monomial pool: after a warm-up on
+    # other seeds and generators the pools of other shapes are held, and
+    # seeds 99..0 drawn in reverse still give the pinned instances
+    for seed in range(100, 160):
+        random_module_instance(seed)
+        random_chain_setup(seed)
+        random_ring_chain(seed, with_h=True)
+    specs = {}
+    for seed in reversed(range(100)):
+        M, C = random_module_instance(seed)
+        specs[seed] = json.dumps(instance_to_spec(M, C), sort_keys=True)
+    digest = hashlib.sha256()
+    for seed in range(100):
+        digest.update(specs[seed].encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == INSTANCE_SPECS_SHA256
+
+
+def test_a_ring_with_a_relation_gets_its_own_monomial_pool():
+    free = GradedRing(("x", "y"), (0, 0), grading="Z2")
+    quotients = [GradedRing(("x", "y"), (0, 0), grading="Z2", relation=r) for r in ("x^2 - 1", "y^2 + x*y")]
+    for ring in [free, *quotients, free]:
+        for max_deg in (1, 2, 3):
+            assert list(_monomials(ring, max_deg, None)) == _nf_monomials_up_to(ring, max_deg)
+    # the leads x^2 and x·y (graded lex, x first) leave their pools
+    assert {(2, 0), (1, 1)} <= set(_monomials(free, 2, None))
+    assert (2, 0) not in _monomials(quotients[0], 2, None)
+    assert (1, 1) not in _monomials(quotients[1], 2, None)
+    # and the exact Gamma-degree filter is part of the shape
+    weighted = GradedRing(("x", "T"), (0, 2), grading="Z")
+    assert _monomials(weighted, 2, 2) == ((0, 1), (1, 1))
+    assert _monomials(weighted, 2, 0) == ((0, 0), (1, 0), (2, 0))
 
 
 # the benchmark's recorded ch_weil digest per random seed
