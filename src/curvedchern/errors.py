@@ -34,10 +34,6 @@ class Inhomogeneous(InvalidInput):
     """A polynomial or matrix entry is not homogeneous where it must be."""
 
 
-class IncomposableChain(InvalidInput):
-    """A Hochschild chain's object cycle or slot shapes do not compose."""
-
-
 class NonLinearCurvature(InternalCheckFailure):
     """The double-application curvature failed its linearity residue check."""
 

@@ -143,31 +143,25 @@ def connection_with_mu(M: CurvedModule, mu: Mat) -> Connection:
     return Connection(M, mu)
 
 
-def covariant_derivative_pair(Ci: Connection, Cj: Connection, X: Mat,
-                              degree: int) -> Mat:
-    """[nabla, X] for X: module(Cj) -> module(Ci) of operator degree
-    `degree` (only its parity |X| is used):
-    e_i·(D(X)·e_j) + theta_i·X - (-1)^{|X|} X·theta_j, the product
-    D(X)·e_j formed first and the three terms summed by one
-    Mat.sum_of_products (one kernel call per entry; a free module's
-    sandwich forms no product).
+def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
+    """[nabla, X] for an endomorphism-valued form X of operator degree
+    `degree` on the module of C (only its parity |X| is used):
+    e·(D(X)·e) + theta·X - (-1)^{|X|} X·theta, the product D(X)·e formed
+    first and the three terms summed by one Mat.sum_of_products (one
+    kernel call per entry; a free module's sandwich forms no product).
 
-    With Ci is Cj the result is remembered on the connection, keyed by the
-    content of X and its parity, so each route and check that needs the
-    same bracket (as [nabla, delta]) shares one computation."""
-    if Ci is not Cj:
-        return _bracket(Ci, Cj, X, degree)
+    The result is remembered on C, keyed by the content of X and its
+    parity, so each route and check that needs the same bracket (as
+    [nabla, delta]) shares one computation."""
     key = (content_key(X), degree % 2)
-    got = Ci._derivatives.get(key)
+    got = C._derivatives.get(key)
     if got is None:
-        got = Ci._derivatives[key] = _bracket(Ci, Ci, X, degree)
+        got = C._derivatives[key] = _bracket(C, X, degree)
     return got
 
 
-def _bracket(Ci: Connection, Cj: Connection, X: Mat, m: int) -> Mat:
-    return Mat.sum_of_products(
-        X.ring, X.target_degrees, X.source_degrees, _bracket_terms(Ci, Cj, X, m)
-    )
+def _bracket(C: Connection, X: Mat, m: int) -> Mat:
+    return Mat.sum_of_products(X.ring, X.target_degrees, X.source_degrees, _bracket_terms(C, X, m))
 
 
 def _nabla_terms(C: Connection, X: Mat, DX: Mat) -> list:
@@ -178,18 +172,12 @@ def _nabla_terms(C: Connection, X: Mat, DX: Mat) -> list:
     return terms
 
 
-def _bracket_terms(Ci: Connection, Cj: Connection, X: Mat, m: int) -> list:
+def _bracket_terms(C: Connection, X: Mat, m: int) -> list:
     """The Mat.sum_of_products terms of [nabla, X], X of parity m."""
-    terms = _nabla_terms(Ci, X, X.row_sign_d() @ Cj.module.e)
-    if not Cj.theta.is_zero():
-        terms.append((-1 if m % 2 == 0 else 1, 0, X, Cj.theta))
+    terms = _nabla_terms(C, X, X.row_sign_d() @ C.module.e)
+    if not C.theta.is_zero():
+        terms.append((-1 if m % 2 == 0 else 1, 0, X, C.theta))
     return terms
-
-
-def covariant_derivative(C: Connection, X: Mat, degree: int) -> Mat:
-    """[nabla, X] for an endomorphism-valued form X of operator degree
-    `degree` on the module of C."""
-    return covariant_derivative_pair(C, C, X, degree)
 
 
 def curvature_mat(C: Connection) -> Mat:
@@ -420,7 +408,7 @@ def commutator_residue(M: CurvedModule, C: Connection) -> Mat:
     anything is normal-formed, and a free module's sandwiches (e = 1) form
     nothing."""
     R = curvature_R(C)
-    terms = [(sign, 1, X, Y) for sign, _, X, Y in _bracket_terms(C, C, R, 0)]
+    terms = [(sign, 1, X, Y) for sign, _, X, Y in _bracket_terms(C, R, 0)]
     terms += [(1, 0, M.delta, R), (-1, 0, R, M.delta)]
     dh = _exterior_d(USeries.from_ring(M.algebra.h))
     if not dh.is_zero():

@@ -1,7 +1,7 @@
 """Seeded random instances for the verification suites.
 
 Everything here is deterministic in the seed: the same seed always
-yields the same module, connection, or chain.  Modules are generated so
+yields the same module and connection.  Modules are generated so
 that delta^2 = -h·e holds by construction (Koszul-type factorizations,
 optionally conjugated by a constant unipotent change of basis and
 carrying a connection perturbation); a check_module pass is asserted at
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import InternalCheckFailure
 from .forms import DiffForm, USeries, _nf_monomials_up_to
-from .hochschild import CategoryData, chain
 from .matform import Mat
 from .modules import (
     CurvedAlgebra,
@@ -222,83 +221,3 @@ def random_module_instance(seed: int):
     else:
         C = levi_civita(M)
     return M, C
-
-
-# -- chains ------------------------------------------------------------
-
-
-def _constant_idempotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
-    """g·diag(1..1,0..0)·g^{-1} for a constant unipotent g: a genuinely
-    non-free presentation with polynomial-free entries."""
-    rank = rng.randint(1, len(degrees))
-    n = len(degrees)
-    e0 = Mat(ring, degrees, degrees, [[int(t == s and s < rank) for s in range(n)] for t in range(n)])
-    g = _unipotent(rng, ring, degrees)
-    return g @ e0 @ _invert_unipotent(g)
-
-
-def random_chain_setup(seed: int, *, max_objects: int = 2, max_size: int = 3, max_n: int = 3):
-    """A seeded (category, connections, chain sum) triple.
-
-    The category has one or two trivial-differential objects over a
-    relation-free ring with a (possibly zero) curvature h; slots are
-    random e-supported matrices, split into homogeneous components by
-    the chain constructor.
-    """
-    rng = random.Random(f"chain:{seed}")
-    ring = random_ring(rng, grading="Z2")
-    h = random_poly(rng, ring, allow_zero=True) if rng.random() < 0.8 else ring.zero()
-    alg = CurvedAlgebra(ring, h)
-    objects = []
-    conns = []
-    for _ in range(rng.randint(1, max_objects)):
-        size = rng.randint(1, max_size)
-        degrees = tuple(rng.randint(0, 1) for _ in range(size))
-        if rng.random() < 0.35:
-            e = _constant_idempotent(rng, ring, degrees)
-        else:
-            e = Mat.identity(ring, degrees)
-        M = CurvedModule(alg, degrees, Mat.zero(ring, degrees, degrees), e=e)
-        objects.append(M)
-        if rng.random() < 0.5:
-            mu = M.e @ random_mu(rng, ring, degrees) @ M.e
-            conns.append(
-                connection_with_mu(M, mu) if not mu.is_zero() else levi_civita(M)
-            )
-        else:
-            conns.append(levi_civita(M))
-    cat = CategoryData(alg, objects)
-    n = rng.randint(0, max_n)
-    cycle = [rng.randrange(len(objects)) for _ in range(n + 1)]
-    slots = []
-    for i in range(n + 1):
-        tgt, src = cycle[i], cycle[(i + 1) % (n + 1)]
-        dt, ds = objects[tgt].degrees, objects[src].degrees
-        raw = Mat(
-            ring,
-            dt,
-            ds,
-            [
-                [random_poly(rng, ring, max_terms=1, allow_zero=True) for _ in ds]
-                for _ in dt
-            ],
-        )
-        slots.append(objects[tgt].e @ raw @ objects[src].e)
-    c = chain(cat, slots[0], slots[1:], objects=cycle, coeff=_rand_coeff(rng))
-    return cat, conns, c
-
-
-def random_ring_chain(seed: int, *, max_n: int = 3, max_vars: int = 3, with_h: bool = False):
-    """A seeded chain over the one-object category of the ring itself
-    (1x1 slots), with the flat de Rham connection."""
-    rng = random.Random(f"ring-chain:{seed}")
-    ring = random_ring(rng, max_vars=max_vars, grading="Z2")
-    h = random_poly(rng, ring) if with_h else ring.zero()
-    alg = CurvedAlgebra(ring, h)
-    M = CurvedModule(alg, (0,), Mat.zero(ring, (0,), (0,)))
-    cat = CategoryData(alg, [M])
-    n = rng.randint(0, max_n)
-    head = random_poly(rng, ring)
-    tail = [random_poly(rng, ring) for _ in range(n)]
-    c = chain(cat, head, tail, coeff=_rand_coeff(rng))
-    return cat, [levi_civita(M)], c

@@ -516,9 +516,6 @@ class RingElement(Packed):
         rows = self.rows
         return not rows or (len(rows) == 1 and rows[0][0] == 0)
 
-    def scalar_part(self) -> Scalar:
-        return next((Scalar._raw(a, b, self.den) for k, a, b in self.rows if k == 0), Scalar(0))
-
     def gamma_degree(self) -> int:
         """Common Gamma-degree of all monomials, or raise Inhomogeneous.
 

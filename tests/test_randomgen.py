@@ -9,13 +9,10 @@ import pytest
 from curvedchern.cli import instance_to_spec, parse_instance
 from curvedchern.forms import _nf_monomials_up_to
 from curvedchern.modules import check_module, chern_weil
-from curvedchern.randomgen import (
-    _monomials,
-    random_chain_setup,
-    random_module_instance,
-    random_ring_chain,
-)
+from curvedchern.randomgen import _monomials, random_module_instance
 from curvedchern.rings import GradedRing
+
+from chains import random_chain_setup, random_ring_chain
 
 
 def test_module_instances_are_deterministic_in_seed():
@@ -48,18 +45,32 @@ def test_module_instances_cover_the_knobs():
     assert True in thetas and False in thetas
 
 
+def _chain_text(c) -> list:
+    return [
+        (str(k), ch.u_exp, ch.degrees, [[[str(v) for v in row] for row in s.display()] for s in ch.slots])
+        for k, ch in c.terms()
+    ]
+
+
 def test_chain_setup_deterministic_and_composable():
-    cat1, conns1, c1 = random_chain_setup(5)
-    cat2, conns2, c2 = random_chain_setup(5)
-    assert str(c1) == str(c2)
-    assert len(conns1) == len(cat1.objects) == len(conns2)
+    drawn = 0
+    for seed, dense in [(seed, dense) for seed in range(5) for dense in (False, True)]:
+        obj1, C1, c1 = random_chain_setup(seed, dense=dense)
+        obj2, C2, c2 = random_chain_setup(seed, dense=dense)
+        assert _chain_text(c1) == _chain_text(c2)
+        drawn += not c1.is_zero()
+        assert C1.module is obj1 and C2.module is obj2
+        # every slot is an e-supported endomorphism of the one object
+        for _, ch in c1.terms():
+            assert all(obj1.e @ s @ obj1.e == s for s in ch.slots)
+    assert drawn
 
 
 def test_ring_chain_is_one_object_rank_one():
-    cat, conns, c = random_ring_chain(9, with_h=True)
-    assert len(cat.objects) == 1
-    assert cat.objects[0].degrees == (0,)
-    assert not cat.algebra.h.is_zero()
+    obj, C, c = random_ring_chain(9, with_h=True)
+    assert C.module is obj
+    assert obj.degrees == (0,)
+    assert not obj.algebra.h.is_zero()
     for _, ch in c.terms():
         assert all(len(s.target_degrees) == 1 for s in ch.slots)
 

@@ -4,10 +4,13 @@ The benchmark's tracer wraps the engine's public functions by name, so a
 change to src/ that renames or bypasses one of them fails its self-check.
 The s4 corpus script reads and prints every entry of the corpus file.
 The capacity script times a loop alone and beside one forked sibling.
+Every definition in src/ is reached from a command or from what the
+benchmark and the scripts call.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -76,3 +79,43 @@ def test_the_capacity_script_forks_once_and_reaps_its_sibling(monkeypatch):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# cli.main and the commands it dispatches by name, and what the benchmark
+# and the scripts call
+ENTRY_POINTS = (
+    "main", "cmd_compute", "cmd_verify", "cmd_examples", "cmd_milnor",
+    "parse_instance", "run_suite", "render_json", "random_module_instance", "GradedRing",
+)
+
+
+def _names(node) -> set:
+    """Every name and attribute that node's code mentions."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_definition_in_src_is_reachable_from_an_entry_point():
+    # nothing is kept only because a test calls it.  Reachability is by
+    # name across modules (a mention of `f` reaches every top-level `f`),
+    # and module-level code runs on import, so it counts as a root
+    defs: dict = {}
+    roots = set(ENTRY_POINTS)
+    for path in sorted((ROOT / "src" / "curvedchern").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            else:
+                roots |= _names(node)
+    seen: set = set()
+    todo = [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [n for _, node in defs[name] for n in _names(node) if n in defs]
+    unreached = sorted(f"{mod}.{name}" for name, found in defs.items() if name not in seen for mod, _ in found)
+    assert unreached == []

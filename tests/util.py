@@ -525,42 +525,6 @@ def reference_commutator_residue(M, C):
     return bracket.shift_u(1) + (delta @ R - R @ delta) - diag @ e
 
 
-def reference_pushforward(beta, c, n_max: int):
-    """hochschild.pushforward as first written: each emitted chain is added
-    to the running sum, which re-canonicalizes the whole sum every time."""
-    from curvedchern.hochschild import ChainSum, _insertion_counts, _sgn, chain
-    from curvedchern.matform import Mat
-
-    cat = c.category
-    if beta is None:
-        betas = [None] * len(cat.objects)
-    elif isinstance(beta, Mat):
-        betas = [beta]
-    else:
-        betas = list(beta)
-    out = ChainSum.zero(cat)
-    for coeff, ch in c.terms():
-        n = ch.n
-        if n_max < n:
-            continue
-        for counts in _insertion_counts(n + 1, n_max - n, betas, ch.objects):
-            slots: list = []
-            objs: list = []
-            for k in range(n + 1):
-                if k > 0:
-                    slots.append(ch.slots[k])
-                    objs.append(ch.objects[k])
-                gap_obj = ch.objects[(k + 1) % (n + 1)]
-                for _ in range(counts[k]):
-                    slots.append(betas[gap_obj])
-                    objs.append(gap_obj)
-            out = out + chain(
-                cat, ch.slots[0], slots, objects=(ch.objects[0], *objs),
-                coeff=coeff * _sgn(sum(counts)), u_exp=ch.u_exp,
-            )
-    return out
-
-
 def reference_parity_components(X) -> dict:
     """matform.Mat.parity_components as it was before a matrix of one
     parity was returned as itself: every term is filed by its parity and
