@@ -424,13 +424,10 @@ def _forks(delta: Mat, K: Mat, A: Mat) -> bool:
     one thread (a fork copies only the calling thread), and the commutator
     check forms more than FORK_MIN_PAIRS term pairs (_check_pairs of delta,
     K = nabla^2 and A = [nabla, delta])."""
+    if _check_pairs(delta, K, A) <= FORK_MIN_PAIRS:  # small modules: no system call
+        return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return (
-        hasattr(os, "fork")
-        and cpus >= 2
-        and threading.active_count() == 1
-        and _check_pairs(delta, K, A) > FORK_MIN_PAIRS
-    )
+    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
 
 
 def _timed(stage, *args, **kwargs) -> tuple:

@@ -72,10 +72,6 @@ class DiffForm(Packed):
     def from_ring(p: RingElement) -> "DiffForm":
         return DiffForm._make(p.ring, p.den, p.width, p.groups)
 
-    @staticmethod
-    def d_var(ring: GradedRing, name: str) -> "DiffForm":
-        return DiffForm._make(ring, 1, ring.base_width, {(0, 1 << ring._index[name]): [(0, 1, 0)]})
-
     # -- arithmetic ----------------------------------------------------
 
     # in the class body, where perfbench's tracer looks for it
@@ -167,39 +163,44 @@ def _indices(mask: int) -> Indices:
 def _exterior_d(v: Packed, negate: bool = False) -> Packed:
     """d of a form or u-series, u-power by u-power, negated when `negate`:
     d(p dx_S) = sum_v (dp/dx_v) dx_v ∧ dx_S, where dx_v ∧ dx_S is zero for
-    v in S and otherwise (-1)^{#{w in S : w < v}} dx_{S + v}.  On a packed
-    row the derivative in x_v multiplies the numerators by the exponent
-    in v's field and subtracts v's unit key, which covers its field and
-    the degree field, while v's bit enters the mask; only a target group
-    reached twice is summed row by row.  No normal form is needed: the
-    relation's lead divides no monomial of the series, so it divides none
-    of their derivatives."""
-    glex = _glex(v.ring.nvars, v.width)
-    field = glex.field
-    groups: dict = {}
+    v in S and otherwise (-1)^{#{w in S : w < v}} dx_{S + v} (see _d_groups)."""
+    groups = _d_groups(_glex(v.ring.nvars, v.width), v.groups, negate)
+    return v._reduced(v.ring, v.den, v.width, groups)
+
+
+def _d_groups(glex, groups: dict, negate: bool) -> dict:
+    """The groups of d(groups) at glex's width, negated when `negate`,
+    before the common factor is divided out (see _exterior_d).  On a
+    packed row the derivative in x_v multiplies the numerators by the
+    exponent in v's field and subtracts v's unit key, which covers its
+    field and the degree field, while v's bit enters the mask; only a
+    target group reached twice is summed row by row, and no group is
+    empty.  No normal form is needed: the relation's lead divides no
+    monomial of the series, so it divides none of their derivatives."""
+    field, top = glex.field, 1 << glex.top
+    out: dict = {}
     shared = set()
-    for (J, mask), rows in v.groups.items():
+    for (J, mask), rows in groups.items():
         below = negate
-        for var in range(v.ring.nvars):
+        for var, shift in enumerate(glex.shifts):
             if mask >> var & 1:
                 below += 1
                 continue
-            shift, sign = glex.shifts[var], -1 if below % 2 else 1
-            unit = 1 << shift | 1 << glex.top
-            out = []
-            for k, a, b in rows:
-                if e := sign * (k >> shift & field):
-                    out.append((k - unit, e * a, e * b))
-            if out:
+            sign, unit = -1 if below % 2 else 1, 1 << shift | top
+            d = [(k - unit, e * a, e * b) for k, a, b in rows if (e := sign * (k >> shift & field))]
+            if d:
                 g = (J, mask | 1 << var)
-                if g in groups:
-                    groups[g] += out
+                if g in out:
+                    out[g] += d
                     shared.add(g)
                 else:
-                    groups[g] = out
+                    out[g] = d
     for g in shared:
-        groups[g] = _summed(groups[g])
-    return v._reduced(v.ring, v.den, v.width, {g: rows for g, rows in groups.items() if rows})
+        if summed := _summed(out[g]):
+            out[g] = summed
+        else:
+            del out[g]
+    return out
 
 
 def de_rham_d(omega: DiffForm) -> DiffForm:
@@ -253,14 +254,23 @@ class USeries(Packed):
     @staticmethod
     def sum_of_products(ring: GradedRing, pairs, plus=()) -> "USeries":
         """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs,
-        in one rings.sum_of_products call (see _pair_groups), plus
-        sign·u^shift·v over the (sign, shift, v) in plus, added row by row
-        without forming a product.  Signs are ±1, shifts nonnegative ints;
-        a and b may be series, forms or ring elements."""
+        plus sign·u^shift·v over the (sign, shift, v) in plus, in one
+        rings.sum_of_products call (see _pair_groups) that adds the groups
+        of each v to its sums as rows without a product; without a pair to
+        form, the plus terms are merged and no product is formed.  Signs are
+        ±1, shifts nonnegative ints; a and b may be series, forms or ring
+        elements."""
         terms: list = []
         for sign, shift, a, b in pairs:
             _pair_series(terms, a, b, ((sign, sign), (sign, sign)), shift)
-        out = USeries._make(ring, *sum_of_products(ring, terms)) if terms else USeries.zero(ring)
+        if terms:
+            added = [
+                ((J + shift, mask), sign, v.den, v.width, rows)
+                for sign, shift, v in plus
+                for (J, mask), rows in v.groups.items()
+            ]
+            return USeries._make(ring, *sum_of_products(ring, terms, added))
+        out = USeries.zero(ring)
         for sign, shift, v in plus:
             out = out._merge(v, sign, shift)
         return out

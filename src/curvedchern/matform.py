@@ -41,14 +41,16 @@ one-term case.
 A product with an identity factor forms nothing: X @ I and I @ X return
 X, I.apply(col) a new list of the same column entries, and a term of
 Mat.sum_of_products with an identity factor adds the other factor's
-entries, shifted and signed, to the kernel's sums.  Whether a
-matrix is an identity is read from its content alone (equal target and
-source degrees, and row t storing exactly one entry, at (t, t), equal to
-the unit series u^0·1 with coefficient exactly 1), so an identity
-idempotent written in a problem file takes the same path as
-Mat.identity.  For a free module (e = 1) every idempotent sandwich of the
-engine is such a product.  The answer is computed once per matrix, which
-is sound because a Mat is never changed once it is made.
+entries, shifted and signed, to the kernel's sums as rows without a
+product, before the one normal form (an entry that no product reaches
+merges them instead).  Whether a matrix is an identity is read from its
+content alone (equal target and source degrees, and row t storing
+exactly one entry, at (t, t), equal to the unit series u^0·1 with
+coefficient exactly 1), so an identity idempotent written in a problem
+file takes the same path as Mat.identity.  For a free module (e = 1)
+every idempotent sandwich of the engine is such a product.  The answer
+is computed once per matrix, which is sound because a Mat is never
+changed once it is made.
 
 A supertrace of a product never forms the product: supertrace_of_product
 and supertrace_of_square file the component products of the diagonal
@@ -75,8 +77,8 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InternalCheckFailure, InvalidInput
-from .forms import USeries, _exterior_d, _indices, _pair_groups, _pair_series
-from .rings import GradedRing, Packed, RingElement, _gammas, _scaled_rows, sum_of_products
+from .forms import USeries, _d_groups, _indices, _pair_groups, _pair_series
+from .rings import GradedRing, Packed, RingElement, _gammas, _glex, _scaled_rows, sum_of_products
 from .scalars import Scalar
 
 Column = list  # list[USeries], one entry per target basis vector
@@ -210,7 +212,8 @@ class Mat:
         output entry (t, s), and each entry is one USeries.sum_of_products
         call, so its (u-power, wedge indices) keys are normal-formed once.
         A term with an identity factor forms no product: it adds the other
-        factor's entries.  An entry is stored at its first appearance in
+        factor's entries to the entry's kernel sums (the plus terms of
+        USeries.sum_of_products).  An entry is stored at its first appearance in
         the terms, in their order."""
         gathered: list[dict] = [{} for _ in target_degrees]
         for sign, shift, X, Y in terms:
@@ -310,11 +313,20 @@ class Mat:
 
     def row_sign_d(self) -> "Mat":
         """Entrywise de Rham d with the basis parity on rows:
-        D(X)[t][s] = (-1)^{|e_t|} d(X[t][s])."""
+        D(X)[t][s] = (-1)^{|e_t|} d(X[t][s]), the whole matrix in one pass
+        (forms._d_groups, one packing a width); an entry whose derivative
+        is zero is not stored."""
+        nvars, glexes = self.ring.nvars, {}
         out = []
-        for t, row in enumerate(self.rows):
-            deg = self.target_degrees[t]
-            out.append(_nonzero({s: _row_d(v, deg) for s, v in row.items()}))
+        for deg, row in zip(self.target_degrees, self.rows):
+            negate, got = deg % 2 == 1, {}
+            for s, v in row.items():
+                glex = glexes.get(v.width)
+                if glex is None:
+                    glex = glexes[v.width] = _glex(nvars, v.width)
+                if groups := _d_groups(glex, v.groups, negate):
+                    got[s] = USeries._reduced(v.ring, v.den, v.width, groups)
+            out.append(got)
         return Mat._make(self.ring, self.target_degrees, self.source_degrees, out)
 
     def supertrace(self) -> USeries:
@@ -788,7 +800,3 @@ class WordEvaluator:
             self._products[(word, c)] = got
         return got
 
-
-def _row_d(v: USeries, degree: int) -> USeries:
-    """(-1)^degree d(v), d taken term by term with the u-power kept."""
-    return _exterior_d(v, degree % 2 == 1)

@@ -114,26 +114,22 @@ def _koszul_rank2(rng: random.Random, ring: GradedRing):
 
 def _tensor_delta(ring: GradedRing, A: Mat, B: Mat) -> Mat:
     """Graded tensor of two odd operators: delta(v (x) w) =
-    (delta_1 v) (x) w + (-1)^{|v|} v (x) (delta_2 w)."""
+    (delta_1 v) (x) w + (-1)^{|v|} v (x) (delta_2 w), each stored entry
+    of A and B filed once.  The two blocks meet only on the diagonal,
+    where an odd operator of ring elements (all of even degree) is zero."""
     d1, d2 = A.target_degrees, B.target_degrees
-    n1, n2 = len(d1), len(d2)
-    degrees = [d1[i] + d2[l] for i in range(n1) for l in range(n2)]
-    z = USeries.zero(ring)
-    entries = [[z for _ in range(n1 * n2)] for _ in range(n1 * n2)]
-    for i in range(n1):
-        for j in range(n1):
-            a = A.entry(i, j)
-            if not a.is_zero():
-                for l in range(n2):
-                    entries[i * n2 + l][j * n2 + l] += a
-    for j in range(n1):
-        sign = Scalar((-1) ** (d1[j] % 2))
-        for t in range(n2):
-            for s in range(n2):
-                b = B.entry(t, s)
-                if not b.is_zero():
-                    entries[j * n2 + t][j * n2 + s] += b.scale(sign)
-    return Mat(ring, degrees, degrees, entries)
+    n2 = len(d2)
+    degrees = tuple(a + b for a in d1 for b in d2)
+    rows: list[dict] = [{} for _ in degrees]
+    for i, row in enumerate(A.rows):
+        for j, a in row.items():
+            for l in range(n2):
+                rows[i * n2 + l][j * n2 + l] = a
+    for j, dj in enumerate(d1):
+        for t, row in enumerate(B.rows):
+            for s, b in row.items():
+                rows[j * n2 + t][j * n2 + s] = -b if dj % 2 else b
+    return Mat._make(ring, degrees, degrees, [{s: row[s] for s in sorted(row)} for row in rows])
 
 
 def _unipotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
@@ -169,14 +165,14 @@ def _invert_unipotent(g: Mat) -> Mat:
 def random_mu(rng: random.Random, ring: GradedRing, degrees) -> Mat:
     """A diagonal operator-degree -1 perturbation: entries are
     (polynomial in the weight-zero variables)·d(x_v)."""
-    zero_vars = [n for n, d in zip(ring.variables, ring.degrees) if d == 0]
+    zero_vars = [v for v, d in enumerate(ring.degrees) if d == 0]
     rows = []
     for d in degrees:
         entry = DiffForm.zero(ring)
         if zero_vars and rng.random() < 0.7:
             v = rng.choice(zero_vars)
             coeff = random_poly(rng, ring, max_deg=1, gamma=0 if ring.grading == "Z" else None)
-            entry = DiffForm.d_var(ring, v).scale_ring(coeff)
+            entry = DiffForm(ring, {(v,): coeff})
         rows.append(entry)
     z = DiffForm.zero(ring)
     stored = [

@@ -557,36 +557,42 @@ class RingElement(Packed):
         return f"<{self}>"
 
 
-def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
+def sum_of_products(ring: GradedRing, contributions: list, added: list = ()) -> tuple:
     """Sum signed products of packed polynomials per key, in normal form.
 
     `contributions` is a list of (key, sign, d, width, P, Q): the rows P
     and Q of two nonzero elements at `width`, d the product of their
     denominators, sign an int and key any hashable, e.g. (u-power, dx
-    mask).  Returns (den, width, {key: canonical rows}) for the sums of
-    sign·P·Q per key, keys whose sum is zero left out.  The one place ring
-    products are formed: a pair of rows costs one int addition, one dict
-    lookup and one Gaussian multiply-accumulate on a common denominator,
-    and the normal form (linear and canonical) runs once per key.  Rows
-    of mixed widths are repacked at the widest first.  The products are
+    mask).  `added` lists rows summed in without a product, each (key,
+    sign, d, width, rows): sign·rows/d, the rows in normal form, as a
+    value's canonical rows are.  Returns (den, width, {key: canonical
+    rows}) for the sums per key, keys whose sum is zero left out.  The
+    one place ring products are formed: a pair of rows costs one int
+    addition, one dict lookup and one Gaussian multiply-accumulate on a
+    common denominator, an added row one accumulate, and the normal form
+    runs once per key: it is linear and leaves a normal form as it is, so
+    each sum is the products' normal form plus the added rows.  Rows of
+    mixed widths are repacked at the widest first.  The products are
     exact at that width; when a product's degree reaches the guard bit of
     the degree field, the accumulators are repacked at a width that holds
     it before the normal form divides them.
     """
+    every = (*contributions, *added) if added else contributions
     den = 1
-    width = contributions[0][3] if contributions else ring.base_width
+    width = every[0][3] if every else ring.base_width
     mixed = False
-    for c in contributions:
+    for c in every:
         d = c[2]
         if den % d:
             den = den * d // _gcd(den, d)
         mixed = mixed or c[3] != width
     if mixed:
-        width = max(c[3] for c in contributions)
+        width = max(c[3] for c in every)
         contributions = [
             (key, sign, d, width, _repack(ring, P, w, width), _repack(ring, Q, w, width))
             for key, sign, d, w, P, Q in contributions
         ]
+        added = [(key, sign, d, width, _repack(ring, rows, w, width)) for key, sign, d, w, rows in added]
     accs: dict = {}
     for key, sign, d, _, P, Q in contributions:
         acc = accs.get(key)
@@ -615,6 +621,19 @@ def sum_of_products(ring: GradedRing, contributions: list) -> tuple:
                 else:
                     v[0] += a1 * a2 - b1 * b2
                     v[1] += a1 * b2 + b1 * a2
+    for key, sign, d, _, rows in added:
+        acc = accs.get(key)
+        if acc is None:
+            acc = accs[key] = {}
+        get = acc.get
+        f = sign * (den // d)
+        for k, a, b in rows:
+            v = get(k)
+            if v is None:
+                acc[k] = [a * f, b * f]
+            else:
+                v[0] += a * f
+                v[1] += b * f
     # the operands' guard bits are clear, so no field of a product carries
     # into the next; the OR of the products shows whether a degree reached
     # the guard bit of the top field

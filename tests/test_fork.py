@@ -19,9 +19,9 @@ from importlib.resources import files
 
 import pytest
 
-from curvedchern import cli, matform, modules
+from curvedchern import cli, modules
 from curvedchern.errors import IdentityFailure, InternalCheckFailure, InvalidInput
-from curvedchern.matform import WordEvaluator
+from curvedchern.matform import Mat, WordEvaluator
 
 from util import not_a_derivation
 
@@ -272,7 +272,7 @@ def test_the_curvature_check_fails_first_in_either_process(
     # check is read before their failure is raised
     monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
     if nonlinear:
-        monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (1,), 1, True))
+        monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation((1,), 1, True))
     if rows_raise:
         monkeypatch.setattr(cli, "_even_rows_half", _forked_only(
             cli._even_rows_half, _raising(InternalCheckFailure("rows broke"))))

@@ -25,6 +25,7 @@ from curvedchern.rings import GradedRing, RingElement
 from curvedchern.scalars import Scalar
 
 from util import (
+    d_var,
     qi_ring,
     reference_de_rham_d,
     reference_derivative,
@@ -35,7 +36,7 @@ from util import (
 
 
 def _dx(R, name):
-    return DiffForm.d_var(R, name)
+    return d_var(R, name)
 
 
 def _f(R, s):

@@ -14,7 +14,15 @@ from curvedchern.forms import DiffForm, USeries, relation_bound
 from curvedchern.rings import _KEY, RingElement, _canonical, monomial_key, sum_of_products
 from curvedchern.scalars import Scalar
 
-from util import NO_EXPLAIN, qi_ring, reference_reduce, reference_sum_of_products, reference_wedge, sphere_ring
+from util import (
+    NO_EXPLAIN,
+    qi_ring,
+    reference_reduce,
+    reference_sum_of_products,
+    reference_useries_sum_of_products,
+    reference_wedge,
+    sphere_ring,
+)
 
 FREE = qi_ring("x1", "x2", "x3")
 SPHERE = sphere_ring(3)
@@ -270,6 +278,56 @@ def test_packed_readers_match_the_tuple_oracle(data):
                 assert relation_bound(wide) == relation_bound(series) == max(degrees) + 2
 
 
+# -- rows added without a product -------------------------------------------
+#
+# USeries.sum_of_products hands its plus terms to the kernel as added rows
+# whenever the entry has a product, so they are summed before the one
+# normal form; the result must equal merging them into the products' sum.
+
+# the wedge masks a drawn series may carry: none, one index, two, all three
+_MASKS = st.sampled_from([(), (0,), (1,), (0, 2), (0, 1, 2)])
+
+
+def _useries(ring):
+    """Series of up to three (u-power, wedge indices, element) parts, the
+    elements at mixed widths (see _elements); Gaussian coefficients with
+    denominators, -1/2 and i among them."""
+    part = st.tuples(st.integers(0, 2), _MASKS, _elements(ring))
+    return st.lists(part, max_size=3).map(
+        lambda parts: sum((USeries.from_form(DiffForm(ring, {S: p}), J) for J, S, p in parts), USeries.zero(ring))
+    )
+
+
+@settings(deadline=None, max_examples=40, phases=NO_EXPLAIN)
+@given(st.data())
+def test_added_rows_sum_as_merges_after_the_products(data):
+    signs, shifts = st.sampled_from([1, -1]), st.integers(0, 2)
+    for ring in (FREE, SPHERE):
+        series = _useries(ring)
+        pairs = data.draw(st.lists(st.tuples(signs, shifts, series, series), max_size=3))
+        plus = data.draw(st.lists(st.tuples(signs, shifts, series), max_size=3))
+        got = USeries.sum_of_products(ring, pairs, plus)
+        assert got == reference_useries_sum_of_products(ring, pairs, plus)
+        assert (got.den, got.width, got.groups) == _canonical(ring, got.den, got.width, got.groups)
+        # a plus-only entry forms nothing, and one that takes each product
+        # back as a plus term cancels to zero
+        assert USeries.sum_of_products(ring, [], plus) == reference_useries_sum_of_products(ring, [], plus)
+        back = [(-sign, shift, a * b) for sign, shift, a, b in pairs]
+        assert USeries.sum_of_products(ring, pairs, back + plus) == reference_useries_sum_of_products(ring, [], plus)
+
+
+def test_added_rows_at_a_wider_width_and_a_denominator_cancel():
+    # -i/2·x1·x2^99 dx_1 at width 8, added to (i/2·x1 dx_1)·x2^99 from a
+    # product of a base-width and a wide factor, over the sphere's relation
+    a = USeries.from_form(DiffForm(SPHERE, {(0,): SPHERE.from_string("i/2*x1")}))
+    b = USeries.from_ring(SPHERE.from_string("x2^99"))
+    plus = USeries.from_form(DiffForm(SPHERE, {(0,): SPHERE.from_string("-i/2*x1*x2^99")}))
+    assert a.width < b.width == plus.width
+    assert USeries.sum_of_products(SPHERE, [(1, 0, a, b)], [(1, 0, plus)]).is_zero()
+    got = USeries.sum_of_products(SPHERE, [(1, 0, a, b), (-1, 1, a, b)], [(1, 0, plus)])
+    assert got == (a * b).shift_u(1).scale(Scalar(-1))
+
+
 # -- kernel work: calls and term pairs ---------------------------------------
 #
 # The engine forms every ring product in rings.sum_of_products, so its calls
@@ -286,10 +344,11 @@ def _spy_kernel(monkeypatch) -> list:
     work = [0, 0]
     plain = rings.sum_of_products
 
-    def spy(ring, contributions):
+    def spy(ring, contributions, added=()):
         work[0] += 1
+        # rows added without a product are not term pairs
         work[1] += sum(len(c[4]) * len(c[5]) for c in contributions)
-        return plain(ring, contributions)
+        return plain(ring, contributions, added)
 
     for mod in (rings, forms, matform):
         monkeypatch.setattr(mod, "sum_of_products", spy)

@@ -26,6 +26,7 @@ from curvedchern.randomgen import random_module_instance
 from curvedchern.scalars import Scalar
 
 from util import (
+    d_var,
     ReferenceMat,
     column,
     qi_ring,
@@ -49,8 +50,8 @@ def test_from_stored_is_transpose_for_ring_entries():
 
 def test_display_round_trip_with_forms():
     R = _ring2()
-    dx = DiffForm.d_var(R, "x")
-    dy = DiffForm.d_var(R, "y")
+    dx = d_var(R, "x")
+    dy = d_var(R, "y")
     # internal matrix with a one-form in an odd row picks up the twist
     m = Mat(
         R,
@@ -117,9 +118,9 @@ def _degree_rule_reference(X: Mat, m: int) -> bool:
 def _degree_rule_entries(ring) -> list:
     """Ring elements, one-forms and u-shifted entries, homogeneous and not."""
     polys = [ring.from_string(t) for t in ("1", "x", "T", "x*T", "x^2 + T", "T^2 - x*T + 1")]
-    forms = [DiffForm.d_var(ring, v).scale_ring(p) for v in ("x", "T") for p in polys[:3]]
+    forms = [d_var(ring, v).scale_ring(p) for v in ("x", "T") for p in polys[:3]]
     series = [USeries.from_form(f, J) for f in forms[:2] + polys[:3] for J in (1, 2)]
-    return polys + forms + series + [DiffForm.d_var(ring, "x").wedge(DiffForm.d_var(ring, "T"))]
+    return polys + forms + series + [d_var(ring, "x").wedge(d_var(ring, "T"))]
 
 
 @pytest.mark.parametrize("kind", sorted(_DEGREE_RINGS))
@@ -163,7 +164,7 @@ def test_the_degree_rule_refuses_a_bad_delta_theta_and_e(kind):
     # a function where theta must be a one-form
     with pytest.raises(InvalidInput, match="operator degree -1"):
         connection_with_mu(good, Mat(ring, degrees, degrees, [["x", 0], [0, 0]]))
-    dx = DiffForm.d_var(ring, "x")
+    dx = d_var(ring, "x")
     assert connection_with_mu(good, Mat(ring, degrees, degrees, [[dx, 0], [0, dx]])).theta.has_operator_degree(-1)
 
 
@@ -184,8 +185,8 @@ def test_supertrace_weights_even_component():
 
 def test_supertrace_odd_component_is_plain_trace():
     R = _ring2()
-    dx = DiffForm.d_var(R, "x")
-    dy = DiffForm.d_var(R, "y")
+    dx = d_var(R, "x")
+    dy = d_var(R, "y")
     m = Mat(
         R,
         [0, 1],
@@ -205,7 +206,7 @@ def test_supertrace_vanishes_on_even_odd_commutator():
     # bracket is a difference
     R = _ring2()
     z = USeries.zero(R)
-    X = Mat(R, [0, 1], [0, 1], [[z, USeries.from_form(DiffForm.d_var(R, "x"))], [z, z]])
+    X = Mat(R, [0, 1], [0, 1], [[z, USeries.from_form(d_var(R, "x"))], [z, z]])
     Y = Mat(R, [0, 1], [0, 1], [[z, z], [USeries.from_ring(R.from_string("y")), z]])
     comm = X @ Y - Y @ X
     assert comm.supertrace().is_zero()
@@ -226,7 +227,7 @@ def test_supertrace_even_commutator_also_vanishes():
     R = _ring2()
     z = USeries.zero(R)
     A = Mat(R, [0, 1], [0, 1], [[USeries.from_ring(R.from_string("x")), z], [z, USeries.from_ring(R.from_string("x*y"))]])
-    X = Mat(R, [0, 1], [0, 1], [[z, USeries.from_form(DiffForm.d_var(R, "x"))], [z, z]])
+    X = Mat(R, [0, 1], [0, 1], [[z, USeries.from_form(d_var(R, "x"))], [z, z]])
     comm = A @ X - X @ A  # even-odd commutator
     assert comm.supertrace().is_zero()
 
@@ -357,7 +358,7 @@ def _graded_letters():
     K of even forms on the diagonal (μ = 0, σ = 0)."""
     R = qi_ring("w", "x", "y", "z")
     z = USeries.zero(R)
-    dw, dx, dy, dz = (USeries.from_form(DiffForm.d_var(R, v)) for v in "wxyz")
+    dw, dx, dy, dz = (USeries.from_form(d_var(R, v)) for v in "wxyz")
     w, x, y = (USeries.from_ring(R.from_string(v)) for v in "wxy")
     A = Mat(R, D, D, [[z, x * dx, dz + dy], [dy, z, z], [y * dw, z, z]])
     K = Mat(R, D, D, [[x * dx * dy + y, z, z], [z, x - dw * dz, z], [z, z, w]])
@@ -516,7 +517,7 @@ def _ungraded_letters():
     R = qi_ring("w", "x", "y", "z")
     X = Mat.from_stored(R, D, [["x", "y", "1"], ["1", "w*y", "x"], ["w", "0", "y"]])
     z = USeries.zero(R)
-    v = USeries.from_ring(R.one()) + USeries.from_form(DiffForm.d_var(R, "x"))
+    v = USeries.from_ring(R.one()) + USeries.from_form(d_var(R, "x"))
     Y = Mat(R, D, D, [[v, z, z], [z, z, z], [z, z, z]])
     return X, Y
 
@@ -1004,7 +1005,7 @@ def test_sum_of_products_makes_one_kernel_call_per_entry(monkeypatch):
     B = Mat.from_stored(R, [0, 1], [["y", "0"], ["x", "x^2"]])
     calls = []
     body = forms.sum_of_products
-    monkeypatch.setattr(forms, "sum_of_products", lambda r, c: calls.append(1) or body(r, c))
+    monkeypatch.setattr(forms, "sum_of_products", lambda r, c, added=(): calls.append(1) or body(r, c, added))
     got = Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, B), (-1, 1, B, A), (1, 2, Mat.identity(R, (0, 1)), A)])
     assert len(calls) == 4  # one per entry; the identity term forms nothing
     assert got == A @ B - (B @ A).shift_u(1) + A.shift_u(2)
@@ -1035,7 +1036,7 @@ def test_parity_components_of_an_inhomogeneous_matrix_is_the_rebuild():
     # parities mixed across entries, within one entry (a dx term), and in
     # the sum δ + e of each module with δ ≠ 0
     R = _ring2()
-    mixed = USeries.from_ring(R.from_string("x+y")) + USeries(R, {1: DiffForm.d_var(R, "y")})
+    mixed = USeries.from_ring(R.from_string("x+y")) + USeries(R, {1: d_var(R, "y")})
     built = [
         Mat.from_stored(R, [0, 1], [["1+x", "y"], ["x*y", "x+y^2"]]),
         Mat(R, (0, 0), (0, 0), [[mixed, 0], [0, USeries.from_ring(R.one())]]),

@@ -30,7 +30,7 @@ from curvedchern.modules import (
 )
 from curvedchern.randomgen import random_module_instance
 
-from util import not_a_derivation, qi_ring, reference_commutator_residue, reference_curvature, sphere_ring
+from util import d_var, not_a_derivation, qi_ring, reference_commutator_residue, reference_curvature, sphere_ring
 
 
 def _mf_xy():
@@ -48,7 +48,7 @@ def _a1_ci():
 
 
 def _dx(R, v):
-    return DiffForm.d_var(R, v)
+    return d_var(R, v)
 
 
 def test_check_module_accepts_mf_xy():
@@ -113,7 +113,7 @@ def test_chern_weil_words_are_listed_per_evaluator():
 
 
 def _dx_form(R, coeff, var):
-    return DiffForm.from_ring(R.from_string(coeff)).wedge(DiffForm.d_var(R, var))
+    return DiffForm.from_ring(R.from_string(coeff)).wedge(d_var(R, var))
 
 
 def test_check_module_catches_wrong_square():
@@ -423,10 +423,10 @@ def _count_kernel_calls(monkeypatch) -> list:
     counting = [True]
     body, vanishes = forms.sum_of_products, modules._mat_vanishes
 
-    def spy(ring, contributions):
+    def spy(ring, contributions, added=()):
         if counting[0]:
             calls.append(1)
-        return body(ring, contributions)
+        return body(ring, contributions, added)
 
     def stop(*args):
         counting[0] = False
@@ -470,7 +470,7 @@ def test_curvature_matches_the_column_by_column_double_application():
 def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
     variables, seed, message, monkeypatch
 ):
-    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, variables))
+    monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation(variables))
     want = f"curvature fails linearity in {message}"
     with pytest.raises(NonLinearCurvature) as got:
         curvature_mat(random_module_instance(seed)[1])
@@ -488,7 +488,7 @@ def test_linearity_check_reads_the_block_column_mod_relation(variables, message,
     # of columns 0-4 are nonzero there too, but lie in the relation
     # submodule: the first failure, x_{k+1} on column 4 (block column
     # 8·k + 4), is named only when vanishes_mod_relation reads them.
-    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, variables, 1, True))
+    monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation(variables, 1, True))
     want = f"curvature fails linearity in {message}"
     with pytest.raises(NonLinearCurvature) as old:
         reference_curvature(_s4()[1])
@@ -514,9 +514,9 @@ def _curvature_passes(monkeypatch, C) -> tuple[int, list]:
         passes[0] += 1
         return whole(*args)
 
-    def spy(ring, batch):
+    def spy(ring, batch, added=()):  # added rows are not products
         contributions.extend(batch)
-        return kernel(ring, batch)
+        return kernel(ring, batch, added)
 
     monkeypatch.setattr(Mat, "sum_of_products", staticmethod(count))
     for mod in (rings, forms, matform):
@@ -543,13 +543,13 @@ def test_the_linearity_check_makes_a_fixed_number_of_passes(monkeypatch):
 
 
 def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
-    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (0,)))
+    monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation((0,)))
     assert cli.main(["verify", "--random", "1", "--seed", "6"]) == 4
 
 
 def test_an_unchecked_curvature_is_held_for_its_block_only(monkeypatch):
     # seed 6 under the mutant fails the check as x on column 3
-    monkeypatch.setattr(matform, "_row_d", not_a_derivation(matform._row_d, (0,)))
+    monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation((0,)))
     C = random_module_instance(6)[1]
     with pytest.raises(InvalidInput, match="a later stage"):
         with unchecked_curvature(C) as K:

@@ -100,6 +100,11 @@ def _solvable(matrix: list[list[Scalar]], rhs: list[Scalar]) -> bool:
     return True
 
 
+def d_var(ring: GradedRing, name: str) -> DiffForm:
+    """The one-form d(name)."""
+    return DiffForm(ring, {(ring.variables.index(name),): ring.one()})
+
+
 def reference_sum_of_products(ring: GradedRing, contributions) -> dict:
     """rings.sum_of_products the slow way, independent of its integer rows
     and packing: every term product is a Scalar product, normal-formed on
@@ -117,6 +122,15 @@ def reference_sum_of_products(ring: GradedRing, contributions) -> dict:
         terms = {m: c for m, c in acc.items() if not c.is_zero()}
         if terms:
             out[key] = ring.element(terms)
+    return out
+
+
+def reference_useries_sum_of_products(ring: GradedRing, pairs, plus) -> USeries:
+    """USeries.sum_of_products with its plus terms merged one at a time:
+    the kernel on the products, then one _merge per plus term."""
+    out = USeries.sum_of_products(ring, pairs)
+    for sign, shift, v in plus:
+        out = out._merge(v, sign, shift)
     return out
 
 
@@ -578,7 +592,9 @@ def reference_curvature(C):
     n = len(M.degrees)
 
     def nabla(col):
-        d = M.e.apply([matform._row_d(v, M.degrees[t]) for t, v in enumerate(col)])
+        # D of the column as a one-column matrix, so a patched row_sign_d bites here too
+        one = matform.Mat(ring, M.degrees, (0,), [[v] for v in col]).row_sign_d()
+        d = M.e.apply(column(one, 0))
         return [a + b for a, b in zip(d, C.theta.apply(col))]
 
     cols = []
@@ -598,15 +614,18 @@ def reference_curvature(C):
     return matform.Mat(ring, M.degrees, M.degrees, [[cols[s][t] for s in range(n)] for t in range(n)])
 
 
-def not_a_derivation(plain, variables, power=None, odd_rows=False):
-    """A mutant of matform._row_d that differentiates the x^k terms (k >= 2,
-    or k == power when given) of each of the ring's variables with these
-    indices a second time, so that D is no longer a derivation in them;
-    with odd_rows, only on the rows of odd basis degree."""
+def not_a_derivation(variables, power=None, odd_rows=False):
+    """A mutant of matform.Mat.row_sign_d that differentiates the x^k terms
+    (k >= 2, or k == power when given) of each of the ring's variables
+    with these indices a second time, entry by entry, so that D is no
+    longer a derivation in them; with odd_rows, only on the rows of odd
+    basis degree."""
+    from curvedchern.forms import _exterior_d
+    from curvedchern.matform import Mat
 
-    def mutant(v, degree):
+    def entry(v, degree):
         ring = v.ring
-        out = plain(v, degree)
+        out = _exterior_d(v, degree % 2 == 1)
         if odd_rows and degree % 2 == 0:
             return out
         for k in variables:
@@ -617,11 +636,18 @@ def not_a_derivation(plain, variables, power=None, odd_rows=False):
                          if (m[k] >= 2 if power is None else m[k] == power)}
                     if q and k not in S:
                         high.setdefault(J, {})[S] = RingElement(ring, q)
-            again = plain(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree)
+            again = _exterior_d(USeries(ring, {J: DiffForm(ring, f) for J, f in high.items()}), degree % 2 == 1)
             out = out + USeries(ring, {
                 J: DiffForm(ring, {T: p for T, p in form.parts.items() if k in T})
                 for J, form in again.coeffs.items()
             })
         return out
+
+    def mutant(X):
+        rows = [
+            {s: d for s, v in row.items() if (d := entry(v, degree)).groups}
+            for row, degree in zip(X.rows, X.target_degrees)
+        ]
+        return Mat._make(X.ring, X.target_degrees, X.source_degrees, rows)
 
     return mutant
