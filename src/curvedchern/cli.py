@@ -26,16 +26,17 @@ content.
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
 
-`run_suite` forms the curvature K = nabla^2, without its linearity check,
-and A = [nabla, delta] first, then follows one schedule.  A list of
-stages, in order the later half of the even rows of A·A (when A^4 is a
-Chern-Weil word), K's linearity check, the Chern-Weil words with a K
-letter and the commutator check, gives its values to this process, which
-meanwhile forms the first half of those rows and holds their sum (A^4 is
-then their square alone), evaluates the pure powers of A, reads the check,
-adopts the supertraces of the words with K, and sums Chern-Weil, runs the
-chain route (which then forms nothing new) and the cycle check.  Only the
-transport differs.  Where the commutator check forms more than
+`run_suite` forms the curvature K = nabla^2 and A = [nabla, delta] first,
+then follows one schedule, in which K's linearity check is a stage of
+its own (curvature_mat does not run it).  A list of stages, in order the
+later half of the even rows of A·A (when A^4 is a Chern-Weil word), K's
+linearity check, the Chern-Weil words with a K letter and the commutator
+check, gives its values to this process, which meanwhile forms the first
+half of those rows and holds their sum (A^4 is then their square alone),
+evaluates the pure powers of A, reads the check, adopts the supertraces
+of the words with K, and sums Chern-Weil, runs the chain route (which
+then forms nothing new) and the cycle check.  Only the transport
+differs.  Where the commutator check forms more than
 FORK_MIN_PAIRS term pairs and the process can fork, may use two CPUs and
 runs one thread, a forked child runs every stage and pipes back each value
 or the exception the stage raised; elsewhere (random instances, small
@@ -93,9 +94,9 @@ from .modules import (
     commutator_check,
     connection_with_mu,
     covariant_derivative,
+    curvature_mat,
     cycle_check,
     levi_civita,
-    unchecked_curvature,
 )
 from .randomgen import random_module_instance
 from .rings import GradedRing, RingElement, _mono_str, _parse_entry
@@ -553,8 +554,9 @@ def run_suite(
     """Both routes and both identity checks on (M, C), as the cli module
     docstring says; the result, and the failure raised first, are the same
     whether the stages run in a forked child (_forks) or not.  `timing`
-    holds each stage's own seconds: curvature (K and its linearity check,
-    the check measured where it ran), chern_weil (A and the words, with the
+    holds each stage's own seconds: curvature (forming K, which C then
+    holds for the later stages, and its linearity check, the check
+    measured where it ran), chern_weil (A and the words, with the
     wait for a forked child's rows of A·A and supertraces, less the time
     spent reading the check), chern_via_chains, and identity_checks, the
     cycle check's time plus the commutator check's, measured where it ran.
@@ -562,41 +564,39 @@ def run_suite(
     timing: dict[str, float] = {}
     # one evaluator for both routes: a word they share is evaluated once
     words = WordEvaluator()
-    t0 = time.monotonic()
-    # K is held on C for every stage below, and dropped if one raises
-    with unchecked_curvature(C) as K:
-        k_s = time.monotonic() - t0
-        A, a_s = _timed(covariant_derivative, C, M.delta, 1)  # cached on C likewise
-        # A and K are interned here, so a forked copy of `words` has the same
-        # letter ids; only A^4's supertrace squares the even rows of A·A
-        a = words.letter(A)
-        halves = (a,) * 4 in chern_weil_words(M, C, words)
-        check = ("the forked process sent no curvature check",
-                 lambda: _timed(check_curvature, C, K)[1])
-        stages = [
-            check,
-            ("the forked process sent no Chern-Weil classes",
-             lambda: _chern_weil_share(M, C, K, words, True)),
-            ("the commutator check's process sent no verdict",
-             lambda: _timed(commutator_check, M, C, bound)),
-        ]
+    # K and A are held on C for every stage below
+    K, k_s = _timed(curvature_mat, C)
+    A, a_s = _timed(covariant_derivative, C, M.delta, 1)
+    # A and K are interned here, so a forked copy of `words` has the same
+    # letter ids; only A^4's supertrace squares the even rows of A·A
+    a = words.letter(A)
+    halves = (a,) * 4 in chern_weil_words(M, C, words)
+    check = ("the forked process sent no curvature check",
+             lambda: _timed(check_curvature, C, K)[1])
+    stages = [
+        check,
+        ("the forked process sent no Chern-Weil classes",
+         lambda: _chern_weil_share(M, C, K, words, True)),
+        ("the commutator check's process sent no verdict",
+         lambda: _timed(commutator_check, M, C, bound)),
+    ]
+    if halves:
+        rows = ("the forked process sent no rows of A·A", lambda: _even_rows_half(A, True))
+        stages.insert(0, rows)
+    # a failing linearity check is raised first, as if it ran first
+    with _run_stages(M.ring, stages, stages.index(check), _forks(M.delta, K, A)) as receive:
+        t0 = time.monotonic()
         if halves:
-            rows = ("the forked process sent no rows of A·A", lambda: _even_rows_half(A, True))
-            stages.insert(0, rows)
-        # a failing linearity check is raised first, as if it ran first
-        with _run_stages(M.ring, stages, stages.index(check), _forks(M.delta, K, A)) as receive:
-            t0 = time.monotonic()
-            if halves:
-                words.hold((a, a), 0, _even_rows_half(A, False) + receive())
-            _chern_weil_share(M, C, K, words, False)
-            check_s, read_s = _timed(receive)
-            timing["curvature"] = k_s + check_s
-            words.adopt(receive())
-            ch_weil = chern_weil(M, C, words)
-            timing["chern_weil"] = a_s + time.monotonic() - t0 - read_s
-            ch_chains, timing["chern_via_chains"] = _timed(chern_via_chains, M, C, words=words)
-            cycle, cycle_s = _timed(cycle_check, M, C, bound, ch=ch_weil)
-            commutator, commutator_s = receive()
+            words.hold((a, a), 0, _even_rows_half(A, False) + receive())
+        _chern_weil_share(M, C, K, words, False)
+        check_s, read_s = _timed(receive)
+        timing["curvature"] = k_s + check_s
+        words.adopt(receive())
+        ch_weil = chern_weil(M, C, words)
+        timing["chern_weil"] = a_s + time.monotonic() - t0 - read_s
+        ch_chains, timing["chern_via_chains"] = _timed(chern_via_chains, M, C, words=words)
+        cycle, cycle_s = _timed(cycle_check, M, ch_weil, bound)
+        commutator, commutator_s = receive()
     timing["identity_checks"] = cycle_s + commutator_s
     diff = ch_weil - ch_chains
     routes_equal = diff.is_zero()

@@ -12,9 +12,7 @@ R = u·curvature + [nabla, delta].
 
 from __future__ import annotations
 
-import weakref
-from collections.abc import Iterator
-from contextlib import contextmanager
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -119,13 +117,11 @@ class Connection:
 
     module: CurvedModule
     theta: Mat
-    # nabla^2 (see curvature_mat and unchecked_curvature), and [nabla, X]
-    # by (content of X, parity of X): shared by chern_weil, the chain route
+    # nabla^2 as curvature_mat forms it, not checked, and [nabla, X] by
+    # (content of X, parity of X): shared by chern_weil, the chain route
     # and the identity checks
     _curvature: Mat | None = field(default=None, repr=False, compare=False)
     _derivatives: dict = field(default_factory=dict, repr=False, compare=False)
-    # (weak reference to an evaluator, its chern_weil_words)
-    _words: tuple = field(default=(None, None), repr=False, compare=False)
 
 
 def levi_civita(M: CurvedModule) -> Connection:
@@ -182,12 +178,11 @@ def _bracket_terms(C: Connection, X: Mat, m: int) -> list:
 
 def curvature_mat(C: Connection) -> Mat:
     """nabla^2 as a matrix, K = nabla(nabla(e)), automatically supported
-    on im(e): formed and checked by check_curvature on first use, then
-    cached on C (or the K that unchecked_curvature holds on C)."""
+    on im(e): formed on first use and then held on C.  It is not checked
+    here: cli.run_suite runs check_curvature as one of its stages, and a
+    caller that forms K outside the suite runs it itself."""
     if C._curvature is None:
-        K = _nabla_squared(C)
-        check_curvature(C, K)
-        C._curvature = K
+        C._curvature = _nabla(C, _nabla(C, C.module.e))
     return C._curvature
 
 
@@ -199,10 +194,6 @@ def _nabla(C: Connection, X: Mat, *extra) -> Mat:
     return Mat.sum_of_products(M.ring, M.degrees, X.source_degrees, terms)
 
 
-def _nabla_squared(C: Connection) -> Mat:
-    return _nabla(C, _nabla(C, C.module.e))
-
-
 def check_curvature(C: Connection, K: Mat) -> None:
     """The A-linearity of K = nabla^2 (a bug detector; it holds
     mathematically), checked in one block for all variables: column
@@ -211,7 +202,8 @@ def check_curvature(C: Connection, K: Mat) -> None:
     (e·S = S forms nothing when e = 1).  The least failing (j, v) =
     (c mod n, c div n) raises NonLinearCurvature.  Over a quotient ring d
     of a normal form is not a derivation, so the residue need only lie in
-    the relation submodule.
+    the relation submodule.  cli.run_suite runs this check as one of its
+    stages; curvature_mat does not run it.
     """
     M = C.module
     ring = M.ring
@@ -227,51 +219,29 @@ def check_curvature(C: Connection, K: Mat) -> None:
         raise NonLinearCurvature(f"curvature fails linearity in {ring.variables[v]} on column {j}")
 
 
-@contextmanager
-def unchecked_curvature(C: Connection) -> Iterator[Mat]:
-    """K = nabla^2 held on C without check_curvature for the block, so
-    that curvature_mat, and every stage that calls it, reuses it there.
-    The block owes the check: it runs check_curvature(C, K) itself or has
-    another process run it (cli.run_suite).  Should the block raise, C
-    holds again what it held before (nothing, or a checked K), so a later
-    curvature_mat does not trust an unchecked K."""
-    held = C._curvature
-    K = C._curvature = _nabla_squared(C) if held is None else held
-    try:
-        yield K
-    except BaseException:
-        C._curvature = held
-        raise
-
-
 def curvature_R(C: Connection) -> Mat:
     """R = u·nabla^2 + [nabla, delta], a matrix over USeries."""
     return curvature_mat(C).shift_u(1) + covariant_derivative(C, C.module.delta, 1)
 
 
-def chern_weil_words(M: CurvedModule, C: Connection, words: WordEvaluator) -> list[tuple]:
+def chern_weil_words(M: CurvedModule, C: Connection, words: WordEvaluator) -> tuple[tuple, ...]:
     """The words chern_weil sums, as tuples of letter ids of `words`.
 
     A = [nabla, delta] and K = nabla^2 are interned in `words`, A first.
     The words are the binary words w in A, K of length 1 <= m <= nvars
     (letter k is K when bit k of the word's number is set), in order of m
     and then of that number, leaving out those of form degree m + #K >
-    nvars, which vanish, and those with a zero letter.  The list is kept
-    on C for the evaluator last asked about, so that cli.run_suite's
-    stages and chern_weil share one; it is not to be changed."""
-    ref, got = C._words
-    if ref is None or ref() is not words:
-        got = _word_list(M, C, words)
-        C._words = weakref.ref(words), got
-    return got
-
-
-def _word_list(M: CurvedModule, C: Connection, words: WordEvaluator) -> list[tuple]:
+    nvars, which vanish, and those with a zero letter.  They depend only
+    on nvars, the two letter ids and which letter is zero, and are listed
+    once per such key in a process (_word_list)."""
     K = curvature_mat(C)
     A = covariant_derivative(C, C.module.delta, 1)
-    letters = (words.letter(A), words.letter(K))
-    a_zero, k_zero = A.is_zero(), K.is_zero()
-    top = M.ring.nvars
+    return _word_list(M.ring.nvars, words.letter(A), words.letter(K), A.is_zero(), K.is_zero())
+
+
+@functools.cache
+def _word_list(top: int, a: int, k: int, a_zero: bool, k_zero: bool) -> tuple[tuple, ...]:
+    letters = (a, k)
     out = []
     for m in range(1, top + 1):
         # product lists the bits with the last letter's varying fastest,
@@ -280,7 +250,7 @@ def _word_list(M: CurvedModule, C: Connection, words: WordEvaluator) -> list[tup
             nk = sum(w)
             if m + nk <= top and not (a_zero and nk < m) and not (k_zero and nk):
                 out.append(tuple(letters[b] for b in reversed(w)))
-    return out
+    return tuple(out)
 
 
 def chern_weil(M: CurvedModule, C: Connection,
@@ -382,16 +352,9 @@ def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     return IdentityVerdict(True, "mod-relation", f"bound {largest}")
 
 
-def cycle_check(M: CurvedModule, C: Connection, bound: int | None = None,
-                *, ch: USeries | None = None) -> IdentityVerdict:
-    """(u·d + dh)(ch) = 0: the Chern character is a cycle.
-
-    Pass a precomputed Chern character via ch to avoid recomputing it.
-    """
-    if ch is None:
-        ch = chern_weil(M, C)
-    residue = hn_differential(ch, M.algebra.h)
-    return _useries_vanishes(residue, bound)
+def cycle_check(M: CurvedModule, ch: USeries, bound: int | None = None) -> IdentityVerdict:
+    """(u·d + dh)(ch) = 0: the Chern character ch of M is a cycle."""
+    return _useries_vanishes(hn_differential(ch, M.algebra.h), bound)
 
 
 def _diagonal(M: CurvedModule, even: USeries, odd: USeries) -> Mat:

@@ -151,15 +151,10 @@ def _unipotent(rng: random.Random, ring: GradedRing, degrees) -> Mat:
 
 
 def _invert_unipotent(g: Mat) -> Mat:
-    n = g - Mat.identity(g.ring, g.target_degrees)
-    acc = Mat.identity(g.ring, g.target_degrees)
-    power = Mat.identity(g.ring, g.target_degrees)
-    for k in range(1, len(g.target_degrees) + 1):
-        power = power @ n
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Scalar((-1) ** k))
-    return acc
+    """g^{-1} = id - N for g = id + N from _unipotent: N has at most one
+    off-diagonal entry, so N^2 = 0."""
+    one = Mat.identity(g.ring, g.target_degrees)
+    return one - (g - one)
 
 
 def random_mu(rng: random.Random, ring: GradedRing, degrees) -> Mat:

@@ -12,6 +12,7 @@ and `milnor` never fork."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 import time
@@ -154,20 +155,22 @@ def test_a_forked_run_without_a4_forms_no_rows_of_a_a(forks, monkeypatch):
     ids=["mf-xy-in-process", "mf-xy-forked", "s4-forked"],
 )
 def test_the_chern_weil_words_are_listed_once_per_suite(forks, monkeypatch, tmp_path, corpus, fork):
-    # this process lists them before any fork; both Chern-Weil shares, in
-    # whichever process, and the final sum read that one list
-    record, plain = tmp_path / "listed", modules._word_list
+    # this process lists them before any fork, once for the suite's one
+    # key, on an empty cache; both Chern-Weil shares, in whichever
+    # process, and the final sum read that one list
+    record, plain = tmp_path / "listed", modules._word_list.__wrapped__
 
-    def spy(*args):
+    def spy(*key):
         with open(record, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return plain(*args)
+            fh.write(f"{os.getpid()} {key}\n")
+        return plain(*key)
 
-    monkeypatch.setattr(modules, "_word_list", spy)
+    monkeypatch.setattr(modules, "_word_list", functools.cache(spy))
     monkeypatch.setattr(cli, "_forks", lambda *mats: fork)
     inst = cli.parse_instance(cli._corpus_text(f"{corpus}.json"), corpus)
     assert cli.run_suite(inst.module, inst.connection, **inst.options).ok
-    assert record.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    listed = record.read_text(encoding="utf-8").splitlines()
+    assert len(listed) == 1 and listed[0].split()[0] == str(os.getpid())
     assert len(forks) == fork
     _no_child_left()
 

@@ -26,7 +26,6 @@ from curvedchern.modules import (
     curvature_R,
     cycle_check,
     levi_civita,
-    unchecked_curvature,
 )
 from curvedchern.randomgen import random_module_instance
 
@@ -96,18 +95,20 @@ def test_run_suite_differentiates_delta_once(monkeypatch):
 
 
 def test_chern_weil_words_are_listed_per_evaluator():
-    # the list kept on C holds one evaluator's letter ids: another
-    # evaluator, whose ids are shifted by a letter interned first, is
-    # listed its own, and the first is listed again after it
+    # the words depend on the evaluator only through the letter ids of A
+    # and K: another evaluator, whose ids are shifted by a letter interned
+    # first, gets the same words shifted, and the first one's key gives
+    # back the tuple listed for it
     M, C = random_module_instance(4)  # six words, both letters, ch != 0
     first = modules.WordEvaluator()
     listed = modules.chern_weil_words(M, C, first)
-    assert listed and modules.chern_weil_words(M, C, first) is listed
+    assert listed and isinstance(listed, tuple)
+    assert modules.chern_weil_words(M, C, first) is listed
     other = modules.WordEvaluator()
     other.letter(M.e)
     shifted = modules.chern_weil_words(M, C, other)
-    assert shifted == [tuple(x + 1 for x in w) for w in listed]
-    assert modules.chern_weil_words(M, C, first) == listed
+    assert shifted == tuple(tuple(x + 1 for x in w) for w in listed)
+    assert modules.chern_weil_words(M, C, first) is listed
     ch = modules.chern_weil(M, C, other)
     assert not ch.is_zero() and ch == modules.chern_weil(M, C, first) == modules.chern_weil(M, C)
 
@@ -174,14 +175,14 @@ def test_chern_weil_a1_ci_is_x_dx_dT():
 def test_cycle_and_commutator_exact_on_mf_xy():
     _, _, M = _mf_xy()
     C = levi_civita(M)
-    assert cycle_check(M, C).mode == "exact"
+    assert cycle_check(M, chern_weil(M, C)).mode == "exact"
     assert commutator_check(M, C).mode == "exact"
 
 
 def test_cycle_and_commutator_exact_on_a1_ci():
     _, _, M = _a1_ci()
     C = levi_civita(M)
-    assert cycle_check(M, C).mode == "exact"
+    assert cycle_check(M, chern_weil(M, C)).mode == "exact"
     assert commutator_check(M, C).mode == "exact"
 
 
@@ -296,7 +297,7 @@ def test_perturbed_connection_still_satisfies_identities():
         ],
     )
     C = connection_with_mu(M, mu)
-    assert cycle_check(M, C).mode == "exact"
+    assert cycle_check(M, chern_weil(M, C)).mode == "exact"
     assert commutator_check(M, C).mode == "exact"
 
 
@@ -320,7 +321,7 @@ def test_commutator_identity_random_koszul(a, b):
     assert check_module(M).ok
     C = levi_civita(M)
     assert commutator_check(M, C).ok
-    assert cycle_check(M, C).ok
+    assert cycle_check(M, chern_weil(M, C)).ok
 
 
 # -- the commutator check: its residue, its teeth, its kernel calls -----
@@ -472,8 +473,9 @@ def test_linearity_check_catches_a_derivative_that_is_not_a_derivation(
 ):
     monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation(variables))
     want = f"curvature fails linearity in {message}"
+    C = random_module_instance(seed)[1]
     with pytest.raises(NonLinearCurvature) as got:
-        curvature_mat(random_module_instance(seed)[1])
+        check_curvature(C, curvature_mat(C))
     assert str(got.value) == want
     with pytest.raises(NonLinearCurvature) as old:
         reference_curvature(random_module_instance(seed)[1])
@@ -493,18 +495,21 @@ def test_linearity_check_reads_the_block_column_mod_relation(variables, message,
     with pytest.raises(NonLinearCurvature) as old:
         reference_curvature(_s4()[1])
     assert str(old.value) == want
+    C = _s4()[1]
     with pytest.raises(NonLinearCurvature) as got:
-        curvature_mat(_s4()[1])
+        check_curvature(C, curvature_mat(C))
     assert str(got.value) == want
     monkeypatch.setattr(modules, "vanishes_mod_relation", lambda form: form.is_zero())
+    C = _s4()[1]
     with pytest.raises(NonLinearCurvature) as strict:
-        curvature_mat(_s4()[1])
+        check_curvature(C, curvature_mat(C))
     assert str(strict.value) == "curvature fails linearity in x1 on column 0"
 
 
 def _curvature_passes(monkeypatch, C) -> tuple[int, list]:
     """(Mat.sum_of_products passes, rings.sum_of_products contributions)
-    of curvature_mat(C), the kernel spied on in every module that holds it."""
+    of check_curvature(C, curvature_mat(C)), the kernel spied on in every
+    module that holds it."""
     from curvedchern import rings
 
     passes, contributions = [0], []
@@ -521,7 +526,7 @@ def _curvature_passes(monkeypatch, C) -> tuple[int, list]:
     monkeypatch.setattr(Mat, "sum_of_products", staticmethod(count))
     for mod in (rings, forms, matform):
         monkeypatch.setattr(mod, "sum_of_products", spy)
-    curvature_mat(C)
+    check_curvature(C, curvature_mat(C))
     monkeypatch.undo()
     return passes[0], contributions
 
@@ -547,28 +552,39 @@ def test_verify_exits_4_when_the_linearity_check_trips(monkeypatch, capsys):
     assert cli.main(["verify", "--random", "1", "--seed", "6"]) == 4
 
 
-def test_an_unchecked_curvature_is_held_for_its_block_only(monkeypatch):
-    # seed 6 under the mutant fails the check as x on column 3
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", str(files("curvedchern.corpus").joinpath("s4_nonflat.json"))], ["examples", "s4-nonflat"]],
+    ids=["verify-file", "examples"],
+)
+def test_every_s4_command_exits_4_when_the_linearity_check_trips(argv, monkeypatch, capsys):
+    # the suite's check stage is the only one that runs: the mutant D is
+    # named as x2 on column 4, as by check_curvature itself (above)
+    monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation((1,), 1, True))
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "internal consistency failure: curvature fails linearity in x2 on column 4\n"
+
+
+def test_the_curvature_is_formed_once_held_and_not_checked(monkeypatch):
+    # seed 6 under the mutant fails the check as x on column 3, yet
+    # curvature_mat forms K in its two passes (the check would add two
+    # more) without raising, then hands back the K it holds; the check,
+    # run on its own, still trips
     monkeypatch.setattr(Mat, "row_sign_d", not_a_derivation((0,)))
     C = random_module_instance(6)[1]
-    with pytest.raises(InvalidInput, match="a later stage"):
-        with unchecked_curvature(C) as K:
-            assert curvature_mat(C) is K  # held, so not checked
-            raise InvalidInput("a later stage")
-    # dropped with the block's failure: the next reader checks it
+    passes, whole = [0], Mat.sum_of_products
+
+    def count(*args):
+        passes[0] += 1
+        return whole(*args)
+
+    with monkeypatch.context() as spied:
+        spied.setattr(Mat, "sum_of_products", staticmethod(count))
+        K = curvature_mat(C)
+        assert curvature_mat(C) is K
+    assert passes == [2]
     with pytest.raises(NonLinearCurvature, match="x on column 3"):
-        curvature_mat(C)
-    with pytest.raises(NonLinearCurvature, match="x on column 3"):
-        with unchecked_curvature(C) as K:
-            check_curvature(C, K)
-    monkeypatch.undo()
-    # a K checked already is the one held, and is kept when the block raises
-    C = random_module_instance(6)[1]
-    K = curvature_mat(C)
-    with pytest.raises(InvalidInput):
-        with unchecked_curvature(C) as held:
-            assert held is K
-            raise InvalidInput("a later stage")
+        check_curvature(C, K)
     assert curvature_mat(C) is K
 
 
