@@ -17,11 +17,13 @@ Four subcommands:
 Problem files are JSON with `#`-prefixed comment lines allowed (stripped
 before parsing).  Every entry string, polynomial or one-form, is read by
 the one grammar of rings._Parser.  Parse-time validation mirrors the
-module invariants; rejected inputs name the violated clause, and an entry
-the grammar refuses also its block and place, as in `module block:
-delta[0][1]: ...`.  Reports are byte-stable for a fixed input: the only
-nondeterministic lines are prefixed `# time:` and carry no mathematical
-content.
+module invariants, and refuses a relation whose quotient ring is not
+smooth (forms.relation_differential: the paper's hypothesis, under which
+the mod-relation test is exact).  Rejected inputs name the violated
+clause, and an entry the grammar refuses also its block and place, as in
+`module block: delta[0][1]: ...`.  Reports are byte-stable for a fixed
+input: the only nondeterministic lines are prefixed `# time:` and carry
+no mathematical content.
 
 Exit codes: 0 pass, 2 invalid input, 3 identity failure, 4 internal
 consistency failure.
@@ -72,7 +74,7 @@ from .errors import (
     InternalCheckFailure,
     InvalidInput,
 )
-from .forms import DiffForm, USeries, milnor_representative
+from .forms import DiffForm, USeries, milnor_representative, relation_differential
 from .groebner import (
     Capped,
     Infinite,
@@ -239,6 +241,7 @@ def parse_instance(text: str, label: str) -> Instance:
     ring = _located(
         "ring block", GradedRing, tuple(variables), tuple(degrees), grading, rb.get("relation")
     )
+    _located("ring block", relation_differential, ring)
 
     cb = data.get("curved", {})
     _require(isinstance(cb, dict), "curved block: must be an object")
@@ -897,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="run both routes on a problem file")
     p.add_argument("file")
     p.add_argument("--milnor", action="store_true", help="reduce the u^0 top form")
-    p.add_argument("--bound", type=int, default=None, help="degree bound for mod-relation checks")
+    p.add_argument("--bound", type=int, default=None, help="the degree a mod-relation verdict reports")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="invariant suite on a file or random instances")

@@ -25,8 +25,7 @@ class InternalCheckFailure(EngineError):
     """A redundant internal consistency check failed (exit 4).
 
     These guard implementation bugs, not user mistakes: e.g. the
-    per-variable linearity residue of a curvature computation, or a
-    membership certificate that fails re-verification by expansion.
+    per-variable linearity residue of a curvature computation.
     """
 
 

@@ -3,8 +3,9 @@
 Forms live in the free exterior algebra over the ring's normal-form
 coefficients.  Over a quotient ring the relation df0 = 0 is deliberately
 NOT imposed; callers that need equality in the honest Kaehler
-differentials work modulo the submodule generated by df0 ∧ dx_S via
-module_membership.
+differentials work modulo the relation submodule df0 ∧ Ω via
+vanishes_mod_relation, which on a smooth quotient (the only kind
+relation_differential accepts) is the exact test df0 ∧ ω = 0.
 
 A USeries is a finitely supported sum of terms u^J·p·dx_S in the even
 formal variable u, and a DiffForm the case J = 0: both are rings.Packed
@@ -26,17 +27,12 @@ hn_differential is u·d + dh∧(-).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from weakref import WeakKeyDictionary
 
-from .errors import InternalCheckFailure, InvalidInput, NotTopForm
+from .errors import InvalidInput, NotTopForm
 from .groebner import buchberger, ideal_nf, jacobian_ideal
-from .linalg import solve_sparse
-from .rings import GradedRing, Packed, RingElement, _KEY, _divides, _glex, _summed
-from .rings import monomial_key, sum_of_products
-from .scalars import Scalar
+from .rings import GradedRing, Packed, RingElement, _KEY, _glex, _summed, sum_of_products
 
 Indices = tuple[int, ...]
 
@@ -326,171 +322,58 @@ def hn_differential(p: USeries, h: RingElement) -> USeries:
     return _exterior_d(p).shift_u(1) + _exterior_d(USeries.from_ring(h)) * p
 
 
-# ---------------------------------------------------------------------------
-# membership certificates
-# ---------------------------------------------------------------------------
+# ring -> df0 as (den, width, groups), or None for a ring without a
+# relation: what relation_differential found for the ring.  The layout
+# holds no reference to the ring, so a ring no one else holds leaves the
+# cache.
+_RELATION_DIFFERENTIAL: WeakKeyDictionary = WeakKeyDictionary()
 
 
-@dataclass
-class MembershipCertificate:
-    """Outcome of a degree-bounded module-membership solve.
+def relation_differential(ring: GradedRing) -> DiffForm | None:
+    """df0 for the ring's relation f0, None for a ring without one, and
+    InvalidInput when A = k[x]/(f0) is not smooth: the paper's formula
+    is proved for smooth A only.
 
-    member=False only ever means `not member up to degree_bound`; the
-    coefficients of a positive certificate are re-verified by expansion.
+    In characteristic 0, A is smooth iff 1 ∈ (f0, ∂_1 f0, ..., ∂_n f0)
+    (the Jacobian criterion), decided by a Groebner basis over the
+    relation-free copy of the ring.  Then Σ b_i·∂_i f0 = 1 in A for some
+    b_i, and contracting with ξ = Σ b_i ∂_i is an odd derivation ι with
+    ι(df0) = 1, so ω = ι(df0 ∧ ω) + df0 ∧ ι(ω) for every form ω: df0 ∧ ω
+    = 0 iff ω = df0 ∧ ι(ω) lies in the relation submodule df0 ∧ Ω.  That
+    makes the wedge with df0 an exact membership test, with no degree
+    bound.  The answer is held per ring.
     """
-
-    member: bool
-    degree_bound: int
-    coefficients: list[RingElement] | None = None
-
-    def __bool__(self) -> bool:
-        return self.member
-
-
-def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
-    """Normal-form ring monomials of total degree <= bound, sorted."""
-    out = []
-    stack = [(0,) * ring.nvars]
-    seen = set(stack)
-    lead = None if ring.relation is None else ring.relation.leading_term()[0]
-    while stack:
-        m = stack.pop()
-        out.append(m)
-        for v in range(ring.nvars):
-            if sum(m) < bound:
-                nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
-                if nxt not in seen:
-                    # skip monomials the relation would rewrite
-                    if lead is not None and _divides(lead, nxt):
-                        continue
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return sorted(out, key=monomial_key)
-
-
-def module_membership(
-    target: DiffForm, generators: list[DiffForm], degree_bound: int
-) -> MembershipCertificate:
-    """Decide target = sum q_g * g with ring coefficients of degree <= bound.
-
-    Exact sparse solve over the monomial basis; positive certificates are
-    re-verified by expansion (InternalCheckFailure if that ever fails).
-    """
-    ring = target.ring
-    if target.is_zero():
-        return MembershipCertificate(True, degree_bound, [ring.zero()] * len(generators))
-    monomials = _nf_monomials_up_to(ring, degree_bound)
-    columns = []
-    col_meta = []
-    for gi, g in enumerate(generators):
-        for m in monomials:
-            p = ring.element({m: Scalar(1)})
-            shifted = g.scale_ring(p)
-            col = {}
-            for S, c in shifted.parts.items():
-                for mono, val in c.terms.items():
-                    col[(S, mono)] = val
-            if col:
-                columns.append(col)
-                col_meta.append((gi, m))
-    rhs = {}
-    for S, c in target.parts.items():
-        for mono, val in c.terms.items():
-            rhs[(S, mono)] = val
-    solution = solve_sparse(columns, rhs)
-    if solution is None:
-        return MembershipCertificate(False, degree_bound)
-    coeffs = [ring.zero() for _ in generators]
-    for (gi, m), x in zip(col_meta, solution):
-        if not x.is_zero():
-            coeffs[gi] = coeffs[gi] + ring.element({m: x})
-    # re-verify by expansion
-    check = DiffForm.zero(ring)
-    for q, g in zip(coeffs, generators):
-        check = check + g.scale_ring(q)
-    if check != target:
-        raise InternalCheckFailure("membership certificate failed re-verification")
-    return MembershipCertificate(True, degree_bound, coeffs)
-
-
-def relation_form_generators(ring: GradedRing, degrees: set[int]) -> list[DiffForm]:
-    """Generators df0 ∧ dx_S of the relation submodule in the given form
-    degrees (f0·Ω generators are redundant because coefficients are always
-    normal-formed)."""
-    if ring.relation is None:
-        return []
-    df0 = de_rham_d(DiffForm.from_ring(ring.relation))
-    gens = []
-    for c in sorted(degrees):
-        if c == 0:
-            continue
-        for S in combinations(range(ring.nvars), c - 1):
-            g = df0.wedge(DiffForm(ring, {S: ring.one()}))
-            if not g.is_zero():
-                gens.append(g)
-    return gens
-
-
-# ring -> df0 as (den, width, groups), or None: what _relation_gradient_unit
-# found for the ring.  The layout holds no reference to the ring, so a
-# ring no one else holds leaves the cache.
-_GRADIENT_UNIT: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _relation_gradient_unit(ring: GradedRing) -> DiffForm | None:
-    """df0 when the gradient self-pairing of the relation is a unit scalar.
-
-    Let c_i = NF(∂f0/∂x_i) and p = Σ c_i·c_i.  Contracting with the
-    gradient field ξ = Σ c_i ∂_i is an odd derivation ι with ι(df0) = p,
-    so p·ω = ι(df0 ∧ ω) + df0 ∧ ι(ω).  When p is an invertible scalar of
-    the quotient ring this makes ω ↦ df0 ∧ ω a *complete* membership test
-    for the relation submodule: df0 ∧ ω = 0 iff ω = df0 ∧ (p⁻¹ ι(ω)).
-    Returns None when the shortcut does not apply.
-    """
-    if ring not in _GRADIENT_UNIT:
+    if ring not in _RELATION_DIFFERENTIAL:
         layout = None
-        if ring.relation is not None:
-            p = ring.zero()
-            for v in ring.variables:
-                c = ring.relation.derivative(v)
-                p = p + c * c
-            if p.is_scalar() and not p.is_zero():
-                df0 = de_rham_d(DiffForm.from_ring(ring.relation))
-                layout = df0.den, df0.width, df0.groups
-        _GRADIENT_UNIT[ring] = layout
-    layout = _GRADIENT_UNIT[ring]
+        if (f0 := ring.relation) is not None:
+            free = GradedRing(ring.variables, ring.degrees, ring.grading)
+            f = RingElement._make(free, f0.den, f0.width, f0.groups)
+            if not buchberger([f, *jacobian_ideal(f)]).contains_unit():
+                partials = ", ".join(f"d(f0)/d{v}" for v in ring.variables)
+                raise InvalidInput(
+                    f"relation is singular: 1 is not in (f0, {partials}), "
+                    "the Jacobian criterion for smoothness"
+                )
+            df0 = de_rham_d(DiffForm.from_ring(f0))
+            layout = df0.den, df0.width, df0.groups
+        _RELATION_DIFFERENTIAL[ring] = layout
+    layout = _RELATION_DIFFERENTIAL[ring]
     return None if layout is None else DiffForm._make(ring, *layout)
 
 
 def relation_bound(v: Packed) -> int:
-    """The default membership degree bound for a nonzero ring element,
-    form or series: two above the largest total degree of its monomials,
-    the top field of its largest packed monomial."""
+    """The degree a mod-relation verdict reports for a nonzero ring
+    element, form or series: two above the largest total degree of its
+    monomials, the top field of its largest packed monomial."""
     return (max(max(rows)[0] for rows in v.groups.values()) >> v.width * v.ring.nvars) + 2
 
 
-def vanishes_mod_relation(form: DiffForm, degree_bound: int | None = None) -> bool:
-    """True when the form is 0, or lies in the relation submodule.
-
-    For relations whose gradient self-pairing is a unit scalar (e.g.
-    sphere relations) the test is exact and unbounded: wedge with df0 and
-    compare with zero.  Otherwise membership is a degree-bounded linear
-    solve; with no bound, coefficients are sought up to two degrees above
-    the largest coefficient degree appearing in the form itself.
-    """
-    if form.is_zero():
-        return True
-    if form.ring.relation is None:
-        return False
-    df0 = _relation_gradient_unit(form.ring)
-    if df0 is not None:
-        return df0.wedge(form).is_zero()
-    if degree_bound is None:
-        degree_bound = relation_bound(form)
-    gens = relation_form_generators(form.ring, form.form_degrees())
-    if not gens:
-        return False
-    return bool(module_membership(form, gens, degree_bound))
+def vanishes_mod_relation(form: DiffForm) -> bool:
+    """True when the form is 0, or lies in the relation submodule
+    df0 ∧ Ω: exactly when df0 ∧ form = 0 (see relation_differential,
+    which refuses a singular relation)."""
+    df0 = relation_differential(form.ring)
+    return form.is_zero() or (df0 is not None and df0.wedge(form).is_zero())
 
 
 def milnor_representative(omega: DiffForm, f: RingElement) -> RingElement:

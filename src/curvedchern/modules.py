@@ -319,25 +319,24 @@ class IdentityVerdict:
 
 
 def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
+    """Whether p vanishes, exactly or modulo the relation.  The test is
+    exact (forms.relation_differential); a mod-relation verdict reports
+    `bound`, by default relation_bound(p), a degree that decides nothing."""
     if p.is_zero():
         return IdentityVerdict(True, "exact")
     ring = p.ring
     if ring.relation is None:
         return IdentityVerdict(False, "failed", f"nonzero residue {p}")
-    if bound is None:
-        bound = relation_bound(p)
     for J in p.u_powers():
-        if not vanishes_mod_relation(p.coefficient(J), bound):
-            return IdentityVerdict(
-                False, "failed", f"u^{J} residue outside relation submodule (bound {bound})"
-            )
-    return IdentityVerdict(True, "mod-relation", f"bound {bound}")
+        if not vanishes_mod_relation(p.coefficient(J)):
+            return IdentityVerdict(False, "failed", f"u^{J} residue outside relation submodule")
+    return IdentityVerdict(True, "mod-relation", f"bound {relation_bound(p) if bound is None else bound}")
 
 
 def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
     """Whether every entry of X vanishes, read in (row, column) order so
     that the verdict depends on X's content alone; a mod-relation verdict
-    reports the largest bound any entry used."""
+    reports `bound`, by default the largest relation_bound of an entry."""
     largest = None
     for row in X.rows:
         for _, v in sorted(row.items()):

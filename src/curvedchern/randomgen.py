@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import InternalCheckFailure
-from .forms import DiffForm, USeries, _nf_monomials_up_to
+from .forms import DiffForm, USeries
 from .matform import Mat
 from .modules import (
     CurvedAlgebra,
@@ -22,7 +22,7 @@ from .modules import (
     connection_with_mu,
     levi_civita,
 )
-from .rings import GradedRing, RingElement
+from .rings import GradedRing, RingElement, _divides, monomial_key
 from .scalars import Scalar
 
 _NAMES = ("x", "y", "z")
@@ -54,6 +54,27 @@ def random_ring(rng: random.Random, *, max_vars: int = 3, grading: str | None = 
     else:
         degrees = [0] * nvars
     return GradedRing(names, degrees, grading=grading)
+
+
+def _nf_monomials_up_to(ring: GradedRing, bound: int) -> list:
+    """Normal-form ring monomials of total degree <= bound, sorted."""
+    out = []
+    stack = [(0,) * ring.nvars]
+    seen = set(stack)
+    lead = None if ring.relation is None else ring.relation.leading_term()[0]
+    while stack:
+        m = stack.pop()
+        out.append(m)
+        for v in range(ring.nvars):
+            if sum(m) < bound:
+                nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
+                if nxt not in seen:
+                    # skip monomials the relation would rewrite
+                    if lead is not None and _divides(lead, nxt):
+                        continue
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return sorted(out, key=monomial_key)
 
 
 # (ring shape, max_deg, gamma) -> the pool _monomials returns; the

@@ -179,6 +179,37 @@ def test_well_formed_options_are_accepted(tmp_path):
     assert "milnor representative" in proc.stdout
 
 
+SINGULAR = (
+    "ring block: relation is singular: 1 is not in (f0, d(f0)/dx, d(f0)/dy), "
+    "the Jacobian criterion for smoothness"
+)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("relation", ["x^2-y^3", "x^2-y^2-y^3"], ids=["cusp", "node"])
+def test_a_singular_relation_exits_2_naming_the_jacobian_criterion(relation, command, tmp_path):
+    # mf-xy's delta and h over a cusp or a node: the paper's smoothness
+    # hypothesis fails, so the file is refused before anything is computed
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_with("ring", relation=relation)), encoding="utf-8")
+    proc = _run(command, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"invalid input: {SINGULAR}\n"
+
+
+@pytest.mark.parametrize(
+    "variables, relation",
+    [(["x", "y"], "x*y-1"), (["x", "y", "z"], "x^2-1"), (["x", "y", "z"], "x^3+y^3+z^3-1")],
+    ids=["xy-1", "x2-1", "fermat-cubic"],
+)
+def test_a_smooth_relation_is_accepted(variables, relation, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_with("ring", variables=variables, relation=relation)), encoding="utf-8")
+    proc = _run("compute", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "route agreement: exact" in proc.stdout
+
+
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_problem_file_that_is_not_utf8_exits_2(command, tmp_path):
     path = tmp_path / "problem.json"

@@ -12,13 +12,11 @@ from curvedchern.forms import (
     _exterior_d,
     _indices,
     _wedge_row,
-    MembershipCertificate,
     USeries,
     de_rham_d,
     hn_differential,
     milnor_representative,
-    module_membership,
-    relation_form_generators,
+    relation_differential,
     vanishes_mod_relation,
 )
 from curvedchern.rings import GradedRing, RingElement
@@ -138,7 +136,7 @@ def test_d_on_quotient_is_not_a_derivation():
     rhs = de_rham_d(x1).wedge(x1) + x1.wedge(de_rham_d(x1))
     assert lhs != rhs
     # ... but the discrepancy lies in the relation submodule
-    assert vanishes_mod_relation(lhs - rhs, 3)
+    assert vanishes_mod_relation(lhs - rhs)
 
 
 def test_hn_differential_shape():
@@ -170,33 +168,68 @@ def test_useries_add_and_mul():
     assert (p * q).coefficient(1) == _f(R, "x").wedge(_dx(R, "x"))
 
 
-def test_membership_positive_with_certificate():
-    R = qi_ring("x", "y")
-    target = _f(R, "x^2").wedge(_dx(R, "x")) + _f(R, "x*y").wedge(_dx(R, "y"))
-    gens = [_dx(R, "x"), _dx(R, "y")]
-    cert = module_membership(target, gens, 3)
-    assert isinstance(cert, MembershipCertificate) and cert.member
-    assert cert.coefficients[0] == R.from_string("x^2")
-    assert cert.coefficients[1] == R.from_string("x*y")
-
-
-def test_membership_negative_up_to_bound():
-    R = qi_ring("x", "y")
-    target = _dx(R, "y")
-    gens = [_dx(R, "x")]
-    cert = module_membership(target, gens, 4)
-    assert not cert
-    assert cert.degree_bound == 4
-
-
 def test_relation_submodule_generators_sphere():
     R = sphere_ring(3)
-    gens = relation_form_generators(R, {2})
-    # df0 ∧ dx_v for each variable, minus the zero wedges
-    assert len(gens) == 3
     df0 = de_rham_d(_f(R, "x1^2+x2^2+x3^2-1"))
     target = df0.wedge(_dx(R, "x2")).scale_ring(R.from_string("x1*x3"))
-    assert vanishes_mod_relation(target, 4)
+    assert vanishes_mod_relation(target)
+
+
+# the Jacobian criterion: k[x]/(f0) is smooth iff 1 ∈ (f0, ∂f0)
+_SMOOTH = [qi_ring("x", "y", relation="x*y-1"), qi_ring("x", "y", "z", relation="x^2-1"),
+           qi_ring("x", "y", "z", relation="x^3+y^3+z^3-1")]
+_COEFFS = ["0", "1", "x", "y", "x*y", "x^2-1", "x+2*y", "i*y^2", "x^2*y+i"]
+
+
+@pytest.mark.parametrize("relation", ["x^2-y^3", "x^2-y^2-y^3"], ids=["cusp", "node"])
+def test_a_singular_relation_is_refused_naming_the_jacobian_criterion(relation):
+    R = qi_ring("x", "y", relation=relation)
+    message = r"relation is singular: 1 is not in \(f0, d\(f0\)/dx, d\(f0\)/dy\), the Jacobian criterion"
+    with pytest.raises(InvalidInput, match=message):
+        relation_differential(R)
+    # the library's test refuses it too, zero forms included
+    for form in (DiffForm.zero(R), _dx(R, "x")):
+        with pytest.raises(InvalidInput, match=message):
+            vanishes_mod_relation(form)
+
+
+def test_a_ring_without_a_relation_has_only_the_zero_form_to_vanish():
+    R = qi_ring("x", "y")
+    assert relation_differential(R) is None
+    assert vanishes_mod_relation(DiffForm.zero(R))
+    assert not vanishes_mod_relation(_dx(R, "x"))
+
+
+@pytest.mark.parametrize("R", _SMOOTH, ids=["xy-1", "x2-1", "fermat-cubic"])
+def test_a_smooth_relation_gives_its_differential(R):
+    df0 = relation_differential(R)
+    assert df0.form_degrees() == {1}
+    for v, name in enumerate(R.variables):
+        assert df0.coefficient((v,)) == R.relation.derivative(name)
+    assert relation_differential(R) == df0  # held, and read back the same
+
+
+def _drawn_form(data, R) -> DiffForm:
+    """A form with a drawn coefficient on every dx_S."""
+    out = DiffForm.zero(R)
+    for k in range(R.nvars + 1):
+        for S in combinations(range(R.nvars), k):
+            out = out + DiffForm(R, {S: R.from_string(data.draw(st.sampled_from(_COEFFS)))})
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(range(len(_SMOOTH))), st.sampled_from(["1", "x", "x*y+2", "i*y-1"]), st.data())
+def test_the_wedge_with_df0_decides_the_relation_submodule(k, p, data):
+    # df0 ∧ η is a member; adding a nonzero function p is not, as
+    # df0 ∧ (df0 ∧ η + p) = p·df0, which vanishes only when p does
+    R = _SMOOTH[k]
+    df0 = relation_differential(R)
+    member = df0.wedge(_drawn_form(data, R))
+    assert vanishes_mod_relation(member)
+    outside = member + _f(R, p)
+    assert not df0.wedge(outside).is_zero()
+    assert not vanishes_mod_relation(outside)
 
 
 def test_milnor_representative_xy():
@@ -304,18 +337,6 @@ def test_wedge_associative_and_distributive(a, b, c):
     fc = _f(R, c)
     assert fa.wedge(fb.wedge(fc)) == fa.wedge(fb).wedge(fc)
     assert fa.wedge(fb + fc) == fa.wedge(fb) + fa.wedge(fc)
-
-
-@settings(deadline=None, max_examples=20)
-@given(small_polys, st.integers(min_value=0, max_value=2))
-def test_membership_roundtrip_random(p, which):
-    # build a target that IS a combination, check the solver finds one
-    R = qi_ring("x", "y")
-    gens = [_dx(R, "x"), _dx(R, "y"), _dx(R, "x").wedge(_dx(R, "y"))]
-    q = R.from_string(p)
-    target = gens[which].scale_ring(q)
-    cert = module_membership(target, gens, max(q.total_degree(), 1))
-    assert cert.member
 
 
 def test_scale_by_i():

@@ -374,20 +374,24 @@ def test_kernel_work_of_one_s4_suite(monkeypatch):
     inst = parse_instance(_corpus_text("s4_nonflat.json"), "s4")
     work = _kernel_work(monkeypatch, lambda: run_suite(inst.module, inst.connection, **inst.options))
     # 1 020 calls and 1 794 924 pairs while the chain route re-checked e·e,
-    # e·e·e and e·delta·e, which check_module has proved
-    assert work == (860, 1791372)
+    # e·e·e and e·delta·e, which check_module has proved; 860 and 1 791 372
+    # while the mod-relation test formed the relation's gradient
+    # self-pairing Σ(∂f0)², 5 one-pair products (forms.relation_differential
+    # decides smoothness by a Groebner basis, outside the kernel)
+    assert work == (855, 1791367)
 
 
 def test_kernel_work_of_the_forked_s4_suite(monkeypatch):
     # The spy counts this process only.  It forms the curvature K (64,
     # 720), A = [nabla, delta] (64, 10 800), its half of the even rows of
     # A·A and the A^4 square (10, 1 176 830) and the cycle check's residue
-    # (1, 7 530), plus the relation's gradient unit that the cycle check's
-    # mod-relation test reads (5, 5).  The curvature's linearity check
-    # (472 calls, 15 552 pairs) runs in the forked child, and so does the
-    # later half of the even rows of A·A, P_0(A·A): 8 of its 16 calls and
-    # 140 565 of its 287 914 pairs left this process, (152, 1 336 450) ->
-    # (144, 1 195 885).  The child's own work is pinned below.  After
+    # (1, 7 530), 5 calls and 5 pairs more while the cycle check's
+    # mod-relation test formed the relation's gradient self-pairing.  The
+    # curvature's linearity check (472 calls, 15 552 pairs) runs in the
+    # forked child, and so does the later half of the even rows of A·A,
+    # P_0(A·A): 8 of its 16 calls and 140 565 of its 287 914 pairs left
+    # this process, (152, 1 336 450) -> (144, 1 195 885) then.  The
+    # child's own work is pinned below.  After
     # holding P_0(A·A) and adopting the child's classes, the A^4 square is
     # all Chern-Weil forms, and the chain route forms nothing.
     from curvedchern import cli
@@ -407,15 +411,16 @@ def test_kernel_work_of_the_forked_s4_suite(monkeypatch):
     monkeypatch.setattr(cli, "chern_via_chains", chain_route)
     run_suite(inst.module, inst.connection, **inst.options)
     assert at_route == [(0, 0)]
-    assert tuple(work) == (144, 1195885)
+    assert tuple(work) == (139, 1195880)
 
 
 def test_kernel_work_of_the_forked_s4_child(monkeypatch, tmp_path):
     # The forked child's four stages, counted in the child from the fork
     # on and written to a file after its last: its half of P_0(A·A), the
     # even rows of A·A, the later 2 of the 4 rows (8 calls, 140 565
-    # pairs); the curvature's linearity check (472 calls, 15 552 pairs,
-    # plus the relation's gradient unit, 5 one-pair calls); the words with
+    # pairs); the curvature's linearity check (472 calls, 15 552 pairs;
+    # 477 and 15 557 while it formed the relation's gradient self-pairing,
+    # 5 one-pair calls); the words with
     # K, the classes of K, K·K and A·A·K (36, 276 168); and the commutator
     # check (216, 253 356).  The child does not hold P_0(A·A), whose
     # rows it formed only half of (16 calls, 287 914 pairs whole), so it
@@ -461,7 +466,7 @@ def test_kernel_work_of_the_forked_s4_child(monkeypatch, tmp_path):
     run_suite(inst.module, inst.connection, **inst.options)
     child = json.loads(record.read_text())
     stages = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(child, child[1:])]
-    assert stages == [(8, 140565), (477, 15557), (36, 276168), (216, 253356)]
+    assert stages == [(8, 140565), (472, 15552), (36, 276168), (216, 253356)]
 
 
 def test_kernel_work_of_the_suite_on_random_seeds(monkeypatch):

@@ -239,7 +239,7 @@ def test_sphere_chern_class_is_cycle():
     c1 = curvature_mat(C).supertrace().coefficient(0)
     from curvedchern.forms import vanishes_mod_relation
 
-    assert vanishes_mod_relation(de_rham_d(c1), 4)
+    assert vanishes_mod_relation(de_rham_d(c1))
 
 
 def test_curvature_closed_form_matches_double_application():
@@ -281,7 +281,7 @@ def test_curvature_closed_form_with_idempotent():
         for s in range(2):
             entry = diff.entry(t, s)
             assert all(
-                vanishes_mod_relation(entry.coefficient(J), 4)
+                vanishes_mod_relation(entry.coefficient(J))
                 for J in entry.u_powers()
             )
 

@@ -34,7 +34,7 @@ _WORDS = st.sampled_from(
     ["0", "1", "x", "y", "-x*y", "x*y", "x^2", "x^1001", "i", "u", "d(x)", "x*d(y)",
      "-d(y)", "x*d(", "d(z)", "(", "x+", "1/0", "1/2", "Z", "Z2", "explicit",
      "levi-civita", "x,y", "", " ", "#", "−x", "x * d(y)", "d(x)*d(y)", "d(x)^2",
-     "d( x )"]
+     "d( x )", "relation", "x^2-y^3", "x*y-1"]
 )
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([2**70, -(2**70)]),

@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 from curvedchern.cli import instance_to_spec, parse_instance
-from curvedchern.forms import _nf_monomials_up_to
 from curvedchern.modules import check_module, chern_weil
-from curvedchern.randomgen import _monomials, random_module_instance
+from curvedchern.randomgen import _monomials, _nf_monomials_up_to, random_module_instance
 from curvedchern.rings import GradedRing
 
 from chains import random_chain_setup, random_ring_chain
