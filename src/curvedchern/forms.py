@@ -15,13 +15,16 @@ one graded-lex encoding (rings._Glex: the degree field on top, then one
 field a variable).  A RingElement is the group (0, 0), so a product takes
 ring elements, forms and series as they stand.  rings.sum_of_products
 reads and returns that layout, so no product builds a Scalar.  A product
-pairs the groups of its factors, the overlap test and the wedge sign
-taken from the two masks once per pair of groups; d subtracts a
-variable's unit key (one in its field and one in the degree field) from
-a packed monomial and sets the variable's bit in the mask, and
-relation_bound reads the degree field of the largest packed monomial.  A
-coefficient is a subset of the groups, re-keyed and made canonical, and
-DiffForm.parts and RingElement.terms build their views on read.
+pairs the groups of its factors in _pair, which files each pair's kernel
+contribution into its caller's list (for Mat.sum_of_products, the output
+entry's) with a sign read by the two masks from a memoized table: the
+overlap test, the wedge sign and a factor by the two form parities, such
+as a supertrace weight.  d subtracts a variable's unit key (one in its
+field and one in the degree field) from a packed monomial and sets the
+variable's bit in the mask, and relation_bound reads the degree field of
+the largest packed monomial.  A coefficient is a subset of the groups,
+re-keyed and made canonical, and DiffForm.parts and RingElement.terms
+build their views on read.
 hn_differential is u·d + dh∧(-).
 """
 
@@ -131,23 +134,36 @@ class DiffForm(Packed):
 
 
 class _SignRow(dict):
-    """m2 -> the sign that sorts dx_{m1} ∧ dx_{m2} into dx_{m1 | m2}, or 0
-    when the masks share an index; filled on demand."""
+    """m2 -> signs[|S_2| % 2] times the sign that sorts dx_{m1} ∧ dx_{m2}
+    into dx_{m1 | m2}, or 0 when the masks meet; filled on demand."""
 
-    def __init__(self, m1: int):
+    def __init__(self, m1: int, signs: tuple):
         super().__init__()
-        self.m1 = m1
+        self.m1, self.signs = m1, signs
 
     def __missing__(self, m2: int) -> int:
         m1 = self.m1
         inversions = sum((m1 >> (b + 1)).bit_count() for b in _indices(m2))
-        sign = self[m2] = 0 if m1 & m2 else (-1) ** inversions
+        sign = self[m2] = 0 if m1 & m2 else (-1) ** inversions * self.signs[m2.bit_count() % 2]
         return sign
 
 
-# the wedge signs of a mask with every other mask, memoized: every pair of
-# groups of every product asks
-_wedge_row = cache(_SignRow)
+class _SignTable(dict):
+    """m1 -> its _SignRow under signs[|S_1| % 2], signs a product's signs
+    by the parities of its two form degrees; filled on demand."""
+
+    def __init__(self, signs: tuple):
+        super().__init__()
+        self.signs = signs
+
+    def __missing__(self, m1: int) -> _SignRow:
+        row = self[m1] = _SignRow(m1, self.signs[m1.bit_count() % 2])
+        return row
+
+
+# the sign tables, memoized, and _UNIFORM[sign], every product at one sign
+_wedge_signs = cache(_SignTable)
+_UNIFORM = {sign: _wedge_signs(((sign, sign), (sign, sign))) for sign in (1, -1)}
 
 
 @cache
@@ -248,28 +264,15 @@ class USeries(Packed):
         return USeries.sum_of_products(self.ring, ((1, 0, self, other),))
 
     @staticmethod
-    def sum_of_products(ring: GradedRing, pairs, plus=()) -> "USeries":
-        """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs,
-        plus sign·u^shift·v over the (sign, shift, v) in plus, in one
-        rings.sum_of_products call (see _pair_groups) that adds the groups
-        of each v to its sums as rows without a product; without a pair to
-        form, the plus terms are merged and no product is formed.  Signs are
-        ±1, shifts nonnegative ints; a and b may be series, forms or ring
-        elements."""
+    def sum_of_products(ring: GradedRing, pairs) -> "USeries":
+        """Sum of sign·u^shift·a·b over the (sign, shift, a, b) in pairs, in
+        one rings.sum_of_products call (see _pair), or in none when no pair
+        of groups forms a product.  Signs are ±1, shifts nonnegative ints;
+        a and b may be series, forms or ring elements."""
         terms: list = []
         for sign, shift, a, b in pairs:
-            _pair_series(terms, a, b, ((sign, sign), (sign, sign)), shift)
-        if terms:
-            added = [
-                ((J + shift, mask), sign, v.den, v.width, rows)
-                for sign, shift, v in plus
-                for (J, mask), rows in v.groups.items()
-            ]
-            return USeries._make(ring, *sum_of_products(ring, terms, added))
-        out = USeries.zero(ring)
-        for sign, shift, v in plus:
-            out = out._merge(v, sign, shift)
-        return out
+            _pair(terms, a, b, _UNIFORM[sign], shift)
+        return USeries._make(ring, *sum_of_products(ring, terms)) if terms else USeries.zero(ring)
 
     def shift_u(self, k: int) -> "USeries":
         if k < 0 and any(J + k < 0 for J, _ in self.groups):
@@ -295,26 +298,25 @@ class USeries(Packed):
         return f"<useries {self}>"
 
 
-def _pair_groups(terms: list, left, right, signs: tuple, d: int, width: int, shift: int = 0) -> None:
-    """Append the rings.sum_of_products contributions of the pairs of
-    groups ((J, mask), rows) in left x right, at `width` with denominator
-    product d: the product of u^shift·g and h filed under (J_g + J_h +
-    shift, mask_g | mask_h) with the wedge sign times signs[|S_g| %
-    2][|S_h| % 2]; a pair of sign 0 is left out."""
-    right = [(J2, m2, m2.bit_count() % 2, Q) for (J2, m2), Q in right]
-    for (J1, m1), P in left:
+def _pair(terms: list, a: Packed, b: Packed, signs: _SignTable, shift: int = 0) -> None:
+    """Append to terms the rings.sum_of_products contributions of
+    u^shift·a·b: for each pair of groups g of a and h of b, at the wider
+    width and denominator a.den·b.den, their product under (J_g + J_h +
+    shift, mask_g | mask_h) with sign signs[mask_g][mask_h] (_SignTable),
+    left out when 0.  The one pairing loop of every product."""
+    width = a.width
+    if width == b.width:
+        left, right = a.groups, b.groups
+    else:
+        width = max(width, b.width)
+        left, right = a._at(width), b._at(width)
+    d = a.den * b.den
+    for (J1, m1), P in left.items():
         J1 += shift
-        row = signs[m1.bit_count() % 2]
-        wedge = _wedge_row(m1)
-        for J2, m2, p2, Q in right:
-            if (m := row[p2]) and (s := wedge[m2]):
-                terms.append(((J1 + J2, m1 | m2), m * s, d, width, P, Q))
-
-
-def _pair_series(terms: list, a: Packed, b: Packed, signs: tuple, shift: int = 0) -> None:
-    """_pair_groups on every pair of groups of a x b."""
-    width = max(a.width, b.width)
-    _pair_groups(terms, a._at(width).items(), b._at(width).items(), signs, a.den * b.den, width, shift)
+        wedge = signs[m1]
+        for (J2, m2), Q in right.items():
+            if s := wedge[m2]:
+                terms.append(((J1 + J2, m1 | m2), s, d, width, P, Q))
 
 
 def hn_differential(p: USeries, h: RingElement) -> USeries:

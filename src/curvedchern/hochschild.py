@@ -125,6 +125,7 @@ def tr_nabla(c: ChainSum, C: Connection, words: WordEvaluator | None = None) -> 
     ring = e.ring
     words = WordEvaluator() if words is None else words
     nvars = ring.nvars
+    k = None  # K's letter, interned where a word first needs it
     acc = USeries.zero(ring)
     for coeff, ch in c.terms():
         n = ch.n
@@ -141,13 +142,15 @@ def tr_nabla(c: ChainSum, C: Connection, words: WordEvaluator | None = None) -> 
         if len(tail) < n:
             continue
         max_J = (nvars - n) // 2
+        if max_J and k is None:
+            k = words.letter(curvature_mat(C))
         for J in range(max_J + 1):
             weight = coeff * Scalar._raw((-1) ** J, 0, factorial(J + n))
             for comp in _compositions(J, n + 1):
                 word = list(head_word)
                 for g in range(n + 1):
                     if comp[g]:
-                        word.extend([words.letter(curvature_mat(C))] * comp[g])
+                        word.extend([k] * comp[g])
                     if g < n:
                         word.append(tail[g])
                 tr = words.supertrace(tuple(word)) if word else e.supertrace()

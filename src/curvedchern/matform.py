@@ -24,33 +24,31 @@ mask gives the sign of a wedge and the parity of a group.  A ring element
 or a form given as an entry has that layout already (rings.Packed) and
 is taken as it stands.  The product is formed row by
 row (Gustavson, ACM TOMS 4(3), 1978): each stored (t, k) of the left
-factor meets each stored (k, s) of row k of the right factor, and the
-pairs gathered for an output entry (t, s) go to one
-USeries.sum_of_products call.
+factor meets each stored (k, s) of row k of the right factor, and that
+pair's kernel contributions (forms._pair) are filed at once into the list
+of output entry (t, s), which is one rings.sum_of_products call.
 
 The same pass forms a whole sum of products: Mat.sum_of_products takes
-terms (sign, u-shift, X, Y) and gathers, for each output entry, the pairs
-of every term, each pair carrying its term's sign and u-shift, so the
-entry is one USeries.sum_of_products call and each of its (u-power, wedge
-indices) keys is normal-formed once, however many terms meet there.  A
-residue such as the commutator check's, whose terms largely cancel, is
-then summed before anything is normal-formed, instead of normal-forming
-each product and merging the results.  The matrix product X @ Y is the
-one-term case.
+terms (sign, u-shift, X, Y) and files the pairs of every term, each with
+its term's sign and u-shift, into the entry's one list, so each of its
+(u-power, wedge indices) keys is normal-formed once, however many terms
+meet there.  A residue such as the commutator check's, whose terms
+largely cancel, is then summed before anything is normal-formed.  The
+matrix product X @ Y is the one-term case.
 
 A product with an identity factor forms nothing: X @ I and I @ X return
 X, I.apply(col) a new list of the same column entries, and a term of
-Mat.sum_of_products with an identity factor adds the other factor's
-entries, shifted and signed, to the kernel's sums as rows without a
-product, before the one normal form (an entry that no product reaches
-merges them instead).  Whether a matrix is an identity is read from its
-content alone (equal target and source degrees, and row t storing
-exactly one entry, at (t, t), equal to the unit series u^0·1 with
-coefficient exactly 1), so an identity idempotent written in a problem
-file takes the same path as Mat.identity.  For a free module (e = 1)
-every idempotent sandwich of the engine is such a product.  The answer
-is computed once per matrix, which is sound because a Mat is never
-changed once it is made.
+Mat.sum_of_products with an identity factor files the other factor's
+groups, shifted and signed, into the entry's list as rows the kernel adds
+without a product, before the one normal form (an entry that no product
+reaches merges them instead).  Whether a matrix is an identity is read
+from its content alone (equal target and source degrees, and row t
+storing exactly one entry, at (t, t), equal to the unit series u^0·1
+with coefficient exactly 1), so an identity idempotent written in a
+problem file takes the same path as Mat.identity.  For a free module
+(e = 1) every idempotent sandwich of the engine is such a product.  The
+answer is computed once per matrix, which is sound because a Mat is
+never changed once it is made.
 
 A supertrace of a product never forms the product: supertrace_of_product
 and supertrace_of_square file the component products of the diagonal
@@ -77,7 +75,7 @@ source basis vector.
 from __future__ import annotations
 
 from .errors import InternalCheckFailure, InvalidInput
-from .forms import USeries, _d_groups, _indices, _pair_groups, _pair_series
+from .forms import _UNIFORM, USeries, _d_groups, _indices, _pair, _wedge_signs
 from .rings import GradedRing, Packed, RingElement, _gammas, _glex, _scaled_rows, sum_of_products
 from .scalars import Scalar
 
@@ -207,21 +205,17 @@ class Mat:
     @staticmethod
     def sum_of_products(ring, target_degrees: tuple, source_degrees: tuple, terms) -> "Mat":
         """The sum of sign·u^shift·(X @ Y) over the terms (sign, shift, X, Y),
-        signs ±1 and shifts nonnegative ints, formed entry by entry: the
-        pairs of stored X[t][k] and Y[k][s] of every term are gathered per
-        output entry (t, s), and each entry is one USeries.sum_of_products
-        call, so its (u-power, wedge indices) keys are normal-formed once.
-        A term with an identity factor forms no product: it adds the other
-        factor's entries to the entry's kernel sums (the plus terms of
-        USeries.sum_of_products).  An entry is stored at its first appearance in
-        the terms, in their order."""
+        signs ±1 and shifts nonnegative ints.  As the rows of X are walked,
+        each pair of stored X[t][k] and Y[k][s] files its kernel
+        contributions into the list of output entry (t, s) (forms._pair),
+        and a term with an identity factor files the other factor's groups
+        there as added rows, forming no product; each entry is then one
+        rings.sum_of_products call (_entry), so its keys are normal-formed
+        once.  An entry is stored at its first appearance in the terms."""
         gathered: list[dict] = [{} for _ in target_degrees]
         for sign, shift, X, Y in terms:
-            if (
-                X.target_degrees != target_degrees
-                or X.source_degrees != Y.target_degrees
-                or Y.source_degrees != source_degrees
-            ):
+            shape = X.target_degrees, X.source_degrees, Y.source_degrees
+            if shape != (target_degrees, Y.target_degrees, source_degrees):
                 raise InvalidInput("matrix shapes/degrees are not composable")
             if X.is_identity() or Y.is_identity():
                 Z = Y if X.is_identity() else X
@@ -230,20 +224,18 @@ class Mat:
                         entry = got.get(s)
                         if entry is None:
                             entry = got[s] = ([], [])
-                        entry[1].append((sign, shift, v))
+                        for (J, mask), rows in v.groups.items():
+                            entry[1].append(((J + shift, mask), sign, v.den, v.width, rows))
                 continue
-            right = Y.rows
+            signs, right = _UNIFORM[sign], Y.rows
             for row, got in zip(X.rows, gathered):
                 for k, a in row.items():
                     for s, b in right[k].items():
                         entry = got.get(s)
                         if entry is None:
                             entry = got[s] = ([], [])
-                        entry[0].append((sign, shift, a, b))
-        rows = [
-            _nonzero({s: USeries.sum_of_products(ring, *entry) for s, entry in got.items()})
-            for got in gathered
-        ]
+                        _pair(entry[0], a, b, signs, shift)
+        rows = [{s: v for s, entry in got.items() if (v := _entry(ring, *entry)).groups} for got in gathered]
         return Mat._make(ring, target_degrees, source_degrees, rows)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -423,13 +415,7 @@ class Mat:
         of the same column entries, forming nothing."""
         if self.is_identity():
             return list(col)
-        ring = self.ring
-        zero = USeries.zero(ring)
-        out = []
-        for row in self.rows:
-            pairs = [(1, 0, a, col[k]) for k, a in row.items() if col[k].groups]
-            out.append(USeries.sum_of_products(ring, pairs) if pairs else zero)
-        return out
+        return [USeries.sum_of_products(self.ring, [(1, 0, a, col[k]) for k, a in row.items()]) for row in self.rows]
 
     def __repr__(self) -> str:
         shape = f"{len(self.target_degrees)}x{len(self.source_degrees)}"
@@ -439,6 +425,18 @@ class Mat:
 def _is_unit(v: USeries | None) -> bool:
     """Whether v is the unit series u^0·1, coefficient exactly 1 + 0i."""
     return v is not None and v.den == 1 and v.groups == {(0, 0): [(0, 1, 0)]}
+
+
+def _entry(ring: GradedRing, products: list, added: list) -> USeries:
+    """An entry of Mat.sum_of_products from what was filed for it: the
+    products and the added rows in one kernel call, or, when no product
+    reaches the entry, the added rows merged without one."""
+    if products:
+        return USeries._make(ring, *sum_of_products(ring, products, added))
+    out = USeries.zero(ring)
+    for key, sign, den, width, rows in added:
+        out = out._merge(USeries._make(ring, den, width, {key: rows}), sign)
+    return out
 
 
 def _flip(v: USeries, parity: int) -> USeries:
@@ -466,24 +464,22 @@ def _weight(deg: int, c: int) -> int:
     return -1 if deg % 2 and c % 2 == 0 else 1
 
 
-def _weights(deg: int) -> tuple:
-    """Signs of a·b on the diagonal of basis degree deg, indexed
-    [|S_a| % 2][|S_b| % 2]: the weight of the form degree |S_a| + |S_b|."""
-    return tuple(tuple(_weight(deg, pa + pb) for pb in (0, 1)) for pa in (0, 1))
+def _weights(deg: int) -> dict:
+    """The sign table (forms._wedge_signs) of a·b on the diagonal of basis
+    degree deg, by [|S_a| % 2][|S_b| % 2]: the weight of the form degree
+    |S_a| + |S_b|."""
+    return _wedge_signs(tuple(tuple(_weight(deg, pa + pb) for pb in (0, 1)) for pa in (0, 1)))
 
 
-def _mirror_weights(deg_t: int, deg_k: int) -> tuple:
-    """Signs of a·b at (t, t) and its mirror b·a at (k, k) taken together,
-    indexed as in _weights: b·a = (-1)^{|S_a||S_b|} a·b, since ring
-    coefficients and u are even and central and entries carry no Koszul
-    signs."""
-    return tuple(
-        tuple(
-            _weight(deg_t, pa + pb) + _weight(deg_k, pa + pb) * (-1) ** (pa * pb)
-            for pb in (0, 1)
-        )
+def _mirror_weights(deg_t: int, deg_k: int) -> dict:
+    """The sign table of a·b at (t, t) and its mirror b·a at (k, k) taken
+    together, by parities as in _weights: b·a = (-1)^{|S_a||S_b|} a·b,
+    since ring coefficients and u are even and central and entries carry
+    no Koszul signs."""
+    return _wedge_signs(tuple(
+        tuple(_weight(deg_t, pa + pb) + _weight(deg_k, pa + pb) * (-1) ** (pa * pb) for pb in (0, 1))
         for pa in (0, 1)
-    )
+    ))
 
 
 def supertrace_of_product(A: Mat, B: Mat) -> USeries:
@@ -507,7 +503,7 @@ def supertrace_of_product(A: Mat, B: Mat) -> USeries:
         for k, a in row.items():
             b = right[k].get(t)
             if b is not None:
-                _pair_series(terms, a, b, signs)
+                _pair(terms, a, b, signs)
     return USeries._make(A.ring, *sum_of_products(A.ring, terms))
 
 
@@ -535,14 +531,13 @@ def supertrace_of_square(P: Mat) -> USeries:
         for k, a in row.items():
             if k == t:
                 same, mirror = _weights(degrees[t]), _mirror_weights(degrees[t], degrees[t])
-                comps = list(a.groups.items())
-                d = a.den * a.den
+                comps = [USeries._make(P.ring, a.den, a.width, {g: r}) for g, r in a.groups.items()]
                 for i, c in enumerate(comps):
-                    _pair_groups(terms, (c,), (c,), same, d, a.width)
-                    _pair_groups(terms, (c,), comps[i + 1:], mirror, d, a.width)
+                    _pair(terms, c, c, same)
+                    for later in comps[i + 1:]:
+                        _pair(terms, c, later, mirror)
             elif k > t and t in rows[k]:
-                signs = _mirror_weights(degrees[t], degrees[k])
-                _pair_series(terms, a, rows[k][t], signs)
+                _pair(terms, a, rows[k][t], _mirror_weights(degrees[t], degrees[k]))
     return USeries._make(P.ring, *sum_of_products(P.ring, terms))
 
 

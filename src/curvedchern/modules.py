@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import factorial
 
@@ -284,7 +283,7 @@ def chern_weil(M: CurvedModule, C: Connection,
         tr = words.supertrace(w)
         if not tr.is_zero():
             m = len(w)
-            acc = acc + tr.scale(Scalar(Fraction((-1) ** m, factorial(m)))).shift_u(w.count(k))
+            acc = acc + tr.scale(Scalar._raw((-1) ** m, 0, factorial(m))).shift_u(w.count(k))
     return acc
 
 
@@ -298,7 +297,7 @@ def chern_power_series(M: CurvedModule, C: Connection) -> USeries:
     power, acc = M.e, M.e.supertrace()
     for m in range(1, M.ring.nvars + 1):
         power = power @ R
-        acc = acc + power.supertrace().scale(Scalar(Fraction((-1) ** m, factorial(m))))
+        acc = acc + power.supertrace().scale(Scalar._raw((-1) ** m, 0, factorial(m)))
     return acc
 
 

@@ -11,7 +11,7 @@ from curvedchern.forms import (
     DiffForm,
     _exterior_d,
     _indices,
-    _wedge_row,
+    _wedge_signs,
     USeries,
     de_rham_d,
     hn_differential,
@@ -348,15 +348,19 @@ def test_scale_by_i():
 def test_memoized_merge_indices_agrees_with_the_formula_on_every_pair():
     # the wedge sign of every pair of masks on five variables (1 024 pairs),
     # each asked twice so the second answer comes from the memo: zero on an
-    # overlap, else the sign that sorts the concatenated indices
+    # overlap, else the sign that sorts the concatenated indices, times the
+    # table's sign for the parities of the two masks
     tuples = [S for k in range(6) for S in combinations(range(5), k)]
     assert len(tuples) ** 2 == 1024
     for _ in range(2):
-        for S1 in tuples:
-            for S2 in tuples:
-                m1, m2 = sum(1 << v for v in S1), sum(1 << v for v in S2)
-                want = reference_merge_indices(S1, S2)
-                if want is None:
-                    assert _wedge_row(m1)[m2] == 0, (S1, S2)
-                else:
-                    assert (_indices(m1 | m2), _wedge_row(m1)[m2]) == want, (S1, S2)
+        for signs in (((1, 1), (1, 1)), ((1, 2), (-1, 0))):
+            for S1 in tuples:
+                for S2 in tuples:
+                    m1, m2 = sum(1 << v for v in S1), sum(1 << v for v in S2)
+                    want = reference_merge_indices(S1, S2)
+                    got = _wedge_signs(signs)[m1][m2]
+                    if want is None:
+                        assert got == 0, (S1, S2)
+                    else:
+                        merged, sign = want
+                        assert (_indices(m1 | m2), got) == (merged, sign * signs[len(S1) % 2][len(S2) % 2]), (S1, S2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from curvedchern import rings
 from curvedchern.forms import DiffForm, USeries, relation_bound
+from curvedchern.matform import Mat
 from curvedchern.rings import _KEY, RingElement, _canonical, monomial_key, sum_of_products
 from curvedchern.scalars import Scalar
 
@@ -280,9 +281,24 @@ def test_packed_readers_match_the_tuple_oracle(data):
 
 # -- rows added without a product -------------------------------------------
 #
-# USeries.sum_of_products hands its plus terms to the kernel as added rows
-# whenever the entry has a product, so they are summed before the one
-# normal form; the result must equal merging them into the products' sum.
+# Mat.sum_of_products files the groups of an identity term's other factor as
+# added rows of their entry, which go to the kernel whenever the entry has a
+# product, so they are summed before the one normal form; the result must
+# equal merging them into the products' sum.  _entry_of puts pairs and plus
+# terms (sign, shift, v) into one entry of 1 x 1 matrices.
+
+
+def _entry_of(ring, pairs, plus) -> USeries:
+    """sign·u^shift·a·b over pairs plus sign·u^shift·v over plus, as the
+    one entry of Mat.sum_of_products on 1 x 1 matrices, a plus term an
+    identity term."""
+    one, degrees = Mat.identity(ring, (0,)), (0,)
+    def mat(v):
+        return Mat.diagonal(ring, degrees, [v])
+
+    terms = [(sign, shift, mat(a), mat(b)) for sign, shift, a, b in pairs]
+    terms += [(sign, shift, one, mat(v)) for sign, shift, v in plus]
+    return Mat.sum_of_products(ring, degrees, degrees, terms).entry(0, 0)
 
 # the wedge masks a drawn series may carry: none, one index, two, all three
 _MASKS = st.sampled_from([(), (0,), (1,), (0, 2), (0, 1, 2)])
@@ -306,14 +322,14 @@ def test_added_rows_sum_as_merges_after_the_products(data):
         series = _useries(ring)
         pairs = data.draw(st.lists(st.tuples(signs, shifts, series, series), max_size=3))
         plus = data.draw(st.lists(st.tuples(signs, shifts, series), max_size=3))
-        got = USeries.sum_of_products(ring, pairs, plus)
+        got = _entry_of(ring, pairs, plus)
         assert got == reference_useries_sum_of_products(ring, pairs, plus)
         assert (got.den, got.width, got.groups) == _canonical(ring, got.den, got.width, got.groups)
         # a plus-only entry forms nothing, and one that takes each product
         # back as a plus term cancels to zero
-        assert USeries.sum_of_products(ring, [], plus) == reference_useries_sum_of_products(ring, [], plus)
+        assert _entry_of(ring, [], plus) == reference_useries_sum_of_products(ring, [], plus)
         back = [(-sign, shift, a * b) for sign, shift, a, b in pairs]
-        assert USeries.sum_of_products(ring, pairs, back + plus) == reference_useries_sum_of_products(ring, [], plus)
+        assert _entry_of(ring, pairs, back + plus) == reference_useries_sum_of_products(ring, [], plus)
 
 
 def test_added_rows_at_a_wider_width_and_a_denominator_cancel():
@@ -323,8 +339,8 @@ def test_added_rows_at_a_wider_width_and_a_denominator_cancel():
     b = USeries.from_ring(SPHERE.from_string("x2^99"))
     plus = USeries.from_form(DiffForm(SPHERE, {(0,): SPHERE.from_string("-i/2*x1*x2^99")}))
     assert a.width < b.width == plus.width
-    assert USeries.sum_of_products(SPHERE, [(1, 0, a, b)], [(1, 0, plus)]).is_zero()
-    got = USeries.sum_of_products(SPHERE, [(1, 0, a, b), (-1, 1, a, b)], [(1, 0, plus)])
+    assert _entry_of(SPHERE, [(1, 0, a, b)], [(1, 0, plus)]).is_zero()
+    got = _entry_of(SPHERE, [(1, 0, a, b), (-1, 1, a, b)], [(1, 0, plus)])
     assert got == (a * b).shift_u(1).scale(Scalar(-1))
 
 

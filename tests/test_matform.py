@@ -23,6 +23,7 @@ from curvedchern.matform import (
 )
 from curvedchern.modules import CurvedAlgebra, CurvedModule, check_module, connection_with_mu
 from curvedchern.randomgen import random_module_instance
+from curvedchern.rings import _canonical
 from curvedchern.scalars import Scalar
 
 from util import (
@@ -32,6 +33,7 @@ from util import (
     qi_ring,
     reference_parity_components,
     reference_supertrace_of_product,
+    reference_wedge,
     sphere_ring,
 )
 
@@ -906,11 +908,12 @@ def test_identity_factors_form_no_product(monkeypatch):
     ring = FREE
     degrees = (0, 1)
     X = Mat.from_stored(ring, degrees, [["x1", "x2"], ["x3", "1"]])
+    # the kernel as matform's products call it (Mat.sum_of_products) and as
+    # Mat.apply reaches it (through USeries.sum_of_products in forms)
     calls = []
-    plain = USeries.sum_of_products
-    monkeypatch.setattr(
-        USeries, "sum_of_products", staticmethod(lambda r, *args: calls.append(1) or plain(r, *args))
-    )
+    for mod in (matform, forms):
+        spy = lambda r, c, added=(), body=mod.sum_of_products: calls.append(1) or body(r, c, added)  # noqa: E731
+        monkeypatch.setattr(mod, "sum_of_products", spy)
     for I in _identities(ring, degrees):
         assert I @ X is X and X @ I is X
         assert I.apply(column(X, 0)) == column(X, 0)
@@ -1004,11 +1007,98 @@ def test_sum_of_products_makes_one_kernel_call_per_entry(monkeypatch):
     A = Mat.from_stored(R, [0, 1], [["x", "y"], ["x*y", "1"]])
     B = Mat.from_stored(R, [0, 1], [["y", "0"], ["x", "x^2"]])
     calls = []
-    body = forms.sum_of_products
-    monkeypatch.setattr(forms, "sum_of_products", lambda r, c, added=(): calls.append(1) or body(r, c, added))
+    body = matform.sum_of_products  # the kernel binding the pass calls
+    monkeypatch.setattr(matform, "sum_of_products", lambda r, c, added=(): calls.append(1) or body(r, c, added))
     got = Mat.sum_of_products(R, (0, 1), (0, 1), [(1, 0, A, B), (-1, 1, B, A), (1, 2, Mat.identity(R, (0, 1)), A)])
     assert len(calls) == 4  # one per entry; the identity term forms nothing
     assert got == A @ B - (B @ A).shift_u(1) + A.shift_u(2)
+
+
+# ring parts on both sides of the packing-width boundaries 2^k - 1 | 2^k
+# (as tests/test_kernel.py::_elements; x1 stays linear, which the sphere's
+# normal form keeps), so the two operands of a product can be packed at
+# different widths
+_WIDE_POLYS = ["x1 - 2", "x2^7 + 1/2", "i*x3^8", "x1*x2^15 - x3", "x2^16", "x3^100 + x1", "1/3*x2^300"]
+
+
+def _wide_entries(ring):
+    """Entries of up to two (u-power, wedge, ring part) terms; none is the
+    zero entry."""
+    part = st.tuples(st.integers(0, 2), st.sampled_from(_WEDGES), st.sampled_from(_WIDE_POLYS))
+    return st.lists(part, max_size=2).map(lambda parts: sum(
+        (USeries.from_form(DiffForm(ring, {S: ring.from_string(p)}), J) for J, S, p in parts), USeries.zero(ring)
+    ))
+
+
+def _reference_product(a: USeries, b: USeries) -> USeries:
+    """a·b u-power by u-power through util.reference_wedge, which shares
+    no code with forms._pair or the kernel."""
+    return sum((
+        USeries.from_form(reference_wedge(a.coefficient(J1), b.coefficient(J2)), J1 + J2)
+        for J1 in a.u_powers() for J2 in b.u_powers()
+    ), USeries.zero(a.ring))
+
+
+def _first_appearances(terms, t: int) -> list:
+    """The columns of row t in the order the terms first reach them."""
+    seen: dict = {}
+    for _, _, X, Y in terms:
+        if X.is_identity() or Y.is_identity():
+            seen.update(dict.fromkeys((Y if X.is_identity() else X).rows[t]))
+        else:
+            seen.update(dict.fromkeys(s for k in X.rows[t] for s in Y.rows[k]))
+    return list(seen)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([FREE, SPHERE]), st.data())
+def test_filed_entries_match_the_entrywise_reference(ring, data):
+    # 2 x 2 sums whose product terms reach column 0 only, so column 1 is
+    # reached by identity terms alone; the first product pairs a wide entry
+    # with a narrow one.  A last identity term takes the reference value of
+    # entry (0, 0) back out, so that entry sums to zero, products and added
+    # rows cancelling in one kernel call
+    degrees = (0, 1)
+    one, zero = Mat.identity(ring, degrees), USeries.zero(ring)
+    entry = _wide_entries(ring)
+    terms = []
+    for n in range(data.draw(st.integers(1, 4))):
+        sign, shift = data.draw(st.sampled_from([1, -1])), data.draw(st.integers(0, 2))
+        if n > 0 and data.draw(st.booleans()):
+            Z = Mat(ring, degrees, degrees, [[data.draw(entry) for _ in degrees] for _ in degrees])
+            terms.append((sign, shift, one, Z) if data.draw(st.booleans()) else (sign, shift, Z, one))
+            continue
+        mid = tuple(data.draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3)))
+        gx = [[data.draw(entry) for _ in mid] for _ in degrees]
+        gy = [[data.draw(entry), zero] for _ in mid]
+        if n == 0:
+            gx[0][0] = USeries.from_ring(ring.from_string("x3^100 + x1"))
+            gy[0][0] = USeries.from_form(DiffForm(ring, {(1,): ring.from_string("x1 - 2")}))
+        terms.append((sign, shift, Mat(ring, degrees, mid, gx), Mat(ring, mid, degrees, gy)))
+    Z = Mat(ring, degrees, degrees, [[data.draw(entry) for _ in degrees] for _ in degrees])
+    terms.append((data.draw(st.sampled_from([1, -1])), data.draw(st.integers(0, 2)), one, Z))
+
+    def reference(t: int, s: int) -> USeries:
+        acc = zero
+        for sign, shift, X, Y in terms:
+            if X.is_identity() or Y.is_identity():
+                part = (Y if X.is_identity() else X).entry(t, s)
+            else:
+                part = sum((_reference_product(X.entry(t, k), Y.entry(k, s)) for k in range(len(Y.rows))), zero)
+            acc = acc + part.shift_u(shift).scale(Scalar(sign))
+        return acc
+
+    terms.append((-1, 0, one, Mat.diagonal(ring, degrees, [reference(0, 0), zero])))
+    got = Mat.sum_of_products(ring, degrees, degrees, terms)
+    assert got.entry(0, 0).is_zero() and 0 not in got.rows[0]
+    for t in range(2):
+        for s in range(2):
+            assert got.entry(t, s) == reference(t, s), (t, s)
+        # entries are stored in the order the terms first reach them, and
+        # only nonzero ones, each canonical
+        assert list(got.rows[t]) == [s for s in _first_appearances(terms, t) if not reference(t, s).is_zero()]
+        for v in got.rows[t].values():
+            assert (v.den, v.width, v.groups) == _canonical(ring, v.den, v.width, v.groups)
 
 
 def _parity_modules():

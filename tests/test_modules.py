@@ -422,18 +422,22 @@ def _count_kernel_calls(monkeypatch) -> list:
     (which, over a relation, forms products of its own)."""
     calls: list = []
     counting = [True]
-    body, vanishes = forms.sum_of_products, modules._mat_vanishes
+    vanishes = modules._mat_vanishes
 
-    def spy(ring, contributions, added=()):
-        if counting[0]:
-            calls.append(1)
-        return body(ring, contributions, added)
+    def spy(body):
+        def counted(ring, contributions, added=()):
+            if counting[0]:
+                calls.append(1)
+            return body(ring, contributions, added)
+        return counted
 
     def stop(*args):
         counting[0] = False
         return vanishes(*args)
 
-    monkeypatch.setattr(forms, "sum_of_products", spy)
+    # Mat.sum_of_products calls the kernel through matform's binding
+    for mod in (forms, matform):
+        monkeypatch.setattr(mod, "sum_of_products", spy(mod.sum_of_products))
     monkeypatch.setattr(modules, "_mat_vanishes", stop)
     return calls
 

@@ -4,6 +4,7 @@ The benchmark's tracer wraps the engine's public functions by name, so a
 change to src/ that renames or bypasses one of them fails its self-check.
 The s4 corpus script reads and prints every entry of the corpus file.
 The capacity script times a loop alone and beside one forked sibling.
+The A/B script times two checkouts of the engine against each other.
 Every definition in src/ is reached from a command or from what the
 benchmark and the scripts call.
 """
@@ -79,6 +80,24 @@ def test_the_capacity_script_forks_once_and_reaps_its_sibling(monkeypatch):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_ab_script_compares_a_tree_with_itself():
+    # one round over seeds 0-2 and the s4 file: the two imports of the same
+    # tree give identical Chern-Weil strings, and each workload prints its
+    # line
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), str(ROOT), "--rounds", "1", "--seeds", "3"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    side = r"min (\S+) s median (\S+) s"
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["random seeds 0-2", "s4-nonflat"]
+    for line in lines:
+        got = re.search(rf"parent {side}, change {side}, change faster in ([01]) of 1 rounds$", line)
+        assert got, line
+        assert all(float(x) > 0 for x in got.groups()[:4])
 
 
 # cli.main and the commands it dispatches by name, and what the benchmark

@@ -126,8 +126,9 @@ def reference_sum_of_products(ring: GradedRing, contributions) -> dict:
 
 
 def reference_useries_sum_of_products(ring: GradedRing, pairs, plus) -> USeries:
-    """USeries.sum_of_products with its plus terms merged one at a time:
-    the kernel on the products, then one _merge per plus term."""
+    """The sum of the products in pairs and the plus terms (sign, shift,
+    v), what an entry of Mat.sum_of_products with identity terms must
+    equal: the kernel on the products, then one _merge per plus term."""
     out = USeries.sum_of_products(ring, pairs)
     for sign, shift, v in plus:
         out = out._merge(v, sign, shift)
