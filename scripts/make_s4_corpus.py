@@ -173,7 +173,6 @@ def main():
             "delta": delta_rows,
         },
         "connection": {"kind": "levi-civita"},
-        "options": {"bound": 6},
     }
     header = (
         "# Rank-2 image of the quaternionic idempotent on the 4-sphere,\n"

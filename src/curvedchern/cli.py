@@ -2,7 +2,7 @@
 
 Four subcommands:
 
-  compute <file> [--milnor] [--bound N] [--json]
+  compute <file> [--milnor] [--json]
       parse a problem file, run both Chern character routes plus the
       cycle and commutator identities, print a report
   verify (<file> | --random N --seed S)
@@ -104,8 +104,6 @@ from .randomgen import random_module_instance
 from .rings import GradedRing, RingElement, _mono_str, _parse_entry
 
 EXAMPLE_NAMES = ("mf-xy", "s4-nonflat")
-# for the options block and for compute --bound alike
-BOUND_MESSAGE = "bound must be a non-negative integer"
 
 
 # -- problem files -----------------------------------------------------
@@ -143,6 +141,11 @@ class Instance:
 def _require(cond: bool, clause: str) -> None:
     if not cond:
         raise InvalidInput(clause)
+
+
+def _known_keys(block: dict, allowed: set, where: str) -> None:
+    for key in block:
+        _require(key in allowed, f"{where}: unknown key {key!r}")
 
 
 def _is_int(value) -> bool:
@@ -213,11 +216,7 @@ def parse_instance(text: str, label: str) -> Instance:
 
     rb = data["ring"]
     _require(isinstance(rb, dict), "ring block: must be an object")
-    for key in rb:
-        _require(
-            key in {"grading", "variables", "degrees", "relation"},
-            f"ring block: unknown key {key!r}",
-        )
+    _known_keys(rb, {"grading", "variables", "degrees", "relation"}, "ring block")
     grading = rb.get("grading", "Z2")
     _require(grading in ("Z", "Z2"), "ring block: grading must be Z or Z2")
     variables = rb.get("variables")
@@ -245,19 +244,14 @@ def parse_instance(text: str, label: str) -> Instance:
 
     cb = data.get("curved", {})
     _require(isinstance(cb, dict), "curved block: must be an object")
-    for key in cb:
-        _require(key == "h", f"curved block: unknown key {key!r}")
+    _known_keys(cb, {"h"}, "curved block")
     h = cb.get("h", "0")
     _require(isinstance(h, str), "curved block: h must be a polynomial string")
     algebra = CurvedAlgebra(ring, _located("curved block: h", ring.from_string, h))
 
     mb = data["module"]
     _require(isinstance(mb, dict), "module block: must be an object")
-    for key in mb:
-        _require(
-            key in {"degrees", "idempotent", "delta"},
-            f"module block: unknown key {key!r}",
-        )
+    _known_keys(mb, {"degrees", "idempotent", "delta"}, "module block")
     _require("degrees" in mb and "delta" in mb, "module block: degrees and delta required")
     _require(
         isinstance(mb["degrees"], list) and all(_is_int(d) for d in mb["degrees"]),
@@ -288,12 +282,10 @@ def parse_instance(text: str, label: str) -> Instance:
     _require(isinstance(nb, dict), "connection block: must be an object")
     kind = nb.get("kind", "levi-civita")
     if kind == "levi-civita":
-        for key in nb:
-            _require(key == "kind", f"connection block: unknown key {key!r}")
+        _known_keys(nb, {"kind"}, "connection block")
         connection = levi_civita(module)
     elif kind == "explicit":
-        for key in nb:
-            _require(key in {"kind", "mu"}, f"connection block: unknown key {key!r}")
+        _known_keys(nb, {"kind", "mu"}, "connection block")
         _require("mu" in nb, "connection block: explicit kind requires mu rows")
         rows = nb["mu"]
         _require(
@@ -308,12 +300,7 @@ def parse_instance(text: str, label: str) -> Instance:
 
     ob = data.get("options", {})
     _require(isinstance(ob, dict), "options block: must be an object")
-    for key in ob:
-        _require(key in {"milnor", "bound"}, f"options block: unknown key {key!r}")
-    _require(
-        "bound" not in ob or (_is_int(ob["bound"]) and ob["bound"] >= 0),
-        f"options block: {BOUND_MESSAGE}",
-    )
+    _known_keys(ob, {"milnor"}, "options block")
     _require(
         isinstance(ob.get("milnor", False), bool), "options block: milnor must be true or false"
     )
@@ -550,10 +537,9 @@ def _run_stages(ring: GradedRing, stages: list, first: int, fork: bool):
             os.waitpid(pid, 0)
 
 
+# bound is ignored: perfbench/workloads.py and perfbench/make_reference.py still pass it
 @_exact_digits()
-def run_suite(
-    M: CurvedModule, C: Connection, *, bound: int | None = None, milnor: bool = False
-) -> SuiteResult:
+def run_suite(M: CurvedModule, C: Connection, *, bound=None, milnor: bool = False) -> SuiteResult:
     """Both routes and both identity checks on (M, C), as the cli module
     docstring says; the result, and the failure raised first, are the same
     whether the stages run in a forked child (_forks) or not.  `timing`
@@ -581,7 +567,7 @@ def run_suite(
         ("the forked process sent no Chern-Weil classes",
          lambda: _chern_weil_share(M, C, K, words, True)),
         ("the commutator check's process sent no verdict",
-         lambda: _timed(commutator_check, M, C, bound)),
+         lambda: _timed(commutator_check, M, C)),
     ]
     if halves:
         rows = ("the forked process sent no rows of A·A", lambda: _even_rows_half(A, True))
@@ -598,7 +584,7 @@ def run_suite(
         ch_weil = chern_weil(M, C, words)
         timing["chern_weil"] = a_s + time.monotonic() - t0 - read_s
         ch_chains, timing["chern_via_chains"] = _timed(chern_via_chains, M, C, words=words)
-        cycle, cycle_s = _timed(cycle_check, M, ch_weil, bound)
+        cycle, cycle_s = _timed(cycle_check, M, ch_weil)
         commutator, commutator_s = receive()
     timing["identity_checks"] = cycle_s + commutator_s
     diff = ch_weil - ch_chains
@@ -718,11 +704,9 @@ def render_json(inst: Instance, res: SuiteResult) -> str:
 
 
 def cmd_compute(args) -> int:
-    _require(args.bound is None or args.bound >= 0, f"--bound: {BOUND_MESSAGE}")
     inst = load_instance(args.file)
-    bound = args.bound if args.bound is not None else inst.options.get("bound")
     milnor = bool(args.milnor or inst.options.get("milnor"))
-    res = run_suite(inst.module, inst.connection, bound=bound, milnor=milnor)
+    res = run_suite(inst.module, inst.connection, milnor=milnor)
     if args.json:
         sys.stdout.write(render_json(inst, res))
     else:
@@ -747,8 +731,7 @@ def cmd_verify(args) -> int:
     if args.file is None:
         raise InvalidInput("verify needs a problem file or --random N --seed S")
     inst = load_instance(args.file)
-    bound = inst.options.get("bound")
-    res = run_suite(inst.module, inst.connection, bound=bound)
+    res = run_suite(inst.module, inst.connection)
     print(f"verify {inst.label}")
     print("PASS check_module")
     print(f"{'PASS' if res.routes_equal else 'FAIL'} route equivalence")
@@ -819,12 +802,7 @@ def cmd_examples(args) -> int:
     inst = parse_instance(
         _corpus_text(f"{name.replace('-', '_')}.json"), f"examples:{name}"
     )
-    res = run_suite(
-        inst.module,
-        inst.connection,
-        bound=inst.options.get("bound"),
-        milnor=bool(inst.options.get("milnor")),
-    )
+    res = run_suite(inst.module, inst.connection, milnor=bool(inst.options.get("milnor")))
     report = render_report(inst, res, timing=False)
     sys.stdout.write(report)
     _raise_on_failure(res)
@@ -900,7 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="run both routes on a problem file")
     p.add_argument("file")
     p.add_argument("--milnor", action="store_true", help="reduce the u^0 top form")
-    p.add_argument("--bound", type=int, default=None, help="the degree a mod-relation verdict reports")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="invariant suite on a file or random instances")

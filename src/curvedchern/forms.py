@@ -21,8 +21,7 @@ entry's) with a sign read by the two masks from a memoized table: the
 overlap test, the wedge sign and a factor by the two form parities, such
 as a supertrace weight.  d subtracts a variable's unit key (one in its
 field and one in the degree field) from a packed monomial and sets the
-variable's bit in the mask, and relation_bound reads the degree field of
-the largest packed monomial.  A coefficient is a subset of the groups,
+variable's bit in the mask.  A coefficient is a subset of the groups,
 re-keyed and made canonical, and DiffForm.parts and RingElement.terms
 build their views on read.
 hn_differential is u·d + dh∧(-).
@@ -93,9 +92,6 @@ class DiffForm(Packed):
     def _coefficient(self, g: tuple) -> RingElement:
         rows = self.groups.get(g)
         return RingElement._reduced(self.ring, self.den, self.width, {_KEY: rows} if rows else {})
-
-    def form_degrees(self) -> set[int]:
-        return {mask.bit_count() for _, mask in self.groups}
 
     def component(self, degree: int) -> "DiffForm":
         groups = {g: rows for g, rows in self.groups.items() if g[1].bit_count() == degree}
@@ -361,13 +357,6 @@ def relation_differential(ring: GradedRing) -> DiffForm | None:
         _RELATION_DIFFERENTIAL[ring] = layout
     layout = _RELATION_DIFFERENTIAL[ring]
     return None if layout is None else DiffForm._make(ring, *layout)
-
-
-def relation_bound(v: Packed) -> int:
-    """The degree a mod-relation verdict reports for a nonzero ring
-    element, form or series: two above the largest total degree of its
-    monomials, the top field of its largest packed monomial."""
-    return (max(max(rows)[0] for rows in v.groups.values()) >> v.width * v.ring.nvars) + 2
 
 
 def vanishes_mod_relation(form: DiffForm) -> bool:

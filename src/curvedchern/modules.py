@@ -18,7 +18,7 @@ from itertools import product
 from math import factorial
 
 from .errors import Inhomogeneous, InvalidInput, NonLinearCurvature
-from .forms import USeries, _exterior_d, hn_differential, relation_bound, vanishes_mod_relation
+from .forms import USeries, _exterior_d, hn_differential, vanishes_mod_relation
 from .matform import Mat, WordEvaluator, content_key
 from .rings import GradedRing, RingElement
 from .scalars import Scalar
@@ -211,8 +211,7 @@ def check_curvature(C: Connection, K: Mat) -> None:
     S = Mat._make(ring, M.degrees, M.degrees * len(xs),
                   [{v * n + t: x for v, x in enumerate(xs) if x.groups} for t in range(n)])
     Z = _nabla(C, _nabla(C, M.e @ S), (-1, 0, K, S))
-    failures = [(c % n, c // n) for row in Z.rows for c, resid in row.items()
-                if not all(vanishes_mod_relation(resid.coefficient(J)) for J in resid.u_powers())]
+    failures = [(c % n, c // n) for row in Z.rows for c, resid in row.items() if not _vanishes([resid])]
     if failures:
         j, v = min(failures)
         raise NonLinearCurvature(f"curvature fails linearity in {ring.variables[v]} on column {j}")
@@ -317,42 +316,27 @@ class IdentityVerdict:
         return self.ok
 
 
-def _useries_vanishes(p: USeries, bound: int | None) -> IdentityVerdict:
-    """Whether p vanishes, exactly or modulo the relation.  The test is
-    exact (forms.relation_differential); a mod-relation verdict reports
-    `bound`, by default relation_bound(p), a degree that decides nothing."""
-    if p.is_zero():
-        return IdentityVerdict(True, "exact")
-    ring = p.ring
-    if ring.relation is None:
-        return IdentityVerdict(False, "failed", f"nonzero residue {p}")
-    for J in p.u_powers():
-        if not vanishes_mod_relation(p.coefficient(J)):
-            return IdentityVerdict(False, "failed", f"u^{J} residue outside relation submodule")
-    return IdentityVerdict(True, "mod-relation", f"bound {relation_bound(p) if bound is None else bound}")
+def _vanishes(residues) -> IdentityVerdict:
+    """Whether every residue vanishes, exactly or modulo the relation (an
+    exact test: forms.relation_differential), read in the order given: the
+    first nonzero residue that does not fails the verdict, which is exact
+    when no residue is nonzero."""
+    mode = "exact"
+    for p in residues:
+        if p.is_zero():
+            continue
+        if p.ring.relation is None:
+            return IdentityVerdict(False, "failed", f"nonzero residue {p}")
+        for J in p.u_powers():
+            if not vanishes_mod_relation(p.coefficient(J)):
+                return IdentityVerdict(False, "failed", f"u^{J} residue outside relation submodule")
+        mode = "mod-relation"
+    return IdentityVerdict(True, mode)
 
 
-def _mat_vanishes(X: Mat, bound: int | None) -> IdentityVerdict:
-    """Whether every entry of X vanishes, read in (row, column) order so
-    that the verdict depends on X's content alone; a mod-relation verdict
-    reports `bound`, by default the largest relation_bound of an entry."""
-    largest = None
-    for row in X.rows:
-        for _, v in sorted(row.items()):
-            used = relation_bound(v) if bound is None else bound
-            verdict = _useries_vanishes(v, used)
-            if not verdict:
-                return verdict
-            if verdict.mode == "mod-relation":
-                largest = used if largest is None else max(largest, used)
-    if largest is None:
-        return IdentityVerdict(True, "exact")
-    return IdentityVerdict(True, "mod-relation", f"bound {largest}")
-
-
-def cycle_check(M: CurvedModule, ch: USeries, bound: int | None = None) -> IdentityVerdict:
+def cycle_check(M: CurvedModule, ch: USeries) -> IdentityVerdict:
     """(u·d + dh)(ch) = 0: the Chern character ch of M is a cycle."""
-    return _useries_vanishes(hn_differential(ch, M.algebra.h), bound)
+    return _vanishes([hn_differential(ch, M.algebra.h)])
 
 
 def _diagonal(M: CurvedModule, even: USeries, odd: USeries) -> Mat:
@@ -377,7 +361,10 @@ def commutator_residue(M: CurvedModule, C: Connection) -> Mat:
     return Mat.sum_of_products(M.ring, M.degrees, M.degrees, terms)
 
 
-def commutator_check(M: CurvedModule, C: Connection, bound: int | None = None) -> IdentityVerdict:
+def commutator_check(M: CurvedModule, C: Connection) -> IdentityVerdict:
     """[u·nabla + delta, R] = dh·e (as sandwiched matrices): the residue
-    of commutator_residue vanishes, exactly or modulo the relation."""
-    return _mat_vanishes(commutator_residue(M, C), bound)
+    of commutator_residue vanishes, exactly or modulo the relation, its
+    entries read in (row, column) order so that the verdict depends on
+    the residue's content alone."""
+    X = commutator_residue(M, C)
+    return _vanishes(v for row in X.rows for _, v in sorted(row.items()))

@@ -512,10 +512,6 @@ class RingElement(Packed):
 
     # -- structure -----------------------------------------------------
 
-    def is_scalar(self) -> bool:
-        rows = self.rows
-        return not rows or (len(rows) == 1 and rows[0][0] == 0)
-
     def gamma_degree(self) -> int:
         """Common Gamma-degree of all monomials, or raise Inhomogeneous.
 

@@ -203,7 +203,7 @@ def test_a_ring_without_a_relation_has_only_the_zero_form_to_vanish():
 @pytest.mark.parametrize("R", _SMOOTH, ids=["xy-1", "x2-1", "fermat-cubic"])
 def test_a_smooth_relation_gives_its_differential(R):
     df0 = relation_differential(R)
-    assert df0.form_degrees() == {1}
+    assert {mask.bit_count() for _, mask in df0.groups} == {1}
     for v, name in enumerate(R.variables):
         assert df0.coefficient((v,)) == R.relation.derivative(name)
     assert relation_differential(R) == df0  # held, and read back the same

@@ -377,8 +377,8 @@ def test_commutator_check_fails_on_a_perturbed_curvature_mod_relation():
     rows[0][0] = DiffForm(R, {(0, 1): R.from_string("x3")})
     Z = M.e @ Mat.from_stored(R, M.degrees, rows) @ M.e
     assert not Z.is_zero() and M.e @ Z @ M.e == Z
-    assert commutator_check(M, _with_curvature(M, C, K), 6).mode == "mod-relation"
-    verdict = commutator_check(M, _with_curvature(M, C, K + Z), 6)
+    assert commutator_check(M, _with_curvature(M, C, K)).mode == "mod-relation"
+    verdict = commutator_check(M, _with_curvature(M, C, K + Z))
     assert verdict.mode == "failed" and not verdict.ok
 
 
@@ -396,25 +396,39 @@ def test_commutator_residue_is_the_composed_residue_on_the_sphere(make):
     residue, want = commutator_residue(M, C), reference_commutator_residue(M, C)
     assert not want.is_zero()  # nonzero u^2 3-forms, zero modulo the relation
     assert residue == want
-    # with no bound each entry picks its own, and the detail names the largest
-    assert commutator_check(M, C) == modules._mat_vanishes(want, None)
+    assert commutator_check(M, C) == modules._vanishes(v for row in want.rows for v in row.values())
+    assert commutator_check(M, C) == modules.IdentityVerdict(True, "mod-relation")
 
 
-def test_residue_verdict_reads_content_not_assembly_order():
-    # two top forms on the 3-sphere, zero modulo the relation, whose
-    # default bounds differ (2 and 5); the two sums store them in opposite
-    # orders, and both report the largest bound
+def _residue_verdicts(monkeypatch, P, Q) -> list:
+    """commutator_check's verdicts on the residues P + Q and Q + P, equal
+    matrices whose first rows are stored in opposite orders."""
+    left, right = P + Q, Q + P
+    assert left == right and list(left.rows[0]) != list(right.rows[0])
+    verdicts = []
+    for residue in (left, right):
+        monkeypatch.setattr(modules, "commutator_residue", lambda M, C: residue)
+        verdicts.append(commutator_check(None, None))
+    return verdicts
+
+
+def test_residue_verdict_reads_content_not_assembly_order(monkeypatch):
+    # two top forms on the 3-sphere, zero modulo the relation, and then two
+    # 0-forms outside it at different powers of u, whose failure messages
+    # differ: both orders give the verdict of the lower column
     R = sphere_ring(3)
     z = "0"
     one = DiffForm(R, {(0, 1, 2): R.one()})
     big = DiffForm(R, {(0, 1, 2): R.from_string("x1*x2*x3")})
     P = Mat(R, [0, 0], [0, 0], [[one, z], [z, z]])
     Q = Mat(R, [0, 0], [0, 0], [[z, big], [z, z]])
-    left, right = P + Q, Q + P
-    assert left == right and list(left.rows[0]) != list(right.rows[0])
-    verdict = modules._mat_vanishes(left, None)
-    assert verdict == modules._mat_vanishes(right, None)
-    assert (verdict.ok, verdict.mode, verdict.detail) == (True, "mod-relation", "bound 5")
+    passed = _residue_verdicts(monkeypatch, P, Q)
+    assert passed == [modules.IdentityVerdict(True, "mod-relation", "")] * 2
+    at_u = [USeries.from_form(R.one(), J) for J in (1, 0)]
+    P = Mat(R, [0, 0], [0, 0], [[at_u[0], z], [z, z]])
+    Q = Mat(R, [0, 0], [0, 0], [[z, at_u[1]], [z, z]])
+    failed = _residue_verdicts(monkeypatch, P, Q)
+    assert failed == [modules.IdentityVerdict(False, "failed", "u^1 residue outside relation submodule")] * 2
 
 
 def _count_kernel_calls(monkeypatch) -> list:
@@ -422,7 +436,7 @@ def _count_kernel_calls(monkeypatch) -> list:
     (which, over a relation, forms products of its own)."""
     calls: list = []
     counting = [True]
-    vanishes = modules._mat_vanishes
+    vanishes = modules._vanishes
 
     def spy(body):
         def counted(ring, contributions, added=()):
@@ -438,7 +452,7 @@ def _count_kernel_calls(monkeypatch) -> list:
     # Mat.sum_of_products calls the kernel through matform's binding
     for mod in (forms, matform):
         monkeypatch.setattr(mod, "sum_of_products", spy(mod.sum_of_products))
-    monkeypatch.setattr(modules, "_mat_vanishes", stop)
+    monkeypatch.setattr(modules, "_vanishes", stop)
     return calls
 
 
@@ -448,7 +462,7 @@ def test_commutator_check_makes_one_kernel_call_per_entry(make, monkeypatch):
     R = curvature_R(C)  # nabla^2 and [nabla, delta] are built before counting
     stored = sum(len(row) for row in (R.row_sign_d() @ M.e).rows)
     calls = _count_kernel_calls(monkeypatch)
-    assert commutator_check(M, C, 6).ok
+    assert commutator_check(M, C).ok
     assert len(calls) <= stored + len(M.degrees) ** 2
 
 

@@ -26,7 +26,7 @@ BASE = {
         "delta": [["0", "x"], ["y", "0"]],
     },
     "connection": {"kind": "explicit", "mu": [["x*d(y)", "0"], ["0", "0"]]},
-    "options": {"milnor": True, "bound": 2},
+    "options": {"milnor": True},
 }
 
 # strings the parser might half accept: polynomials, one-forms, keywords

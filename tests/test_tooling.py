@@ -5,14 +5,15 @@ change to src/ that renames or bypasses one of them fails its self-check.
 The s4 corpus script reads and prints every entry of the corpus file.
 The capacity script times a loop alone and beside one forked sibling.
 The A/B script times two checkouts of the engine against each other.
-Every definition in src/ is reached from a command or from what the
-benchmark and the scripts call.
+Every definition in src/, each method too, is reached from a command or
+from what the benchmark and the scripts call.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import importlib.util
 import io
 import os
@@ -117,14 +118,48 @@ def _names(node) -> set:
     }
 
 
+def _traced_methods() -> set:
+    """The method names perfbench/tracer.py wraps by name: its METHODS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    [methods] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
+    ]
+    return {name for names in ast.literal_eval(methods).values() for name in names}
+
+
+def _overrides_the_stdlib(stem: str, cls_name: str, name: str) -> bool:
+    """Whether the method `name` of class cls_name in src/curvedchern/<stem>.py
+    overrides one of a base class from outside the package, which that
+    base's own code calls (as argparse calls ArgumentParser.error)."""
+    cls = getattr(importlib.import_module(f"curvedchern.{stem}"), cls_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:] if not base.__module__.startswith("curvedchern"))
+
+
 def test_every_definition_in_src_is_reachable_from_an_entry_point():
     # nothing is kept only because a test calls it.  Reachability is by
-    # name across modules (a mention of `f` reaches every top-level `f`),
-    # and module-level code runs on import, so it counts as a root
+    # name across modules (a mention of `f` reaches every top-level `f`
+    # and every method `f`), and module-level code runs on import, so it
+    # counts as a root.  A class is reached with its dunder methods, which
+    # Python calls by protocol; each other method is a definition of its
+    # own, a root when the benchmark's tracer wraps it or when it overrides
+    # a method of a base class from outside the package
     defs: dict = {}
     roots = set(ENTRY_POINTS)
+    traced = _traced_methods()
     for path in sorted((ROOT / "src" / "curvedchern").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [
+                    n for n in node.body
+                    if isinstance(n, ast.FunctionDef) and not (n.name.startswith("__") and n.name.endswith("__"))
+                ]
+                for method in methods:
+                    defs.setdefault(method.name, []).append((path.stem, method))
+                    if method.name in traced or _overrides_the_stdlib(path.stem, node.name, method.name):
+                        roots.add(method.name)
+                node = copy.copy(node)
+                node.body = [n for n in node.body if n not in methods]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path.stem, node))
             else:

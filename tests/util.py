@@ -344,7 +344,7 @@ def _reference_supertrace_weight(ring, deg, entry):
     parts: dict = {}
     for J, form in entry.coeffs.items():
         keep = DiffForm.zero(ring)
-        for c in form.form_degrees():
+        for c in {mask.bit_count() for _, mask in form.groups}:
             comp = form.component(c)
             keep = keep + (comp if (-1) ** (((1 + c) * deg) % 2) > 0 else -comp)
         parts[J] = keep
@@ -357,7 +357,7 @@ def _reference_twist(v, basis_degree):
     out: dict = {}
     for J, form in v.coeffs.items():
         flipped = DiffForm.zero(v.ring)
-        for c in form.form_degrees():
+        for c in {mask.bit_count() for _, mask in form.groups}:
             comp = form.component(c)
             flipped = flipped + (comp if c % 2 == 0 else -comp)
         out[J] = flipped
