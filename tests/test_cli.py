@@ -124,6 +124,8 @@ def _with(block: str, **changes) -> dict:
 
 
 SQUARE = "must be a square matrix of polynomial strings over the basis"
+# the options block has no bound key: it is refused whatever its value
+UNKNOWN_BOUND = "options block: unknown key 'bound'"
 
 
 @pytest.mark.parametrize(
@@ -132,7 +134,10 @@ SQUARE = "must be a square matrix of polynomial strings over the basis"
         (_with("ring", degrees=["a", 0]), "ring block: degrees must be integers"),
         (_with("ring", variables=[3]), "ring block: variable names must be strings"),
         (_with("module", degrees=["a", 1]), "module block: degrees must be a list of integers"),
-        (_with("options", bound=6), "options block: unknown key 'bound'"),
+        (_with("options", bound="z"), UNKNOWN_BOUND),
+        (_with("options", bound=-1), UNKNOWN_BOUND),
+        (_with("options", bound=True), UNKNOWN_BOUND),
+        (_with("options", bound=6), UNKNOWN_BOUND),
         (_with("options", milnor=1), "options block: milnor must be true or false"),
         (
             _with("connection", kind="explicit", mu=[[3, "0"], ["0", "0"]]),
@@ -148,6 +153,9 @@ SQUARE = "must be a square matrix of polynomial strings over the basis"
         "ring-degree-not-int",
         "variable-not-string",
         "module-degree-not-int",
+        "bound-not-int",
+        "bound-negative",
+        "bound-bool",
         "bound-unknown-key",
         "milnor-not-bool",
         "mu-entry-not-string",
